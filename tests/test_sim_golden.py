@@ -1,0 +1,163 @@
+"""Cross-commit pin of the simulated machine.
+
+The T/F/A shape claims rest on simulated outputs that are a pure function
+of structure and machine model, so they must not move by one bit when the
+host-side code that produces them is refactored. Each case asserts exact
+equality (``float.hex``) of ``(factor_time, solve_time, n_messages,
+total_bytes)`` — plus the solve simulation's own message count and bytes —
+with values recorded at commit f65200c.
+
+To re-record after an *intended* change of the simulated machine, run
+``PYTHONPATH=src python tests/test_sim_golden.py`` and paste the output
+over ``GOLDEN`` — and say in the PR which tables move.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from repro.core import ParallelConfig, SparseSolver, UnsymmetricSolver
+from repro.gen import convection_diffusion2d, grid2d_9pt, grid3d_laplacian
+from repro.machine import BLUEGENE_P, GENERIC_CLUSTER
+from repro.parallel import simulate_solve
+from repro.parallel.lu_par import simulate_lu_solve
+from repro.util.rng import make_rng
+
+MESHES = {"cube8": lambda: grid3d_laplacian(8), "plate24": lambda: grid2d_9pt(24)}
+
+GRID = [
+    f"{mesh}-p{p}-{policy}-{method}"
+    for mesh, p, policy, method in itertools.product(
+        MESHES, (4, 16), ("2d", "1d", "static"), ("cholesky", "ldlt")
+    )
+]
+
+GOLDEN = {
+    "cube8-p4-2d-cholesky": ("0x1.e3a930bed7020p-10", "0x1.02628c6a18c25p-11", 331, 388216, 212, 41056),
+    "cube8-p4-2d-ldlt": ("0x1.0179561e835e6p-9", "0x1.02628c6a18c25p-11", 376, 394184, 212, 41056),
+    "cube8-p4-1d-cholesky": ("0x1.023bf5aee0b0cp-9", "0x1.02628c6a18c25p-11", 379, 398748, 212, 41056),
+    "cube8-p4-1d-ldlt": ("0x1.116b6129009e4p-9", "0x1.02628c6a18c25p-11", 424, 406668, 212, 41056),
+    "cube8-p4-static-cholesky": ("0x1.3a2ee24aa8fcdp-9", "0x1.e6a9bcc14e796p-11", 212, 528356, 335, 76968),
+    "cube8-p4-static-ldlt": ("0x1.3b74e0085bfdbp-9", "0x1.e6a9bcc14e796p-11", 218, 529060, 335, 76968),
+    "cube8-p16-2d-cholesky": ("0x1.5341665562107p-9", "0x1.ddf3084ace6c3p-11", 2061, 1183640, 1141, 177648),
+    "cube8-p16-2d-ldlt": ("0x1.765ec020cdd3bp-9", "0x1.ddf3084ace6c3p-11", 2338, 1218080, 1141, 177648),
+    "cube8-p16-1d-cholesky": ("0x1.8e7f429833441p-9", "0x1.ddf3084ace6c3p-11", 2414, 1369272, 1141, 177648),
+    "cube8-p16-1d-ldlt": ("0x1.b30764bda49bbp-9", "0x1.ddf3084ace6c3p-11", 2691, 1416536, 1141, 177648),
+    "cube8-p16-static-cholesky": ("0x1.077f48f64b528p-9", "0x1.5e34e175de492p-11", 379, 606440, 493, 96344),
+    "cube8-p16-static-ldlt": ("0x1.0828b934d765bp-9", "0x1.5e34e175de492p-11", 409, 609800, 493, 96344),
+    "plate24-p4-2d-cholesky": ("0x1.25ab65d48eeacp-12", "0x1.57b14c94b0a02p-13", 54, 33804, 69, 12024),
+    "plate24-p4-2d-ldlt": ("0x1.4fa972c1e9d92p-12", "0x1.57b14c94b0a02p-13", 71, 36132, 69, 12024),
+    "plate24-p4-1d-cholesky": ("0x1.4c7d3bf7e001cp-12", "0x1.57b14c94b0a02p-13", 67, 38976, 69, 12024),
+    "plate24-p4-1d-ldlt": ("0x1.75c506b52e03ep-12", "0x1.57b14c94b0a02p-13", 84, 41968, 69, 12024),
+    "plate24-p4-static-cholesky": ("0x1.a4a59259a77adp-11", "0x1.5ffc579ce1447p-11", 136, 143884, 272, 54056),
+    "plate24-p4-static-ldlt": ("0x1.a4a59259a77adp-11", "0x1.5ffc579ce1447p-11", 136, 143884, 272, 54056),
+    "plate24-p16-2d-cholesky": ("0x1.2f4353fdfeea6p-11", "0x1.92cdcf5a5e3e3p-12", 503, 227004, 494, 80000),
+    "plate24-p16-2d-ldlt": ("0x1.74a315e624a9fp-11", "0x1.92cdcf5a5e3e3p-12", 641, 244076, 494, 80000),
+    "plate24-p16-1d-cholesky": ("0x1.8bb97e2b351e7p-11", "0x1.92cdcf5a5e3e3p-12", 634, 296020, 494, 80000),
+    "plate24-p16-1d-ldlt": ("0x1.d31135ac4a664p-11", "0x1.92cdcf5a5e3e3p-12", 772, 319428, 494, 80000),
+    "plate24-p16-static-cholesky": ("0x1.0ba06cde81271p-11", "0x1.6978fd33165e9p-12", 146, 158252, 292, 58408),
+    "plate24-p16-static-ldlt": ("0x1.0ba06cde81271p-11", "0x1.6978fd33165e9p-12", 146, 158252, 292, 58408),
+    "panel-k4": ("0x1.7a98e825b9036p-12", "0x1.3529f037ad523p-12", 349, 601852, 366, 227904),
+    "lu": ("0x1.ef8baf1c9507cp-13", "0x1.c754fa001338cp-13", 150, 49724, 168, 19344),
+    "ledger-cube16-p64": ("0x1.0f6bd2d31dea2p-6", "0x1.2e204f8374d08p-9", 10498, 45140236, 8480, 2203704),
+}
+
+
+def pin(factor_sim, solve_sim):
+    fl, sl = factor_sim.ledger, solve_sim.ledger
+    return (
+        float(factor_sim.makespan).hex(),
+        float(solve_sim.makespan).hex(),
+        fl.n_messages,
+        fl.total_bytes,
+        sl.n_messages,
+        sl.total_bytes,
+    )
+
+
+def pin_report(rep):
+    assert (rep.n_messages, rep.total_bytes) == (
+        rep.factor_result.sim.ledger.n_messages,
+        rep.factor_result.sim.ledger.total_bytes,
+    )
+    assert (rep.factor_time, rep.solve_time) == (
+        rep.factor_result.makespan,
+        rep.solve_result.makespan,
+    )
+    return pin(rep.factor_result.sim, rep.solve_result.sim)
+
+
+_solvers = {}
+
+
+def solver_for(mesh, method):
+    if (mesh, method) not in _solvers:
+        s = SparseSolver(MESHES[mesh](), method=method)
+        s.analyze()
+        _solvers[mesh, method] = s
+    return _solvers[mesh, method]
+
+
+def run_grid(case):
+    mesh, p, policy, method = case.split("-")
+    solver = solver_for(mesh, method)
+    config = ParallelConfig(
+        n_ranks=int(p[1:]), machine=BLUEGENE_P, nb=8, policy=policy
+    )
+    return pin_report(solver.simulate(config, b=np.ones(solver.lower.shape[0])))
+
+
+def run_panel_k4():
+    solver = solver_for("cube8", "cholesky")
+    n = solver.lower.shape[0]
+    config = ParallelConfig(n_ranks=8, machine=GENERIC_CLUSTER, nb=16)
+    fres = solver.simulate(config).factor_result
+    sres = simulate_solve(fres, make_rng(4).standard_normal((n, 4)))
+    return pin(fres.sim, sres.sim)
+
+
+def run_lu():
+    a = convection_diffusion2d(12, wind=(1.0, -0.4), peclet=1.5)
+    solver = UnsymmetricSolver(a)
+    config = ParallelConfig(n_ranks=8, machine=BLUEGENE_P, nb=8)
+    res, _ = solver.simulate(config)
+    sim, _x = simulate_lu_solve(res, np.ones(a.shape[0]))
+    return pin(res.sim, sim)
+
+
+def run_ledger():
+    """The perf ledger's own sim-cube-l-p64 configuration."""
+    a = grid3d_laplacian(16)
+    config = ParallelConfig(n_ranks=64, machine=BLUEGENE_P, nb=32)
+    return pin_report(SparseSolver(a).simulate(config, b=np.ones(a.shape[0])))
+
+
+SINGLES = {"panel-k4": run_panel_k4, "lu": run_lu, "ledger-cube16-p64": run_ledger}
+
+
+@pytest.mark.parametrize("case", GRID)
+def test_grid(case):
+    assert run_grid(case) == GOLDEN[case]
+
+
+@pytest.mark.parametrize("case", SINGLES)
+def test_single(case):
+    assert SINGLES[case]() == GOLDEN[case]
+
+
+def test_ledger_values_match_the_issue():
+    """The four numbers the perf ledger reports for sim-cube-l-p64."""
+    ft, st, msgs, nbytes = GOLDEN["ledger-cube16-p64"][:4]
+    assert float.fromhex(ft) == 0.016566234477493176
+    assert float.fromhex(st) == 0.0023050400793437377
+    assert (msgs, nbytes) == (10498, 45140236)
+
+
+if __name__ == "__main__":
+    print("GOLDEN = {")
+    for case in GRID:
+        print(f"    {case!r}: {run_grid(case)!r},")
+    for case, fn in SINGLES.items():
+        print(f"    {case!r}: {fn()!r},")
+    print("}")
