@@ -36,10 +36,11 @@ from repro.ordering.registry import get_ordering
 from repro.parallel.driver import (
     ParallelFactorResult,
     ParallelSolveResult,
+    build_plan,
     simulate_factorization,
     simulate_solve,
 )
-from repro.parallel.plan import PlanOptions
+from repro.parallel.plan import FactorPlan, PlanOptions
 from repro.sparse.csc import CSCMatrix
 from repro.sparse.ops import sym_matvec_lower_many, tril, is_structurally_symmetric
 from repro.symbolic.analyze import AnalyzeOptions, SymbolicFactor, analyze
@@ -183,6 +184,10 @@ class SparseSolver:
         self.pivot_perturbation = pivot_perturbation
         self.sym: SymbolicFactor | None = None
         self.numeric: NumericFactor | None = None
+        #: structural plans of the simulated-parallel path, keyed
+        #: ``(n_ranks, PlanOptions)``; value-free, so they outlive
+        #: ``update_values``/``refactor`` and are dropped by ``analyze()``
+        self.plans: dict[tuple[int, PlanOptions], FactorPlan] = {}
         self._analyze_info: AnalyzeInfo | None = None
 
     # -- phases ------------------------------------------------------------
@@ -200,6 +205,7 @@ class SparseSolver:
                 perm = np.asarray(self.ordering, dtype=np.int64)
             with span("solver.symbolic"):
                 self.sym = analyze(self.lower, perm, self.analyze_options)
+        self.plans.clear()
         s = self.sym
         self._analyze_info = AnalyzeInfo(
             n=s.n,
@@ -363,6 +369,16 @@ class SparseSolver:
 
     # -- simulated parallel execution ---------------------------------------
 
+    def parallel_plan(self, n_ranks: int, options: PlanOptions) -> FactorPlan:
+        """The static plan (mapping, block layout, compiled communication
+        schedule) of this analysis for *n_ranks* ranks, built once."""
+        if self.sym is None:
+            self.analyze()
+        key = (n_ranks, options)
+        if key not in self.plans:
+            self.plans[key] = build_plan(self.sym, n_ranks, options)
+        return self.plans[key]
+
     def simulate(
         self,
         config: ParallelConfig,
@@ -377,20 +393,19 @@ class SparseSolver:
         the purpose of simulating large machines on big problems, so it is
         off by default).
         """
-        if self.sym is None:
-            self.analyze()
         with span(
             "solver.simulate",
             ranks=config.n_ranks,
             machine=config.machine.name,
         ):
+            plan = self.parallel_plan(config.n_ranks, config.plan_options())
             fres = simulate_factorization(
                 self.sym,
                 config.n_ranks,
                 config.machine,
-                config.plan_options(),
                 method=self.method,
                 threads_per_rank=config.threads_per_rank,
+                plan=plan,
             )
         if verify:
             if self.numeric is None:

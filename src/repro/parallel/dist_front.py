@@ -1,28 +1,40 @@
-"""One rank's share of a distributed frontal matrix.
+"""Front blocks held by one rank, and the executors of the compiled
+extend-add schedule over them.
 
-Blocks are stored in a dict keyed by block coordinates; only lower-triangle
-blocks (bi >= bj) exist. Assembly, scatter-add of extend-add contributions,
-and packing of outgoing extend-add messages live here.
+A front (or update matrix) a rank holds is a dict of dense blocks keyed by
+block coordinates: the owned ``(bi, bj)`` blocks of a distributed front, or
+the single block ``(SEQ, SEQ)`` of a sequential one — so one executor
+serves every combination of sequential/distributed child and parent.
 """
 
 from __future__ import annotations
 
+from typing import Generator
+
 import numpy as np
 
 from repro.parallel.plan import FactorPlan, SupernodeDist
-from repro.sparse.csc import CSCMatrix
+from repro.parallel.schedule import SEQ, ChildSchedule, ScatterMap
+from repro.simmpi.ops import Recv, Send
+
+Blocks = dict[tuple[int, int], np.ndarray]
+
+#: message tag of the extend-add of each update shape: the symmetric lower
+#: triangle (Cholesky/LDLᵀ) or the full square (LU)
+_TAG = {"lower": "ea", "full": "lea"}
 
 
 class LocalFront:
-    """The blocks of a distributed front owned by one rank."""
+    """The blocks of a distributed front owned by one rank (lower-triangle
+    blocks only for symmetric fronts, all blocks for LU)."""
 
     __slots__ = ("d", "me", "blocks")
 
-    def __init__(self, d: SupernodeDist, me: int):
+    def __init__(self, d: SupernodeDist, me: int, lower_only: bool = True):
         self.d = d
         self.me = me
-        self.blocks: dict[tuple[int, int], np.ndarray] = {}
-        for bi, bj in d.grid.owned_blocks(me, d.nblocks):
+        self.blocks: Blocks = {}
+        for bi, bj in d.grid.owned_blocks(me, d.nblocks, lower_only=lower_only):
             r0, r1 = d.block_range(bi)
             c0, c1 = d.block_range(bj)
             self.blocks[(bi, bj)] = np.zeros((r1 - r0, c1 - c0))
@@ -37,141 +49,99 @@ class LocalFront:
     def entries(self) -> int:
         return sum(b.size for b in self.blocks.values())
 
-    def add_entries(self, pa: np.ndarray, pb: np.ndarray, vals: np.ndarray) -> None:
-        """Scatter-add entries at front-local (row, col) positions into the
-        owned blocks (all positions must belong to owned blocks)."""
-        if pa.size == 0:
-            return
-        d = self.d
-        bi = d.block_of(pa)
-        bj = d.block_of(pb)
-        # Group by destination block: sort by (bi, bj).
-        key = bi * d.nblocks + bj
-        order = np.argsort(key, kind="stable")
-        key_s = key[order]
-        boundaries = np.flatnonzero(np.diff(key_s)) + 1
-        starts = np.concatenate([[0], boundaries, [key_s.size]])
-        for a, b in zip(starts[:-1], starts[1:]):
-            idx = order[a:b]
-            tbi = int(bi[idx[0]])
-            tbj = int(bj[idx[0]])
-            blk = self.blocks[(tbi, tbj)]
-            r0 = int(d.starts[tbi])
-            c0 = int(d.starts[tbj])
-            np.add.at(blk, (pa[idx] - r0, pb[idx] - c0), vals[idx])
+    def update_blocks(self) -> Blocks:
+        """The trailing (update-region) blocks: this rank's share of the
+        supernode's update matrix once the pivots are eliminated."""
+        npb = self.d.npb
+        return {k: b for k, b in self.blocks.items() if min(k) >= npb}
+
+    def scatter(self, smap: ScatterMap, data: np.ndarray) -> int:
+        """Add this rank's share of the matrix entries *data* into its
+        blocks (each position occurs once); returns how many."""
+        n = 0
+        for bi, bj, lo, hi in smap.owned_by(self.me):
+            row, col = smap.row[lo:hi], smap.col[lo:hi]
+            self.blocks[(bi, bj)][row, col] += data[smap.src[lo:hi]]
+            n += hi - lo
+        return n
 
 
-def assemble_dist_entries(
-    plan: FactorPlan, s: int, me: int, lf: LocalFront
-) -> int:
-    """Scatter this rank's share of A's entries into its front blocks.
-
-    Returns the number of entries scattered (for memory-traffic charging).
-    The input matrix is assumed pre-distributed so that each rank holds the
-    entries of the blocks it owns (the standard assumption for distributed
-    solvers; re-distribution of A is not part of the timed factorization).
-    """
-    sym = plan.sym
-    a: CSCMatrix = sym.permuted_lower
-    d = plan.dist[s]
-    rows = sym.sn_rows[s]
-    n_scattered = 0
-    for k in range(d.width):
-        j = d.c0 + k
-        bj = int(d.block_of(np.asarray([k]))[0])
-        a_rows, a_vals = a.col(j)
-        keep = a_rows >= j
-        a_rows, a_vals = a_rows[keep], a_vals[keep]
-        if a_rows.size == 0:
-            continue
-        pa = np.searchsorted(rows, a_rows)
-        bi = d.block_of(pa)
-        mine = np.asarray(
-            [d.grid.owner(int(i), bj) == me for i in bi], dtype=bool
-        )
-        if not mine.any():
-            continue
-        lf.add_entries(pa[mine], np.full(int(mine.sum()), k, dtype=np.int64), a_vals[mine])
-        n_scattered += int(mine.sum())
-    return n_scattered
+def ea_message_nbytes(n_vals: int) -> int:
+    """Wire size of an extend-add fragment: 8B values + compressed local
+    indices (real codes ship block-relative 16-bit offsets)."""
+    return 8 * n_vals + 4 * n_vals + 64
 
 
-def pack_update_messages(
-    plan: FactorPlan,
-    c: int,
-    me: int,
-    value_getter,
-) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Pack this rank's share of child *c*'s update matrix for its parent.
+def _read_pieces(blocks: Blocks, sched: ChildSchedule, pairs: list[list[int]]) -> list[np.ndarray]:
+    """Views of the child-side rectangles of run pairs *pairs*."""
+    cb, rows = sched.child_side
+    return [blocks[cb[a], cb[b]][rows[a], rows[b]] for a, b in pairs]
 
-    *value_getter(ia, ib)* returns the update values at child-update-local
-    index grids (2-D arrays) — the indirection lets sequential children read
-    from a dense update matrix and distributed children read from their
-    blocks.
 
-    Returns ``dest_rank -> (parent_rows, parent_cols, values)`` with only
-    nonempty destinations present.
-    """
-    sym = plan.sym
-    parent = int(sym.sn_parent[c])
-    dc = plan.dist[c]
-    dp = plan.dist[parent]
-    pa = plan.parent_positions(c)
-    runs = plan.ea_runs(c)
-    out: dict[int, list] = {}
-    for a in range(len(runs)):
-        ia0, ia1, cba, pba = runs[a]
-        for b in range(a + 1):
-            ib0, ib1, cbb, pbb = runs[b]
-            sender = dc.group[0] if dc.is_seq else dc.grid.owner(cba, cbb)
-            if sender != me:
-                continue
-            dest = dp.group[0] if dp.is_seq else dp.grid.owner(pba, pbb)
-            ia = np.arange(ia0, ia1, dtype=np.int64)
-            ib = np.arange(ib0, ib1, dtype=np.int64)
-            ga, gb = np.meshgrid(ia, ib, indexing="ij")
-            mask = ga >= gb  # lower triangle of the update
-            if not mask.any():
-                continue
-            vals_blk = value_getter(ga, gb)
-            out.setdefault(dest, []).append(
-                (pa[ga[mask]], pa[gb[mask]], vals_blk[mask])
+def _add_pieces(
+    blocks: Blocks,
+    sched: ChildSchedule,
+    pairs: list[list[int]],
+    pieces: list[np.ndarray],
+    lower: bool,
+) -> None:
+    """Add each rectangle into its parent block; a diagonal pair of a
+    symmetric update contributes its lower triangle only."""
+    pb, rows = sched.parent_side
+    for (a, b), piece in zip(pairs, pieces):
+        ra, rb = rows[a], rows[b]
+        if not (isinstance(ra, slice) or isinstance(rb, slice)):
+            ra = ra[:, None]
+        blocks[pb[a], pb[b]][ra, rb] += np.tril(piece) if lower and a == b else piece
+
+
+def send_update(
+    plan: FactorPlan, s: int, me: int, blocks: Blocks, triangle: str
+) -> Generator[Send, None, None]:
+    """Send this rank's share of supernode *s*'s update toward the owners
+    of the parent's blocks. The share that stays on this rank is read in
+    place by :func:`receive_updates` during the parent's step."""
+    if plan.sym.sn_parent[s] < 0:
+        return
+    sched = plan.schedule(s)
+    routes = sched.ea(triangle)
+    for _, dest, lo, hi, count in routes.sending(me):
+        if dest != me:
+            yield Send(
+                dest,
+                (_TAG[triangle], sched.parent, s),
+                _read_pieces(blocks, sched, routes.items[lo:hi].tolist()),
+                nbytes=ea_message_nbytes(count),
             )
-    packed = {}
-    for dest, pieces in out.items():
-        pas = np.concatenate([p[0] for p in pieces])
-        pbs = np.concatenate([p[1] for p in pieces])
-        vs = np.concatenate([p[2] for p in pieces])
-        packed[dest] = (pas, pbs, vs)
-    return packed
 
 
-def seq_update_getter(update: np.ndarray):
-    """value_getter over a dense (sequential) update matrix."""
+def receive_updates(
+    plan: FactorPlan,
+    s: int,
+    me: int,
+    target: Blocks,
+    updates: dict[int, Blocks],
+    triangle: str,
+) -> Generator[Recv, list[np.ndarray], int]:
+    """Extend-add every child of *s* into *target* (this rank's blocks of
+    the front): per child the local share first, then the remote senders
+    ascending. Consumed child holdings are dropped from *updates*; returns
+    the number of entries that freed."""
+    freed = 0
+    for c in plan.sym.sn_children[s]:
+        sched = plan.schedule(c)
+        routes = sched.ea(triangle)
+        for sender, _, lo, hi, _ in routes.receiving(me):
+            pairs = routes.items[lo:hi].tolist()
+            if sender == me:
+                pieces = _read_pieces(updates[c], sched, pairs)
+            else:
+                pieces = yield Recv(sender, (_TAG[triangle], s, c))
+            _add_pieces(target, sched, pairs, pieces, triangle == "lower")
+        freed += sum(b.size for b in updates.pop(c, {}).values())
+    return freed
 
-    def get(ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
-        return update[ia, ib]
 
-    return get
-
-
-def dist_update_getter(lf: LocalFront, width: int):
-    """value_getter over a distributed child's owned blocks.
-
-    Child-update-local indices are offset by the pivot width to become
-    front-local, then resolved into blocks.
-    """
-    d = lf.d
-
-    def get(ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
-        fa = ia + width
-        fb = ib + width
-        # Runs guarantee each (run a, run b) pair lies in a single block.
-        bi = int(d.block_of(np.asarray([fa.flat[0]]))[0])
-        bj = int(d.block_of(np.asarray([fb.flat[0]]))[0])
-        blk = lf.block(bi, bj)
-        r0 = int(d.starts[bi])
-        c0 = int(d.starts[bj])
-        return blk[fa - r0, fb - c0]
-
-    return get
+def seq_blocks(a: np.ndarray) -> Blocks:
+    """A sequential front or update matrix as a one-block holding."""
+    return {(SEQ, SEQ): a}

@@ -143,6 +143,15 @@ class ParallelSolveResult:
         return sum(r[1] for r in self.sim.returns)
 
 
+def build_plan(
+    sym: SymbolicFactor, n_ranks: int, options: PlanOptions | None = None
+) -> FactorPlan:
+    """Construct the static plan (the one place plans are built, so the
+    ``parallel.plan`` span and the perf ledger's hook see every one)."""
+    with span("parallel.plan", ranks=n_ranks):
+        return FactorPlan(sym, n_ranks, options)
+
+
 def simulate_factorization(
     sym: SymbolicFactor,
     n_ranks: int,
@@ -163,8 +172,7 @@ def simulate_factorization(
     it across numeric re-factorizations of the same pattern.
     """
     if plan is None:
-        with span("parallel.plan", ranks=n_ranks):
-            plan = FactorPlan(sym, n_ranks, options)
+        plan = build_plan(sym, n_ranks, options)
     elif plan.sym is not sym or plan.n_ranks != n_ranks:
         raise ShapeError(
             "prebuilt plan does not match this symbolic factor / rank count"

@@ -28,11 +28,11 @@ from repro.dense.partial_factor import partial_cholesky, partial_ldlt, _trsm_rig
 from repro.mf.frontal import assemble_front
 from repro.obs.profile import active_profile
 from repro.parallel.dist_front import (
+    Blocks,
     LocalFront,
-    assemble_dist_entries,
-    dist_update_getter,
-    pack_update_messages,
-    seq_update_getter,
+    receive_updates,
+    send_update,
+    seq_blocks,
 )
 from repro.parallel.plan import FactorPlan
 from repro.simmpi.comm import Comm
@@ -48,12 +48,6 @@ def trsm_flops(rows: int, k: int) -> int:
 
 def gemm_flops(m: int, n: int, k: int) -> int:
     return 2 * m * n * k
-
-
-def ea_message_nbytes(n_vals: int) -> int:
-    """Wire size of an extend-add fragment: 8B values + compressed local
-    indices (real codes ship block-relative 16-bit offsets)."""
-    return 8 * n_vals + 4 * n_vals + 64
 
 
 @dataclass
@@ -83,11 +77,9 @@ def make_factor_program(plan: FactorPlan, method: str = "cholesky"):
 
     def program(comm: Comm):
         me = comm.world_rank
-        sym = plan.sym
         data = RankFactorData(rank=me)
         # Child update holdings of this rank, consumed by parents:
-        seq_updates: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        dist_updates: dict[int, LocalFront] = {}
+        updates: dict[int, Blocks] = {}
         live_entries = 0
 
         def bump_peak() -> None:
@@ -95,14 +87,8 @@ def make_factor_program(plan: FactorPlan, method: str = "cholesky"):
 
         for s in plan.supernodes_for_rank(me):
             d = plan.dist[s]
-            if d.is_seq:
-                live_delta = yield from _seq_step(
-                    comm, plan, s, me, method, data, seq_updates, dist_updates
-                )
-            else:
-                live_delta = yield from _dist_step(
-                    comm, plan, s, me, method, data, seq_updates, dist_updates
-                )
+            step = _seq_step if d.is_seq else _dist_step
+            live_delta = yield from step(plan, s, me, method, data, updates)
             live_entries += live_delta
             bump_peak()
         return data
@@ -111,89 +97,11 @@ def make_factor_program(plan: FactorPlan, method: str = "cholesky"):
 
 
 # ---------------------------------------------------------------------------
-# shared extend-add machinery
-# ---------------------------------------------------------------------------
-
-
-def _send_update_to_parent(plan, s, me, seq_updates, dist_updates):
-    """Yield Sends of this rank's share of s's update toward the parent's
-    owners; local shares stay in the holdings dicts for the parent step.
-
-    Returns the number of entries freed (sent away) so the caller can track
-    live memory.
-    """
-    sym = plan.sym
-    parent = int(sym.sn_parent[s])
-    if parent < 0:
-        return
-    d = plan.dist[s]
-    if d.is_seq:
-        update, _rows = seq_updates[s]
-        getter = seq_update_getter(update)
-    else:
-        getter = dist_update_getter(dist_updates[s], d.width)
-    packed = pack_update_messages(plan, s, me, getter)
-    for dest in sorted(packed):
-        if dest == me:
-            continue  # applied locally during the parent's step
-        pa, pb, vals = packed[dest]
-        yield Send(
-            dest,
-            ("ea", parent, s),
-            (s, pa, pb, vals),
-            nbytes=ea_message_nbytes(vals.size),
-        )
-
-
-def _receive_contributions(plan, s, me, apply_fn, seq_updates, dist_updates):
-    """Apply local child shares and receive remote ones for supernode s.
-
-    *apply_fn(pa, pb, vals)* scatters into this rank's piece of the front.
-    Returns entries freed from local holdings.
-    """
-    sym = plan.sym
-    freed = 0
-    for c in sym.sn_children[s]:
-        dc = plan.dist[c]
-        # Local share first (deterministic order: local, then ranks asc).
-        senders = plan.ea_senders_to(c, me)
-        if me in senders:
-            if dc.is_seq:
-                update, _rows = seq_updates[c]
-                getter = seq_update_getter(update)
-            else:
-                getter = dist_update_getter(dist_updates[c], dc.width)
-            packed = pack_update_messages(plan, c, me, getter)
-            if me in packed:
-                pa, pb, vals = packed[me]
-                apply_fn(pa, pb, vals)
-        for sender in senders:
-            if sender == me:
-                continue
-            payload = yield Recv(sender, ("ea", s, c))
-            c_got, pa, pb, vals = payload
-            assert c_got == c
-            apply_fn(pa, pb, vals)
-        # Free the child holding once its parent consumed it.
-        if dc.is_seq and c in seq_updates:
-            update, _ = seq_updates.pop(c)
-            freed += update.size
-        elif not dc.is_seq and c in dist_updates:
-            lf = dist_updates.pop(c)
-            freed += sum(
-                b.size
-                for (bi, bj), b in lf.blocks.items()
-                if bi >= lf.d.npb and bj >= lf.d.npb
-            )
-    return freed
-
-
-# ---------------------------------------------------------------------------
 # sequential supernode step
 # ---------------------------------------------------------------------------
 
 
-def _seq_step(comm, plan, s, me, method, data, seq_updates, dist_updates):
+def _seq_step(plan, s, me, method, data, updates):
     sym = plan.sym
     d = plan.dist[s]
     rows = sym.sn_rows[s]
@@ -202,12 +110,7 @@ def _seq_step(comm, plan, s, me, method, data, seq_updates, dist_updates):
     front = assemble_front(sym.permuted_lower, rows, d.c0, w)
     live_delta = m * m
 
-    def apply_fn(pa, pb, vals):
-        np.add.at(front, (pa, pb), vals)
-
-    freed = yield from _receive_contributions(
-        plan, s, me, apply_fn, seq_updates, dist_updates
-    )
+    freed = yield from receive_updates(plan, s, me, seq_blocks(front), updates, "lower")
     live_delta -= freed
 
     flops = dense_partial_factor_flops(m, w)
@@ -228,9 +131,9 @@ def _seq_step(comm, plan, s, me, method, data, seq_updates, dist_updates):
     data.seq_panels[s] = panel
     data.factor_entries += panel.size
     if m > w:
-        seq_updates[s] = (front[w:, w:].copy(), rows[w:])
+        updates[s] = seq_blocks(front[w:, w:].copy())
         live_delta += (m - w) ** 2
-        yield from _send_update_to_parent(plan, s, me, seq_updates, dist_updates)
+        yield from send_update(plan, s, me, updates[s], "lower")
     live_delta -= m * m  # front released (panel accounted in factor entries)
     return live_delta
 
@@ -240,8 +143,7 @@ def _seq_step(comm, plan, s, me, method, data, seq_updates, dist_updates):
 # ---------------------------------------------------------------------------
 
 
-def _dist_step(comm, plan, s, me, method, data, seq_updates, dist_updates):
-    sym = plan.sym
+def _dist_step(plan, s, me, method, data, updates):
     d = plan.dist[s]
     grid = d.grid
     nb = plan.opts.nb
@@ -253,12 +155,13 @@ def _dist_step(comm, plan, s, me, method, data, seq_updates, dist_updates):
     lf = LocalFront(d, me)
     live_delta = lf.entries
     step_flops = 0.0
-    n_assembled = assemble_dist_entries(plan, s, me, lf)
+    # The matrix is assumed pre-distributed: each rank holds the entries of
+    # the blocks it owns (re-distribution of A is not part of the timed
+    # factorization), so assembly is charged as local memory traffic.
+    n_assembled = lf.scatter(plan.scatter(s), plan.sym.permuted_lower.data)
     yield Compute(mem_bytes=16.0 * n_assembled)
 
-    freed = yield from _receive_contributions(
-        plan, s, me, lf.add_entries, seq_updates, dist_updates
-    )
+    freed = yield from receive_updates(plan, s, me, lf.blocks, updates, "lower")
     live_delta -= freed
 
     # Blocked right-looking partial factorization over pivot block-columns.
@@ -353,8 +256,8 @@ def _dist_step(comm, plan, s, me, method, data, seq_updates, dist_updates):
     # remote shares toward the parent.
     has_update = d.m > d.width
     if has_update:
-        dist_updates[s] = lf
-        yield from _send_update_to_parent(plan, s, me, seq_updates, dist_updates)
+        updates[s] = lf.update_blocks()
+        yield from send_update(plan, s, me, updates[s], "lower")
         # Pivot-panel blocks were copied out by the redistribution; drop
         # them from the live count.
         live_delta -= sum(

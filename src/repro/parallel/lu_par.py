@@ -21,53 +21,20 @@ import numpy as np
 
 from repro.dense.trsm import solve_unit_lower_inplace
 from repro.mf.lu import _assemble_lu_front, _partial_lu
-from repro.parallel.factor_par import ea_message_nbytes, gemm_flops, trsm_flops
-from repro.parallel.plan import FactorPlan, PlanOptions, SupernodeDist
+from repro.parallel.dist_front import (
+    Blocks,
+    LocalFront,
+    receive_updates,
+    send_update,
+    seq_blocks,
+)
+from repro.parallel.factor_par import gemm_flops, trsm_flops
+from repro.parallel.plan import FactorPlan, PlanOptions
+from repro.parallel.schedule import ScatterMap, panel_entries
 from repro.simmpi.comm import Comm
 from repro.simmpi.ops import Compute, Recv, Send
 from repro.sparse.convert import csc_to_csr
 from repro.symbolic.analyze import SymbolicFactor, dense_partial_factor_flops
-
-
-class LocalFrontLU:
-    """One rank's full-block share of a distributed unsymmetric front."""
-
-    __slots__ = ("d", "me", "blocks")
-
-    def __init__(self, d: SupernodeDist, me: int):
-        self.d = d
-        self.me = me
-        self.blocks: dict[tuple[int, int], np.ndarray] = {}
-        for bi, bj in d.grid.owned_blocks(me, d.nblocks, lower_only=False):
-            r0, r1 = d.block_range(bi)
-            c0, c1 = d.block_range(bj)
-            self.blocks[(bi, bj)] = np.zeros((r1 - r0, c1 - c0))
-
-    def block(self, bi: int, bj: int) -> np.ndarray:
-        return self.blocks[(bi, bj)]
-
-    def owns(self, bi: int, bj: int) -> bool:
-        return (bi, bj) in self.blocks
-
-    def add_entries(self, pa: np.ndarray, pb: np.ndarray, vals: np.ndarray) -> None:
-        if pa.size == 0:
-            return
-        d = self.d
-        bi = d.block_of(pa)
-        bj = d.block_of(pb)
-        key = bi * d.nblocks + bj
-        order = np.argsort(key, kind="stable")
-        key_s = key[order]
-        boundaries = np.flatnonzero(np.diff(key_s)) + 1
-        starts = np.concatenate([[0], boundaries, [key_s.size]])
-        for a, b in zip(starts[:-1], starts[1:]):
-            idx = order[a:b]
-            tbi = int(bi[idx[0]])
-            tbj = int(bj[idx[0]])
-            blk = self.blocks[(tbi, tbj)]
-            r0 = int(d.starts[tbi])
-            c0 = int(d.starts[tbj])
-            np.add.at(blk, (pa[idx] - r0, pb[idx] - c0), vals[idx])
 
 
 @dataclass
@@ -88,82 +55,9 @@ class RankLUData:
     perturbed: list[int] = field(default_factory=list)
 
 
-# ---------------------------------------------------------------------------
-# extend-add over full updates
-# ---------------------------------------------------------------------------
-
-
 def ea_pairs_full(plan: FactorPlan, c: int) -> set[tuple[int, int]]:
     """(sender, dest) pairs of the *full* (both-triangle) extend-add."""
-    sym = plan.sym
-    parent = int(sym.sn_parent[c])
-    dc = plan.dist[c]
-    dp = plan.dist[parent]
-    runs = plan.ea_runs(c)
-    pairs: set[tuple[int, int]] = set()
-    for a in range(len(runs)):
-        _, _, cba, pba = runs[a]
-        for b in range(len(runs)):
-            _, _, cbb, pbb = runs[b]
-            sender = dc.group[0] if dc.is_seq else dc.grid.owner(cba, cbb)
-            dest = dp.group[0] if dp.is_seq else dp.grid.owner(pba, pbb)
-            pairs.add((sender, dest))
-    return pairs
-
-
-def _pack_full(plan: FactorPlan, c: int, me: int, value_getter):
-    """Pack this rank's share of child *c*'s full update for its parent."""
-    sym = plan.sym
-    parent = int(sym.sn_parent[c])
-    dc = plan.dist[c]
-    dp = plan.dist[parent]
-    pa = plan.parent_positions(c)
-    runs = plan.ea_runs(c)
-    out: dict[int, list] = {}
-    for a in range(len(runs)):
-        ia0, ia1, cba, pba = runs[a]
-        for b in range(len(runs)):
-            ib0, ib1, cbb, pbb = runs[b]
-            sender = dc.group[0] if dc.is_seq else dc.grid.owner(cba, cbb)
-            if sender != me:
-                continue
-            dest = dp.group[0] if dp.is_seq else dp.grid.owner(pba, pbb)
-            ia = np.arange(ia0, ia1, dtype=np.int64)
-            ib = np.arange(ib0, ib1, dtype=np.int64)
-            ga, gb = np.meshgrid(ia, ib, indexing="ij")
-            vals = value_getter(ga, gb)
-            out.setdefault(dest, []).append(
-                (pa[ga.ravel()], pa[gb.ravel()], vals.ravel())
-            )
-    return {
-        dest: (
-            np.concatenate([p[0] for p in pieces]),
-            np.concatenate([p[1] for p in pieces]),
-            np.concatenate([p[2] for p in pieces]),
-        )
-        for dest, pieces in out.items()
-    }
-
-
-def _seq_getter(update: np.ndarray):
-    def get(ga, gb):
-        return update[ga, gb]
-
-    return get
-
-
-def _dist_getter(lf: LocalFrontLU, width: int):
-    d = lf.d
-
-    def get(ga, gb):
-        fa = ga + width
-        fb = gb + width
-        bi = int(d.block_of(np.asarray([fa.flat[0]]))[0])
-        bj = int(d.block_of(np.asarray([fb.flat[0]]))[0])
-        blk = lf.block(bi, bj)
-        return blk[fa - int(d.starts[bi]), fb - int(d.starts[bj])]
-
-    return get
+    return plan.ea_pairs(c, triangle="full")
 
 
 # ---------------------------------------------------------------------------
@@ -183,23 +77,24 @@ def make_lu_factor_program(
         scale = float(np.max(np.abs(permuted_full.data), initial=0.0))
         perturb_abs = pivot_perturbation * max(scale, 1.0)
 
+    # supernode -> scatter maps of its L-side (columns of A) and U-side
+    # (rows of A) entries; compiled once, shared by the group's ranks.
+    scatter: dict[int, tuple[ScatterMap, ScatterMap]] = {}
+
     def program(comm: Comm):
         me = comm.world_rank
-        sym = plan.sym
         data = RankLUData(rank=me)
-        seq_updates: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        dist_updates: dict[int, LocalFrontLU] = {}
-
+        updates: dict[int, Blocks] = {}
         for s in plan.supernodes_for_rank(me):
-            d = plan.dist[s]
-            if d.is_seq:
+            if plan.dist[s].is_seq:
                 yield from _seq_lu_step(
-                    comm, plan, s, me, data, seq_updates, dist_updates,
-                    permuted_full, a_rows, perturb_abs,
+                    plan, s, me, data, updates, permuted_full, a_rows, perturb_abs
                 )
             else:
+                if s not in scatter:
+                    scatter[s] = _lu_scatter_maps(plan, s, permuted_full, a_rows)
                 yield from _dist_lu_step(
-                    comm, plan, s, me, data, seq_updates, dist_updates,
+                    plan, s, me, data, updates, scatter[s],
                     permuted_full, a_rows, perturb_abs,
                 )
         return data
@@ -207,69 +102,13 @@ def make_lu_factor_program(
     return program
 
 
-def _send_full_update(plan, s, me, seq_updates, dist_updates):
-    parent = int(plan.sym.sn_parent[s])
-    if parent < 0:
-        return
-    d = plan.dist[s]
-    if d.is_seq:
-        getter = _seq_getter(seq_updates[s][0])
-    else:
-        getter = _dist_getter(dist_updates[s], d.width)
-    packed = _pack_full(plan, s, me, getter)
-    for dest in sorted(packed):
-        if dest == me:
-            continue
-        pa, pb, vals = packed[dest]
-        yield Send(
-            dest,
-            ("lea", parent, s),
-            (s, pa, pb, vals),
-            nbytes=ea_message_nbytes(vals.size),
-        )
-
-
-def _recv_full_contributions(plan, s, me, apply_fn, seq_updates, dist_updates):
-    sym = plan.sym
-    for c in sym.sn_children[s]:
-        pairs = ea_pairs_full(plan, c)
-        senders = sorted({src for src, dst in pairs if dst == me})
-        if me in senders:
-            dc = plan.dist[c]
-            if dc.is_seq:
-                getter = _seq_getter(seq_updates[c][0])
-            else:
-                getter = _dist_getter(dist_updates[c], dc.width)
-            packed = _pack_full(plan, c, me, getter)
-            if me in packed:
-                apply_fn(*packed[me])
-        for sender in senders:
-            if sender == me:
-                continue
-            c_got, pa, pb, vals = yield Recv(sender, ("lea", s, c))
-            assert c_got == c
-            apply_fn(pa, pb, vals)
-        if plan.dist[c].is_seq:
-            seq_updates.pop(c, None)
-        else:
-            dist_updates.pop(c, None)
-
-
-def _seq_lu_step(
-    comm, plan, s, me, data, seq_updates, dist_updates, a_cols, a_rows, perturb_abs
-):
+def _seq_lu_step(plan, s, me, data, updates, a_cols, a_rows, perturb_abs):
     sym = plan.sym
     d = plan.dist[s]
     rows = sym.sn_rows[s]
     m, w = rows.size, d.width
     front = _assemble_lu_front(a_cols, a_rows, rows, d.c0, w)
-
-    def apply_fn(pa, pb, vals):
-        np.add.at(front, (pa, pb), vals)
-
-    yield from _recv_full_contributions(
-        plan, s, me, apply_fn, seq_updates, dist_updates
-    )
+    yield from receive_updates(plan, s, me, seq_blocks(front), updates, "full")
     _partial_lu(front, w, perturb_abs, d.c0, data.perturbed)
     flops = 2 * dense_partial_factor_flops(m, w)
     yield Compute(flops=flops, front_order=m, mem_bytes=8.0 * m * m)
@@ -281,14 +120,11 @@ def _seq_lu_step(
     )
     data.factor_entries += w * w + 2 * (m - w) * w
     if m > w:
-        seq_updates[s] = (front[w:, w:].copy(), rows[w:])
-        yield from _send_full_update(plan, s, me, seq_updates, dist_updates)
+        updates[s] = seq_blocks(front[w:, w:].copy())
+        yield from send_update(plan, s, me, updates[s], "full")
 
 
-def _dist_lu_step(
-    comm, plan, s, me, data, seq_updates, dist_updates, a_cols, a_rows, perturb_abs
-):
-    sym = plan.sym
+def _dist_lu_step(plan, s, me, data, updates, scatter, a_cols, a_rows, perturb_abs):
     d = plan.dist[s]
     grid = d.grid
     nb = plan.opts.nb
@@ -296,13 +132,11 @@ def _dist_lu_step(
     row_comm = Comm(me, grid.row_members(myr), ctx=("lsn", s, "row", myr))
     col_comm = Comm(me, grid.col_members(myc), ctx=("lsn", s, "col", myc))
 
-    lf = LocalFrontLU(d, me)
-    n_assembled = _assemble_dist_lu(plan, s, me, lf, a_cols, a_rows)
+    lf = LocalFront(d, me, lower_only=False)
+    n_assembled = lf.scatter(scatter[0], a_cols.data) + lf.scatter(scatter[1], a_rows.data)
     yield Compute(mem_bytes=16.0 * n_assembled)
 
-    yield from _recv_full_contributions(
-        plan, s, me, lf.add_entries, seq_updates, dist_updates
-    )
+    yield from receive_updates(plan, s, me, lf.blocks, updates, "full")
 
     nblocks = d.nblocks
     for k in range(d.npb):
@@ -368,56 +202,26 @@ def _dist_lu_step(
 
     yield from _lu_solve_redistribution(plan, s, me, lf, data)
     if d.m > d.width:
-        dist_updates[s] = lf
-        yield from _send_full_update(plan, s, me, seq_updates, dist_updates)
+        updates[s] = lf.update_blocks()
+        yield from send_update(plan, s, me, updates[s], "full")
 
 
-def _assemble_dist_lu(plan, s, me, lf: LocalFrontLU, a_cols, a_rows) -> int:
-    sym = plan.sym
+def _lu_scatter_maps(plan, s, a_cols, a_rows) -> tuple[ScatterMap, ScatterMap]:
+    """Scatter maps of distributed supernode *s*: pivot-column entries on
+    and below the diagonal (L side, from the CSC matrix) and pivot-row
+    entries right of it (U side, from its CSR twin)."""
     d = plan.dist[s]
-    rows = sym.sn_rows[s]
-    n_scattered = 0
-    for k in range(d.width):
-        j = d.c0 + k
-        bj = int(d.block_of(np.asarray([k]))[0])
-        # Column part (L side, rows >= j).
-        r_idx, r_vals = a_cols.col(j)
-        keep = r_idx >= j
-        r_idx, r_vals = r_idx[keep], r_vals[keep]
-        if r_idx.size:
-            pa = np.searchsorted(rows, r_idx)
-            bi = d.block_of(pa)
-            mine = np.asarray(
-                [d.grid.owner(int(i), bj) == me for i in bi], dtype=bool
-            )
-            if mine.any():
-                lf.add_entries(
-                    pa[mine],
-                    np.full(int(mine.sum()), k, dtype=np.int64),
-                    r_vals[mine],
-                )
-                n_scattered += int(mine.sum())
-        # Row part (U side, cols > j).
-        c_idx, c_vals = a_rows.row(j)
-        keep = c_idx > j
-        c_idx, c_vals = c_idx[keep], c_vals[keep]
-        if c_idx.size:
-            pb = np.searchsorted(rows, c_idx)
-            bjs = d.block_of(pb)
-            mine = np.asarray(
-                [d.grid.owner(bj, int(jb)) == me for jb in bjs], dtype=bool
-            )
-            if mine.any():
-                lf.add_entries(
-                    np.full(int(mine.sum()), k, dtype=np.int64),
-                    pb[mine],
-                    c_vals[mine],
-                )
-                n_scattered += int(mine.sum())
-    return n_scattered
+    rows = plan.sym.sn_rows[s]
+    src, k, i = panel_entries(a_cols.indptr, a_cols.indices, d.c0, d.width)
+    keep = i >= d.c0 + k
+    l_side = ScatterMap(d, src[keep], np.searchsorted(rows, i[keep]), k[keep])
+    src, k, j = panel_entries(a_rows.indptr, a_rows.indices, d.c0, d.width)
+    keep = j > d.c0 + k
+    u_side = ScatterMap(d, src[keep], k[keep], np.searchsorted(rows, j[keep]))
+    return l_side, u_side
 
 
-def _lu_solve_redistribution(plan, s, me, lf: LocalFrontLU, data):
+def _lu_solve_redistribution(plan, s, me, lf: LocalFront, data):
     """Gather per-row data onto row owners: pivot rows full-width, update
     rows L-width."""
     d = plan.dist[s]

@@ -15,9 +15,17 @@ import numpy as np
 from repro.dense.trsm import solve_unit_lower_inplace
 from repro.parallel.lu_par import RankLUData
 from repro.parallel.plan import FactorPlan
-from repro.parallel.solve_par import _pack_down, _pack_up, solve_pairs
+from repro.parallel.schedule import SEQ
+from repro.parallel.solve_par import (
+    Segments,
+    front_segments,
+    recv_down,
+    recv_up,
+    send_down,
+    send_up,
+)
 from repro.simmpi.comm import Comm
-from repro.simmpi.ops import Compute, Recv, Send
+from repro.simmpi.ops import Compute
 
 
 def _solve_upper_inplace(u: np.ndarray, b: np.ndarray) -> None:
@@ -46,120 +54,14 @@ def make_lu_solve_program(
         sym = plan.sym
         my_sns = plan.supernodes_for_rank(me)
 
+        #: forward-solved pivot vectors, per supernode
         fwd_piv: dict[int, np.ndarray] = {}
-        fwd_useg: dict[int, dict[int, np.ndarray]] = {}
-        seq_u: dict[int, np.ndarray] = {}
-        dist_xpiv: dict[tuple[int, int], np.ndarray] = {}
-        x_piv: dict[int, np.ndarray] = {}
-        x_useg: dict[int, dict[int, np.ndarray]] = {}
-        seq_xupd: dict[int, np.ndarray] = {}
-
-        # ------------------------------------------------------- helpers --
-
-        def u_getter_for(s):
-            d = plan.dist[s]
-            if d.is_seq:
-                u = seq_u[s]
-
-                def g(i0, i1):
-                    return u[i0:i1]
-
-            else:
-                segs = fwd_useg[s]
-
-                def g(i0, i1, segs=segs, d=d):
-                    fa0 = i0 + d.width
-                    bi = int(d.block_of(np.asarray([fa0]))[0])
-                    r0 = int(d.starts[bi])
-                    return segs[bi][fa0 - r0: fa0 - r0 + (i1 - i0)]
-
-            return g
-
-        def x_getter_for(s):
-            d = plan.dist[s]
-            if d.is_seq:
-                xp = x_piv[s]
-                xu = seq_xupd[s]
-
-                def g(pa_idx, xp=xp, xu=xu, w=d.width):
-                    out = np.empty((pa_idx.size,) + tail)
-                    piv = pa_idx < w
-                    out[piv] = xp[pa_idx[piv]]
-                    out[~piv] = xu[pa_idx[~piv] - w]
-                    return out
-
-            else:
-                xp = x_piv[s]
-                xsegs = x_useg[s]
-
-                def g(pa_idx, xp=xp, xsegs=xsegs, d=d):
-                    out = np.empty((pa_idx.size,) + tail)
-                    piv = pa_idx < d.width
-                    out[piv] = xp[pa_idx[piv]]
-                    rest = pa_idx[~piv]
-                    if rest.size:
-                        bis = d.block_of(rest)
-                        vals = np.empty((rest.size,) + tail)
-                        for bi in np.unique(bis):
-                            sel = bis == bi
-                            r0 = int(d.starts[bi])
-                            vals[sel] = xsegs[int(bi)][rest[sel] - r0]
-                        out[~piv] = vals
-                    return out
-
-            return g
-
-        def recv_up(s, apply):
-            for c in sym.sn_children[s]:
-                pairs = solve_pairs(plan, c)
-                senders = sorted({src for src, dst in pairs if dst == me})
-                if me in senders:
-                    packed = _pack_up(plan, c, me, u_getter_for(c))
-                    if me in packed:
-                        apply(*packed[me])
-                for sender in senders:
-                    if sender == me:
-                        continue
-                    pa_idx, vals = yield Recv(sender, ("lsu", s, c))
-                    apply(pa_idx, vals)
-
-        def send_up(s):
-            parent = int(sym.sn_parent[s])
-            if parent < 0:
-                return
-            packed = _pack_up(plan, s, me, u_getter_for(s))
-            for dest in sorted(packed):
-                if dest == me:
-                    continue
-                pa_idx, vals = packed[dest]
-                yield Send(dest, ("lsu", parent, s), (pa_idx, vals),
-                           nbytes=12 * vals.size + 64)
-
-        def send_down(s):
-            for c in sym.sn_children[s]:
-                packed = _pack_down(plan, c, me, x_getter_for(s))
-                for dest in sorted(packed):
-                    if dest == me:
-                        continue
-                    idx, vals = packed[dest]
-                    yield Send(dest, ("lsd", s, c), (idx, vals),
-                               nbytes=12 * vals.size + 64)
-
-        def recv_down(s, apply):
-            parent = int(sym.sn_parent[s])
-            if parent < 0:
-                return
-            pairs = solve_pairs(plan, s)
-            senders = sorted({dst for src, dst in pairs if src == me})
-            if (me, me) in pairs:
-                packed = _pack_down(plan, s, me, x_getter_for(parent))
-                if me in packed:
-                    apply(*packed[me])
-            for sender in senders:
-                if sender == me:
-                    continue
-                idx, vals = yield Recv(sender, ("lsd", parent, s))
-                apply(idx, vals)
+        #: forward update-row segments, read by the parents' fan-in
+        u: dict[int, Segments] = {}
+        #: solution segments of whole fronts, read by the children's fan-out
+        x: dict[int, Segments] = {}
+        #: owned solution pieces: (global rows, values)
+        pieces: list[tuple[np.ndarray, np.ndarray]] = []
 
         # ------------------------------------------------------- forward --
 
@@ -170,40 +72,28 @@ def make_lu_solve_program(
                 m, w = rows.size, d.width
                 f = np.zeros((m,) + tail)
                 f[:w] = bp[rows[:w]]
-
-                def apply(pa_idx, vals, f=f):
-                    np.add.at(f, pa_idx, vals)
-
-                yield from recv_up(s, apply)
+                yield from recv_up(plan, s, me, {SEQ: f}, u, "lsu")
                 lu11, l21, _u12 = data.seq_panels[s]
                 piv = f[:w]
                 solve_unit_lower_inplace(lu11, piv)
                 fwd_piv[s] = piv
                 yield Compute(flops=float(w * w + 2 * (m - w) * w), front_order=max(w, 8))
                 if m > w:
-                    seq_u[s] = f[w:] - l21 @ piv
-                    yield from send_up(s)
+                    u[s] = {SEQ: f[w:] - l21 @ piv}
+                    yield from send_up(plan, s, me, u[s], "lsu")
             else:
                 g = len(d.group)
                 sub = Comm(me, d.group, ctx=("lslv", s))
                 rows_data = data.dist_rows.get(s, {})
                 my_blocks = [bi for bi in range(d.nblocks) if d.row_owner(bi) == me]
-                f: dict[int, np.ndarray] = {}
+                f: Segments = {}
                 for bi in my_blocks:
                     r0, r1 = d.block_range(bi)
                     seg = np.zeros((r1 - r0,) + tail)
                     if bi < d.npb:
                         seg += bp[rows[r0:r1]]
                     f[bi] = seg
-
-                def apply(pa_idx, vals, f=f, d=d):
-                    bis = d.block_of(pa_idx)
-                    for bi in np.unique(bis):
-                        sel = bis == bi
-                        r0 = int(d.starts[bi])
-                        np.add.at(f[int(bi)], pa_idx[sel] - r0, vals[sel])
-
-                yield from recv_up(s, apply)
+                yield from recv_up(plan, s, me, f, u, "lsu")
                 x_full = np.zeros((d.width,) + tail)
                 fl = 0.0
                 for k in range(d.npb):
@@ -230,9 +120,9 @@ def make_lu_solve_program(
                 for bi in my_blocks:
                     if bi >= d.npb:
                         f[bi] = f[bi] - rows_data[bi] @ x_full
-                fwd_useg[s] = {bi: f[bi] for bi in my_blocks}
                 if d.m > d.width:
-                    yield from send_up(s)
+                    u[s] = f
+                    yield from send_up(plan, s, me, f, "lsu")
 
         # ------------------------------------------------------ backward --
 
@@ -243,40 +133,27 @@ def make_lu_solve_program(
                 m, w = rows.size, d.width
                 lu11, _l21, u12 = data.seq_panels[s]
                 xu = np.zeros((m - w,) + tail)
-
-                def apply(upd_idx, vals, xu=xu):
-                    xu[upd_idx] = vals
-
-                yield from recv_down(s, apply)
+                yield from recv_down(plan, s, me, {SEQ: xu}, x, "lsd")
                 rhs = fwd_piv[s].copy()
                 if m > w:
                     rhs -= u12 @ xu
                 _solve_upper_inplace(lu11, rhs)
-                x_piv[s] = rhs
-                seq_xupd[s] = xu
+                pieces.append((rows[:w], rhs))
+                x[s] = {SEQ: np.concatenate((rhs, xu))}
                 yield Compute(flops=float(w * w + 2 * (m - w) * w), front_order=max(w, 8))
-                yield from send_down(s)
+                yield from send_down(plan, s, me, x[s], "lsd")
             else:
                 g = len(d.group)
                 sub = Comm(me, d.group, ctx=("lslvb", s))
                 rows_data = data.dist_rows.get(s, {})
                 my_blocks = [bi for bi in range(d.nblocks) if d.row_owner(bi) == me]
                 mu = d.m - d.width
-                xseg: dict[int, np.ndarray] = {}
+                xseg: Segments = {}
                 for bi in my_blocks:
                     if bi >= d.npb:
                         r0, r1 = d.block_range(bi)
                         xseg[bi] = np.zeros((r1 - r0,) + tail)
-
-                def apply(upd_idx, vals, xseg=xseg, d=d):
-                    fa = upd_idx + d.width
-                    bis = d.block_of(fa)
-                    for bi in np.unique(bis):
-                        sel = bis == bi
-                        r0 = int(d.starts[bi])
-                        xseg[int(bi)][fa[sel] - r0] = vals[sel]
-
-                yield from recv_down(s, apply)
+                yield from recv_down(plan, s, me, xseg, x, "lsd")
                 # Assemble the full update-row solution for the U12 products.
                 xu_full = np.zeros((mu,) + tail)
                 for bi, seg in xseg.items():
@@ -305,25 +182,12 @@ def make_lu_solve_program(
                     seg = yield from sub.bcast(payload, root=k % g)
                     x_full[r0:r1] = seg
                     if owner == me:
-                        dist_xpiv[(s, k)] = seg
+                        pieces.append((rows[r0:r1], seg))
                 if d.npb:
                     yield Compute(flops=fl, front_order=plan.opts.nb)
-                x_piv[s] = x_full
-                x_useg[s] = xseg
-                yield from send_down(s)
+                x[s] = front_segments(d, x_full, xseg)
+                yield from send_down(plan, s, me, x[s], "lsd")
 
-        # Owned solution pieces.
-        pieces: list[tuple[np.ndarray, np.ndarray]] = []
-        for s, xp in x_piv.items():
-            d = plan.dist[s]
-            rows = sym.sn_rows[s]
-            if d.is_seq:
-                pieces.append((rows[: d.width], xp))
-            else:
-                for bi in range(d.npb):
-                    if d.row_owner(bi) == me and (s, bi) in dist_xpiv:
-                        r0, r1 = d.block_range(bi)
-                        pieces.append((rows[r0:r1], dist_xpiv[(s, bi)]))
         return pieces, 0.0
 
     return program

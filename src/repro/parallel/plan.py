@@ -25,6 +25,7 @@ import numpy as np
 
 from repro.parallel.grid2d import ProcessGrid, block_starts
 from repro.parallel.mapping import TreeMapping, map_supernodes_to_ranks, subtree_flops
+from repro.parallel.schedule import ChildSchedule, ScatterMap, panel_entries
 from repro.symbolic.analyze import SymbolicFactor
 from repro.util.errors import ShapeError
 
@@ -106,8 +107,10 @@ class FactorPlan:
         self.dist: list[SupernodeDist] = [
             self._build_dist(s) for s in range(sym.n_supernodes)
         ]
-        self._parent_pos_cache: dict[int, np.ndarray] = {}
-        self._ea_runs_cache: dict[int, list[tuple[int, int, int, int]]] = {}
+        # The compiled communication schedule (see repro.parallel.schedule):
+        # filled lazily, shared read-only by all ranks, dropped with the plan.
+        self._schedules: dict[int, ChildSchedule] = {}
+        self._scatter: dict[int, ScatterMap] = {}
 
     # -- construction ------------------------------------------------------
 
@@ -176,74 +179,54 @@ class FactorPlan:
                 owners.add(d.grid.owner(bi, bj))
         return tuple(sorted(owners))
 
+    def schedule(self, c: int) -> ChildSchedule:
+        """Compiled routes of child *c*'s update and rhs segments into its
+        parent (built on first use)."""
+        sched = self._schedules.get(c)
+        if sched is None:
+            if self.sym.sn_parent[c] < 0:
+                raise ShapeError(f"supernode {c} has no parent")
+            sched = self._schedules[c] = ChildSchedule(self, c)
+        return sched
+
+    def scatter(self, s: int) -> ScatterMap:
+        """Where each stored entry of distributed supernode *s*'s pivot
+        columns lands, for the whole group (indices into
+        ``sym.permuted_lower.data``, so it survives ``update_values``)."""
+        smap = self._scatter.get(s)
+        if smap is None:
+            a = self.sym.permuted_lower
+            d = self.dist[s]
+            src, k, a_rows = panel_entries(a.indptr, a.indices, d.c0, d.width)
+            keep = a_rows >= d.c0 + k
+            row = np.searchsorted(self.sym.sn_rows[s], a_rows[keep])
+            smap = self._scatter[s] = ScatterMap(d, src[keep], row, k[keep])
+        return smap
+
     def parent_positions(self, c: int) -> np.ndarray:
         """Front-local positions in the parent of child *c*'s update rows."""
-        if c not in self._parent_pos_cache:
-            sym = self.sym
-            p = int(sym.sn_parent[c])
-            if p < 0:
-                raise ShapeError(f"supernode {c} has no parent")
-            wc = sym.supernode_width(c)
-            upd_rows = sym.sn_rows[c][wc:]
-            pos = np.searchsorted(sym.sn_rows[p], upd_rows)
-            self._parent_pos_cache[c] = pos
-        return self._parent_pos_cache[c]
+        return self.schedule(c).pa
 
-    def ea_runs(self, c: int) -> list[tuple[int, int, int, int]]:
+    def ea_runs(self, c: int) -> np.ndarray:
         """Runs of constant (child block, parent block) over child *c*'s
-        update indices: list of (i_start, i_end, child_block, parent_block).
+        update indices: rows (i_start, i_end, child_block, parent_block).
 
-        child_block is -1 for a sequential child (single holder).
+        child_block / parent_block is -1 for a sequential supernode.
         """
-        if c not in self._ea_runs_cache:
-            sym = self.sym
-            parent = int(sym.sn_parent[c])
-            wc = sym.supernode_width(c)
-            mu = sym.front_size(c) - wc
-            dc = self.dist[c]
-            dp = self.dist[parent]
-            pa = self.parent_positions(c)
-            if dc.is_seq:
-                cb = np.full(mu, -1, dtype=np.int64)
-            else:
-                cb = dc.block_of(np.arange(wc, wc + mu))
-            pb = dp.block_of(pa) if not dp.is_seq else np.full(mu, -1, dtype=np.int64)
-            runs: list[tuple[int, int, int, int]] = []
-            i = 0
-            while i < mu:
-                j = i + 1
-                while j < mu and cb[j] == cb[i] and pb[j] == pb[i]:
-                    j += 1
-                runs.append((i, j, int(cb[i]), int(pb[i])))
-                i = j
-            self._ea_runs_cache[c] = runs
-        return self._ea_runs_cache[c]
+        return self.schedule(c).runs
 
-    def ea_pairs(self, c: int) -> set[tuple[int, int]]:
+    def ea_pairs(self, c: int, triangle: str = "lower") -> set[tuple[int, int]]:
         """Exact nonempty (sender, dest) global-rank pairs of the
         extend-add of child *c* into its parent."""
-        sym = self.sym
-        parent = int(sym.sn_parent[c])
-        dc = self.dist[c]
-        dp = self.dist[parent]
-        runs = self.ea_runs(c)
-        pairs: set[tuple[int, int]] = set()
-        for a in range(len(runs)):
-            _, _, cba, pba = runs[a]
-            for b in range(a + 1):
-                _, _, cbb, pbb = runs[b]
-                sender = dc.group[0] if dc.is_seq else dc.grid.owner(cba, cbb)
-                dest = dp.group[0] if dp.is_seq else dp.grid.owner(pba, pbb)
-                pairs.add((sender, dest))
-        return pairs
+        return self.schedule(c).ea(triangle).pairs()
 
     def ea_senders_to(self, c: int, dest: int) -> list[int]:
         """Sorted senders with a nonempty transfer of child *c* to *dest*."""
-        return sorted({s for s, d in self.ea_pairs(c) if d == dest})
+        return sorted(s for s, d in self.ea_pairs(c) if d == dest)
 
     def ea_dests_from(self, c: int, sender: int) -> list[int]:
         """Sorted destinations of child *c*'s data held by *sender*."""
-        return sorted({d for s, d in self.ea_pairs(c) if s == sender})
+        return sorted(d for s, d in self.ea_pairs(c) if s == sender)
 
     # -- reporting ---------------------------------------------------------
 

@@ -25,86 +25,98 @@ from repro.dense.trsm import (
     solve_unit_lower_transpose_inplace,
 )
 from repro.parallel.factor_par import RankFactorData
-from repro.parallel.plan import FactorPlan
+from repro.parallel.plan import FactorPlan, SupernodeDist
+from repro.parallel.schedule import SEQ
 from repro.simmpi.comm import Comm
 from repro.simmpi.ops import Compute, Recv, Send
 
 
 # ---------------------------------------------------------------------------
-# routing helpers (pure functions of the plan)
+# executors of the compiled solve routes (shared with the LU solve)
 # ---------------------------------------------------------------------------
+#
+# A rank's share of a supernode's rhs/solution vector is a dict of row
+# segments keyed by row block — ``{SEQ: whole vector}`` for a sequential
+# supernode — so the same four functions serve every child/parent mix.
+
+Segments = dict[int, np.ndarray]
 
 
-def _solve_sender(plan: FactorPlan, c: int, cb: int) -> int:
-    dc = plan.dist[c]
-    if dc.is_seq:
-        return dc.group[0]
-    return dc.row_owner(cb)
+def send_up(plan: FactorPlan, s: int, me: int, u: Segments, tag: str):
+    """Forward fan-in: send this rank's update-row segments of *s* to the
+    parent's row owners (local shares are read by :func:`recv_up`)."""
+    if plan.sym.sn_parent[s] < 0:
+        return
+    sched = plan.schedule(s)
+    routes = sched.solve
+    cb, rows = sched.child_side
+    for _, dest, lo, hi, _ in routes.sending(me):
+        if dest != me:
+            vals = [u[cb[r]][rows[r]] for r in routes.items[lo:hi].tolist()]
+            yield Send(dest, (tag, sched.parent, s), vals, nbytes=_nbytes(vals))
 
 
-def _solve_dest(plan: FactorPlan, parent: int, pb: int) -> int:
-    dp = plan.dist[parent]
-    if dp.is_seq:
-        return dp.group[0]
-    return dp.row_owner(pb)
+def recv_up(plan: FactorPlan, s: int, me: int, f: Segments, held: dict[int, Segments], tag: str):
+    """Accumulate the children's rhs contributions into *f* (this rank's
+    row segments of front *s*): local share first, then senders ascending."""
+    for c in plan.sym.sn_children[s]:
+        sched = plan.schedule(c)
+        routes = sched.solve
+        pb, rows = sched.parent_side
+        for sender, _, lo, hi, _ in routes.receiving(me):
+            runs = routes.items[lo:hi].tolist()
+            if sender == me:
+                cb, crows = sched.child_side
+                vals = [held[c][cb[r]][crows[r]] for r in runs]
+            else:
+                vals = yield Recv(sender, (tag, s, c))
+            for r, v in zip(runs, vals):
+                f[pb[r]][rows[r]] += v
 
 
-def solve_pairs(plan: FactorPlan, c: int) -> set[tuple[int, int]]:
-    """Nonempty (sender, dest) pairs for the rhs fan-in of child *c* into
-    its parent (reversed for the backward fan-out)."""
-    parent = int(plan.sym.sn_parent[c])
-    pairs = set()
-    for _i0, _i1, cb, pb in plan.ea_runs(c):
-        pairs.add((_solve_sender(plan, c, cb), _solve_dest(plan, parent, pb)))
-    return pairs
+def send_down(plan: FactorPlan, s: int, me: int, x: Segments, tag: str):
+    """Backward fan-out: send the solution values this rank owns in front
+    *s* to the row owners of each child's update rows."""
+    for c in plan.sym.sn_children[s]:
+        sched = plan.schedule(c)
+        routes = sched.solve
+        pb, rows = sched.parent_side
+        for child_owner, _, lo, hi, _ in routes.receiving(me):
+            if child_owner != me:
+                vals = [x[pb[r]][rows[r]] for r in routes.items[lo:hi].tolist()]
+                yield Send(child_owner, (tag, s, c), vals, nbytes=_nbytes(vals))
 
 
-def _pack_up(plan, c, me, u_getter):
-    """Pack this rank's rhs contributions of child *c* for the parent.
-
-    *u_getter(i0, i1)* returns the child-update-local segment of u.
-    Returns dest -> (parent_positions, values).
-    """
-    parent = int(plan.sym.sn_parent[c])
-    pa = plan.parent_positions(c)
-    out: dict[int, list] = {}
-    for i0, i1, cb, pb in plan.ea_runs(c):
-        if _solve_sender(plan, c, cb) != me:
-            continue
-        dest = _solve_dest(plan, parent, pb)
-        out.setdefault(dest, []).append((pa[i0:i1], u_getter(i0, i1)))
-    return {
-        dest: (
-            np.concatenate([p[0] for p in pieces]),
-            np.concatenate([p[1] for p in pieces]),
-        )
-        for dest, pieces in out.items()
-    }
+def recv_down(plan: FactorPlan, s: int, me: int, xu: Segments, held: dict[int, Segments], tag: str):
+    """Fill *xu* (this rank's update-row segments of *s*) with the parent's
+    solution values, parent-side owners ascending (plain stores into
+    disjoint rows, so where the local share falls in that order is moot)."""
+    if plan.sym.sn_parent[s] < 0:
+        return
+    sched = plan.schedule(s)
+    routes = sched.solve
+    cb, rows = sched.child_side
+    for _, parent_owner, lo, hi, _ in routes.sending(me):
+        runs = routes.items[lo:hi].tolist()
+        if parent_owner == me:
+            pb, prows = sched.parent_side
+            vals = [held[sched.parent][pb[r]][prows[r]] for r in runs]
+        else:
+            vals = yield Recv(parent_owner, (tag, sched.parent, s))
+        for r, v in zip(runs, vals):
+            xu[cb[r]][rows[r]] = v
 
 
-def _pack_down(plan, c, me, x_getter):
-    """Pack parent-side x values needed by child *c*'s solve owners.
+def front_segments(d: SupernodeDist, x_piv: np.ndarray, xseg: Segments) -> Segments:
+    """Solution segments of a distributed front by row block: views of the
+    pivot vector (every group member has all of it) plus this rank's
+    update-row segments."""
+    return {bi: x_piv[slice(*d.block_range(bi))] for bi in range(d.npb)} | xseg
 
-    *x_getter(parent_positions)* returns x at those parent-local positions.
-    Returns dest -> (child_update_positions, values).
-    """
-    pa = plan.parent_positions(c)
-    parent = int(plan.sym.sn_parent[c])
-    out: dict[int, list] = {}
-    for i0, i1, cb, pb in plan.ea_runs(c):
-        if _solve_dest(plan, parent, pb) != me:
-            continue  # in backward the parent-side owner is the sender
-        dest = _solve_sender(plan, c, cb)
-        out.setdefault(dest, []).append(
-            (np.arange(i0, i1, dtype=np.int64), x_getter(pa[i0:i1]))
-        )
-    return {
-        dest: (
-            np.concatenate([p[0] for p in pieces]),
-            np.concatenate([p[1] for p in pieces]),
-        )
-        for dest, pieces in out.items()
-    }
+
+def _nbytes(vals: list[np.ndarray]) -> int:
+    """Wire size of rhs segments: 8B values + 4B row indices, per entry."""
+    return 12 * sum(v.size for v in vals) + 64
 
 
 # ---------------------------------------------------------------------------
@@ -126,128 +138,73 @@ def make_solve_program(plan: FactorPlan, datas: list[RankFactorData], bp: np.nda
     """
 
     tail = bp.shape[1:]  # () for one RHS, (k,) for k right-hand sides
+    sym = plan.sym
+    nb = plan.opts.nb
 
     def program(comm: Comm):
         me = comm.world_rank
         data = datas[me]
-        sym = plan.sym
         my_sns = plan.supernodes_for_rank(me)
-
-        # ------------------------------------------------------ forward --
-        # Per-supernode rhs state this rank holds:
-        #   seq: y_piv (after L11 solve), u vector
-        #   dist: y segments per owned row block
-        fwd_piv: dict[int, np.ndarray] = {}
-        fwd_useg: dict[int, dict[int, np.ndarray]] = {}
-        seq_u: dict[int, np.ndarray] = {}
-        flops = 0.0
-
-        for s in my_sns:
-            d = plan.dist[s]
-            if d.is_seq:
-                flops += yield from _fwd_seq(
-                    plan, s, me, data, bp, method, fwd_piv, seq_u, fwd_useg, comm
-                )
-            else:
-                flops += yield from _fwd_dist(
-                    plan, s, me, data, bp, method, fwd_piv, seq_u, fwd_useg, comm
-                )
-
-        # ----------------------------------------------------- backward --
-        x_piv: dict[int, np.ndarray] = {}
-        x_useg: dict[int, dict[int, np.ndarray]] = {}
-        seq_xupd: dict[int, np.ndarray] = {}
-
-        for s in reversed(my_sns):
-            d = plan.dist[s]
-            if d.is_seq:
-                flops += yield from _bwd_seq(
-                    plan, s, me, data, method, fwd_piv, x_piv, seq_xupd, x_useg, comm
-                )
-            else:
-                flops += yield from _bwd_dist(
-                    plan, s, me, data, method, fwd_piv, x_piv, seq_xupd, x_useg, comm
-                )
-
-        # Return owned solution segments: (global rows, values) pieces.
+        #: forward-solved pivot vectors, per supernode
+        y: dict[int, np.ndarray] = {}
+        #: forward update-row segments, read by the parents' fan-in
+        u: dict[int, Segments] = {}
+        #: solution segments of whole fronts, read by the children's fan-out
+        x: dict[int, Segments] = {}
+        #: owned solution pieces: (global rows, values)
         pieces: list[tuple[np.ndarray, np.ndarray]] = []
-        for s, xp in x_piv.items():
-            d = plan.dist[s]
-            rows = sym.sn_rows[s]
-            if d.is_seq:
-                pieces.append((rows[: d.width], xp))
+        flops = 0.0
         for s in my_sns:
-            d = plan.dist[s]
-            if d.is_seq:
-                continue
-            rows = sym.sn_rows[s]
-            for bi in range(d.npb):
-                if d.row_owner(bi) == me and (s, bi) in _dist_xpiv:
-                    r0, r1 = d.block_range(bi)
-                    pieces.append((rows[r0:r1], _dist_xpiv[(s, bi)]))
+            fwd = _fwd_seq if plan.dist[s].is_seq else _fwd_dist
+            flops += yield from fwd(s, me, data, y, u)
+        for s in reversed(my_sns):
+            bwd = _bwd_seq if plan.dist[s].is_seq else _bwd_dist
+            flops += yield from bwd(s, me, data, y, x, pieces)
         return pieces, flops
 
-    # Stash for distributed pivot segments (keyed (s, block)); lives in the
-    # closure so the helpers below can fill it.
-    _dist_xpiv: dict[tuple[int, int], np.ndarray] = {}
-
-    # -- forward helpers ---------------------------------------------------
-
-    def _fwd_seq(plan, s, me, data, bp, method, fwd_piv, seq_u, fwd_useg, comm):
-        sym = plan.sym
+    def _fwd_seq(s, me, data, y, u):
         d = plan.dist[s]
         rows = sym.sn_rows[s]
         m, w = rows.size, d.width
         f = np.zeros((m,) + tail)
         f[:w] = bp[rows[:w]]
-        yield from _recv_up(plan, s, me, f, seq_u, fwd_useg)
+        yield from recv_up(plan, s, me, {SEQ: f}, u, "su")
         panel = data.seq_panels[s]
         piv = f[:w]
         if method == "ldlt":
             solve_unit_lower_inplace(panel[:w, :], piv)
         else:
             solve_lower_inplace(panel[:w, :], piv)
-        fwd_piv[s] = piv
+        y[s] = piv
         fl = float(w * w + 2 * (m - w) * w)
         yield Compute(flops=fl, front_order=max(w, 8))
         if m > w:
-            u = f[w:] - panel[w:, :] @ piv
-            seq_u[s] = u
-            yield from _send_up(plan, s, me, seq_u, fwd_useg)
+            u[s] = {SEQ: f[w:] - panel[w:, :] @ piv}
+            yield from send_up(plan, s, me, u[s], "su")
         return fl
 
-    def _fwd_dist(plan, s, me, data, bp, method, fwd_piv, seq_u, fwd_useg, comm):
-        sym = plan.sym
+    def _fwd_dist(s, me, data, y, u):
         d = plan.dist[s]
         rows = sym.sn_rows[s]
         g = len(d.group)
         sub = Comm(me, d.group, ctx=("slv", s))
         panels = data.dist_row_panels.get(s, {})
         my_blocks = [bi for bi in range(d.nblocks) if d.row_owner(bi) == me]
-        f: dict[int, np.ndarray] = {}
+        f: Segments = {}
         for bi in my_blocks:
             r0, r1 = d.block_range(bi)
             seg = np.zeros((r1 - r0,) + tail)
             if bi < d.npb:
                 seg += bp[rows[r0:r1]]
             f[bi] = seg
-
-        def apply(pa_idx, vals):
-            bis = d.block_of(pa_idx)
-            for bi in np.unique(bis):
-                sel = bis == bi
-                r0 = int(d.starts[bi])
-                np.add.at(f[int(bi)], pa_idx[sel] - r0, vals[sel])
-
-        yield from _recv_up_dist(plan, s, me, apply, seq_u, fwd_useg)
+        yield from recv_up(plan, s, me, f, u, "su")
 
         # Pivot block substitution with segment broadcasts.
         x_piv_full = np.zeros((d.width,) + tail)
         fl = 0.0
         for k in range(d.npb):
             r0, r1 = d.block_range(k)
-            owner = d.row_owner(k)
-            if owner == me:
+            if d.row_owner(k) == me:
                 rowsk = panels[k]  # (r1-r0, w)
                 seg = f[k]
                 if k > 0:
@@ -261,14 +218,10 @@ def make_solve_program(plan: FactorPlan, datas: list[RankFactorData], bp: np.nda
                 payload = seg
             else:
                 payload = None
-            seg = yield from sub.bcast(payload, root=k % g)
-            x_piv_full[r0:r1] = seg
-            if owner == me:
-                fwd_piv.setdefault(s, np.zeros((d.width,) + tail))
-                f[k] = seg  # store forward-solved pivot segment
+            x_piv_full[r0:r1] = yield from sub.bcast(payload, root=k % g)
         if d.npb:
-            yield Compute(flops=fl, front_order=plan.opts.nb)
-        fwd_piv[s] = x_piv_full  # full forward-solved pivot vector
+            yield Compute(flops=fl, front_order=nb)
+        y[s] = x_piv_full  # full forward-solved pivot vector
         # Update rows: local dgemv per owned block.
         ufl = 0.0
         for bi in my_blocks:
@@ -277,95 +230,22 @@ def make_solve_program(plan: FactorPlan, datas: list[RankFactorData], bp: np.nda
             f[bi] = f[bi] - panels[bi] @ x_piv_full
             ufl += 2.0 * panels[bi].shape[0] * d.width
         if ufl:
-            yield Compute(flops=ufl, front_order=plan.opts.nb)
-        fwd_useg[s] = {bi: f[bi] for bi in my_blocks}
+            yield Compute(flops=ufl, front_order=nb)
         if d.m > d.width:
-            yield from _send_up(plan, s, me, seq_u, fwd_useg)
+            u[s] = f
+            yield from send_up(plan, s, me, f, "su")
         return fl + ufl
 
-    def _send_up(plan, s, me, seq_u, fwd_useg):
-        parent = int(plan.sym.sn_parent[s])
-        if parent < 0:
-            return
-        d = plan.dist[s]
-        if d.is_seq:
-            u = seq_u[s]
-
-            def getter(i0, i1):
-                return u[i0:i1]
-
-        else:
-            segs = fwd_useg[s]
-
-            def getter(i0, i1):
-                fa0 = i0 + d.width
-                bi = int(d.block_of(np.asarray([fa0]))[0])
-                r0 = int(d.starts[bi])
-                return segs[bi][fa0 - r0: fa0 - r0 + (i1 - i0)]
-
-        packed = _pack_up(plan, s, me, getter)
-        for dest in sorted(packed):
-            if dest == me:
-                continue
-            pa_idx, vals = packed[dest]
-            yield Send(
-                dest,
-                ("su", parent, s),
-                (pa_idx, vals),
-                nbytes=12 * vals.size + 64,
-            )
-
-    def _recv_up(plan, s, me, f, seq_u, fwd_useg):
-        """Sequential-front version: scatter into the dense f vector."""
-
-        def apply(pa_idx, vals):
-            np.add.at(f, pa_idx, vals)
-
-        yield from _recv_up_dist(plan, s, me, apply, seq_u, fwd_useg)
-
-    def _recv_up_dist(plan, s, me, apply, seq_u, fwd_useg):
-        for c in plan.sym.sn_children[s]:
-            pairs = solve_pairs(plan, c)
-            senders = sorted({src for src, dst in pairs if dst == me})
-            if me in senders:
-                d_c = plan.dist[c]
-                if d_c.is_seq:
-                    u = seq_u[c]
-
-                    def getter(i0, i1, u=u):
-                        return u[i0:i1]
-
-                else:
-                    segs = fwd_useg[c]
-
-                    def getter(i0, i1, segs=segs, d_c=d_c):
-                        fa0 = i0 + d_c.width
-                        bi = int(d_c.block_of(np.asarray([fa0]))[0])
-                        r0 = int(d_c.starts[bi])
-                        return segs[bi][fa0 - r0: fa0 - r0 + (i1 - i0)]
-
-                packed = _pack_up(plan, c, me, getter)
-                if me in packed:
-                    apply(*packed[me])
-            for sender in senders:
-                if sender == me:
-                    continue
-                pa_idx, vals = yield Recv(sender, ("su", s, c))
-                apply(pa_idx, vals)
-
-    # -- backward helpers ----------------------------------------------------
-
-    def _bwd_seq(plan, s, me, data, method, fwd_piv, x_piv, seq_xupd, x_useg, comm):
-        sym = plan.sym
+    def _bwd_seq(s, me, data, y, x, pieces):
         d = plan.dist[s]
         rows = sym.sn_rows[s]
         m, w = rows.size, d.width
         panel = data.seq_panels[s]
-        rhs = fwd_piv[s].copy()
+        rhs = y[s].copy()
         if method == "ldlt":
             rhs /= data.seq_diag[s].reshape((-1,) + (1,) * len(tail))
         xu = np.zeros((m - w,) + tail)
-        yield from _recv_down(plan, s, me, xu, x_piv, seq_xupd, x_useg)
+        yield from recv_down(plan, s, me, {SEQ: xu}, x, "sd")
         fl = float(w * w + 2 * (m - w) * w)
         if m > w:
             rhs -= panel[w:, :].T @ xu
@@ -373,210 +253,89 @@ def make_solve_program(plan: FactorPlan, datas: list[RankFactorData], bp: np.nda
             solve_unit_lower_transpose_inplace(panel[:w, :], rhs)
         else:
             solve_lower_transpose_inplace(panel[:w, :], rhs)
-        x_piv[s] = rhs
-        seq_xupd[s] = xu
+        pieces.append((rows[:w], rhs))
+        x[s] = {SEQ: np.concatenate((rhs, xu))}
         yield Compute(flops=fl, front_order=max(w, 8))
         # Fan x values out to the children.
-        yield from _send_down(plan, s, me, x_piv, seq_xupd, x_useg)
+        yield from send_down(plan, s, me, x[s], "sd")
         return fl
 
-    def _bwd_dist(plan, s, me, data, method, fwd_piv, x_piv, seq_xupd, x_useg, comm):
-        sym = plan.sym
+    def _bwd_dist(s, me, data, y, x, pieces):
         d = plan.dist[s]
+        rows = sym.sn_rows[s]
         g = len(d.group)
         sub = Comm(me, d.group, ctx=("slvb", s))
         panels = data.dist_row_panels.get(s, {})
         my_blocks = [bi for bi in range(d.nblocks) if d.row_owner(bi) == me]
 
         # 1. Receive x for my update row blocks from the parent.
-        xseg: dict[int, np.ndarray] = {}
+        xseg: Segments = {}
         for bi in my_blocks:
             if bi >= d.npb:
                 r0, r1 = d.block_range(bi)
                 xseg[bi] = np.zeros((r1 - r0,) + tail)
-
-        def apply(upd_idx, vals):
-            fa = upd_idx + d.width
-            bis = d.block_of(fa)
-            for bi in np.unique(bis):
-                sel = bis == bi
-                r0 = int(d.starts[bi])
-                xseg[int(bi)][fa[sel] - r0] = vals[sel]
-
-        yield from _recv_down_dist(plan, s, me, apply, x_piv, seq_xupd, x_useg)
+        yield from recv_down(plan, s, me, xseg, x, "sd")
 
         # 2. Update-row corrections z = L21ᵀ x_update, group-summed.
         z = np.zeros((d.width,) + tail)
         fl = 0.0
-        for bi in my_blocks:
-            if bi >= d.npb:
-                z += panels[bi].T @ xseg[bi]
-                fl += 2.0 * panels[bi].shape[0] * d.width
+        for bi in xseg:
+            z += panels[bi].T @ xseg[bi]
+            fl += 2.0 * panels[bi].shape[0] * d.width
         if g > 1:
             z = yield from sub.allreduce(z)
         if fl:
-            yield Compute(flops=fl, front_order=plan.opts.nb)
+            yield Compute(flops=fl, front_order=nb)
 
         # 3. Pivot backward substitution, descending blocks, with direct
         # correction sends o_j -> o_k (k < j).
         x_piv_full = np.zeros((d.width,) + tail)
         corrections: dict[int, np.ndarray] = {}
-        yvec = fwd_piv[s]
+        yvec = y[s]
         diag_map = data.dist_diag.get(s, {})
         for k in range(d.npb - 1, -1, -1):
-            owner = d.row_owner(k)
-            # Receive corrections from later pivot-block owners.
-            if owner == me:
-                r0, r1 = d.block_range(k)
-                rhs = yvec[r0:r1].copy()
-                if method == "ldlt":
-                    rhs /= diag_map[k].reshape((-1,) + (1,) * len(tail))
-                rhs -= z[r0:r1]
-                if k in corrections:
-                    rhs -= corrections.pop(k)
-                for j in range(d.npb - 1, k, -1):
-                    if d.row_owner(j) != me:
-                        vals = yield Recv(d.row_owner(j), ("bcorr", s, j, k))
-                        rhs -= vals
-                rowsk = panels[k]
-                diag = rowsk[:, r0:r1]
-                if method == "ldlt":
-                    solve_unit_lower_transpose_inplace(diag, rhs)
-                else:
-                    solve_lower_transpose_inplace(diag, rhs)
-                x_piv_full[r0:r1] = rhs
-                _dist_xpiv[(s, k)] = rhs
-                # Send corrections to earlier pivot owners.
-                pend: dict[int, np.ndarray] = {}
-                for kk in range(k):
-                    rr0, rr1 = d.block_range(kk)
-                    contrib = rowsk[:, rr0:rr1].T @ rhs
-                    tgt = d.row_owner(kk)
-                    if tgt == me:
-                        if kk in corrections:
-                            corrections[kk] += contrib
-                        else:
-                            corrections[kk] = contrib
-                    else:
-                        yield Send(tgt, ("bcorr", s, k, kk), contrib)
-                if k:
-                    yield Compute(
-                        flops=2.0 * (r1 - r0) * r0, front_order=plan.opts.nb
-                    )
-            else:
-                # Non-owners only relay nothing; corrections they owe were
-                # produced when they owned a later block (handled above).
-                pass
-        # Broadcast assembled x_piv so every member can serve children.
-        if g > 1:
-            # Gather piecewise: owners hold their segments; share via
-            # allreduce of the (sparse) full vector — w is small.
-            x_piv_full = yield from sub.allreduce(x_piv_full)
-        x_piv[s] = x_piv_full
-        x_useg[s] = xseg
-        yield from _send_down(plan, s, me, x_piv, seq_xupd, x_useg)
-        return fl
-
-    def _send_down(plan, s, me, x_piv, seq_xupd, x_useg):
-        d = plan.dist[s]
-        for c in plan.sym.sn_children[s]:
-            pairs = solve_pairs(plan, c)
-            # Backward: parent-side owner sends, child-side owner receives.
-            if d.is_seq:
-                xp = x_piv[s]
-                xu = seq_xupd[s]
-
-                def x_getter(pa_idx, xp=xp, xu=xu, w=d.width):
-                    out = np.empty((pa_idx.size,) + tail)
-                    piv = pa_idx < w
-                    out[piv] = xp[pa_idx[piv]]
-                    out[~piv] = xu[pa_idx[~piv] - w]
-                    return out
-
-            else:
-                xp = x_piv[s]
-                xsegs = x_useg[s]
-
-                def x_getter(pa_idx, xp=xp, xsegs=xsegs, d=d):
-                    out = np.empty((pa_idx.size,) + tail)
-                    piv = pa_idx < d.width
-                    out[piv] = xp[pa_idx[piv]]
-                    rest = pa_idx[~piv]
-                    if rest.size:
-                        bis = d.block_of(rest)
-                        vals = np.empty((rest.size,) + tail)
-                        for bi in np.unique(bis):
-                            sel = bis == bi
-                            r0 = int(d.starts[bi])
-                            vals[sel] = xsegs[int(bi)][rest[sel] - r0]
-                        out[~piv] = vals
-                    return out
-
-            packed = _pack_down(plan, c, me, x_getter)
-            for dest in sorted(packed):
-                if dest == me:
-                    continue
-                idx, vals = packed[dest]
-                yield Send(
-                    dest, ("sd", s, c), (idx, vals), nbytes=12 * vals.size + 64
-                )
-
-    def _recv_down(plan, s, me, xu, x_piv, seq_xupd, x_useg):
-        """Sequential child: fill the dense x_update vector."""
-
-        def apply(upd_idx, vals):
-            xu[upd_idx] = vals
-
-        yield from _recv_down_dist(plan, s, me, apply, x_piv, seq_xupd, x_useg)
-
-    def _recv_down_dist(plan, s, me, apply, x_piv, seq_xupd, x_useg):
-        parent = int(plan.sym.sn_parent[s])
-        if parent < 0:
-            return
-        pairs = solve_pairs(plan, s)
-        # Pairs are (child_side, parent_side); backward messages flow
-        # parent_side -> child_side.
-        dp = plan.dist[parent]
-        senders_to_me = sorted({dst for src, dst in pairs if src == me})
-        # Parent-side local values:
-        if (me, me) in pairs:
-            if dp.is_seq:
-                xp = x_piv[parent]
-                xu_p = seq_xupd[parent]
-
-                def x_getter(pa_idx, xp=xp, xu_p=xu_p, w=dp.width):
-                    out = np.empty((pa_idx.size,) + tail)
-                    piv = pa_idx < w
-                    out[piv] = xp[pa_idx[piv]]
-                    out[~piv] = xu_p[pa_idx[~piv] - w]
-                    return out
-
-            else:
-                xp = x_piv[parent]
-                xsegs = x_useg[parent]
-
-                def x_getter(pa_idx, xp=xp, xsegs=xsegs, dp=dp):
-                    out = np.empty((pa_idx.size,) + tail)
-                    piv = pa_idx < dp.width
-                    out[piv] = xp[pa_idx[piv]]
-                    rest = pa_idx[~piv]
-                    if rest.size:
-                        bis = dp.block_of(rest)
-                        vals = np.empty((rest.size,) + tail)
-                        for bi in np.unique(bis):
-                            sel = bis == bi
-                            r0 = int(dp.starts[bi])
-                            vals[sel] = xsegs[int(bi)][rest[sel] - r0]
-                        out[~piv] = vals
-                    return out
-
-            packed = _pack_down(plan, s, me, x_getter)
-            if me in packed:
-                apply(*packed[me])
-        for sender in senders_to_me:
-            if sender == me:
+            if d.row_owner(k) != me:
                 continue
-            idx, vals = yield Recv(sender, ("sd", parent, s))
-            apply(idx, vals)
+            r0, r1 = d.block_range(k)
+            rhs = yvec[r0:r1].copy()
+            if method == "ldlt":
+                rhs /= diag_map[k].reshape((-1,) + (1,) * len(tail))
+            rhs -= z[r0:r1]
+            if k in corrections:
+                rhs -= corrections.pop(k)
+            # Receive corrections from later pivot-block owners.
+            for j in range(d.npb - 1, k, -1):
+                if d.row_owner(j) != me:
+                    vals = yield Recv(d.row_owner(j), ("bcorr", s, j, k))
+                    rhs -= vals
+            rowsk = panels[k]
+            diag = rowsk[:, r0:r1]
+            if method == "ldlt":
+                solve_unit_lower_transpose_inplace(diag, rhs)
+            else:
+                solve_lower_transpose_inplace(diag, rhs)
+            x_piv_full[r0:r1] = rhs
+            pieces.append((rows[r0:r1], rhs))
+            # Send corrections to earlier pivot owners.
+            for kk in range(k):
+                rr0, rr1 = d.block_range(kk)
+                contrib = rowsk[:, rr0:rr1].T @ rhs
+                tgt = d.row_owner(kk)
+                if tgt == me:
+                    if kk in corrections:
+                        corrections[kk] += contrib
+                    else:
+                        corrections[kk] = contrib
+                else:
+                    yield Send(tgt, ("bcorr", s, k, kk), contrib)
+            if k:
+                yield Compute(flops=2.0 * (r1 - r0) * r0, front_order=nb)
+        # Owners hold their pivot segments; an allreduce of the (sparse)
+        # full vector — w is small — lets every member serve the children.
+        if g > 1:
+            x_piv_full = yield from sub.allreduce(x_piv_full)
+        x[s] = front_segments(d, x_piv_full, xseg)
+        yield from send_down(plan, s, me, x[s], "sd")
+        return fl
 
     return program

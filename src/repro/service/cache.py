@@ -1,11 +1,11 @@
 """Bounded LRU cache of completed analyses, keyed by pattern fingerprint.
 
 A cache entry owns a :class:`~repro.core.SparseSolver` whose analyze phase
-has run (ordering + symbolic factorization) plus the parallel
-:class:`~repro.parallel.plan.FactorPlan` objects derived from it, one per
-distinct parallel configuration. Hits skip straight to the numeric phase
-through the solver's ``update_values``/``refactor`` path; the plan reuse
-additionally skips plan construction for simulated-parallel execution.
+has run (ordering + symbolic factorization). Hits skip straight to the
+numeric phase through the solver's ``update_values``/``refactor`` path;
+the solver also keeps the parallel plans derived from its analysis
+(``SparseSolver.plans``), so simulated-parallel execution skips plan
+construction too.
 
 :class:`AnalysisCache` itself is a plain synchronous structure; eviction
 is strict LRU on *use*, and every transition is counted so the metrics
@@ -19,12 +19,11 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 from repro.core.solver import SparseSolver
 from repro.exec.pool import make_lock
-from repro.parallel.plan import FactorPlan
 from repro.service.fingerprint import PatternFingerprint
 from repro.util.errors import ShapeError
 
@@ -57,12 +56,11 @@ class CacheStats:
 
 @dataclass
 class AnalysisEntry:
-    """One cached analysis: an analyzed solver + its derived parallel plans."""
+    """One cached analysis: an analyzed solver (which owns the parallel
+    plans derived from it)."""
 
     fingerprint: PatternFingerprint
     solver: SparseSolver
-    #: (n_ranks, nb, policy, min_dist_width) -> structural factor plan
-    plans: dict[tuple, FactorPlan] = field(default_factory=dict)
     #: wall seconds the original analyze phase cost (== seconds a hit saves)
     analyze_seconds: float = 0.0
     hits: int = 0

@@ -9,7 +9,7 @@ and method):
    entirely; a miss runs ``analyze()`` and populates the cache;
 2. **numeric factor + solve** — on the sequential host engine, or on the
    simulated parallel machine when a :class:`ParallelConfig` is set
-   (reusing the cached structural :class:`FactorPlan`);
+   (reusing the structural plan the cached solver keeps);
 3. **resilience** — a parallel-path failure *degrades* the batch to the
    host engine (counted, not retried); a threads-backend *infrastructure*
    failure (:class:`~repro.util.errors.ExecBackendError`) degrades to the
@@ -46,7 +46,6 @@ from repro.core.solver import ParallelConfig, SparseSolver
 from repro.mf.refine import iterative_refinement_many
 from repro.mf.solve_phase import solve_many as mf_solve_many
 from repro.parallel.driver import simulate_factorization, simulate_solve
-from repro.parallel.plan import FactorPlan
 from repro.service.cache import AnalysisCache, AnalysisEntry
 from repro.service.jobs import (
     COMPLETED,
@@ -401,21 +400,18 @@ class Executor:
         self, entry: AnalysisEntry, method: str, b_block: np.ndarray, timings: dict
     ) -> np.ndarray:
         cfg = self.options.parallel
-        key = (cfg.n_ranks, cfg.nb, cfg.policy)
-        plan = entry.plans.get(key)
+        solver = entry.solver
+        plan_key = (cfg.n_ranks, cfg.plan_options())
+        plan = solver.plans.get(plan_key)
         if plan is None:
             with span("service.plan", ranks=cfg.n_ranks), WallTimer() as t:
-                plan = FactorPlan(
-                    entry.solver.sym, cfg.n_ranks, cfg.plan_options()
-                )
+                plan = solver.parallel_plan(*plan_key)
             timings["plan"] = timings.get("plan", 0.0) + t.elapsed
-            entry.plans[key] = plan
         with span("service.factor", engine="parallel"), WallTimer() as t:
             fres = simulate_factorization(
-                entry.solver.sym,
+                solver.sym,
                 cfg.n_ranks,
                 cfg.machine,
-                cfg.plan_options(),
                 method=method,
                 threads_per_rank=cfg.threads_per_rank,
                 plan=plan,

@@ -34,7 +34,7 @@ class Comm:
         members must use the same value; ``Comm.split`` handles this).
     """
 
-    __slots__ = ("world_rank", "group", "ctx", "_seq")
+    __slots__ = ("world_rank", "group", "ctx", "rank", "_seq")
 
     def __init__(self, world_rank: int, group: Sequence[int], ctx: Hashable = 0) -> None:
         self.group = tuple(sorted(int(g) for g in group))
@@ -43,15 +43,12 @@ class Comm:
         if world_rank not in self.group:
             raise SimulationError(f"rank {world_rank} not in group {group}")
         self.world_rank = int(world_rank)
+        #: rank within this communicator (0..size-1)
+        self.rank = self.group.index(self.world_rank)
         self.ctx = ctx
         self._seq = 0
 
     # -- basic properties --------------------------------------------------
-
-    @property
-    def rank(self) -> int:
-        """Rank within this communicator (0..size-1)."""
-        return self.group.index(self.world_rank)
 
     @property
     def size(self) -> int:

@@ -2,7 +2,9 @@
 
 These are plain descriptors: yielding one suspends the rank; the scheduler
 performs the operation, advances the rank's clock, and resumes the
-generator (with the received payload, for :class:`Recv`).
+generator (with the received payload, for :class:`Recv`). A simulation
+creates one per yield, so they are slotted and the scheduler dispatches on
+their exact type — do not subclass them.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from dataclasses import dataclass
 from typing import Any, Hashable
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Send:
     """Eager (buffered) send: the sender is charged injection time and
     continues; the message arrives at the destination after the wire
@@ -24,7 +26,7 @@ class Send:
     nbytes: int | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Recv:
     """Blocking receive of a message matching (source, tag). The resumed
     generator receives the payload as the value of the ``yield``."""
@@ -33,7 +35,7 @@ class Recv:
     tag: Hashable
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Compute:
     """Charge local work: *flops* at the kernel efficiency implied by
     *front_order*, plus *mem_bytes* of streaming traffic."""
@@ -44,7 +46,7 @@ class Compute:
     threads: int = 1
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Local:
     """Zero-cost bookkeeping yield (lets the scheduler interleave ranks at
     deterministic points without charging time)."""

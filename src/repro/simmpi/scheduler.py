@@ -17,6 +17,7 @@ summation order) are reproducible run-to-run.
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -128,7 +129,7 @@ class Simulator:
         returns: list[Any] = [None] * p
         done = [False] * p
         # Mailboxes: (dst, src, tag) -> FIFO of (arrival_time, payload, nbytes)
-        mailbox: dict[tuple, list] = {}
+        mailbox: dict[tuple, deque] = {}
         # Blocked ranks: rank -> (src, tag)
         blocked: dict[int, tuple] = {}
         # Ready queue: (clock, rank); lazy entries, validity via `in_queue`.
@@ -136,21 +137,33 @@ class Simulator:
         heapq.heapify(ready)
         resume_value: list[Any] = [None] * p
         trace = Trace() if self.enable_trace else None
+        # Hop counts are a pure function of (src, dst): asked once per pair.
+        hop_table: dict[tuple[int, int], int] = {}
+        alpha, alpha_hop, beta = machine.alpha, machine.alpha_hop, machine.beta
 
         def deposit(src: int, op: Send) -> None:
             nbytes = op.nbytes if op.nbytes is not None else payload_nbytes(op.payload)
             dst = op.dest
             if not (0 <= dst < p):
                 raise SimulationError(f"rank {src} sent to invalid rank {dst}")
-            hops = machine.topology.hops(src, dst, p) if src != dst else 0
-            inject = machine.alpha + nbytes * machine.beta if src != dst else machine.mem_time(nbytes)
+            if src != dst:
+                hops = hop_table.get((src, dst))
+                if hops is None:
+                    hops = hop_table[src, dst] = machine.topology.hops(src, dst, p)
+                inject = alpha + nbytes * beta
+            else:
+                hops = 0
+                inject = machine.mem_time(nbytes)
             if trace is not None:
                 trace.add(src, "send", clock[src], clock[src] + inject, nbytes)
             clock[src] += inject
             stats[src].send_time += inject
-            arrival = clock[src] + (hops * machine.alpha_hop if src != dst else 0.0)
+            arrival = clock[src] + hops * alpha_hop
             key = (dst, src, op.tag)
-            mailbox.setdefault(key, []).append((arrival, op.payload, nbytes))
+            box = mailbox.get(key)
+            if box is None:
+                box = mailbox[key] = deque()
+            box.append((arrival, op.payload, nbytes))
             ledger.record_send(src, dst, nbytes, hops)
             if trace is not None:
                 trace.comm.add("send", clock[src], src, dst, op.tag, nbytes)
@@ -160,8 +173,9 @@ class Simulator:
                 _complete_recv(dst, key)
 
         def _complete_recv(r: int, key: tuple) -> None:
-            arrival, payload, nbytes = mailbox[key].pop(0)
-            if not mailbox[key]:
+            box = mailbox[key]
+            arrival, payload, nbytes = box.popleft()
+            if not box:
                 del mailbox[key]
             wait = max(arrival - clock[r], 0.0)
             if trace is not None and wait > 0:
@@ -191,10 +205,9 @@ class Simulator:
             t, r = heapq.heappop(ready)
             if done[r] or r in blocked or t < clock[r] - 1e-30:
                 continue  # stale entry
-            gen = gens[r]
             value, resume_value[r] = resume_value[r], None
             try:
-                op = gen.send(value)
+                op = gens[r].send(value)
             except StopIteration as stop:
                 returns[r] = stop.value
                 done[r] = True
@@ -205,7 +218,19 @@ class Simulator:
                 raise SimulationError(f"rank {r} raised: {exc!r}") from exc
             stats[r].n_yields += 1
 
-            if isinstance(op, Compute):
+            kind = type(op)
+            if kind is Recv:
+                key = (r, op.source, op.tag)
+                if key in mailbox:
+                    _complete_recv(r, key)
+                else:
+                    blocked[r] = (op.source, op.tag)
+                    if trace is not None:
+                        trace.comm.add("block", clock[r], r, op.source, op.tag)
+                continue
+            if kind is Send:
+                deposit(r, op)
+            elif kind is Compute:
                 dt = 0.0
                 if op.flops:
                     dt += machine.compute_time(
@@ -217,24 +242,11 @@ class Simulator:
                     trace.add(r, "compute", clock[r], clock[r] + dt, op.flops)
                 clock[r] += dt
                 stats[r].compute_time += dt
-                heapq.heappush(ready, (clock[r], r))
-            elif isinstance(op, Send):
-                deposit(r, op)
-                heapq.heappush(ready, (clock[r], r))
-            elif isinstance(op, Recv):
-                key = (r, op.source, op.tag)
-                if key in mailbox:
-                    _complete_recv(r, key)
-                else:
-                    blocked[r] = (op.source, op.tag)
-                    if trace is not None:
-                        trace.comm.add("block", clock[r], r, op.source, op.tag)
-            elif isinstance(op, Local):
-                heapq.heappush(ready, (clock[r], r))
-            else:
+            elif kind is not Local:
                 raise SimulationError(
                     f"rank {r} yielded unknown op {op!r}"
                 )
+            heapq.heappush(ready, (clock[r], r))
 
         makespan = max(clock) if clock else 0.0
         for s in stats:

@@ -8,7 +8,7 @@ and structural-plan reuse across refactorizations."""
 import numpy as np
 import pytest
 
-from repro.core import SparseSolver
+from repro.core import ParallelConfig, SparseSolver
 from repro.gen import grid2d_laplacian, grid3d_laplacian
 from repro.machine import GENERIC_CLUSTER
 from repro.parallel import (
@@ -119,3 +119,47 @@ class TestParallelRefactorMultiRHS:
         b = make_rng(23).standard_normal((36, 2))
         x = simulate_solve(res, b).x
         assert max_residual(solver.lower, b, x) < 1e-9
+
+
+class TestSolverPlanCache:
+    """`SparseSolver.simulate` builds one plan per `(n_ranks, PlanOptions)`
+    and reuses it — schedule included — across numeric value updates."""
+
+    CONFIG = ParallelConfig(n_ranks=4, machine=GENERIC_CLUSTER, nb=8)
+
+    def test_cached_plan_factors_the_new_values(self):
+        lower = grid3d_laplacian(4)
+        solver = SparseSolver(lower)
+        b = make_rng(24).standard_normal(lower.shape[0])
+        first = solver.simulate(self.CONFIG, b=b)
+        plan = first.factor_result.plan
+        assert list(solver.plans) == [(4, PlanOptions(nb=8))]
+
+        solver.update_values(scaled(lower, 4.0))
+        # verify=True compares against a fresh host factor of the new values.
+        second = solver.simulate(self.CONFIG, b=b, verify=True)
+        assert second.factor_result.plan is plan
+        # Scaling by a power of four is exact in every operation.
+        np.testing.assert_array_equal(
+            second.solve_result.x, first.solve_result.x / 4.0
+        )
+        np.testing.assert_array_equal(
+            second.factor_result.to_dense_l(),
+            first.factor_result.to_dense_l() * 2.0,
+        )
+        # Structure did not change, so neither did the simulated machine.
+        assert (second.factor_time, second.n_messages, second.total_bytes) == (
+            first.factor_time, first.n_messages, first.total_bytes,
+        )
+
+    def test_key_is_every_plan_option_and_analyze_drops_plans(self):
+        solver = SparseSolver(grid2d_laplacian(6))
+        solver.simulate(self.CONFIG)
+        solver.simulate(ParallelConfig(n_ranks=4, machine=GENERIC_CLUSTER, nb=4))
+        solver.simulate(ParallelConfig(n_ranks=2, machine=GENERIC_CLUSTER, nb=8))
+        assert len(solver.plans) == 3
+        custom = solver.parallel_plan(4, PlanOptions(nb=8, min_dist_width=3))
+        assert custom is not solver.plans[4, PlanOptions(nb=8)]
+        assert custom is solver.parallel_plan(4, PlanOptions(nb=8, min_dist_width=3))
+        solver.analyze()
+        assert solver.plans == {}
