@@ -238,7 +238,10 @@ def check_partition(partition: Any, n: int) -> None:
 def check_symbolic(sym: Any) -> None:
     """Composite invariant check of a :class:`~repro.symbolic.analyze.
     SymbolicFactor`: permutation validity, postordered etree, partition
-    coverage, per-supernode row structure, and assembly-tree consistency."""
+    coverage, per-supernode row structure, assembly-tree consistency, and
+    the front plan's index tables (every matrix entry lands once, on its own
+    row and column, inside the lower trapezoid; every child's update rows
+    map onto the same global rows of its parent)."""
     n = int(sym.n)
     check_permutation(sym.perm, n)
     check_postordered(sym.parent)
@@ -246,6 +249,12 @@ def check_symbolic(sym: Any) -> None:
     check_csc(sym.permuted_lower)
     nsn = int(sym.partition.n_supernodes)
     sn_start = np.asarray(sym.partition.sn_start, dtype=np.int64)
+    plan = sym.front_plan
+    if len(plan.a_pos) != sym.permuted_lower.indices.size or len(plan.rel) != nsn:
+        raise _fail(
+            f"front plan covers {len(plan.a_pos)} entries and {len(plan.rel)} "
+            f"supernodes; the factor has {sym.permuted_lower.indices.size} and {nsn}"
+        )
     for s in range(nsn):
         c0, c1 = int(sn_start[s]), int(sn_start[s + 1])
         rows = np.asarray(sym.sn_rows[s], dtype=np.int64)
@@ -263,6 +272,51 @@ def check_symbolic(sym: Any) -> None:
                 f"supernode {s}: assembly-tree parent {p} invalid "
                 f"(must be in ({s}, {nsn}))"
             )
+        _check_front_plan(sym, s, c0, w, rows)
+
+
+def _check_front_plan(sym: Any, s: int, c0: int, w: int, rows: np.ndarray) -> None:
+    """Supernode *s*'s share of the front plan against the structures it
+    was compiled from: its plain-int geometry, the front positions of its
+    matrix entries, and the parent positions of its update rows."""
+    plan = sym.front_plan
+    indptr = np.asarray(sym.permuted_lower.indptr)
+    indices = np.asarray(sym.permuted_lower.indices)
+    m = rows.size
+    lo, hi = int(indptr[c0]), int(indptr[c0 + w])
+    geometry = (plan.start[s], plan.width[s], plan.order[s], plan.a_ptr[s], plan.a_ptr[s + 1])
+    if geometry != (c0, w, m, lo, hi):
+        raise _fail(
+            f"supernode {s}: front plan geometry {geometry} != (start, width, "
+            f"order, first entry, end entry) {(c0, w, m, lo, hi)}"
+        )
+    pos = np.asarray(plan.a_pos[lo:hi], dtype=np.int64)
+    if np.unique(pos).size != pos.size:
+        raise _fail(f"supernode {s}: two matrix entries share one front position")
+    if pos.size and (pos.min() < 0 or pos.max() >= m * m):
+        raise _fail(f"supernode {s}: assembly position outside the {m}x{m} front")
+    local_row, k = np.divmod(pos, m)
+    col = c0 + np.repeat(np.arange(w), np.diff(indptr[c0: c0 + w + 1]))
+    wrong = (k >= w) | (local_row < k) | (rows[local_row] != indices[lo:hi]) | (c0 + k != col)
+    if wrong.any():
+        e = int(np.argmax(wrong))
+        raise _fail(
+            f"supernode {s}: matrix entry ({int(indices[lo + e])}, {int(col[e])}) "
+            f"is assembled at front position ({int(local_row[e])}, {int(k[e])})"
+        )
+    p = int(sym.sn_parent[s])
+    parent_rows = np.asarray(sym.sn_rows[p], dtype=np.int64) if p >= 0 else rows[:0]
+    rel = np.asarray(plan.rel[s], dtype=np.int64)
+    if (
+        rel.size != m - w
+        or np.any(np.diff(rel) <= 0)
+        or (rel.size and (rel[0] < 0 or rel[-1] >= parent_rows.size))
+        or not np.array_equal(parent_rows[rel], rows[w:])
+    ):
+        raise _fail(
+            f"supernode {s}: front plan maps update rows {rows[w:][:5].tolist()} "
+            f"to positions {rel[:5].tolist()} of parent {p}"
+        )
 
 
 # -- frontal update stack ----------------------------------------------------

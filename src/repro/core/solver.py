@@ -462,12 +462,7 @@ class SparseSolver:
                 "SparseSolver (or re-analyze) for a different structure"
             )
         self.lower = lower
-        # Permute the new values through the existing symbolic ordering.
-        from repro.sparse.permute import permute_symmetric_lower
-
-        self.sym.permuted_lower = permute_symmetric_lower(
-            lower, self.sym.perm
-        )
+        self.sym.update_values(lower.data)
         self.numeric = None
 
     def refactor(

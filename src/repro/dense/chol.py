@@ -39,7 +39,8 @@ def _cholesky_unblocked(a: np.ndarray, col_offset: int = 0) -> None:
             a[j + 1:, j] /= d
             # Rank-1 trailing update restricted to the lower triangle: do a
             # full outer-product column sweep (cheap at block sizes).
-            a[j + 1:, j + 1:] -= np.outer(a[j + 1:, j], a[j + 1:, j])
+            col = a[j + 1:, j]
+            a[j + 1:, j + 1:] -= col[:, None] * col
 
 
 def cholesky_in_place(a: np.ndarray, block: int = DEFAULT_BLOCK) -> None:
@@ -84,7 +85,7 @@ def _trsm_right_lower_transpose(l: np.ndarray, b: np.ndarray) -> None:
         b[:, j] /= l[j, j]
         if j + 1 < k:
             # Remaining columns see the rank-1 correction from column j.
-            b[:, j + 1:] -= np.outer(b[:, j], l[j + 1:, j])
+            b[:, j + 1:] -= b[:, j, None] * l[j + 1:, j]
 
 
 #: dtypes the in-place kernels operate in: the canonical fp64 and the

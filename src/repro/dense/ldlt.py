@@ -66,7 +66,7 @@ def ldlt_in_place(
         d[j] = pivot
         if j + 1 < n:
             col = a[j + 1:, j] / pivot
-            a[j + 1:, j + 1:] -= np.outer(col, a[j + 1:, j])
+            a[j + 1:, j + 1:] -= col[:, None] * a[j + 1:, j]
             a[j + 1:, j] = col
         a[j, j] = pivot
     return d

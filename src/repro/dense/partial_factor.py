@@ -82,4 +82,4 @@ def _trsm_right_unit_lower_transpose(l: np.ndarray, b: np.ndarray) -> None:
     k = l.shape[0]
     for j in range(k):
         if j + 1 < k:
-            b[:, j + 1:] -= np.outer(b[:, j], l[j + 1:, j])
+            b[:, j + 1:] -= b[:, j, None] * l[j + 1:, j]

@@ -79,6 +79,8 @@ def multifrontal_factor_threads(
     elif workers is None:
         workers = default_workers()
     a = sym.permuted_lower
+    plan = sym.front_plan
+    plan.check_current(a)
     perturb_abs = None
     if pivot_perturbation is not None:
         diag_scale = float(np.max(np.abs(a.diagonal()), initial=0.0))
@@ -90,7 +92,7 @@ def multifrontal_factor_threads(
     diag = np.empty(sym.n, dtype=wdtype) if method == "ldlt" else None
     #: per-supernode update slots: written once by the owning task,
     #: consumed (and cleared) once by the parent's task
-    updates: list[tuple[np.ndarray, np.ndarray] | None] = [None] * nsn
+    updates: list[np.ndarray | None] = [None] * nsn
     per_flops = np.zeros(nsn, dtype=np.int64)
     per_perturbed: list[list[int]] = [[] for _ in range(nsn)]
     prof = active_profile()
@@ -105,9 +107,9 @@ def multifrontal_factor_threads(
     tr = pool.trace
 
     def run_task(s: int) -> None:
-        w = sym.supernode_width(s)
-        c0 = int(sym.partition.sn_start[s])
-        kids: list[tuple[np.ndarray, np.ndarray]] = []
+        w = plan.width[s]
+        c0 = plan.start[s]
+        kids: list[np.ndarray] = []
         freed = 0
         for c in sym.sn_children[s]:
             u = updates[c]
@@ -119,7 +121,7 @@ def multifrontal_factor_threads(
             if tr is not None:
                 tr.add("slot_consume", task=s, slot=f"upd:{c}")
             updates[c] = None
-            freed += u[0].size
+            freed += u.size
             kids.append(u)
         block, d, update, fflops = factor_front(
             sym, s, method, perturb_abs, kids, per_perturbed[s], prof,
@@ -132,7 +134,7 @@ def multifrontal_factor_threads(
         if update is not None and tr is not None:
             tr.add("slot_write", task=s, slot=f"upd:{s}")
         per_flops[s] = fflops
-        grown = 0 if update is None else update[0].size
+        grown = 0 if update is None else update.size
         with acct_lock:
             resident["entries"] += grown - freed
             if resident["entries"] > resident["peak"]:
@@ -163,8 +165,8 @@ def multifrontal_factor_threads(
     # flop/entry totals to the sequential driver.
     stats = FactorStats()
     for s in range(nsn):
-        m = sym.front_size(s)
-        w = sym.supernode_width(s)
+        m = plan.order[s]
+        w = plan.width[s]
         stats.observe_front(m, w, int(per_flops[s]))
         stats.factor_entries += m * w - w * (w - 1) // 2
     stats.peak_stack_entries = resident["peak"]

@@ -11,7 +11,7 @@ arithmetic distributed over ranks; its results are tested bit-comparable
 against this one.
 """
 
-from repro.mf.frontal import assemble_front, front_local_indices
+from repro.mf.frontal import assemble_front
 from repro.mf.extend_add import extend_add
 from repro.mf.numeric import NumericFactor, multifrontal_factor
 from repro.mf.solve_phase import solve as factor_solve
@@ -28,7 +28,6 @@ from repro.mf.condest import condest
 
 __all__ = [
     "assemble_front",
-    "front_local_indices",
     "extend_add",
     "NumericFactor",
     "multifrontal_factor",

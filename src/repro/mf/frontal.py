@@ -4,72 +4,34 @@ A supernode's front is a dense symmetric matrix of order
 ``len(sn_rows[s])`` whose leading ``width`` columns correspond to the
 supernode's own columns; only the lower triangle is meaningful. Assembly
 scatters the supernode's columns of the permuted input matrix into the
-front; children's update matrices are added by
-:func:`repro.mf.extend_add.extend_add`.
+front, to the positions the analysis compiled
+(:mod:`repro.symbolic.front_plan`); children's update matrices are added
+by :func:`repro.mf.extend_add.extend_add`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.sparse.csc import CSCMatrix
-from repro.util.errors import ShapeError
+from repro.symbolic.analyze import SymbolicFactor
 from repro.util.validation import VALUE_DTYPE
 
 
-def front_local_indices(front_rows: np.ndarray, global_rows: np.ndarray) -> np.ndarray:
-    """Positions of *global_rows* inside the sorted *front_rows*.
-
-    Every global row must be present; raises otherwise (that would be a
-    symbolic-analysis bug, not a user error — but fail loudly either way).
-    """
-    pos = np.searchsorted(front_rows, global_rows)
-    if np.any(pos >= front_rows.size) or np.any(
-        front_rows[np.minimum(pos, front_rows.size - 1)] != global_rows
-    ):
-        missing = global_rows[
-            (pos >= front_rows.size)
-            | (front_rows[np.minimum(pos, front_rows.size - 1)] != global_rows)
-        ]
-        raise ShapeError(f"rows {missing[:5]} not present in front structure")
-    return pos
-
-
 def assemble_front(
-    permuted_lower: CSCMatrix,
-    rows: np.ndarray,
-    first_col: int,
-    width: int,
-    dtype: np.dtype = VALUE_DTYPE,
+    sym: SymbolicFactor, s: int, dtype: np.dtype = VALUE_DTYPE
 ) -> np.ndarray:
-    """Allocate and fill the front of a supernode from the input matrix.
+    """Allocate and fill the front of supernode *s* from ``sym.permuted_lower``.
 
-    Parameters
-    ----------
-    permuted_lower
-        Lower triangle of the permuted matrix (the ``permuted_lower`` of a
-        SymbolicFactor).
-    rows
-        The supernode's sorted global row structure (``sn_rows[s]``);
-        its first *width* entries are the supernode's own columns.
-    first_col
-        Global index of the supernode's first column.
-    width
-        Number of pivot columns.
-    dtype
-        Working dtype of the front (fp32 for mixed-precision fronts; the
-        always-fp64 input entries are rounded once, here, at assembly).
+    *dtype* is the working dtype of the front (fp32 for mixed-precision
+    fronts; the always-fp64 input entries are rounded once, here, at
+    assembly).
 
     Returns the m×m front with A's entries scattered into the leading
     *width* columns of its lower triangle and zeros elsewhere.
     """
-    m = rows.size
+    plan = sym.front_plan
+    m = plan.order[s]
+    lo, hi = plan.a_ptr[s], plan.a_ptr[s + 1]
     front = np.zeros((m, m), dtype=dtype)
-    for k in range(width):
-        j = first_col + k
-        a_rows, a_vals = permuted_lower.col(j)
-        keep = a_rows >= j
-        a_rows, a_vals = a_rows[keep], a_vals[keep]
-        local = front_local_indices(rows, a_rows)
-        front[local, k] = a_vals
+    front.reshape(-1)[plan.a_pos[lo:hi]] = sym.permuted_lower.data[lo:hi]
     return front

@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.dense.trsm import solve_unit_lower_inplace
 from repro.mf.accounting import FactorStats
-from repro.mf.frontal import front_local_indices
+from repro.mf.extend_add import extend_add
 from repro.sparse.coo import COOMatrix
 from repro.sparse.csc import CSCMatrix
 from repro.sparse.convert import coo_to_csc, csc_to_coo, csc_to_csr
@@ -33,6 +33,7 @@ from repro.symbolic.analyze import (
     analyze,
     dense_partial_factor_flops,
 )
+from repro.symbolic.front_plan import locate_rows
 from repro.util.errors import ShapeError, SingularMatrixError
 from repro.util.validation import as_float_array, check_permutation
 
@@ -119,6 +120,19 @@ def lu_analyze(
     return sym, permuted_full
 
 
+def front_local_indices(front_rows: np.ndarray, global_rows: np.ndarray) -> np.ndarray:
+    """Positions of *global_rows* inside the sorted *front_rows*.
+
+    Every global row must be present; raises otherwise (that would be a
+    symbolic-analysis bug, not a user error — but fail loudly either way).
+    """
+    pos = locate_rows(front_rows, global_rows)
+    if pos is None:
+        missing = np.setdiff1d(global_rows, front_rows)
+        raise ShapeError(f"rows {missing[:5]} not present in front structure")
+    return pos
+
+
 def _assemble_lu_front(
     a_cols: CSCMatrix,
     a_rows,  # CSR of the permuted matrix
@@ -191,16 +205,15 @@ def multifrontal_lu(
         scale = float(np.max(np.abs(permuted_full.data), initial=0.0))
         perturb_abs = pivot_perturbation * max(scale, 1.0)
 
-    updates: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    rel = sym.front_plan.rel
+    updates: dict[int, np.ndarray] = {}
     for s in range(nsn):
         rows = sym.sn_rows[s]
         w = sym.supernode_width(s)
         c0 = int(sym.partition.sn_start[s])
         front = _assemble_lu_front(permuted_full, a_rows, rows, c0, w)
         for c in sym.sn_children[s]:
-            upd, upd_rows = updates.pop(c)
-            ix = front_local_indices(rows, upd_rows)
-            front[np.ix_(ix, ix)] += upd
+            extend_add(front, updates.pop(c), rel[c], lower=False)
         m = rows.size
         _partial_lu(front, w, perturb_abs, c0, perturbed)
         lu11[s] = front[:w, :w].copy()
@@ -210,7 +223,7 @@ def multifrontal_lu(
         stats.observe_front(m, w, 2 * dense_partial_factor_flops(m, w))
         stats.factor_entries += w * w + 2 * (m - w) * w
         if m > w:
-            updates[s] = (front[w:, w:].copy(), rows[w:])
+            updates[s] = front[w:, w:].copy()
     if updates:
         raise AssertionError(f"unconsumed LU updates: {sorted(updates)}")
     return LUFactor(

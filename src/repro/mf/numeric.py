@@ -88,21 +88,22 @@ def factor_front(
     perturbed: list[int],
     prof,
     dtype: np.dtype = VALUE_DTYPE,
-) -> tuple[np.ndarray, np.ndarray | None, tuple[np.ndarray, np.ndarray] | None, int]:
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None, int]:
     """Assemble, extend-add, and partially factor the front of supernode *s*.
 
     Shared by the sequential driver below and the threads backend
     (:mod:`repro.exec.factor_exec`), so both execute the *identical*
     floating-point operation sequence per front — the foundation of the
-    bitwise-oracle contract between the two backends.
+    bitwise-oracle contract between the two backends. Where entries land
+    comes from ``sym.front_plan``; nothing is looked up here.
 
     Parameters
     ----------
     child_updates
-        Iterable of ``(update, update_rows)`` pairs in ascending child
-        order. May be a generator: the sequential driver pops (and
-        spill-accounts) each child's update lazily at exactly the point
-        the pre-refactor loop did.
+        The children's update matrices in ascending child order (the order
+        of ``sym.sn_children[s]``). May be a generator: the sequential
+        driver pops (and spill-accounts) each child's update lazily at
+        exactly the point the pre-refactor loop did.
     perturbed
         Sink list for statically perturbed LDLᵀ pivot columns.
     prof
@@ -114,31 +115,30 @@ def factor_front(
         this dtype.
 
     Returns ``(block, d, update, front_flops)``: the m×w factor panel
-    copy, the LDLᵀ pivots (None for Cholesky), the Schur update as
-    ``(matrix, rows)`` (None when the front has no update rows), and the
-    dense partial-factorization flop count.
+    copy, the LDLᵀ pivots (None for Cholesky), the Schur update (None when
+    the front has no update rows; like every front, its strict upper
+    triangle is unspecified), and the dense partial-factorization flop
+    count.
     """
-    a = sym.permuted_lower
-    rows = sym.sn_rows[s]
-    w = sym.supernode_width(s)
-    c0 = int(sym.partition.sn_start[s])
-    front = assemble_front(a, rows, c0, w, dtype=dtype)
-    for upd, upd_rows in child_updates:
-        extend_add(front, rows, upd, upd_rows)
-    m = rows.size
+    plan = sym.front_plan
+    w = plan.width[s]
+    m = plan.order[s]
+    front = assemble_front(sym, s, dtype=dtype)
+    for c, upd in zip(sym.sn_children[s], child_updates, strict=True):
+        extend_add(front, upd, plan.rel[c])
     t_front = prof.clock() if prof is not None else 0.0
     d: np.ndarray | None = None
     if method == "cholesky":
         partial_cholesky(front, w)
     else:
         d = partial_ldlt(
-            front, w, perturb=perturb_abs, col_offset=c0, perturbed=perturbed
+            front, w, perturb=perturb_abs, col_offset=plan.start[s], perturbed=perturbed
         )
     front_flops = dense_partial_factor_flops(m, w)
     if prof is not None:
         prof.observe_front(s, m, w, front_flops, prof.clock() - t_front)
     block = front[:, :w].copy()
-    update = (front[w:, w:].copy(), rows[w:]) if m > w else None
+    update = front[w:, w:].copy() if m > w else None
     return block, d, update, front_flops
 
 
@@ -178,6 +178,8 @@ def multifrontal_factor(
     if pivot_perturbation is not None and method != "ldlt":
         raise ShapeError("pivot_perturbation applies to method='ldlt' only")
     a = sym.permuted_lower
+    plan = sym.front_plan
+    plan.check_current(a)
     perturb_abs = None
     if pivot_perturbation is not None:
         diag_scale = float(np.max(np.abs(a.diagonal()), initial=0.0))
@@ -189,7 +191,7 @@ def multifrontal_factor(
     stats = FactorStats()
     perturbed: list[int] = []
 
-    updates: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    updates: dict[int, np.ndarray] = {}
     #: supernodes whose updates are currently "on disk" (out-of-core mode)
     spilled: set[int] = set()
     stack_entries = 0
@@ -209,7 +211,7 @@ def multifrontal_factor(
                 break
             if c in spilled:
                 continue
-            upd, _ = updates[c]
+            upd = updates[c]
             spilled.add(c)
             stats.spill_entries_written += upd.size
             stack_entries -= upd.size
@@ -221,13 +223,13 @@ def multifrontal_factor(
         them, keeping out-of-core accounting unchanged."""
         nonlocal stack_entries
         for c in sym.sn_children[s]:
-            upd, upd_rows = updates.pop(c)
+            upd = updates.pop(c)
             if c in spilled:
                 spilled.discard(c)
                 stats.spill_entries_read += upd.size
             else:
                 stack_entries -= upd.size
-            yield upd, upd_rows
+            yield upd
 
     # Observability: one span over the numeric phase; per-front timing is
     # recorded only when a recorder is installed (prof None check keeps the
@@ -238,10 +240,9 @@ def multifrontal_factor(
         "mf.factor", method=method, n=sym.n, supernodes=nsn, precision=precision
     ):
         for s in range(nsn):
-            rows = sym.sn_rows[s]
-            w = sym.supernode_width(s)
-            c0 = int(sym.partition.sn_start[s])
-            m = rows.size
+            w = plan.width[s]
+            c0 = plan.start[s]
+            m = plan.order[s]
             enforce_memory_cap(m * m)
             block, d, update, front_flops = factor_front(
                 sym, s, method, perturb_abs, pop_child_updates(s), perturbed, prof,
@@ -254,7 +255,7 @@ def multifrontal_factor(
             stats.factor_entries += m * w - w * (w - 1) // 2
             if update is not None:
                 updates[s] = update
-                stack_entries += update[0].size
+                stack_entries += update.size
                 stats.peak_stack_entries = max(stats.peak_stack_entries, stack_entries)
                 enforce_memory_cap(0)
 

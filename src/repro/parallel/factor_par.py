@@ -102,12 +102,10 @@ def make_factor_program(plan: FactorPlan, method: str = "cholesky"):
 
 
 def _seq_step(plan, s, me, method, data, updates):
-    sym = plan.sym
     d = plan.dist[s]
-    rows = sym.sn_rows[s]
-    m = rows.size
+    m = d.m
     w = d.width
-    front = assemble_front(sym.permuted_lower, rows, d.c0, w)
+    front = assemble_front(plan.sym, s)
     live_delta = m * m
 
     freed = yield from receive_updates(plan, s, me, seq_blocks(front), updates, "lower")

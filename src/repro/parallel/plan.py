@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.parallel.grid2d import ProcessGrid, block_starts
 from repro.parallel.mapping import TreeMapping, map_supernodes_to_ranks, subtree_flops
-from repro.parallel.schedule import ChildSchedule, ScatterMap, panel_entries
+from repro.parallel.schedule import ChildSchedule, ScatterMap
 from repro.symbolic.analyze import SymbolicFactor
 from repro.util.errors import ShapeError
 
@@ -195,17 +195,17 @@ class FactorPlan:
         ``sym.permuted_lower.data``, so it survives ``update_values``)."""
         smap = self._scatter.get(s)
         if smap is None:
-            a = self.sym.permuted_lower
-            d = self.dist[s]
-            src, k, a_rows = panel_entries(a.indptr, a.indices, d.c0, d.width)
-            keep = a_rows >= d.c0 + k
-            row = np.searchsorted(self.sym.sn_rows[s], a_rows[keep])
-            smap = self._scatter[s] = ScatterMap(d, src[keep], row, k[keep])
+            fp = self.sym.front_plan
+            lo, hi = fp.a_ptr[s], fp.a_ptr[s + 1]
+            row, col = np.divmod(fp.a_pos[lo:hi], fp.order[s])
+            smap = self._scatter[s] = ScatterMap(self.dist[s], np.arange(lo, hi), row, col)
         return smap
 
     def parent_positions(self, c: int) -> np.ndarray:
         """Front-local positions in the parent of child *c*'s update rows."""
-        return self.schedule(c).pa
+        if self.sym.sn_parent[c] < 0:
+            raise ShapeError(f"supernode {c} has no parent")
+        return self.sym.front_plan.rel[c]
 
     def ea_runs(self, c: int) -> np.ndarray:
         """Runs of constant (child block, parent block) over child *c*'s

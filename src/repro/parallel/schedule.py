@@ -91,15 +91,15 @@ class ChildSchedule:
     """Everything static about moving child *c*'s update (factorization)
     and rhs segments (solves) into and out of its parent."""
 
-    __slots__ = ("parent", "pa", "runs", "child_side", "parent_side", "solve", "_ea", "_dists")
+    __slots__ = ("parent", "runs", "child_side", "parent_side", "solve", "_ea", "_dists")
 
     def __init__(self, plan: FactorPlan, c: int) -> None:
         sym = plan.sym
         self.parent = int(sym.sn_parent[c])
         dc, dp = plan.dist[c], plan.dist[self.parent]
         self._dists = (dc, dp)
-        #: front-local positions in the parent of the child's update rows
-        self.pa = pa = np.searchsorted(sym.sn_rows[self.parent], sym.sn_rows[c][dc.width:])
+        # front-local positions in the parent of the child's update rows
+        pa = sym.front_plan.rel[c]
         mu = pa.size
         rows = np.arange(dc.width, dc.width + mu)
         cb = np.full(mu, SEQ) if dc.is_seq else dc.block_of(rows)

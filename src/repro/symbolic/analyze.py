@@ -16,6 +16,7 @@ import numpy as np
 from repro.sparse.csc import CSCMatrix
 from repro.sparse.permute import permute_symmetric_lower
 from repro.symbolic.etree import etree
+from repro.symbolic.front_plan import FrontPlan, build_front_plan
 from repro.symbolic.postorder import postorder, relabel_parent, is_postordered
 from repro.symbolic.symbolic_chol import symbolic_cholesky
 from repro.symbolic.colcounts import (
@@ -59,6 +60,9 @@ class SymbolicFactor:
     perm: np.ndarray
     #: permuted lower triangle of A (the matrix the numeric phase factors)
     permuted_lower: CSCMatrix
+    #: per stored entry of ``permuted_lower``, the position in the analysed
+    #: lower triangle's ``data`` it came from (see :meth:`update_values`)
+    value_gather: np.ndarray
     #: column elimination tree (postordered: parent > child)
     parent: np.ndarray
     #: supernode partition of the columns
@@ -77,6 +81,8 @@ class SymbolicFactor:
     factor_flops: int
     #: one forward+backward solve operation count
     solve_flops: int
+    #: compiled index tables of the front loop (assembly, extend-add)
+    front_plan: FrontPlan
     sn_children: list[list[int]] = field(init=False)
 
     def __post_init__(self) -> None:
@@ -111,6 +117,17 @@ class SymbolicFactor:
 
     def roots(self) -> list[int]:
         return [s for s in range(self.n_supernodes) if self.sn_parent[s] < 0]
+
+    def update_values(self, lower_data: np.ndarray) -> None:
+        """Install new values of the analysed lower triangle: *lower_data*
+        is the ``data`` of a matrix with exactly the analysed pattern. The
+        permuted matrix keeps its structure (and everything compiled from
+        it); each of its entries is refilled from where the analysis found
+        it."""
+        old = self.permuted_lower
+        self.permuted_lower = CSCMatrix(
+            old.shape, old.indptr, old.indices, lower_data[self.value_gather], _skip_check=True
+        )
 
 
 def dense_partial_factor_flops(m: int, k: int) -> int:
@@ -150,7 +167,14 @@ def analyze(
     parent1 = etree(a1)
     post = postorder(parent1)
     total_perm = p[post]
-    a2 = permute_symmetric_lower(lower, total_perm)
+    # Permute entry positions rather than values: the result records where
+    # each stored entry of the permuted matrix came from.
+    positions = CSCMatrix(
+        lower.shape, lower.indptr, lower.indices, np.arange(lower.nnz), _skip_check=True
+    )
+    a2 = permute_symmetric_lower(positions, total_perm)
+    value_gather = a2.data.astype(np.int64)
+    a2.data = lower.data[value_gather]
     parent = relabel_parent(parent1, post)
     assert is_postordered(parent)
 
@@ -168,24 +192,10 @@ def analyze(
     sn_rows = supernode_rows(part, patterns)
     sn_parent = supernode_parents(part, parent)
 
-    # Assembly-tree soundness: each child's update rows must be contained in
-    # its parent's front rows (the invariant parallel extend-add relies on).
-    for s in range(part.n_supernodes):
-        pa = int(sn_parent[s])
-        if pa < 0:
-            continue
-        width = part.width(s)
-        update = sn_rows[s][width:]
-        missing = np.setdiff1d(update, sn_rows[pa], assume_unique=False)
-        # Rows may skip a parent and belong to a further ancestor only if
-        # they are beyond the parent's columns; those are still in the
-        # parent's front rows by the etree containment property, so any
-        # miss is a bug.
-        if missing.size:
-            raise AssertionError(
-                f"assembly tree violation: supernode {s} update rows "
-                f"{missing[:5]} missing from parent {pa}"
-            )
+    # Compiling the front plan is also the assembly-tree soundness check:
+    # it raises unless each child's update rows are contained in its
+    # parent's front rows (the invariant extend-add relies on).
+    front_plan = build_front_plan(a2, part, sn_rows, sn_parent)
 
     from repro.symbolic.supernodes import trapezoid_entries
 
@@ -196,6 +206,7 @@ def analyze(
         n=n,
         perm=total_perm,
         permuted_lower=a2,
+        value_gather=value_gather,
         parent=parent,
         partition=part,
         sn_rows=sn_rows,
@@ -205,6 +216,7 @@ def analyze(
         nnz_stored=int(nnz_stored),
         factor_flops=factor_flops_from_counts(col_counts),
         solve_flops=solve_flops_from_counts(col_counts),
+        front_plan=front_plan,
     )
     if runtime_checks_enabled():
         from repro.check.sanitize import check_symbolic

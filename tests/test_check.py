@@ -366,6 +366,36 @@ class TestSanitizer:
         with pytest.raises(InvariantError):
             sanitize.check_symbolic(sym)
 
+    @pytest.mark.parametrize(
+        "defect",
+        [
+            "rel_not_increasing", "rel_wrong_row",
+            "pos_shared", "pos_above_diagonal", "pos_wrong_row",
+        ],
+    )
+    def test_corrupted_front_plan_rejected(self, defect):
+        _, sym = analyzed_grid(6)
+        plan = sym.front_plan
+        s = next(
+            s for s in range(sym.n_supernodes)
+            if sym.update_size(s) >= 2 and sym.supernode_width(s) >= 2
+        )
+        m, w = plan.order[s], plan.width[s]
+        mine = plan.a_pos[plan.a_ptr[s]: plan.a_ptr[s + 1]]  # a view: edits land in the plan
+        if defect == "rel_not_increasing":
+            plan.rel[s][:2] = plan.rel[s][1::-1]
+        elif defect == "rel_wrong_row":
+            plan.rel[s][-1] += 1  # still increasing, another (or no) parent row
+        elif defect == "pos_shared":
+            mine[1] = mine[0]
+        elif defect == "pos_above_diagonal":
+            mine[-1] = 0 * m + (w - 1)  # row 0, last pivot column
+        elif defect == "pos_wrong_row":
+            # the first diagonal entry, moved down its column to a free row
+            mine[0] = next(r * m for r in range(1, m) if r * m not in mine)
+        with pytest.raises(InvariantError, match=f"supernode {s}"):
+            sanitize.check_symbolic(sym)
+
     def test_sanitized_context_toggles_flag(self):
         before = runtime_checks_enabled()
         with sanitize.sanitized(True):

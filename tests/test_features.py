@@ -25,6 +25,7 @@ from repro.parallel.factor_par import make_factor_program
 from repro.simmpi import Simulator
 from repro.sparse import CSCMatrix
 from repro.sparse.ops import full_symmetric_from_lower
+from repro.sparse.permute import permute_symmetric_lower
 from repro.symbolic import analyze
 from repro.util.errors import ReproError, ShapeError
 from repro.util.rng import make_rng
@@ -156,6 +157,25 @@ class TestRefactor:
         sym_before = solver.sym
         solver.refactor(solver.lower.copy())
         assert solver.sym is sym_before
+
+    @pytest.mark.parametrize("as_full", [False, True], ids=["lower", "full"])
+    @pytest.mark.parametrize("ordering", ["nd", "amd"])
+    def test_update_values_permutes_like_the_analysis(self, ordering, as_full):
+        """New values reach ``permuted_lower`` through the gather recorded
+        at analysis; a fresh permutation of them gives the same matrix."""
+        lower = random_spd_sparse(40, avg_degree=5, seed=4)
+        solver = SparseSolver(lower, ordering=ordering)
+        solver.analyze()
+        new = CSCMatrix(
+            lower.shape, lower.indptr, lower.indices,
+            lower.data * make_rng(2).uniform(0.5, 2.0, lower.nnz),
+        )
+        solver.update_values(full_symmetric_from_lower(new) if as_full else new)
+        want = permute_symmetric_lower(new, solver.sym.perm)
+        got = solver.sym.permuted_lower
+        np.testing.assert_array_equal(got.indptr, want.indptr)
+        np.testing.assert_array_equal(got.indices, want.indices)
+        assert got.data.tobytes() == want.data.tobytes()
 
 
 class TestAnalyticModel:

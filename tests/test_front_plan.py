@@ -1,4 +1,5 @@
-"""The front loop against a reference kept here.
+"""The front loop against a reference kept here, and the front plan's
+index tables against the structures they are compiled from.
 
 ``reference_factor`` is the multifrontal loop in its plainest form — every
 index derived on the spot, nothing planned ahead. The library's sequential
@@ -11,11 +12,14 @@ import functools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import repro.mf.numeric
 from repro.dense.partial_factor import partial_cholesky, partial_ldlt
 from repro.exec import multifrontal_factor_threads
 from repro.gen import (
     grid2d_9pt,
+    grid2d_laplacian,
     grid3d_laplacian,
     random_spd_sparse,
     unstructured2d,
@@ -25,6 +29,7 @@ from repro.mf import NumericFactor, multifrontal_factor
 from repro.mf.solve_phase import solve_many
 from repro.ordering import get_ordering
 from repro.symbolic import AnalyzeOptions, analyze
+from repro.util.errors import InvariantError
 from repro.util.validation import work_dtype
 
 MATRICES = {
@@ -126,3 +131,92 @@ def test_drivers_match_the_reference_loop_bitwise(name, ordering, amalgamate):
             )
             assert_same_factor(threads, want, b)
     assert n_perturbed > 0
+
+
+# -- the compiled tables -------------------------------------------------------
+
+small_matrices = st.one_of(
+    st.builds(grid2d_laplacian, st.integers(2, 7)),
+    st.builds(grid2d_9pt, st.integers(2, 6)),
+    st.builds(grid3d_laplacian, st.integers(2, 4)),
+    st.builds(
+        random_spd_sparse,
+        st.integers(1, 60),
+        avg_degree=st.sampled_from([1.0, 3.0, 6.0]),
+        seed=st.integers(0, 10**6),
+    ),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    small_matrices,
+    st.sampled_from(["nd", "amd", "rcm", "natural", "random"]),
+    st.booleans(),
+)
+def test_every_entry_and_update_row_has_its_own_place(lower, ordering, amalgamate):
+    graph = AdjacencyGraph.from_symmetric_lower(lower)
+    sym = analyze(lower, get_ordering(ordering)(graph), AnalyzeOptions(amalgamate=amalgamate))
+    plan, a = sym.front_plan, sym.permuted_lower
+    col_of = np.repeat(np.arange(sym.n), np.diff(a.indptr))
+    for s in range(sym.n_supernodes):
+        rows, m, w = sym.sn_rows[s], sym.front_size(s), sym.supernode_width(s)
+        c0 = int(sym.partition.sn_start[s])
+        assert (plan.start[s], plan.width[s], plan.order[s]) == (c0, w, m)
+        # Every stored entry of the pivot columns lands once, on its own
+        # row and column of the front.
+        lo, hi = plan.a_ptr[s], plan.a_ptr[s + 1]
+        assert (lo, hi) == (a.indptr[c0], a.indptr[c0 + w])
+        pos = plan.a_pos[lo:hi]
+        assert np.unique(pos).size == pos.size
+        assert rows[pos // m].tolist() == a.indices[lo:hi].tolist()
+        assert (c0 + pos % m).tolist() == col_of[lo:hi].tolist()
+        # Update rows sit at increasing, in-range positions of the parent
+        # that hold the same global rows.
+        rel = plan.rel[s]
+        assert rel.size == m - w
+        if rel.size:
+            parent_rows = sym.sn_rows[int(sym.sn_parent[s])]
+            assert 0 <= rel[0] and rel[-1] < parent_rows.size
+            assert (np.diff(rel) > 0).all()
+            assert parent_rows[rel].tolist() == rows[w:].tolist()
+    assert plan.a_ptr[-1] == a.nnz == plan.a_pos.size
+
+
+def test_drivers_refuse_a_matrix_the_plan_was_not_compiled_for():
+    lower = grid2d_laplacian(5)
+    graph = AdjacencyGraph.from_symmetric_lower(lower)
+    sym = analyze(lower, get_ordering("nd")(graph))
+    sym.permuted_lower = grid2d_9pt(5)  # same order, more entries
+    with pytest.raises(InvariantError, match="front plan compiled for"):
+        multifrontal_factor(sym)
+    with pytest.raises(InvariantError, match="front plan compiled for"):
+        multifrontal_factor_threads(sym, workers=2)
+
+
+# -- the strict upper triangle is never read ------------------------------------
+
+
+@pytest.mark.parametrize("precision", ["fp64", "fp32"])
+@pytest.mark.parametrize("method", ["cholesky", "ldlt"])
+@pytest.mark.parametrize("name", ["cube6", "plate12", "unstructured"])
+def test_nan_above_the_diagonal_of_every_update_changes_nothing(
+    name, method, precision, monkeypatch
+):
+    sym = analyzed(name, "nd", True)
+    b = np.random.default_rng(7).standard_normal((sym.n, 2))
+    clean = multifrontal_factor(sym, method, precision=precision)
+    real_extend_add = repro.mf.numeric.extend_add
+
+    def poisoning_extend_add(front, update, rel, lower=True):
+        update[np.triu_indices_from(update, 1)] = np.nan
+        real_extend_add(front, update, rel, lower)
+
+    monkeypatch.setattr(repro.mf.numeric, "extend_add", poisoning_extend_add)
+    seq = multifrontal_factor(sym, method, precision=precision)
+    # the poison did travel: it sits above the diagonal of pivot blocks
+    assert any(np.isnan(block).any() for block in seq.blocks)
+    assert_same_factor(seq, clean, b)
+    assert_same_factor(
+        multifrontal_factor_threads(sym, method, workers=2, precision=precision), clean, b
+    )

@@ -25,7 +25,8 @@ from repro.ordering import amd_order, nested_dissection_order, natural_order
 from repro.sparse import CSCMatrix
 from repro.sparse.ops import full_symmetric_from_lower, sym_matvec_lower
 from repro.symbolic import analyze, AnalyzeOptions
-from repro.util.errors import NotPositiveDefiniteError, ShapeError
+from repro.symbolic.front_plan import build_front_plan
+from repro.util.errors import InvariantError, NotPositiveDefiniteError, ShapeError
 from repro.util.rng import make_rng
 
 
@@ -256,27 +257,35 @@ class TestFrontPrimitives:
         rows = sym.sn_rows[s]
         w = sym.supernode_width(s)
         c0 = int(sym.partition.sn_start[s])
-        front = assemble_front(sym.permuted_lower, rows, c0, w)
+        front = assemble_front(sym, s)
         dense = permuted_dense(lower, sym.perm)
         for k in range(w):
             np.testing.assert_allclose(front[:, k], dense[rows, c0 + k] * (rows >= c0 + k))
+        assert not front[:, w:].any()
 
     def test_extend_add_positions(self):
+        # update rows 5 and 9 of a parent whose rows are [2, 5, 7, 9]
         parent = np.zeros((4, 4))
-        parent_rows = np.array([2, 5, 7, 9])
         update = np.array([[1.0, 0.0], [3.0, 4.0]])
-        update_rows = np.array([5, 9])
-        extend_add(parent, parent_rows, update, update_rows)
+        extend_add(parent, update, np.array([1, 3], dtype=np.int32))
         assert parent[1, 1] == 1.0
         assert parent[3, 1] == 3.0
         assert parent[3, 3] == 4.0
-        assert parent[1, 3] == 0.0  # upper garbage not propagated
+        assert np.count_nonzero(np.tril(parent)) == 3
 
     def test_extend_add_missing_row_raises(self):
-        parent = np.zeros((2, 2))
-        with pytest.raises(ShapeError):
-            extend_add(parent, np.array([1, 3]), np.ones((1, 1)), np.array([2]))
+        """A child update row its parent lacks is caught when the analysis
+        compiles the front plan, not on every extend-add."""
+        sym = analyzed(grid2d_laplacian(4), nested_dissection_order)
+        c = 0
+        p = int(sym.sn_parent[c])
+        stray = int(np.setdiff1d(np.arange(sym.n), sym.sn_rows[p])[-1])
+        assert stray >= sym.partition.sn_start[c + 1]  # lands among c's update rows
+        broken = list(sym.sn_rows)
+        broken[c] = np.union1d(broken[c], [stray])
+        with pytest.raises(InvariantError, match=rf"supernode {c} update rows \[{stray}\]"):
+            build_front_plan(sym.permuted_lower, sym.partition, broken, sym.sn_parent)
 
     def test_extend_add_size_mismatch(self):
         with pytest.raises(ValueError):
-            extend_add(np.zeros((2, 2)), np.array([0, 1]), np.ones((2, 2)), np.array([0]))
+            extend_add(np.zeros((2, 2)), np.ones((2, 2)), np.array([0]))
