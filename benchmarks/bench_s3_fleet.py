@@ -14,10 +14,10 @@ bursty tenants, and hot-pattern skew:
   4 fleet workers on the skewed replay beat the single executor by
   >= 2x wall time; numpy's BLAS-3 kernels release the GIL, so
   independent factorizations overlap on real cores.
-* **EDF beats priority-only on deadline misses** (always asserted;
-  deterministic fake clock) — on a trace whose priorities are
-  anti-correlated with its deadlines, earliest-deadline-first ordering
-  meets every deadline while pure priority ordering misses half.
+* **EDF meets every deadline** (always asserted; deterministic fake
+  clock) — on a trace whose priorities are anti-correlated with its
+  deadlines, earliest-deadline-first ordering meets every deadline (pure
+  priority ordering, since removed, missed half).
 * **admission control under bursts** (always asserted) — a bursty tenant
   hitting its quota is rejected with a typed error while other tenants'
   work is admitted and completes; rejections are counted, never enqueued.
@@ -210,47 +210,28 @@ def _edf_trace():
     return mats, deadlines, priorities
 
 
-def _run_policy(policy):
+def test_s3_edf_deadlines():
     mats, deadlines, priorities = _edf_trace()
-    svc = SolverService(
-        ServiceConfig(queue_policy=policy),
-        clock=FakeClock(),
-        sleep=lambda s: None,
-    )
+    svc = SolverService(ServiceConfig(), clock=FakeClock(), sleep=lambda s: None)
     for m, d, p in zip(mats, deadlines, priorities):
         svc.submit(m, np.ones(m.shape[0]), priority=p, deadline=d)
     svc.drain()
-    return (
-        svc.metrics.counter("service_deadline_missed_total"),
-        svc.metrics.counter("service_deadline_jobs_total"),
-        svc.deadline_miss_ratio,
-    )
-
-
-def test_s3_edf_vs_priority():
-    edf_missed, edf_jobs, edf_ratio = _run_policy("edf")
-    pri_missed, pri_jobs, pri_ratio = _run_policy("priority")
+    missed = svc.metrics.counter("service_deadline_missed_total")
+    jobs = svc.metrics.counter("service_deadline_jobs_total")
 
     banner(
         "S3-EDF",
-        f"EDF vs priority-only deadline misses ({EDF_JOBS} jobs, "
-        "anti-correlated priorities/deadlines, deterministic clock)",
+        f"EDF deadline misses ({EDF_JOBS} jobs, anti-correlated "
+        "priorities/deadlines, deterministic clock)",
     )
     print(
         format_table(
             ["policy", "deadline jobs", "missed", "miss ratio"],
-            [
-                ["edf", edf_jobs, edf_missed, round(edf_ratio, 3)],
-                ["priority", pri_jobs, pri_missed, round(pri_ratio, 3)],
-            ],
+            [["edf", jobs, missed, round(svc.deadline_miss_ratio, 3)]],
         )
     )
-    assert edf_jobs == pri_jobs == EDF_JOBS
-    assert edf_missed == 0, "EDF must meet every deadline on this trace"
-    assert pri_missed > 0, (
-        "priority-only must miss deadlines on the anti-correlated trace"
-    )
-    assert edf_ratio < pri_ratio
+    assert jobs == EDF_JOBS
+    assert missed == 0, "EDF must meet every deadline on this trace"
 
 
 def test_s3_admission_under_burst():

@@ -10,9 +10,10 @@ The checks are installed into hot paths behind the ``REPRO_CHECK=1``
 environment switch (see :func:`enabled` /
 :func:`repro.util.validation.runtime_checks_enabled`): matrix constructors
 with ``_skip_check=True`` re-validate, the analyze phase checks the full
-symbolic factor, the multifrontal loop asserts frontal-stack balance, and
-the simulator teardown verifies message-ledger conservation. When the
-switch is off the hooks cost one predicate call — no structure is walked.
+symbolic factor (and an LU analysis its assembly table), the multifrontal
+loop asserts frontal-stack balance, and the simulator teardown verifies
+message-ledger conservation. When the switch is off the hooks cost one
+predicate call — no structure is walked.
 
 The routines are duck-typed on purpose: they accept anything with the
 right attributes, so this module sits at the bottom of the dependency
@@ -44,6 +45,7 @@ __all__ = [
     "check_postordered",
     "check_partition",
     "check_symbolic",
+    "check_full_table",
     "check_frontal_balance",
     "check_ledger",
 ]
@@ -316,6 +318,50 @@ def _check_front_plan(sym: Any, s: int, c0: int, w: int, rows: np.ndarray) -> No
         raise _fail(
             f"supernode {s}: front plan maps update rows {rows[w:][:5].tolist()} "
             f"to positions {rel[:5].tolist()} of parent {p}"
+        )
+
+
+def check_full_table(sym: Any) -> None:
+    """The LU assembly table of an LU analysis (``sym.permuted_full`` and
+    the plan's ``full_*`` arrays): every stored entry of the full matrix is
+    listed exactly once, by one supernode, at the front position of its
+    own row and column inside that supernode's pivot rows or columns."""
+    plan, full = sym.front_plan, sym.permuted_full
+    nnz = int(full.indices.size)
+    nsn = int(sym.partition.n_supernodes)
+    ptr = np.asarray(plan.full_ptr, dtype=np.int64)
+    src = np.asarray(plan.full_src, dtype=np.int64)
+    pos = np.asarray(plan.full_pos, dtype=np.int64)
+    if (
+        ptr.size != nsn + 1 or ptr[0] != 0 or ptr[-1] != nnz
+        or np.any(np.diff(ptr) < 0) or src.size != nnz or pos.size != nnz
+    ):
+        raise _fail(
+            f"LU table covers {src.size} entries in {ptr.size - 1} supernodes; "
+            f"the full matrix has {nnz} and the factor {nsn}"
+        )
+    if not np.array_equal(np.sort(src), np.arange(nnz)):
+        raise _fail("LU table does not list every stored entry exactly once")
+    sn = np.repeat(np.arange(nsn), np.diff(ptr))
+    m = np.asarray(plan.order, dtype=np.int64)[sn]
+    if nnz and (pos.min() < 0 or np.any(pos >= m * m)):
+        e = int(np.argmax((pos < 0) | (pos >= m * m)))
+        raise _fail(f"supernode {int(sn[e])}: LU assembly position outside its front")
+    r, c = np.divmod(pos, m)
+    first_row = np.concatenate(([0], np.cumsum(plan.order)))[sn]
+    front_rows = np.concatenate(sym.sn_rows)
+    col = np.repeat(np.arange(full.shape[1]), np.diff(full.indptr))[src]
+    row = np.asarray(full.indices, dtype=np.int64)[src]
+    wrong = (
+        (front_rows[first_row + r] != row)
+        | (front_rows[first_row + c] != col)
+        | (np.minimum(r, c) >= np.asarray(plan.width, dtype=np.int64)[sn])
+    )
+    if wrong.any():
+        e = int(np.argmax(wrong))
+        raise _fail(
+            f"supernode {int(sn[e])}: full-matrix entry ({int(row[e])}, {int(col[e])}) "
+            f"is assembled at front position ({int(r[e])}, {int(c[e])})"
         )
 
 

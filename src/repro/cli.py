@@ -264,7 +264,6 @@ def cmd_serve_sim(args) -> int:
             backend=args.backend,
             workers=args.workers,
             precision=args.precision,
-            queue_policy=args.queue_policy,
             fleet_workers=args.fleet_workers,
             shards=args.shards,
             max_pending=args.max_pending,
@@ -695,13 +694,6 @@ def make_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="max pending jobs queue-wide (backpressure; default: unbounded)",
-    )
-    p.add_argument(
-        "--queue-policy",
-        choices=("edf", "priority"),
-        default="edf",
-        help="queue ordering: earliest-deadline-first (priority on ties) "
-        "or pure priority",
     )
     p.set_defaults(func=cmd_serve_sim)
 

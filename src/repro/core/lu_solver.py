@@ -2,7 +2,10 @@
 
 Same three-phase shape as :class:`~repro.core.solver.SparseSolver`, for
 general square matrices: analyze on the symmetrized pattern, multifrontal
-static-pivoting LU, solve with iterative refinement.
+static-pivoting LU, solve with iterative refinement. The factor and the
+sweeps are the shared ones (``multifrontal_factor(method="lu")``,
+:mod:`repro.mf.solve_phase`); only the analysis and the refinement loop
+live here.
 """
 
 from __future__ import annotations
@@ -12,7 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.graph.structure import AdjacencyGraph
-from repro.mf.lu import LUFactor, lu_analyze, lu_solve, multifrontal_lu
+from repro.mf.lu import lu_analyze
+from repro.mf.numeric import NumericFactor, multifrontal_factor
+from repro.mf.solve_phase import solve as factor_solve
 from repro.ordering.registry import get_ordering
 from repro.sparse.csc import CSCMatrix
 from repro.sparse.ops import matvec_csc, symmetrize, tril
@@ -61,7 +66,7 @@ class UnsymmetricSolver:
         self.pivot_perturbation = pivot_perturbation
         self.sym = None
         self.permuted_full: CSCMatrix | None = None
-        self.factor_data: LUFactor | None = None
+        self.factor_data: NumericFactor | None = None
 
     def analyze(self):
         """Ordering (on A + Aᵀ's graph) + symbolic factorization."""
@@ -71,19 +76,16 @@ class UnsymmetricSolver:
             perm = get_ordering(self.ordering)(graph)
         else:
             perm = np.asarray(self.ordering, dtype=np.int64)
-        self.sym, self.permuted_full = lu_analyze(
-            self.a, perm, self.analyze_options
-        )
+        self.sym = lu_analyze(self.a, perm, self.analyze_options)
+        self.permuted_full = self.sym.permuted_full
         return self.sym
 
-    def factor(self) -> LUFactor:
+    def factor(self) -> NumericFactor:
         """Numeric multifrontal LU."""
         if self.sym is None:
             self.analyze()
-        self.factor_data = multifrontal_lu(
-            self.sym,
-            self.permuted_full,
-            pivot_perturbation=self.pivot_perturbation,
+        self.factor_data = multifrontal_factor(
+            self.sym, "lu", pivot_perturbation=self.pivot_perturbation
         )
         return self.factor_data
 
@@ -95,7 +97,7 @@ class UnsymmetricSolver:
             self.factor()
         b = as_float_array(b, "b")
         norm_b = float(np.max(np.abs(b))) if b.size else 0.0
-        x = lu_solve(self.factor_data, b)
+        x = factor_solve(self.factor_data, b)
         if norm_b == 0.0:
             return LUSolveResult(np.zeros_like(b), 0.0, 0)
         iters = 0
@@ -106,7 +108,7 @@ class UnsymmetricSolver:
                 if rel <= tol:
                     iters -= 1
                     break
-                x = x + lu_solve(self.factor_data, r)
+                x = x + factor_solve(self.factor_data, r)
                 r = b - matvec_csc(self.a, x)
                 rel = float(np.max(np.abs(r))) / norm_b
         return LUSolveResult(x=x, residual=rel, refinement_iterations=iters)

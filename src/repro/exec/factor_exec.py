@@ -123,7 +123,7 @@ def multifrontal_factor_threads(
             updates[c] = None
             freed += u.size
             kids.append(u)
-        block, d, update, fflops = factor_front(
+        block, d, _, update, fflops = factor_front(
             sym, s, method, perturb_abs, kids, per_perturbed[s], prof,
             dtype=wdtype,
         )

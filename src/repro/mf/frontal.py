@@ -6,7 +6,8 @@ supernode's own columns; only the lower triangle is meaningful. Assembly
 scatters the supernode's columns of the permuted input matrix into the
 front, to the positions the analysis compiled
 (:mod:`repro.symbolic.front_plan`); children's update matrices are added
-by :func:`repro.mf.extend_add.extend_add`.
+by :func:`repro.mf.extend_add.extend_add`. An LU front is the full square
+instead (:func:`assemble_full_front`).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.symbolic.analyze import SymbolicFactor
+from repro.symbolic.front_plan import FrontPlan
 from repro.util.validation import VALUE_DTYPE
 
 
@@ -34,4 +36,18 @@ def assemble_front(
     lo, hi = plan.a_ptr[s], plan.a_ptr[s + 1]
     front = np.zeros((m, m), dtype=dtype)
     front.reshape(-1)[plan.a_pos[lo:hi]] = sym.permuted_lower.data[lo:hi]
+    return front
+
+
+def assemble_full_front(
+    plan: FrontPlan, s: int, data: np.ndarray, dtype: np.dtype = VALUE_DTYPE
+) -> np.ndarray:
+    """LU's front of supernode *s*: the full m×m matrix with the entries of
+    its pivot rows and pivot columns scattered in through the plan's LU
+    table. *data* is the ``data`` of the permuted full matrix the table was
+    compiled for."""
+    m = plan.order[s]
+    lo, hi = plan.full_ptr[s], plan.full_ptr[s + 1]
+    front = np.zeros((m, m), dtype=dtype)
+    front.reshape(-1)[plan.full_pos[lo:hi]] = data[plan.full_src[lo:hi]]
     return front

@@ -4,7 +4,9 @@ Walks the assembly tree in postorder (supernodes are numbered postorder by
 construction), maintaining an update stack keyed by child supernode. For
 each supernode: assemble the front from A, extend-add the children's
 updates, partially factor, store the factor panel, push the Schur
-complement.
+complement. Cholesky, LDLᵀ and static-pivoting LU are three kernels of
+this one loop; an LU front is the full square instead of its lower
+triangle.
 """
 
 from __future__ import annotations
@@ -13,10 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.dense.partial_factor import partial_cholesky, partial_ldlt
+from repro.dense.partial_factor import partial_cholesky, partial_ldlt, partial_lu
 from repro.mf.accounting import FactorStats
 from repro.mf.extend_add import extend_add
-from repro.mf.frontal import assemble_front
+from repro.mf.frontal import assemble_front, assemble_full_front
 from repro.obs.profile import active_profile
 from repro.obs.spans import span
 from repro.symbolic.analyze import SymbolicFactor, dense_partial_factor_flops
@@ -33,8 +35,10 @@ class NumericFactor:
     """The computed factor.
 
     ``blocks[s]`` is the m×w panel [L11; L21] of supernode s (for LDLᵀ,
-    unit-lower L11 with D on its diagonal and L21 already D-scaled).
-    ``diag`` holds the LDLᵀ pivots (None for Cholesky).
+    unit-lower L11 with D on its diagonal and L21 already D-scaled; for LU,
+    unit-lower L11 with U11 on and above its diagonal). ``diag`` holds the
+    LDLᵀ pivots and ``u12`` the LU panels right of the pivot block (None
+    otherwise).
     """
 
     sym: SymbolicFactor
@@ -50,6 +54,8 @@ class NumericFactor:
     #: working precision the fronts were factored in (``"fp64"``/``"fp32"``);
     #: fp32 factors need iterative refinement to deliver fp64 solutions
     precision: str = "fp64"
+    #: LU only: per supernode the w×(m-w) panel U12 of U
+    u12: list[np.ndarray] | None = None
 
     @property
     def n(self) -> int:
@@ -62,7 +68,7 @@ class NumericFactor:
 
     def to_dense_l(self) -> np.ndarray:
         """Materialize L as a dense lower-triangular matrix (tests and
-        diagnostics only). For LDLᵀ this is the unit-lower L."""
+        diagnostics only). For LDLᵀ and LU this is the unit-lower L."""
         n = self.sym.n
         l = np.zeros((n, n))
         for s in range(self.sym.n_supernodes):
@@ -74,9 +80,22 @@ class NumericFactor:
                 col = c0 + k
                 vals = block[k:, k].copy()
                 l[rows[k:], col] = vals
-            if self.method == "ldlt":
+            if self.method != "cholesky":
                 l[np.arange(c0, c0 + w), np.arange(c0, c0 + w)] = 1.0
         return l
+
+    def to_dense_lu(self) -> tuple[np.ndarray, np.ndarray]:
+        """LU factors only: materialize (unit-lower L, U) dense (tests and
+        diagnostics only)."""
+        if self.method != "lu":
+            raise ShapeError(f"to_dense_lu needs an LU factor, not {self.method!r}")
+        u = np.zeros((self.n, self.n))
+        for s in range(self.sym.n_supernodes):
+            rows = self.sym.sn_rows[s]
+            w = self.sym.supernode_width(s)
+            c0 = int(self.sym.partition.sn_start[s])
+            u[c0: c0 + w, rows] = np.hstack((np.triu(self.blocks[s][:w]), self.u12[s]))
+        return self.to_dense_l(), u
 
 
 def factor_front(
@@ -88,7 +107,7 @@ def factor_front(
     perturbed: list[int],
     prof,
     dtype: np.dtype = VALUE_DTYPE,
-) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None, int]:
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None, np.ndarray | None, int]:
     """Assemble, extend-add, and partially factor the front of supernode *s*.
 
     Shared by the sequential driver below and the threads backend
@@ -105,7 +124,7 @@ def factor_front(
         driver pops (and spill-accounts) each child's update lazily at
         exactly the point the pre-refactor loop did.
     perturbed
-        Sink list for statically perturbed LDLᵀ pivot columns.
+        Sink list for statically perturbed LDLᵀ / LU pivot columns.
     prof
         The active :class:`~repro.obs.profile.FrontProfile` or None.
     dtype
@@ -114,32 +133,41 @@ def factor_front(
         operation — extend-add, factorization, Schur update — runs in
         this dtype.
 
-    Returns ``(block, d, update, front_flops)``: the m×w factor panel
-    copy, the LDLᵀ pivots (None for Cholesky), the Schur update (None when
-    the front has no update rows; like every front, its strict upper
-    triangle is unspecified), and the dense partial-factorization flop
-    count.
+    Returns ``(block, d, u12, update, front_flops)``: the m×w factor panel
+    copy, the LDLᵀ pivots and the LU panel U12 (each None for the other
+    methods), the Schur update (None when the front has no update rows;
+    the strict upper triangle of a symmetric one is unspecified), and the
+    dense partial-factorization flop count.
     """
     plan = sym.front_plan
     w = plan.width[s]
     m = plan.order[s]
-    front = assemble_front(sym, s, dtype=dtype)
+    lu = method == "lu"
+    if lu:
+        front = assemble_full_front(plan, s, sym.permuted_full.data, dtype=dtype)
+    else:
+        front = assemble_front(sym, s, dtype=dtype)
     for c, upd in zip(sym.sn_children[s], child_updates, strict=True):
-        extend_add(front, upd, plan.rel[c])
+        extend_add(front, upd, plan.rel[c], lower=not lu)
     t_front = prof.clock() if prof is not None else 0.0
-    d: np.ndarray | None = None
+    d = u12 = None
+    front_flops = dense_partial_factor_flops(m, w)
     if method == "cholesky":
         partial_cholesky(front, w)
+    elif lu:
+        partial_lu(front, w, perturb=perturb_abs, col_offset=plan.start[s], perturbed=perturbed)
+        u12 = front[:w, w:].copy()
+        # LU does twice the work of Cholesky on the same structure.
+        front_flops *= 2
     else:
         d = partial_ldlt(
             front, w, perturb=perturb_abs, col_offset=plan.start[s], perturbed=perturbed
         )
-    front_flops = dense_partial_factor_flops(m, w)
     if prof is not None:
         prof.observe_front(s, m, w, front_flops, prof.clock() - t_front)
     block = front[:, :w].copy()
     update = front[w:, w:].copy() if m > w else None
-    return block, d, update, front_flops
+    return block, d, u12, update, front_flops
 
 
 def multifrontal_factor(
@@ -154,12 +182,15 @@ def multifrontal_factor(
     Parameters
     ----------
     method
-        ``"cholesky"`` (SPD) or ``"ldlt"`` (symmetric strongly regular).
+        ``"cholesky"`` (SPD), ``"ldlt"`` (symmetric strongly regular) or
+        ``"lu"`` (unsymmetric, static pivoting; *sym* must come from
+        :func:`repro.mf.lu.lu_analyze`).
     pivot_perturbation
-        LDLᵀ only: static-pivoting threshold relative to the matrix
-        diagonal scale (``max |A_ii|``). ``None`` = raise on zero pivots; a
-        positive value replaces tiny pivots and records their columns for
-        the caller to trigger iterative refinement.
+        LDLᵀ and LU only: static-pivoting threshold relative to the matrix
+        scale (``max |A_ii|`` for LDLᵀ, ``max |A_ij|`` for LU). ``None`` =
+        raise on zero pivots; a positive value replaces tiny pivots and
+        records their columns for the caller to trigger iterative
+        refinement.
     memory_limit_entries
         Out-of-core mode: cap the *in-core* transient storage (current
         front plus resident update stack) at this many entries. Update
@@ -173,21 +204,26 @@ def multifrontal_factor(
         (:func:`repro.mf.refine.iterative_refinement`) to recover
         fp64-level accuracy on well-conditioned systems.
     """
-    if method not in ("cholesky", "ldlt"):
+    if method not in ("cholesky", "ldlt", "lu"):
         raise ShapeError(f"unknown factorization method {method!r}")
-    if pivot_perturbation is not None and method != "ldlt":
-        raise ShapeError("pivot_perturbation applies to method='ldlt' only")
+    if pivot_perturbation is not None and method == "cholesky":
+        raise ShapeError("pivot_perturbation applies to method='ldlt' or 'lu' only")
+    lu = method == "lu"
+    if lu and sym.permuted_full is None:
+        raise ShapeError("method='lu' needs an LU analysis (repro.mf.lu.lu_analyze)")
     a = sym.permuted_lower
     plan = sym.front_plan
     plan.check_current(a)
     perturb_abs = None
     if pivot_perturbation is not None:
-        diag_scale = float(np.max(np.abs(a.diagonal()), initial=0.0))
-        perturb_abs = pivot_perturbation * max(diag_scale, 1.0)
+        scale_of = sym.permuted_full.data if lu else a.diagonal()
+        scale = float(np.max(np.abs(scale_of), initial=0.0))
+        perturb_abs = pivot_perturbation * max(scale, 1.0)
     wdtype = work_dtype(precision)
     nsn = sym.n_supernodes
     blocks: list[np.ndarray] = [None] * nsn  # type: ignore[list-item]
     diag = np.empty(sym.n, dtype=wdtype) if method == "ldlt" else None
+    u12: list[np.ndarray] | None = [None] * nsn if lu else None  # type: ignore[list-item]
     stats = FactorStats()
     perturbed: list[int] = []
 
@@ -244,7 +280,7 @@ def multifrontal_factor(
             c0 = plan.start[s]
             m = plan.order[s]
             enforce_memory_cap(m * m)
-            block, d, update, front_flops = factor_front(
+            block, d, u, update, front_flops = factor_front(
                 sym, s, method, perturb_abs, pop_child_updates(s), perturbed, prof,
                 dtype=wdtype,
             )
@@ -252,7 +288,11 @@ def multifrontal_factor(
                 diag[c0: c0 + w] = d
             blocks[s] = block
             stats.observe_front(m, w, front_flops)
-            stats.factor_entries += m * w - w * (w - 1) // 2
+            if lu:
+                u12[s] = u
+                stats.factor_entries += m * w + u.size
+            else:
+                stats.factor_entries += m * w - w * (w - 1) // 2
             if update is not None:
                 updates[s] = update
                 stack_entries += update.size
@@ -282,4 +322,5 @@ def multifrontal_factor(
         stats=stats,
         perturbed_columns=tuple(perturbed),
         precision=precision,
+        u12=u12,
     )

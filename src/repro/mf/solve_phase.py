@@ -3,10 +3,11 @@
 Given a :class:`~repro.mf.numeric.NumericFactor`, solve ``A X = B`` in the
 *original* ordering: permute the RHS panel, run the forward sweep over
 supernodes in ascending order, the diagonal scaling (LDLᵀ), the backward
-sweep in descending order, and un-permute. One permute → sweep → unpermute
-pass serves any number of right-hand sides: the supernode traversal, the
-per-front Python overhead, and the triangular-substitution inner loops are
-paid once per *panel*, not once per column.
+sweep in descending order (with Lᵀ, or with U for an LU factor), and
+un-permute. One permute → sweep → unpermute pass serves any number of
+right-hand sides: the supernode traversal, the per-front Python overhead,
+and the triangular-substitution inner loops are paid once per *panel*, not
+once per column.
 
 Bitwise reproducibility contract
 --------------------------------
@@ -115,10 +116,10 @@ def forward_front(factor: NumericFactor, s: int, y: np.ndarray) -> np.ndarray | 
     block = factor.blocks[s]
     panel = y.ndim == 2
     piv = y[rows[:w]]
-    if factor.method == "ldlt":
-        solve_unit_lower_inplace(block[:w, :], piv)
-    else:
+    if factor.method == "cholesky":
         solve_lower_inplace(block[:w, :], piv)
+    else:
+        solve_unit_lower_inplace(block[:w, :], piv)
     y[rows[:w]] = piv
     if rows.size > w:
         l21 = block[w:, :]
@@ -140,28 +141,31 @@ def backward_front(factor: NumericFactor, s: int, y: np.ndarray) -> None:
     Reads y at the supernode's own and ancestor rows (ancestor rows must
     already hold final values) and writes only its own pivot rows — which
     is why the threads backend can run independent subtrees concurrently
-    with no synchronization on *y* at all.
+    with no synchronization on *y* at all. Cholesky and LDLᵀ solve with
+    the transpose of their L panel; LU with U: its upper pivot block (as
+    the transpose of a lower one) and U12.
     """
     sym = factor.sym
     rows = sym.sn_rows[s]
     w = sym.supernode_width(s)
     block = factor.blocks[s]
+    lu = factor.method == "lu"
     panel = y.ndim == 2
     piv = y[rows[:w]].copy() if not panel else y[rows[:w]]
     if rows.size > w:
-        l21t = block[w:, :].T
+        off = factor.u12[s] if lu else block[w:, :].T
         if panel:
             xb = np.asfortranarray(y[rows[w:]])
             upd = np.empty((w, piv.shape[1]), dtype=y.dtype, order="F")
             for c in range(piv.shape[1]):
-                np.dot(l21t, xb[:, c], out=upd[:, c])
+                np.dot(off, xb[:, c], out=upd[:, c])
             piv -= upd
         else:
-            piv -= l21t @ y[rows[w:]]
+            piv -= off @ y[rows[w:]]
     if factor.method == "ldlt":
         solve_unit_lower_transpose_outer_inplace(block[:w, :], piv)
     else:
-        solve_lower_transpose_outer_inplace(block[:w, :], piv)
+        solve_lower_transpose_outer_inplace(block[:w, :].T if lu else block[:w, :], piv)
     y[rows[:w]] = piv
 
 

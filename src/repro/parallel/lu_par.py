@@ -19,8 +19,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.dense.chol import _trsm_right_lower_transpose
+from repro.dense.partial_factor import partial_lu
 from repro.dense.trsm import solve_unit_lower_inplace
-from repro.mf.lu import _assemble_lu_front, _partial_lu
+from repro.mf.frontal import assemble_full_front
 from repro.parallel.dist_front import (
     Blocks,
     LocalFront,
@@ -30,10 +32,9 @@ from repro.parallel.dist_front import (
 )
 from repro.parallel.factor_par import gemm_flops, trsm_flops
 from repro.parallel.plan import FactorPlan, PlanOptions
-from repro.parallel.schedule import ScatterMap, panel_entries
+from repro.parallel.schedule import ScatterMap
 from repro.simmpi.comm import Comm
 from repro.simmpi.ops import Compute, Recv, Send
-from repro.sparse.convert import csc_to_csr
 from repro.symbolic.analyze import SymbolicFactor, dense_partial_factor_flops
 
 
@@ -70,16 +71,21 @@ def make_lu_factor_program(
     permuted_full,
     pivot_perturbation: float | None = None,
 ):
-    """Rank program for the distributed LU factorization."""
-    a_rows = csc_to_csr(permuted_full)
+    """Rank program for the distributed LU factorization.
+
+    *permuted_full* is the matrix of the LU analysis ``plan.sym``: both
+    step kinds assemble its entries through the analysis's LU table
+    (:attr:`repro.symbolic.front_plan.FrontPlan.full_pos`).
+    """
+    a_data = permuted_full.data
     perturb_abs = None
     if pivot_perturbation is not None:
-        scale = float(np.max(np.abs(permuted_full.data), initial=0.0))
+        scale = float(np.max(np.abs(a_data), initial=0.0))
         perturb_abs = pivot_perturbation * max(scale, 1.0)
 
-    # supernode -> scatter maps of its L-side (columns of A) and U-side
-    # (rows of A) entries; compiled once, shared by the group's ranks.
-    scatter: dict[int, tuple[ScatterMap, ScatterMap]] = {}
+    # supernode -> scatter map of its entries; compiled once, shared by the
+    # group's ranks.
+    scatter: dict[int, ScatterMap] = {}
 
     def program(comm: Comm):
         me = comm.world_rank
@@ -87,29 +93,24 @@ def make_lu_factor_program(
         updates: dict[int, Blocks] = {}
         for s in plan.supernodes_for_rank(me):
             if plan.dist[s].is_seq:
-                yield from _seq_lu_step(
-                    plan, s, me, data, updates, permuted_full, a_rows, perturb_abs
-                )
+                yield from _seq_lu_step(plan, s, me, data, updates, a_data, perturb_abs)
             else:
                 if s not in scatter:
-                    scatter[s] = _lu_scatter_maps(plan, s, permuted_full, a_rows)
+                    scatter[s] = _lu_scatter_map(plan, s)
                 yield from _dist_lu_step(
-                    plan, s, me, data, updates, scatter[s],
-                    permuted_full, a_rows, perturb_abs,
+                    plan, s, me, data, updates, scatter[s], a_data, perturb_abs
                 )
         return data
 
     return program
 
 
-def _seq_lu_step(plan, s, me, data, updates, a_cols, a_rows, perturb_abs):
-    sym = plan.sym
+def _seq_lu_step(plan, s, me, data, updates, a_data, perturb_abs):
     d = plan.dist[s]
-    rows = sym.sn_rows[s]
-    m, w = rows.size, d.width
-    front = _assemble_lu_front(a_cols, a_rows, rows, d.c0, w)
+    m, w = d.m, d.width
+    front = assemble_full_front(plan.sym.front_plan, s, a_data)
     yield from receive_updates(plan, s, me, seq_blocks(front), updates, "full")
-    _partial_lu(front, w, perturb_abs, d.c0, data.perturbed)
+    partial_lu(front, w, perturb_abs, d.c0, data.perturbed)
     flops = 2 * dense_partial_factor_flops(m, w)
     yield Compute(flops=flops, front_order=m, mem_bytes=8.0 * m * m)
     data.flops += flops
@@ -124,7 +125,7 @@ def _seq_lu_step(plan, s, me, data, updates, a_cols, a_rows, perturb_abs):
         yield from send_update(plan, s, me, updates[s], "full")
 
 
-def _dist_lu_step(plan, s, me, data, updates, scatter, a_cols, a_rows, perturb_abs):
+def _dist_lu_step(plan, s, me, data, updates, scatter, a_data, perturb_abs):
     d = plan.dist[s]
     grid = d.grid
     nb = plan.opts.nb
@@ -133,7 +134,7 @@ def _dist_lu_step(plan, s, me, data, updates, scatter, a_cols, a_rows, perturb_a
     col_comm = Comm(me, grid.col_members(myc), ctx=("lsn", s, "col", myc))
 
     lf = LocalFront(d, me, lower_only=False)
-    n_assembled = lf.scatter(scatter[0], a_cols.data) + lf.scatter(scatter[1], a_rows.data)
+    n_assembled = lf.scatter(scatter, a_data)
     yield Compute(mem_bytes=16.0 * n_assembled)
 
     yield from receive_updates(plan, s, me, lf.blocks, updates, "full")
@@ -145,7 +146,7 @@ def _dist_lu_step(plan, s, me, data, updates, scatter, a_cols, a_rows, perturb_a
         payload = None
         if me == diag_owner:
             blk = lf.block(k, k)
-            _partial_lu(blk, kb, perturb_abs, d.c0 + int(d.starts[k]), data.perturbed)
+            partial_lu(blk, kb, perturb_abs, d.c0 + int(d.starts[k]), data.perturbed)
             f = 2 * dense_partial_factor_flops(kb, kb)
             yield Compute(flops=f, front_order=kb)
             data.flops += f
@@ -165,7 +166,8 @@ def _dist_lu_step(plan, s, me, data, updates, scatter, a_cols, a_rows, perturb_a
         if myc == k % grid.gc:
             for bi in range(k + 1, nblocks):
                 if lf.owns(bi, k):
-                    _trsm_right_upper(lukk, lf.block(bi, k))
+                    # B <- B U_kk^{-1}, U_kk the upper triangle of the block
+                    _trsm_right_lower_transpose(lukk.T, lf.block(bi, k))
                     pf += trsm_flops(lf.block(bi, k).shape[0], kb)
         # U panels: blocks (k, j), j > k — left-solve with unit L_kk.
         if myr == k % grid.gr:
@@ -206,19 +208,13 @@ def _dist_lu_step(plan, s, me, data, updates, scatter, a_cols, a_rows, perturb_a
         yield from send_update(plan, s, me, updates[s], "full")
 
 
-def _lu_scatter_maps(plan, s, a_cols, a_rows) -> tuple[ScatterMap, ScatterMap]:
-    """Scatter maps of distributed supernode *s*: pivot-column entries on
-    and below the diagonal (L side, from the CSC matrix) and pivot-row
-    entries right of it (U side, from its CSR twin)."""
-    d = plan.dist[s]
-    rows = plan.sym.sn_rows[s]
-    src, k, i = panel_entries(a_cols.indptr, a_cols.indices, d.c0, d.width)
-    keep = i >= d.c0 + k
-    l_side = ScatterMap(d, src[keep], np.searchsorted(rows, i[keep]), k[keep])
-    src, k, j = panel_entries(a_rows.indptr, a_rows.indices, d.c0, d.width)
-    keep = j > d.c0 + k
-    u_side = ScatterMap(d, src[keep], k[keep], np.searchsorted(rows, j[keep]))
-    return l_side, u_side
+def _lu_scatter_map(plan, s) -> ScatterMap:
+    """Scatter map of distributed supernode *s*: the entries of its pivot
+    rows and columns, read off the LU analysis's assembly table."""
+    fp = plan.sym.front_plan
+    lo, hi = fp.full_ptr[s], fp.full_ptr[s + 1]
+    row, col = np.divmod(fp.full_pos[lo:hi], fp.order[s])
+    return ScatterMap(plan.dist[s], fp.full_src[lo:hi], row, col)
 
 
 def _lu_solve_redistribution(plan, s, me, lf: LocalFront, data):
@@ -273,16 +269,6 @@ def _lu_solve_redistribution(plan, s, me, lf: LocalFront, data):
     if assembled:
         data.dist_rows[s] = assembled
         data.factor_entries += sum(a.size for a in assembled.values())
-
-
-def _trsm_right_upper(lu: np.ndarray, b: np.ndarray) -> None:
-    """``B <- B U^{-1}`` with U = upper triangle (incl. diagonal) of the
-    packed LU block."""
-    k = lu.shape[0]
-    for j in range(k):
-        b[:, j] /= lu[j, j]
-        if j + 1 < k:
-            b[:, j + 1:] -= np.outer(b[:, j], lu[j, j + 1:])
 
 
 # ---------------------------------------------------------------------------

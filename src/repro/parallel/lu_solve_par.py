@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.dense.trsm import solve_unit_lower_inplace
+from repro.dense.trsm import solve_lower_transpose_inplace, solve_unit_lower_inplace
 from repro.parallel.lu_par import RankLUData
 from repro.parallel.plan import FactorPlan
 from repro.parallel.schedule import SEQ
@@ -26,15 +26,6 @@ from repro.parallel.solve_par import (
 )
 from repro.simmpi.comm import Comm
 from repro.simmpi.ops import Compute
-
-
-def _solve_upper_inplace(u: np.ndarray, b: np.ndarray) -> None:
-    """``b <- U^{-1} b`` with U the upper triangle (incl. diagonal)."""
-    n = u.shape[0]
-    for j in range(n - 1, -1, -1):
-        if j + 1 < n:
-            b[j] -= u[j, j + 1:] @ b[j + 1:]
-        b[j] /= u[j, j]
 
 
 def make_lu_solve_program(
@@ -137,7 +128,8 @@ def make_lu_solve_program(
                 rhs = fwd_piv[s].copy()
                 if m > w:
                     rhs -= u12 @ xu
-                _solve_upper_inplace(lu11, rhs)
+                # rhs <- U11^{-1} rhs, U11 the upper triangle of lu11
+                solve_lower_transpose_inplace(lu11.T, rhs)
                 pieces.append((rows[:w], rhs))
                 x[s] = {SEQ: np.concatenate((rhs, xu))}
                 yield Compute(flops=float(w * w + 2 * (m - w) * w), front_order=max(w, 8))
@@ -174,7 +166,7 @@ def make_lu_solve_program(
                             rhs -= arr[:, r1: d.width] @ x_full[r1:]
                         if mu:
                             rhs -= arr[:, d.width:] @ xu_full
-                        _solve_upper_inplace(arr[:, r0:r1], rhs)
+                        solve_lower_transpose_inplace(arr[:, r0:r1].T, rhs)
                         fl += (r1 - r0) * (d.m - r0)
                         payload = rhs
                     else:

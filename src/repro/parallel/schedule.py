@@ -185,13 +185,3 @@ class ScatterMap:
     def owned_by(self, rank: int) -> list[list[int]]:
         """``(bi, bj, lo, hi)`` of the groups *rank* owns."""
         return self.groups[self.groups[:, 0] == rank, 1:].tolist()
-
-
-def panel_entries(
-    indptr: np.ndarray, indices: np.ndarray, c0: int, w: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Entries of major lines ``c0 .. c0+w`` of a compressed pattern:
-    ``(data index, line number relative to c0, minor index)``."""
-    lo, hi = int(indptr[c0]), int(indptr[c0 + w])
-    k = np.repeat(np.arange(w), np.diff(indptr[c0: c0 + w + 1]))
-    return np.arange(lo, hi), k, indices[lo:hi]

@@ -20,12 +20,10 @@ Two dispatch modes share that contract:
   results stay **bitwise identical** to the single-executor run — only
   wall-clock timings and queue waits differ.
 
-Scheduling is EDF-first by default (``queue_policy="edf"``): earliest
-deadline wins, priority breaks deadline ties, jobs without deadlines sort
-behind any deadline and among themselves by priority; submission order
-breaks all remaining ties (FIFO). ``queue_policy="priority"`` restores
-the pure priority order (deadlines still expire jobs, they just don't
-order them) — the ablation the fleet benchmark measures.
+Scheduling is earliest-deadline-first: the earliest deadline wins,
+priority breaks deadline ties, jobs without deadlines sort behind any
+deadline and among themselves by priority; submission order breaks all
+remaining ties (FIFO).
 
 Admission control rejects work *at submit time* with a typed
 :class:`~repro.util.errors.AdmissionError`: ``max_pending`` bounds the
@@ -51,9 +49,6 @@ from repro.service.jobs import EXPIRED, JobResult, SolveJob
 from repro.service.metrics import ServiceMetrics
 from repro.util.errors import AdmissionError, ReproError, ShapeError
 from repro.util.validation import as_float_array, work_dtype
-
-#: queue ordering policies (see module docstring)
-QUEUE_POLICIES = ("edf", "priority")
 
 
 class _Entry:
@@ -87,12 +82,7 @@ class JobQueue:
     ``pop_batch`` is called with a ``now`` at or past it.
     """
 
-    def __init__(self, policy: str = "edf") -> None:
-        if policy not in QUEUE_POLICIES:
-            raise ShapeError(
-                f"unknown queue policy {policy!r}; expected one of {QUEUE_POLICIES}"
-            )
-        self.policy = policy
+    def __init__(self) -> None:
         self._heap: list[tuple[tuple, int, _Entry]] = []
         self._by_key: dict[tuple, list[tuple[tuple, int, _Entry]]] = {}
         self._parked: list[tuple[float, int, _Entry]] = []
@@ -111,17 +101,14 @@ class JobQueue:
         """Snapshot of pending-job counts per tenant."""
         return dict(self._tenant_pending)
 
-    def order_key(self, job: SolveJob) -> tuple:
-        """The policy's ordering key (smaller dispatches first).
-
-        ``"edf"``: ``(deadline, priority)`` with no-deadline treated as
-        +inf — the earliest deadline wins outright and priority only
-        breaks deadline ties. ``"priority"``: ``(priority,)``.
+    @staticmethod
+    def order_key(job: SolveJob) -> tuple:
+        """The ordering key (smaller dispatches first): ``(deadline,
+        priority)`` with no-deadline treated as +inf — the earliest
+        deadline wins outright and priority only breaks deadline ties.
         """
-        if self.policy == "edf":
-            deadline = job.deadline if job.deadline is not None else math.inf
-            return (deadline, job.priority)
-        return (job.priority,)
+        deadline = job.deadline if job.deadline is not None else math.inf
+        return (deadline, job.priority)
 
     def push(self, job: SolveJob) -> None:
         """Enqueue *job* (parked when its ``not_before`` is set)."""
@@ -261,9 +248,6 @@ class ServiceConfig:
     #: always run iterative refinement and fall back to an fp64 re-factor
     #: when refinement stalls (counted in service_precision_fallback_total)
     precision: str = "fp64"
-    #: queue ordering: "edf" (earliest deadline first, priority on ties)
-    #: or "priority" (pure priority; deadlines only expire)
-    queue_policy: str = "edf"
     #: serving worker slots draining the queue concurrently (1 = the
     #: classic synchronous single-executor loop)
     fleet_workers: int = 1
@@ -301,7 +285,7 @@ class SolverService:
         self.cache = ShardedAnalysisCache(
             self.config.cache_capacity, shards=self.config.shards
         )
-        self.queue = JobQueue(policy=self.config.queue_policy)
+        self.queue = JobQueue()
         self.executor = Executor(
             self.cache,
             self.metrics,

@@ -83,6 +83,10 @@ class SymbolicFactor:
     solve_flops: int
     #: compiled index tables of the front loop (assembly, extend-add)
     front_plan: FrontPlan
+    #: LU analyses only (:func:`repro.mf.lu.lu_analyze`): the permuted full
+    #: matrix the LU front loop factors; ``permuted_lower`` then holds the
+    #: symmetrized pattern's structure only
+    permuted_full: CSCMatrix | None = None
     sn_children: list[list[int]] = field(init=False)
 
     def __post_init__(self) -> None:

@@ -11,11 +11,16 @@ The tables are value-free: they index ``permuted_lower.data`` by position,
 so installing new values on the same pattern leaves them valid. They hold
 one number per stored matrix entry and one per update *row* — never one per
 update entry, which would be the size of the factor itself.
+
+An LU analysis adds one more table (:func:`with_full_table`): where each
+stored entry of the permuted *full* matrix lands in its supernode's full
+m×m front. It is derived from ``a_pos`` alone, so LU fronts run the same
+loop with nothing looked up per front.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -42,6 +47,13 @@ class FrontPlan:
     #: in its parent's row list (``int32``, strictly increasing; empty when
     #: c has no update)
     rel: list[np.ndarray]
+    #: LU analyses only (None otherwise): supernode s owns the stored entries
+    #: ``full_src[full_ptr[s]:full_ptr[s + 1]]`` of ``permuted_full``, and
+    #: ``full_pos`` holds each one's position ``local_row * order + local_col``
+    #: in s's full m×m front
+    full_ptr: list[int] | None = None
+    full_src: np.ndarray | None = None
+    full_pos: np.ndarray | None = None
 
     def check_current(self, permuted_lower: CSCMatrix) -> None:
         """The O(1) staleness guard of the numeric drivers: the tables were
@@ -105,6 +117,40 @@ def build_front_plan(
     sn = part.col_to_sn[col]
     a_pos = local_row * np.asarray(order, dtype=np.int64)[sn] + (col - sn_start[sn])
     return FrontPlan(start=start, width=width, order=order, a_ptr=a_ptr, a_pos=a_pos, rel=rel)
+
+
+def with_full_table(
+    plan: FrontPlan, part: SupernodePartition, lower: CSCMatrix, full: CSCMatrix
+) -> FrontPlan:
+    """*plan*, compiled for *lower* — the lower triangle of the symmetrized
+    pattern of *full* — plus the LU assembly table of *full*.
+
+    Entry (i, j) of *full* belongs to the supernode of column ``min(i, j)``
+    and lands at (front row of i, front row of j) there. Its lower twin
+    ``(max, min)`` is stored in *lower*, and ``a_pos`` already holds the
+    twin's position: a lower entry takes it as is, an upper entry takes
+    it transposed. An entry without a twin raises :class:`InvariantError`.
+    """
+    n = full.shape[1]
+    col = np.repeat(np.arange(n, dtype=np.int64), np.diff(full.indptr))
+    row = full.indices.astype(np.int64)
+    j, i = np.minimum(row, col), np.maximum(row, col)
+    twin_keys = np.repeat(np.arange(n, dtype=np.int64), np.diff(lower.indptr)) * n + lower.indices
+    twin = locate_rows(twin_keys, j * n + i)
+    if twin is None:
+        raise InvariantError(
+            "front plan: the full matrix has entries outside the symmetrized "
+            "pattern it was analysed on"
+        )
+    sn = part.col_to_sn[j]
+    m = np.asarray(plan.order, dtype=np.int64)[sn]
+    pos = plan.a_pos[twin]
+    upper = row < col
+    r, c = np.divmod(pos[upper], m[upper])
+    pos[upper] = c * m[upper] + r
+    src = np.argsort(sn, kind="stable")
+    ptr = np.searchsorted(sn[src], np.arange(part.n_supernodes + 1)).tolist()
+    return replace(plan, full_ptr=ptr, full_src=src, full_pos=pos[src])
 
 
 def locate_rows(front_rows: np.ndarray, rows: np.ndarray) -> np.ndarray | None:

@@ -9,9 +9,10 @@ import pytest
 from repro.check import commcheck, lint, sanitize
 from repro.check.selftest import run_self_test
 from repro.cli import main as cli_main
-from repro.gen import grid2d_laplacian
+from repro.gen import convection_diffusion2d, grid2d_laplacian
 from repro.graph import AdjacencyGraph
 from repro.machine import GENERIC_CLUSTER
+from repro.mf.lu import lu_analyze
 from repro.ordering import nested_dissection_order
 from repro.parallel import PlanOptions, simulate_factorization
 from repro.simmpi import CommTrace, MessageLedger, Simulator, tag_key
@@ -395,6 +396,33 @@ class TestSanitizer:
             mine[0] = next(r * m for r in range(1, m) if r * m not in mine)
         with pytest.raises(InvariantError, match=f"supernode {s}"):
             sanitize.check_symbolic(sym)
+
+    @pytest.mark.parametrize(
+        "defect", ["entry_listed_twice", "pos_wrong_row", "pos_outside_pivots"]
+    )
+    def test_corrupted_lu_table_rejected(self, defect):
+        a = convection_diffusion2d(6, peclet=1.0)
+        sym = lu_analyze(a, np.arange(a.shape[0]))
+        sanitize.check_full_table(sym)
+        plan = sym.front_plan
+        s = next(
+            s for s in range(sym.n_supernodes)
+            if sym.update_size(s) >= 1 and sym.supernode_width(s) >= 2
+        )
+        m = plan.order[s]
+        lo, hi = plan.full_ptr[s], plan.full_ptr[s + 1]
+        mine = plan.full_pos[lo:hi]  # a view: edits land in the plan
+        if defect == "entry_listed_twice":
+            plan.full_src[lo + 1] = plan.full_src[lo]
+            match = "exactly once"
+        elif defect == "pos_wrong_row":
+            mine[0] = next(r * m for r in range(1, m) if r * m not in mine)
+            match = f"supernode {s}"
+        else:
+            mine[0] = m * m - 1  # the last update entry: no pivot row or column
+            match = f"supernode {s}"
+        with pytest.raises(InvariantError, match=match):
+            sanitize.check_full_table(sym)
 
     def test_sanitized_context_toggles_flag(self):
         before = runtime_checks_enabled()

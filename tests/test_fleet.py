@@ -15,7 +15,6 @@ from repro.service import (
     EXPIRED,
     AdmissionError,
     AnalysisEntry,
-    JobQueue,
     ServiceConfig,
     ShardedAnalysisCache,
     SolverService,
@@ -99,22 +98,11 @@ class TestEDFOrdering:
         # latter, priority (then FIFO) decides.
         assert drain_order(svc.queue) == [slack, urgent_nodl, nodl]
 
-    def test_priority_policy_ignores_deadlines_for_ordering(self):
-        svc = self.service(queue_policy="priority")
-        m = self.distinct(2)
-        soon = svc.submit(m[0], np.ones(m[0].shape[0]), priority=5, deadline=10.0)
-        urgent = svc.submit(m[1], np.ones(m[1].shape[0]), priority=0, deadline=1e9)
-        assert drain_order(svc.queue) == [urgent, soon]
-
     def test_fifo_among_equals(self):
         svc = self.service()
         m = self.distinct(4)
         ids = [svc.submit(mi, np.ones(mi.shape[0])) for mi in m]
         assert drain_order(svc.queue) == ids
-
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ShapeError):
-            JobQueue(policy="fifo")
 
     def test_parked_job_waits_for_not_before(self):
         svc = self.service()
