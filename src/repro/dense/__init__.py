@@ -1,12 +1,12 @@
 """Dense kernels consumed by the multifrontal method.
 
-Everything the frontal matrices need: blocked Cholesky and LDLᵀ, triangular
+Everything the frontal matrices need: Cholesky and LDLᵀ, triangular
 solves, symmetric rank-k updates, and the *partial* factorization that
 eliminates a front's pivot block and forms its Schur complement.
 
 Kernels are written over numpy primitives (vectorized inner loops, in-place
-updates) per the HPC-Python idioms: the O(n³) work lands in BLAS-backed
-``@``/``-=`` array ops, the O(n) control flow stays in Python.
+updates) per the HPC-Python idioms: the O(n³) work lands in LAPACK/BLAS
+calls (``np.linalg.cholesky``, ``@``), the O(n) control flow stays in Python.
 """
 
 from repro.dense.chol import cholesky_in_place, cholesky

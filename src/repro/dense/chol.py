@@ -1,8 +1,11 @@
-"""Dense Cholesky factorization (lower, in place, blocked).
+"""Dense Cholesky factorization (lower, in place).
 
-The unblocked kernel is a vectorized left-looking loop; the blocked driver
-applies it to diagonal panels and uses matrix products for the off-diagonal
-panels — the same structure a LAPACK ``potrf`` has, expressed in numpy.
+A pivot block of at least :data:`LAPACK_MIN_PIVOTS` columns is one LAPACK
+``potrf`` through ``np.linalg.cholesky`` and a panel solve against it is
+one GEMM against the inverse of the factor; narrower blocks keep the
+vectorized column sweeps, which beat the fixed cost of a numpy LAPACK
+call at one or two columns. Pivot failures are reported by the sweep in
+both cases, so their type and column do not depend on the path taken.
 """
 
 from __future__ import annotations
@@ -13,12 +16,15 @@ import numpy as np
 
 from repro.util.errors import NotPositiveDefiniteError, ShapeError
 
-#: default blocking factor for the panel sweep
-DEFAULT_BLOCK = 64
+#: pivot count from which the kernels below call LAPACK/BLAS through numpy.
+#: A module constant, not an option: it changes no result beyond rounding,
+#: only where a few microseconds of wrapper cost stop paying for themselves
+#: (measured in EXPERIMENTS.md "Warm path host cost — dense kernels").
+LAPACK_MIN_PIVOTS = 4
 
 
-def _cholesky_unblocked(a: np.ndarray, col_offset: int = 0) -> None:
-    """In-place lower Cholesky of a small square block.
+def _cholesky_sweep(a: np.ndarray, col_offset: int = 0) -> None:
+    """In-place lower Cholesky of a small square block, column by column.
 
     *col_offset* is only used to report the failing global column.
     """
@@ -43,44 +49,48 @@ def _cholesky_unblocked(a: np.ndarray, col_offset: int = 0) -> None:
             a[j + 1:, j + 1:] -= col[:, None] * col
 
 
-def cholesky_in_place(a: np.ndarray, block: int = DEFAULT_BLOCK) -> None:
+def cholesky_in_place(a: np.ndarray, col_offset: int = 0) -> None:
     """Factor SPD *a* as L·Lᵀ, overwriting its lower triangle with L.
 
-    The strictly upper triangle is left untouched (callers treat it as
-    garbage). Raises :class:`NotPositiveDefiniteError` on a non-positive
-    pivot.
+    Only the lower triangle is read; the strictly upper triangle is left
+    unspecified. Raises :class:`NotPositiveDefiniteError` on a non-positive
+    or non-finite pivot, with ``column`` = *col_offset* + its local index.
     """
     n = _check_square(a)
-    if block < 1:
-        raise ShapeError("block must be >= 1")
-    for k in range(0, n, block):
-        kb = min(block, n - k)
-        _cholesky_unblocked(a[k: k + kb, k: k + kb], col_offset=k)
-        if k + kb < n:
-            # Panel solve: A[k+kb:, k:k+kb] <- A[k+kb:, k:k+kb] L_kk^{-T}
-            lkk = a[k: k + kb, k: k + kb]
-            panel = a[k + kb:, k: k + kb]
-            _trsm_right_lower_transpose(lkk, panel)
-            # Trailing symmetric update (lower triangle only by blocks).
-            trail = a[k + kb:, k + kb:]
-            trail -= panel @ panel.T
-    # Note: the trailing update writes the full square; only the lower
-    # triangle is meaningful, matching the contract above.
+    if n < LAPACK_MIN_PIVOTS:
+        _cholesky_sweep(a, col_offset)
+        return
+    try:
+        l = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        l = None
+    # LAPACK's error names no column, and OpenBLAS potrf passes a NaN or
+    # +Inf pivot through silently. np.linalg.cholesky leaves *a* intact, so
+    # the sweep re-factors it from scratch and raises the typed error.
+    if l is None or not np.isfinite(np.diagonal(l)).all():
+        _cholesky_sweep(a, col_offset)
+        return
+    a[...] = l
 
 
-def cholesky(a: np.ndarray, block: int = DEFAULT_BLOCK) -> np.ndarray:
+def cholesky(a: np.ndarray) -> np.ndarray:
     """Return the lower Cholesky factor of SPD *a* (input unchanged)."""
     work = np.array(a, dtype=np.float64, copy=True)
-    cholesky_in_place(work, block=block)
+    cholesky_in_place(work)
     return np.tril(work)
 
 
 def _trsm_right_lower_transpose(l: np.ndarray, b: np.ndarray) -> None:
     """B <- B L^{-T} in place, L lower-triangular (non-unit diagonal).
 
-    Column-sweep formulation so each column update is one BLAS-2 call.
+    Only the lower triangle of *l* is read. From :data:`LAPACK_MIN_PIVOTS`
+    columns on this is one GEMM against the inverse of L; below, a column
+    sweep with one BLAS-2 call per column.
     """
     k = l.shape[0]
+    if k >= LAPACK_MIN_PIVOTS:
+        b[...] = b @ np.linalg.inv(np.tril(l)).T
+        return
     for j in range(k):
         b[:, j] /= l[j, j]
         if j + 1 < k:

@@ -40,7 +40,7 @@ def ldlt_in_place(
     factorization proceeds, the global column ``col_offset + j`` is appended
     to *perturbed*, and the caller recovers accuracy by iterative
     refinement — the strategy solvers of this family use to avoid dynamic
-    pivoting's communication).
+    pivoting's communication). A raised error names the same global column.
     """
     n = _check_square(a)
     if perturb is None:
@@ -54,7 +54,8 @@ def ldlt_in_place(
         if not math.isfinite(pivot) or abs(pivot) <= tol:
             if perturb is None or not math.isfinite(pivot):
                 raise SingularMatrixError(
-                    f"zero pivot {pivot:.6g} at column {j}", column=j
+                    f"zero pivot {pivot:.6g} at column {col_offset + j}",
+                    column=col_offset + j,
                 )
             sign = 1.0 if pivot >= 0 else -1.0
             # Rounded to the working dtype so the stored pivot, the returned

@@ -21,13 +21,18 @@ import math
 
 import numpy as np
 
-from repro.dense.chol import cholesky_in_place, _trsm_right_lower_transpose, _check_square
+from repro.dense.chol import (
+    LAPACK_MIN_PIVOTS,
+    _check_square,
+    _trsm_right_lower_transpose,
+    cholesky_in_place,
+)
 from repro.dense.ldlt import ldlt_in_place
 from repro.dense.syrk import syrk_lower_update, syrk_lower_update_scaled
 from repro.util.errors import ShapeError, SingularMatrixError
 
 
-def partial_cholesky(front: np.ndarray, k: int, block: int = 64) -> None:
+def partial_cholesky(front: np.ndarray, k: int, col_offset: int = 0) -> None:
     """Eliminate the first *k* pivots of symmetric *front* in place.
 
     On return the leading m×k panel holds [L11; L21] (lower triangle of L11
@@ -35,14 +40,14 @@ def partial_cholesky(front: np.ndarray, k: int, block: int = 64) -> None:
     complement (lower triangle meaningful).
 
     Raises :class:`~repro.util.errors.NotPositiveDefiniteError` if a pivot
-    fails, with the *local* column index recorded.
+    fails, with its column (local index plus *col_offset*) recorded.
     """
     m = _check_square(front)
     if not (0 <= k <= m):
         raise ShapeError(f"pivot count {k} out of range for front of order {m}")
     if k == 0:
         return
-    cholesky_in_place(front[:k, :k], block=block)
+    cholesky_in_place(front[:k, :k], col_offset=col_offset)
     if k < m:
         panel = front[k:, :k]
         _trsm_right_lower_transpose(front[:k, :k], panel)
@@ -127,8 +132,17 @@ def partial_lu(
 
 
 def _trsm_right_unit_lower_transpose(l: np.ndarray, b: np.ndarray) -> None:
-    """B <- B L^{-T} with unit-diagonal lower L (strictly-lower part read)."""
+    """B <- B L^{-T} with unit-diagonal lower L (strictly-lower part read).
+
+    One GEMM against the inverse of L from :data:`LAPACK_MIN_PIVOTS`
+    columns on, a column sweep below.
+    """
     k = l.shape[0]
+    if k >= LAPACK_MIN_PIVOTS:
+        unit = np.tril(l, -1)
+        np.fill_diagonal(unit, 1.0)
+        b[...] = b @ np.linalg.inv(unit).T
+        return
     for j in range(k):
         if j + 1 < k:
             b[:, j + 1:] -= b[:, j, None] * l[j + 1:, j]

@@ -153,7 +153,7 @@ def factor_front(
     d = u12 = None
     front_flops = dense_partial_factor_flops(m, w)
     if method == "cholesky":
-        partial_cholesky(front, w)
+        partial_cholesky(front, w, col_offset=plan.start[s])
     elif lu:
         partial_lu(front, w, perturb=perturb_abs, col_offset=plan.start[s], perturbed=perturbed)
         u12 = front[:w, w:].copy()

@@ -113,9 +113,9 @@ def _seq_step(plan, s, me, method, data, updates):
 
     flops = dense_partial_factor_flops(m, w)
     if method == "cholesky":
-        partial_cholesky(front, w)
+        partial_cholesky(front, w, col_offset=d.c0)
     else:
-        dvals = partial_ldlt(front, w)
+        dvals = partial_ldlt(front, w, col_offset=d.c0)
         data.seq_diag[s] = dvals
     yield Compute(
         flops=flops, front_order=m, mem_bytes=8.0 * (m * w + m * m - (m - w) ** 2)
@@ -171,10 +171,11 @@ def _dist_step(plan, s, me, method, data, updates):
         diag_d = None
         if me == diag_owner:
             blk = lf.block(k, k)
+            c0 = d.c0 + int(d.starts[k])
             if method == "cholesky":
-                cholesky_in_place(blk, block=nb)
+                cholesky_in_place(blk, col_offset=c0)
             else:
-                diag_d = ldlt_in_place(blk)
+                diag_d = ldlt_in_place(blk, col_offset=c0)
             f = dense_partial_factor_flops(kb, kb)
             yield Compute(flops=f, front_order=kb)
             data.flops += f

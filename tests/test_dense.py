@@ -17,6 +17,8 @@ from repro.dense import (
     partial_cholesky,
     partial_ldlt,
 )
+from repro.dense.chol import LAPACK_MIN_PIVOTS, _trsm_right_lower_transpose
+from repro.dense.partial_factor import _trsm_right_unit_lower_transpose
 from repro.dense.trsm import solve_unit_lower_transpose_inplace
 from repro.dense.syrk import syrk_lower_update_scaled
 from repro.util.errors import NotPositiveDefiniteError, ShapeError, SingularMatrixError
@@ -36,12 +38,6 @@ class TestCholesky:
         l = cholesky(a)
         np.testing.assert_allclose(l, np.linalg.cholesky(a), rtol=1e-10, atol=1e-10)
 
-    @pytest.mark.parametrize("block", [1, 3, 8, 200])
-    def test_blocking_invariant(self, rng, block):
-        a = spd(rng, 30)
-        l = cholesky(a, block=block)
-        np.testing.assert_allclose(l @ l.T, a, rtol=1e-10, atol=1e-10)
-
     def test_in_place_overwrites_lower(self, rng):
         a = spd(rng, 10)
         work = a.copy()
@@ -60,8 +56,28 @@ class TestCholesky:
         a = spd(rng, 80)
         a[70, 70] = -1e6
         with pytest.raises(NotPositiveDefiniteError) as ei:
-            cholesky(a, block=16)
-        assert ei.value.column is not None and ei.value.column >= 64
+            cholesky(a)
+        assert ei.value.column == 70
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_non_finite_pivot_on_lapack_path(self, rng, bad, dtype):
+        # OpenBLAS potrf returns a NaN factor for a NaN pivot without
+        # flagging it; the kernel must raise the typed error instead.
+        n = LAPACK_MIN_PIVOTS + 16
+        a = spd(rng, n).astype(dtype)
+        a[12, 12] = bad
+        with pytest.raises(NotPositiveDefiniteError) as ei:
+            cholesky_in_place(a, col_offset=100)
+        assert ei.value.column == 112
+
+    def test_reads_only_the_lower_triangle(self, rng):
+        a = spd(rng, LAPACK_MIN_PIVOTS + 9)
+        poisoned = a.copy()
+        poisoned[np.triu_indices_from(a, 1)] = np.nan
+        cholesky_in_place(a)
+        cholesky_in_place(poisoned)
+        assert np.array_equal(np.tril(a), np.tril(poisoned))
 
     def test_rejects_non_square(self):
         with pytest.raises(ShapeError):
@@ -76,10 +92,6 @@ class TestCholesky:
         a = np.eye(3, dtype=np.float32)
         cholesky_in_place(a)
         assert a.dtype == np.float32
-
-    def test_rejects_bad_block(self):
-        with pytest.raises(ShapeError):
-            cholesky_in_place(np.eye(3), block=0)
 
     def test_empty_matrix(self):
         a = np.zeros((0, 0))
@@ -171,6 +183,18 @@ class TestTrsm:
         solve_unit_lower_inplace(l_garbage, x2)
         np.testing.assert_allclose(x1, x2)
 
+    @pytest.mark.parametrize("k", [LAPACK_MIN_PIVOTS - 1, LAPACK_MIN_PIVOTS + 7])
+    def test_panel_solves_read_only_the_lower_triangle(self, rng, k):
+        l = np.tril(rng.standard_normal((k, k))) + k * np.eye(k)
+        garbage = l + np.triu(rng.standard_normal((k, k)), 1)
+        unit = np.tril(l, -1) + np.eye(k)
+        b = rng.standard_normal((9, k))
+        x, xu = b.copy(), b.copy()
+        _trsm_right_lower_transpose(garbage, x)
+        _trsm_right_unit_lower_transpose(garbage, xu)
+        np.testing.assert_allclose(x @ l.T, b, rtol=1e-10, atol=1e-10)
+        np.testing.assert_allclose(xu @ unit.T, b, rtol=1e-10, atol=1e-10)
+
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             solve_lower_inplace(np.eye(3), np.ones(4))
@@ -222,6 +246,31 @@ class TestPartialFactor:
         np.testing.assert_allclose(
             np.tril(front[k:, k:]), np.tril(schur), rtol=1e-8, atol=1e-8
         )
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("method", ["cholesky", "ldlt"])
+    @pytest.mark.parametrize(
+        "m,k", [(9, LAPACK_MIN_PIVOTS - 1), (12, LAPACK_MIN_PIVOTS), (60, 25), (30, 30)]
+    )
+    def test_matches_the_column_loop(self, rng, method, dtype, m, k):
+        """The LAPACK/GEMM path agrees with the plain right-looking column
+        loop it replaced, to a tolerance fixed by the working dtype."""
+        a = spd(rng, m).astype(dtype)
+        ref = a.copy()
+        for j in range(k):
+            if method == "cholesky":
+                ref[j, j] = np.sqrt(ref[j, j])
+            col = ref[j + 1:, j] / ref[j, j]
+            other = col if method == "cholesky" else ref[j + 1:, j]
+            ref[j + 1:, j + 1:] -= col[:, None] * other
+            ref[j + 1:, j] = col
+        got = a.copy()
+        if method == "cholesky":
+            partial_cholesky(got, k)
+        else:
+            partial_ldlt(got, k)
+        tol = 100 * m * np.finfo(dtype).eps
+        np.testing.assert_allclose(np.tril(got), np.tril(ref), rtol=tol, atol=tol)
 
     def test_partial_cholesky_out_of_range(self, rng):
         with pytest.raises(ShapeError):

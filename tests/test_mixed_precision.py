@@ -44,8 +44,10 @@ def analyzed(lower):
 
 def hilbert_lower(n: int):
     """Lower triangle of the n×n Hilbert matrix — SPD with condition
-    number ~e^{3.5n}; n=8 is factorable in fp32 but stalls fp32-factor
-    refinement, the canonical degradation-ladder trigger."""
+    number ~e^{3.5n}; n=7 is factorable in fp32 (column sweeps and LAPACK
+    alike) but stalls fp32-factor refinement, the canonical
+    degradation-ladder trigger. n=8 sits on the edge: whether its fp32
+    factor exists depends on the kernel's rounding."""
     r, c, v = [], [], []
     for i in range(n):
         for j in range(i + 1):
@@ -295,13 +297,13 @@ class TestRefinementRobustness:
         assert res.backward_error == min(res.residual_history)
 
     def test_max_iter_exhaustion_is_not_diverged(self):
-        # Hilbert(8): fp32 factor refinement stalls around 1e-9 — it must
-        # report converged=False, diverged=False (budget, not blow-up).
-        lower = hilbert_lower(8)
+        # Hilbert(7): fp32 factor refinement stalls — it must report
+        # converged=False, diverged=False (budget, not blow-up).
+        lower = hilbert_lower(7)
         s = SparseSolver(lower, ordering="natural")
         s.factor(precision="fp32")
         rng = make_rng(9)
-        b = rng.standard_normal(8)
+        b = rng.standard_normal(7)
         res = iterative_refinement(s.numeric, lower, b, tol=1e-12)
         assert not res.converged
         assert not res.diverged
@@ -334,11 +336,11 @@ class TestSolverPrecision:
         assert res.refinement_iterations >= 1
 
     def test_solver_auto_falls_back_to_fp64(self):
-        lower = hilbert_lower(8)
+        lower = hilbert_lower(7)
         s = SparseSolver(lower, ordering="natural")
         s.factor(precision="fp32")
         rng = make_rng(11)
-        res = s.solve(rng.standard_normal(8))
+        res = s.solve(rng.standard_normal(7))
         assert res.precision == "fp64"
         assert s.numeric.precision == "fp64"
 
@@ -386,7 +388,7 @@ class TestServicePrecision:
             ServiceConfig(precision="fp32", ordering="natural")
         )
         rng = make_rng(14)
-        jid = svc.submit(hilbert_lower(8), rng.standard_normal(8))
+        jid = svc.submit(hilbert_lower(7), rng.standard_normal(7))
         res = svc.drain()[jid]
         assert res.ok
         assert res.precision == "fp64"
