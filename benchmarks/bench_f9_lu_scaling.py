@@ -16,7 +16,6 @@ from repro.graph import AdjacencyGraph
 from repro.machine import BLUEGENE_P
 from repro.ordering import nested_dissection_order
 from repro.parallel import PlanOptions, simulate_factorization
-from repro.parallel.lu_par import simulate_lu_factorization
 from repro.symbolic import analyze
 from repro.util.tables import format_table
 
@@ -38,8 +37,8 @@ def test_f9_lu_scaling(benchmark):
     lu_t = {}
     for p in RANKS:
         rc = simulate_factorization(sym_chol, p, BLUEGENE_P, PlanOptions(nb=16))
-        rl = simulate_lu_factorization(
-            lu.sym, lu.permuted_full, p, BLUEGENE_P, PlanOptions(nb=16)
+        rl = simulate_factorization(
+            lu.sym, p, BLUEGENE_P, PlanOptions(nb=16), method="lu"
         )
         chol_t[p] = rc.makespan
         lu_t[p] = rl.makespan
@@ -67,8 +66,8 @@ def test_f9_lu_scaling(benchmark):
     assert min(chol_t.values()) < chol_t[1]
 
     benchmark.pedantic(
-        lambda: simulate_lu_factorization(
-            lu.sym, lu.permuted_full, 4, BLUEGENE_P, PlanOptions(nb=16)
+        lambda: simulate_factorization(
+            lu.sym, 4, BLUEGENE_P, PlanOptions(nb=16), method="lu"
         ),
         rounds=1,
         iterations=1,

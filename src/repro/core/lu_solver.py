@@ -126,19 +126,16 @@ class UnsymmetricSolver:
 
         Returns ``(factor_result, x_or_None)``.
         """
-        from repro.parallel.lu_par import (
-            simulate_lu_factorization,
-            simulate_lu_solve,
-        )
+        from repro.parallel.driver import simulate_factorization, simulate_solve
 
         if self.sym is None:
             self.analyze()
-        res = simulate_lu_factorization(
+        res = simulate_factorization(
             self.sym,
-            self.permuted_full,
             config.n_ranks,
             config.machine,
             config.plan_options(),
+            method="lu",
             pivot_perturbation=self.pivot_perturbation,
         )
         if verify:
@@ -155,5 +152,5 @@ class UnsymmetricSolver:
                 raise ReproError(f"distributed LU mismatch: max err {err:.3e}")
         x = None
         if b is not None:
-            _sim, x = simulate_lu_solve(res, as_float_array(b, "b"))
+            x = simulate_solve(res, b).x
         return res, x

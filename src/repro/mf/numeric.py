@@ -98,6 +98,53 @@ class NumericFactor:
         return self.to_dense_l(), u
 
 
+def pivot_threshold(
+    sym: SymbolicFactor, method: str, pivot_perturbation: float | None
+) -> float | None:
+    """Check that *method* (and *pivot_perturbation*, if any) can factor
+    *sym*; returns the absolute static-pivoting threshold, None to raise on
+    zero pivots. Scales by ``max |A_ii|`` for LDLᵀ, ``max |A_ij|`` for LU."""
+    if method not in ("cholesky", "ldlt", "lu"):
+        raise ShapeError(f"unknown factorization method {method!r}")
+    if pivot_perturbation is not None and method == "cholesky":
+        raise ShapeError("pivot_perturbation applies to method='ldlt' or 'lu' only")
+    lu = method == "lu"
+    if lu and sym.permuted_full is None:
+        raise ShapeError("method='lu' needs an LU analysis (repro.mf.lu.lu_analyze)")
+    if pivot_perturbation is None:
+        return None
+    scale_of = sym.permuted_full.data if lu else sym.permuted_lower.diagonal()
+    scale = float(np.max(np.abs(scale_of), initial=0.0))
+    return pivot_perturbation * max(scale, 1.0)
+
+
+def partial_factor(
+    front: np.ndarray,
+    w: int,
+    method: str,
+    perturb: float | None = None,
+    col_offset: int = 0,
+    perturbed: list[int] | None = None,
+) -> tuple[np.ndarray | None, int]:
+    """Eliminate the first *w* pivots of *front* in place with *method*'s
+    dense kernel — the one dispatch of every front loop (the host drivers
+    and the simulator's sequential fronts and distributed pivot blocks).
+
+    Returns ``(d, flops)``: the LDLᵀ pivots (None for the other methods)
+    and the flop count; LU does twice the work of Cholesky on the same
+    structure.
+    """
+    flops = dense_partial_factor_flops(front.shape[0], w)
+    if method == "cholesky":
+        partial_cholesky(front, w, col_offset=col_offset)
+        return None, flops
+    if method == "lu":
+        partial_lu(front, w, perturb=perturb, col_offset=col_offset, perturbed=perturbed)
+        return None, 2 * flops
+    d = partial_ldlt(front, w, perturb=perturb, col_offset=col_offset, perturbed=perturbed)
+    return d, flops
+
+
 def factor_front(
     sym: SymbolicFactor,
     s: int,
@@ -150,19 +197,8 @@ def factor_front(
     for c, upd in zip(sym.sn_children[s], child_updates, strict=True):
         extend_add(front, upd, plan.rel[c], lower=not lu)
     t_front = prof.clock() if prof is not None else 0.0
-    d = u12 = None
-    front_flops = dense_partial_factor_flops(m, w)
-    if method == "cholesky":
-        partial_cholesky(front, w, col_offset=plan.start[s])
-    elif lu:
-        partial_lu(front, w, perturb=perturb_abs, col_offset=plan.start[s], perturbed=perturbed)
-        u12 = front[:w, w:].copy()
-        # LU does twice the work of Cholesky on the same structure.
-        front_flops *= 2
-    else:
-        d = partial_ldlt(
-            front, w, perturb=perturb_abs, col_offset=plan.start[s], perturbed=perturbed
-        )
+    d, front_flops = partial_factor(front, w, method, perturb_abs, plan.start[s], perturbed)
+    u12 = front[:w, w:].copy() if lu else None
     if prof is not None:
         prof.observe_front(s, m, w, front_flops, prof.clock() - t_front)
     block = front[:, :w].copy()
@@ -204,21 +240,10 @@ def multifrontal_factor(
         (:func:`repro.mf.refine.iterative_refinement`) to recover
         fp64-level accuracy on well-conditioned systems.
     """
-    if method not in ("cholesky", "ldlt", "lu"):
-        raise ShapeError(f"unknown factorization method {method!r}")
-    if pivot_perturbation is not None and method == "cholesky":
-        raise ShapeError("pivot_perturbation applies to method='ldlt' or 'lu' only")
+    perturb_abs = pivot_threshold(sym, method, pivot_perturbation)
     lu = method == "lu"
-    if lu and sym.permuted_full is None:
-        raise ShapeError("method='lu' needs an LU analysis (repro.mf.lu.lu_analyze)")
-    a = sym.permuted_lower
     plan = sym.front_plan
-    plan.check_current(a)
-    perturb_abs = None
-    if pivot_perturbation is not None:
-        scale_of = sym.permuted_full.data if lu else a.diagonal()
-        scale = float(np.max(np.abs(scale_of), initial=0.0))
-        perturb_abs = pivot_perturbation * max(scale, 1.0)
+    plan.check_current(sym.permuted_lower)
     wdtype = work_dtype(precision)
     nsn = sym.n_supernodes
     blocks: list[np.ndarray] = [None] * nsn  # type: ignore[list-item]

@@ -10,7 +10,8 @@ Pieces:
   derives from the (replicated) symbolic data: who owns which block, which
   extend-add transfers exist, block partitions;
 * :mod:`repro.parallel.factor_par` — the rank program performing the
-  distributed numeric factorization under :mod:`repro.simmpi`;
+  distributed numeric factorization (Cholesky, LDLᵀ or LU) under
+  :mod:`repro.simmpi`;
 * :mod:`repro.parallel.solve_par` — distributed triangular solves;
 * :mod:`repro.parallel.driver` — host-side helpers that run the simulated
   factorization/solve and reassemble/verify the results;

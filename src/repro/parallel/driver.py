@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.machine.model import MachineModel
+from repro.mf.numeric import pivot_threshold
 from repro.obs.spans import span
 from repro.parallel.factor_par import RankFactorData, make_factor_program
 from repro.parallel.plan import FactorPlan, PlanOptions
@@ -83,7 +84,7 @@ class ParallelFactorResult:
         l = np.zeros((n, n))
         for data in self.datas:
             for s, panel in data.seq_panels.items():
-                _fill_panel(l, sym, s, panel, self.method)
+                _fill_panel(l, sym, s, panel)
             for s, segs in data.dist_row_panels.items():
                 d = self.plan.dist[s]
                 rows = sym.sn_rows[s]
@@ -93,10 +94,31 @@ class ParallelFactorResult:
                         gr_ = rows[r]
                         upto = min(r + 1, d.width)
                         l[gr_, sym.partition.sn_start[s]: sym.partition.sn_start[s] + upto] = arr[li, :upto]
-        if self.method == "ldlt":
-            # Stored diagonals hold D; the LDLᵀ L is unit-lower.
+        if self.method != "cholesky":
+            # Stored diagonals hold D (LDLᵀ) or U's (LU); L is unit-lower.
             np.fill_diagonal(l, 1.0)
         return l
+
+    def to_dense_lu(self) -> tuple[np.ndarray, np.ndarray]:
+        """LU factors only: reassemble dense (unit-lower L, U) from the rank
+        pieces (tests/diagnostics)."""
+        if self.method != "lu":
+            raise ShapeError(f"to_dense_lu needs an LU factor, not {self.method!r}")
+        sym = self.plan.sym
+        u = np.zeros((sym.n, sym.n))
+        for data in self.datas:
+            for s, panel in data.seq_panels.items():
+                w = sym.supernode_width(s)
+                c0 = int(sym.partition.sn_start[s])
+                u[c0: c0 + w, sym.sn_rows[s]] = np.hstack((np.triu(panel[:w]), data.seq_u12[s]))
+            for s, segs in data.dist_row_panels.items():
+                d = self.plan.dist[s]
+                for bi, arr in segs.items():
+                    if bi < d.npb:
+                        # a pivot row block holds its whole factor row
+                        r0, r1 = d.block_range(bi)
+                        u[d.c0 + r0: d.c0 + r1, sym.sn_rows[s]] = np.triu(arr, r0)
+        return self.to_dense_l(), u
 
     def assemble_diag(self) -> np.ndarray | None:
         """Global LDLᵀ pivot vector (None for Cholesky)."""
@@ -117,14 +139,12 @@ class ParallelFactorResult:
         return d_out
 
 
-def _fill_panel(l, sym, s, panel, method) -> None:
+def _fill_panel(l, sym, s, panel) -> None:
     rows = sym.sn_rows[s]
     w = sym.supernode_width(s)
     c0 = int(sym.partition.sn_start[s])
     for k in range(w):
         l[rows[k:], c0 + k] = panel[k:, k]
-        if method == "ldlt":
-            l[rows[k], c0 + k] = 1.0
 
 
 @dataclass
@@ -161,8 +181,13 @@ def simulate_factorization(
     threads_per_rank: int = 1,
     trace: bool = False,
     plan: FactorPlan | None = None,
+    pivot_perturbation: float | None = None,
 ) -> ParallelFactorResult:
     """Run the distributed factorization on the simulated machine.
+
+    *method* and *pivot_perturbation* follow
+    :func:`repro.mf.numeric.multifrontal_factor`: ``"lu"`` needs an LU
+    analysis (:func:`repro.mf.lu.lu_analyze`) and runs on full fronts.
 
     With ``trace=True`` the result's ``sim.trace`` carries the per-rank
     event timeline (see :mod:`repro.analysis.tracing`).
@@ -171,13 +196,14 @@ def simulate_factorization(
     construction — the plan is purely structural, so serving layers reuse
     it across numeric re-factorizations of the same pattern.
     """
+    perturb_abs = pivot_threshold(sym, method, pivot_perturbation)
     if plan is None:
         plan = build_plan(sym, n_ranks, options)
     elif plan.sym is not sym or plan.n_ranks != n_ranks:
         raise ShapeError(
             "prebuilt plan does not match this symbolic factor / rank count"
         )
-    program = make_factor_program(plan, method=method)
+    program = make_factor_program(plan, method, perturb_abs)
     with span("parallel.factor_sim", ranks=n_ranks, machine=machine.name):
         sim = Simulator(
             machine, n_ranks, threads_per_rank=threads_per_rank, trace=trace

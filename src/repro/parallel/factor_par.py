@@ -14,6 +14,11 @@ order:
 After a supernode is factored, the ranks holding pieces of its update
 matrix immediately pack and send them toward the owners of the parent's
 blocks (parallel extend-add); local shares short-circuit the network.
+
+Cholesky, LDLᵀ and static-pivoting LU are kernels of this one program. An
+LU front is the full square, assembled through the analysis's LU table;
+its distributed step also solves and broadcasts U panels and keeps whole
+pivot rows for the solve.
 """
 
 from __future__ import annotations
@@ -22,10 +27,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.dense.chol import cholesky_in_place, _trsm_right_lower_transpose
-from repro.dense.ldlt import ldlt_in_place
-from repro.dense.partial_factor import partial_cholesky, partial_ldlt, _trsm_right_unit_lower_transpose
-from repro.mf.frontal import assemble_front
+from repro.dense.chol import _trsm_right_lower_transpose
+from repro.dense.partial_factor import _trsm_right_unit_lower_transpose
+from repro.dense.trsm import solve_unit_lower_inplace
+from repro.mf.frontal import assemble_front, assemble_full_front
+from repro.mf.numeric import partial_factor
 from repro.obs.profile import active_profile
 from repro.parallel.dist_front import (
     Blocks,
@@ -37,7 +43,6 @@ from repro.parallel.dist_front import (
 from repro.parallel.plan import FactorPlan
 from repro.simmpi.comm import Comm
 from repro.simmpi.ops import Compute, Recv, Send
-from repro.symbolic.analyze import dense_partial_factor_flops
 
 
 def trsm_flops(rows: int, k: int) -> int:
@@ -60,7 +65,10 @@ class RankFactorData:
     seq_panels: dict[int, np.ndarray] = field(default_factory=dict)
     #: seq supernode -> LDLᵀ pivots
     seq_diag: dict[int, np.ndarray] = field(default_factory=dict)
-    #: dist supernode -> {row_block: (w-wide rows array)}
+    #: seq supernode -> LU's w×(m-w) panel U12
+    seq_u12: dict[int, np.ndarray] = field(default_factory=dict)
+    #: dist supernode -> {row_block: rows array}, w wide — except LU's
+    #: pivot row blocks, which hold their whole m-wide factor row
     dist_row_panels: dict[int, dict[int, np.ndarray]] = field(default_factory=dict)
     #: dist supernode -> LDLᵀ pivots of the pivot rows this rank owns
     dist_diag: dict[int, dict[int, np.ndarray]] = field(default_factory=dict)
@@ -70,10 +78,18 @@ class RankFactorData:
     peak_entries: int = 0
     #: flops charged
     flops: float = 0.0
+    #: permuted columns whose LDLᵀ / LU pivots were statically perturbed
+    perturbed: list[int] = field(default_factory=list)
 
 
-def make_factor_program(plan: FactorPlan, method: str = "cholesky"):
-    """Build the rank program (a generator function for the simulator)."""
+def make_factor_program(
+    plan: FactorPlan, method: str = "cholesky", perturb_abs: float | None = None
+):
+    """Build the rank program (a generator function for the simulator).
+
+    *perturb_abs* is LDLᵀ / LU's absolute static-pivoting threshold (see
+    :func:`repro.mf.numeric.pivot_threshold`); None raises on zero pivots.
+    """
 
     def program(comm: Comm):
         me = comm.world_rank
@@ -82,15 +98,10 @@ def make_factor_program(plan: FactorPlan, method: str = "cholesky"):
         updates: dict[int, Blocks] = {}
         live_entries = 0
 
-        def bump_peak() -> None:
-            data.peak_entries = max(data.peak_entries, live_entries)
-
         for s in plan.supernodes_for_rank(me):
-            d = plan.dist[s]
-            step = _seq_step if d.is_seq else _dist_step
-            live_delta = yield from step(plan, s, me, method, data, updates)
-            live_entries += live_delta
-            bump_peak()
+            step = _seq_step if plan.dist[s].is_seq else _dist_step
+            live_entries += yield from step(plan, s, me, method, perturb_abs, data, updates)
+            data.peak_entries = max(data.peak_entries, live_entries)
         return data
 
     return program
@@ -101,25 +112,28 @@ def make_factor_program(plan: FactorPlan, method: str = "cholesky"):
 # ---------------------------------------------------------------------------
 
 
-def _seq_step(plan, s, me, method, data, updates):
+def _seq_step(plan, s, me, method, perturb_abs, data, updates):
     d = plan.dist[s]
     m = d.m
     w = d.width
-    front = assemble_front(plan.sym, s)
+    lu = method == "lu"
+    triangle = "full" if lu else "lower"
+    sym = plan.sym
+    if lu:
+        front = assemble_full_front(sym.front_plan, s, sym.permuted_full.data)
+    else:
+        front = assemble_front(sym, s)
     live_delta = m * m
 
-    freed = yield from receive_updates(plan, s, me, seq_blocks(front), updates, "lower")
+    freed = yield from receive_updates(plan, s, me, seq_blocks(front), updates, triangle)
     live_delta -= freed
 
-    flops = dense_partial_factor_flops(m, w)
-    if method == "cholesky":
-        partial_cholesky(front, w, col_offset=d.c0)
-    else:
-        dvals = partial_ldlt(front, w, col_offset=d.c0)
+    dvals, flops = partial_factor(front, w, method, perturb_abs, d.c0, data.perturbed)
+    if dvals is not None:
         data.seq_diag[s] = dvals
-    yield Compute(
-        flops=flops, front_order=m, mem_bytes=8.0 * (m * w + m * m - (m - w) ** 2)
-    )
+    # memory traffic: the whole square for LU, the touched lower part else
+    mem = m * m if lu else m * w + m * m - (m - w) ** 2
+    yield Compute(flops=flops, front_order=m, mem_bytes=8.0 * mem)
     data.flops += flops
     prof = active_profile()
     if prof is not None:
@@ -128,10 +142,13 @@ def _seq_step(plan, s, me, method, data, updates):
     panel = front[:, :w].copy()
     data.seq_panels[s] = panel
     data.factor_entries += panel.size
+    if lu:
+        u12 = data.seq_u12[s] = front[:w, w:].copy()
+        data.factor_entries += u12.size
     if m > w:
         updates[s] = seq_blocks(front[w:, w:].copy())
         live_delta += (m - w) ** 2
-        yield from send_update(plan, s, me, updates[s], "lower")
+        yield from send_update(plan, s, me, updates[s], triangle)
     live_delta -= m * m  # front released (panel accounted in factor entries)
     return live_delta
 
@@ -141,107 +158,111 @@ def _seq_step(plan, s, me, method, data, updates):
 # ---------------------------------------------------------------------------
 
 
-def _dist_step(plan, s, me, method, data, updates):
+def _dist_step(plan, s, me, method, perturb_abs, data, updates):
     d = plan.dist[s]
     grid = d.grid
     nb = plan.opts.nb
+    lu = method == "lu"
+    triangle = "full" if lu else "lower"
     myr, myc = grid.coords(me)
     sub = Comm(me, d.group, ctx=("sn", s))
     row_comm = Comm(me, grid.row_members(myr), ctx=("sn", s, "row", myr))
     col_comm = Comm(me, grid.col_members(myc), ctx=("sn", s, "col", myc))
 
-    lf = LocalFront(d, me)
+    lf = LocalFront(d, me, lower_only=not lu)
     live_delta = lf.entries
     step_flops = 0.0
     # The matrix is assumed pre-distributed: each rank holds the entries of
     # the blocks it owns (re-distribution of A is not part of the timed
     # factorization), so assembly is charged as local memory traffic.
-    n_assembled = lf.scatter(plan.scatter(s), plan.sym.permuted_lower.data)
+    a = plan.sym.permuted_full if lu else plan.sym.permuted_lower
+    n_assembled = lf.scatter(plan.scatter(s, triangle), a.data)
     yield Compute(mem_bytes=16.0 * n_assembled)
 
-    freed = yield from receive_updates(plan, s, me, lf.blocks, updates, "lower")
+    freed = yield from receive_updates(plan, s, me, lf.blocks, updates, triangle)
     live_delta -= freed
 
     # Blocked right-looking partial factorization over pivot block-columns.
     nblocks = d.nblocks
     for k in range(d.npb):
         kb = int(d.starts[k + 1] - d.starts[k])
+        kr, kc = k % grid.gr, k % grid.gc
         diag_owner = grid.owner(k, k)
         diag_payload = None
-        diag_d = None
+        lkk = diag_d = None
         if me == diag_owner:
             blk = lf.block(k, k)
             c0 = d.c0 + int(d.starts[k])
-            if method == "cholesky":
-                cholesky_in_place(blk, col_offset=c0)
-            else:
-                diag_d = ldlt_in_place(blk, col_offset=c0)
-            f = dense_partial_factor_flops(kb, kb)
+            diag_d, f = partial_factor(blk, kb, method, perturb_abs, c0, data.perturbed)
             yield Compute(flops=f, front_order=kb)
             data.flops += f
             step_flops += f
-            diag_payload = (blk, diag_d)
-        # Diagonal factor broadcast down its grid column (panel owners).
-        if myc == k % grid.gc:
-            got = yield from col_comm.bcast(diag_payload, root=k % grid.gr)
-            lkk, diag_d = got
-        else:
-            lkk = None
+            diag_payload = blk if lu else (blk, diag_d)
+        # Diagonal factor broadcast down its grid column (L panel owners);
+        # LU's also along its grid row (U panel owners).
+        if myc == kc:
+            lkk = yield from col_comm.bcast(diag_payload, root=kr)
+            if not lu:
+                lkk, diag_d = lkk
+        if lu and myr == kr:
+            lkk = yield from row_comm.bcast(lkk, root=kc)
         # LDLᵀ pivots reach everyone (needed in the trailing update).
         if method == "ldlt":
-            diag_d = yield from sub.bcast(
-                diag_d, root=d.group.index(diag_owner)
-            )
-            if me == diag_owner:
-                data.dist_diag.setdefault(s, {})
+            diag_d = yield from sub.bcast(diag_d, root=d.group.index(diag_owner))
 
-        # Panel solves on my blocks (i, k), i > k.
+        # Panel solves on my blocks (i, k), i > k — for LU right-solves with
+        # U_kk, the upper triangle of lkk — then LU's U blocks (k, j), j > k,
+        # left-solved with unit-lower L_kk.
         panel_flops = 0
-        if myc == k % grid.gc:
+        if myc == kc:
             for bi in range(k + 1, nblocks):
                 if not lf.owns(bi, k):
                     continue
                 pblk = lf.block(bi, k)
-                if method == "cholesky":
-                    _trsm_right_lower_transpose(lkk, pblk)
-                else:
+                if method == "ldlt":
                     _trsm_right_unit_lower_transpose(lkk, pblk)
                     pblk /= diag_d[None, :]
+                else:
+                    _trsm_right_lower_transpose(lkk.T if lu else lkk, pblk)
                 panel_flops += trsm_flops(pblk.shape[0], kb)
+        if lu and myr == kr:
+            for bj in range(k + 1, nblocks):
+                if lf.owns(k, bj):
+                    solve_unit_lower_inplace(lkk, lf.block(k, bj))
+                    panel_flops += trsm_flops(lf.block(k, bj).shape[1], kb)
         if panel_flops:
             yield Compute(flops=panel_flops, front_order=nb)
             data.flops += panel_flops
             step_flops += panel_flops
 
-        # Panel broadcasts: row-wise (left operand), then column-wise
-        # (transposed right operand) from the freshly informed diagonal-row
-        # rank — the ScaLAPACK pipeline.
+        # Panel broadcasts: L_ik along grid row i, then the right operand
+        # along grid column j — Lᵀ from the freshly informed diagonal-row
+        # rank (the ScaLAPACK pipeline), or LU's U_kj after all L panels.
         row_l: dict[int, np.ndarray] = {}
-        col_l: dict[int, np.ndarray] = {}
+        col_r: dict[int, np.ndarray] = {}
         for bi in range(k + 1, nblocks):
             if myr == bi % grid.gr:
-                payload = lf.block(bi, k) if myc == k % grid.gc else None
-                row_l[bi] = yield from row_comm.bcast(payload, root=k % grid.gc)
-            if myc == bi % grid.gc:
+                payload = lf.block(bi, k) if myc == kc else None
+                row_l[bi] = yield from row_comm.bcast(payload, root=kc)
+            if not lu and myc == bi % grid.gc:
                 payload = row_l.get(bi) if myr == bi % grid.gr else None
-                col_l[bi] = yield from col_comm.bcast(payload, root=bi % grid.gr)
+                got = yield from col_comm.bcast(payload, root=bi % grid.gr)
+                col_r[bi] = got.T
+        if lu:
+            for bj in range(k + 1, nblocks):
+                if myc == bj % grid.gc:
+                    payload = lf.block(k, bj) if myr == kr else None
+                    col_r[bj] = yield from col_comm.bcast(payload, root=kr)
 
-        # Trailing update on my blocks (a, b) with b > k.
+        # Trailing update on my blocks (a, b), a > k, b > k.
         upd_flops = 0
         for (a, b), blk in lf.blocks.items():
-            if b <= k:
+            if a <= k or b <= k:
                 continue
-            la = row_l.get(a)
-            lb = col_l.get(b)
-            if la is None or lb is None:
-                # Defensive: ownership implies membership in both bcasts.
-                raise AssertionError(
-                    f"rank {me} missing panel blocks for update ({a},{b})"
-                )
-            if method == "cholesky":
-                blk -= la @ lb.T
-            else:
-                blk -= (la * diag_d[None, :]) @ lb.T
+            la = row_l[a]
+            if method == "ldlt":
+                la = la * diag_d[None, :]
+            blk -= la @ col_r[b]
             upd_flops += gemm_flops(blk.shape[0], blk.shape[1], kb)
         if upd_flops:
             yield Compute(flops=upd_flops, front_order=nb)
@@ -252,18 +273,13 @@ def _dist_step(plan, s, me, method, data, updates):
     yield from _solve_redistribution(plan, s, me, lf, data, method)
 
     # Keep the trailing blocks as this rank's share of s's update, send
-    # remote shares toward the parent.
-    has_update = d.m > d.width
-    if has_update:
-        updates[s] = lf.update_blocks()
-        yield from send_update(plan, s, me, updates[s], "lower")
-        # Pivot-panel blocks were copied out by the redistribution; drop
-        # them from the live count.
-        live_delta -= sum(
-            b.size for (bi, bj), b in lf.blocks.items() if bj < d.npb
-        )
-    else:
-        live_delta -= lf.entries
+    # remote shares toward the parent; the panel blocks were copied out by
+    # the redistribution.
+    held = lf.update_blocks()
+    live_delta -= lf.entries - sum(b.size for b in held.values())
+    if d.m > d.width:
+        updates[s] = held
+        yield from send_update(plan, s, me, held, triangle)
     prof = active_profile()
     if prof is not None:
         prof.add_sim_flops(s, step_flops)
@@ -271,13 +287,23 @@ def _dist_step(plan, s, me, method, data, updates):
 
 
 def _solve_redistribution(plan, s, me, lf: LocalFront, data, method):
-    """Gather the factored panel's row-blocks onto their solve owners."""
+    """Gather the factored panel's row-blocks onto their solve owners:
+    every row block its L columns, LU's pivot row blocks their U columns
+    too."""
     d = plan.dist[s]
     grid = d.grid
+    lu = method == "lu"
+
+    def kept(bi: int) -> int:
+        """Block columns of row block *bi* the solve keeps."""
+        if lu:
+            return d.nblocks if bi < d.npb else d.npb
+        return min(bi + 1, d.npb)
+
     # Outgoing: my panel blocks grouped by destination row owner.
     outgoing: dict[int, dict[int, list]] = {}
     for (bi, bj), blk in lf.blocks.items():
-        if bj >= d.npb:
+        if bj >= kept(bi):
             continue
         dest = d.row_owner(bi)
         outgoing.setdefault(dest, {}).setdefault(bi, []).append((bj, blk))
@@ -293,14 +319,15 @@ def _solve_redistribution(plan, s, me, lf: LocalFront, data, method):
     # Incoming: assemble full rows for the row blocks I own.
     my_rows = [bi for bi in range(d.nblocks) if d.row_owner(bi) == me]
     assembled: dict[int, np.ndarray] = {}
-    expected: dict[int, set] = {}
+    expected: set[int] = set()
     for bi in my_rows:
         r0, r1 = d.block_range(bi)
-        assembled[bi] = np.zeros((r1 - r0, d.width))
-        for bj in range(min(bi + 1, d.npb)):
+        width = d.m if lu and bi < d.npb else d.width
+        assembled[bi] = np.zeros((r1 - r0, width))
+        for bj in range(kept(bi)):
             owner = grid.owner(bi, bj)
             if owner != me:
-                expected.setdefault(owner, set()).add(bi)
+                expected.add(owner)
     # Fill from local blocks.
     local = outgoing.get(me, {})
     for bi, pieces in local.items():

@@ -110,7 +110,7 @@ class FactorPlan:
         # The compiled communication schedule (see repro.parallel.schedule):
         # filled lazily, shared read-only by all ranks, dropped with the plan.
         self._schedules: dict[int, ChildSchedule] = {}
-        self._scatter: dict[int, ScatterMap] = {}
+        self._scatter: dict[tuple[int, str], ScatterMap] = {}
 
     # -- construction ------------------------------------------------------
 
@@ -189,16 +189,23 @@ class FactorPlan:
             sched = self._schedules[c] = ChildSchedule(self, c)
         return sched
 
-    def scatter(self, s: int) -> ScatterMap:
+    def scatter(self, s: int, triangle: str = "lower") -> ScatterMap:
         """Where each stored entry of distributed supernode *s*'s pivot
-        columns lands, for the whole group (indices into
-        ``sym.permuted_lower.data``, so it survives ``update_values``)."""
-        smap = self._scatter.get(s)
+        columns lands, for the whole group: indices into
+        ``sym.permuted_lower.data``, or for ``triangle="full"`` (LU, pivot
+        rows too) into ``sym.permuted_full.data`` — so it survives
+        ``update_values``."""
+        smap = self._scatter.get((s, triangle))
         if smap is None:
             fp = self.sym.front_plan
-            lo, hi = fp.a_ptr[s], fp.a_ptr[s + 1]
-            row, col = np.divmod(fp.a_pos[lo:hi], fp.order[s])
-            smap = self._scatter[s] = ScatterMap(self.dist[s], np.arange(lo, hi), row, col)
+            if triangle == "lower":
+                lo, hi = fp.a_ptr[s], fp.a_ptr[s + 1]
+                src, pos = np.arange(lo, hi), fp.a_pos[lo:hi]
+            else:
+                lo, hi = fp.full_ptr[s], fp.full_ptr[s + 1]
+                src, pos = fp.full_src[lo:hi], fp.full_pos[lo:hi]
+            row, col = np.divmod(pos, fp.order[s])
+            smap = self._scatter[s, triangle] = ScatterMap(self.dist[s], src, row, col)
         return smap
 
     def parent_positions(self, c: int) -> np.ndarray:

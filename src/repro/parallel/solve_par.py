@@ -32,7 +32,7 @@ from repro.simmpi.ops import Compute, Recv, Send
 
 
 # ---------------------------------------------------------------------------
-# executors of the compiled solve routes (shared with the LU solve)
+# executors of the compiled solve routes
 # ---------------------------------------------------------------------------
 #
 # A rank's share of a supernode's rhs/solution vector is a dict of row
@@ -140,6 +140,9 @@ def make_solve_program(plan: FactorPlan, datas: list[RankFactorData], bp: np.nda
     tail = bp.shape[1:]  # () for one RHS, (k,) for k right-hand sides
     sym = plan.sym
     nb = plan.opts.nb
+    lu = method == "lu"
+    #: LDLᵀ and LU have a unit-lower L
+    unit = method != "cholesky"
 
     def program(comm: Comm):
         me = comm.world_rank
@@ -158,7 +161,7 @@ def make_solve_program(plan: FactorPlan, datas: list[RankFactorData], bp: np.nda
             fwd = _fwd_seq if plan.dist[s].is_seq else _fwd_dist
             flops += yield from fwd(s, me, data, y, u)
         for s in reversed(my_sns):
-            bwd = _bwd_seq if plan.dist[s].is_seq else _bwd_dist
+            bwd = _bwd_seq if plan.dist[s].is_seq else _bwd_dist_lu if lu else _bwd_dist
             flops += yield from bwd(s, me, data, y, x, pieces)
         return pieces, flops
 
@@ -171,7 +174,7 @@ def make_solve_program(plan: FactorPlan, datas: list[RankFactorData], bp: np.nda
         yield from recv_up(plan, s, me, {SEQ: f}, u, "su")
         panel = data.seq_panels[s]
         piv = f[:w]
-        if method == "ldlt":
+        if unit:
             solve_unit_lower_inplace(panel[:w, :], piv)
         else:
             solve_lower_inplace(panel[:w, :], piv)
@@ -210,11 +213,12 @@ def make_solve_program(plan: FactorPlan, datas: list[RankFactorData], bp: np.nda
                 if k > 0:
                     seg = seg - rowsk[:, :r0] @ x_piv_full[:r0]
                 diag = rowsk[:, r0:r1]
-                if method == "ldlt":
+                if unit:
                     solve_unit_lower_inplace(diag, seg)
                 else:
                     solve_lower_inplace(diag, seg)
-                fl += (r1 - r0) * (r0 + (r1 - r0))
+                # LU charges the true count, the others one row block less
+                fl += (r1 - r0) * (r0 + r1 if lu else r0 + (r1 - r0))
                 payload = seg
             else:
                 payload = None
@@ -229,7 +233,7 @@ def make_solve_program(plan: FactorPlan, datas: list[RankFactorData], bp: np.nda
                 continue
             f[bi] = f[bi] - panels[bi] @ x_piv_full
             ufl += 2.0 * panels[bi].shape[0] * d.width
-        if ufl:
+        if ufl and not lu:  # LU charges no compute for its update rows
             yield Compute(flops=ufl, front_order=nb)
         if d.m > d.width:
             u[s] = f
@@ -248,11 +252,12 @@ def make_solve_program(plan: FactorPlan, datas: list[RankFactorData], bp: np.nda
         yield from recv_down(plan, s, me, {SEQ: xu}, x, "sd")
         fl = float(w * w + 2 * (m - w) * w)
         if m > w:
-            rhs -= panel[w:, :].T @ xu
+            rhs -= (data.seq_u12[s] if lu else panel[w:, :].T) @ xu
         if method == "ldlt":
             solve_unit_lower_transpose_inplace(panel[:w, :], rhs)
         else:
-            solve_lower_transpose_inplace(panel[:w, :], rhs)
+            # LU: U11 is the upper triangle of the pivot block
+            solve_lower_transpose_inplace(panel[:w, :].T if lu else panel[:w, :], rhs)
         pieces.append((rows[:w], rhs))
         x[s] = {SEQ: np.concatenate((rhs, xu))}
         yield Compute(flops=fl, front_order=max(w, 8))
@@ -334,6 +339,52 @@ def make_solve_program(plan: FactorPlan, datas: list[RankFactorData], bp: np.nda
         # full vector — w is small — lets every member serve the children.
         if g > 1:
             x_piv_full = yield from sub.allreduce(x_piv_full)
+        x[s] = front_segments(d, x_piv_full, xseg)
+        yield from send_down(plan, s, me, x[s], "sd")
+        return fl
+
+    def _bwd_dist_lu(s, me, data, y, x, pieces):
+        # U's pivot rows are whole on their row owners: allreduce the
+        # update-row solution once, then substitute block by block
+        # (descending) with segment broadcasts.
+        d = plan.dist[s]
+        rows = sym.sn_rows[s]
+        g = len(d.group)
+        sub = Comm(me, d.group, ctx=("slvb", s))
+        panels = data.dist_row_panels.get(s, {})
+        my_blocks = [bi for bi in range(d.nblocks) if d.row_owner(bi) == me]
+        mu = d.m - d.width
+        xseg: Segments = {}
+        for bi in my_blocks:
+            if bi >= d.npb:
+                r0, r1 = d.block_range(bi)
+                xseg[bi] = np.zeros((r1 - r0,) + tail)
+        yield from recv_down(plan, s, me, xseg, x, "sd")
+        xu_full = np.zeros((mu,) + tail)
+        for bi, seg in xseg.items():
+            r0, _ = d.block_range(bi)
+            xu_full[r0 - d.width: r0 - d.width + seg.shape[0]] = seg
+        if g > 1 and mu:
+            xu_full = yield from sub.allreduce(xu_full)
+        x_piv_full = np.zeros((d.width,) + tail)
+        fl = 0.0
+        for k in range(d.npb - 1, -1, -1):
+            r0, r1 = d.block_range(k)
+            payload = None
+            if d.row_owner(k) == me:
+                rowsk = panels[k]
+                payload = y[s][r0:r1].copy()
+                if r1 < d.width:
+                    payload -= rowsk[:, r1: d.width] @ x_piv_full[r1:]
+                if mu:
+                    payload -= rowsk[:, d.width:] @ xu_full
+                solve_lower_transpose_inplace(rowsk[:, r0:r1].T, payload)
+                fl += (r1 - r0) * (d.m - r0)
+            x_piv_full[r0:r1] = seg = yield from sub.bcast(payload, root=k % g)
+            if d.row_owner(k) == me:
+                pieces.append((rows[r0:r1], seg))
+        if d.npb:
+            yield Compute(flops=fl, front_order=nb)
         x[s] = front_segments(d, x_piv_full, xseg)
         yield from send_down(plan, s, me, x[s], "sd")
         return fl

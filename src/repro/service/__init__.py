@@ -40,7 +40,7 @@ from repro.service.jobs import (
     JobResult,
     SolveJob,
 )
-from repro.service.metrics import LatencyHistogram, ServiceMetrics
+from repro.service.metrics import ServiceMetrics
 from repro.service.queue import JobQueue, ServiceConfig, SolverService
 
 __all__ = [
@@ -62,7 +62,6 @@ __all__ = [
     "TIMED_OUT",
     "JobResult",
     "SolveJob",
-    "LatencyHistogram",
     "ServiceMetrics",
     "JobQueue",
     "ServiceConfig",

@@ -33,20 +33,12 @@ from repro.service.cache import CacheStats
 from repro.util.tables import format_table
 
 
-class LatencyHistogram(SampleHistogram):
-    """All-sample latency recorder (seconds) with percentile summaries.
-
-    Alias of :class:`repro.obs.metrics.SampleHistogram`, kept for the
-    serving layer's historical import path.
-    """
-
-
 class ServiceMetrics:
     """Counter + histogram registry of one :class:`SolverService`."""
 
     def __init__(self, registry: MetricsRegistry | None = None) -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
-        self.histograms: dict[str, LatencyHistogram] = {}
+        self.histograms: dict[str, SampleHistogram] = {}
         self._lock = make_lock()
 
     @property
@@ -64,7 +56,7 @@ class ServiceMetrics:
         with self._lock:
             hist = self.histograms.get(name)
             if hist is None:
-                hist = self.histograms[name] = LatencyHistogram()
+                hist = self.histograms[name] = SampleHistogram()
             hist.observe(seconds)
         self.registry.observe(name, seconds)
 

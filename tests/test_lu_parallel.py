@@ -4,16 +4,20 @@ import numpy as np
 import pytest
 
 from repro.core import ParallelConfig, UnsymmetricSolver
-from repro.gen import convection_diffusion2d
+from repro.gen import convection_diffusion2d, grid2d_laplacian
+from repro.graph import AdjacencyGraph
 from repro.machine import BLUEGENE_P, GENERIC_CLUSTER
-from repro.parallel import PlanOptions
-from repro.parallel.lu_par import (
-    ea_pairs_full,
-    simulate_lu_factorization,
-    simulate_lu_solve,
+from repro.obs.spans import recording
+from repro.ordering import nested_dissection_order
+from repro.parallel import (
+    ParallelFactorResult,
+    PlanOptions,
+    simulate_factorization,
+    simulate_solve,
 )
 from repro.sparse import CSCMatrix
 from repro.sparse.ops import matvec_csc
+from repro.symbolic import analyze
 from repro.util.errors import ReproError, ShapeError
 from repro.util.rng import make_rng
 
@@ -30,8 +34,8 @@ class TestDistributedLUFactor:
     @pytest.mark.parametrize("p", [1, 2, 3, 4, 8])
     def test_matches_sequential(self, problem, p):
         a, seq = problem
-        res = simulate_lu_factorization(
-            seq.sym, seq.permuted_full, p, GENERIC_CLUSTER, PlanOptions(nb=8)
+        res = simulate_factorization(
+            seq.sym, p, GENERIC_CLUSTER, PlanOptions(nb=8), method="lu"
         )
         l_ref, u_ref = seq.factor_data.to_dense_lu()
         l, u = res.to_dense_lu()
@@ -41,12 +45,12 @@ class TestDistributedLUFactor:
     @pytest.mark.parametrize("policy", ["2d", "1d"])
     def test_policies(self, problem, policy):
         a, seq = problem
-        res = simulate_lu_factorization(
+        res = simulate_factorization(
             seq.sym,
-            seq.permuted_full,
             4,
             GENERIC_CLUSTER,
             PlanOptions(nb=8, policy=policy),
+            method="lu",
         )
         l_ref, u_ref = seq.factor_data.to_dense_lu()
         l, u = res.to_dense_lu()
@@ -56,8 +60,8 @@ class TestDistributedLUFactor:
     def test_flops_about_double_symmetric(self, problem):
         """LU on the symmetrized structure counts ~2x the Cholesky flops."""
         a, seq = problem
-        res = simulate_lu_factorization(
-            seq.sym, seq.permuted_full, 2, GENERIC_CLUSTER, PlanOptions(nb=8)
+        res = simulate_factorization(
+            seq.sym, 2, GENERIC_CLUSTER, PlanOptions(nb=8), method="lu"
         )
         sym_flops = sum(
             seq.sym.supernode_flops(s) for s in range(seq.sym.n_supernodes)
@@ -72,39 +76,80 @@ class TestDistributedLUFactor:
         for c in range(seq.sym.n_supernodes):
             if seq.sym.sn_parent[c] < 0:
                 continue
-            assert plan.ea_pairs(c) <= ea_pairs_full(plan, c)
+            assert plan.ea_pairs(c) <= plan.ea_pairs(c, "full")
+
+
+class TestSharedDriver:
+    def test_lu_needs_lu_analysis(self):
+        a = grid2d_laplacian(6)
+        sym = analyze(a, nested_dissection_order(AdjacencyGraph.from_symmetric_lower(a)))
+        with pytest.raises(ShapeError, match="LU analysis"):
+            simulate_factorization(sym, 2, GENERIC_CLUSTER, method="lu")
+
+    def test_cholesky_rejects_pivot_perturbation(self, problem):
+        _, seq = problem
+        with pytest.raises(ShapeError, match="pivot_perturbation"):
+            simulate_factorization(
+                seq.sym, 2, GENERIC_CLUSTER, method="cholesky", pivot_perturbation=1e-8
+            )
+
+    def test_one_plan_span_per_simulated_lu(self, problem):
+        """LU plans are built by the one plan builder, so the recording
+        sees them."""
+        a, _ = problem
+        solver = UnsymmetricSolver(a)
+        solver.analyze()
+        config = ParallelConfig(n_ranks=4, machine=GENERIC_CLUSTER, nb=8)
+        with recording() as rec:
+            solver.simulate(config, b=np.ones(a.shape[0]))
+            solver.simulate(config)
+        assert [s.name for s in rec.spans].count("parallel.plan") == 2
+
+    @pytest.mark.parametrize("p", [1, 4])
+    def test_lu_reports_peak_entries(self, problem, p):
+        """LU's transient memory goes through the shared accounting: every
+        rank's peak covers its stored factor plus at least one front."""
+        _, seq = problem
+        res = simulate_factorization(
+            seq.sym, p, GENERIC_CLUSTER, PlanOptions(nb=8), method="lu"
+        )
+        peak = res.peak_entries_by_rank()
+        stored = res.factor_entries_by_rank()
+        assert peak.shape == (p,)
+        assert np.all(peak > stored)
+        assert stored.sum() == seq.factor_data.stats.factor_entries
 
 
 class TestDistributedLUSolve:
     @pytest.mark.parametrize("p", [1, 2, 4, 6])
     def test_residual(self, problem, p):
         a, seq = problem
-        res = simulate_lu_factorization(
-            seq.sym, seq.permuted_full, p, GENERIC_CLUSTER, PlanOptions(nb=8)
+        res = simulate_factorization(
+            seq.sym, p, GENERIC_CLUSTER, PlanOptions(nb=8), method="lu"
         )
         b = make_rng(p).standard_normal(a.shape[0])
-        _sim, x = simulate_lu_solve(res, b)
+        x = simulate_solve(res, b).x
         r = np.max(np.abs(b - matvec_csc(a, x)))
         assert r < 1e-10 * max(1.0, np.max(np.abs(b)))
 
     def test_matches_numpy(self, problem):
         a, seq = problem
-        res = simulate_lu_factorization(
-            seq.sym, seq.permuted_full, 4, GENERIC_CLUSTER, PlanOptions(nb=8)
+        res = simulate_factorization(
+            seq.sym, 4, GENERIC_CLUSTER, PlanOptions(nb=8), method="lu"
         )
         b = make_rng(3).standard_normal(a.shape[0])
-        _sim, x = simulate_lu_solve(res, b)
+        x = simulate_solve(res, b).x
         np.testing.assert_allclose(
             x, np.linalg.solve(a.to_dense(), b), rtol=1e-8
         )
 
     def test_bad_rhs_shape(self, problem):
         a, seq = problem
-        res = simulate_lu_factorization(
-            seq.sym, seq.permuted_full, 2, GENERIC_CLUSTER, PlanOptions(nb=8)
+        res = simulate_factorization(
+            seq.sym, 2, GENERIC_CLUSTER, PlanOptions(nb=8), method="lu"
         )
         with pytest.raises(ShapeError):
-            simulate_lu_solve(res, np.ones(3))
+            simulate_solve(res, np.ones(3))
 
 
 class TestLUSolverSimulateAPI:
@@ -122,16 +167,14 @@ class TestLUSolverSimulateAPI:
         a, _ = problem
         solver = UnsymmetricSolver(a)
         solver.factor()
-        from repro.parallel.lu_par import ParallelLUResult
-
-        real = ParallelLUResult.to_dense_lu
+        real = ParallelFactorResult.to_dense_lu
 
         def corrupted(self):
             l, u = real(self)
             u[0, 0] += 1.0
             return l, u
 
-        monkeypatch.setattr(ParallelLUResult, "to_dense_lu", corrupted)
+        monkeypatch.setattr(ParallelFactorResult, "to_dense_lu", corrupted)
         with pytest.raises(ReproError, match="mismatch"):
             solver.simulate(
                 ParallelConfig(n_ranks=2, machine=GENERIC_CLUSTER, nb=8),
@@ -144,11 +187,11 @@ class TestLUSolverSimulateAPI:
         a = convection_diffusion2d(16, peclet=1.0)
         solver = UnsymmetricSolver(a)
         solver.analyze()
-        t1 = simulate_lu_factorization(
-            solver.sym, solver.permuted_full, 1, BLUEGENE_P, PlanOptions(nb=16)
+        t1 = simulate_factorization(
+            solver.sym, 1, BLUEGENE_P, PlanOptions(nb=16), method="lu"
         ).makespan
-        t8 = simulate_lu_factorization(
-            solver.sym, solver.permuted_full, 8, BLUEGENE_P, PlanOptions(nb=16)
+        t8 = simulate_factorization(
+            solver.sym, 8, BLUEGENE_P, PlanOptions(nb=16), method="lu"
         ).makespan
         assert t8 < t1
 
@@ -158,19 +201,19 @@ class TestLUStaticPolicy:
         """Static-grid mapping exercises cross-rank extend-add between
         sequential supernodes (children scattered over ranks)."""
         a, seq = problem
-        res = simulate_lu_factorization(
+        res = simulate_factorization(
             seq.sym,
-            seq.permuted_full,
             4,
             GENERIC_CLUSTER,
             PlanOptions(nb=8, policy="static"),
+            method="lu",
         )
         l_ref, u_ref = seq.factor_data.to_dense_lu()
         l, u = res.to_dense_lu()
         np.testing.assert_allclose(l, l_ref, rtol=1e-9, atol=1e-9)
         np.testing.assert_allclose(u, u_ref, rtol=1e-9, atol=1e-9)
         b = make_rng(5).standard_normal(a.shape[0])
-        _sim, x = simulate_lu_solve(res, b)
+        x = simulate_solve(res, b).x
         r = np.max(np.abs(b - matvec_csc(a, x)))
         assert r < 1e-10
 
@@ -188,11 +231,11 @@ class TestLUPropertyPipeline:
         a = CSCMatrix.from_dense(dense)
         solver = UnsymmetricSolver(a)
         solver.analyze()
-        res = simulate_lu_factorization(
-            solver.sym, solver.permuted_full, p, GENERIC_CLUSTER, PlanOptions(nb=4)
+        res = simulate_factorization(
+            solver.sym, p, GENERIC_CLUSTER, PlanOptions(nb=4), method="lu"
         )
         b = rng.standard_normal(n)
-        _sim, x = simulate_lu_solve(res, b)
+        x = simulate_solve(res, b).x
         np.testing.assert_allclose(x, np.linalg.solve(dense, b), rtol=1e-7, atol=1e-9)
 
 
@@ -200,12 +243,12 @@ class TestLUMultiRHS:
     @pytest.mark.parametrize("k", [2, 4])
     def test_block_residuals(self, problem, k):
         a, seq = problem
-        res = simulate_lu_factorization(
-            seq.sym, seq.permuted_full, 4, GENERIC_CLUSTER, PlanOptions(nb=8)
+        res = simulate_factorization(
+            seq.sym, 4, GENERIC_CLUSTER, PlanOptions(nb=8), method="lu"
         )
         n = a.shape[0]
         b = make_rng(20 + k).standard_normal((n, k))
-        _sim, x = simulate_lu_solve(res, b)
+        x = simulate_solve(res, b).x
         assert x.shape == (n, k)
         for j in range(k):
             r = np.max(np.abs(b[:, j] - matvec_csc(a, x[:, j])))
@@ -213,21 +256,21 @@ class TestLUMultiRHS:
 
     def test_block_matches_single(self, problem):
         a, seq = problem
-        res = simulate_lu_factorization(
-            seq.sym, seq.permuted_full, 3, GENERIC_CLUSTER, PlanOptions(nb=8)
+        res = simulate_factorization(
+            seq.sym, 3, GENERIC_CLUSTER, PlanOptions(nb=8), method="lu"
         )
         b = make_rng(30).standard_normal((a.shape[0], 3))
-        _s, xb = simulate_lu_solve(res, b)
+        xb = simulate_solve(res, b).x
         for j in range(3):
-            _s, xj = simulate_lu_solve(res, b[:, j])
+            xj = simulate_solve(res, b[:, j]).x
             np.testing.assert_allclose(xb[:, j], xj, rtol=1e-12)
 
     def test_block_amortizes(self, problem):
         a, seq = problem
-        res = simulate_lu_factorization(
-            seq.sym, seq.permuted_full, 4, GENERIC_CLUSTER, PlanOptions(nb=8)
+        res = simulate_factorization(
+            seq.sym, 4, GENERIC_CLUSTER, PlanOptions(nb=8), method="lu"
         )
         b = make_rng(31).standard_normal((a.shape[0], 8))
-        s_block, _ = simulate_lu_solve(res, b)
-        s_single, _ = simulate_lu_solve(res, b[:, 0])
+        s_block = simulate_solve(res, b)
+        s_single = simulate_solve(res, b[:, 0])
         assert s_block.makespan < 4 * s_single.makespan

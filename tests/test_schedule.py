@@ -22,7 +22,6 @@ from repro.graph import AdjacencyGraph
 from repro.machine import GENERIC_CLUSTER
 from repro.ordering import nested_dissection_order
 from repro.parallel import FactorPlan, PlanOptions
-from repro.parallel.lu_par import ea_pairs_full
 from repro.sparse.ops import matvec_csc, tril
 from repro.symbolic import analyze
 
@@ -110,7 +109,7 @@ def test_pair_sets_match_brute_force(plan):
     for c in children(plan):
         assert [tuple(r) for r in plan.ea_runs(c).tolist()] == ref_runs(plan, c)
         assert plan.ea_pairs(c) == ref_ea_pairs(plan, c, full=False)
-        assert ea_pairs_full(plan, c) == ref_ea_pairs(plan, c, full=True)
+        assert plan.ea_pairs(c, "full") == ref_ea_pairs(plan, c, full=True)
         assert plan.schedule(c).solve.pairs() == ref_solve_pairs(plan, c)
 
 

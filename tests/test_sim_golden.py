@@ -21,7 +21,6 @@ from repro.core import ParallelConfig, SparseSolver, UnsymmetricSolver
 from repro.gen import convection_diffusion2d, grid2d_9pt, grid3d_laplacian
 from repro.machine import BLUEGENE_P, GENERIC_CLUSTER
 from repro.parallel import simulate_solve
-from repro.parallel.lu_par import simulate_lu_solve
 from repro.util.rng import make_rng
 
 MESHES = {"cube8": lambda: grid3d_laplacian(8), "plate24": lambda: grid2d_9pt(24)}
@@ -122,8 +121,7 @@ def run_lu():
     solver = UnsymmetricSolver(a)
     config = ParallelConfig(n_ranks=8, machine=BLUEGENE_P, nb=8)
     res, _ = solver.simulate(config)
-    sim, _x = simulate_lu_solve(res, np.ones(a.shape[0]))
-    return pin(res.sim, sim)
+    return pin(res.sim, simulate_solve(res, np.ones(a.shape[0])).sim)
 
 
 def run_ledger():
