@@ -2,7 +2,7 @@
 
 Validation routines for the structures every phase of the solver shares:
 CSR/CSC index arrays, permutations, elimination trees, supernode
-partitions, and the multifrontal update stack. Each check raises
+partitions, and the front plan's assembly tables. Each check raises
 :class:`~repro.util.errors.InvariantError` with enough evidence (indices,
 offending values) to locate the corruption.
 
@@ -10,10 +10,9 @@ The checks are installed into hot paths behind the ``REPRO_CHECK=1``
 environment switch (see :func:`enabled` /
 :func:`repro.util.validation.runtime_checks_enabled`): matrix constructors
 with ``_skip_check=True`` re-validate, the analyze phase checks the full
-symbolic factor (and an LU analysis its assembly table), the multifrontal
-loop asserts frontal-stack balance, and the simulator teardown verifies
-message-ledger conservation. When the switch is off the hooks cost one
-predicate call — no structure is walked.
+symbolic factor (and an LU analysis its assembly table), and the
+simulator teardown verifies message-ledger conservation. When the switch
+is off the hooks cost one predicate call — no structure is walked.
 
 The routines are duck-typed on purpose: they accept anything with the
 right attributes, so this module sits at the bottom of the dependency
@@ -24,7 +23,7 @@ can call into it without cycles.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Any, Iterator, Mapping
+from typing import Any, Iterator
 
 import numpy as np
 
@@ -46,7 +45,6 @@ __all__ = [
     "check_partition",
     "check_symbolic",
     "check_full_table",
-    "check_frontal_balance",
     "check_ledger",
 ]
 
@@ -362,26 +360,6 @@ def check_full_table(sym: Any) -> None:
         raise _fail(
             f"supernode {int(sn[e])}: full-matrix entry ({int(row[e])}, {int(col[e])}) "
             f"is assembled at front position ({int(r[e])}, {int(c[e])})"
-        )
-
-
-# -- frontal update stack ----------------------------------------------------
-
-
-def check_frontal_balance(
-    stack_entries: int, updates: Mapping[int, Any]
-) -> None:
-    """End-of-factorization stack balance: every pushed update matrix was
-    consumed by its parent's extend-add, and the entry counter returned to
-    zero."""
-    if updates:
-        raise _fail(
-            f"unconsumed update matrices for supernodes "
-            f"{sorted(updates)[:5]} (frontal stack leak)"
-        )
-    if stack_entries != 0:
-        raise _fail(
-            f"frontal stack entry counter ended at {stack_entries}, not 0"
         )
 
 

@@ -40,9 +40,12 @@ from repro.check.racecheck import (
     check_determinism,
     check_exec_trace,
 )
-from repro.exec.factor_exec import multifrontal_factor_threads
 from repro.exec.pool import TaskPool
-from repro.exec.solve_exec import solve_many_threads, solve_threads
+from repro.exec.threads import (
+    multifrontal_factor_threads,
+    solve_many_threads,
+    solve_threads,
+)
 from repro.mf.numeric import NumericFactor, multifrontal_factor
 from repro.mf.solve_phase import solve, solve_many
 from repro.util.errors import RaceError
@@ -177,6 +180,9 @@ def _factors_identical(ref: NumericFactor, got: NumericFactor) -> bool:
     if ref.diag is not None and got.diag is not None:
         if ref.diag.tobytes() != got.diag.tobytes():
             return False
+    u12 = [[u.tobytes() for u in f.u12] if f.u12 is not None else None for f in (ref, got)]
+    if u12[0] != u12[1]:
+        return False
     return ref.perturbed_columns == got.perturbed_columns
 
 

@@ -586,10 +586,6 @@ def _sanitize_cases() -> tuple[tuple[str, Callable[[], None]], ...]:
             "invalid permutation",
             lambda: sanitize.check_permutation(np.asarray([0, 0, 2]), 3),
         ),
-        (
-            "frontal stack leak",
-            lambda: sanitize.check_frontal_balance(16, {3: object()}),
-        ),
         ("well-formed CSC accepted", lambda: sanitize.check_csc(good)),
     )
 

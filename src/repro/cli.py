@@ -401,9 +401,7 @@ def cmd_check(args) -> int:
 
     if args.race or args.sched_fuzz:
         from repro.check import racecheck, schedfuzz
-        from repro.exec import TaskPool
-        from repro.exec.factor_exec import multifrontal_factor_threads
-        from repro.exec.solve_exec import solve_threads
+        from repro.exec import TaskPool, multifrontal_factor_threads, solve_threads
 
         spec = args.race or "cube:8:4"
         try:

@@ -2,9 +2,11 @@
 
 Everything else in the library models parallelism (the simulated
 distributed engine) or runs sequentially; this package *executes* the
-same elimination-tree task graphs on actual worker threads, with the
-sequential path as a bitwise oracle: for any worker count, factors and
-solutions are bit-identical to the sequential driver.
+host factorization's and sweeps' per-supernode steps over the
+elimination-tree task graphs on actual worker threads. The steps
+themselves live in :mod:`repro.mf.numeric` and :mod:`repro.mf.solve_phase`
+(``pool=`` picks the schedule), so for any worker count factors and
+solutions are bit-identical to the sequential ones.
 
 Layout
 ------
@@ -16,20 +18,17 @@ Layout
     allowed to use raw thread primitives (lint rules RP008/RP010); other
     exec modules obtain mutexes through :func:`make_lock`.
 ``trace``
-    The access/event trace (:class:`ExecTrace`) the pool and drivers
-    record for :mod:`repro.check.racecheck` when tracing is on
-    (``TaskPool(trace=True)`` or ``REPRO_CHECK=1``).
-``factor_exec``
-    :func:`multifrontal_factor_threads`, the threaded numeric phase.
-``solve_exec``
-    :func:`solve_threads` / :func:`solve_many_threads`, level-set
-    scheduled triangular solves.
+    The access/event trace (:class:`ExecTrace`) the pool and the pooled
+    factor/solve steps record for :mod:`repro.check.racecheck` when
+    tracing is on (``TaskPool(trace=True)`` or ``REPRO_CHECK=1``).
+``threads``
+    :func:`multifrontal_factor_threads`, :func:`solve_threads` and
+    :func:`solve_many_threads`: resolve a pool, call :mod:`repro.mf`.
 
 Most callers should go through :class:`repro.core.solver.SparseSolver`
 with ``backend="threads"`` rather than these functions directly.
 """
 
-from repro.exec.factor_exec import multifrontal_factor_threads
 from repro.exec.fleet import FleetCrew, FleetDirective
 from repro.exec.pool import (
     MAX_DEFAULT_WORKERS,
@@ -40,7 +39,11 @@ from repro.exec.pool import (
     make_condition,
     make_lock,
 )
-from repro.exec.solve_exec import solve_many_threads, solve_threads
+from repro.exec.threads import (
+    multifrontal_factor_threads,
+    solve_many_threads,
+    solve_threads,
+)
 from repro.exec.trace import EXEC_EVENT_KINDS, ExecEvent, ExecTrace
 from repro.exec.tasks import (
     ContributionPlan,

@@ -26,18 +26,18 @@ One :class:`TaskPool` run executes one :class:`~repro.exec.tasks.TaskGraph`:
 * :meth:`TaskPool.cancel` (from a task or another thread) shuts the pool
   down: the current run drains and raises, later runs refuse to start.
 
-Observability: when a span recorder is installed, every task's
-``(worker, start, end)`` lands in ``recorder.exec_events`` (per-worker
-rows in the Chrome trace); :meth:`PoolStats.publish` exports the queue
-depth high-water mark, task count, and task-latency histogram into a
-:class:`~repro.obs.metrics.MetricsRegistry`.
+Observability: every task is timed. When a span recorder is installed,
+every task's ``(worker, start, end)`` lands in ``recorder.exec_events``
+(per-worker rows in the Chrome trace); :meth:`PoolStats.publish` exports
+the queue depth high-water mark, task count, and task-latency histogram
+into a :class:`~repro.obs.metrics.MetricsRegistry`.
 
 Verification hooks (the racecheck/schedfuzz layer):
 
 * ``TaskPool(trace=True)`` — or any pool when ``REPRO_CHECK=1`` — records
   an :class:`~repro.exec.trace.ExecTrace` of every synchronization event
   (graph boundaries, task start/finish, dependency-count decrements, and
-  the slot accesses the factor/solve drivers emit).
+  the slot accesses the factor/solve steps emit).
   :mod:`repro.check.racecheck` replays it through a happens-before
   engine; when a span recorder is also installed the events are copied
   into ``recorder.exec_trace_events`` for the Chrome timeline.
@@ -86,8 +86,8 @@ __all__ = [
 def make_lock() -> AbstractContextManager[bool]:
     """The sanctioned mutex constructor for the execution backend.
 
-    Task bodies that need a private mutex (e.g. the factor driver's
-    telemetry accounting) obtain it here instead of touching
+    Code that needs a private mutex (e.g. the service cache's shard
+    locks) obtains it here instead of touching
     ``threading`` directly, keeping every thread primitive construction
     in this one audited module (lint rule RP010). The returned lock is
     used in ``with`` statements only.
@@ -153,9 +153,9 @@ class PoolStats:
     completed: int
     #: ready-heap high-water mark (parallel slack the schedule exposed)
     max_queue_depth: int
-    #: wall seconds each worker spent inside task bodies (timed runs only)
+    #: wall seconds each worker spent inside task bodies
     busy_seconds: list[float] = field(default_factory=list)
-    #: per-task wall seconds (timed runs only)
+    #: per-task wall seconds
     task_seconds: list[float] = field(default_factory=list)
 
     def publish(self, registry: MetricsRegistry, prefix: str = "exec") -> None:
@@ -257,12 +257,7 @@ class TaskPool:
 
     # -- execution -----------------------------------------------------------
 
-    def run(
-        self,
-        graph: TaskGraph,
-        run_task: Callable[[int], None],
-        registry: MetricsRegistry | None = None,
-    ) -> PoolStats:
+    def run(self, graph: TaskGraph, run_task: Callable[[int], None]) -> PoolStats:
         """Execute every task of *graph*; returns the run's telemetry.
 
         Raises the first task exception verbatim after draining, or
@@ -282,7 +277,6 @@ class TaskPool:
         run_start = len(tr.events) if tr is not None else 0
         if tr is not None:
             tr.add("graph_begin", target=graph.n_tasks, label=graph.label)
-        timed = recorder is not None or registry is not None
         clock = FrontProfile.clock
         # Per-worker event/latency lists: written lock-free by exactly one
         # worker each, merged after the join.
@@ -291,7 +285,7 @@ class TaskPool:
             threads = [
                 threading.Thread(
                     target=self._worker,
-                    args=(wid, state, run_task, timed, clock, events[wid]),
+                    args=(wid, state, run_task, clock, events[wid]),
                     name=f"{self.name}-worker-{wid}",
                     daemon=True,
                 )
@@ -332,30 +326,23 @@ class TaskPool:
                 f"{graph.n_tasks} tasks (inconsistent task graph)"
             )
 
-        stats = PoolStats(
+        if recorder is not None:
+            for lane in events:
+                recorder.exec_events.extend(lane)
+        return PoolStats(
             workers=self.workers,
             n_tasks=graph.n_tasks,
             completed=state.completed,
             max_queue_depth=state.max_queue_depth,
+            busy_seconds=[sum(e.duration for e in lane) for lane in events],
+            task_seconds=[e.duration for lane in events for e in lane],
         )
-        if timed:
-            stats.busy_seconds = [
-                sum(e.duration for e in lane) for lane in events
-            ]
-            stats.task_seconds = [e.duration for lane in events for e in lane]
-        if recorder is not None:
-            for lane in events:
-                recorder.exec_events.extend(lane)
-        if registry is not None:
-            stats.publish(registry)
-        return stats
 
     def _worker(
         self,
         wid: int,
         state: _RunState,
         run_task: Callable[[int], None],
-        timed: bool,
         clock: Callable[[], float],
         lane: list[ExecTaskEvent],
     ) -> None:
@@ -404,7 +391,7 @@ class TaskPool:
                     time.sleep(pause)
             if trace is not None:
                 trace.add("task_start", task=tid)
-            t0 = clock() if timed else 0.0
+            t0 = clock()
             try:
                 run_task(tid)
             # The catch-all is the capture half of cross-thread propagation:
@@ -422,15 +409,11 @@ class TaskPool:
                 return
             if trace is not None:
                 trace.add("task_end", task=tid)
-            if timed:
-                lane.append(
-                    ExecTaskEvent(
-                        name=f"{graph.label}:s{tid}",
-                        worker=wid,
-                        start=t0,
-                        end=clock(),
-                    )
+            lane.append(
+                ExecTaskEvent(
+                    name=f"{graph.label}:s{tid}", worker=wid, start=t0, end=clock()
                 )
+            )
 
             with state.cond:
                 state.active -= 1

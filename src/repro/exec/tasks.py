@@ -1,8 +1,9 @@
 """Static task graphs over the supernodal elimination tree.
 
-The shared-memory backend executes the *same* task graph the simulated
-distributed driver walks: one task per supernode, ordered by the assembly
-tree. Three phase-specific graphs share one representation:
+A :class:`~repro.exec.pool.TaskPool` runs the host factorization's and
+sweeps' per-supernode steps over these graphs — the same task graph the
+simulated distributed driver walks: one task per supernode, ordered by
+the assembly tree. Three phase-specific graphs share one representation:
 
 * **factor** and **forward solve** — child-before-parent (a supernode's
   front can be assembled, or its pivot rows solved, only once every child
@@ -20,7 +21,7 @@ routing of the forward solve: each supernode's off-diagonal update panel
 is split into row runs by the *owning ancestor supernode*, and each
 owner applies its incoming runs in ascending source order — the exact
 per-element subtraction sequence of the sequential sweep (see
-:mod:`repro.exec.solve_exec`).
+:mod:`repro.mf.solve_phase`).
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ __all__ = [
     "forward_solve_task_graph",
     "backward_solve_task_graph",
     "forward_contributions",
-    "incoming_contributions",
 ]
 
 
@@ -199,8 +199,3 @@ def forward_contributions(sym: SymbolicFactor) -> ContributionPlan:
         for run in plan.outgoing[s]:
             plan.incoming[run.target].append((s, run.lo, run.hi))
     return plan
-
-
-def incoming_contributions(sym: SymbolicFactor) -> list[list[tuple[int, int, int]]]:
-    """Just the incoming half of :func:`forward_contributions`."""
-    return forward_contributions(sym).incoming

@@ -1,9 +1,8 @@
 """Access/event trace of the shared-memory execution backend.
 
 When enabled — ``TaskPool(trace=True)``, an :class:`ExecTrace` passed in,
-or globally via ``REPRO_CHECK=1`` — the pool and the threaded
-factor/solve drivers record every synchronization-relevant event of a
-run:
+or globally via ``REPRO_CHECK=1`` — the pool and the pooled factor/solve
+steps record every synchronization-relevant event of a run:
 
 * ``graph_begin`` / ``graph_end`` / ``graph_abort`` — one pool run over
   one task graph (the forward/backward solve level-set boundaries are

@@ -1,33 +1,54 @@
-"""Sequential multifrontal numeric factorization.
+"""Multifrontal numeric factorization: one per-front step, two schedules.
 
-Walks the assembly tree in postorder (supernodes are numbered postorder by
-construction), maintaining an update stack keyed by child supernode. For
-each supernode: assemble the front from A, extend-add the children's
-updates, partially factor, store the factor panel, push the Schur
-complement. Cholesky, LDLᵀ and static-pivoting LU are three kernels of
-this one loop; an LU front is the full square instead of its lower
-triangle.
+For each supernode the step assembles the front from A, extend-adds the
+children's updates, partially factors, stores the factor panel and
+publishes the Schur complement into the supernode's update slot.
+Cholesky, LDLᵀ and static-pivoting LU are three kernels of this one step;
+an LU front is the full square instead of its lower triangle.
+
+The step runs in postorder on the calling thread (supernodes are
+numbered postorder by construction), or over the assembly-tree task graph
+on a :class:`~repro.exec.pool.TaskPool` of worker threads. The heavy
+per-front work happens inside numpy kernels that release the GIL, so
+independent subtrees factor concurrently.
+
+Bitwise contract
+----------------
+The factor is bitwise identical for either schedule and any worker
+count, because
+
+* every front runs the same step, so its floating-point sequence is the
+  same;
+* extend-add is postorder-partitioned, not locked: a step publishes its
+  update into its own slot, and only the parent's step consumes the
+  slots, in ascending child order — the sequential order. No front is
+  ever written by two threads;
+* perturbed pivot columns are collected per supernode and merged in
+  ascending supernode order, and the statistics are rolled up once in
+  that order. The update-stack statistics are computed from the
+  structure in postorder (:func:`repro.mf.accounting.stack_accounting`),
+  whatever order the fronts actually ran in.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.dense.partial_factor import partial_cholesky, partial_ldlt, partial_lu
-from repro.mf.accounting import FactorStats
+from repro.mf.accounting import FactorStats, stack_accounting
 from repro.mf.extend_add import extend_add
 from repro.mf.frontal import assemble_front, assemble_full_front
 from repro.obs.profile import active_profile
 from repro.obs.spans import span
 from repro.symbolic.analyze import SymbolicFactor, dense_partial_factor_flops
 from repro.util.errors import InvariantError, ShapeError
-from repro.util.validation import (
-    VALUE_DTYPE,
-    runtime_checks_enabled,
-    work_dtype,
-)
+from repro.util.validation import VALUE_DTYPE, work_dtype
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.exec.pool import PoolStats, TaskPool
 
 
 @dataclass
@@ -48,9 +69,9 @@ class NumericFactor:
     stats: FactorStats = field(default_factory=FactorStats)
     #: permuted-order columns whose LDLᵀ pivots were statically perturbed
     perturbed_columns: tuple[int, ...] = ()
-    #: pool telemetry (:class:`repro.exec.pool.PoolStats`) when this factor
-    #: was produced by the threads backend; None for the sequential driver
-    exec_stats: object | None = None
+    #: pool telemetry when this factor ran on a :class:`TaskPool`; None for
+    #: the postorder schedule
+    exec_stats: PoolStats | None = None
     #: working precision the fronts were factored in (``"fp64"``/``"fp32"``);
     #: fp32 factors need iterative refinement to deliver fp64 solutions
     precision: str = "fp64"
@@ -127,7 +148,7 @@ def partial_factor(
     perturbed: list[int] | None = None,
 ) -> tuple[np.ndarray | None, int]:
     """Eliminate the first *w* pivots of *front* in place with *method*'s
-    dense kernel — the one dispatch of every front loop (the host drivers
+    dense kernel — the one dispatch of every front loop (the host step
     and the simulator's sequential fronts and distributed pivot blocks).
 
     Returns ``(d, flops)``: the LDLᵀ pivots (None for the other methods)
@@ -157,19 +178,15 @@ def factor_front(
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None, np.ndarray | None, int]:
     """Assemble, extend-add, and partially factor the front of supernode *s*.
 
-    Shared by the sequential driver below and the threads backend
-    (:mod:`repro.exec.factor_exec`), so both execute the *identical*
-    floating-point operation sequence per front — the foundation of the
-    bitwise-oracle contract between the two backends. Where entries land
+    The kernel of :func:`multifrontal_factor`'s step. Where entries land
     comes from ``sym.front_plan``; nothing is looked up here.
 
     Parameters
     ----------
     child_updates
         The children's update matrices in ascending child order (the order
-        of ``sym.sn_children[s]``). May be a generator: the sequential
-        driver pops (and spill-accounts) each child's update lazily at
-        exactly the point the pre-refactor loop did.
+        of ``sym.sn_children[s]``). May be a generator, so that each
+        child's update can be released as soon as it has been added.
     perturbed
         Sink list for statically perturbed LDLᵀ / LU pivot columns.
     prof
@@ -212,6 +229,7 @@ def multifrontal_factor(
     pivot_perturbation: float | None = None,
     memory_limit_entries: int | None = None,
     precision: str = "fp64",
+    pool: TaskPool | None = None,
 ) -> NumericFactor:
     """Numeric factorization of the matrix held in *sym*.
 
@@ -239,113 +257,87 @@ def multifrontal_factor(
         bandwidth; pair it with fp64 iterative refinement
         (:func:`repro.mf.refine.iterative_refinement`) to recover
         fp64-level accuracy on well-conditioned systems.
+    pool
+        ``None`` runs the fronts in postorder on the calling thread; a
+        :class:`~repro.exec.pool.TaskPool` runs them over the assembly-tree
+        task graph on its workers (bitwise the same factor; see the module
+        docstring) and leaves its telemetry in ``exec_stats``.
     """
     perturb_abs = pivot_threshold(sym, method, pivot_perturbation)
     lu = method == "lu"
     plan = sym.front_plan
     plan.check_current(sym.permuted_lower)
+    stats = stack_accounting(sym, memory_limit_entries)
     wdtype = work_dtype(precision)
     nsn = sym.n_supernodes
     blocks: list[np.ndarray] = [None] * nsn  # type: ignore[list-item]
     diag = np.empty(sym.n, dtype=wdtype) if method == "ldlt" else None
-    u12: list[np.ndarray] | None = [None] * nsn if lu else None  # type: ignore[list-item]
-    stats = FactorStats()
-    perturbed: list[int] = []
+    u12: list[np.ndarray] = [None] * nsn  # type: ignore[list-item]
+    flops = [0] * nsn
+    #: supernode -> its perturbed pivot columns (fronts that had any)
+    perturbed: dict[int, list[int]] = {}
+    #: per-supernode update slots: written once by the supernode's step,
+    #: consumed (and cleared) once by its parent's step
+    updates: list[np.ndarray | None] = [None] * nsn
+    tr = pool.trace if pool is not None else None
+    # Per-front timing only when a recorder is installed (the None check
+    # keeps the disabled path free of timing calls — see lint rule RP007).
+    prof = active_profile()
 
-    updates: dict[int, np.ndarray] = {}
-    #: supernodes whose updates are currently "on disk" (out-of-core mode)
-    spilled: set[int] = set()
-    stack_entries = 0
-
-    def enforce_memory_cap(front_entries: int) -> None:
-        """Spill resident updates (oldest first) until front + stack fit."""
-        nonlocal stack_entries
-        if memory_limit_entries is None:
-            return
-        if front_entries > memory_limit_entries:
-            raise ShapeError(
-                f"front of {front_entries} entries exceeds the "
-                f"{memory_limit_entries}-entry in-core limit"
-            )
-        for c in sorted(updates):
-            if front_entries + stack_entries <= memory_limit_entries:
-                break
-            if c in spilled:
-                continue
-            upd = updates[c]
-            spilled.add(c)
-            stats.spill_entries_written += upd.size
-            stack_entries -= upd.size
-
-    def pop_child_updates(s: int):
-        """Yield child updates in ascending child order, with the pop and
-        spill accounting happening lazily inside the extend-add loop of
-        :func:`factor_front` — the exact point the pre-refactor loop did
-        them, keeping out-of-core accounting unchanged."""
-        nonlocal stack_entries
+    def child_updates(s: int):
+        """The children's updates in ascending child order, each slot
+        cleared as it is taken, so an update dies once it is added."""
         for c in sym.sn_children[s]:
-            upd = updates.pop(c)
-            if c in spilled:
-                spilled.discard(c)
-                stats.spill_entries_read += upd.size
-            else:
-                stack_entries -= upd.size
+            upd = updates[c]
+            if tr is not None:
+                tr.add("slot_consume", task=s, slot=f"upd:{c}")
+            updates[c] = None
             yield upd
 
-    # Observability: one span over the numeric phase; per-front timing is
-    # recorded only when a recorder is installed (prof None check keeps the
-    # disabled path free of timing calls — see lint rule RP007).
-    prof = active_profile()
+    def step(s: int) -> None:
+        cols: list[int] = []
+        blocks[s], d, u12[s], update, flops[s] = factor_front(
+            sym, s, method, perturb_abs, child_updates(s), cols, prof, dtype=wdtype
+        )
+        if cols:
+            perturbed[s] = cols
+        if d is not None:
+            c0 = plan.start[s]
+            diag[c0: c0 + plan.width[s]] = d
+        if update is not None:
+            updates[s] = update
+            if tr is not None:
+                tr.add("slot_write", task=s, slot=f"upd:{s}")
 
     with span(
         "mf.factor", method=method, n=sym.n, supernodes=nsn, precision=precision
-    ):
-        for s in range(nsn):
-            w = plan.width[s]
-            c0 = plan.start[s]
-            m = plan.order[s]
-            enforce_memory_cap(m * m)
-            block, d, u, update, front_flops = factor_front(
-                sym, s, method, perturb_abs, pop_child_updates(s), perturbed, prof,
-                dtype=wdtype,
-            )
-            if d is not None:
-                diag[c0: c0 + w] = d
-            blocks[s] = block
-            stats.observe_front(m, w, front_flops)
-            if lu:
-                u12[s] = u
-                stats.factor_entries += m * w + u.size
-            else:
-                stats.factor_entries += m * w - w * (w - 1) // 2
-            if update is not None:
-                updates[s] = update
-                stack_entries += update.size
-                stats.peak_stack_entries = max(stats.peak_stack_entries, stack_entries)
-                enforce_memory_cap(0)
+    ) as sp:
+        if pool is None:
+            exec_stats = None
+            for s in range(nsn):
+                step(s)
+        else:
+            from repro.exec.tasks import factor_task_graph
 
-    if updates:
-        raise InvariantError(
-            f"unconsumed update matrices for supernodes {sorted(updates)}"
-        )
-    if runtime_checks_enabled():
-        # Frontal-stack balance: every push was matched by a pop and the
-        # transient entry counter returned to zero (spills included).
-        from repro.check.sanitize import check_frontal_balance
+            exec_stats = pool.run(factor_task_graph(sym), step)
+            sp.set(workers=pool.workers, queue_depth_peak=exec_stats.max_queue_depth)
 
-        check_frontal_balance(stack_entries, updates)
-        if spilled:
-            raise InvariantError(
-                f"sanitizer: {len(spilled)} spilled update(s) never read "
-                f"back: supernodes {sorted(spilled)[:5]}"
-            )
+    leftover = [s for s in range(nsn) if updates[s] is not None]
+    if leftover:
+        raise InvariantError(f"unconsumed update matrices for supernodes {leftover[:5]}")
+    for s in range(nsn):
+        m = plan.order[s]
+        w = plan.width[s]
+        stats.observe_front(m, w, flops[s])
+        stats.factor_entries += (2 * m - w) * w if lu else m * w - w * (w - 1) // 2
     return NumericFactor(
         sym=sym,
         method=method,
         blocks=blocks,
         diag=diag,
         stats=stats,
-        perturbed_columns=tuple(perturbed),
+        perturbed_columns=tuple(c for s in sorted(perturbed) for c in perturbed[s]),
+        exec_stats=exec_stats,
         precision=precision,
-        u12=u12,
+        u12=u12 if lu else None,
     )

@@ -114,7 +114,7 @@ def _refine_panel(
 
     *solve_fn* is the blocked direct-solve kernel (default the sequential
     :func:`~repro.mf.solve_phase.solve_many`; the threads backend passes
-    :func:`repro.exec.solve_exec.solve_many_threads`, which is bitwise
+    :func:`repro.exec.solve_many_threads`, which is bitwise
     identical, so the refinement trajectory is too)."""
     n, k = b.shape
     x = np.zeros((n, k))

@@ -9,11 +9,17 @@ right-hand sides: the supernode traversal, the per-front Python overhead,
 and the triangular-substitution inner loops are paid once per *panel*, not
 once per column.
 
+Each sweep is one per-supernode step (:func:`forward_front` /
+:func:`backward_front`) under one of two schedules: supernode order on the
+calling thread, or the elimination-tree task graphs of
+:mod:`repro.exec.tasks` on a :class:`~repro.exec.pool.TaskPool`.
+
 Bitwise reproducibility contract
 --------------------------------
 ``solve_many(factor, B)[:, j]`` is **bitwise identical** to
 ``solve(factor, B[:, j])`` for every column, no matter how many columns
-share the panel. Two implementation rules buy this:
+share the panel, and for either schedule and any worker count. The rules
+that buy this:
 
 * triangular substitution uses only elementwise/outer-product updates
   (:mod:`repro.dense.trsm`'s forward kernels and the ``*_outer`` transpose
@@ -22,7 +28,16 @@ share the panel. Two implementation rules buy this:
   with the operand shape;
 * the off-diagonal panel updates run one BLAS ``dgemv`` per column on a
   contiguous (Fortran-ordered) column buffer, so each column issues the
-  exact call the single-RHS path issues.
+  exact call the single-RHS path issues;
+* pooled forward: a supernode's update panel is published, and each
+  ancestor subtracts its incoming row runs at the start of its own step,
+  in ascending source order — the per-element subtraction sequence of the
+  sequential sweep (contributions from distinct sources hit disjoint
+  slices of an owner's rows). Every ``y`` row is written only by the step
+  of the supernode that owns it;
+* pooled backward: a supernode reads ancestor rows (final once its
+  parent's step completed, by induction) and writes only its own pivot
+  rows, so the parent-before-child graph is all the synchronization.
 
 The serving layer's coalesced batches and the blocked iterative refinement
 in :mod:`repro.mf.refine` both lean on this guarantee to stay bit-checkable
@@ -30,6 +45,8 @@ against the per-column path.
 """
 
 from __future__ import annotations
+
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -45,29 +62,23 @@ from repro.sparse.permute import permute_vector, unpermute_vector
 from repro.util.errors import ShapeError
 from repro.util.validation import VALUE_DTYPE, as_float_array
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.exec.pool import TaskPool
 
-def solve(factor: NumericFactor, b: np.ndarray) -> np.ndarray:
-    """Solve ``A x = b`` for one right-hand side (original ordering)."""
+
+def solve(factor: NumericFactor, b: np.ndarray, pool: TaskPool | None = None) -> np.ndarray:
+    """Solve ``A x = b`` for one right-hand side (original ordering).
+    *pool* schedules the sweeps on worker threads (bitwise the same x)."""
     b = as_float_array(b, "b")
     n = factor.n
     if b.shape != (n,):
         raise ShapeError(f"b must have shape ({n},); got {b.shape}")
-    sym = factor.sym
-    with span(
-        "mf.solve", n=n, rhs=1, method=factor.method, precision=factor.precision
-    ):
-        # The sweeps run in the factor's working dtype (one rounding of the
-        # fp64 RHS on the way in); the result is widened back to fp64 so
-        # callers — iterative refinement above all — accumulate in fp64.
-        y = permute_vector(b, sym.perm).astype(factor.dtype, copy=False)
-        forward_sweep(factor, y)
-        if factor.method == "ldlt":
-            y /= factor.diag
-        backward_sweep(factor, y)
-        return unpermute_vector(y.astype(VALUE_DTYPE, copy=False), sym.perm)
+    return _solve_permuted(factor, b, pool)
 
 
-def solve_many(factor: NumericFactor, b: np.ndarray) -> np.ndarray:
+def solve_many(
+    factor: NumericFactor, b: np.ndarray, pool: TaskPool | None = None
+) -> np.ndarray:
     """Blocked solve for multiple right-hand sides (columns of *b*).
 
     Runs **one** permute → forward → scale → backward → unpermute pass over
@@ -76,27 +87,37 @@ def solve_many(factor: NumericFactor, b: np.ndarray) -> np.ndarray:
     """
     b = as_float_array(b, "b")
     if b.ndim == 1:
-        return solve(factor, b)
+        return solve(factor, b, pool)
     n = factor.n
     if b.ndim != 2 or b.shape[0] != n:
         raise ShapeError(f"b must have shape ({n},) or ({n}, k); got {b.shape}")
     if b.shape[1] == 1:
         # The single-vector path skips the panel bookkeeping; the bitwise
         # contract makes the dispatch invisible to callers.
-        return solve(factor, b[:, 0])[:, None]
+        return solve(factor, b[:, 0], pool)[:, None]
+    return _solve_permuted(factor, b, pool)
+
+
+def _solve_permuted(
+    factor: NumericFactor, b: np.ndarray, pool: TaskPool | None
+) -> np.ndarray:
+    """Permute → forward → scale → backward → unpermute."""
     sym = factor.sym
     with span(
         "mf.solve",
-        n=n,
-        rhs=int(b.shape[1]),
+        n=factor.n,
+        rhs=1 if b.ndim == 1 else int(b.shape[1]),
         method=factor.method,
         precision=factor.precision,
     ):
+        # The sweeps run in the factor's working dtype (one rounding of the
+        # fp64 RHS on the way in); the result is widened back to fp64 so
+        # callers — iterative refinement above all — accumulate in fp64.
         y = permute_vector(b, sym.perm).astype(factor.dtype, copy=False)
-        forward_sweep(factor, y)
+        forward_sweep(factor, y, pool)
         if factor.method == "ldlt":
-            y /= factor.diag[:, None]
-        backward_sweep(factor, y)
+            y /= factor.diag if y.ndim == 1 else factor.diag[:, None]
+        backward_sweep(factor, y, pool)
         return unpermute_vector(y.astype(VALUE_DTYPE, copy=False), sym.perm)
 
 
@@ -106,9 +127,8 @@ def forward_front(factor: NumericFactor, s: int, y: np.ndarray) -> np.ndarray | 
     Solves the diagonal block against y's pivot rows in place and returns
     the off-diagonal update panel (None when the supernode has no update
     rows). The *caller* subtracts the update from y — directly below
-    (sequential sweep) or split per owning ancestor supernode
-    (:mod:`repro.exec.solve_exec`). Shared by both so the per-supernode
-    operation sequence is identical — the bitwise-oracle contract.
+    (sequential sweep) or split per owning ancestor supernode (pooled
+    sweep).
     """
     sym = factor.sym
     rows = sym.sn_rows[s]
@@ -140,8 +160,8 @@ def backward_front(factor: NumericFactor, s: int, y: np.ndarray) -> None:
 
     Reads y at the supernode's own and ancestor rows (ancestor rows must
     already hold final values) and writes only its own pivot rows — which
-    is why the threads backend can run independent subtrees concurrently
-    with no synchronization on *y* at all. Cholesky and LDLᵀ solve with
+    is why the pooled sweep can run independent subtrees concurrently with
+    no synchronization on *y* at all. Cholesky and LDLᵀ solve with
     the transpose of their L panel; LU with U: its upper pivot block (as
     the transpose of a lower one) and U12.
     """
@@ -169,24 +189,53 @@ def backward_front(factor: NumericFactor, s: int, y: np.ndarray) -> None:
     y[rows[:w]] = piv
 
 
-def forward_sweep(factor: NumericFactor, y: np.ndarray) -> None:
+def forward_sweep(
+    factor: NumericFactor, y: np.ndarray, pool: TaskPool | None = None
+) -> None:
     """In-place forward substitution ``y <- L^{-1} y`` in permuted order.
 
     *y* is a single vector ``(n,)`` or a panel ``(n, k)``.
     """
     sym = factor.sym
-    for s in range(sym.n_supernodes):
-        upd = forward_front(factor, s, y)
-        if upd is not None:
-            rows = sym.sn_rows[s]
-            w = sym.supernode_width(s)
-            y[rows[w:]] -= upd
+    if pool is None:
+        for s in range(sym.n_supernodes):
+            upd = forward_front(factor, s, y)
+            if upd is not None:
+                rows = sym.sn_rows[s]
+                w = sym.supernode_width(s)
+                y[rows[w:]] -= upd
+        return
+    from repro.exec.tasks import forward_contributions, forward_solve_task_graph
+
+    routing = forward_contributions(sym)
+    tr = pool.trace
+    #: published update panels, consumed by the owners of their rows
+    published: list[np.ndarray | None] = [None] * sym.n_supernodes
+
+    def step(s: int) -> None:
+        for src, lo, hi in routing.incoming[s]:
+            if tr is not None:
+                tr.add("slot_consume", task=s, slot=f"fwd:{src}", lo=lo, hi=hi)
+            wsrc = sym.supernode_width(src)
+            y[sym.sn_rows[src][wsrc + lo: wsrc + hi]] -= published[src][lo:hi]
+        published[s] = forward_front(factor, s, y)
+        if routing.outgoing[s] and tr is not None:
+            tr.add("slot_write", task=s, slot=f"fwd:{s}")
+
+    pool.run(forward_solve_task_graph(sym), step)
 
 
-def backward_sweep(factor: NumericFactor, y: np.ndarray) -> None:
+def backward_sweep(
+    factor: NumericFactor, y: np.ndarray, pool: TaskPool | None = None
+) -> None:
     """In-place backward substitution ``y <- L^{-T} y`` in permuted order.
 
     *y* is a single vector ``(n,)`` or a panel ``(n, k)``.
     """
-    for s in range(factor.sym.n_supernodes - 1, -1, -1):
-        backward_front(factor, s, y)
+    if pool is None:
+        for s in range(factor.sym.n_supernodes - 1, -1, -1):
+            backward_front(factor, s, y)
+        return
+    from repro.exec.tasks import backward_solve_task_graph
+
+    pool.run(backward_solve_task_graph(factor.sym), lambda s: backward_front(factor, s, y))

@@ -53,10 +53,10 @@ def work_dtype(precision: str) -> np.dtype:
 # -- debug-mode runtime checks (the REPRO_CHECK switch) ----------------------
 #
 # Hot paths that normally skip validation (``_skip_check=True`` matrix
-# constructors, the analyze pipeline, the frontal stack, the simulator
-# teardown) consult this switch and run the ``repro.check.sanitize``
-# invariant checks when it is on. The switch lives here — at the bottom of
-# the dependency graph — so every layer can read it without import cycles.
+# constructors, the analyze pipeline, the simulator teardown) consult this
+# switch and run the ``repro.check.sanitize`` invariant checks when it is
+# on. The switch lives here — at the bottom of the dependency graph — so
+# every layer can read it without import cycles.
 
 _TRUTHY = frozenset({"1", "true", "on", "yes"})
 _runtime_checks: bool = os.environ.get("REPRO_CHECK", "").strip().lower() in _TRUTHY

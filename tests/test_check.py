@@ -353,10 +353,6 @@ class TestSanitizer:
         with pytest.raises(InvariantError):
             sanitize.check_partition(part, 3)
 
-    def test_frontal_stack_leak_rejected(self):
-        with pytest.raises(InvariantError):
-            sanitize.check_frontal_balance(128, {})
-
     def test_symbolic_factor_passes(self):
         _, sym = analyzed_grid(6)
         sanitize.check_symbolic(sym)

@@ -7,9 +7,12 @@ dependency scheduling, exception propagation (drains cleanly, no
 deadlock), cancellation, stall detection — and the task-graph builders.
 """
 
+import functools
+
 import numpy as np
 import pytest
 
+from repro.core import UnsymmetricSolver
 from repro.core.solver import SparseSolver
 from repro.exec import (
     MAX_DEFAULT_WORKERS,
@@ -25,6 +28,7 @@ from repro.exec import (
     solve_threads,
 )
 from repro.gen import (
+    convection_diffusion2d,
     elasticity3d,
     grid2d_anisotropic,
     grid2d_laplacian,
@@ -32,10 +36,14 @@ from repro.gen import (
     random_spd_sparse,
     unstructured2d,
 )
+from repro.graph import AdjacencyGraph
 from repro.mf.numeric import multifrontal_factor
 from repro.mf.solve_phase import solve, solve_many
+from repro.ordering import nested_dissection_order
+from repro.symbolic import analyze
 from repro.util.errors import (
     ExecBackendError,
+    InvariantError,
     NotPositiveDefiniteError,
     ShapeError,
 )
@@ -74,6 +82,12 @@ def _assert_factors_identical(ref, got):
     assert ref.stats.flops == got.stats.flops
     assert ref.stats.factor_entries == got.stats.factor_entries
     assert ref.stats.front_orders == got.stats.front_orders
+    if ref.u12 is None:
+        assert got.u12 is None
+    else:
+        assert [u.tobytes() for u in ref.u12] == [u.tobytes() for u in got.u12]
+    # every field, the update-stack and spill telemetry included
+    assert ref.stats == got.stats
 
 
 # -- bitwise identity ---------------------------------------------------------
@@ -149,6 +163,54 @@ def test_ldlt_perturbation_bitwise_identity():
     )
     assert ref.perturbed_columns, "fixture failed to trigger a perturbation"
     _assert_factors_identical(ref, got)
+
+
+@functools.lru_cache(maxsize=None)
+def _lu_analyzed():
+    return UnsymmetricSolver(
+        convection_diffusion2d(12, wind=(1.0, -0.4), peclet=1.5)
+    ).analyze()
+
+
+@pytest.mark.parametrize("pivot_perturbation", [None, 0.9])
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_lu_bitwise_identity(workers, pivot_perturbation):
+    sym = _lu_analyzed()
+    ref = multifrontal_factor(sym, "lu", pivot_perturbation=pivot_perturbation)
+    got = multifrontal_factor_threads(
+        sym, "lu", pivot_perturbation=pivot_perturbation, workers=workers
+    )
+    # 0.9 of the largest entry is far above any sane threshold
+    assert bool(ref.perturbed_columns) == (pivot_perturbation is not None)
+    _assert_factors_identical(ref, got)
+    b = make_rng(6).standard_normal((sym.n, 3))
+    assert (
+        solve_many_threads(got, b, workers=workers).tobytes()
+        == solve_many(ref, b).tobytes()
+    )
+
+
+def test_pooled_out_of_core_stats_match_sequential():
+    # the fixture of test_out_of_core.py, capped just above its largest front
+    lower = grid3d_laplacian(6)
+    sym = analyze(lower, nested_dissection_order(AdjacencyGraph.from_symmetric_lower(lower)))
+    cap = max(o * o for o in multifrontal_factor(sym).stats.front_orders) + 10
+    seq = multifrontal_factor(sym, memory_limit_entries=cap)
+    got = multifrontal_factor(sym, memory_limit_entries=cap, pool=TaskPool(2))
+    assert seq.stats.spill_entries_written > 0
+    _assert_factors_identical(seq, got)
+
+
+@pytest.mark.parametrize("workers", [None, 2])
+def test_unconsumed_update_slot_raises(workers):
+    sym = _analyzed(grid2d_laplacian(6))
+    # a parent that forgets its first child never consumes that update
+    p = next(s for s in range(sym.n_supernodes) if sym.sn_children[s])
+    sym.sn_children = [list(kids) for kids in sym.sn_children]
+    sym.sn_children[p].pop(0)
+    pool = None if workers is None else TaskPool(workers)
+    with pytest.raises(InvariantError, match="unconsumed update"):
+        multifrontal_factor(sym, pool=pool)
 
 
 def test_repeated_runs_deterministic():

@@ -14,6 +14,7 @@ import pytest
 
 from repro.check import racecheck, schedfuzz
 from repro.check.racecheck import check_determinism, check_exec_trace
+from repro.core import UnsymmetricSolver
 from repro.core.solver import SparseSolver
 from repro.exec import (
     ExecTrace,
@@ -23,7 +24,7 @@ from repro.exec import (
     solve_threads,
 )
 from repro.exec.trace import ExecEvent
-from repro.gen import grid2d_laplacian, grid3d_laplacian
+from repro.gen import convection_diffusion2d, grid2d_laplacian, grid3d_laplacian
 from repro.mf.numeric import multifrontal_factor
 from repro.util.errors import RaceError
 from repro.util.rng import make_rng
@@ -316,6 +317,15 @@ def test_fuzzed_factor_and_solve_stay_bitwise_identical():
     factor = multifrontal_factor(sym)
     b = make_rng(4).standard_normal((sym.n, 2))
     results += schedfuzz.fuzz_solve(factor, b, seeds=[0, 1], workers=3)
+    assert results, "no fuzz cases ran"
+    for r in results:
+        assert r.ok, r.summary()
+        assert r.race_report.n_hb_pairs_checked > 0
+
+
+def test_fuzzed_lu_factor_is_race_free():
+    sym = UnsymmetricSolver(convection_diffusion2d(8, peclet=1.2)).analyze()
+    results = schedfuzz.fuzz_factor(sym, seeds=[0, 1], workers=3, method="lu")
     assert results, "no fuzz cases ran"
     for r in results:
         assert r.ok, r.summary()
