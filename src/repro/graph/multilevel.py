@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.graph.bisection import fm_pass
 from repro.graph.structure import AdjacencyGraph
 from repro.graph.traversal import bfs_levels, pseudo_peripheral_vertex
 from repro.util.errors import OrderingError
@@ -145,56 +146,7 @@ def _initial_bisection(g: WeightedGraph, balance: float, rng) -> np.ndarray:
 
 def _weighted_fm_pass(g: WeightedGraph, side: np.ndarray, max_w: int) -> bool:
     """One weighted FM sweep (edge-weight gains, vertex-weight balance)."""
-    n = g.n
-    deg = np.diff(g.xadj)
-    src = np.repeat(np.arange(n, dtype=np.int64), deg)
-    cut_edge = side[src] != side[g.adjncy]
-    ext = np.zeros(n, dtype=np.int64)
-    np.add.at(ext, src, np.where(cut_edge, g.adjwgt, 0))
-    tot = np.zeros(n, dtype=np.int64)
-    np.add.at(tot, src, g.adjwgt)
-    gains = 2 * ext - tot
-
-    locked = np.zeros(n, dtype=bool)
-    w1 = int(g.vwgt[side].sum())
-    sizes = [int(g.vwgt.sum()) - w1, w1]
-    moves: list[int] = []
-    cum = best = 0
-    best_prefix = 0
-    for _ in range(n):
-        room1 = sizes[1] < max_w
-        room0 = sizes[0] < max_w
-        can = ~locked & np.where(side, room0, room1)
-        cand = np.flatnonzero(can)
-        if cand.size == 0:
-            break
-        v = int(cand[np.argmax(gains[cand])])
-        gv = int(gains[v])
-        s = int(side[v])
-        wv = int(g.vwgt[v])
-        if sizes[1 - s] + wv > max_w:
-            locked[v] = True
-            continue
-        sizes[s] -= wv
-        sizes[1 - s] += wv
-        side[v] = not side[v]
-        locked[v] = True
-        moves.append(v)
-        cum += gv
-        if cum > best:
-            best = cum
-            best_prefix = len(moves)
-        gains[v] = -gv
-        for k in range(int(g.xadj[v]), int(g.xadj[v + 1])):
-            u = int(g.adjncy[k])
-            w = int(g.adjwgt[k])
-            if side[u] != side[v]:
-                gains[u] += 2 * w
-            else:
-                gains[u] -= 2 * w
-    for v in moves[best_prefix:]:
-        side[v] = not side[v]
-    return best > 0
+    return fm_pass(g.xadj, g.adjncy, side, max_w, adjwgt=g.adjwgt, vwgt=g.vwgt)
 
 
 def bisect_multilevel(

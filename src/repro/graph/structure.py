@@ -94,6 +94,16 @@ class AdjacencyGraph:
         csr = coo_to_csr(COOMatrix((n, n), rows, cols, ones))
         return cls(n, csr.indptr, csr.indices, _skip_check=True)
 
+    def gather(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Neighbour lists of the vertices *rows* (an int array), concatenated
+        in that order, and the length of each."""
+        starts = self.xadj[rows]
+        counts = self.xadj[rows + 1] - starts
+        ends = np.cumsum(counts)
+        total = int(ends[-1]) if ends.size else 0
+        pos = np.arange(total, dtype=np.int64) + np.repeat(starts - (ends - counts), counts)
+        return self.adjncy[pos], counts
+
     def subgraph(self, vertices) -> tuple["AdjacencyGraph", np.ndarray]:
         """Induced subgraph on *vertices*.
 
@@ -101,19 +111,19 @@ class AdjacencyGraph:
         subgraph vertex ``k``.
         """
         vmap = as_index_array(vertices, "vertices")
+        k = vmap.size
         inv = np.full(self.n, -1, dtype=np.int64)
-        inv[vmap] = np.arange(vmap.size, dtype=np.int64)
-        xadj = [0]
-        adjncy = []
-        for k in range(vmap.size):
-            local = inv[self.neighbors(vmap[k])]
-            local = local[local >= 0]
-            adjncy.append(np.sort(local))
-            xadj.append(xadj[-1] + local.size)
-        adj = np.concatenate(adjncy) if adjncy else np.empty(0, dtype=np.int64)
-        sub = AdjacencyGraph(
-            vmap.size, np.asarray(xadj, dtype=np.int64), adj, _skip_check=True
-        )
+        inv[vmap] = np.arange(k, dtype=np.int64)
+        nbrs, counts = self.gather(vmap)
+        col = inv[nbrs]
+        row = np.repeat(np.arange(k, dtype=np.int64), counts)
+        keep = col >= 0
+        row, col = row[keep], col[keep]
+        # Rows come out grouped already; lexsort sorts each row's columns.
+        adj = col[np.lexsort((col, row))]
+        xadj = np.zeros(k + 1, dtype=np.int64)
+        np.cumsum(np.bincount(row, minlength=k), out=xadj[1:])
+        sub = AdjacencyGraph(k, xadj, adj, _skip_check=True)
         return sub, vmap
 
     def __repr__(self) -> str:

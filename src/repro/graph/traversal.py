@@ -13,21 +13,20 @@ from repro.graph.structure import AdjacencyGraph
 
 
 def bfs_levels(g: AdjacencyGraph, start: int) -> np.ndarray:
-    """BFS distance of every vertex from *start* (-1 where unreachable)."""
+    """BFS distance of every vertex from *start* (-1 where unreachable).
+
+    One frontier at a time: gather the frontier's neighbours, keep the
+    unvisited ones, and they are the next frontier.
+    """
     levels = np.full(g.n, -1, dtype=np.int64)
     levels[start] = 0
-    frontier = [start]
+    frontier = np.array([start], dtype=np.int64)
     depth = 0
-    while frontier:
+    while frontier.size:
         depth += 1
-        nxt = []
-        for u in frontier:
-            for v in g.neighbors(u):
-                v = int(v)
-                if levels[v] < 0:
-                    levels[v] = depth
-                    nxt.append(v)
-        frontier = nxt
+        nbrs, _ = g.gather(frontier)
+        frontier = np.unique(nbrs[levels[nbrs] < 0])
+        levels[frontier] = depth
     return levels
 
 

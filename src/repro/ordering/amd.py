@@ -24,6 +24,7 @@ import heapq
 import numpy as np
 
 from repro.graph.structure import AdjacencyGraph
+from repro.util.errors import OrderingError
 
 
 def amd_order(g: AdjacencyGraph, aggressive: bool = True) -> np.ndarray:
@@ -146,5 +147,6 @@ def amd_order(g: AdjacencyGraph, aggressive: bool = True) -> np.ndarray:
             heapq.heappush(heap, (d, i))
 
     perm = np.asarray(order, dtype=np.int64)
-    assert perm.size == n, f"AMD produced {perm.size} of {n} vertices"
+    if perm.size != n:
+        raise OrderingError(f"AMD ordered {perm.size} of {n} vertices")
     return perm

@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graph.structure import AdjacencyGraph
+from repro.util.errors import OrderingError
 
 
 def find_indistinguishable_groups(g: AdjacencyGraph) -> np.ndarray:
@@ -75,7 +76,8 @@ def compressed_order(g: AdjacencyGraph, ordering_fn) -> np.ndarray:
         grp = members[int(s)]
         out[pos: pos + grp.size] = grp
         pos += grp.size
-    assert pos == g.n
+    if pos != g.n:
+        raise OrderingError(f"compressed ordering expanded to {pos} of {g.n} vertices")
     return out
 
 

@@ -19,6 +19,7 @@ from repro.graph.structure import AdjacencyGraph
 from repro.graph.bisection import bisect
 from repro.graph.separators import vertex_separator_from_bisection
 from repro.ordering.amd import amd_order
+from repro.util.errors import OrderingError
 
 
 @dataclass(frozen=True)
@@ -52,7 +53,8 @@ def nested_dissection_order(
     out: list[int] = []
     _nd_recurse(g, np.arange(g.n, dtype=np.int64), out, opts, depth=0)
     perm = np.asarray(out, dtype=np.int64)
-    assert perm.size == g.n
+    if perm.size != g.n:
+        raise OrderingError(f"nested dissection ordered {perm.size} of {g.n} vertices")
     return perm
 
 

@@ -12,6 +12,7 @@ import numpy as np
 
 from repro.graph.structure import AdjacencyGraph
 from repro.graph.traversal import pseudo_peripheral_vertex
+from repro.util.errors import OrderingError
 
 
 def rcm_order(g: AdjacencyGraph) -> np.ndarray:
@@ -45,5 +46,6 @@ def rcm_order(g: AdjacencyGraph) -> np.ndarray:
                 fresh = fresh[np.argsort(degs[fresh], kind="stable")]
                 visited[fresh] = True
                 queue.extend(int(v) for v in fresh)
-    assert pos == n
+    if pos != n:
+        raise OrderingError(f"RCM ordered {pos} of {n} vertices")
     return order[::-1].copy()

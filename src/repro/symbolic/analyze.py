@@ -30,7 +30,7 @@ from repro.symbolic.supernodes import (
     supernode_parents,
     supernode_rows,
 )
-from repro.util.errors import ShapeError
+from repro.util.errors import InvariantError, ShapeError
 from repro.util.validation import check_permutation, runtime_checks_enabled
 
 
@@ -180,20 +180,22 @@ def analyze(
     value_gather = a2.data.astype(np.int64)
     a2.data = lower.data[value_gather]
     parent = relabel_parent(parent1, post)
-    assert is_postordered(parent)
+    if not is_postordered(parent):
+        raise InvariantError("postordered elimination tree has a parent below its child")
 
     patterns, col_counts, nnz_factor = symbolic_cholesky(a2, parent)
 
     part = fundamental_supernodes(parent, col_counts)
     if opts.amalgamate:
-        part = amalgamate(
+        part, sn_rows = amalgamate(
             part,
             parent,
             patterns,
             max_extra_fill_ratio=opts.max_extra_fill_ratio,
             small_width=opts.small_width,
         )
-    sn_rows = supernode_rows(part, patterns)
+    else:
+        sn_rows = supernode_rows(part, patterns)
     sn_parent = supernode_parents(part, parent)
 
     # Compiling the front plan is also the assembly-tree soundness check:

@@ -44,11 +44,11 @@ class SupernodePartition:
         return int(self.sn_start[s + 1] - self.sn_start[s])
 
 
-def partition_from_starts(starts: list[int], n: int) -> SupernodePartition:
-    """Build a partition from a sorted list of first columns."""
-    if not starts or starts[0] != 0:
+def partition_from_starts(starts: list[int] | np.ndarray, n: int) -> SupernodePartition:
+    """Build a partition from a sorted sequence of first columns."""
+    sn_start = np.append(np.asarray(starts, dtype=np.int64), n)
+    if sn_start.size < 2 or sn_start[0] != 0:
         raise ShapeError("supernode starts must begin at column 0")
-    sn_start = np.asarray(starts + [n], dtype=np.int64)
     if np.any(np.diff(sn_start) <= 0):
         raise ShapeError("supernode starts must be strictly increasing")
     col_to_sn = np.repeat(
@@ -70,24 +70,15 @@ def fundamental_supernodes(
     """
     n = parent.size
     if n == 0:
-        return partition_from_starts([0], 0) if n else SupernodePartition(
-            np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.int64)
-        )
-    n_children = np.zeros(n, dtype=np.int64)
-    for j in range(n):
-        p = int(parent[j])
-        if p >= 0:
-            n_children[p] += 1
-    starts = [0]
-    for j in range(1, n):
-        chain = (
-            int(parent[j - 1]) == j
-            and col_counts[j - 1] == col_counts[j] + 1
-            and n_children[j] == 1
-        )
-        if not chain:
-            starts.append(j)
-    return partition_from_starts(starts, n)
+        return SupernodePartition(np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.int64))
+    n_children = np.bincount(parent[parent >= 0], minlength=n)
+    j = np.arange(1, n, dtype=np.int64)
+    chain = (
+        (parent[:-1] == j)
+        & (col_counts[:-1] == col_counts[1:] + 1)
+        & (n_children[1:] == 1)
+    )
+    return partition_from_starts(np.append(0, j[~chain]), n)
 
 
 def supernode_parents(
@@ -95,13 +86,10 @@ def supernode_parents(
 ) -> np.ndarray:
     """Assembly-tree parent per supernode: the supernode containing the
     etree parent of the supernode's last column (-1 for roots)."""
-    nsn = part.n_supernodes
-    sn_parent = np.full(nsn, -1, dtype=np.int64)
-    for s in range(nsn):
-        last = int(part.sn_start[s + 1]) - 1
-        p = int(parent[last])
-        if p >= 0:
-            sn_parent[s] = part.col_to_sn[p]
+    p = parent[part.sn_start[1:] - 1]
+    root = p < 0
+    sn_parent = part.col_to_sn[np.where(root, 0, p)]
+    sn_parent[root] = -1
     return sn_parent
 
 
@@ -117,9 +105,12 @@ def amalgamate(
     patterns: list[np.ndarray],
     max_extra_fill_ratio: float = 0.25,
     small_width: int = 8,
-) -> SupernodePartition:
+) -> tuple[SupernodePartition, list[np.ndarray]]:
     """Relaxed amalgamation: merge a supernode into its assembly-tree parent
     when they are column-contiguous and the merge is cheap.
+
+    Returns the merged partition and its per-supernode row structure (what
+    :func:`supernode_rows` gives for that partition).
 
     A merge of child c (columns ending at the parent's first column, with
     the child's first update row inside the parent's pivot block) is
@@ -131,9 +122,9 @@ def amalgamate(
     """
     n = parent.size
     if n == 0:
-        return part
+        return part, []
     # Per-supernode row structure (union of its columns' patterns).
-    sn_rows = _supernode_rows(part, patterns)
+    sn_rows = supernode_rows(part, patterns)
     starts = list(int(s) for s in part.sn_start[:-1])
     rows_by_start = {s: r for s, r in zip(starts, sn_rows)}
     widths = {int(part.sn_start[i]): part.width(i) for i in range(part.n_supernodes)}
@@ -192,13 +183,15 @@ def amalgamate(
                 # Stay at the same position to consider merging further up.
             else:
                 i += 1
-    return partition_from_starts(starts, n)
+    return partition_from_starts(starts, n), [rows_by_start[s] for s in starts]
 
 
-def _supernode_rows(
+def supernode_rows(
     part: SupernodePartition, patterns: list[np.ndarray]
 ) -> list[np.ndarray]:
-    """Union row structure per supernode (columns themselves included)."""
+    """Union row structure per supernode: its own columns and every row of
+    their patterns, sorted (the first ``width`` entries are exactly the
+    supernode's own columns)."""
     out = []
     for s in range(part.n_supernodes):
         c0, c1 = int(part.sn_start[s]), int(part.sn_start[s + 1])
@@ -206,11 +199,3 @@ def _supernode_rows(
         pieces.extend(patterns[j] for j in range(c0, c1))
         out.append(np.unique(np.concatenate(pieces)))
     return out
-
-
-def supernode_rows(
-    part: SupernodePartition, patterns: list[np.ndarray]
-) -> list[np.ndarray]:
-    """Public wrapper for the per-supernode row union (first ``width``
-    entries are exactly the supernode's own columns)."""
-    return _supernode_rows(part, patterns)

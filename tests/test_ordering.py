@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.gen import (
+    elasticity3d,
     grid2d_laplacian,
     grid3d_laplacian,
     random_spd_sparse,
@@ -22,6 +23,8 @@ from repro.ordering import (
     get_ordering,
     ORDERINGS,
 )
+from repro.ordering.compression import compressed_order
+import repro.ordering.nested_dissection
 from repro.util.errors import OrderingError
 
 
@@ -178,6 +181,19 @@ class TestNestedDissection:
         g = graph_of(grid2d_laplacian(7))
         perm = nested_dissection_order(g, NDOptions(max_depth=1))
         assert_valid_perm(perm, g.n)
+
+    def test_incomplete_leaf_order_is_typed_error(self, monkeypatch):
+        # a leaf ordering that drops a vertex
+        monkeypatch.setattr(
+            repro.ordering.nested_dissection, "amd_order", lambda g: np.arange(g.n)[1:]
+        )
+        with pytest.raises(OrderingError):
+            nested_dissection_order(graph_of(grid2d_laplacian(7)))
+
+    def test_incomplete_compressed_order_is_typed_error(self):
+        g = graph_of(elasticity3d(2))
+        with pytest.raises(OrderingError):
+            compressed_order(g, lambda c: np.arange(c.n)[1:])
 
     def test_separator_goes_last(self):
         """The top-level separator must occupy the tail of the permutation."""

@@ -1,5 +1,7 @@
 """Tests for repro.symbolic: etree, postorder, patterns, supernodes, analyze."""
 
+import importlib
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -20,12 +22,17 @@ from repro.symbolic import (
     column_patterns,
     symbolic_cholesky,
     fundamental_supernodes,
+    amalgamate,
     analyze,
     AnalyzeOptions,
 )
 from repro.symbolic.postorder import relabel_parent, first_descendants
 from repro.symbolic.analyze import dense_partial_factor_flops
-from repro.util.errors import ShapeError
+from repro.symbolic.supernodes import supernode_rows
+from repro.util.errors import InvariantError, ShapeError
+
+# the module: the package re-exports the function under the same name
+analyze_module = importlib.import_module("repro.symbolic.analyze")
 
 
 def arrow_lower(n):
@@ -221,6 +228,19 @@ class TestSupernodes:
         assert merged.n_supernodes <= plain.n_supernodes
         assert merged.nnz_stored >= plain.nnz_factor
 
+    def test_amalgamate_returns_the_rows_of_its_partition(self):
+        lower = grid3d_laplacian(5)
+        perm = nested_dissection_order(AdjacencyGraph.from_symmetric_lower(lower))
+        plain = analyze(lower, perm, AnalyzeOptions(amalgamate=False))
+        patterns, _, _ = symbolic_cholesky(plain.permuted_lower, plain.parent)
+        part, rows = amalgamate(plain.partition, plain.parent, patterns)
+        assert part.n_supernodes < plain.n_supernodes
+        expected = supernode_rows(part, patterns)
+        assert len(rows) == len(expected)
+        for got, want in zip(rows, expected):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+
     def test_amalgamation_bounded_overhead(self):
         lower = grid3d_laplacian(5)
         g = AdjacencyGraph.from_symmetric_lower(lower)
@@ -230,6 +250,15 @@ class TestSupernodes:
 
 
 class TestAnalyze:
+    def test_unpostordered_tree_is_invariant_error(self, monkeypatch):
+        lower = grid2d_laplacian(3)
+        n = lower.shape[0]
+        # every non-root column's parent below it
+        bad = np.r_[-1, np.zeros(n - 1, dtype=np.int64)]
+        monkeypatch.setattr(analyze_module, "relabel_parent", lambda parent, post: bad)
+        with pytest.raises(InvariantError):
+            analyze(lower, np.arange(n))
+
     @pytest.mark.parametrize("nx", [3, 5])
     def test_basic_invariants(self, nx):
         lower = grid2d_laplacian(nx)
