@@ -23,11 +23,6 @@ from repro.analysis.model import (
     predict_factor_time_from_plan,
     predict_scaling,
 )
-from repro.analysis.tracing import (
-    rank_activity_table,
-    ascii_gantt,
-    critical_rank,
-)
 from repro.analysis.memory import (
     predict_rank_entries,
     predict_peak_bytes_per_rank,
@@ -47,9 +42,6 @@ __all__ = [
     "predict_factor_time",
     "predict_factor_time_from_plan",
     "predict_scaling",
-    "rank_activity_table",
-    "ascii_gantt",
-    "critical_rank",
     "predict_rank_entries",
     "predict_peak_bytes_per_rank",
     "min_feasible_ranks",

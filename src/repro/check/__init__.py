@@ -1,13 +1,10 @@
-"""Correctness tooling: static analysis, comm-trace checking, sanitizers.
+"""Correctness tooling: static analysis, race checking, sanitizers.
 
-Three passes, one CLI (``python -m repro.cli check``):
+One CLI (``python -m repro.cli check``) over these passes:
 
 * :mod:`repro.check.lint` — project-specific AST lint (rules RP001…RP010)
   with inline ``# repro: noqa[RPxxx]`` suppression (comma-separated rule
   lists supported);
-* :mod:`repro.check.commcheck` — replays a :class:`~repro.simmpi.trace.
-  CommTrace` and flags unmatched messages, conservation violations,
-  wait-for cycles (deadlock), and order-nondeterministic receive pairs;
 * :mod:`repro.check.racecheck` — replays an
   :class:`~repro.exec.trace.ExecTrace` through a happens-before engine
   and flags unordered conflicting slot accesses, conservation violations
@@ -18,10 +15,14 @@ Three passes, one CLI (``python -m repro.cli check``):
   forced preemptions, injected delays), replayable byte-for-byte;
 * :mod:`repro.check.sanitize` — debug-mode invariant checks (CSR/CSC
   well-formedness, permutation validity, etree acyclicity/postorder,
-  supernode coverage, frontal-stack balance, ledger conservation) hooked
-  into hot paths behind ``REPRO_CHECK=1``;
+  supernode coverage, front-plan and LU assembly tables) hooked into hot
+  paths behind ``REPRO_CHECK=1``;
 * :mod:`repro.check.selftest` — embedded known-bad fixtures proving every
   checker still fires (the CI gate).
+
+Simulated communication is verified live by the simmpi scheduler
+(:mod:`repro.simmpi.scheduler`): deadlock cycles always, same-key races,
+lost messages and ledger conservation behind ``REPRO_CHECK=1``.
 
 Submodules are imported lazily: the sanitizer is consulted from low-level
 hot paths (sparse constructors, the simulator), so this package must be
@@ -33,7 +34,7 @@ from __future__ import annotations
 import importlib
 from typing import Any
 
-__all__ = ["lint", "commcheck", "racecheck", "schedfuzz", "sanitize", "selftest"]
+__all__ = ["lint", "racecheck", "schedfuzz", "sanitize", "selftest"]
 
 _SUBMODULES = frozenset(__all__)
 

@@ -9,10 +9,9 @@ offending values) to locate the corruption.
 The checks are installed into hot paths behind the ``REPRO_CHECK=1``
 environment switch (see :func:`enabled` /
 :func:`repro.util.validation.runtime_checks_enabled`): matrix constructors
-with ``_skip_check=True`` re-validate, the analyze phase checks the full
-symbolic factor (and an LU analysis its assembly table), and the
-simulator teardown verifies message-ledger conservation. When the switch
-is off the hooks cost one predicate call — no structure is walked.
+with ``_skip_check=True`` re-validate, and the analyze phase checks the
+full symbolic factor (and an LU analysis its assembly table). When the
+switch is off the hooks cost one predicate call — no structure is walked.
 
 The routines are duck-typed on purpose: they accept anything with the
 right attributes, so this module sits at the bottom of the dependency
@@ -45,7 +44,6 @@ __all__ = [
     "check_partition",
     "check_symbolic",
     "check_full_table",
-    "check_ledger",
 ]
 
 #: alias for the switch every hook consults
@@ -362,14 +360,3 @@ def check_full_table(sym: Any) -> None:
             f"is assembled at front position ({int(r[e])}, {int(c[e])})"
         )
 
-
-# -- ledgers -----------------------------------------------------------------
-
-
-def check_ledger(ledger: Any) -> None:
-    """Message-ledger conservation (wraps
-    :meth:`repro.simmpi.ledger.MessageLedger.verify`)."""
-    try:
-        ledger.verify()
-    except ReproError as exc:
-        raise _fail(str(exc)) from exc

@@ -12,16 +12,18 @@ results so tests can assert on individual cases.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Any, Callable, Generator, Sequence
 
 import numpy as np
 
-from repro.check import commcheck, lint, racecheck, schedfuzz
+from repro.check import lint, racecheck, schedfuzz
 from repro.check import sanitize
 from repro.exec.trace import ExecTrace
+from repro.machine.presets import GENERIC_CLUSTER
+from repro.simmpi.comm import Comm
 from repro.simmpi.ledger import MessageLedger
-from repro.simmpi.trace import CommTrace
-from repro.util.errors import InvariantError
+from repro.simmpi.scheduler import Simulator
+from repro.util.errors import InvariantError, SimulationError
 
 __all__ = ["SelfTestResult", "run_self_test"]
 
@@ -307,84 +309,78 @@ def _lint_results() -> list[SelfTestResult]:
     return results
 
 
-# -- commcheck fixtures ------------------------------------------------------
+# -- simulated-communication fixtures (the scheduler's live checks) ----------
 
 
-def _deadlock_trace() -> CommTrace:
+def _receive_cycle(comm: Comm) -> Generator[Any, Any, None]:
     """Two ranks, each blocked receiving from the other; nothing sent."""
-    t = CommTrace()
-    t.add("block", 0.0, rank=0, peer=1, tag="t")
-    t.add("block", 0.0, rank=1, peer=0, tag="t")
-    return t
+    yield comm.recv(1 - comm.rank, "t")
 
 
-def _race_trace() -> CommTrace:
-    """Two same-key messages in flight when the receive matches."""
-    t = CommTrace()
-    t.add("send", 0.0, rank=0, peer=1, tag="dup", nbytes=8)
-    t.add("send", 1.0, rank=0, peer=1, tag="dup", nbytes=8)
-    t.add("recv", 2.0, rank=1, peer=0, tag="dup", nbytes=8)
-    t.add("recv", 3.0, rank=1, peer=0, tag="dup", nbytes=8)
-    return t
+def _same_key_pair(comm: Comm) -> Generator[Any, Any, None]:
+    """Rank 1 waits on tag "b" while rank 0 queues two "dup" messages."""
+    if comm.rank == 0:
+        yield comm.send(1, 1, "dup")
+        yield comm.send(2, 1, "dup")
+        yield comm.send(3, 1, "b")
+    else:
+        for tag in ("b", "dup", "dup"):
+            yield comm.recv(0, tag)
 
 
-def _lost_message_trace() -> CommTrace:
-    t = CommTrace()
-    t.add("send", 0.0, rank=0, peer=1, tag="x", nbytes=8)
-    return t
+def _lost_message(comm: Comm) -> Generator[Any, Any, None]:
+    if comm.rank == 0:
+        yield comm.send(1, 1, "x")
 
 
-def _clean_trace() -> CommTrace:
-    t = CommTrace()
-    t.add("send", 0.0, rank=0, peer=1, tag="a", nbytes=8)
-    t.add("recv", 1.0, rank=1, peer=0, tag="a", nbytes=8)
-    t.add("send", 1.5, rank=1, peer=0, tag="b", nbytes=16)
-    t.add("recv", 2.0, rank=0, peer=1, tag="b", nbytes=16)
-    return t
+def _clean_exchange(comm: Comm) -> Generator[Any, Any, None]:
+    if comm.rank == 0:
+        yield comm.send(8, 1, "a")
+        yield comm.recv(1, "b")
+    else:
+        yield comm.recv(0, "a")
+        yield comm.send(16, 0, "b")
 
 
-def _commcheck_results() -> list[SelfTestResult]:
-    cases: tuple[tuple[str, CommTrace, str, bool], ...] = (
-        ("deadlock", _deadlock_trace(), "deadlock", False),
-        ("lost message", _lost_message_trace(), "unmatched-send", False),
-        ("receive race", _race_trace(), "race", True),
+def _simmpi_results() -> list[SelfTestResult]:
+    cases: tuple[tuple[str, Callable[[Comm], Generator[Any, Any, None]], str], ...] = (
+        ("receive cycle", _receive_cycle, "wait-for cycle"),
+        ("same-key pair in flight", _same_key_pair, "same-key race"),
+        ("lost message", _lost_message, "never received"),
+        ("clean exchange", _clean_exchange, ""),
     )
     results = []
-    for name, trace, code, ok_expected in cases:
-        report = commcheck.check_trace(trace)
-        caught = any(f.code == code for f in report.findings)
+    for name, program, expected in cases:
+        error = ""
+        try:
+            with sanitize.sanitized(True):
+                Simulator(GENERIC_CLUSTER, 2).run(program)
+        except SimulationError as exc:
+            error = str(exc)
         results.append(
             SelfTestResult(
-                name=f"commcheck flags {name} trace",
-                passed=caught and report.ok == ok_expected,
-                detail=report.summary(),
+                name=f"scheduler {'flags' if expected else 'passes'} {name}",
+                passed=expected in error if expected else not error,
+                detail=error or "no SimulationError raised",
             )
         )
-    clean = commcheck.check_trace(_clean_trace())
-    results.append(
-        SelfTestResult(
-            name="commcheck passes clean trace",
-            passed=clean.ok and not clean.findings,
-            detail=clean.summary(),
+    undelivered = MessageLedger(2)
+    undelivered.record_send(0, 1, 100, 1)  # sent but never received
+    conserving = MessageLedger(2)
+    conserving.record_send(0, 1, 100, 1)
+    conserving.record_recv(1, 100)
+    for name, ledger, expect_raise in (
+        ("flags undelivered message", undelivered, True),
+        ("passes conserving ledger", conserving, False),
+    ):
+        try:
+            ledger.verify()
+            caught = False
+        except SimulationError:
+            caught = True
+        results.append(
+            SelfTestResult(name=f"ledger verify {name}", passed=caught == expect_raise)
         )
-    )
-    bad_ledger = MessageLedger(2)
-    bad_ledger.record_send(0, 1, 100, 1)  # sent but never received
-    results.append(
-        SelfTestResult(
-            name="commcheck flags ledger conservation violation",
-            passed=bool(commcheck.check_ledger(bad_ledger)),
-        )
-    )
-    good_ledger = MessageLedger(2)
-    good_ledger.record_send(0, 1, 100, 1)
-    good_ledger.record_recv(1, 100)
-    results.append(
-        SelfTestResult(
-            name="commcheck passes conserving ledger",
-            passed=not commcheck.check_ledger(good_ledger),
-        )
-    )
     return results
 
 
@@ -615,7 +611,7 @@ def run_self_test() -> list[SelfTestResult]:
     """Run all embedded self-tests; the caller decides how to report."""
     return (
         _lint_results()
-        + _commcheck_results()
+        + _simmpi_results()
         + _racecheck_results()
         + _schedfuzz_results()
         + _sanitize_results()

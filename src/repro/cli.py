@@ -338,20 +338,16 @@ def cmd_serve_sim(args) -> int:
 def cmd_check(args) -> int:
     """Run the requested check passes; exit 0 only if every pass is clean.
 
-    Without mode flags, ``--lint`` is implied. ``--comm`` replays a JSONL
-    comm trace; ``--comm-sim MESH:SIZE:RANKS`` records a fresh strong-
-    scaling factorization trace and checks it end to end; ``--race
-    MESH:SIZE:WORKERS`` runs a traced threaded factor+solve through the
-    happens-before checker plus a determinism audit against a one-worker
-    run; ``--sched-fuzz N`` adds N seeded adversarial schedules.
+    Without mode flags, ``--lint`` is implied. ``--race MESH:SIZE:WORKERS``
+    runs a traced threaded factor+solve through the happens-before checker
+    plus a determinism audit against a one-worker run; ``--sched-fuzz N``
+    adds N seeded adversarial schedules. Simulated communication has no
+    mode here: the simulator checks it live (run ``scale`` with
+    ``REPRO_CHECK=1``).
     """
-    from repro.check import commcheck, lint, selftest
-    from repro.simmpi.trace import CommTrace
+    from repro.check import lint, selftest
 
-    do_lint = args.lint or not (
-        args.comm or args.comm_sim or args.self_test or args.race
-        or args.sched_fuzz
-    )
+    do_lint = args.lint or not (args.self_test or args.race or args.sched_fuzz)
     failed = False
 
     if do_lint:
@@ -363,41 +359,6 @@ def cmd_check(args) -> int:
             f"lint: {len(findings)} finding(s) in {', '.join(paths)}"
         )
         failed |= bool(findings)
-
-    if args.comm:
-        with open(args.comm, "r", encoding="utf-8") as fp:
-            trace = CommTrace.from_jsonl(fp)
-        report = commcheck.check_trace(trace)
-        print(report.summary())
-        failed |= not report.ok
-
-    if args.comm_sim:
-        try:
-            kind, size_s, ranks_s = args.comm_sim.split(":")
-            size, ranks = int(size_s), int(ranks_s)
-        except ValueError:
-            raise ShapeError(
-                f"--comm-sim must look like plate:8:4; got {args.comm_sim!r}"
-            ) from None
-        args.mesh = f"{kind}:{size}"
-        a = build_matrix(args)
-        solver = SparseSolver(a, method=args.method, ordering=args.ordering)
-        solver.analyze()
-        from repro.parallel import simulate_factorization
-
-        fres = simulate_factorization(
-            solver.sym, ranks, get_machine(args.machine), trace=True
-        )
-        report = commcheck.check_sim_result(fres.sim)
-        print(
-            f"comm-sim {kind}:{size} on {ranks} ranks "
-            f"({fres.sim.ledger.n_messages} messages):"
-        )
-        print(report.summary())
-        if args.dump_trace:
-            fres.sim.trace.comm.dump(args.dump_trace)
-            print(f"trace written to {args.dump_trace}")
-        failed |= not report.ok
 
     if args.race or args.sched_fuzz:
         from repro.check import racecheck, schedfuzz
@@ -697,7 +658,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "check",
-        help="static analysis, comm/exec race checking, schedule fuzzing, "
+        help="static analysis, exec race checking, schedule fuzzing, "
         "and checker self-test",
     )
     p.add_argument(
@@ -707,19 +668,9 @@ def make_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--lint", action="store_true", help="run the AST lint rules")
     p.add_argument(
-        "--comm",
-        metavar="TRACE.jsonl",
-        help="replay a recorded comm trace through the race/deadlock detector",
-    )
-    p.add_argument(
-        "--comm-sim",
-        metavar="MESH:SIZE:RANKS",
-        help="simulate a traced factorization (e.g. plate:8:4) and check it",
-    )
-    p.add_argument(
         "--dump-trace",
         metavar="FILE",
-        help="with --comm-sim/--race: also write the recorded trace as JSONL",
+        help="with --race: also write the recorded exec trace as JSONL",
     )
     p.add_argument(
         "--race",
@@ -748,7 +699,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--verbose", action="store_true")
     p.add_argument("--method", default="cholesky", choices=["cholesky", "ldlt"])
     p.add_argument("--ordering", default="nd")
-    p.add_argument("--machine", default="generic-cluster")
     p.add_argument("--matrix", help=argparse.SUPPRESS)
     p.add_argument("--mesh", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_check)

@@ -190,7 +190,7 @@ def simulate_factorization(
     analysis (:func:`repro.mf.lu.lu_analyze`) and runs on full fronts.
 
     With ``trace=True`` the result's ``sim.trace`` carries the per-rank
-    event timeline (see :mod:`repro.analysis.tracing`).
+    event timeline (rendered by :func:`repro.obs.export.chrome_trace`).
 
     A prebuilt *plan* (for this *sym* and *n_ranks*) skips plan
     construction — the plan is purely structural, so serving layers reuse

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.symbolic.analyze import SymbolicFactor
-from repro.util.errors import ShapeError
+from repro.util.errors import InvariantError, ShapeError
 
 
 @dataclass
@@ -154,7 +154,8 @@ def map_supernodes_to_ranks(
 
     roots = sym.roots()
     assign_forest(roots, tuple(range(n_ranks)))
-    assert all(len(g) >= 1 for g in sn_ranks), "unassigned supernodes"
+    if not all(sn_ranks):
+        raise InvariantError("subtree-to-subcube mapping left a supernode without ranks")
     own = np.asarray(
         [sym.supernode_flops(s) for s in range(nsn)], dtype=float
     )

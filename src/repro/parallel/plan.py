@@ -27,7 +27,7 @@ from repro.parallel.grid2d import ProcessGrid, block_starts
 from repro.parallel.mapping import TreeMapping, map_supernodes_to_ranks, subtree_flops
 from repro.parallel.schedule import ChildSchedule, ScatterMap
 from repro.symbolic.analyze import SymbolicFactor
-from repro.util.errors import ShapeError
+from repro.util.errors import InvariantError, ShapeError
 
 POLICIES = ("2d", "1d", "static")
 
@@ -152,8 +152,10 @@ class FactorPlan:
             grid = ProcessGrid.for_group(group)
         starts = block_starts(m, w, opts.nb)
         npb = int(np.searchsorted(starts, w, side="left"))
-        # `starts` aligns the pivot boundary, so starts[npb] == w.
-        assert starts[npb] == w
+        if starts[npb] != w:
+            raise InvariantError(
+                f"supernode {s}: block boundaries {starts.tolist()} miss pivot width {w}"
+            )
         return SupernodeDist(
             s=s, group=group, m=m, width=w, c0=c0, grid=grid, starts=starts, npb=npb
         )

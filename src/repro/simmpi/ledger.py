@@ -60,8 +60,8 @@ class MessageLedger:
         Every delivered message was sent exactly once and received exactly
         once, so at the end of a simulation the per-rank sent totals must
         sum to ``n_messages`` and match the per-rank received totals, in
-        both counts and bytes. Called by :mod:`repro.check.commcheck` and
-        by the simulator teardown when ``REPRO_CHECK=1``.
+        both counts and bytes. The simulator teardown calls it when
+        ``REPRO_CHECK=1``.
 
         Raises :class:`~repro.util.errors.SimulationError` with per-rank
         evidence on the first violated identity.

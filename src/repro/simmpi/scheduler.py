@@ -12,6 +12,15 @@ Runs every rank program as a coroutine, advancing a per-rank clock:
 Scheduling is deterministic: among runnable ranks, the one with the
 smallest ``(clock, rank)`` runs next, so results (including floating-point
 summation order) are reproducible run-to-run.
+
+The scheduler is also the one verifier of simulated communication. When
+no rank is runnable it raises a deadlock error naming every wait-for
+cycle, each rank blocked behind one, and each rank waiting on a rank that
+already finished. Under ``REPRO_CHECK=1`` it also rejects a send while an
+undelivered message with the same ``(dst, src, tag)`` key is queued (the
+tag cannot tell the two apart), and at teardown checks that every message
+was received and that the :class:`~repro.simmpi.ledger.MessageLedger`
+conserves counts and bytes.
 """
 
 from __future__ import annotations
@@ -137,6 +146,7 @@ class Simulator:
         heapq.heapify(ready)
         resume_value: list[Any] = [None] * p
         trace = Trace() if self.enable_trace else None
+        checks = runtime_checks_enabled()
         # Hop counts are a pure function of (src, dst): asked once per pair.
         hop_table: dict[tuple[int, int], int] = {}
         alpha, alpha_hop, beta = machine.alpha, machine.alpha_hop, machine.beta
@@ -163,6 +173,14 @@ class Simulator:
             box = mailbox.get(key)
             if box is None:
                 box = mailbox[key] = deque()
+            elif checks:
+                # Empty boxes are deleted, so this key has a message queued.
+                raise SimulationError(
+                    f"same-key race: rank {src} sent to rank {dst} with tag "
+                    f"{op.tag!r} at t={clock[src]:.6g} while an earlier message "
+                    f"on that key (arrival t={box[0][0]:.6g}) is undelivered; "
+                    "the tag cannot tell them apart"
+                )
             box.append((arrival, op.payload, nbytes))
             ledger.record_send(src, dst, nbytes, hops)
             if trace is not None:
@@ -191,17 +209,7 @@ class Simulator:
         n_done = 0
         while n_done < p:
             if not ready:
-                waiting = {
-                    r: blocked[r] for r in sorted(blocked)
-                }
-                err = SimulationError(
-                    f"deadlock: {p - n_done} rank(s) blocked, none runnable; "
-                    f"blocked on {waiting}"
-                )
-                # Attach the partial trace so post-mortem tooling
-                # (repro.check.commcheck) can reconstruct the wait-for graph.
-                err.trace = trace  # type: ignore[attr-defined]
-                raise err
+                raise SimulationError(_deadlock_message(blocked, done))
             t, r = heapq.heappop(ready)
             if done[r] or r in blocked or t < clock[r] - 1e-30:
                 continue  # stale entry
@@ -251,7 +259,7 @@ class Simulator:
         makespan = max(clock) if clock else 0.0
         for s in stats:
             s.finish_time = clock[s.rank]
-        if runtime_checks_enabled():
+        if checks:
             # Debug-mode teardown invariants (REPRO_CHECK=1): every sent
             # message was consumed, and the ledger conserves counts/bytes.
             if mailbox:
@@ -269,3 +277,46 @@ class Simulator:
             ledger=ledger,
             trace=trace,
         )
+
+
+def _deadlock_message(blocked: dict[int, tuple], done: list[bool]) -> str:
+    """Diagnose a state where every unfinished rank is blocked.
+
+    Each blocked rank waits on exactly one source, so the wait-for graph is
+    functional: walking successors from every rank finds every cycle. A
+    rank outside the cycles is either blocked behind one, or its chain ends
+    at a rank that already finished and so will never send.
+    """
+
+    def recv(r: int) -> str:
+        src, tag = blocked[r]
+        return f"rank {r} recv(src={src}, tag={tag!r})"
+
+    lines = [f"deadlock: {len(blocked)} rank(s) blocked, none runnable"]
+    cycle_of: dict[int, int] = {}  # rank on a cycle -> the cycle's first rank
+    for start in sorted(blocked):
+        path: list[int] = []
+        r = start
+        while r in blocked and r not in cycle_of and r not in path:
+            path.append(r)
+            r = blocked[r][0]
+        if r in path:
+            cycle = path[path.index(r):]
+            cycle_of.update(dict.fromkeys(cycle, r))
+            steps = " -> ".join(recv(a) for a in cycle)
+            lines.append(f"wait-for cycle: {steps} -> rank {r}")
+    for r in sorted(blocked):
+        if r in cycle_of:
+            continue
+        src = blocked[r][0]
+        head = src
+        while head in blocked and head not in cycle_of:
+            head = blocked[head][0]
+        if head in cycle_of:
+            lines.append(f"{recv(r)} is blocked behind the cycle through rank {cycle_of[head]}")
+        elif 0 <= src < len(done) and not done[src]:
+            lines.append(f"{recv(r)} is blocked behind rank {src}")
+        else:
+            gone = "already finished" if 0 <= src < len(done) else "does not exist"
+            lines.append(f"{recv(r)} waits on rank {src}, which {gone}: that message is never sent")
+    return "\n  ".join(lines)

@@ -2,26 +2,16 @@
 
 When enabled on the :class:`~repro.simmpi.scheduler.Simulator`, every
 compute region, send injection, and receive wait is recorded as a
-``TraceEvent``. :mod:`repro.analysis.tracing` renders these as per-rank
-timelines and phase breakdowns (the data behind gantt-style figures in
-solver papers).
-
-The same switch also records a :class:`CommTrace` — the message-level
-event log (every send, receive completion, and receive block with rank,
-peer, tag, bytes, and timestamp). :mod:`repro.check.commcheck` replays
-this log to detect unmatched messages, conservation violations, wait-for
-cycles, and order-nondeterministic receive pairs. ``CommTrace`` round-trips
-through JSON lines so traces can be archived and checked offline
-(``python -m repro.cli check --comm trace.jsonl``).
+``TraceEvent``, and every send, receive completion, and receive block as a
+:class:`CommEvent` in the run's :class:`CommTrace`.
+:func:`repro.obs.export.chrome_trace` renders both as per-rank timelines
+(the comm events as instants with ``include_comm``).
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from typing import IO, Hashable, Iterable, Iterator
-
-KINDS = ("compute", "send", "wait")
+from typing import Hashable, Iterator
 
 #: message-level event kinds recorded in a :class:`CommTrace`
 COMM_KINDS = ("send", "recv", "block")
@@ -61,42 +51,14 @@ class CommEvent:
     peer: int
     tag: str
     nbytes: int = 0
-    #: global record order (assigned by :meth:`CommTrace.add`)
-    seq: int = -1
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "kind": self.kind,
-                "time": self.time,
-                "rank": self.rank,
-                "peer": self.peer,
-                "tag": self.tag,
-                "nbytes": self.nbytes,
-                "seq": self.seq,
-            }
-        )
-
-    @classmethod
-    def from_json(cls, line: str) -> "CommEvent":
-        d = json.loads(line)
-        return cls(
-            kind=str(d["kind"]),
-            time=float(d["time"]),
-            rank=int(d["rank"]),
-            peer=int(d["peer"]),
-            tag=str(d["tag"]),
-            nbytes=int(d.get("nbytes", 0)),
-            seq=int(d.get("seq", -1)),
-        )
 
 
 def tag_key(tag: Hashable) -> str:
     """Canonical string form of a message tag.
 
     Tags in the library are hashable trees of tuples/strings/ints; the
-    ``repr`` is stable across a run and across the JSONL round trip, which
-    is all the matching in commcheck needs.
+    ``repr`` is stable across a run, so a send and the receive that
+    consumed it carry the same string.
     """
     return tag if isinstance(tag, str) else repr(tag)
 
@@ -126,7 +88,6 @@ class CommTrace:
                 peer=int(peer),
                 tag=tag_key(tag),
                 nbytes=int(nbytes),
-                seq=len(self.events),
             )
         )
 
@@ -135,51 +96,6 @@ class CommTrace:
 
     def __iter__(self) -> Iterator[CommEvent]:
         return iter(self.events)
-
-    def for_rank(self, rank: int) -> list[CommEvent]:
-        return [e for e in self.events if e.rank == rank]
-
-    # -- JSONL round trip ---------------------------------------------------
-
-    def to_jsonl(self, fp: IO[str]) -> None:
-        """Write one JSON object per line to an open text stream."""
-        for e in self.events:
-            fp.write(e.to_json())
-            fp.write("\n")
-
-    def dump(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fp:
-            self.to_jsonl(fp)
-
-    @classmethod
-    def from_events(cls, events: Iterable[CommEvent]) -> "CommTrace":
-        """Build a trace from prebuilt events, renumbering ``seq`` by
-        position (hand-built test traces use this)."""
-        trace = cls()
-        for e in events:
-            trace.events.append(
-                CommEvent(
-                    kind=e.kind,
-                    time=e.time,
-                    rank=e.rank,
-                    peer=e.peer,
-                    tag=e.tag,
-                    nbytes=e.nbytes,
-                    seq=len(trace.events),
-                )
-            )
-        return trace
-
-    @classmethod
-    def from_jsonl(cls, fp: IO[str]) -> "CommTrace":
-        return cls.from_events(
-            CommEvent.from_json(line) for line in fp if line.strip()
-        )
-
-    @classmethod
-    def load(cls, path: str) -> "CommTrace":
-        with open(path, "r", encoding="utf-8") as fp:
-            return cls.from_jsonl(fp)
 
 
 @dataclass

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.util.errors import InvariantError
+
 
 def children_lists(parent: np.ndarray) -> list[list[int]]:
     """Children adjacency from a parent array (children in increasing
@@ -46,7 +48,8 @@ def postorder(parent: np.ndarray) -> np.ndarray:
                 stack.pop()
                 post[k] = node
                 k += 1
-    assert k == n, "parent array contains a cycle"
+    if k != n:
+        raise InvariantError(f"parent array contains a cycle: {n - k} node(s) reach no root")
     return post
 
 

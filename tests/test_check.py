@@ -1,12 +1,10 @@
-"""Tests for repro.check: the lint rules, the comm race/deadlock detector,
-and the debug-mode invariant sanitizer."""
-
-import io
+"""Tests for repro.check: the lint rules, the debug-mode invariant
+sanitizer, the self-test, and the scheduler's teardown checks."""
 
 import numpy as np
 import pytest
 
-from repro.check import commcheck, lint, sanitize
+from repro.check import lint, sanitize
 from repro.check.selftest import run_self_test
 from repro.cli import main as cli_main
 from repro.gen import convection_diffusion2d, grid2d_laplacian
@@ -14,8 +12,7 @@ from repro.graph import AdjacencyGraph
 from repro.machine import GENERIC_CLUSTER
 from repro.mf.lu import lu_analyze
 from repro.ordering import nested_dissection_order
-from repro.parallel import PlanOptions, simulate_factorization
-from repro.simmpi import CommTrace, MessageLedger, Simulator, tag_key
+from repro.simmpi import MessageLedger, Simulator, tag_key
 from repro.symbolic import analyze
 from repro.util.errors import InvariantError, SimulationError
 from repro.util.validation import runtime_checks_enabled
@@ -166,87 +163,10 @@ class TestLintRepo:
         assert "RP001" in capsys.readouterr().out
 
 
-# -- commcheck ---------------------------------------------------------------
-
-
-def deadlock_trace():
-    t = CommTrace()
-    t.add("block", 0.0, rank=0, peer=1, tag="t")
-    t.add("block", 0.0, rank=1, peer=0, tag="t")
-    return t
+# -- comm trace tags ----------------------------------------------------------
 
 
 class TestCommCheck:
-    def test_deadlock_cycle_detected(self):
-        report = commcheck.check_trace(deadlock_trace())
-        assert not report.ok
-        assert any(f.code == "deadlock" for f in report.errors)
-
-    def test_lost_message_detected(self):
-        t = CommTrace()
-        t.add("send", 0.0, rank=0, peer=1, tag="t", nbytes=64)
-        report = commcheck.check_trace(t)
-        assert any(f.code == "unmatched-send" for f in report.errors)
-
-    def test_recv_without_send_detected(self):
-        t = CommTrace()
-        t.add("recv", 1.0, rank=1, peer=0, tag="t", nbytes=64)
-        report = commcheck.check_trace(t)
-        assert any(f.code == "unmatched-recv" for f in report.errors)
-
-    def test_race_is_warning_not_error(self):
-        t = CommTrace()
-        t.add("send", 0.0, rank=0, peer=2, tag="t", nbytes=64)
-        t.add("send", 0.5, rank=0, peer=2, tag="t", nbytes=64)
-        t.add("recv", 1.0, rank=2, peer=0, tag="t", nbytes=64)
-        t.add("recv", 2.0, rank=2, peer=0, tag="t", nbytes=64)
-        report = commcheck.check_trace(t)
-        assert report.ok
-        assert any(f.code == "race" for f in report.warnings)
-
-    def test_clean_trace_passes(self):
-        t = CommTrace()
-        t.add("send", 0.0, rank=0, peer=1, tag="t", nbytes=64)
-        t.add("recv", 1.0, rank=1, peer=0, tag="t", nbytes=64)
-        report = commcheck.check_trace(t)
-        assert report.ok and not report.warnings
-
-    def test_ledger_conservation_violation(self):
-        ledger = MessageLedger(2)
-        ledger.record_send(0, 1, 64, 1)
-        # Receive never recorded: trace says delivered, ledger disagrees.
-        t = CommTrace()
-        t.add("send", 0.0, rank=0, peer=1, tag="t", nbytes=64)
-        t.add("recv", 1.0, rank=1, peer=0, tag="t", nbytes=64)
-        report = commcheck.check_trace(t, ledger=ledger)
-        assert any(f.code == "conservation" for f in report.errors)
-
-    def test_traced_simulation_is_clean(self):
-        _, sym = analyzed_grid(8)
-        res = simulate_factorization(
-            sym, 4, GENERIC_CLUSTER, PlanOptions(nb=4), trace=True
-        )
-        report = commcheck.check_sim_result(res.sim)
-        assert report.ok, report.summary()
-        assert report.n_messages_matched > 0
-
-    def test_untraced_result_is_rejected(self):
-        _, sym = analyzed_grid(6)
-        res = simulate_factorization(sym, 2, GENERIC_CLUSTER, PlanOptions(nb=4))
-        with pytest.raises(SimulationError):
-            commcheck.check_sim_result(res.sim)
-
-    def test_jsonl_round_trip(self):
-        t = CommTrace()
-        t.add("send", 0.25, rank=0, peer=1, tag=("p2p", ("world",), 7), nbytes=128)
-        t.add("recv", 0.75, rank=1, peer=0, tag=("p2p", ("world",), 7), nbytes=128)
-        t.add("block", 0.5, rank=1, peer=0, tag="x")
-        buf = io.StringIO()
-        t.to_jsonl(buf)
-        buf.seek(0)
-        back = CommTrace.from_jsonl(buf)
-        assert list(back) == list(t)
-
     def test_tag_key_canonicalizes(self):
         assert tag_key("t") == "t"
         assert tag_key(("p2p", 0, 1)) == repr(("p2p", 0, 1))

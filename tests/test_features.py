@@ -12,13 +12,7 @@ from repro.machine import BLUEGENE_P, GENERIC_CLUSTER
 from repro.mf import condest, multifrontal_factor, schur_complement
 from repro.mf.condest import onenorm_symmetric_lower, inverse_onenorm_estimate
 from repro.mf.schur import split_symmetric_lower
-from repro.analysis import (
-    ascii_gantt,
-    critical_rank,
-    predict_factor_time,
-    predict_scaling,
-    rank_activity_table,
-)
+from repro.analysis import predict_factor_time, predict_scaling
 from repro.ordering import nested_dissection_order
 from repro.parallel import FactorPlan, PlanOptions, simulate_factorization
 from repro.parallel.factor_par import make_factor_program
@@ -239,25 +233,6 @@ class TestTracing:
         plan = FactorPlan(sym, 2, PlanOptions(nb=16))
         res = Simulator(GENERIC_CLUSTER, 2).run(make_factor_program(plan))
         assert res.trace is None
-
-    def test_activity_table(self, traced):
-        text = rank_activity_table(traced.trace, 4)
-        assert "busy %" in text
-        assert len(text.splitlines()) == 6
-
-    def test_ascii_gantt(self, traced):
-        art = ascii_gantt(traced.trace, 4, width=40)
-        lines = art.splitlines()
-        assert len(lines) == 6  # header + 4 ranks + legend
-        assert "#" in art
-
-    def test_critical_rank_in_range(self, traced):
-        assert 0 <= critical_rank(traced.trace, 4) < 4
-
-    def test_empty_gantt(self):
-        from repro.simmpi.trace import Trace
-
-        assert ascii_gantt(Trace(), 2) == "(empty trace)"
 
 
 class TestNewCollectives:

@@ -1,12 +1,10 @@
-"""Observability layer tests: spans, metrics, exporters, profiling, and
-the timeline renderers in ``repro.analysis.tracing``."""
+"""Observability layer tests: spans, metrics, exporters, and profiling."""
 
 import json
 
 import numpy as np
 import pytest
 
-from repro.analysis.tracing import ascii_gantt, rank_activity_table
 from repro.core.solver import SparseSolver
 from repro.gen import grid2d_laplacian
 from repro.machine import get_machine
@@ -26,7 +24,6 @@ from repro.obs.profile import (
 )
 from repro.obs.spans import NULL_SPAN, SpanRecorder, recording, span
 from repro.parallel import PlanOptions, simulate_factorization
-from repro.simmpi.trace import Trace, TraceEvent
 from repro.util.errors import ReproError
 
 pytestmark = pytest.mark.obs
@@ -345,53 +342,6 @@ class TestChromeTrace:
         assert "hottest fronts" in text
         assert "measured vs modeled" in text
         assert obs_export.report() == "(nothing recorded)"
-
-
-# -- timeline renderers (repro.analysis.tracing) -----------------------------
-
-
-def _toy_trace() -> Trace:
-    t = Trace()
-    t.add(0, "compute", 0.0, 0.6, detail=100.0)
-    t.add(0, "send", 0.6, 0.7)
-    t.add(1, "wait", 0.0, 0.5)
-    t.add(1, "compute", 0.5, 1.0)
-    return t
-
-
-class TestTimelineRendering:
-    def test_rank_activity_table(self):
-        table = rank_activity_table(_toy_trace(), 2)
-        lines = table.splitlines()
-        assert "rank" in lines[0]
-        r0 = lines[2].split("|")
-        assert float(r0[1]) == pytest.approx(600.0)  # compute ms
-        assert float(r0[2]) == pytest.approx(100.0)  # send ms
-        assert float(r0[4]) == pytest.approx(100.0)  # busy %
-        r1 = lines[3].split("|")
-        assert float(r1[3]) == pytest.approx(500.0)  # wait ms
-        assert float(r1[4]) == pytest.approx(50.0)
-
-    def test_ascii_gantt_renders_kinds(self):
-        art = ascii_gantt(_toy_trace(), 2, width=10)
-        rows = art.splitlines()
-        assert rows[1].startswith("r0")
-        assert "#" in rows[1] and ">" in rows[1]
-        assert "." in rows[2] and "#" in rows[2]
-        assert ascii_gantt(Trace(), 2) == "(empty trace)"
-
-    def test_ascii_gantt_zero_duration_event_at_trace_end(self):
-        # Regression: an instantaneous event exactly at the trace end used
-        # to land in bucket `width` and silently vanish. Trace.add drops
-        # zero-duration events, so append directly.
-        t = Trace()
-        t.add(0, "compute", 0.0, 1.0)
-        t.events.append(TraceEvent(rank=1, kind="send", start=1.0, end=1.0))
-        art = ascii_gantt(t, 2, width=8)
-        r1 = art.splitlines()[2]
-        assert r1.startswith("r1")
-        assert ">" in r1  # the event is rendered, clamped into the last column
-        assert r1.rstrip().endswith(">")
 
 
 # -- CLI ---------------------------------------------------------------------

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.check.sanitize import sanitized
 from repro.machine import MachineModel, FlatTopology
 from repro.simmpi import Comm, Compute, Local, Send, Simulator, payload_nbytes
 from repro.simmpi.message import ENVELOPE_BYTES
@@ -130,6 +131,68 @@ class TestPointToPoint:
 
         with pytest.raises(SimulationError):
             run(prog, p=2)
+
+
+class TestLiveCommChecks:
+    """The scheduler is the one verifier of simulated communication."""
+
+    def deadlock_message(self, prog, p):
+        with pytest.raises(SimulationError, match="deadlock") as err:
+            run(prog, p=p)
+        return str(err.value)
+
+    def test_two_rank_cycle_names_ranks_and_tags(self):
+        def prog(comm):
+            peer = 1 - comm.rank
+            yield comm.recv(source=peer, tag=f"from{peer}")
+
+        msg = self.deadlock_message(prog, 2)
+        assert "wait-for cycle" in msg
+        assert "rank 0 recv(src=1" in msg and "'from1'" in msg
+        assert "rank 1 recv(src=0" in msg and "'from0'" in msg
+
+    def test_rank_blocked_behind_cycle(self):
+        def prog(comm):
+            src = {0: 1, 1: 0, 2: 0}[comm.rank]
+            yield comm.recv(source=src, tag=f"r{comm.rank}")
+
+        msg = self.deadlock_message(prog, 3)
+        line = next(s for s in msg.splitlines() if "rank 2 recv(src=0" in s)
+        assert "'r2'" in line and "behind the cycle through rank 0" in line
+
+    def test_rank_waiting_on_finished_rank(self):
+        def prog(comm):
+            if comm.rank == 1:
+                yield comm.recv(source=0, tag="never")
+            return comm.rank
+
+        msg = self.deadlock_message(prog, 2)
+        assert "wait-for cycle" not in msg
+        assert "rank 1 recv(src=0" in msg and "'never'" in msg
+        assert "rank 0, which already finished" in msg
+
+    @staticmethod
+    def same_key_pair(comm):
+        # Rank 1 waits on "b" while rank 0 queues two "dup" messages.
+        if comm.rank == 0:
+            yield comm.send("first", dest=1, tag="dup")
+            yield comm.send("second", dest=1, tag="dup")
+            yield comm.send(None, dest=1, tag="b")
+            return None
+        yield comm.recv(source=0, tag="b")
+        a = yield comm.recv(source=0, tag="dup")
+        b = yield comm.recv(source=0, tag="dup")
+        return (a, b)
+
+    def test_same_key_pair_raises_under_checks(self):
+        with sanitized(True):
+            with pytest.raises(SimulationError, match="same-key race.*'dup'"):
+                run(self.same_key_pair, p=2)
+
+    def test_same_key_pair_runs_with_checks_off(self):
+        with sanitized(False):
+            res = run(self.same_key_pair, p=2)
+        assert res.returns[1] == ("first", "second")
 
 
 class TestCompute:

@@ -135,6 +135,12 @@ class TestPostorder:
         new_parent = relabel_parent(parent, post)
         assert is_postordered(new_parent)
 
+    def test_cyclic_parent_raises_typed_error(self):
+        # A typed error, not an assert: under `python -O` the cycle used to
+        # return uninitialised memory as a permutation.
+        with pytest.raises(InvariantError, match="cycle"):
+            postorder(np.array([1, 0]))
+
     def test_is_postordered_detects_violation(self):
         assert not is_postordered(np.array([-1, 0], dtype=np.int64))
         assert is_postordered(np.array([1, -1], dtype=np.int64))
