@@ -19,6 +19,8 @@ Three contracts, asserted so CI catches regressions:
   CI-safe even where BLAS sgemm/dgemm throughput happens to be flat.
 """
 
+import time
+
 from harness import banner
 
 from repro.core.solver import SparseSolver
@@ -29,7 +31,6 @@ from repro.ordering import amd_order
 from repro.symbolic import analyze
 from repro.util.rng import make_rng
 from repro.util.tables import format_table
-from repro.util.timing import WallTimer
 
 SUITE = [
     ("grid2d-9pt-40", lambda: grid2d_9pt(40)),
@@ -45,9 +46,9 @@ MEMORY_FLOOR = 1.8
 def _best_of(fn) -> float:
     times = []
     for _ in range(REPS):
-        with WallTimer() as t:
-            fn()
-        times.append(t.elapsed)
+        start = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - start)
     return min(times)
 
 

@@ -6,6 +6,8 @@ solves). Host wall time for the (Python) analysis phase; simulated
 machine time for the numeric phases.
 """
 
+import time
+
 import numpy as np
 
 from harness import NB, analyzed, banner
@@ -17,7 +19,6 @@ from repro.ordering import nested_dissection_order
 from repro.parallel import PlanOptions, simulate_factorization, simulate_solve
 from repro.symbolic import analyze as run_analyze
 from repro.util.tables import format_table
-from repro.util.timing import WallTimer
 
 MATRICES = ["cube-s", "cube-m", "elast-m", "plate-l"]
 
@@ -26,16 +27,17 @@ def test_t6_phase_breakdown(benchmark):
     rows = []
     for name in MATRICES:
         lower = get_paper_matrix(name).build()
-        with WallTimer() as t:
-            g = AdjacencyGraph.from_symmetric_lower(lower)
-            sym = run_analyze(lower, nested_dissection_order(g))
+        start = time.perf_counter()
+        g = AdjacencyGraph.from_symmetric_lower(lower)
+        sym = run_analyze(lower, nested_dissection_order(g))
+        elapsed = time.perf_counter() - start
         fres = simulate_factorization(sym, 1, BLUEGENE_P, PlanOptions(nb=NB))
         sres = simulate_solve(fres, np.ones(sym.n))
         rows.append(
             [
                 name,
                 sym.n,
-                round(t.elapsed, 3),
+                round(elapsed, 3),
                 round(fres.makespan * 1e3, 3),
                 round(sres.makespan * 1e3, 4),
                 round(fres.makespan / sres.makespan, 1),

@@ -12,9 +12,6 @@ from repro.analysis.metrics import (
     load_imbalance,
 )
 from repro.analysis.report import (
-    LatencySummary,
-    render_counter_table,
-    render_latency_table,
     render_scaling_table,
     render_series,
 )
@@ -36,9 +33,6 @@ __all__ = [
     "load_imbalance",
     "render_scaling_table",
     "render_series",
-    "LatencySummary",
-    "render_counter_table",
-    "render_latency_table",
     "predict_factor_time",
     "predict_factor_time_from_plan",
     "predict_scaling",

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from repro.analysis.metrics import ScalingPoint
@@ -42,60 +41,6 @@ def render_scaling_table(
             ]
         )
     return format_table(headers, rows, title=title)
-
-
-def render_counter_table(
-    counters: dict[str, int], title: str | None = None
-) -> str:
-    """Name/value table of event counters (stable name order)."""
-    rows = [[name, counters[name]] for name in sorted(counters)]
-    return format_table(["counter", "value"], rows, title=title)
-
-
-def render_latency_table(
-    latencies: dict[str, "LatencySummary"], title: str | None = None
-) -> str:
-    """One row per phase: count, total/mean/p50/p95/max in milliseconds."""
-    headers = ["phase", "count", "total ms", "mean ms", "p50 ms", "p95 ms", "max ms"]
-    rows = []
-    for name in sorted(latencies):
-        s = latencies[name]
-        rows.append(
-            [
-                name,
-                s.count,
-                round(s.total * 1e3, 3),
-                round(s.mean * 1e3, 3),
-                round(s.percentile(50) * 1e3, 3),
-                round(s.percentile(95) * 1e3, 3),
-                round(s.max * 1e3, 3),
-            ]
-        )
-    return format_table(headers, rows, title=title)
-
-
-@dataclass(frozen=True)
-class LatencySummary:
-    """Read-only summary of one latency distribution (seconds)."""
-
-    count: int
-    total: float
-    min: float
-    max: float
-    #: ascending samples (the serving layer's histograms keep all of them;
-    #: simulated traffic volumes make that affordable)
-    sorted_samples: tuple[float, ...]
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def percentile(self, p: float) -> float:
-        """Nearest-rank percentile, p in [0, 100]."""
-        if not self.sorted_samples:
-            return 0.0
-        rank = max(0, int(len(self.sorted_samples) * p / 100.0 + 0.5) - 1)
-        return self.sorted_samples[min(rank, len(self.sorted_samples) - 1)]
 
 
 def render_series(

@@ -16,7 +16,7 @@ RP003  numpy dtype discipline in kernel packages (mf, sparse, symbolic)
 RP004  no ``print`` in library code (CLI excluded)
 RP005  package ``__init__`` modules must declare ``__all__``
 RP006  unused imports (``__all__``-aware; ``__init__`` re-exports exempt)
-RP007  no direct ``time.perf_counter()`` outside timing/observability code
+RP007  no direct ``time.perf_counter()`` outside ``repro.obs``
 RP008  no raw threading / concurrent.futures outside :mod:`repro.exec`
 RP009  shared-mutable-state discipline in :mod:`repro.exec` (no
        module-level mutable containers, no ``global`` rebinding)
@@ -509,9 +509,9 @@ def _declared_all(tree: ast.Module) -> set[str]:
 
 # -- RP007 -------------------------------------------------------------------
 
-#: modules allowed to call the raw clock: the timing helper itself and the
-#: observability layer that funnels everything else
-_CLOCK_EXEMPT_PREFIXES = ("repro.util.timing", "repro.obs")
+#: the one package allowed to call the raw clock: the observability layer
+#: that funnels everything else
+_CLOCK_EXEMPT_PREFIXES = ("repro.obs",)
 
 _CLOCK_CALLS = frozenset({"perf_counter", "perf_counter_ns"})
 
@@ -519,15 +519,15 @@ _CLOCK_CALLS = frozenset({"perf_counter", "perf_counter_ns"})
 class NoDirectPerfCounterRule(LintRule):
     """RP007: no direct ``time.perf_counter()`` in library code.
 
-    Host timing must flow through :class:`repro.util.timing.WallTimer`,
-    :func:`repro.obs.spans.span`, or the profile's ``clock`` hook so that
-    every measurement is visible to the observability layer (and so the
-    disabled path stays clock-free). Only ``repro.util.timing`` and
-    ``repro.obs`` itself may touch the raw clock.
+    Host timing must flow through :func:`repro.obs.spans.timed` (a phase
+    whose duration is a value), :func:`repro.obs.spans.span`, or the
+    profile's ``clock`` hook so that every measurement is visible to the
+    observability layer (and so the disabled path of ``span`` stays
+    clock-free). Only ``repro.obs`` itself may touch the raw clock.
     """
 
     id = "RP007"
-    title = "direct perf_counter() outside timing/obs"
+    title = "direct perf_counter() outside repro.obs"
 
     def applies(self, ctx: LintContext) -> bool:
         return ctx.in_repro and not any(
@@ -549,8 +549,8 @@ class NoDirectPerfCounterRule(LintRule):
                 yield self.finding(
                     ctx,
                     node,
-                    f"direct {name}() — time through repro.obs spans or "
-                    "repro.util.timing.WallTimer",
+                    f"direct {name}() — time the block with "
+                    "repro.obs.spans.timed (or span)",
                 )
 
 

@@ -245,8 +245,8 @@ def cmd_serve_sim(args) -> int:
     step, the nonlinear/transient workflow), interleaved with a handful of
     fresh patterns that must miss the analysis cache."""
     from repro.core import ParallelConfig
+    from repro.obs.spans import timed
     from repro.service import AdmissionError, COMPLETED, ServiceConfig, SolverService
-    from repro.util.timing import WallTimer
 
     parallel = None
     if args.ranks_served > 0:
@@ -295,7 +295,7 @@ def cmd_serve_sim(args) -> int:
             service.submit(matrix, rhs, method=args.method, priority=priority,
                            tenant=tenant)
 
-    with WallTimer() as t:
+    with timed("cli.serve_sim", steps=args.steps) as t:
         for step in range(args.steps):
             scaled = CSCMatrix(
                 base.shape,

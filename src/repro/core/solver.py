@@ -31,7 +31,7 @@ from repro.machine.presets import GENERIC_CLUSTER
 from repro.mf.numeric import NumericFactor, multifrontal_factor
 from repro.mf.refine import iterative_refinement_many
 from repro.mf.solve_phase import solve_many as mf_solve_many
-from repro.obs.spans import span
+from repro.obs.spans import span, timed
 from repro.ordering.registry import get_ordering
 from repro.parallel.driver import (
     ParallelFactorResult,
@@ -50,7 +50,6 @@ from repro.util.errors import PatternMismatchError, ReproError, ShapeError
 #: thread, ``"threads"`` on a :mod:`repro.exec` worker pool (bitwise
 #: identical results either way — the sequential path is the oracle)
 EXEC_BACKENDS = ("seq", "threads")
-from repro.util.timing import WallTimer
 from repro.util.validation import as_float_array, work_dtype
 
 
@@ -194,9 +193,9 @@ class SparseSolver:
 
     def analyze(self) -> AnalyzeInfo:
         """Ordering + symbolic factorization (once per pattern)."""
-        with span(
+        with timed(
             "solver.analyze", n=self.lower.shape[0], nnz=self.lower.nnz
-        ), WallTimer() as t:
+        ) as t:
             if isinstance(self.ordering, str):
                 with span("solver.ordering", ordering=self.ordering):
                     graph = AdjacencyGraph.from_symmetric_lower(self.lower)

@@ -6,10 +6,11 @@ One subsystem, four pieces, one switch (``REPRO_OBS=1`` or the
 * :mod:`repro.obs.spans` — nested, attributed **spans** over the real
   phases of the library (analyze / factor / solve, the parallel driver,
   the serving layer) with a process-wide recorder that is ~zero-cost when
-  disabled;
+  disabled, and :func:`~repro.obs.spans.timed` for phases whose duration
+  is a value; the only library code that reads the host clock;
 * :mod:`repro.obs.metrics` — **counters, gauges, fixed-bucket
-  histograms** with snapshot/delta semantics (the serving layer's
-  :class:`~repro.service.metrics.ServiceMetrics` is a shim over this);
+  histograms** with snapshot/delta semantics (a serving
+  ``SolverService.metrics`` is one of these registries);
 * :mod:`repro.obs.export` — **exporters**: Chrome trace-event / Perfetto
   JSON merging host spans with simulated per-rank timelines, Prometheus
   text exposition, human tables;
@@ -40,7 +41,6 @@ from repro.obs.metrics import (
     HistogramSnapshot,
     MetricsRegistry,
     MetricsSnapshot,
-    SampleHistogram,
 )
 from repro.obs.profile import (
     FrontProfile,
@@ -60,6 +60,7 @@ from repro.obs.spans import (
     obs_enabled,
     recording,
     span,
+    timed,
 )
 
 __all__ = [
@@ -67,6 +68,7 @@ __all__ = [
     "Span",
     "SpanRecorder",
     "span",
+    "timed",
     "enable",
     "disable",
     "recording",
@@ -76,7 +78,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "HistogramSnapshot",
-    "SampleHistogram",
     "MetricsRegistry",
     "MetricsSnapshot",
     "DEFAULT_LATENCY_BUCKETS",

@@ -6,7 +6,8 @@ analysis needs: host phase spans (real wall time from
 (:class:`repro.simmpi.trace.Trace`) are merged into one trace-event file,
 as two processes on a shared timeline origin:
 
-* ``pid 0`` ("host") — one thread of nested phase spans;
+* ``pid 0`` ("host") — nested phase spans, one thread per recording
+  thread (the span's lane);
 * ``pid 1`` ("sim machine") — one thread per simulated rank, compute /
   send / wait intervals, with message-level comm events as instants when
   requested.
@@ -84,9 +85,10 @@ def chrome_trace_events(
     events: list[dict] = []
     if recorder is not None and recorder.spans:
         events.append(_meta("process_name", HOST_PID, {"name": "host"}))
-        events.append(
-            _meta("thread_name", HOST_PID, {"name": "phases"}, tid=0)
-        )
+        for lane in sorted({s.lane for s in recorder.spans}):
+            events.append(
+                _meta("thread_name", HOST_PID, {"name": f"lane {lane}"}, tid=lane)
+            )
         t0 = recorder.t0
         if t0 is None:
             t0 = min(s.start for s in recorder.spans)
@@ -99,7 +101,7 @@ def chrome_trace_events(
                     "ts": (s.start - t0) * 1e6,
                     "dur": s.duration * 1e6,
                     "pid": HOST_PID,
-                    "tid": 0,
+                    "tid": s.lane,
                     "args": dict(s.attrs),
                 }
             )

@@ -3,42 +3,35 @@
 The registry is the numeric side of the observability layer: discrete
 events (jobs, cache hits, retries), level readings (queue depth, resident
 entries), and distributions (front size, per-supernode flops, queue wait,
-phase latency). Two histogram flavors coexist:
-
-* :class:`Histogram` — fixed upper-bound buckets with ``sum``/``count``,
-  cheap to record and exportable to the Prometheus text format
-  (:func:`repro.obs.export.prometheus_text`);
-* :class:`SampleHistogram` — keeps every sample for exact percentile
-  summaries (the serving layer's latency reports; simulated traffic
-  volumes make that affordable).
+phase latency). A :class:`Histogram` keeps fixed upper-bound buckets
+with ``sum``/``count``: constant memory however long the process serves,
+cheap to record, exportable to the Prometheus text format
+(:func:`repro.obs.export.prometheus_text`), and its percentiles are read
+at bucket resolution (:meth:`HistogramSnapshot.quantile_bound`).
 
 Snapshots are immutable copies with *delta* semantics —
 ``later.delta(earlier)`` is the traffic between two scrapes, which is how
 rate dashboards are built from cumulative counters.
 
-:class:`repro.service.metrics.ServiceMetrics` is now a compatibility shim
-over one of these registries.
+A :class:`~repro.service.queue.SolverService` stores all its metrics in
+one of these registries (``svc.metrics``).
 
 Thread safety: a registry may be written concurrently by the serving
 fleet's workers and by the execution backend's pool telemetry. Every
 instrument a registry creates shares the registry's mutex (obtained from
 :func:`repro.exec.pool.make_lock`, the audited constructor — lint rule
 RP010), so ``inc``/``observe``/``set`` are atomic read-modify-write
-updates and :meth:`MetricsRegistry.snapshot` is a consistent cut. Two
-fast paths avoid contention: ``registry.record = False`` turns the
-recording shorthands into no-ops *before* any lock is touched, and a
+updates and :meth:`MetricsRegistry.snapshot` is a consistent cut. A
 standalone instrument (constructed directly, not via a registry) carries
 no lock at all.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+import math
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Sequence
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.analysis.report import LatencySummary
+from typing import Mapping, Sequence
 
 __all__ = [
     "DEFAULT_LATENCY_BUCKETS",
@@ -46,7 +39,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "HistogramSnapshot",
-    "SampleHistogram",
     "MetricsRegistry",
     "MetricsSnapshot",
 ]
@@ -69,10 +61,11 @@ class Counter:
 
     def __init__(self, name: str, lock=None) -> None:
         self.name = name
-        self.value = 0.0
+        #: stays an int while every increment is an int
+        self.value: float = 0
         self.lock = lock
 
-    def inc(self, by: float = 1.0) -> None:
+    def inc(self, by: float = 1) -> None:
         if by < 0:
             raise ValueError(f"counter {self.name!r} cannot decrease")
         if self.lock is None:
@@ -192,32 +185,19 @@ class HistogramSnapshot:
             count=self.count - earlier.count,
         )
 
+    def quantile_bound(self, q: float) -> float:
+        """Upper bound of the bucket holding the nearest-rank *q* quantile.
 
-class SampleHistogram:
-    """All-sample recorder (seconds) with exact percentile summaries."""
-
-    def __init__(self) -> None:
-        self._sorted: list[float] = []
-        self.total = 0.0
-
-    def observe(self, seconds: float) -> None:
-        insort(self._sorted, float(seconds))
-        self.total += float(seconds)
-
-    @property
-    def count(self) -> int:
-        return len(self._sorted)
-
-    def summary(self) -> "LatencySummary":
-        from repro.analysis.report import LatencySummary
-
-        return LatencySummary(
-            count=self.count,
-            total=self.total,
-            min=self._sorted[0] if self._sorted else 0.0,
-            max=self._sorted[-1] if self._sorted else 0.0,
-            sorted_samples=tuple(self._sorted),
-        )
+        *q* is in (0, 1]. ``inf`` when that sample fell in the +Inf
+        bucket; 0 for an empty histogram.
+        """
+        if not self.count:
+            return 0.0
+        rank = max(1, math.ceil(q * self.count))
+        for upper, running in zip(self.uppers + (math.inf,), self.cumulative()):
+            if running >= rank:
+                return upper
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -254,13 +234,10 @@ class MetricsRegistry:
     Safe for concurrent writers: one registry-wide mutex (constructed via
     the audited :func:`repro.exec.pool.make_lock`) is shared by every
     instrument the registry creates, making updates atomic and snapshots
-    consistent. Setting :attr:`record` to ``False`` turns the recording
-    shorthands (:meth:`inc` / :meth:`observe`) into no-ops before any
-    lock is touched — the contention-free path for latency-critical runs
-    that don't want telemetry.
+    consistent.
     """
 
-    def __init__(self, record: bool = True) -> None:
+    def __init__(self) -> None:
         # Lazy import: repro.exec.pool pulls in repro.obs.spans/profile at
         # module import time; binding at first-registry construction keeps
         # the package import graph acyclic.
@@ -270,17 +247,8 @@ class MetricsRegistry:
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
-        #: master recording switch of the shorthand paths
-        self.record = record
 
     # -- get-or-create -------------------------------------------------------
-
-    def counter(self, name: str) -> Counter:
-        with self._lock:
-            c = self._counters.get(name)
-            if c is None:
-                c = self._counters[name] = Counter(name, lock=self._lock)
-            return c
 
     def gauge(self, name: str) -> Gauge:
         with self._lock:
@@ -302,10 +270,12 @@ class MetricsRegistry:
 
     # -- recording shorthands ------------------------------------------------
 
-    def inc(self, name: str, by: float = 1.0) -> None:
-        if not self.record:
-            return
-        self.counter(name).inc(by)
+    def inc(self, name: str, by: float = 1) -> None:
+        with self._lock:
+            c = self._counters.get(name)
+            if c is None:
+                c = self._counters[name] = Counter(name, lock=self._lock)
+        c.inc(by)
 
     def observe(
         self,
@@ -313,16 +283,15 @@ class MetricsRegistry:
         value: float,
         buckets: Sequence[float] = DEFAULT_LATENCY_BUCKETS,
     ) -> None:
-        if not self.record:
-            return
         self.histogram(name, buckets).observe(value)
 
     # -- introspection -------------------------------------------------------
 
-    def counter_value(self, name: str) -> float:
+    def counter(self, name: str) -> float:
+        """Reading of counter *name* (0 if it never counted)."""
         with self._lock:
             c = self._counters.get(name)
-            return c.value if c is not None else 0.0
+            return c.value if c is not None else 0
 
     def counter_values(self) -> dict[str, float]:
         with self._lock:
@@ -353,12 +322,19 @@ class MetricsRegistry:
         """Plain-text table report in the repo's format."""
         from repro.util.tables import format_table
 
+        snap = self.snapshot()
         rows: list[list] = []
-        for name, value in self.counter_values().items():
+        for name, value in snap.counters.items():
             rows.append([name, "counter", round(value, 6), ""])
-        for name, value in self.gauge_values().items():
+        for name, value in snap.gauges.items():
             rows.append([name, "gauge", round(value, 6), ""])
-        for name, h in sorted(self.histograms().items()):
+        for name, h in snap.histograms.items():
             mean = h.sum / h.count if h.count else 0.0
-            rows.append([name, "histogram", h.count, f"mean={mean:.6g}"])
+            rows.append([
+                name,
+                "histogram",
+                h.count,
+                f"mean={mean:.6g} p50<={h.quantile_bound(0.5):.6g} "
+                f"p95<={h.quantile_bound(0.95):.6g}",
+            ])
         return format_table(["metric", "kind", "value", "detail"], rows, title=title)

@@ -13,7 +13,14 @@ a shared no-op context manager without allocating anything when no
 recorder is installed, so the instrumentation sprinkled through the
 solver, the parallel driver, and the serving layer costs one global read
 and one function call per phase when disabled — and never changes answer
-bits either way.
+bits either way. A site that needs its duration as a value (a served
+job's phase timings, ``AnalyzeInfo.wall_time``) uses :func:`timed`
+instead, which reads the clock whether or not a recorder is installed;
+this module is the only library code that reads the host clock.
+
+Nesting is per thread: each thread keeps its own open-span stack, so
+spans opened concurrently by fleet or pool workers get their parent from
+their own thread and carry that thread's trace lane.
 
 Exporters live in :mod:`repro.obs.export` (Chrome trace-event JSON,
 Prometheus text, human tables); per-supernode profiling in
@@ -22,9 +29,11 @@ Prometheus text, human tables); per-supernode profiling in
 
 from __future__ import annotations
 
+import itertools
 import os
 import time
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Any, Iterator
 
@@ -35,6 +44,7 @@ __all__ = [
     "Span",
     "SpanRecorder",
     "span",
+    "timed",
     "enable",
     "disable",
     "recording",
@@ -49,11 +59,10 @@ _TRUTHY = frozenset({"1", "true", "on", "yes"})
 class ExecTaskEvent:
     """One task executed by a :mod:`repro.exec` worker thread.
 
-    Unlike :class:`Span`, these are recorded from *concurrent* worker
-    threads, so they carry their own worker lane instead of riding the
-    recorder's (single-threaded) nesting stack. The Chrome exporter
-    renders them as one timeline row per worker — real concurrency next
-    to the host phases and the simulated rank timelines.
+    Unlike :class:`Span`, these carry the pool's own worker index and no
+    nesting. The Chrome exporter renders them as one timeline row per
+    worker — real concurrency next to the host phases and the simulated
+    rank timelines.
     """
 
     #: task label, e.g. ``"factor:s17"``
@@ -81,8 +90,10 @@ class Span:
     depth: int
     #: recorder-unique id, assigned in entry order
     span_id: int
-    #: ``span_id`` of the enclosing span, -1 at top level
+    #: ``span_id`` of the enclosing span on the same thread, -1 at top level
     parent_id: int
+    #: trace lane of the recording thread (one Chrome trace row each)
+    lane: int
     attrs: dict[str, Any] = field(default_factory=dict)
 
     @property
@@ -91,7 +102,12 @@ class Span:
 
 
 class SpanRecorder:
-    """Collects finished spans (and the front profile) of one recording."""
+    """Collects finished spans (and the front profile) of one recording.
+
+    Safe to record into from several threads: finished spans are appended
+    (atomic under the interpreter lock), span ids come from an atomic
+    counter, and each thread keeps its own open-span stack.
+    """
 
     def __init__(self) -> None:
         self.spans: list[Span] = []
@@ -104,8 +120,7 @@ class SpanRecorder:
         self.exec_trace_events: list[Any] = []
         #: ``perf_counter`` value of the first span start (export origin)
         self.t0: float | None = None
-        self._stack: list[_LiveSpan] = []
-        self._next_id = 0
+        self._ids = itertools.count()
 
     def clear(self) -> None:
         self.spans.clear()
@@ -113,8 +128,7 @@ class SpanRecorder:
         self.exec_events.clear()
         self.exec_trace_events.clear()
         self.t0 = None
-        self._stack.clear()
-        self._next_id = 0
+        self._ids = itertools.count()
 
     def by_name(self, name: str) -> list[Span]:
         return [s for s in self.spans if s.name == name]
@@ -149,26 +163,55 @@ class _NullSpan:
 
 NULL_SPAN = _NullSpan()
 
+#: the open spans of the current thread, innermost last. A thread starts
+#: with an empty context, so every thread gets its own stack; the
+#: recorder itself holds no nesting state.
+_open: ContextVar[tuple["_LiveSpan", ...]] = ContextVar(
+    "repro_open_spans", default=()
+)
+#: trace lane of the current thread (-1 until its first span)
+_lane: ContextVar[int] = ContextVar("repro_span_lane", default=-1)
+_lane_ids = itertools.count()
+
+
+def _thread_lane() -> int:
+    lane = _lane.get()
+    if lane < 0:
+        lane = next(_lane_ids)
+        _lane.set(lane)
+    return lane
+
 
 class _LiveSpan:
-    """An open span bound to a recorder (context manager)."""
+    """An open span (context manager); *rec* ``None`` only times it."""
 
-    __slots__ = ("_rec", "name", "attrs", "_start", "span_id", "parent_id", "depth")
+    __slots__ = (
+        "_rec", "name", "attrs", "_start", "elapsed",
+        "span_id", "parent_id", "depth", "lane",
+    )
 
-    def __init__(self, rec: SpanRecorder, name: str, attrs: dict[str, Any]) -> None:
+    def __init__(
+        self, rec: SpanRecorder | None, name: str, attrs: dict[str, Any]
+    ) -> None:
         self._rec = rec
         self.name = name
         self.attrs = attrs
+        self.elapsed = 0.0
 
     def __enter__(self) -> "_LiveSpan":
         rec = self._rec
-        self.span_id = rec._next_id
-        rec._next_id += 1
-        self.parent_id = rec._stack[-1].span_id if rec._stack else -1
-        self.depth = len(rec._stack)
-        rec._stack.append(self)
+        if rec is not None:
+            stack = _open.get()
+            top = stack[-1] if stack else None
+            if top is not None and top._rec is rec:
+                self.parent_id, self.depth = top.span_id, top.depth + 1
+            else:
+                self.parent_id, self.depth = -1, 0
+            self.span_id = next(rec._ids)
+            self.lane = _thread_lane()
+            _open.set(stack + (self,))
         self._start = time.perf_counter()
-        if rec.t0 is None:
+        if rec is not None and rec.t0 is None:
             rec.t0 = self._start
         return self
 
@@ -179,9 +222,13 @@ class _LiveSpan:
 
     def __exit__(self, *exc: object) -> None:
         end = time.perf_counter()
+        self.elapsed = end - self._start
         rec = self._rec
-        if rec._stack and rec._stack[-1] is self:
-            rec._stack.pop()
+        if rec is None:
+            return
+        stack = _open.get()
+        if stack and stack[-1] is self:
+            _open.set(stack[:-1])
         rec.spans.append(
             Span(
                 name=self.name,
@@ -190,6 +237,7 @@ class _LiveSpan:
                 depth=self.depth,
                 span_id=self.span_id,
                 parent_id=self.parent_id,
+                lane=self.lane,
                 attrs=self.attrs,
             )
         )
@@ -210,6 +258,17 @@ def span(name: str, **attrs: Any):
     if rec is None:
         return NULL_SPAN
     return _LiveSpan(rec, name, attrs)
+
+
+def timed(name: str, **attrs: Any) -> _LiveSpan:
+    """Context manager that always measures its block: ``.elapsed`` [s].
+
+    The clock is read once on entry and once on exit; when a recorder is
+    installed the span is recorded from those same two readings, so its
+    duration equals ``.elapsed`` exactly. Sites that never read a
+    duration use :func:`span`, whose disabled path reads no clock.
+    """
+    return _LiveSpan(_recorder, name, attrs)
 
 
 def obs_enabled() -> bool:

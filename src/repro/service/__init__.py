@@ -14,8 +14,10 @@ This package turns that into a request-level service:
 * :mod:`repro.service.executor` — the worker: cached-analysis reuse via
   the ``refactor`` path, per-job timeouts, bounded retry with backoff,
   graceful degradation from the parallel driver to the sequential engine;
-* :mod:`repro.service.metrics` — counters + latency histograms and the
-  text report (``repro.cli serve-sim`` prints it).
+* metrics — ``SolverService.metrics`` is a
+  :class:`~repro.obs.metrics.MetricsRegistry` of counters, gauges and
+  latency histograms; ``SolverService.metrics_report()`` renders it with
+  the cache table (``repro.cli serve-sim`` prints it).
 """
 
 from repro.service.cache import (
@@ -40,7 +42,6 @@ from repro.service.jobs import (
     JobResult,
     SolveJob,
 )
-from repro.service.metrics import ServiceMetrics
 from repro.service.queue import JobQueue, ServiceConfig, SolverService
 
 __all__ = [
@@ -62,7 +63,6 @@ __all__ = [
     "TIMED_OUT",
     "JobResult",
     "SolveJob",
-    "ServiceMetrics",
     "JobQueue",
     "ServiceConfig",
     "SolverService",

@@ -61,8 +61,6 @@ class AnalysisEntry:
 
     fingerprint: PatternFingerprint
     solver: SparseSolver
-    #: wall seconds the original analyze phase cost (== seconds a hit saves)
-    analyze_seconds: float = 0.0
     hits: int = 0
 
 

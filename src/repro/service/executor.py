@@ -54,11 +54,10 @@ from repro.service.jobs import (
     JobResult,
     SolveJob,
 )
-from repro.obs.spans import span
-from repro.service.metrics import ServiceMetrics
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.spans import span, timed
 from repro.sparse.ops import sym_matvec_lower_many
 from repro.util.errors import ExecBackendError, ReproError
-from repro.util.timing import WallTimer
 
 
 @dataclass
@@ -109,7 +108,7 @@ class Executor:
     def __init__(
         self,
         cache: AnalysisCache,
-        metrics: ServiceMetrics,
+        metrics: MetricsRegistry,
         options: ExecutorOptions | None = None,
         clock=time.monotonic,
         sleep=time.sleep,
@@ -266,22 +265,18 @@ class Executor:
         timings: dict[str, float] = {}
         entry = self.cache.get(job.fingerprint) if self.options.use_cache else None
         if entry is not None:
-            with span("service.prepare", cache_hit=True), WallTimer() as t:
+            with timed("service.prepare", cache_hit=True) as t:
                 entry.solver.method = job.method
                 entry.solver.update_values(job.lower)
             timings["values_update"] = t.elapsed
             return entry, True, timings
-        with span("service.prepare", cache_hit=False), WallTimer() as t:
+        with timed("service.prepare", cache_hit=False) as t:
             solver = SparseSolver(
                 job.lower, method=job.method, ordering=self.options.ordering
             )
             solver.analyze()
         timings["analyze"] = t.elapsed
-        entry = AnalysisEntry(
-            fingerprint=job.fingerprint,
-            solver=solver,
-            analyze_seconds=t.elapsed,
-        )
+        entry = AnalysisEntry(fingerprint=job.fingerprint, solver=solver)
         if self.options.use_cache:
             self.cache.put(entry)
         return entry, False, timings
@@ -345,9 +340,7 @@ class Executor:
             solve_fn = mf_solve_many
 
         def timed_factor(prec: str) -> None:
-            with span(
-                "service.factor", engine=engine, precision=prec
-            ), WallTimer() as t:
+            with timed("service.factor", engine=engine, precision=prec) as t:
                 solver.factor(backend=backend, workers=workers, precision=prec)
             timings["factor"] = timings.get("factor", 0.0) + t.elapsed
             # Precision-tagged phase timing: drained into per-precision
@@ -358,19 +351,19 @@ class Executor:
         timed_factor(precision)
         if solver.numeric.exec_stats is not None:
             # Surface the pool's telemetry through the service registry.
-            solver.numeric.exec_stats.publish(self.metrics.registry)
+            solver.numeric.exec_stats.publish(self.metrics)
         refine = self.options.refine or precision != "fp64"
         factor_before_solve = timings.get("factor", 0.0)
         # Genuine blocked multi-RHS solve: one permute → sweep → unpermute
         # pass for the whole coalesced panel (and one blocked refinement
         # loop when enabled), not a per-column re-traversal.
-        with span(
+        with timed(
             "service.solve",
             engine=engine,
             rhs=int(b_block.shape[1]),
             refine=refine,
             precision=precision,
-        ), WallTimer() as t:
+        ) as t:
             if refine:
                 res = iterative_refinement_many(
                     solver.numeric, solver.lower, b_block, solve_fn=solve_fn
@@ -404,10 +397,10 @@ class Executor:
         plan_key = (cfg.n_ranks, cfg.plan_options())
         plan = solver.plans.get(plan_key)
         if plan is None:
-            with span("service.plan", ranks=cfg.n_ranks), WallTimer() as t:
+            with timed("service.plan", ranks=cfg.n_ranks) as t:
                 plan = solver.parallel_plan(*plan_key)
             timings["plan"] = timings.get("plan", 0.0) + t.elapsed
-        with span("service.factor", engine="parallel"), WallTimer() as t:
+        with timed("service.factor", engine="parallel") as t:
             fres = simulate_factorization(
                 solver.sym,
                 cfg.n_ranks,
@@ -417,9 +410,9 @@ class Executor:
                 plan=plan,
             )
         timings["factor"] = timings.get("factor", 0.0) + t.elapsed
-        with span(
+        with timed(
             "service.solve", engine="parallel", rhs=int(b_block.shape[1])
-        ), WallTimer() as t:
+        ) as t:
             # Blocked (n, k) distributed solve: one latency-bound sweep
             # amortized over every coalesced right-hand side.
             sres = simulate_solve(fres, b_block)

@@ -41,13 +41,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.solver import ParallelConfig, as_symmetric_lower
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import span
 from repro.service.cache import ShardedAnalysisCache
 from repro.service.executor import Executor, ExecutorOptions, Requeue
 from repro.service.fingerprint import pattern_fingerprint, values_digest
 from repro.service.jobs import EXPIRED, JobResult, SolveJob
-from repro.service.metrics import ServiceMetrics
 from repro.util.errors import AdmissionError, ReproError, ShapeError
+from repro.util.tables import format_table
 from repro.util.validation import as_float_array, work_dtype
 
 
@@ -281,7 +282,7 @@ class SolverService:
         sleep=time.sleep,
     ):
         self.config = config or ServiceConfig()
-        self.metrics = ServiceMetrics()
+        self.metrics = MetricsRegistry()
         self.cache = ShardedAnalysisCache(
             self.config.cache_capacity, shards=self.config.shards
         )
@@ -448,7 +449,7 @@ class SolverService:
         processed: dict[int, JobResult] = {}
         inflight: set = set()
         crew = FleetCrew(self.config.fleet_workers, name="service-fleet")
-        gauge = self.metrics.registry.gauge
+        gauge = self.metrics.gauge
 
         # poll/complete run under the crew's condition lock — they are the
         # scheduler's critical section; execute runs concurrently.
@@ -564,7 +565,7 @@ class SolverService:
         ``service_cache_hit_rate`` plus ``service_cache_shard<i>_hit_rate``
         per shard. Scrape-ready via ``repro.obs.export.prometheus_text``.
         """
-        gauge = self.metrics.registry.gauge
+        gauge = self.metrics.gauge
         gauge("service_queue_depth").set(float(len(self.queue)))
         gauge("service_tenants_pending").set(
             float(len(self.queue.pending_by_tenant()))
@@ -586,7 +587,17 @@ class SolverService:
         return missed / jobs if jobs else 0.0
 
     def metrics_report(self) -> str:
-        """Plain-text metrics report (counters, cache stats, latencies)."""
-        return self.metrics.report(
-            self.cache.stats if self.config.cache_enabled else None
-        )
+        """Plain-text metrics report: the registry (counters, gauges,
+        latency histograms) plus the analysis-cache table."""
+        parts = [self.metrics.report(title="service metrics")]
+        if self.config.cache_enabled:
+            st = self.cache.stats
+            parts.append(
+                format_table(
+                    ["hits", "misses", "hit rate", "inserts", "evictions"],
+                    [[st.hits, st.misses, round(st.hit_rate, 3), st.inserts,
+                      st.evictions]],
+                    title="analysis cache",
+                )
+            )
+        return "\n\n".join(parts)

@@ -1,4 +1,4 @@
-"""Shared utilities: error types, validation helpers, RNG, timing, tables."""
+"""Shared utilities: error types, validation helpers, RNG, tables."""
 
 from repro.util.errors import (
     ReproError,
@@ -21,7 +21,6 @@ from repro.util.validation import (
     WORK_DTYPES,
 )
 from repro.util.rng import make_rng
-from repro.util.timing import WallTimer
 from repro.util.tables import format_table
 
 __all__ = [
@@ -42,6 +41,5 @@ __all__ = [
     "work_dtype",
     "WORK_DTYPES",
     "make_rng",
-    "WallTimer",
     "format_table",
 ]

@@ -123,9 +123,12 @@ class TestLintRules:
         assert self.codes(src).count("RP007") == 2
 
     def test_rp007_exempts_timing_and_obs(self):
+        # repro.obs is the timing layer; nothing outside it is exempt.
         src = "import time\n\n\ndef f() -> float:\n    return time.perf_counter()\n"
-        assert "RP007" not in self.codes(src, module="repro.util.timing")
         assert "RP007" not in self.codes(src, module="repro.obs.spans")
+        assert "RP007" in self.codes(src, module="repro.util.timing")
+        finding = next(f for f in self.run(src) if f.rule == "RP007")
+        assert "repro.obs.spans.timed" in finding.message
 
     def test_rp007_skips_non_repro_code(self):
         src = "import time\n\nt = time.perf_counter()\n"

@@ -513,7 +513,7 @@ def test_pool_stats_publish():
     sym = _analyzed(grid2d_laplacian(6))
     registry = MetricsRegistry()
     multifrontal_factor_threads(sym, workers=2, registry=registry)
-    assert registry.counter_value("exec_tasks") == sym.n_supernodes
+    assert registry.counter("exec_tasks") == sym.n_supernodes
     assert registry.gauge_values()["exec_workers"] == 2.0
     assert "exec_queue_depth_peak" in registry.gauge_values()
 

@@ -1,6 +1,8 @@
 """Observability layer tests: spans, metrics, exporters, and profiling."""
 
 import json
+import math
+import threading
 
 import numpy as np
 import pytest
@@ -14,7 +16,6 @@ from repro.obs.metrics import (
     DEFAULT_LATENCY_BUCKETS,
     Histogram,
     MetricsRegistry,
-    SampleHistogram,
 )
 from repro.obs.profile import (
     FrontProfile,
@@ -22,7 +23,7 @@ from repro.obs.profile import (
     render_gflops_comparison,
     render_top_fronts,
 )
-from repro.obs.spans import NULL_SPAN, SpanRecorder, recording, span
+from repro.obs.spans import NULL_SPAN, SpanRecorder, recording, span, timed
 from repro.parallel import PlanOptions, simulate_factorization
 from repro.util.errors import ReproError
 
@@ -79,6 +80,58 @@ class TestSpans:
                     raise ValueError("boom")
         assert [s.name for s in rec.spans] == ["failing"]
 
+    @pytest.mark.fleet
+    def test_nesting_is_per_thread(self):
+        # Two threads hold overlapping spans and exit in the order they
+        # opened, not the reverse; neither nests under the other, and a
+        # later main-thread span is top level again.
+        a_open, b_open, a_closed = (threading.Event() for _ in range(3))
+
+        def hold_a():
+            with span("a"):
+                a_open.set()
+                b_open.wait(5)
+            a_closed.set()
+
+        def hold_b():
+            a_open.wait(5)
+            with span("b"):
+                b_open.set()
+                a_closed.wait(5)
+
+        with recording() as rec:
+            workers = [threading.Thread(target=f) for f in (hold_a, hold_b)]
+            for t in workers:
+                t.start()
+            for t in workers:
+                t.join(10)
+                assert not t.is_alive()
+            with span("main"):
+                pass
+        by_name = {s.name: s for s in rec.spans}
+        assert set(by_name) == {"a", "b", "main"}
+        for s in rec.spans:
+            assert (s.depth, s.parent_id) == (0, -1)
+        assert by_name["a"].lane != by_name["b"].lane
+        assert sorted(s.span_id for s in rec.spans) == [0, 1, 2]
+        assert obs_spans._open.get() == ()
+
+    def test_timed_without_recorder_measures_only(self):
+        assert obs_spans.current_recorder() is None
+        with timed("phase", k=1) as t:
+            assert obs_spans._open.get() == ()
+        assert t.elapsed >= 0.0
+
+    def test_timed_span_duration_is_elapsed(self):
+        with recording() as rec:
+            with timed("outer", k=1) as t:
+                with span("inner"):
+                    pass
+        (outer,) = rec.by_name("outer")
+        assert outer.duration == t.elapsed
+        assert outer.attrs == {"k": 1}
+        assert rec.by_name("inner")[0].parent_id == outer.span_id
+
     def test_solver_phases_recorded(self, small_spd_lower):
         lower, _ = small_spd_lower
         with recording() as rec:
@@ -124,11 +177,11 @@ class TestMetrics:
         reg.inc("jobs", 2)
         reg.gauge("depth").set(5)
         reg.gauge("depth").dec(2)
-        assert reg.counter_value("jobs") == 3
-        assert reg.counter_value("missing") == 0
+        assert reg.counter("jobs") == 3
+        assert reg.counter("missing") == 0
         assert reg.gauge_values() == {"depth": 3.0}
         with pytest.raises(ValueError):
-            reg.counter("jobs").inc(-1)
+            reg.inc("jobs", -1)
 
     def test_histogram_buckets(self):
         h = Histogram("lat", buckets=(0.1, 1.0, 10.0))
@@ -155,14 +208,22 @@ class TestMetrics:
         assert delta.gauges["depth"] == 7.0
         assert delta.histograms["wait"].count == 1
 
-    def test_sample_histogram_summary(self):
-        sh = SampleHistogram()
-        for v in (3.0, 1.0, 2.0):
-            sh.observe(v)
-        summ = sh.summary()
-        assert summ.count == 3
-        assert summ.min == 1.0 and summ.max == 3.0
-        assert summ.sorted_samples == (1.0, 2.0, 3.0)
+    def test_report_percentile_bounds(self):
+        reg = MetricsRegistry()
+        # 20 samples over buckets (0.1, 1, 10, +Inf): 10 / 8 / 1 / 1
+        for v in (0.05,) * 10 + (0.5,) * 8 + (5.0, 50.0):
+            reg.observe("lat", v, buckets=(0.1, 1.0, 10.0))
+        reg.histogram("idle")
+        snap = reg.snapshot().histograms
+        lat = snap["lat"]
+        assert lat.quantile_bound(0.5) == 0.1  # rank 10 is the 10th 0.05
+        assert lat.quantile_bound(0.55) == 1.0  # rank 11
+        assert lat.quantile_bound(0.95) == 10.0  # rank 19
+        assert lat.quantile_bound(1.0) == math.inf
+        assert snap["idle"].quantile_bound(0.95) == 0.0
+        text = reg.report()
+        assert "p50<=0.1 p95<=10" in text
+        assert "p50<=0 p95<=0" in text
 
     def test_report_renders(self):
         reg = MetricsRegistry()
@@ -188,24 +249,31 @@ class TestMetrics:
         assert n_buckets == len(DEFAULT_LATENCY_BUCKETS) + 1
 
 
-# -- service metrics shim ----------------------------------------------------
+# -- service metrics ---------------------------------------------------------
 
 
-class TestServiceMetricsShim:
-    def test_shim_backed_by_registry(self):
-        from repro.service.metrics import ServiceMetrics
+class TestServiceRegistry:
+    def test_service_metrics_are_the_registry(self):
+        from repro.service import COMPLETED, SolverService
 
-        m = ServiceMetrics()
-        m.inc("jobs_submitted", 2)
-        m.observe("queue_wait", 0.01)
-        assert m.counter("jobs_submitted") == 2
-        assert m.counters == {"jobs_submitted": 2}
-        assert m.registry.counter_value("jobs_submitted") == 2
-        assert m.registry.histograms()["queue_wait"].count == 1
-        assert m.summaries()["queue_wait"].count == 1
-        assert "jobs_submitted" in m.report()
-        # the registry view is Prometheus-exportable
-        assert "queue_wait" in obs_export.prometheus_text(m.registry)
+        svc = SolverService()
+        a = grid2d_laplacian(4)
+        ids = [svc.submit(a, np.full(16, i + 1.0)) for i in range(3)]
+        svc.submit(grid2d_laplacian(5), np.ones(25))
+        res = svc.drain()
+        assert all(r.status == COMPLETED for r in res.values())
+        reg = svc.metrics
+        assert isinstance(reg, MetricsRegistry)
+        # every latency is recorded once per job, in the registry only
+        hists = reg.snapshot().histograms
+        for phase in ("queue_wait", "factor", "solve", "job_total", "analyze"):
+            assert hists[phase].count == len(res)
+        assert set(res[ids[0]].timings) | {"queue_wait"} == set(hists)
+        done = reg.counter("jobs_completed")
+        assert done == len(res) and isinstance(done, int)
+        text = svc.metrics_report()
+        assert "job_total" in text and "p95<=" in text
+        assert "queue_wait" in obs_export.prometheus_text(reg)
 
 
 # -- profiling ---------------------------------------------------------------

@@ -245,7 +245,7 @@ class TestServiceSolve:
         svc = SolverService()
         svc.solve(grid2d_laplacian(4), np.ones(16))
         report = svc.metrics_report()
-        for token in ("service counters", "analysis cache", "phase latency",
+        for token in ("service metrics", "analysis cache", "p95<=",
                       "jobs_completed", "hit rate"):
             assert token in report
 

@@ -1,4 +1,4 @@
-"""Tests for repro.util: errors, validation, rng, timing, tables."""
+"""Tests for repro.util: errors, validation, rng, tables."""
 
 import numpy as np
 import pytest
@@ -13,7 +13,6 @@ from repro.util import (
     as_float_array,
     as_index_array,
     make_rng,
-    WallTimer,
     format_table,
 )
 from repro.util.errors import (
@@ -152,45 +151,6 @@ class TestRng:
 
     def test_default_seed_value(self):
         assert DEFAULT_SEED == 20090101
-
-
-class TestTiming:
-    def test_context_manager(self):
-        with WallTimer() as t:
-            pass
-        assert t.elapsed >= 0.0
-
-    def test_start_stop(self):
-        t = WallTimer()
-        t.start()
-        elapsed = t.stop()
-        assert elapsed >= 0.0
-        assert t.elapsed == elapsed
-
-    def test_stop_without_start_raises(self):
-        with pytest.raises(RuntimeError):
-            WallTimer().stop()
-
-    def test_reenter_while_running_raises(self):
-        t = WallTimer()
-        t.start()
-        with pytest.raises(RuntimeError):
-            t.start()
-
-    def test_exit_after_stop_inside_block_raises(self):
-        # Regression: this used to be a bare assert, which disappears
-        # under `python -O` and let __exit__ crash on arithmetic instead.
-        with pytest.raises(RuntimeError, match="not running"):
-            with WallTimer() as t:
-                t.stop()
-
-    def test_timer_is_reusable_after_exit(self):
-        t = WallTimer()
-        with t:
-            pass
-        with t:
-            pass
-        assert t.elapsed >= 0.0
 
 
 class TestTables:
