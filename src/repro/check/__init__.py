@@ -1,18 +1,14 @@
-"""Correctness tooling: static analysis, race checking, sanitizers.
+"""Correctness tooling: static analysis, schedule fuzzing, sanitizers.
 
 One CLI (``python -m repro.cli check``) over these passes:
 
 * :mod:`repro.check.lint` — project-specific AST lint (rules RP001…RP010)
   with inline ``# repro: noqa[RPxxx]`` suppression (comma-separated rule
   lists supported);
-* :mod:`repro.check.racecheck` — replays an
-  :class:`~repro.exec.trace.ExecTrace` through a happens-before engine
-  and flags unordered conflicting slot accesses, conservation violations
-  (a contribution not produced/consumed exactly once), and
-  schedule-nondeterminism between runs;
 * :mod:`repro.check.schedfuzz` — seeded adversarial schedule fuzzing of
   the :class:`~repro.exec.pool.TaskPool` (ready-queue permutations,
-  forced preemptions, injected delays), replayable byte-for-byte;
+  forced preemptions, injected delays), replayable byte-for-byte, with
+  the sequential bits as the oracle;
 * :mod:`repro.check.sanitize` — debug-mode invariant checks (CSR/CSC
   well-formedness, permutation validity, etree acyclicity/postorder,
   supernode coverage, front-plan and LU assembly tables) hooked into hot
@@ -23,6 +19,10 @@ One CLI (``python -m repro.cli check``) over these passes:
 Simulated communication is verified live by the simmpi scheduler
 (:mod:`repro.simmpi.scheduler`): deadlock cycles always, same-key races,
 lost messages and ledger conservation behind ``REPRO_CHECK=1``.
+The threaded backend is verified by its plan, not by a trace of its
+runs: its task graphs are the assembly tree's edges, the sanitizer proves
+every update row lands in the parent's rows, and the pool starts a task
+only after its prerequisites end; ``schedfuzz`` is the end-to-end guard.
 
 Submodules are imported lazily: the sanitizer is consulted from low-level
 hot paths (sparse constructors, the simulator), so this package must be
@@ -34,7 +34,7 @@ from __future__ import annotations
 import importlib
 from typing import Any
 
-__all__ = ["lint", "racecheck", "schedfuzz", "sanitize", "selftest"]
+__all__ = ["lint", "schedfuzz", "sanitize", "selftest"]
 
 _SUBMODULES = frozenset(__all__)
 

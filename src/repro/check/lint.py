@@ -43,7 +43,6 @@ __all__ = [
     "LintContext",
     "LintRule",
     "DEFAULT_RULES",
-    "RULE_CATALOG",
     "lint_source",
     "lint_file",
     "lint_paths",
@@ -64,41 +63,14 @@ _NOQA_SPLIT_RE = re.compile(r"[,;\s]+")
 #: packages whose kernels must use the canonical dtypes (RP003)
 KERNEL_PACKAGES = ("repro.mf", "repro.sparse", "repro.symbolic")
 
-#: dtype spellings allowed in kernel code: the canonical int64/float64
-#: pair, float32 (the mixed-precision working dtype), booleans, and float
-#: (always float64 in numpy) — notably absent: platform-dependent ``int``
-#: and every width below float32.
+#: dtype spellings allowed in kernel code, compared lower-case with any
+#: byte-order prefix stripped: the canonical int64/float64 pair (also as
+#: INDEX_DTYPE/VALUE_DTYPE), float32 (the mixed-precision working dtype),
+#: booleans, float (always float64 in numpy) and their struct codes —
+#: notably absent: platform-dependent ``int`` and every width below float32.
 ALLOWED_DTYPES = frozenset(
-    {
-        "int64",
-        "float64",
-        "float32",
-        "bool",
-        "bool_",
-        "float",
-        "intp",
-        "INDEX_DTYPE",
-        "VALUE_DTYPE",
-        "complex128",
-    }
-)
-
-#: lower-case spellings and struct codes equivalent to the allowed dtypes
-_ALLOWED_CANON = frozenset(
-    {
-        "int64",
-        "float64",
-        "float32",
-        "bool",
-        "bool_",
-        "float",
-        "intp",
-        "complex128",
-        "i8",
-        "f8",
-        "f4",
-        "?",
-    }
+    {"int64", "float64", "float32", "bool", "bool_", "float", "intp", "complex128"}
+    | {"index_dtype", "value_dtype", "i8", "f8", "f4", "?"}
 )
 
 
@@ -126,9 +98,13 @@ class LintContext:
     tree: ast.Module
     lines: tuple[str, ...]
 
+    def within(self, *packages: str) -> bool:
+        """True when the module is one of *packages* or inside one."""
+        return any(self.module == p or self.module.startswith(p + ".") for p in packages)
+
     @property
     def in_repro(self) -> bool:
-        return self.module == "repro" or self.module.startswith("repro.")
+        return self.within("repro")
 
     @property
     def is_package_init(self) -> bool:
@@ -323,10 +299,7 @@ class KernelDtypeRule(LintRule):
     title = "non-canonical dtype in kernel code"
 
     def applies(self, ctx: LintContext) -> bool:
-        return any(
-            ctx.module == p or ctx.module.startswith(p + ".")
-            for p in KERNEL_PACKAGES
-        )
+        return ctx.within(*KERNEL_PACKAGES)
 
     def check(self, ctx: LintContext) -> Iterator[LintFinding]:
         for node in ast.walk(ctx.tree):
@@ -338,8 +311,7 @@ class KernelDtypeRule(LintRule):
                 name = _dtype_name(kw.value)
                 if name is None:
                     continue
-                canon = name.lower().lstrip("<>=|")
-                if name in ALLOWED_DTYPES or canon in _ALLOWED_CANON:
+                if name.lower().lstrip("<>=|") in ALLOWED_DTYPES:
                     continue
                 yield self.finding(
                     ctx,
@@ -509,10 +481,6 @@ def _declared_all(tree: ast.Module) -> set[str]:
 
 # -- RP007 -------------------------------------------------------------------
 
-#: the one package allowed to call the raw clock: the observability layer
-#: that funnels everything else
-_CLOCK_EXEMPT_PREFIXES = ("repro.obs",)
-
 _CLOCK_CALLS = frozenset({"perf_counter", "perf_counter_ns"})
 
 
@@ -530,10 +498,7 @@ class NoDirectPerfCounterRule(LintRule):
     title = "direct perf_counter() outside repro.obs"
 
     def applies(self, ctx: LintContext) -> bool:
-        return ctx.in_repro and not any(
-            ctx.module == p or ctx.module.startswith(p + ".")
-            for p in _CLOCK_EXEMPT_PREFIXES
-        )
+        return ctx.in_repro and not ctx.within("repro.obs")
 
     def check(self, ctx: LintContext) -> Iterator[LintFinding]:
         for node in ast.walk(ctx.tree):
@@ -555,10 +520,6 @@ class NoDirectPerfCounterRule(LintRule):
 
 
 # -- RP008 -------------------------------------------------------------------
-
-#: the one package allowed to use raw thread primitives — the execution
-#: backend that owns all shared-memory concurrency
-_THREADING_EXEMPT_PREFIXES = ("repro.exec",)
 
 #: module roots whose import anywhere else indicates ad-hoc concurrency
 _THREADING_MODULES = frozenset(
@@ -582,10 +543,7 @@ class NoRawThreadingRule(LintRule):
     title = "raw threading outside repro.exec"
 
     def applies(self, ctx: LintContext) -> bool:
-        return ctx.in_repro and not any(
-            ctx.module == p or ctx.module.startswith(p + ".")
-            for p in _THREADING_EXEMPT_PREFIXES
-        )
+        return ctx.in_repro and not ctx.within("repro.exec")
 
     def check(self, ctx: LintContext) -> Iterator[LintFinding]:
         for node in ast.walk(ctx.tree):
@@ -645,7 +603,7 @@ class SharedMutableStateRule(LintRule):
     title = "module-level mutable state in repro.exec"
 
     def applies(self, ctx: LintContext) -> bool:
-        return ctx.module == "repro.exec" or ctx.module.startswith("repro.exec.")
+        return ctx.within("repro.exec")
 
     def check(self, ctx: LintContext) -> Iterator[LintFinding]:
         for node in ctx.tree.body:
@@ -792,12 +750,6 @@ DEFAULT_RULES: tuple[type[LintRule], ...] = (
     SharedMutableStateRule,
     LockDisciplineRule,
 )
-
-#: id → one-line description (the DESIGN.md rule catalog is generated
-#: from the docstrings; this is the quick runtime form)
-RULE_CATALOG: dict[str, str] = {
-    r.id: (r.__doc__ or r.title).strip().splitlines()[0] for r in DEFAULT_RULES
-}
 
 
 def module_name_for(path: Path) -> str:

@@ -18,14 +18,8 @@ Everything is a pure function of ``(seed, task)`` via a splitmix-style
 integer hash — no global RNG state — so a failing seed replays the same
 perturbation byte-for-byte. The drivers
 (:func:`fuzz_factor` / :func:`fuzz_solve` / :func:`fuzz_smoke`) run the
-threaded backend under each seed with tracing on, then assert the three
-properties that make a schedule trustworthy:
-
-1. the factors/solutions are **bitwise identical** to the sequential
-   oracle;
-2. the recorded trace passes :func:`repro.check.racecheck.check_exec_trace`;
-3. every fuzzed trace **normalizes identically** to the unfuzzed
-   reference (determinism audit).
+threaded backend under each seed and assert that the factors and
+solutions are **bitwise identical** to the sequential oracle.
 """
 
 from __future__ import annotations
@@ -35,11 +29,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.check.racecheck import (
-    RaceReport,
-    check_determinism,
-    check_exec_trace,
-)
 from repro.exec.pool import TaskPool
 from repro.exec.threads import (
     multifrontal_factor_threads,
@@ -51,7 +40,6 @@ from repro.mf.solve_phase import solve, solve_many
 from repro.util.errors import RaceError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.exec.trace import ExecTrace
     from repro.symbolic.analyze import SymbolicFactor
 
 __all__ = [
@@ -63,22 +51,21 @@ __all__ = [
     "fuzz_smoke",
 ]
 
+#: probability a task body gets an injected delay
+DELAY_PROB = 0.3
+#: longest injected delay in seconds
+MAX_DELAY = 0.002
+
 
 @dataclass(frozen=True)
 class FuzzConfig:
     """Knobs of one fuzzed schedule (all deterministic in ``seed``)."""
 
     seed: int
-    #: replace priority order with a pseudo-random permutation
-    shuffle_priorities: bool = True
     #: probability a popped task is deferred (per defer decision)
     defer_prob: float = 0.25
     #: hard cap on defers per task (the pool must stay live)
     max_defers: int = 2
-    #: probability a task body gets an injected delay
-    delay_prob: float = 0.3
-    #: longest injected delay in seconds
-    max_delay: float = 0.002
 
 
 def _mix(seed: int, task: int, salt: int) -> int:
@@ -113,8 +100,6 @@ class FuzzPlan:
         self._defers_left: dict[int, int] = {}
 
     def ready_key(self, task: int, key: float) -> float:
-        if not self.config.shuffle_priorities:
-            return key
         return _unit(self.config.seed, task, 1)
 
     def requeue_key(self, task: int) -> float:
@@ -132,12 +117,12 @@ class FuzzPlan:
         return True
 
     def delay(self, task: int) -> float:
-        if _unit(self.config.seed, task, 4) >= self.config.delay_prob:
+        if _unit(self.config.seed, task, 4) >= DELAY_PROB:
             return 0.0
-        return self.config.max_delay * _unit(self.config.seed, task, 5)
+        return MAX_DELAY * _unit(self.config.seed, task, 5)
 
 
-@dataclass
+@dataclass(frozen=True)
 class FuzzCaseResult:
     """Outcome of one fuzzed schedule."""
 
@@ -145,45 +130,23 @@ class FuzzCaseResult:
     workers: int
     label: str
     bitwise_identical: bool
-    race_report: RaceReport
-    #: empty when the fuzzed trace normalized identically to the reference
-    determinism: RaceReport
-    trace: ExecTrace | None = None
 
     @property
     def ok(self) -> bool:
-        return (
-            self.bitwise_identical
-            and self.race_report.ok
-            and self.determinism.ok
-        )
+        return self.bitwise_identical
 
     def summary(self) -> str:
-        status = "ok" if self.ok else "FAIL"
-        bits = "identical" if self.bitwise_identical else "DIVERGED"
-        return (
-            f"seed={self.seed} workers={self.workers} [{self.label}]: "
-            f"{status} (bits {bits}, {len(self.race_report.errors)} race "
-            f"error(s), {len(self.determinism.errors)} determinism "
-            f"error(s))"
-        )
+        status = "ok" if self.ok else "FAIL (bits DIVERGED)"
+        return f"seed={self.seed} workers={self.workers} [{self.label}]: {status}"
 
 
 def _factors_identical(ref: NumericFactor, got: NumericFactor) -> bool:
-    if len(ref.blocks) != len(got.blocks):
-        return False
-    for a, b in zip(ref.blocks, got.blocks):
-        if a.tobytes() != b.tobytes():
-            return False
-    if (ref.diag is None) != (got.diag is None):
-        return False
-    if ref.diag is not None and got.diag is not None:
-        if ref.diag.tobytes() != got.diag.tobytes():
-            return False
-    u12 = [[u.tobytes() for u in f.u12] if f.u12 is not None else None for f in (ref, got)]
-    if u12[0] != u12[1]:
-        return False
-    return ref.perturbed_columns == got.perturbed_columns
+    def bits(f: NumericFactor) -> tuple[object, ...]:
+        arrays = [*f.blocks, *([] if f.diag is None else [f.diag]), *(f.u12 or [])]
+        shape = (len(f.blocks), f.diag is None, f.u12 is None)
+        return shape, f.perturbed_columns, [a.tobytes() for a in arrays]
+
+    return bits(ref) == bits(got)
 
 
 def fuzz_factor(
@@ -191,35 +154,20 @@ def fuzz_factor(
     seeds: list[int],
     workers: int = 4,
     method: str = "cholesky",
-    config: FuzzConfig | None = None,
-    keep_traces: bool = False,
 ) -> list[FuzzCaseResult]:
     """Factor *sym* under every fuzzed schedule in *seeds*; each case is
-    compared bitwise against the sequential oracle, race-checked, and
-    determinism-audited against an unfuzzed traced reference run."""
+    compared bitwise against the sequential oracle."""
     reference = multifrontal_factor(sym, method=method)
-    ref_pool = TaskPool(workers, name="factor", trace=True)
-    multifrontal_factor_threads(sym, method=method, pool=ref_pool)
     results: list[FuzzCaseResult] = []
     for seed in seeds:
-        cfg = _seeded(config, seed)
-        pool = TaskPool(
-            workers, name="factor", trace=True, fuzz=FuzzPlan(cfg)
-        )
+        pool = TaskPool(workers, name="factor", fuzz=FuzzPlan(FuzzConfig(seed)))
         factor = multifrontal_factor_threads(sym, method=method, pool=pool)
-        assert pool.trace is not None
         results.append(
             FuzzCaseResult(
                 seed=seed,
                 workers=workers,
                 label=f"factor:{method}",
                 bitwise_identical=_factors_identical(reference, factor),
-                race_report=check_exec_trace(pool.trace),
-                determinism=check_determinism(
-                    [ref_pool.trace, pool.trace],
-                    labels=["reference", f"seed{seed}"],
-                ),
-                trace=pool.trace if keep_traces else None,
             )
         )
     return results
@@ -230,38 +178,23 @@ def fuzz_solve(
     b: np.ndarray,
     seeds: list[int],
     workers: int = 4,
-    config: FuzzConfig | None = None,
-    keep_traces: bool = False,
 ) -> list[FuzzCaseResult]:
     """Solve under every fuzzed schedule in *seeds* (vector or panel
-    *b*), with the same three-way verification as :func:`fuzz_factor`."""
+    *b*), compared bitwise against the sequential solve."""
     reference = solve(factor, b) if b.ndim == 1 else solve_many(factor, b)
-    ref_pool = TaskPool(workers, name="solve", trace=True)
-    if b.ndim == 1:
-        solve_threads(factor, b, pool=ref_pool)
-    else:
-        solve_many_threads(factor, b, pool=ref_pool)
     results: list[FuzzCaseResult] = []
     for seed in seeds:
-        cfg = _seeded(config, seed)
-        pool = TaskPool(workers, name="solve", trace=True, fuzz=FuzzPlan(cfg))
+        pool = TaskPool(workers, name="solve", fuzz=FuzzPlan(FuzzConfig(seed)))
         if b.ndim == 1:
             x = solve_threads(factor, b, pool=pool)
         else:
             x = solve_many_threads(factor, b, pool=pool)
-        assert pool.trace is not None
         results.append(
             FuzzCaseResult(
                 seed=seed,
                 workers=workers,
                 label=f"solve:rhs{1 if b.ndim == 1 else b.shape[1]}",
                 bitwise_identical=x.tobytes() == reference.tobytes(),
-                race_report=check_exec_trace(pool.trace),
-                determinism=check_determinism(
-                    [ref_pool.trace, pool.trace],
-                    labels=["reference", f"seed{seed}"],
-                ),
-                trace=pool.trace if keep_traces else None,
             )
         )
     return results
@@ -273,11 +206,10 @@ def fuzz_smoke(
     workers: tuple[int, ...] = (2, 4, 8),
     method: str = "cholesky",
     base_seed: int = 0,
-    config: FuzzConfig | None = None,
 ) -> list[FuzzCaseResult]:
     """The CI smoke: *n_seeds* fuzzed factor+solve schedules, cycling the
-    worker counts in *workers*; raises :class:`RaceError` on any failing
-    case (its summary names the replayable seed)."""
+    worker counts in *workers*; raises :class:`RaceError` on any case
+    whose bits diverge (its summary names the replayable seed)."""
     factor = multifrontal_factor(sym, method=method)
     rng = np.random.default_rng(base_seed)
     b = rng.standard_normal(sym.n)
@@ -285,12 +217,8 @@ def fuzz_smoke(
     for i in range(n_seeds):
         seed = base_seed + i
         w = workers[i % len(workers)]
-        results.extend(
-            fuzz_factor(sym, [seed], workers=w, method=method, config=config)
-        )
-        results.extend(
-            fuzz_solve(factor, b, [seed], workers=w, config=config)
-        )
+        results.extend(fuzz_factor(sym, [seed], workers=w, method=method))
+        results.extend(fuzz_solve(factor, b, [seed], workers=w))
     bad = [r for r in results if not r.ok]
     if bad:
         raise RaceError(
@@ -298,16 +226,3 @@ def fuzz_smoke(
             + "\n".join(r.summary() for r in bad)
         )
     return results
-
-
-def _seeded(config: FuzzConfig | None, seed: int) -> FuzzConfig:
-    if config is None:
-        return FuzzConfig(seed=seed)
-    return FuzzConfig(
-        seed=seed,
-        shuffle_priorities=config.shuffle_priorities,
-        defer_prob=config.defer_prob,
-        max_defers=config.max_defers,
-        delay_prob=config.delay_prob,
-        max_delay=config.max_delay,
-    )

@@ -16,9 +16,8 @@ from typing import Any, Callable, Generator, Sequence
 
 import numpy as np
 
-from repro.check import lint, racecheck, schedfuzz
+from repro.check import lint, schedfuzz
 from repro.check import sanitize
-from repro.exec.trace import ExecTrace
 from repro.machine.presets import GENERIC_CLUSTER
 from repro.simmpi.comm import Comm
 from repro.simmpi.ledger import MessageLedger
@@ -384,122 +383,6 @@ def _simmpi_results() -> list[SelfTestResult]:
     return results
 
 
-# -- racecheck fixtures ------------------------------------------------------
-
-
-def _clean_exec_trace() -> ExecTrace:
-    """Two tasks: 0 publishes, the dep edge orders 1's consume after."""
-    t = ExecTrace()
-    t.add("graph_begin", target=2, label="fix")
-    t.add("task_start", task=0, worker=0)
-    t.add("slot_write", task=0, slot="upd:0")
-    t.add("task_end", task=0, worker=0)
-    t.add("dep_dec", task=0, target=1, remaining=0)
-    t.add("task_start", task=1, worker=1)
-    t.add("slot_consume", task=1, slot="upd:0")
-    t.add("task_end", task=1, worker=1)
-    t.add("graph_end", target=2, label="fix")
-    return t
-
-
-def _dropped_edge_trace() -> ExecTrace:
-    """The clean trace minus its dependency edge: the write/consume pair
-    is no longer ordered — exactly what a missed dep-count edge in the
-    pool would record."""
-    t = ExecTrace()
-    t.add("graph_begin", target=2, label="fix")
-    t.add("task_start", task=0, worker=0)
-    t.add("slot_write", task=0, slot="upd:0")
-    t.add("task_end", task=0, worker=0)
-    t.add("task_start", task=1, worker=1)
-    t.add("slot_consume", task=1, slot="upd:0")
-    t.add("task_end", task=1, worker=1)
-    t.add("graph_end", target=2, label="fix")
-    return t
-
-
-def _double_consume_trace() -> ExecTrace:
-    """Chain 0→1→2 (every access HB-ordered, so no race) but tasks 1 and
-    2 both consume task 0's contribution: pure conservation violation."""
-    t = ExecTrace()
-    t.add("graph_begin", target=3, label="fix")
-    t.add("task_start", task=0, worker=0)
-    t.add("slot_write", task=0, slot="upd:0")
-    t.add("task_end", task=0, worker=0)
-    t.add("dep_dec", task=0, target=1, remaining=0)
-    t.add("task_start", task=1, worker=0)
-    t.add("slot_consume", task=1, slot="upd:0")
-    t.add("task_end", task=1, worker=0)
-    t.add("dep_dec", task=1, target=2, remaining=0)
-    t.add("task_start", task=2, worker=0)
-    t.add("slot_consume", task=2, slot="upd:0")
-    t.add("task_end", task=2, worker=0)
-    t.add("graph_end", target=3, label="fix")
-    return t
-
-
-def _unconsumed_trace() -> ExecTrace:
-    """A published contribution nobody consumes."""
-    t = ExecTrace()
-    t.add("graph_begin", target=2, label="fix")
-    t.add("task_start", task=0, worker=0)
-    t.add("slot_write", task=0, slot="upd:0")
-    t.add("task_end", task=0, worker=0)
-    t.add("dep_dec", task=0, target=1, remaining=0)
-    t.add("task_start", task=1, worker=0)
-    t.add("task_end", task=1, worker=0)
-    t.add("graph_end", target=2, label="fix")
-    return t
-
-
-def _racecheck_results() -> list[SelfTestResult]:
-    cases: tuple[tuple[str, ExecTrace, str], ...] = (
-        ("dropped dependency edge", _dropped_edge_trace(), "race"),
-        ("double-consumed contribution", _double_consume_trace(), "double-consume"),
-        ("unconsumed contribution", _unconsumed_trace(), "unconsumed"),
-    )
-    results = []
-    for name, trace, code in cases:
-        report = racecheck.check_exec_trace(trace)
-        caught = any(f.code == code for f in report.errors)
-        results.append(
-            SelfTestResult(
-                name=f"racecheck flags {name}",
-                passed=caught and not report.ok,
-                detail=report.summary(),
-            )
-        )
-    clean = racecheck.check_exec_trace(_clean_exec_trace())
-    results.append(
-        SelfTestResult(
-            name="racecheck passes clean trace",
-            passed=clean.ok and not clean.findings,
-            detail=clean.summary(),
-        )
-    )
-    det = racecheck.check_determinism(
-        [_clean_exec_trace(), _dropped_edge_trace()], labels=["ref", "dropped"]
-    )
-    results.append(
-        SelfTestResult(
-            name="racecheck determinism audit flags diverging traces",
-            passed=any(f.code == "nondeterminism" for f in det.errors),
-            detail=det.summary(),
-        )
-    )
-    same = racecheck.check_determinism(
-        [_clean_exec_trace(), _clean_exec_trace()], labels=["a", "b"]
-    )
-    results.append(
-        SelfTestResult(
-            name="racecheck determinism audit passes identical traces",
-            passed=same.ok and not same.findings,
-            detail=same.summary(),
-        )
-    )
-    return results
-
-
 # -- schedfuzz fixtures ------------------------------------------------------
 
 
@@ -612,7 +495,6 @@ def run_self_test() -> list[SelfTestResult]:
     return (
         _lint_results()
         + _simmpi_results()
-        + _racecheck_results()
         + _schedfuzz_results()
         + _sanitize_results()
     )

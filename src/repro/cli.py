@@ -159,13 +159,14 @@ def cmd_solve(args) -> int:
     return 0 if res.residual < 1e-8 else 1
 
 
-def _parse_ranks(spec: str) -> list[int]:
+def _parse_ranks(spec: str, flag: str = "--ranks") -> list[int]:
+    """A non-empty comma-separated list of positive counts (``1,2,8``)."""
     try:
         ranks = [int(tok) for tok in spec.split(",") if tok]
     except ValueError:
-        raise ShapeError(f"--ranks must be comma-separated ints; got {spec!r}")
+        raise ShapeError(f"{flag} must be comma-separated ints; got {spec!r}")
     if not ranks or any(r < 1 for r in ranks):
-        raise ShapeError("--ranks must contain positive integers")
+        raise ShapeError(f"{flag} must contain positive integers")
     return ranks
 
 
@@ -338,17 +339,17 @@ def cmd_serve_sim(args) -> int:
 def cmd_check(args) -> int:
     """Run the requested check passes; exit 0 only if every pass is clean.
 
-    Without mode flags, ``--lint`` is implied. ``--race MESH:SIZE:WORKERS``
-    runs a traced threaded factor+solve through the happens-before checker
-    plus a determinism audit against a one-worker run; ``--sched-fuzz N``
-    adds N seeded adversarial schedules. Simulated communication has no
-    mode here: the simulator checks it live (run ``scale`` with
-    ``REPRO_CHECK=1``).
+    Without mode flags, ``--lint`` is implied. ``--sched-fuzz N`` runs N
+    seeded adversarial schedules of the threaded factor+solve on cube 8³,
+    each compared bitwise against the sequential path. Simulated
+    communication has no mode here: the simulator checks it live (run
+    ``scale`` with ``REPRO_CHECK=1``).
     """
     from repro.check import lint, selftest
 
-    do_lint = args.lint or not (args.self_test or args.race or args.sched_fuzz)
+    do_lint = args.lint or not (args.self_test or args.sched_fuzz)
     failed = False
+    fuzz_workers = tuple(_parse_ranks(args.fuzz_workers, "--fuzz-workers"))
 
     if do_lint:
         paths = args.paths or ["src/repro"]
@@ -360,74 +361,29 @@ def cmd_check(args) -> int:
         )
         failed |= bool(findings)
 
-    if args.race or args.sched_fuzz:
-        from repro.check import racecheck, schedfuzz
-        from repro.exec import TaskPool, multifrontal_factor_threads, solve_threads
+    if args.sched_fuzz:
+        from repro.check import schedfuzz
 
-        spec = args.race or "cube:8:4"
-        try:
-            kind, size_s, workers_s = spec.split(":")
-            size, workers = int(size_s), int(workers_s)
-        except ValueError:
-            raise ShapeError(
-                f"--race must look like cube:8:4; got {spec!r}"
-            ) from None
-        args.mesh = f"{kind}:{size}"
-        a = build_matrix(args)
-        solver = SparseSolver(a, method=args.method, ordering=args.ordering)
+        solver = SparseSolver(
+            MESH_KINDS["cube"](8), method=args.method, ordering=args.ordering
+        )
         solver.analyze()
-        sym = solver.sym
-        b = np.arange(1.0, sym.n + 1.0)
-
-        if args.race:
-            traces = []
-            for w in (workers, 1):
-                pool = TaskPool(w, name="factor", trace=True)
-                factor = multifrontal_factor_threads(
-                    sym, method=args.method, pool=pool
-                )
-                spool = TaskPool(w, name="solve", trace=pool.trace)
-                solve_threads(factor, b, pool=spool)
-                traces.append(pool.trace)
-            report = racecheck.check_exec_trace(traces[0])
-            print(f"race {kind}:{size} on {workers} worker(s):")
-            print(report.summary())
-            det = racecheck.check_determinism(
-                traces, labels=[f"workers={workers}", "workers=1"]
+        try:
+            results = schedfuzz.fuzz_smoke(
+                solver.sym,
+                n_seeds=args.sched_fuzz,
+                workers=fuzz_workers,
+                method=args.method,
             )
-            if det.findings:
-                print(det.summary())
-            else:
-                print(
-                    f"determinism: workers={workers} and workers=1 traces "
-                    "normalize identically"
-                )
-            if args.dump_trace:
-                traces[0].dump(args.dump_trace)
-                print(f"exec trace written to {args.dump_trace}")
-            failed |= not report.ok or not det.ok
-
-        if args.sched_fuzz:
-            fuzz_workers = tuple(
-                int(w) for w in args.fuzz_workers.split(",") if w
+        except RaceError as exc:
+            print(f"sched-fuzz: FAIL\n{exc}")
+            failed = True
+        else:
+            print(
+                f"sched-fuzz cube:8: {len(results)} fuzzed schedule(s) "
+                f"over {args.sched_fuzz} seed(s) x workers "
+                f"{list(fuzz_workers)}: all bitwise-identical"
             )
-            try:
-                results = schedfuzz.fuzz_smoke(
-                    sym,
-                    n_seeds=args.sched_fuzz,
-                    workers=fuzz_workers,
-                    method=args.method,
-                )
-            except RaceError as exc:
-                print(f"sched-fuzz: FAIL\n{exc}")
-                failed = True
-            else:
-                print(
-                    f"sched-fuzz {kind}:{size}: {len(results)} fuzzed "
-                    f"schedule(s) over {args.sched_fuzz} seed(s) x workers "
-                    f"{list(fuzz_workers)}: all bitwise-identical, zero "
-                    "races"
-                )
 
     if args.self_test:
         results = selftest.run_self_test()
@@ -658,8 +614,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "check",
-        help="static analysis, exec race checking, schedule fuzzing, "
-        "and checker self-test",
+        help="static analysis, schedule fuzzing, and checker self-test",
     )
     p.add_argument(
         "paths",
@@ -668,22 +623,11 @@ def make_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--lint", action="store_true", help="run the AST lint rules")
     p.add_argument(
-        "--dump-trace",
-        metavar="FILE",
-        help="with --race: also write the recorded exec trace as JSONL",
-    )
-    p.add_argument(
-        "--race",
-        metavar="MESH:SIZE:WORKERS",
-        help="traced threaded factor+solve (e.g. cube:8:4) through the "
-        "happens-before race checker + determinism audit vs workers=1",
-    )
-    p.add_argument(
         "--sched-fuzz",
         type=int,
         metavar="N",
-        help="run N seeded adversarial schedules (with --race's mesh, or "
-        "cube:8 by default) asserting bitwise identity and zero races",
+        help="run N seeded adversarial schedules of the threaded "
+        "factor+solve on cube:8, asserting bitwise identity",
     )
     p.add_argument(
         "--fuzz-workers",
@@ -699,8 +643,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--verbose", action="store_true")
     p.add_argument("--method", default="cholesky", choices=["cholesky", "ldlt"])
     p.add_argument("--ordering", default="nd")
-    p.add_argument("--matrix", help=argparse.SUPPRESS)
-    p.add_argument("--mesh", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser(

@@ -16,11 +16,10 @@ Layout
 ``pool``
     The dependency-counting worker pool — the only module in the library
     allowed to use raw thread primitives (lint rules RP008/RP010); other
-    exec modules obtain mutexes through :func:`make_lock`.
-``trace``
-    The access/event trace (:class:`ExecTrace`) the pool and the pooled
-    factor/solve steps record for :mod:`repro.check.racecheck` when
-    tracing is on (``TaskPool(trace=True)`` or ``REPRO_CHECK=1``).
+    exec modules obtain mutexes through :func:`make_lock`. It starts a
+    task only after every prerequisite has finished; with the graphs'
+    edges being the assembly tree's, that is what makes the shared
+    update slots race-free (DESIGN.md, "Verifying the threaded backend").
 ``threads``
     :func:`multifrontal_factor_threads`, :func:`solve_threads` and
     :func:`solve_many_threads`: resolve a pool, call :mod:`repro.mf`.
@@ -44,7 +43,6 @@ from repro.exec.threads import (
     solve_many_threads,
     solve_threads,
 )
-from repro.exec.trace import EXEC_EVENT_KINDS, ExecEvent, ExecTrace
 from repro.exec.tasks import (
     ContributionPlan,
     TaskGraph,
@@ -67,9 +65,6 @@ __all__ = [
     "MAX_DEFAULT_WORKERS",
     "FleetCrew",
     "FleetDirective",
-    "ExecTrace",
-    "ExecEvent",
-    "EXEC_EVENT_KINDS",
     "TaskGraph",
     "ContributionPlan",
     "factor_task_graph",

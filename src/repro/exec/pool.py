@@ -32,20 +32,15 @@ every task's ``(worker, start, end)`` lands in ``recorder.exec_events``
 the queue depth high-water mark, task count, and task-latency histogram
 into a :class:`~repro.obs.metrics.MetricsRegistry`.
 
-Verification hooks (the racecheck/schedfuzz layer):
-
-* ``TaskPool(trace=True)`` — or any pool when ``REPRO_CHECK=1`` — records
-  an :class:`~repro.exec.trace.ExecTrace` of every synchronization event
-  (graph boundaries, task start/finish, dependency-count decrements, and
-  the slot accesses the factor/solve steps emit).
-  :mod:`repro.check.racecheck` replays it through a happens-before
-  engine; when a span recorder is also installed the events are copied
-  into ``recorder.exec_trace_events`` for the Chrome timeline.
-* ``TaskPool(fuzz=...)`` accepts a :class:`ScheduleFuzzer` (see
-  :mod:`repro.check.schedfuzz`) that adversarially permutes the ready
-  queue (``ready_key``), forces preemption points (``defer`` re-queues a
-  popped task), and injects task delays — all deterministically from a
-  seed, so failing schedules replay byte-for-byte.
+Verification hook: ``TaskPool(fuzz=...)`` accepts a
+:class:`ScheduleFuzzer` (see :mod:`repro.check.schedfuzz`) that
+adversarially permutes the ready queue (``ready_key``), forces preemption
+points (``defer`` re-queues a popped task), and injects task delays — all
+deterministically from a seed, so a failing schedule replays
+byte-for-byte. The pool records no access log: race-freedom follows from
+the task graphs being the assembly tree's edges and from dependency
+counting (a task starts only after its prerequisites end); see DESIGN.md,
+"Verifying the threaded backend".
 
 Lock discipline (lint rule RP010): this module is the only place thread
 primitives may be *constructed*; everything else obtains them through
@@ -64,11 +59,9 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Protocol
 
 from repro.exec.tasks import TaskGraph
-from repro.exec.trace import ExecTrace
 from repro.obs.profile import FrontProfile
 from repro.obs.spans import ExecTaskEvent, current_recorder
 from repro.util.errors import ExecBackendError
-from repro.util.validation import runtime_checks_enabled
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.metrics import MetricsRegistry
@@ -202,19 +195,13 @@ class TaskPool:
     One pool may run several graphs sequentially (the solve path runs the
     forward and backward graphs back to back); a run in progress cannot
     overlap another. After :meth:`cancel` the pool is shut down for good.
-
-    *trace* controls event recording: ``True`` (or leaving the default
-    ``None`` with ``REPRO_CHECK=1``) records into a fresh
-    :class:`~repro.exec.trace.ExecTrace` on ``self.trace``; an existing
-    :class:`ExecTrace` instance appends to it; ``False`` disables even
-    under ``REPRO_CHECK``. *fuzz* installs a :class:`ScheduleFuzzer`.
+    *fuzz* installs a :class:`ScheduleFuzzer`.
     """
 
     def __init__(
         self,
         workers: int,
         name: str = "exec",
-        trace: bool | ExecTrace | None = None,
         fuzz: ScheduleFuzzer | None = None,
     ):
         if not isinstance(workers, int) or workers < 1:
@@ -223,12 +210,6 @@ class TaskPool:
             )
         self.workers = workers
         self.name = name
-        self.trace: ExecTrace | None
-        if isinstance(trace, ExecTrace):
-            self.trace = trace
-        else:
-            enabled = runtime_checks_enabled() if trace is None else bool(trace)
-            self.trace = ExecTrace() if enabled else None
         self.fuzz = fuzz
         self._lock = threading.Lock()
         self._cancelled = False
@@ -273,10 +254,6 @@ class TaskPool:
             self._state = state
 
         recorder = current_recorder()
-        tr = self.trace
-        run_start = len(tr.events) if tr is not None else 0
-        if tr is not None:
-            tr.add("graph_begin", target=graph.n_tasks, label=graph.label)
         clock = FrontProfile.clock
         # Per-worker event/latency lists: written lock-free by exactly one
         # worker each, merged after the join.
@@ -298,20 +275,6 @@ class TaskPool:
         finally:
             with self._lock:
                 self._state = None
-
-        if tr is not None:
-            aborted = (
-                state.error is not None
-                or state.cancelled
-                or state.completed != graph.n_tasks
-            )
-            tr.add(
-                "graph_abort" if aborted else "graph_end",
-                target=state.completed,
-                label=graph.label,
-            )
-            if recorder is not None:
-                recorder.exec_trace_events.extend(tr.events[run_start:])
 
         if state.error is not None:
             raise state.error
@@ -347,10 +310,7 @@ class TaskPool:
         lane: list[ExecTaskEvent],
     ) -> None:
         graph = state.graph
-        trace = self.trace
         fuzz = state.fuzz
-        if trace is not None:
-            trace.set_worker(wid)
         while True:
             with state.cond:
                 while True:
@@ -389,16 +349,12 @@ class TaskPool:
                 pause = fuzz.delay(tid)
                 if pause > 0.0:
                     time.sleep(pause)
-            if trace is not None:
-                trace.add("task_start", task=tid)
             t0 = clock()
             try:
                 run_task(tid)
             # The catch-all is the capture half of cross-thread propagation:
             # run() re-raises state.error verbatim on the calling thread.
             except BaseException as exc:  # repro: noqa[RP001]
-                if trace is not None:
-                    trace.add("task_error", task=tid)
                 with state.cond:
                     if state.error is None:
                         state.error = exc
@@ -407,8 +363,6 @@ class TaskPool:
                     state.ready.clear()
                     state.cond.notify_all()
                 return
-            if trace is not None:
-                trace.add("task_end", task=tid)
             lane.append(
                 ExecTaskEvent(
                     name=f"{graph.label}:s{tid}", worker=wid, start=t0, end=clock()
@@ -420,13 +374,6 @@ class TaskPool:
                 state.completed += 1
                 for d in graph.dependents[tid]:
                     state.n_deps_left[d] -= 1
-                    if trace is not None:
-                        trace.add(
-                            "dep_dec",
-                            task=tid,
-                            target=d,
-                            remaining=state.n_deps_left[d],
-                        )
                     if state.n_deps_left[d] == 0:
                         heapq.heappush(state.ready, (state.heap_key(d), d))
                         state.cond.notify()

@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.parallel.mapping import subtree_flops
 from repro.symbolic.analyze import SymbolicFactor
 from repro.util.errors import ExecBackendError
 
@@ -48,14 +49,17 @@ class TaskGraph:
 
     ``n_deps[t]`` prerequisites must complete before task *t* is ready;
     ``dependents[t]`` lists the tasks a completion of *t* may unblock.
-    ``priority[t]`` orders the ready queue — higher runs first.
+    ``priority[t]`` orders the ready queue — higher runs first. The
+    graphs below use each supernode's subtree factorization flops, the
+    numbers that drive the distributed mapping's proportional rank splits,
+    so the critical path starts draining immediately.
     """
 
     n_tasks: int
     dependents: list[list[int]]
     n_deps: np.ndarray
     priority: np.ndarray
-    #: trace/label prefix, e.g. ``"factor"``
+    #: label prefix of the run's task events, e.g. ``"factor"``
     label: str = "task"
 
     def __post_init__(self) -> None:
@@ -69,34 +73,17 @@ class TaskGraph:
         return [t for t in range(self.n_tasks) if self.n_deps[t] == 0]
 
 
-def _default_priority(sym: SymbolicFactor) -> np.ndarray:
-    """Subtree factorization work: schedule heavy subtrees first so the
-    critical path starts draining immediately. Delegates to
-    :func:`repro.parallel.plan.exec_priorities` — the same numbers that
-    drive the distributed mapping's proportional rank splits (imported
-    lazily; the plan layer does not depend on :mod:`repro.exec`)."""
-    from repro.parallel.plan import exec_priorities
-
-    return exec_priorities(sym)
-
-
-def factor_task_graph(
-    sym: SymbolicFactor, priority: np.ndarray | None = None
-) -> TaskGraph:
+def factor_task_graph(sym: SymbolicFactor) -> TaskGraph:
     """Child-before-parent graph of the numeric factorization."""
-    return _tree_up_graph(sym, priority, label="factor")
+    return _tree_up_graph(sym, label="factor")
 
 
-def forward_solve_task_graph(
-    sym: SymbolicFactor, priority: np.ndarray | None = None
-) -> TaskGraph:
+def forward_solve_task_graph(sym: SymbolicFactor) -> TaskGraph:
     """Child-before-parent graph of the forward substitution."""
-    return _tree_up_graph(sym, priority, label="fwd")
+    return _tree_up_graph(sym, label="fwd")
 
 
-def _tree_up_graph(
-    sym: SymbolicFactor, priority: np.ndarray | None, label: str
-) -> TaskGraph:
+def _tree_up_graph(sym: SymbolicFactor, label: str) -> TaskGraph:
     nsn = sym.n_supernodes
     dependents: list[list[int]] = [[] for _ in range(nsn)]
     n_deps = np.zeros(nsn, dtype=np.int64)
@@ -105,25 +92,23 @@ def _tree_up_graph(
         if p >= 0:
             dependents[s].append(p)
             n_deps[p] += 1
-    if priority is None:
-        priority = _default_priority(sym)
     return TaskGraph(
         n_tasks=nsn,
         dependents=dependents,
         n_deps=n_deps,
-        priority=np.asarray(priority, dtype=float),
+        priority=subtree_flops(sym),
         label=label,
     )
 
 
-def backward_solve_task_graph(
-    sym: SymbolicFactor, priority: np.ndarray | None = None
-) -> TaskGraph:
+def backward_solve_task_graph(sym: SymbolicFactor) -> TaskGraph:
     """Parent-before-child graph of the backward substitution.
 
     Roots become ready immediately; a supernode runs once its parent has
     written final values into the parent's pivot rows — by induction all
-    ancestor rows the supernode reads are final.
+    ancestor rows the supernode reads are final. Big subtrees still go
+    first: a completed parent with a heavy child subtree unblocks the
+    most downstream work.
     """
     nsn = sym.n_supernodes
     dependents: list[list[int]] = [[] for _ in range(nsn)]
@@ -133,15 +118,11 @@ def backward_solve_task_graph(
         if p >= 0:
             dependents[p].append(s)
             n_deps[s] += 1
-    if priority is None:
-        # Big subtrees first still: a completed parent with a heavy child
-        # subtree unblocks the most downstream work.
-        priority = _default_priority(sym)
     return TaskGraph(
         n_tasks=nsn,
         dependents=dependents,
         n_deps=n_deps,
-        priority=np.asarray(priority, dtype=float),
+        priority=subtree_flops(sym),
         label="bwd",
     )
 

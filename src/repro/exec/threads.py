@@ -44,7 +44,7 @@ def multifrontal_factor_threads(
 ) -> NumericFactor:
     """:func:`~repro.mf.numeric.multifrontal_factor` on a pool of worker
     threads. *pool* substitutes a pre-configured :class:`TaskPool`
-    (tracing, schedule fuzzing) and overrides *workers*; *registry*
+    (e.g. one with a schedule fuzzer) and overrides *workers*; *registry*
     receives the pool's queue/latency telemetry."""
     factor = multifrontal_factor(
         sym, method, pivot_perturbation, precision=precision,

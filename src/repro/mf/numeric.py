@@ -279,7 +279,6 @@ def multifrontal_factor(
     #: per-supernode update slots: written once by the supernode's step,
     #: consumed (and cleared) once by its parent's step
     updates: list[np.ndarray | None] = [None] * nsn
-    tr = pool.trace if pool is not None else None
     # Per-front timing only when a recorder is installed (the None check
     # keeps the disabled path free of timing calls — see lint rule RP007).
     prof = active_profile()
@@ -289,8 +288,6 @@ def multifrontal_factor(
         cleared as it is taken, so an update dies once it is added."""
         for c in sym.sn_children[s]:
             upd = updates[c]
-            if tr is not None:
-                tr.add("slot_consume", task=s, slot=f"upd:{c}")
             updates[c] = None
             yield upd
 
@@ -306,8 +303,6 @@ def multifrontal_factor(
             diag[c0: c0 + plan.width[s]] = d
         if update is not None:
             updates[s] = update
-            if tr is not None:
-                tr.add("slot_write", task=s, slot=f"upd:{s}")
 
     with span(
         "mf.factor", method=method, n=sym.n, supernodes=nsn, precision=precision

@@ -208,19 +208,14 @@ def forward_sweep(
     from repro.exec.tasks import forward_contributions, forward_solve_task_graph
 
     routing = forward_contributions(sym)
-    tr = pool.trace
     #: published update panels, consumed by the owners of their rows
     published: list[np.ndarray | None] = [None] * sym.n_supernodes
 
     def step(s: int) -> None:
         for src, lo, hi in routing.incoming[s]:
-            if tr is not None:
-                tr.add("slot_consume", task=s, slot=f"fwd:{src}", lo=lo, hi=hi)
             wsrc = sym.supernode_width(src)
             y[sym.sn_rows[src][wsrc + lo: wsrc + hi]] -= published[src][lo:hi]
         published[s] = forward_front(factor, s, y)
-        if routing.outgoing[s] and tr is not None:
-            tr.add("slot_write", task=s, slot=f"fwd:{s}")
 
     pool.run(forward_solve_task_graph(sym), step)
 

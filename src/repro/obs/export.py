@@ -131,41 +131,6 @@ def chrome_trace_events(
                     "args": {},
                 }
             )
-    if recorder is not None and recorder.exec_trace_events:
-        # Racecheck event log from traced pool runs (REPRO_CHECK=1 or
-        # TaskPool(trace=True)): dependency decrements and slot
-        # publish/consume marks as instants on the worker rows, so a
-        # reported race can be eyeballed right on the timeline.
-        if not recorder.exec_events:
-            events.append(
-                _meta("process_name", EXEC_PID, {"name": "exec workers"})
-            )
-        t0 = recorder.t0
-        if t0 is None:
-            t0 = min(e.time for e in recorder.exec_trace_events)
-        for te in recorder.exec_trace_events:
-            if te.kind not in ("dep_dec", "slot_write", "slot_read", "slot_consume"):
-                continue
-            if te.kind == "dep_dec":
-                name = f"dep {te.task}->{te.target}"
-                args: dict[str, Any] = {"remaining": te.remaining}
-            else:
-                name = f"{te.kind.removeprefix('slot_')} {te.slot}"
-                args = {"task": te.task}
-                if te.lo != -1:
-                    args["rows"] = f"[{te.lo}:{te.hi})"
-            events.append(
-                {
-                    "name": name,
-                    "cat": "racecheck",
-                    "ph": "i",
-                    "s": "t",
-                    "ts": max(0.0, (te.time - t0) * 1e6),
-                    "pid": EXEC_PID,
-                    "tid": te.worker if te.worker >= 0 else 0,
-                    "args": args,
-                }
-            )
     if sim_trace is not None and sim_trace.events:
         events.append(_meta("process_name", SIM_PID, {"name": "sim machine"}))
         ranks = sorted({e.rank for e in sim_trace.events})

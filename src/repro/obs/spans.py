@@ -115,9 +115,6 @@ class SpanRecorder:
         #: per-worker task events from the shared-memory backend
         #: (:mod:`repro.exec` appends; the Chrome exporter renders them)
         self.exec_events: list[ExecTaskEvent] = []
-        #: racecheck event log copied from traced pool runs
-        #: (:class:`repro.exec.trace.ExecEvent`; Chrome instant events)
-        self.exec_trace_events: list[Any] = []
         #: ``perf_counter`` value of the first span start (export origin)
         self.t0: float | None = None
         self._ids = itertools.count()
@@ -126,7 +123,6 @@ class SpanRecorder:
         self.spans.clear()
         self.profile = FrontProfile()
         self.exec_events.clear()
-        self.exec_trace_events.clear()
         self.t0 = None
         self._ids = itertools.count()
 

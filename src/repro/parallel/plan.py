@@ -251,15 +251,3 @@ class FactorPlan:
             "n_sequential": self.sym.n_supernodes - n_dist,
             "max_group": max((len(g) for g in self.mapping.sn_ranks), default=0),
         }
-
-
-def exec_priorities(sym: SymbolicFactor) -> np.ndarray:
-    """Ready-queue priorities for the shared-memory backend (:mod:`repro.exec`).
-
-    The same subtree-work numbers that drive the distributed mapping's
-    proportional rank splits order the thread pool's ready heap: a task
-    whose subtree carries more factorization flops runs first, so the
-    critical path of the elimination tree starts draining immediately and
-    small independent subtrees fill the remaining worker slots.
-    """
-    return subtree_flops(sym)

@@ -101,8 +101,6 @@ class LintError(ReproError, ValueError):
 
 
 class RaceError(ReproError, RuntimeError):
-    """The happens-before checker (``repro.check.racecheck``) found a
-    synchronization defect in an execution trace: two conflicting shared
-    slot accesses not ordered by the exercised dependency edges, a
-    contribution produced or consumed other than exactly once, or a
-    determinism violation between runs."""
+    """A fuzzed schedule of the threaded backend diverged from the
+    sequential bits: :func:`repro.check.schedfuzz.fuzz_smoke` raises it,
+    naming each failing case's replayable seed."""

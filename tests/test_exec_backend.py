@@ -225,6 +225,17 @@ def test_repeated_runs_deterministic():
         assert x.tobytes() == baseline_solve.tobytes()
 
 
+def test_runs_bitwise_identical_across_worker_counts():
+    sym = _analyzed(grid3d_laplacian(4))
+    b = make_rng(2).standard_normal((sym.n, 3))
+    base_factor = multifrontal_factor_threads(sym, workers=1)
+    base_x = solve_many_threads(base_factor, b, workers=1)
+    for w in (2, 4):
+        f = multifrontal_factor_threads(sym, workers=w)
+        _assert_factors_identical(base_factor, f)
+        assert solve_many_threads(f, b, workers=w).tobytes() == base_x.tobytes()
+
+
 def test_solver_facade_backend():
     lower = grid3d_laplacian(5)
     s_seq = SparseSolver(lower)
@@ -462,10 +473,70 @@ def test_forward_contributions_cover_update_rows():
             for row in upd_rows[r.lo: r.hi]:
                 t = int(np.searchsorted(sn_start, row, side="right")) - 1
                 assert t == r.target
+            # ...and that target is a proper ancestor of the source.
+            a = int(sym.sn_parent[s])
+            while a >= 0 and a != r.target:
+                a = int(sym.sn_parent[a])
+            assert a == r.target
     # Incoming lists are ascending by source (the sequential apply order).
     for t in range(sym.n_supernodes):
         srcs = [src for src, _, _ in plan.incoming[t]]
         assert srcs == sorted(srcs)
+
+
+def test_each_update_slot_has_one_consumer():
+    # The factor and forward graphs hand supernode s's update only to
+    # parent(s), which waits on exactly its children; the backward graph
+    # gives every non-root exactly its parent as prerequisite.
+    sym = _analyzed(grid3d_laplacian(5))
+    up = factor_task_graph(sym)
+    fwd = forward_solve_task_graph(sym)
+    bwd = backward_solve_task_graph(sym)
+    for s in range(sym.n_supernodes):
+        p = int(sym.sn_parent[s])
+        assert up.dependents[s] == fwd.dependents[s] == ([p] if p >= 0 else [])
+        assert up.n_deps[s] == fwd.n_deps[s] == len(sym.sn_children[s])
+        assert sorted(bwd.dependents[s]) == sorted(sym.sn_children[s])
+        assert bwd.n_deps[s] == (1 if p >= 0 else 0)
+
+
+def test_forward_runs_of_one_source_are_disjoint():
+    # A source's runs tile its update rows without overlap, each run read
+    # by a different target, and the incoming lists hold exactly them.
+    sym = _analyzed(grid3d_laplacian(4))
+    plan = forward_contributions(sym)
+    for s in range(sym.n_supernodes):
+        runs = plan.outgoing[s]
+        edges = [0] + [r.hi for r in runs]
+        assert [r.lo for r in runs] == edges[:-1]
+        assert all(r.lo < r.hi for r in runs)
+        assert edges[-1] == sym.update_size(s)
+        targets = [r.target for r in runs]
+        assert targets == sorted(set(targets))
+    outgoing = {(s, r.lo, r.hi, r.target)
+                for s in range(sym.n_supernodes) for r in plan.outgoing[s]}
+    incoming = {(src, lo, hi, t)
+                for t in range(sym.n_supernodes) for src, lo, hi in plan.incoming[t]}
+    assert incoming == outgoing
+
+
+def test_update_row_missing_from_parent_fails_symbolic_check():
+    # An update row with no place in the parent's front is never consumed;
+    # the symbolic check rejects the structure before any task runs.
+    from repro.check import sanitize
+
+    sym = _analyzed(grid2d_laplacian(6))
+    sanitize.check_symbolic(sym)
+    s = next(
+        s for s in range(sym.n_supernodes)
+        if sym.sn_parent[s] >= 0 and sym.update_size(s) > 0
+    )
+    p = int(sym.sn_parent[s])
+    row = sym.sn_rows[s][sym.supernode_width(s)]
+    sym.sn_rows = list(sym.sn_rows)
+    sym.sn_rows[p] = sym.sn_rows[p][sym.sn_rows[p] != row]
+    with pytest.raises(InvariantError, match="front plan maps update rows"):
+        sanitize.check_symbolic(sym)
 
 
 def test_task_graph_validates_shapes():
