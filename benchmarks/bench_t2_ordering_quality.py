@@ -13,7 +13,7 @@ from repro.ordering import get_ordering, ordering_quality
 from repro.util.tables import format_table
 
 INSTANCES = ["cube-s", "cube-m", "plate-m", "elast-s"]
-ORDER_NAMES = ["natural", "rcm", "amd", "nd", "nd-ml", "nd-c"]
+ORDER_NAMES = ["natural", "rcm", "amd", "nd", "nd-c"]
 
 
 def test_t2_ordering_quality_table(benchmark):

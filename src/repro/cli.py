@@ -245,25 +245,14 @@ def cmd_serve_sim(args) -> int:
     repeated numeric refactorizations on one base pattern (values drift per
     step, the nonlinear/transient workflow), interleaved with a handful of
     fresh patterns that must miss the analysis cache."""
-    from repro.core import ParallelConfig
     from repro.obs.spans import timed
     from repro.service import AdmissionError, COMPLETED, ServiceConfig, SolverService
 
-    parallel = None
-    if args.ranks_served > 0:
-        parallel = ParallelConfig(
-            n_ranks=args.ranks_served,
-            machine=get_machine(args.machine),
-            nb=args.nb,
-        )
     service = SolverService(
         ServiceConfig(
             cache_enabled=not args.no_cache,
             coalesce=not args.no_coalesce,
             ordering=args.ordering,
-            parallel=parallel,
-            backend=args.backend,
-            workers=args.workers,
             precision=args.precision,
             fleet_workers=args.fleet_workers,
             shards=args.shards,
@@ -493,6 +482,10 @@ def _add_backend(p: argparse.ArgumentParser) -> None:
         metavar="N",
         help="worker threads for --backend threads (default: auto)",
     )
+    _add_precision(p)
+
+
+def _add_precision(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--precision",
         default="fp64",
@@ -551,7 +544,7 @@ def make_parser() -> argparse.ArgumentParser:
         help="replay a synthetic transient-FE trace through repro.service",
     )
     _add_common(p)
-    _add_backend(p)
+    _add_precision(p)
     p.add_argument(
         "--steps",
         type=int,
@@ -566,16 +559,6 @@ def make_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--no-cache", action="store_true")
     p.add_argument("--no-coalesce", action="store_true")
-    p.add_argument(
-        "--ranks-served",
-        type=int,
-        default=0,
-        metavar="P",
-        help="execute on the simulated parallel machine with P ranks "
-        "(0 = sequential host engine)",
-    )
-    p.add_argument("--machine", default="generic-cluster")
-    p.add_argument("--nb", type=int, default=16)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--fleet-workers",

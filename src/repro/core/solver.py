@@ -313,9 +313,11 @@ class SparseSolver:
         sequential sweeps for any worker count. The backend applies to the
         solve only; pass it to :meth:`factor` separately.
         """
+        b = as_float_array(b, "b")
+        if b.ndim == 2 and b.shape[1] == 0:
+            raise ShapeError(f"b must have at least one column; got {b.shape}")
         if self.numeric is None:
             self.factor()
-        b = as_float_array(b, "b")
         solve_fn = self._solve_backend(backend, workers)
         n_rhs = 1 if b.ndim == 1 else int(b.shape[1])
         with span(

@@ -4,14 +4,12 @@ edge-cut refinement.
 This is the work-horse under nested dissection. It aims for the quality/
 simplicity point of early METIS: grow a half from a pseudo-peripheral
 vertex, then a few FM passes moving vertices by gain under a balance
-constraint. Both this flat path and :mod:`repro.graph.multilevel` refine
-with :func:`fm_pass`.
+constraint. :func:`_fm_pass` is the one FM sweep nested dissection runs.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 
 import numpy as np
 
@@ -80,65 +78,44 @@ def cut_size(g: AdjacencyGraph, side: np.ndarray) -> int:
 
 
 def _fm_pass(g: AdjacencyGraph, side: np.ndarray, max_part: int) -> bool:
-    """One unweighted FM sweep of *g* (see :func:`fm_pass`), giving up on a
-    tail of moves that can no longer beat the best prefix."""
-    return fm_pass(g.xadj, g.adjncy, side, max_part, hopeless_tail=True)
+    """One FM sweep of *g* with vertex locking and rollback to the best
+    prefix.
 
-
-def fm_pass(
-    xadj: np.ndarray,
-    adjncy: np.ndarray,
-    side: np.ndarray,
-    max_w: int,
-    adjwgt: np.ndarray | None = None,
-    vwgt: np.ndarray | None = None,
-    hopeless_tail: bool = False,
-) -> bool:
-    """One FM sweep with vertex locking and rollback to the best prefix.
-
-    Each step moves the unlocked vertex of highest gain — cut weight it
-    removes minus uncut weight it adds, lowest index on ties — among the
-    sides whose other part holds less than *max_w*, then locks it. A chosen
-    vertex too heavy for the other part is locked unmoved instead (one
-    step). With *hopeless_tail*, the sweep stops at a negative move that
-    leaves the running gain ``n`` or more below the best prefix. Weights
-    default to 1. Mutates *side* in place; returns True when the cut
-    improved.
+    Each step moves the unlocked vertex of highest gain — cut edges it
+    removes minus uncut edges it adds, lowest index on ties — among the
+    sides whose other part holds less than *max_part*, then locks it. The
+    sweep stops at a negative move that leaves the running gain ``n`` or
+    more below the best prefix: that tail can no longer beat it. Mutates
+    *side* in place; returns True when the cut improved.
 
     An unlocked vertex never changes side, so each side keeps a lazy
     min-heap of keys ``(bound - gain) * n + v``: one int per entry, ordered
-    by gain and then index since ``bound`` exceeds every weighted degree.
-    ``key[v]`` is v's current key (-1 once locked). A gain change pushes a
-    fresh key; a popped key that is not current is dropped. A sweep costs
+    by gain and then index since ``bound`` exceeds every degree. ``key[v]``
+    is v's current key (-1 once locked). A gain change pushes a fresh key;
+    a popped key that is not current is dropped. A sweep costs
     O(edges · log n).
     """
     n = side.size
-    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(xadj))
-    cut = side[src] != side[adjncy]
-    # Moving a neighbour changes a vertex's gain by ±2w, so its key by ∓2wn.
-    if adjwgt is None:
-        ext = np.bincount(src[cut], minlength=n)
-        tot = np.diff(xadj)
-        unit_step, edge_steps = itertools.repeat(2 * n), None
-    else:
-        ext = np.bincount(src[cut], weights=adjwgt[cut], minlength=n).astype(np.int64)
-        tot = np.bincount(src, weights=adjwgt, minlength=n).astype(np.int64)
-        unit_step, edge_steps = None, memoryview(adjwgt * (2 * n))
+    xadj, adjncy = g.xadj, g.adjncy
+    tot = np.diff(xadj)
+    src = np.repeat(np.arange(n, dtype=np.int64), tot)
+    ext = np.bincount(src[side[src] != side[adjncy]], minlength=n)
     bound = int(tot.max(initial=0)) + 1
     keys = (bound - 2 * ext + tot) * n + np.arange(n, dtype=np.int64)
     heaps = [keys[~side].tolist(), keys[side].tolist()]
     for h in heaps:
         heapq.heapify(h)
     push, pop = heapq.heappush, heapq.heappop
+    # Moving a neighbour changes a vertex's gain by ±2, so its key by ∓2n.
+    step = 2 * n
 
     key = keys.tolist()
     part = side.tolist()
     # Views, not lists: a list holds one int object per edge.
     xa = memoryview(np.ascontiguousarray(xadj))
     adj = memoryview(np.ascontiguousarray(adjncy))
-    vw = [1] * n if vwgt is None else vwgt.tolist()
-    w1 = int(side.sum()) if vwgt is None else int(vwgt[side].sum())
-    sizes = [sum(vw) - w1, w1]
+    n1 = int(side.sum())
+    sizes = [n - n1, n1]
 
     moves: list[int] = []
     cum = best = best_prefix = 0
@@ -146,7 +123,7 @@ def fm_pass(
         # The least current key over the sides that may move.
         pick = -1
         for s in (0, 1):
-            if sizes[1 - s] < max_w:
+            if sizes[1 - s] < max_part:
                 h = heaps[s]
                 while h and key[h[0] % n] != h[0]:
                     pop(h)
@@ -157,14 +134,11 @@ def fm_pass(
         top = pop(heaps[pick])
         v = top % n
         gv = bound - top // n
-        if hopeless_tail and gv < 0 and cum + gv <= best - n:
+        if gv < 0 and cum + gv <= best - n:
             break
         key[v] = -1
-        wv = vw[v]
-        if sizes[1 - pick] + wv > max_w:
-            continue
-        sizes[pick] -= wv
-        sizes[1 - pick] += wv
+        sizes[pick] -= 1
+        sizes[1 - pick] += 1
         part[v] = new = not part[v]
         moves.append(v)
         cum += gv
@@ -173,12 +147,11 @@ def fm_pass(
             best_prefix = len(moves)
         # Edges to v's old side become cut (gain up, key down); edges to its
         # new side stop being cut.
-        lo, hi = xa[v], xa[v + 1]
-        for u, d in zip(adj[lo:hi], unit_step or edge_steps[lo:hi]):
+        for u in adj[xa[v]:xa[v + 1]]:
             k = key[u]
             if k >= 0:
                 su = part[u]
-                key[u] = k = k + d if su == new else k - d
+                key[u] = k = k + step if su == new else k - step
                 push(heaps[su], k)
 
     kept = np.asarray(moves[:best_prefix], dtype=np.int64)

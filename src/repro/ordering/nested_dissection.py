@@ -34,10 +34,6 @@ class NDOptions:
     balance: float = 0.55
     #: FM refinement sweeps per bisection
     refine_passes: int = 4
-    #: bisection strategy: "flat" (BFS + FM) or "multilevel" (METIS-style)
-    strategy: str = "flat"
-    #: switch to multilevel only above this many vertices (it has overhead)
-    multilevel_threshold: int = 120
 
 
 def nested_dissection_order(
@@ -76,14 +72,7 @@ def _nd_recurse(
 
     # Bisect per connected component implicitly: bisect() already assigns
     # every vertex; the separator cover makes parts edge-disjoint.
-    if opts.strategy == "multilevel" and g.n >= opts.multilevel_threshold:
-        from repro.graph.multilevel import bisect_multilevel
-
-        side = bisect_multilevel(
-            g, balance=opts.balance, refine_passes=opts.refine_passes
-        )
-    else:
-        side = bisect(g, balance=opts.balance, refine_passes=opts.refine_passes)
+    side = bisect(g, balance=opts.balance, refine_passes=opts.refine_passes)
     part0, part1, sep = vertex_separator_from_bisection(g, side)
 
     if sep.size == 0 and (part0.size == 0 or part1.size == 0):

@@ -15,14 +15,10 @@ from repro.ordering.natural import natural_order, reverse_order, random_order
 from repro.ordering.rcm import rcm_order
 from repro.ordering.amd import amd_order
 from repro.ordering.compression import compressed_order
-from repro.ordering.nested_dissection import NDOptions, nested_dissection_order
+from repro.ordering.nested_dissection import nested_dissection_order
 from repro.util.errors import OrderingError
 
 OrderingFn = Callable[[AdjacencyGraph], np.ndarray]
-
-
-def _nd_multilevel(g: AdjacencyGraph) -> np.ndarray:
-    return nested_dissection_order(g, NDOptions(strategy="multilevel"))
 
 
 def _nd_compressed(g: AdjacencyGraph) -> np.ndarray:
@@ -36,8 +32,6 @@ ORDERINGS: dict[str, OrderingFn] = {
     "rcm": rcm_order,
     "amd": amd_order,
     "nd": nested_dissection_order,
-    # multilevel (METIS-style) bisection inside ND
-    "nd-ml": _nd_multilevel,
     # indistinguishable-vertex compression before ND (multi-dof problems)
     "nd-c": _nd_compressed,
 }

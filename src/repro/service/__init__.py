@@ -7,13 +7,14 @@ This package turns that into a request-level service:
 * :mod:`repro.service.fingerprint` — canonical sparsity-pattern
   fingerprints (the analysis-cache key);
 * :mod:`repro.service.cache` — bounded LRU cache of completed analyses
-  (ordering + symbolic + parallel plans) with hit/miss/eviction stats;
+  (ordering + symbolic) with hit/miss/eviction stats;
 * :mod:`repro.service.jobs` / :mod:`repro.service.queue` — the job model
   and the synchronous dispatch loop with priority ordering, deadlines,
   and same-pattern request coalescing into blocked multi-RHS solves;
 * :mod:`repro.service.executor` — the worker: cached-analysis reuse via
-  the ``refactor`` path, per-job timeouts, bounded retry with backoff,
-  graceful degradation from the parallel driver to the sequential engine;
+  the ``refactor`` path on the sequential host engine, per-job timeouts,
+  bounded retry with backoff, and an fp32 → fp64 re-factor when a
+  reduced-precision batch fails;
 * metrics — ``SolverService.metrics`` is a
   :class:`~repro.obs.metrics.MetricsRegistry` of counters, gauges and
   latency histograms; ``SolverService.metrics_report()`` renders it with
@@ -26,7 +27,7 @@ from repro.service.cache import (
     CacheStats,
     ShardedAnalysisCache,
 )
-from repro.service.executor import Executor, ExecutorOptions, Requeue
+from repro.service.executor import Executor, Requeue
 from repro.util.errors import AdmissionError
 from repro.service.fingerprint import (
     PatternFingerprint,
@@ -51,7 +52,6 @@ __all__ = [
     "CacheStats",
     "ShardedAnalysisCache",
     "Executor",
-    "ExecutorOptions",
     "Requeue",
     "PatternFingerprint",
     "pattern_fingerprint",

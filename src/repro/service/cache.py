@@ -2,10 +2,7 @@
 
 A cache entry owns a :class:`~repro.core.SparseSolver` whose analyze phase
 has run (ordering + symbolic factorization). Hits skip straight to the
-numeric phase through the solver's ``update_values``/``refactor`` path;
-the solver also keeps the parallel plans derived from its analysis
-(``SparseSolver.plans``), so simulated-parallel execution skips plan
-construction too.
+numeric phase through the solver's ``update_values``/``refactor`` path.
 
 :class:`AnalysisCache` itself is a plain synchronous structure; eviction
 is strict LRU on *use*, and every transition is counted so the metrics

@@ -64,9 +64,6 @@ class SolveJob:
     #: service-clock time the first execution attempt started; the per-job
     #: wall budget (``timeout``) is measured from here across requeues
     first_started_at: float | None = None
-    #: a degradation (parallel → host, threads → sequential) happened on an
-    #: earlier attempt; survives requeues so the final result reports it
-    degraded: bool = False
     #: formatted error of the most recent failed attempt (requeued jobs
     #: that later exhaust their budget report this as the cause)
     last_error: str | None = None
@@ -97,14 +94,12 @@ class JobResult:
     residual: float | None = None
     #: attempts beyond the first
     retries: int = 0
-    #: True when the parallel driver failed and the sequential engine took over
-    degraded: bool = False
     cache_hit: bool = False
     #: number of RHS columns in the blocked solve this job rode in
     batched_rhs: int = 1
     #: seconds from submit to dispatch
     queue_wait: float = 0.0
-    #: per-phase wall seconds (analyze / plan / factor / solve)
+    #: per-phase wall seconds (analyze / values_update / factor / solve)
     timings: dict[str, float] = field(default_factory=dict)
     error: str | None = None
     #: working precision that actually produced ``x`` — "fp64" after an

@@ -40,11 +40,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.solver import ParallelConfig, as_symmetric_lower
+from repro.core.solver import as_symmetric_lower
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import span
+from repro.ordering import get_ordering
 from repro.service.cache import ShardedAnalysisCache
-from repro.service.executor import Executor, ExecutorOptions, Requeue
+from repro.service.executor import Executor, Requeue
 from repro.service.fingerprint import pattern_fingerprint, values_digest
 from repro.service.jobs import EXPIRED, JobResult, SolveJob
 from repro.util.errors import AdmissionError, ReproError, ShapeError
@@ -233,17 +234,14 @@ class ServiceConfig:
     coalesce: bool = True
     #: max right-hand-side columns per coalesced batch
     max_batch_rhs: int = 32
+    #: fill-reducing ordering (registry name) of fresh analyses
     ordering: str = "nd"
-    #: execute on the simulated parallel machine (None = sequential host)
-    parallel: ParallelConfig | None = None
+    #: additional attempts after the first failure
     max_retries: int = 2
+    #: base backoff in seconds; doubles per retry
     retry_backoff: float = 0.01
-    #: iterative refinement on the host solve path
+    #: iterative refinement on the solve path
     refine: bool = False
-    #: host execution backend ("seq" or "threads", see repro.exec)
-    backend: str = "seq"
-    #: worker threads for backend="threads" (None = auto)
-    workers: int | None = None
     #: default working precision of numeric factors ("fp64" or "fp32");
     #: per-request override via ``submit(precision=...)``. fp32 batches
     #: always run iterative refinement and fall back to an fp64 re-factor
@@ -259,21 +257,14 @@ class ServiceConfig:
     #: admission control: max pending jobs per tenant (None = no quotas)
     tenant_quota: int | None = None
 
-    def executor_options(self) -> ExecutorOptions:
-        return ExecutorOptions(
-            ordering=self.ordering,
-            parallel=self.parallel,
-            max_retries=self.max_retries,
-            retry_backoff=self.retry_backoff,
-            refine=self.refine,
-            use_cache=self.cache_enabled,
-            backend=self.backend,
-            workers=self.workers,
-        )
-
 
 class SolverService:
-    """Solver-as-a-service: submit/drain with analysis reuse and batching."""
+    """Solver-as-a-service: submit/drain with analysis reuse and batching.
+
+    The config is checked here, before any job is accepted: a worker or
+    batch size below one raises :class:`~repro.util.errors.ShapeError`, an
+    unknown ordering name :class:`~repro.util.errors.OrderingError`.
+    """
 
     def __init__(
         self,
@@ -281,19 +272,16 @@ class SolverService:
         clock=time.monotonic,
         sleep=time.sleep,
     ):
-        self.config = config or ServiceConfig()
+        self.config = config = config or ServiceConfig()
+        if config.fleet_workers < 1:
+            raise ShapeError(f"fleet_workers must be >= 1; got {config.fleet_workers}")
+        if config.max_batch_rhs < 1:
+            raise ShapeError(f"max_batch_rhs must be >= 1; got {config.max_batch_rhs}")
+        get_ordering(config.ordering)  # an unknown name raises OrderingError
         self.metrics = MetricsRegistry()
-        self.cache = ShardedAnalysisCache(
-            self.config.cache_capacity, shards=self.config.shards
-        )
+        self.cache = ShardedAnalysisCache(config.cache_capacity, shards=config.shards)
         self.queue = JobQueue()
-        self.executor = Executor(
-            self.cache,
-            self.metrics,
-            self.config.executor_options(),
-            clock=clock,
-            sleep=sleep,
-        )
+        self.executor = Executor(self.cache, self.metrics, config, clock=clock)
         self.results: dict[int, JobResult] = {}
         self._clock = clock
         self._sleep = sleep
@@ -332,9 +320,9 @@ class SolverService:
         lower = as_symmetric_lower(a)
         b = as_float_array(b, "b")
         n = lower.shape[0]
-        if b.ndim > 2 or b.shape[0] != n:
+        if b.ndim > 2 or b.shape[0] != n or (b.ndim == 2 and b.shape[1] == 0):
             raise ShapeError(
-                f"b must have shape ({n},) or ({n}, k); got {b.shape}"
+                f"b must have shape ({n},) or ({n}, k) with k >= 1; got {b.shape}"
             )
         squeeze = b.ndim == 1
         job = SolveJob(

@@ -88,10 +88,7 @@ class ExecBackendError(ReproError, RuntimeError):
     a stalled task graph (dependency cycle).
 
     Numeric failures inside tasks — a non-positive pivot, a shape error —
-    propagate as their own types, exactly like the sequential path. The
-    serving layer catches this (and any other :class:`ReproError` from the
-    threads engine) to degrade ``threads`` → ``sequential`` instead of
-    failing the job.
+    propagate as their own types, exactly like the sequential path.
     """
 
 

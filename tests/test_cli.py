@@ -154,25 +154,6 @@ class TestServeSim:
         out = capsys.readouterr().out
         assert "cache off" in out and "analysis cache" not in out
 
-    def test_serve_sim_parallel(self, capsys):
-        rc = main(
-            [
-                "serve-sim",
-                "--mesh",
-                "cube:3",
-                "--steps",
-                "3",
-                "--new-patterns",
-                "0",
-                "--ranks-served",
-                "2",
-                "--nb",
-                "8",
-            ]
-        )
-        assert rc == 0
-        assert "jobs_completed" in capsys.readouterr().out
-
 
 class TestLUCli:
     def test_convdiff_auto_lu(self, capsys):

@@ -68,6 +68,12 @@ class TestSparseSolverPhases:
         assert res.refinement_iterations == 0
         assert res.residual <= 1e-10
 
+    @pytest.mark.parametrize("refine", [True, False])
+    def test_rejects_empty_rhs_panel(self, small, refine):
+        solver = SparseSolver(small)
+        with pytest.raises(ShapeError):
+            solver.solve(np.ones((64, 0)), refine=refine)
+
     def test_accepts_full_symmetric_matrix(self, small):
         full = full_symmetric_from_lower(small)
         solver = SparseSolver(full)

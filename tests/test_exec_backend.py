@@ -587,42 +587,3 @@ def test_pool_stats_publish():
     assert registry.counter("exec_tasks") == sym.n_supernodes
     assert registry.gauge_values()["exec_workers"] == 2.0
     assert "exec_queue_depth_peak" in registry.gauge_values()
-
-
-# -- service degradation ladder ----------------------------------------------
-
-
-def test_service_threads_backend_matches_seq():
-    from repro.service import ServiceConfig, SolverService
-
-    lower = grid2d_laplacian(8)
-    b = make_rng(5).standard_normal(lower.shape[0])
-    out = {}
-    for backend in ("seq", "threads"):
-        svc = SolverService(ServiceConfig(backend=backend, workers=3))
-        jid = svc.submit(lower, b)
-        svc.drain()
-        res = svc.results[jid]
-        assert res.status == "completed"
-        out[backend] = res
-    assert out["seq"].x.tobytes() == out["threads"].x.tobytes()
-
-
-def test_service_falls_back_to_sequential_on_exec_error():
-    from repro.service import ServiceConfig, SolverService
-
-    lower = grid2d_laplacian(8)
-    b = make_rng(5).standard_normal(lower.shape[0])
-    # workers=0 makes the pool constructor raise ExecBackendError, so the
-    # executor's ladder must degrade threads -> sequential and still answer.
-    svc = SolverService(ServiceConfig(backend="threads", workers=0))
-    jid = svc.submit(lower, b)
-    svc.drain()
-    res = svc.results[jid]
-    assert res.status == "completed"
-    assert res.degraded
-    assert svc.metrics.counter("service_backend_fallback_total") == 1
-    ref = SolverService(ServiceConfig())
-    jid2 = ref.submit(lower, b)
-    ref.drain()
-    assert ref.results[jid2].x.tobytes() == res.x.tobytes()

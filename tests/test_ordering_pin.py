@@ -1,6 +1,6 @@
 """The graph layer's orderings against the loops kept here, bit for bit.
 
-``ref_fm_pass``, ``ref_weighted_fm_pass``, ``ref_bfs_levels`` and
+``ref_fm_pass``, ``ref_bfs_levels`` and
 ``ref_subgraph`` are the plainest forms of FM refinement, BFS and induced
 subgraphs: every FM move rescans all vertices for the highest gain (lowest
 index on ties), BFS visits one vertex at a time, and each subgraph row is
@@ -18,12 +18,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.graph.bisection
-import repro.graph.multilevel
 import repro.graph.traversal
 from repro.gen import grid2d_9pt, grid3d_laplacian, random_spd_sparse
 from repro.graph import AdjacencyGraph, bfs_levels
 from repro.graph.bisection import _fm_pass, bisect
-from repro.graph.multilevel import WeightedGraph, _weighted_fm_pass
 from repro.ordering import NDOptions, get_ordering, nested_dissection_order
 
 
@@ -107,61 +105,13 @@ def ref_fm_pass(g, side, max_part):
     return best_gain > 0
 
 
-def ref_weighted_fm_pass(g, side, max_w):
-    n = g.n
-    deg = np.diff(g.xadj)
-    src = np.repeat(np.arange(n, dtype=np.int64), deg)
-    cut_edge = side[src] != side[g.adjncy]
-    ext = np.zeros(n, dtype=np.int64)
-    np.add.at(ext, src, np.where(cut_edge, g.adjwgt, 0))
-    tot = np.zeros(n, dtype=np.int64)
-    np.add.at(tot, src, g.adjwgt)
-    gains = 2 * ext - tot
-    locked = np.zeros(n, dtype=bool)
-    w1 = int(g.vwgt[side].sum())
-    sizes = [int(g.vwgt.sum()) - w1, w1]
-    moves = []
-    cum = best = best_prefix = 0
-    for _ in range(n):
-        room1 = sizes[1] < max_w
-        room0 = sizes[0] < max_w
-        cand = np.flatnonzero(~locked & np.where(side, room0, room1))
-        if cand.size == 0:
-            break
-        v = int(cand[np.argmax(gains[cand])])
-        gv = int(gains[v])
-        s = int(side[v])
-        wv = int(g.vwgt[v])
-        if sizes[1 - s] + wv > max_w:
-            locked[v] = True
-            continue
-        sizes[s] -= wv
-        sizes[1 - s] += wv
-        side[v] = not side[v]
-        locked[v] = True
-        moves.append(v)
-        cum += gv
-        if cum > best:
-            best = cum
-            best_prefix = len(moves)
-        gains[v] = -gv
-        for k in range(int(g.xadj[v]), int(g.xadj[v + 1])):
-            u = int(g.adjncy[k])
-            w = int(g.adjwgt[k])
-            gains[u] += 2 * w if side[u] != side[v] else -2 * w
-    for v in moves[best_prefix:]:
-        side[v] = not side[v]
-    return best > 0
-
-
 @contextlib.contextmanager
 def reference_graph_layer():
     """Run the library with the reference loops in place of its own."""
     with pytest.MonkeyPatch.context() as mp:
-        for module in (repro.graph.traversal, repro.graph.bisection, repro.graph.multilevel):
+        for module in (repro.graph.traversal, repro.graph.bisection):
             mp.setattr(module, "bfs_levels", ref_bfs_levels)
         mp.setattr(repro.graph.bisection, "_fm_pass", ref_fm_pass)
-        mp.setattr(repro.graph.multilevel, "_weighted_fm_pass", ref_weighted_fm_pass)
         mp.setattr(AdjacencyGraph, "subgraph", ref_subgraph)
         yield
 
@@ -180,7 +130,7 @@ MATRICES = {
     "cube9": lambda: grid3d_laplacian(9),
     "random400": lambda: random_spd_sparse(400, avg_degree=5, seed=4),
 }
-ORDERINGS = ["nd", "nd-ml", "nd-c", "rcm"]
+ORDERINGS = ["nd", "nd-c", "rcm"]
 
 
 def matrix_graph(name):
@@ -287,27 +237,6 @@ def test_fm_pass_matches_reference(g, data):
     assert_same(got_side, want_side)
 
 
-@settings(max_examples=150, deadline=None)
-@given(graphs(), st.data())
-def test_weighted_fm_pass_matches_reference(g, data):
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1)))
-    # symmetric edge weights: one weight per undirected edge
-    deg = np.diff(g.xadj)
-    src = np.repeat(np.arange(g.n, dtype=np.int64), deg)
-    lo, hi = np.minimum(src, g.adjncy), np.maximum(src, g.adjncy)
-    adjwgt = (lo * 7919 + hi * 104729 + int(rng.integers(0, 1000))) % 5 + 1
-    vwgt = rng.integers(1, 4, size=g.n).astype(np.int64)
-    wg = WeightedGraph(g.xadj.copy(), g.adjncy.copy(), adjwgt.astype(np.int64), vwgt)
-    side = rng.random(g.n) < 0.5
-    total = int(vwgt.sum())
-    max_w = data.draw(st.integers(total // 2 + total % 2, total))
-    got_side, want_side = side.copy(), side.copy()
-    got = _weighted_fm_pass(wg, got_side, max_w)
-    want = ref_weighted_fm_pass(wg, want_side, max_w)
-    assert got == want
-    assert_same(got_side, want_side)
-
-
 @settings(max_examples=100, deadline=None)
 @given(graphs(), BALANCES, st.integers(1, 4))
 def test_bisect_matches_reference_property(g, balance, passes):
@@ -318,11 +247,11 @@ def test_bisect_matches_reference_property(g, balance, passes):
 
 
 @settings(max_examples=60, deadline=None)
-@given(graphs(max_n=60), BALANCES, st.sampled_from(["flat", "multilevel"]))
-def test_nested_dissection_matches_reference_property(g, balance, strategy):
-    # Small leaves and thresholds so that the recursion, the multilevel
-    # coarsening and the separator subgraphs all run on graphs this size.
-    opts = NDOptions(leaf_size=4, balance=balance, strategy=strategy, multilevel_threshold=8)
+@given(graphs(max_n=60), BALANCES)
+def test_nested_dissection_matches_reference_property(g, balance):
+    # Small leaves so that the recursion
+    # and the separator subgraphs all run on graphs this size.
+    opts = NDOptions(leaf_size=4, balance=balance)
     got = nested_dissection_order(g, opts)
     with reference_graph_layer():
         want = nested_dissection_order(g, opts)

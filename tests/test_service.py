@@ -1,14 +1,13 @@
 """Tests for the serving layer (`repro.service`): fingerprints, the
 analysis cache, the queue/dispatch loop, and the executor's resilience
-(retry, degradation, timeout)."""
+(retry, timeout)."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import ParallelConfig, SparseSolver
+from repro.core import SparseSolver
 from repro.gen import grid2d_laplacian, grid3d_laplacian, random_spd_sparse
-from repro.machine import GENERIC_CLUSTER
 from repro.service import (
     EXPIRED,
     FAILED,
@@ -22,7 +21,12 @@ from repro.service import (
 )
 from repro.sparse.csc import CSCMatrix
 from repro.sparse.ops import full_symmetric_from_lower
-from repro.util.errors import PatternMismatchError, ReproError, ShapeError
+from repro.util.errors import (
+    OrderingError,
+    PatternMismatchError,
+    ReproError,
+    ShapeError,
+)
 from repro.util.rng import make_rng
 
 pytestmark = pytest.mark.service
@@ -233,6 +237,31 @@ class TestServiceSolve:
         with pytest.raises(ShapeError):
             SolverService().submit(grid2d_laplacian(4), np.ones(9))
 
+    @pytest.mark.parametrize("fleet_workers", [1, 2])
+    def test_empty_rhs_panel_rejected_before_enqueue(self, fleet_workers):
+        lower = grid2d_laplacian(4)
+        svc = SolverService(ServiceConfig(fleet_workers=fleet_workers))
+        jid = svc.submit(lower, np.ones(16))
+        with pytest.raises(ShapeError):
+            svc.submit(lower, np.ones((16, 0)))
+        assert len(svc.queue) == 1
+        out = svc.drain()
+        assert list(out) == [jid]
+        assert out[jid].ok and out[jid].residual < 1e-10
+
+    @pytest.mark.parametrize(
+        "field, value, error",
+        [
+            ("fleet_workers", 0, ShapeError),
+            ("fleet_workers", -3, ShapeError),
+            ("max_batch_rhs", 0, ShapeError),
+            ("ordering", "bogus", OrderingError),
+        ],
+    )
+    def test_bad_config_rejected_at_construction(self, field, value, error):
+        with pytest.raises(error):
+            SolverService(ServiceConfig(**{field: value}))
+
     def test_deadline_expiry(self):
         clock = FakeClock(step=10.0)
         svc = SolverService(clock=clock, sleep=lambda s: None)
@@ -296,27 +325,6 @@ class TestResilience:
         assert res.status == FAILED
         assert res.retries == 1
         assert "down" in res.error
-
-    def test_parallel_failure_degrades_to_sequential(self, monkeypatch):
-        import repro.service.executor as executor_mod
-
-        def boom(*args, **kwargs):
-            raise ReproError("injected parallel plan failure")
-
-        monkeypatch.setattr(executor_mod, "simulate_factorization", boom)
-        svc = SolverService(
-            ServiceConfig(
-                parallel=ParallelConfig(
-                    n_ranks=4, machine=GENERIC_CLUSTER, nb=8
-                )
-            ),
-            sleep=lambda s: None,
-        )
-        res = svc.solve(grid3d_laplacian(3), np.ones(27))
-        assert res.ok and res.degraded
-        assert res.residual < 1e-10
-        assert svc.metrics.counter("degradations") == 1
-        assert "degradations" in svc.metrics_report()
 
     def test_timeout_between_retries(self, monkeypatch):
         import repro.core.solver as core_solver
@@ -407,27 +415,6 @@ class TestResilience:
         assert res.retries == 1
         assert svc.metrics.counter("retries") == 1
         assert sleeps == [3.0]  # park wake at start+budget, not +100 s
-
-
-class TestParallelService:
-    def test_parallel_path_and_plan_reuse(self):
-        cfg = ServiceConfig(
-            parallel=ParallelConfig(n_ranks=4, machine=GENERIC_CLUSTER, nb=8)
-        )
-        svc = SolverService(cfg)
-        lower = grid3d_laplacian(4)
-        b = make_rng(5).standard_normal((64, 3))
-        first = svc.solve(lower, b)
-        assert first.ok and first.residual < 1e-9
-        assert "plan" in first.timings
-
-        drift = with_values(lower, lower.data * 3.0)
-        second = svc.solve(drift, b)
-        assert second.ok and second.cache_hit
-        # Cached hit skips ordering + symbolic + plan construction.
-        assert "analyze" not in second.timings
-        assert "plan" not in second.timings
-        np.testing.assert_allclose(second.x, first.x / 3.0, rtol=1e-10)
 
 
 class TestRefactorErgonomics:
