@@ -6,7 +6,7 @@ factorization. Orderings provided:
 * :func:`natural_order` — identity (the "no ordering" baseline);
 * :func:`rcm_order` — Reverse Cuthill–McKee (bandwidth-oriented);
 * :func:`amd_order` — Approximate Minimum Degree on a quotient graph with
-  element absorption and supervariable merging (the local-greedy family);
+  element absorption (the local-greedy family);
 * :func:`nested_dissection_order` — recursive graph bisection with
   minimum-degree leaves (the ordering the paper's scalable formulation
   requires: ND separators give the balanced elimination trees that

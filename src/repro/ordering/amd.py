@@ -7,10 +7,13 @@ Python:
   *elements* — cliques left behind by eliminated pivots);
 * element absorption (an element whose variable list is contained in the
   new pivot element's list is deleted);
-* supervariable merging (indistinguishable variables — identical closed
-  adjacency — are eliminated together and weighted);
 * the AMD external-degree approximation
-  ``d_i = w(A_i) + w(L_p \\ i) + Σ_e w(L_e \\ L_p)``.
+  ``d_i = |A_i| + |L_p \\ i| + Σ_e |L_e \\ L_p|``.
+
+There are no supervariables: every variable is eliminated on its own, with
+weight 1. (A test for indistinguishable variables among ``L_p`` after the
+update can never succeed — each has just lost the others from its
+adjacency — so it would only cost time.)
 
 Set-based rather than array-based, so it is O(n · deg²)-ish — fine at the
 matrix sizes a pure-Python factorization handles, and algorithmically
@@ -39,41 +42,34 @@ def amd_order(g: AdjacencyGraph, aggressive: bool = True) -> np.ndarray:
     if n == 0:
         return np.empty(0, dtype=np.int64)
 
-    adj: list[set[int]] = [set(map(int, g.neighbors(i))) for i in range(n)]
+    xadj = g.xadj.tolist()
+    adjncy = g.adjncy.tolist()
+    adj: list[set[int]] = [set(adjncy[xadj[i]:xadj[i + 1]]) for i in range(n)]
     elems: list[set[int]] = [set() for _ in range(n)]
     elem_vars: dict[int, set[int]] = {}  # element id (its pivot) -> L_e
-    weight = [1] * n
-    members: list[list[int]] = [[i] for i in range(n)]
     alive = [True] * n
-    degree = [0] * n
+    degree = [len(a) for a in adj]
     heap: list[tuple[int, int]] = []
     for i in range(n):
-        degree[i] = len(adj[i])  # all weights 1 initially
         heapq.heappush(heap, (degree[i], i))
 
     order: list[int] = []
-
-    def wsum(s: set[int]) -> int:
-        return sum(weight[v] for v in s)
-
-    remaining = n
-    while remaining > 0:
+    for _ in range(n):
         # Lazy-deletion pop: entry must be alive and degree current.
         while True:
             d, p = heapq.heappop(heap)
             if alive[p] and degree[p] == d:
                 break
 
-        # Pivot element's variable list.
+        # Pivot element's variable list. An eliminated variable is in no
+        # adjacency and no element list, so every member is alive.
         lp = set(adj[p])
         for e in elems[p]:
             lp |= elem_vars[e]
         lp.discard(p)
-        lp = {v for v in lp if alive[v]}
 
-        order.extend(members[p])
+        order.append(p)
         alive[p] = False
-        remaining -= 1
 
         absorbed_parents = list(elems[p])
         elems[p] = set()
@@ -108,41 +104,20 @@ def amd_order(g: AdjacencyGraph, aggressive: bool = True) -> np.ndarray:
                             elems[v].discard(e)
                         del elem_vars[e]
 
-        # Supervariable detection among the updated variables: merge
-        # variables with identical closed quotient-adjacency.
-        sig: dict[tuple, int] = {}
-        for i in list(lp):
-            if not alive[i]:
-                continue
-            key = (
-                frozenset(adj[i] | {i}),
-                frozenset(elems[i]),
-            )
-            j = sig.get(key)
-            if j is None:
-                sig[key] = i
-            else:
-                # Merge i into j.
-                weight[j] += weight[i]
-                members[j].extend(members[i])
-                members[i] = []
-                alive[i] = False
-                remaining -= 1
-                lp.discard(i)
-                for u in adj[i]:
-                    adj[u].discard(i)
-                for e in elems[i]:
-                    elem_vars[e].discard(i)
-                adj[i] = set()
-                elems[i] = set()
-
-        # Recompute approximate degrees of surviving updated variables.
+        # Recompute approximate degrees of the updated variables.
+        # |L_e \ L_p| is |L_e| less the L_p variables that list e, so one
+        # pass over their element lists gives it for every e.
+        outside: dict[int, int] = {}
         for i in lp:
-            d = wsum(adj[i]) + wsum(lp) - weight[i]
             for e in elems[i]:
-                if e == p:
-                    continue
-                d += wsum(elem_vars[e] - lp)
+                if e != p:
+                    size = outside.get(e)
+                    outside[e] = (len(elem_vars[e]) if size is None else size) - 1
+        for i in lp:
+            d = len(adj[i]) + len(lp) - 1
+            for e in elems[i]:
+                if e != p:
+                    d += outside[e]
             degree[i] = d
             heapq.heappush(heap, (d, i))
 

@@ -35,6 +35,18 @@ class NDOptions:
     #: FM refinement sweeps per bisection
     refine_passes: int = 4
 
+    def __post_init__(self) -> None:
+        # Checked here, not only in bisect(): a graph no larger than
+        # leaf_size never reaches the bisector.
+        if not (0.5 < self.balance <= 1.0):
+            raise OrderingError(f"balance must be in (0.5, 1]; got {self.balance}")
+        if self.leaf_size < 1:
+            raise OrderingError(f"leaf_size must be at least 1; got {self.leaf_size}")
+        if self.refine_passes < 0:
+            raise OrderingError(f"refine_passes must be non-negative; got {self.refine_passes}")
+        if self.max_depth is not None and self.max_depth < 0:
+            raise OrderingError(f"max_depth must be non-negative; got {self.max_depth}")
+
 
 def nested_dissection_order(
     g: AdjacencyGraph, options: NDOptions | None = None

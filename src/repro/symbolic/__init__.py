@@ -15,7 +15,6 @@ The analyze phase runs once per sparsity pattern:
 
 from repro.symbolic.etree import etree, EliminationForest
 from repro.symbolic.postorder import postorder, is_postordered, children_lists
-from repro.symbolic.colcounts import col_counts_from_patterns
 from repro.symbolic.symbolic_chol import column_patterns, symbolic_cholesky
 from repro.symbolic.supernodes import (
     fundamental_supernodes,
@@ -30,7 +29,6 @@ __all__ = [
     "postorder",
     "is_postordered",
     "children_lists",
-    "col_counts_from_patterns",
     "column_patterns",
     "symbolic_cholesky",
     "fundamental_supernodes",

@@ -9,6 +9,7 @@ results are directly comparable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,6 +45,17 @@ class AnalyzeOptions:
     max_extra_fill_ratio: float = 0.25
     #: a supernode this narrow is always a merge candidate
     small_width: int = 8
+
+    def __post_init__(self) -> None:
+        # A negative or NaN ratio would silently turn off every merge, even
+        # the exact ones.
+        if not (math.isfinite(self.max_extra_fill_ratio) and self.max_extra_fill_ratio >= 0):
+            raise ShapeError(
+                "max_extra_fill_ratio must be finite and non-negative; "
+                f"got {self.max_extra_fill_ratio}"
+            )
+        if self.small_width < 0:
+            raise ShapeError(f"small_width must be non-negative; got {self.small_width}")
 
 
 @dataclass

@@ -20,22 +20,12 @@ from __future__ import annotations
 import numpy as np
 
 
-def col_counts_from_patterns(patterns: list[np.ndarray]) -> np.ndarray:
-    """colcount[j] = nnz(L[:, j]) including the diagonal."""
-    return np.asarray([p.size for p in patterns], dtype=np.int64)
-
-
 def factor_flops_from_counts(col_counts: np.ndarray) -> int:
     """Total factorization flops from per-column counts (see module doc)."""
     below = col_counts.astype(np.int64) - 1
     divisions = below
     madds = below * (below + 1) // 2
     return int(np.sum(divisions + 2 * madds))
-
-
-def factor_nnz_from_counts(col_counts: np.ndarray) -> int:
-    """nnz(L) including the diagonal."""
-    return int(np.sum(col_counts))
 
 
 def solve_flops_from_counts(col_counts: np.ndarray) -> int:

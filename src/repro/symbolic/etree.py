@@ -25,26 +25,27 @@ def etree(lower: CSCMatrix) -> np.ndarray:
     n = lower.shape[0]
     if lower.shape[0] != lower.shape[1]:
         raise ShapeError("etree requires a square lower triangle")
-    parent = np.full(n, -1, dtype=np.int64)
-    ancestor = np.full(n, -1, dtype=np.int64)
+    parent = [-1] * n
+    ancestor = [-1] * n
     # Row j of the lower triangle lists the i < j with A[j, i] != 0.
     csr = csc_to_csr(lower)
+    indptr = csr.indptr.tolist()
+    indices = csr.indices.tolist()
     for j in range(n):
-        s, e = csr.indptr[j], csr.indptr[j + 1]
-        for i in csr.indices[s:e]:
-            i = int(i)
+        for i in indices[indptr[j]:indptr[j + 1]]:
             if i >= j:
                 continue
             # Walk from i to the root of its current subtree, compressing.
             r = i
-            while ancestor[r] != -1 and ancestor[r] != j:
-                nxt = ancestor[r]
+            a = ancestor[r]
+            while a != -1 and a != j:
                 ancestor[r] = j
-                r = nxt
-            if ancestor[r] == -1:
+                r = a
+                a = ancestor[r]
+            if a == -1:
                 ancestor[r] = j
                 parent[r] = j
-    return parent
+    return np.asarray(parent, dtype=np.int64)
 
 
 @dataclass

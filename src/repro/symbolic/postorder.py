@@ -15,10 +15,8 @@ from repro.util.errors import InvariantError
 def children_lists(parent: np.ndarray) -> list[list[int]]:
     """Children adjacency from a parent array (children in increasing
     order)."""
-    n = parent.size
-    ch: list[list[int]] = [[] for _ in range(n)]
-    for j in range(n):
-        p = int(parent[j])
+    ch: list[list[int]] = [[] for _ in range(parent.size)]
+    for j, p in enumerate(parent.tolist()):
         if p >= 0:
             ch[p].append(j)
     return ch
@@ -33,34 +31,32 @@ def postorder(parent: np.ndarray) -> np.ndarray:
     """
     n = parent.size
     ch = children_lists(parent)
-    post = np.empty(n, dtype=np.int64)
-    k = 0
-    roots = [j for j in range(n) if parent[j] < 0]
+    post: list[int] = []
+    roots = [j for j, p in enumerate(parent.tolist()) if p < 0]
     for root in roots:
         # Explicit stack of (node, child-cursor).
         stack: list[list[int]] = [[root, 0]]
         while stack:
-            node, cursor = stack[-1]
+            top = stack[-1]
+            node, cursor = top
             if cursor < len(ch[node]):
-                stack[-1][1] += 1
+                top[1] += 1
                 stack.append([ch[node][cursor], 0])
             else:
                 stack.pop()
-                post[k] = node
-                k += 1
-    if k != n:
-        raise InvariantError(f"parent array contains a cycle: {n - k} node(s) reach no root")
-    return post
+                post.append(node)
+    if len(post) != n:
+        raise InvariantError(
+            f"parent array contains a cycle: {n - len(post)} node(s) reach no root"
+        )
+    return np.asarray(post, dtype=np.int64)
 
 
 def is_postordered(parent: np.ndarray) -> bool:
     """True when every node's parent has a larger index (the invariant a
     relabeled-by-postorder tree satisfies)."""
-    for j in range(parent.size):
-        p = int(parent[j])
-        if 0 <= p <= j:
-            return False
-    return True
+    below = (parent >= 0) & (parent <= np.arange(parent.size))
+    return not bool(below.any())
 
 
 def relabel_parent(parent: np.ndarray, post: np.ndarray) -> np.ndarray:
@@ -69,11 +65,9 @@ def relabel_parent(parent: np.ndarray, post: np.ndarray) -> np.ndarray:
     n = parent.size
     inv = np.empty(n, dtype=np.int64)
     inv[post] = np.arange(n, dtype=np.int64)
-    new_parent = np.full(n, -1, dtype=np.int64)
-    for k in range(n):
-        p = int(parent[post[k]])
-        new_parent[k] = -1 if p < 0 else inv[p]
-    return new_parent
+    old = parent[post]
+    root = old < 0
+    return np.where(root, -1, inv[np.where(root, 0, old)])
 
 
 def first_descendants(parent: np.ndarray) -> np.ndarray:
@@ -83,10 +77,8 @@ def first_descendants(parent: np.ndarray) -> np.ndarray:
     ``[first[j], j]`` — the property the subtree-to-subcube mapping and the
     update stack rely on.
     """
-    n = parent.size
-    first = np.arange(n, dtype=np.int64)
-    for j in range(n):
-        p = int(parent[j])
+    first = list(range(parent.size))
+    for j, p in enumerate(parent.tolist()):
         if p >= 0 and first[j] < first[p]:
             first[p] = first[j]
-    return first
+    return np.asarray(first, dtype=np.int64)

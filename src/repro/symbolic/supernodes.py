@@ -109,8 +109,12 @@ def amalgamate(
     """Relaxed amalgamation: merge a supernode into its assembly-tree parent
     when they are column-contiguous and the merge is cheap.
 
-    Returns the merged partition and its per-supernode row structure (what
-    :func:`supernode_rows` gives for that partition).
+    *part* is the fundamental partition of *patterns*
+    (:func:`fundamental_supernodes`), so each supernode's rows are its first
+    column's pattern: along the chain every later column's pattern is the
+    previous one without its own column. Returns the merged partition and
+    its per-supernode row structure (what :func:`supernode_rows` gives for
+    that partition).
 
     A merge of child c (columns ending at the parent's first column, with
     the child's first update row inside the parent's pivot block) is
@@ -119,24 +123,22 @@ def amalgamate(
     entries stay within ``(1 + max_extra_fill_ratio)`` of its *structural*
     entries. The structural bound is cumulative, so total factor storage is
     bounded by ``(1 + ratio) * nnz(L)`` regardless of how many merges fire.
+
+    A node's rows and structural entries are fixed by its column range, so
+    a verdict depends only on the two ranges: a rejected pair is not judged
+    again on a later pass unless one of its nodes has grown.
     """
     n = parent.size
     if n == 0:
         return part, []
-    # Per-supernode row structure (union of its columns' patterns).
-    sn_rows = supernode_rows(part, patterns)
-    starts = list(int(s) for s in part.sn_start[:-1])
-    rows_by_start = {s: r for s, r in zip(starts, sn_rows)}
-    widths = {int(part.sn_start[i]): part.width(i) for i in range(part.n_supernodes)}
+    starts = part.sn_start[:-1].tolist()
+    rows_by_start = {s: patterns[s] for s in starts}
+    widths = dict(zip(starts, np.diff(part.sn_start).tolist()))
     # Structural (no-amalgamation) entries per supernode: sum of the column
     # counts of its columns.
     col_counts = np.asarray([p.size for p in patterns], dtype=np.int64)
-    struct = {
-        int(part.sn_start[i]): int(
-            col_counts[part.sn_start[i]: part.sn_start[i + 1]].sum()
-        )
-        for i in range(part.n_supernodes)
-    }
+    struct = dict(zip(starts, np.add.reduceat(col_counts, part.sn_start[:-1]).tolist()))
+    rejected: set[tuple[int, int, int, int]] = set()
 
     merged = True
     while merged:
@@ -147,31 +149,37 @@ def amalgamate(
             p_start = starts[i]
             c_width = widths[c_start]
             p_width = widths[p_start]
+            key = (c_start, c_width, p_start, p_width)
+            if key in rejected:
+                i += 1
+                continue
             c_rows = rows_by_start[c_start]
             p_rows = rows_by_start[p_start]
             # Contiguity: child columns end exactly at parent start, and the
-            # child's first update row must land inside the parent pivot
-            # block (otherwise p is not c's assembly-tree parent).
-            c_update = c_rows[c_rows >= p_start]
-            if c_update.size == 0 or c_update[0] >= p_start + p_width:
+            # child's first update row (its first row past its own columns)
+            # must land inside the parent pivot block (otherwise p is not
+            # c's assembly-tree parent).
+            if c_rows.size == c_width or c_rows[c_width] >= p_start + p_width:
+                rejected.add(key)
                 i += 1
                 continue
+            # The child's update rows lie in the parent's rows: its columns
+            # all descend from its last one, whose etree parent is in p. So
+            # the merged node holds the child's columns and the parent's
+            # rows, and the merge adds no row. (The front plan re-checks this
+            # containment for every assembly edge.)
             new_width = c_width + p_width
-            new_rows = np.unique(
-                np.concatenate(
-                    [np.arange(c_start, p_start, dtype=np.int64), c_rows, p_rows]
-                )
-            )
             old_entries = trapezoid_entries(c_rows.size, c_width) + trapezoid_entries(
                 p_rows.size, p_width
             )
-            new_entries = trapezoid_entries(new_rows.size, new_width)
+            new_entries = trapezoid_entries(c_width + p_rows.size, new_width)
             extra = new_entries - old_entries
             struct_merged = struct[c_start] + struct[p_start]
             candidate = c_width <= small_width or extra == 0
             within_budget = new_entries <= (1.0 + max_extra_fill_ratio) * struct_merged
             if candidate and within_budget:
                 # Merge: drop parent start.
+                new_rows = np.concatenate([c_rows[:c_width], p_rows])
                 del starts[i]
                 widths.pop(p_start)
                 widths[c_start] = new_width
@@ -182,6 +190,7 @@ def amalgamate(
                 merged = True
                 # Stay at the same position to consider merging further up.
             else:
+                rejected.add(key)
                 i += 1
     return partition_from_starts(starts, n), [rows_by_start[s] for s in starts]
 

@@ -24,6 +24,12 @@ def column_patterns(
 
     Requires a postordered input (``parent[j] > j`` for non-roots); raises
     otherwise. Returns ``patterns[j]`` = sorted int64 array starting at j.
+
+    Two cases need no merge: a leaf column is its own rows of A (with j
+    put in front when the diagonal is not stored), and a column whose only
+    child c has ``patterns[c][1] == j`` and column j's rows of A among
+    ``patterns[c][1:]`` is that slice. Every other column merges its
+    pieces.
     """
     n = lower.shape[0]
     if parent.size != n:
@@ -31,17 +37,35 @@ def column_patterns(
     if not is_postordered(parent):
         raise ShapeError("column_patterns requires a postordered matrix")
     ch = children_lists(parent)
+    # The stored rows on or below the diagonal, column by column.
+    cols = np.repeat(np.arange(n, dtype=np.int64), np.diff(lower.indptr))
+    keep = lower.indices >= cols
+    rows, cols = lower.indices[keep], cols[keep]
+    bounds = np.searchsorted(cols, np.arange(n + 1)).tolist()
+    diag = np.zeros(n, dtype=bool)
+    diag[cols[rows == cols]] = True
+    has_diag = diag.tolist()
     patterns: list[np.ndarray] = [None] * n  # type: ignore[list-item]
     for j in range(n):
-        rows_a, _ = lower.col(j)
-        pieces = [rows_a[rows_a >= j]]
-        if not pieces[0].size or pieces[0][0] != j:
-            pieces.insert(0, np.array([j], dtype=np.int64))
-        for c in ch[j]:
+        own = rows[bounds[j]:bounds[j + 1]]
+        if not has_diag[j]:
+            own = np.concatenate((np.array([j], dtype=np.int64), own))
+        kids = ch[j]
+        if not kids:
+            patterns[j] = own
+            continue
+        if len(kids) == 1:
+            tail = patterns[kids[0]][1:]
+            if tail.size and tail[0] == j:
+                pos = tail.searchsorted(own)
+                if pos[-1] < tail.size and (tail[pos] == own).all():
+                    patterns[j] = tail
+                    continue
+        pieces = [own]
+        for c in kids:
             pc = patterns[c]
             pieces.append(pc[pc > j])
-        merged = np.unique(np.concatenate(pieces))
-        patterns[j] = merged
+        patterns[j] = np.unique(np.concatenate(pieces))
     return patterns
 
 
@@ -56,16 +80,3 @@ def symbolic_cholesky(
     patterns = column_patterns(lower, parent)
     col_counts = np.asarray([p.size for p in patterns], dtype=np.int64)
     return patterns, col_counts, int(col_counts.sum())
-
-
-def pattern_to_csc(patterns: list[np.ndarray], n: int) -> CSCMatrix:
-    """Materialize the symbolic pattern as a CSC matrix with unit values
-    (testing/diagnostics)."""
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    indptr[1:] = np.cumsum([p.size for p in patterns])
-    indices = (
-        np.concatenate(patterns) if patterns else np.empty(0, dtype=np.int64)
-    )
-    return CSCMatrix(
-        (n, n), indptr, indices, np.ones(indices.size), _skip_check=True
-    )

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.gen import (
     elasticity3d,
+    grid2d_9pt,
     grid2d_laplacian,
     grid3d_laplacian,
     random_spd_sparse,
@@ -181,6 +182,24 @@ class TestNestedDissection:
         g = graph_of(grid2d_laplacian(7))
         perm = nested_dissection_order(g, NDOptions(max_depth=1))
         assert_valid_perm(perm, g.n)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"balance": 2.0},
+            {"balance": 0.5},
+            {"balance": float("nan")},
+            {"leaf_size": 0},
+            {"refine_passes": -1},
+            {"max_depth": -1},
+        ],
+    )
+    def test_bad_options_rejected_on_any_graph(self, bad):
+        # grid2d_9pt(5) has 25 vertices, no more than the default leaf size,
+        # so the bisector (which checks balance itself) never runs.
+        g = graph_of(grid2d_9pt(5))
+        with pytest.raises(OrderingError):
+            nested_dissection_order(g, NDOptions(**bad))
 
     def test_incomplete_leaf_order_is_typed_error(self, monkeypatch):
         # a leaf ordering that drops a vertex

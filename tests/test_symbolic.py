@@ -256,6 +256,29 @@ class TestSupernodes:
 
 
 class TestAnalyze:
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"max_extra_fill_ratio": -1.0},
+            {"max_extra_fill_ratio": float("nan")},
+            {"max_extra_fill_ratio": float("inf")},
+            {"small_width": -1},
+        ],
+    )
+    def test_bad_options_rejected(self, bad):
+        # A negative or NaN ratio used to turn off every merge, exact ones
+        # included: 48 supernodes instead of 9 on cube 4^3 in natural order.
+        with pytest.raises(ShapeError):
+            AnalyzeOptions(**bad)
+
+    def test_boundary_options_accepted(self):
+        lower = grid3d_laplacian(4)
+        n = lower.shape[0]
+        opts = AnalyzeOptions(max_extra_fill_ratio=0.0, small_width=0)
+        tight = analyze(lower, np.arange(n), opts)
+        assert tight.nnz_stored == tight.nnz_factor
+        assert analyze(lower, np.arange(n)).n_supernodes == 9
+
     def test_unpostordered_tree_is_invariant_error(self, monkeypatch):
         lower = grid2d_laplacian(3)
         n = lower.shape[0]
