@@ -382,6 +382,17 @@ class TestChromeTrace:
         assert any(e["ph"] == "i" for e in events)
         assert obs_export.validate_trace_events(events) == []
 
+    def test_pool_run_before_any_span_exports_valid_trace(self):
+        from repro.exec import TaskPool, factor_task_graph
+
+        solver = SparseSolver(grid2d_laplacian(8))
+        solver.analyze()
+        with recording() as rec:
+            TaskPool(2).run(factor_task_graph(solver.sym), lambda t: None)
+            with span("later"):
+                pass
+        obs_export.validate_chrome_trace(obs_export.chrome_trace(rec))
+
     def test_validation_rejects_garbage(self, tmp_path):
         assert obs_export.validate_trace_events("nope")
         assert obs_export.validate_trace_events([{"name": "x"}])
