@@ -3,8 +3,9 @@
 Two contracts from the observability layer, asserted (loosely) so CI
 catches regressions:
 
-* **bit-identity** — the numeric factor with span recording + profiling
-  enabled is bitwise identical to the factor with observability off;
+* **bit-identity** — the numeric factor with span recording enabled
+  (phase spans plus one ``mf.front`` span per front) is bitwise
+  identical to the factor with observability off;
 * **~zero disabled cost** — with no recorder installed, the instrumented
   phases pay one global read per ``span()`` call (a shared no-op object),
   so a disabled ``span()`` call must stay within a microsecond-scale
@@ -82,7 +83,7 @@ def test_obs_overhead_and_bit_identity():
             [
                 ["obs off", round(t_off, 4), 1.0],
                 [
-                    "obs on (spans+profile)",
+                    "obs on (spans+fronts)",
                     round(t_on, 4),
                     round(t_on / t_off, 3) if t_off > 0 else float("nan"),
                 ],

@@ -488,10 +488,10 @@ class NoDirectPerfCounterRule(LintRule):
     """RP007: no direct ``time.perf_counter()`` in library code.
 
     Host timing must flow through :func:`repro.obs.spans.timed` (a phase
-    whose duration is a value), :func:`repro.obs.spans.span`, or the
-    profile's ``clock`` hook so that every measurement is visible to the
-    observability layer (and so the disabled path of ``span`` stays
-    clock-free). Only ``repro.obs`` itself may touch the raw clock.
+    whose duration is a value) or :func:`repro.obs.spans.span` so that
+    every measurement is a span the observability layer can see (and so
+    the disabled path of ``span`` stays clock-free). Only ``repro.obs``
+    itself may touch the raw clock.
     """
 
     id = "RP007"

@@ -426,8 +426,8 @@ def cmd_obs(args) -> int:
     for name, (_count, total) in rec.phase_totals().items():
         registry.observe(name, total)
     front_buckets = (8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0)
-    for fr in rec.profile.host:
-        registry.observe("front_order", float(fr.m), buckets=front_buckets)
+    for front in rec.by_name("mf.front"):
+        registry.observe("front_order", float(front.attrs["m"]), buckets=front_buckets)
 
     print(
         obs_export.report(

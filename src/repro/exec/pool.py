@@ -26,11 +26,14 @@ One :class:`TaskPool` run executes one :class:`~repro.exec.tasks.TaskGraph`:
 * :meth:`TaskPool.cancel` (from a task or another thread) shuts the pool
   down: the current run drains and raises, later runs refuse to start.
 
-Observability: every task is timed. When a span recorder is installed,
-every task's ``(worker, start, end)`` lands in ``recorder.exec_events``
-(per-worker rows in the Chrome trace); :meth:`PoolStats.publish` exports
-the queue depth high-water mark, task count, and task-latency histogram
-into a :class:`~repro.obs.metrics.MetricsRegistry`.
+Observability: every task runs inside one
+:func:`~repro.obs.spans.timed` span named ``exec.<kind>`` (``kind`` is
+the graph's label) with ``task`` and ``worker`` attributes. When a span
+recorder is installed the span is recorded on its worker thread's lane,
+and the spans the task opens nest under it; either way its ``.elapsed``
+is the task's entry in :class:`PoolStats`. :meth:`PoolStats.publish`
+exports the queue depth high-water mark, task count, and task-latency
+histogram into a :class:`~repro.obs.metrics.MetricsRegistry`.
 
 Verification hook: ``TaskPool(fuzz=...)`` accepts a
 :class:`ScheduleFuzzer` (see :mod:`repro.check.schedfuzz`) that
@@ -59,8 +62,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Protocol
 
 from repro.exec.tasks import TaskGraph
-from repro.obs.profile import FrontProfile
-from repro.obs.spans import ExecTaskEvent, current_recorder
+from repro.obs.spans import timed
 from repro.util.errors import ExecBackendError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -253,16 +255,14 @@ class TaskPool:
             state = _RunState(graph, self.fuzz)
             self._state = state
 
-        recorder = current_recorder()
-        clock = FrontProfile.clock
-        # Per-worker event/latency lists: written lock-free by exactly one
-        # worker each, merged after the join.
-        events: list[list[ExecTaskEvent]] = [[] for _ in range(self.workers)]
+        # Per-worker task seconds: written lock-free by exactly one worker
+        # each, merged after the join.
+        seconds: list[list[float]] = [[] for _ in range(self.workers)]
         try:
             threads = [
                 threading.Thread(
                     target=self._worker,
-                    args=(wid, state, run_task, clock, events[wid]),
+                    args=(wid, state, run_task, seconds[wid]),
                     name=f"{self.name}-worker-{wid}",
                     daemon=True,
                 )
@@ -289,16 +289,13 @@ class TaskPool:
                 f"{graph.n_tasks} tasks (inconsistent task graph)"
             )
 
-        if recorder is not None:
-            for lane in events:
-                recorder.exec_events.extend(lane)
         return PoolStats(
             workers=self.workers,
             n_tasks=graph.n_tasks,
             completed=state.completed,
             max_queue_depth=state.max_queue_depth,
-            busy_seconds=[sum(e.duration for e in lane) for lane in events],
-            task_seconds=[e.duration for lane in events for e in lane],
+            busy_seconds=[sum(lane) for lane in seconds],
+            task_seconds=[dt for lane in seconds for dt in lane],
         )
 
     def _worker(
@@ -306,11 +303,11 @@ class TaskPool:
         wid: int,
         state: _RunState,
         run_task: Callable[[int], None],
-        clock: Callable[[], float],
-        lane: list[ExecTaskEvent],
+        seconds: list[float],
     ) -> None:
         graph = state.graph
         fuzz = state.fuzz
+        kind = f"exec.{graph.label}"
         while True:
             with state.cond:
                 while True:
@@ -349,9 +346,9 @@ class TaskPool:
                 pause = fuzz.delay(tid)
                 if pause > 0.0:
                     time.sleep(pause)
-            t0 = clock()
             try:
-                run_task(tid)
+                with timed(kind, task=tid, worker=wid) as task_span:
+                    run_task(tid)
             # The catch-all is the capture half of cross-thread propagation:
             # run() re-raises state.error verbatim on the calling thread.
             except BaseException as exc:  # repro: noqa[RP001]
@@ -363,11 +360,7 @@ class TaskPool:
                     state.ready.clear()
                     state.cond.notify_all()
                 return
-            lane.append(
-                ExecTaskEvent(
-                    name=f"{graph.label}:s{tid}", worker=wid, start=t0, end=clock()
-                )
-            )
+            seconds.append(task_span.elapsed)
 
             with state.cond:
                 state.active -= 1

@@ -59,7 +59,8 @@ class TaskGraph:
     dependents: list[list[int]]
     n_deps: np.ndarray
     priority: np.ndarray
-    #: label prefix of the run's task events, e.g. ``"factor"``
+    #: task kind, e.g. ``"factor"``: the pool times each task in an
+    #: ``exec.<label>`` span
     label: str = "task"
 
     def __post_init__(self) -> None:

@@ -41,8 +41,7 @@ from repro.dense.partial_factor import partial_cholesky, partial_ldlt, partial_l
 from repro.mf.accounting import FactorStats, stack_accounting
 from repro.mf.extend_add import extend_add
 from repro.mf.frontal import assemble_front, assemble_full_front
-from repro.obs.profile import active_profile
-from repro.obs.spans import span
+from repro.obs.spans import Span, SpanRecorder, current_recorder, span
 from repro.symbolic.analyze import SymbolicFactor, dense_partial_factor_flops
 from repro.util.errors import InvariantError, ShapeError
 from repro.util.validation import VALUE_DTYPE, work_dtype
@@ -173,7 +172,7 @@ def factor_front(
     perturb_abs: float | None,
     child_updates,
     perturbed: list[int],
-    prof,
+    rec: SpanRecorder | None,
     dtype: np.dtype = VALUE_DTYPE,
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None, np.ndarray | None, int]:
     """Assemble, extend-add, and partially factor the front of supernode *s*.
@@ -189,8 +188,10 @@ def factor_front(
         child's update can be released as soon as it has been added.
     perturbed
         Sink list for statically perturbed LDLᵀ / LU pivot columns.
-    prof
-        The active :class:`~repro.obs.profile.FrontProfile` or None.
+    rec
+        The installed span recorder or None. With a recorder, the dense
+        partial factorization runs in an ``mf.front`` span with attributes
+        ``supernode``, ``m``, ``width`` and ``flops``.
     dtype
         Working dtype of the front (fp32 for mixed-precision fronts).
         Input entries are rounded once at assembly; every subsequent
@@ -213,11 +214,13 @@ def factor_front(
         front = assemble_front(sym, s, dtype=dtype)
     for c, upd in zip(sym.sn_children[s], child_updates, strict=True):
         extend_add(front, upd, plan.rel[c], lower=not lu)
-    t_front = prof.clock() if prof is not None else 0.0
-    d, front_flops = partial_factor(front, w, method, perturb_abs, plan.start[s], perturbed)
+    if rec is None:
+        d, front_flops = partial_factor(front, w, method, perturb_abs, plan.start[s], perturbed)
+    else:
+        with Span(rec, "mf.front", {"supernode": s, "m": m, "width": w}) as sp:
+            d, front_flops = partial_factor(front, w, method, perturb_abs, plan.start[s], perturbed)
+        sp.attrs["flops"] = front_flops
     u12 = front[:w, w:].copy() if lu else None
-    if prof is not None:
-        prof.observe_front(s, m, w, front_flops, prof.clock() - t_front)
     block = front[:, :w].copy()
     update = front[w:, w:].copy() if m > w else None
     return block, d, u12, update, front_flops
@@ -279,9 +282,9 @@ def multifrontal_factor(
     #: per-supernode update slots: written once by the supernode's step,
     #: consumed (and cleared) once by its parent's step
     updates: list[np.ndarray | None] = [None] * nsn
-    # Per-front timing only when a recorder is installed (the None check
-    # keeps the disabled path free of timing calls — see lint rule RP007).
-    prof = active_profile()
+    # Per-front spans only when a recorder is installed: read once, so the
+    # disabled path makes no per-front call.
+    rec = current_recorder()
 
     def child_updates(s: int):
         """The children's updates in ascending child order, each slot
@@ -294,7 +297,7 @@ def multifrontal_factor(
     def step(s: int) -> None:
         cols: list[int] = []
         blocks[s], d, u12[s], update, flops[s] = factor_front(
-            sym, s, method, perturb_abs, child_updates(s), cols, prof, dtype=wdtype
+            sym, s, method, perturb_abs, child_updates(s), cols, rec, dtype=wdtype
         )
         if cols:
             perturbed[s] = cols

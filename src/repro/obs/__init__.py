@@ -1,22 +1,23 @@
-"""Unified observability: tracing, metrics, and profiling (`repro.obs`).
+"""Unified observability: tracing, metrics, and front reports (`repro.obs`).
 
-One subsystem, four pieces, one switch (``REPRO_OBS=1`` or the
+One subsystem, three pieces, one switch (``REPRO_OBS=1`` or the
 :func:`~repro.obs.spans.recording` context manager):
 
-* :mod:`repro.obs.spans` — nested, attributed **spans** over the real
-  phases of the library (analyze / factor / solve, the parallel driver,
-  the serving layer) with a process-wide recorder that is ~zero-cost when
+* :mod:`repro.obs.spans` — nested, attributed **spans**, the one host
+  record: the real phases of the library (analyze / factor / solve, the
+  parallel driver, the serving layer), every front's dense partial
+  factorization (``mf.front``) and every worker-pool task
+  (``exec.<kind>``), with a process-wide recorder that is ~zero-cost when
   disabled, and :func:`~repro.obs.spans.timed` for phases whose duration
   is a value; the only library code that reads the host clock;
 * :mod:`repro.obs.metrics` — **counters, gauges, fixed-bucket
   histograms** with snapshot/delta semantics (a serving
   ``SolverService.metrics`` is one of these registries);
-* :mod:`repro.obs.export` — **exporters**: Chrome trace-event / Perfetto
-  JSON merging host spans with simulated per-rank timelines, Prometheus
-  text exposition, human tables;
-* :mod:`repro.obs.profile` — per-supernode **flop/byte profiling** in the
-  numeric kernels, rolled up into hottest-fronts tables and a
-  measured-vs-modeled GFLOPS comparison against the machine model.
+* :mod:`repro.obs.export` — **exporters and reports**: Chrome
+  trace-event / Perfetto JSON merging host spans with simulated per-rank
+  timelines, Prometheus text exposition, the phase table, and the
+  hottest-fronts and measured-vs-modeled GFLOPS tables over the
+  ``mf.front`` spans.
 
 Driven end-to-end by ``python -m repro.cli obs``.
 """
@@ -24,8 +25,12 @@ Driven end-to-end by ``python -m repro.cli obs``.
 from repro.obs.export import (
     chrome_trace,
     chrome_trace_events,
+    gflops_comparison,
+    hottest_fronts,
     prometheus_text,
+    render_gflops_comparison,
     render_phase_table,
+    render_top_fronts,
     report,
     validate_chrome_trace,
     validate_chrome_trace_file,
@@ -42,16 +47,7 @@ from repro.obs.metrics import (
     MetricsRegistry,
     MetricsSnapshot,
 )
-from repro.obs.profile import (
-    FrontProfile,
-    FrontRecord,
-    active_profile,
-    gflops_comparison,
-    render_gflops_comparison,
-    render_top_fronts,
-)
 from repro.obs.spans import (
-    ExecTaskEvent,
     Span,
     SpanRecorder,
     current_recorder,
@@ -64,7 +60,6 @@ from repro.obs.spans import (
 )
 
 __all__ = [
-    "ExecTaskEvent",
     "Span",
     "SpanRecorder",
     "span",
@@ -81,9 +76,7 @@ __all__ = [
     "MetricsRegistry",
     "MetricsSnapshot",
     "DEFAULT_LATENCY_BUCKETS",
-    "FrontProfile",
-    "FrontRecord",
-    "active_profile",
+    "hottest_fronts",
     "render_top_fronts",
     "gflops_comparison",
     "render_gflops_comparison",

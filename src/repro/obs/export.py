@@ -1,21 +1,28 @@
-"""Exporters: Chrome trace-event JSON, Prometheus text, human report.
+"""Exporters and reports: Chrome trace-event JSON, Prometheus text, tables.
 
 The Chrome/Perfetto exporter is the unification point the paper-style
-analysis needs: host phase spans (real wall time from
-:mod:`repro.obs.spans`) and the *simulated* per-rank timelines
+analysis needs: host spans (real wall time from :mod:`repro.obs.spans`)
+and the *simulated* per-rank timelines
 (:class:`repro.simmpi.trace.Trace`) are merged into one trace-event file,
 as two processes on a shared timeline origin:
 
-* ``pid 0`` ("host") — nested phase spans, one thread per recording
-  thread (the span's lane);
+* ``pid 0`` ("host") — nested spans, one thread per recording thread
+  (the span's lane). Worker-pool tasks are ``exec.<kind>`` spans on
+  their worker threads' lanes, with the ``mf.front`` spans of the fronts
+  they factor nested under them;
 * ``pid 1`` ("sim machine") — one thread per simulated rank, compute /
   send / wait intervals, with message-level comm events as instants when
   requested.
 
 Load the file at ``chrome://tracing`` or https://ui.perfetto.dev. Both
-clock domains start at ~0 (host spans are re-based on the recorder's
-first start), so phases and rank activity line up visually even though
-one is wall time and the other simulated time.
+clock domains start at ~0 (host spans are re-based on the earliest span
+start), so phases and rank activity line up visually even though one is
+wall time and the other simulated time.
+
+The front reports read the ``mf.front`` spans: the top-K hottest fronts
+and the measured-vs-modeled GFLOPS comparison against a
+:class:`~repro.machine.model.MachineModel` — the instrument behind the
+roll-off curves in the paper's figures.
 
 The Prometheus exposition covers the metrics registry (counters, gauges,
 fixed-bucket histograms) in the standard ``# TYPE`` / ``_bucket{le=...}``
@@ -34,13 +41,12 @@ from repro.util.errors import ReproError
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.machine.model import MachineModel
     from repro.obs.metrics import MetricsRegistry
-    from repro.obs.spans import SpanRecorder
+    from repro.obs.spans import Span, SpanRecorder
     from repro.simmpi.trace import Trace
 
 __all__ = [
     "HOST_PID",
     "SIM_PID",
-    "EXEC_PID",
     "chrome_trace_events",
     "chrome_trace",
     "write_chrome_trace",
@@ -50,6 +56,10 @@ __all__ = [
     "prometheus_text",
     "write_prometheus",
     "render_phase_table",
+    "hottest_fronts",
+    "render_top_fronts",
+    "gflops_comparison",
+    "render_gflops_comparison",
     "report",
 ]
 
@@ -57,8 +67,6 @@ __all__ = [
 HOST_PID = 0
 #: trace-event pid of the simulated machine (tid = rank)
 SIM_PID = 1
-#: trace-event pid of the shared-memory execution backend (tid = worker)
-EXEC_PID = 2
 
 
 def _meta(name: str, pid: int, args: dict, tid: int = 0) -> dict:
@@ -89,9 +97,7 @@ def chrome_trace_events(
             events.append(
                 _meta("thread_name", HOST_PID, {"name": f"lane {lane}"}, tid=lane)
             )
-        t0 = recorder.t0
-        if t0 is None:
-            t0 = min(s.start for s in recorder.spans)
+        t0 = min(s.start for s in recorder.spans)
         for s in recorder.spans:
             events.append(
                 {
@@ -99,36 +105,10 @@ def chrome_trace_events(
                     "cat": "host",
                     "ph": "X",
                     "ts": (s.start - t0) * 1e6,
-                    "dur": s.duration * 1e6,
+                    "dur": s.elapsed * 1e6,
                     "pid": HOST_PID,
                     "tid": s.lane,
                     "args": dict(s.attrs),
-                }
-            )
-    if recorder is not None and recorder.exec_events:
-        # Real worker-thread concurrency from repro.exec: one row per
-        # worker, same wall-clock origin as the host phase spans, so task
-        # bars visibly overlap under the enclosing exec.* span.
-        events.append(_meta("process_name", EXEC_PID, {"name": "exec workers"}))
-        t0 = recorder.t0
-        if t0 is None:
-            t0 = min(e.start for e in recorder.exec_events)
-        workers = sorted({e.worker for e in recorder.exec_events})
-        for w in workers:
-            events.append(
-                _meta("thread_name", EXEC_PID, {"name": f"worker {w}"}, tid=w)
-            )
-        for e in recorder.exec_events:
-            events.append(
-                {
-                    "name": e.name,
-                    "cat": "exec",
-                    "ph": "X",
-                    "ts": (e.start - t0) * 1e6,
-                    "dur": e.duration * 1e6,
-                    "pid": EXEC_PID,
-                    "tid": e.worker,
-                    "args": {},
                 }
             )
     if sim_trace is not None and sim_trace.events:
@@ -331,6 +311,115 @@ def render_phase_table(recorder: SpanRecorder, title: str = "host phases") -> st
     )
 
 
+# -- front reports -----------------------------------------------------------
+
+
+def hottest_fronts(fronts: list[Span], k: int = 10) -> list[Span]:
+    """The k hottest ``mf.front`` spans by host seconds (flops tiebreak)."""
+    return sorted(
+        fronts, key=lambda f: (f.elapsed, f.attrs["flops"]), reverse=True
+    )[: max(k, 0)]
+
+
+def _gflops(flops: float, seconds: float) -> float:
+    return flops / seconds / 1e9 if seconds > 0 else 0.0
+
+
+def render_top_fronts(fronts: list[Span], k: int = 10) -> str:
+    """Top-K hottest fronts of a recording's ``mf.front`` spans as a table."""
+    from repro.util.tables import format_table
+
+    total_s = sum(f.elapsed for f in fronts)
+    rows = []
+    for f in hottest_fronts(fronts, k):
+        a, sec = f.attrs, f.elapsed
+        rows.append(
+            [
+                a["supernode"],
+                a["m"],
+                a["width"],
+                round(a["flops"] / 1e6, 3),
+                round(sec * 1e3, 4),
+                round(sec / total_s * 100, 1) if total_s > 0 else 0.0,
+                round(_gflops(a["flops"], sec), 3),
+            ]
+        )
+    return format_table(
+        ["supernode", "front", "width", "Mflop", "host ms", "% time", "GF/s"],
+        rows,
+        title=f"top-{min(k, len(fronts))} hottest fronts ({len(fronts)} recorded)",
+    )
+
+
+def gflops_comparison(
+    fronts: list[Span], machine: MachineModel, threads: int = 1, k: int = 10
+) -> list[dict]:
+    """Measured vs modeled rate per hot front, plus an ``overall`` row
+    (``supernode`` and ``front`` -1).
+
+    Modeled seconds come from the machine model's efficiency curve at the
+    front's order — the same charge the simulator applies — so the ratio
+    column reads "how much faster/slower the host kernel ran than the
+    simulated machine would have".
+    """
+
+    def modeled_s(f: Span) -> float:
+        return machine.compute_time(f.attrs["flops"], f.attrs["m"], threads=threads)
+
+    def row(supernode: int, front: int, measured: float, modeled: float) -> dict:
+        return {
+            "supernode": supernode,
+            "front": front,
+            "measured_gflops": measured,
+            "modeled_gflops": modeled,
+            "ratio": measured / modeled if modeled > 0 else 0.0,
+        }
+
+    rows = [
+        row(
+            f.attrs["supernode"],
+            f.attrs["m"],
+            _gflops(f.attrs["flops"], f.elapsed),
+            _gflops(f.attrs["flops"], modeled_s(f)),
+        )
+        for f in hottest_fronts(fronts, k)
+    ]
+    total_flops = sum(f.attrs["flops"] for f in fronts)
+    rows.append(
+        row(
+            -1,
+            -1,
+            _gflops(total_flops, sum(f.elapsed for f in fronts)),
+            _gflops(total_flops, sum(modeled_s(f) for f in fronts)),
+        )
+    )
+    return rows
+
+
+def render_gflops_comparison(
+    fronts: list[Span], machine: MachineModel, threads: int = 1, k: int = 10
+) -> str:
+    from repro.util.tables import format_table
+
+    rows = []
+    for row in gflops_comparison(fronts, machine, threads=threads, k=k):
+        overall = row["supernode"] < 0
+        rows.append(
+            [
+                "overall" if overall else row["supernode"],
+                "-" if overall else row["front"],
+                round(row["measured_gflops"], 3),
+                round(row["modeled_gflops"], 3),
+                round(row["ratio"], 3),
+            ]
+        )
+    return format_table(
+        ["supernode", "front", "measured GF/s", "modeled GF/s", "ratio"],
+        rows,
+        title=f"measured vs modeled GFLOPS ({machine.name}, {threads} thread(s))",
+    )
+
+
 def report(
     recorder: SpanRecorder | None = None,
     registry: MetricsRegistry | None = None,
@@ -339,19 +428,18 @@ def report(
     threads: int = 1,
 ) -> str:
     """Combined human-readable observability report."""
-    from repro.obs.profile import render_gflops_comparison, render_top_fronts
-
     parts: list[str] = []
     if recorder is not None and recorder.spans:
         parts.append(render_phase_table(recorder))
     if registry is not None:
         parts.append(registry.report())
-    if recorder is not None and top_fronts > 0 and recorder.profile.host:
-        parts.append(render_top_fronts(recorder.profile, top_fronts))
+    fronts = recorder.by_name("mf.front") if recorder is not None else []
+    if top_fronts > 0 and fronts:
+        parts.append(render_top_fronts(fronts, top_fronts))
         if machine is not None:
             parts.append(
                 render_gflops_comparison(
-                    recorder.profile, machine, threads=threads, k=top_fronts
+                    fronts, machine, threads=threads, k=top_fronts
                 )
             )
     return "\n\n".join(parts) if parts else "(nothing recorded)"

@@ -22,9 +22,12 @@ Nesting is per thread: each thread keeps its own open-span stack, so
 spans opened concurrently by fleet or pool workers get their parent from
 their own thread and carry that thread's trace lane.
 
-Exporters live in :mod:`repro.obs.export` (Chrome trace-event JSON,
-Prometheus text, human tables); per-supernode profiling in
-:mod:`repro.obs.profile` rides on the same recorder.
+A span is one object from start to finish: the context manager while it
+is open, the record the recorder keeps once it closes. The multifrontal
+loop opens one ``mf.front`` span per dense partial factorization and
+the worker pool one ``exec.<kind>`` span per task, so front attribution
+and worker timelines are read from the same spans as every phase.
+Exporters and the front reports live in :mod:`repro.obs.export`.
 """
 
 from __future__ import annotations
@@ -34,13 +37,9 @@ import os
 import time
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, field
 from typing import Any, Iterator
 
-from repro.obs.profile import FrontProfile
-
 __all__ = [
-    "ExecTaskEvent",
     "Span",
     "SpanRecorder",
     "span",
@@ -55,54 +54,72 @@ __all__ = [
 _TRUTHY = frozenset({"1", "true", "on", "yes"})
 
 
-@dataclass(frozen=True)
-class ExecTaskEvent:
-    """One task executed by a :mod:`repro.exec` worker thread.
+class Span:
+    """One named interval of host wall time with free-form attributes.
 
-    Unlike :class:`Span`, these carry the pool's own worker index and no
-    nesting. The Chrome exporter renders them as one timeline row per
-    worker — real concurrency next to the host phases and the simulated
-    rank timelines.
+    Open, it is the context manager :func:`span` and :func:`timed` hand
+    out; closed, it is the record its recorder keeps. *rec* ``None`` only
+    times the block. ``start`` / ``end`` are ``time.perf_counter``
+    seconds. When *rec* is a recorder, entry also sets ``depth`` (0 = top
+    level), ``span_id`` (recorder-unique, in entry order), ``parent_id``
+    (the enclosing span on the same thread, -1 at top level) and ``lane``
+    (the recording thread's trace row).
     """
 
-    #: task label, e.g. ``"factor:s17"``
-    name: str
-    #: worker thread index within the pool (trace row)
-    worker: int
-    #: ``time.perf_counter`` seconds at task start / end
-    start: float
-    end: float
+    __slots__ = (
+        "_rec", "name", "attrs", "start", "end",
+        "depth", "span_id", "parent_id", "lane",
+    )
+
+    def __init__(
+        self, rec: SpanRecorder | None, name: str, attrs: dict[str, Any]
+    ) -> None:
+        self._rec = rec
+        self.name = name
+        self.attrs = attrs
+        self.start = self.end = 0.0
 
     @property
-    def duration(self) -> float:
+    def elapsed(self) -> float:
+        """Seconds between entry and exit (``perf_counter`` readings)."""
         return self.end - self.start
 
+    def __enter__(self) -> Span:
+        rec = self._rec
+        if rec is not None:
+            stack = _open.get()
+            top = stack[-1] if stack else None
+            if top is not None and top._rec is rec:
+                self.parent_id, self.depth = top.span_id, top.depth + 1
+            else:
+                self.parent_id, self.depth = -1, 0
+            self.span_id = next(rec._ids)
+            self.lane = _thread_lane()
+            _open.set(stack + (self,))
+        self.start = time.perf_counter()
+        return self
 
-@dataclass(frozen=True)
-class Span:
-    """One finished interval on the host timeline."""
+    def set(self, **attrs: Any) -> Span:
+        """Attach attributes to the open span (chainable)."""
+        self.attrs.update(attrs)
+        return self
 
-    name: str
-    #: ``time.perf_counter`` seconds at entry / exit
-    start: float
-    end: float
-    #: nesting depth at entry (0 = top level)
-    depth: int
-    #: recorder-unique id, assigned in entry order
-    span_id: int
-    #: ``span_id`` of the enclosing span on the same thread, -1 at top level
-    parent_id: int
-    #: trace lane of the recording thread (one Chrome trace row each)
-    lane: int
-    attrs: dict[str, Any] = field(default_factory=dict)
+    def __exit__(self, *exc: object) -> None:
+        self.end = time.perf_counter()
+        rec = self._rec
+        if rec is None:
+            return
+        stack = _open.get()
+        if stack and stack[-1] is self:
+            _open.set(stack[:-1])
+        rec.spans.append(self)
 
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
+    def __repr__(self) -> str:
+        return f"Span({self.name!r}, {self.elapsed:.6f} s, {self.attrs!r})"
 
 
 class SpanRecorder:
-    """Collects finished spans (and the front profile) of one recording.
+    """Collects the finished spans of one recording.
 
     Safe to record into from several threads: finished spans are appended
     (atomic under the interpreter lock), span ids come from an atomic
@@ -111,19 +128,6 @@ class SpanRecorder:
 
     def __init__(self) -> None:
         self.spans: list[Span] = []
-        self.profile = FrontProfile()
-        #: per-worker task events from the shared-memory backend
-        #: (:mod:`repro.exec` appends; the Chrome exporter renders them)
-        self.exec_events: list[ExecTaskEvent] = []
-        #: ``perf_counter`` value of the first span start (export origin)
-        self.t0: float | None = None
-        self._ids = itertools.count()
-
-    def clear(self) -> None:
-        self.spans.clear()
-        self.profile = FrontProfile()
-        self.exec_events.clear()
-        self.t0 = None
         self._ids = itertools.count()
 
     def by_name(self, name: str) -> list[Span]:
@@ -131,14 +135,14 @@ class SpanRecorder:
 
     def total(self, name: str) -> float:
         """Summed duration of every span with this name [s]."""
-        return sum(s.duration for s in self.spans if s.name == name)
+        return sum(s.elapsed for s in self.spans if s.name == name)
 
     def phase_totals(self) -> dict[str, tuple[int, float]]:
         """name -> (count, total seconds), insertion-ordered by first use."""
         out: dict[str, tuple[int, float]] = {}
         for s in self.spans:
             n, t = out.get(s.name, (0, 0.0))
-            out[s.name] = (n + 1, t + s.duration)
+            out[s.name] = (n + 1, t + s.elapsed)
         return out
 
 
@@ -162,9 +166,7 @@ NULL_SPAN = _NullSpan()
 #: the open spans of the current thread, innermost last. A thread starts
 #: with an empty context, so every thread gets its own stack; the
 #: recorder itself holds no nesting state.
-_open: ContextVar[tuple["_LiveSpan", ...]] = ContextVar(
-    "repro_open_spans", default=()
-)
+_open: ContextVar[tuple[Span, ...]] = ContextVar("repro_open_spans", default=())
 #: trace lane of the current thread (-1 until its first span)
 _lane: ContextVar[int] = ContextVar("repro_span_lane", default=-1)
 _lane_ids = itertools.count()
@@ -176,67 +178,6 @@ def _thread_lane() -> int:
         lane = next(_lane_ids)
         _lane.set(lane)
     return lane
-
-
-class _LiveSpan:
-    """An open span (context manager); *rec* ``None`` only times it."""
-
-    __slots__ = (
-        "_rec", "name", "attrs", "_start", "elapsed",
-        "span_id", "parent_id", "depth", "lane",
-    )
-
-    def __init__(
-        self, rec: SpanRecorder | None, name: str, attrs: dict[str, Any]
-    ) -> None:
-        self._rec = rec
-        self.name = name
-        self.attrs = attrs
-        self.elapsed = 0.0
-
-    def __enter__(self) -> "_LiveSpan":
-        rec = self._rec
-        if rec is not None:
-            stack = _open.get()
-            top = stack[-1] if stack else None
-            if top is not None and top._rec is rec:
-                self.parent_id, self.depth = top.span_id, top.depth + 1
-            else:
-                self.parent_id, self.depth = -1, 0
-            self.span_id = next(rec._ids)
-            self.lane = _thread_lane()
-            _open.set(stack + (self,))
-        self._start = time.perf_counter()
-        if rec is not None and rec.t0 is None:
-            rec.t0 = self._start
-        return self
-
-    def set(self, **attrs: Any) -> "_LiveSpan":
-        """Attach attributes to the open span (chainable)."""
-        self.attrs.update(attrs)
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        end = time.perf_counter()
-        self.elapsed = end - self._start
-        rec = self._rec
-        if rec is None:
-            return
-        stack = _open.get()
-        if stack and stack[-1] is self:
-            _open.set(stack[:-1])
-        rec.spans.append(
-            Span(
-                name=self.name,
-                start=self._start,
-                end=end,
-                depth=self.depth,
-                span_id=self.span_id,
-                parent_id=self.parent_id,
-                lane=self.lane,
-                attrs=self.attrs,
-            )
-        )
 
 
 # -- process-wide switch -----------------------------------------------------
@@ -253,18 +194,18 @@ def span(name: str, **attrs: Any):
     rec = _recorder
     if rec is None:
         return NULL_SPAN
-    return _LiveSpan(rec, name, attrs)
+    return Span(rec, name, attrs)
 
 
-def timed(name: str, **attrs: Any) -> _LiveSpan:
+def timed(name: str, **attrs: Any) -> Span:
     """Context manager that always measures its block: ``.elapsed`` [s].
 
     The clock is read once on entry and once on exit; when a recorder is
-    installed the span is recorded from those same two readings, so its
-    duration equals ``.elapsed`` exactly. Sites that never read a
-    duration use :func:`span`, whose disabled path reads no clock.
+    installed the same :class:`Span` is recorded, so the recorded
+    interval is ``.elapsed`` exactly. Sites that never read a duration
+    use :func:`span`, whose disabled path reads no clock.
     """
-    return _LiveSpan(_recorder, name, attrs)
+    return Span(_recorder, name, attrs)
 
 
 def obs_enabled() -> bool:

@@ -32,7 +32,6 @@ from repro.dense.partial_factor import _trsm_right_unit_lower_transpose
 from repro.dense.trsm import solve_unit_lower_inplace
 from repro.mf.frontal import assemble_front, assemble_full_front
 from repro.mf.numeric import partial_factor
-from repro.obs.profile import active_profile
 from repro.parallel.dist_front import (
     Blocks,
     LocalFront,
@@ -135,9 +134,6 @@ def _seq_step(plan, s, me, method, perturb_abs, data, updates):
     mem = m * m if lu else m * w + m * m - (m - w) ** 2
     yield Compute(flops=flops, front_order=m, mem_bytes=8.0 * mem)
     data.flops += flops
-    prof = active_profile()
-    if prof is not None:
-        prof.add_sim_flops(s, flops)
 
     panel = front[:, :w].copy()
     data.seq_panels[s] = panel
@@ -171,7 +167,6 @@ def _dist_step(plan, s, me, method, perturb_abs, data, updates):
 
     lf = LocalFront(d, me, lower_only=not lu)
     live_delta = lf.entries
-    step_flops = 0.0
     # The matrix is assumed pre-distributed: each rank holds the entries of
     # the blocks it owns (re-distribution of A is not part of the timed
     # factorization), so assembly is charged as local memory traffic.
@@ -196,7 +191,6 @@ def _dist_step(plan, s, me, method, perturb_abs, data, updates):
             diag_d, f = partial_factor(blk, kb, method, perturb_abs, c0, data.perturbed)
             yield Compute(flops=f, front_order=kb)
             data.flops += f
-            step_flops += f
             diag_payload = blk if lu else (blk, diag_d)
         # Diagonal factor broadcast down its grid column (L panel owners);
         # LU's also along its grid row (U panel owners).
@@ -233,7 +227,6 @@ def _dist_step(plan, s, me, method, perturb_abs, data, updates):
         if panel_flops:
             yield Compute(flops=panel_flops, front_order=nb)
             data.flops += panel_flops
-            step_flops += panel_flops
 
         # Panel broadcasts: L_ik along grid row i, then the right operand
         # along grid column j — Lᵀ from the freshly informed diagonal-row
@@ -267,7 +260,6 @@ def _dist_step(plan, s, me, method, perturb_abs, data, updates):
         if upd_flops:
             yield Compute(flops=upd_flops, front_order=nb)
             data.flops += upd_flops
-            step_flops += upd_flops
 
     # Solve-ready redistribution: gather panel row-blocks to row owners.
     yield from _solve_redistribution(plan, s, me, lf, data, method)
@@ -280,9 +272,6 @@ def _dist_step(plan, s, me, method, perturb_abs, data, updates):
     if d.m > d.width:
         updates[s] = held
         yield from send_update(plan, s, me, held, triangle)
-    prof = active_profile()
-    if prof is not None:
-        prof.add_sim_flops(s, step_flops)
     return live_delta
 
 

@@ -69,21 +69,6 @@ class SimResult:
     #: event timeline (None unless the simulator was built with trace=True)
     trace: Trace | None = None
 
-    @property
-    def total_compute(self) -> float:
-        return sum(s.compute_time for s in self.rank_stats)
-
-    @property
-    def total_wait(self) -> float:
-        return sum(s.wait_time for s in self.rank_stats)
-
-    def parallel_efficiency(self, serial_time: float) -> float:
-        """Efficiency vs a given serial execution time."""
-        p = len(self.rank_stats)
-        if self.makespan <= 0 or p == 0:
-            return 1.0
-        return serial_time / (p * self.makespan)
-
 
 class Simulator:
     """Deterministic DES over rank coroutines.

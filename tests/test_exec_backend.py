@@ -554,7 +554,7 @@ def test_task_graph_validates_shapes():
 
 def test_exec_events_recorded_and_exported():
     from repro.obs import chrome_trace, recording, validate_chrome_trace
-    from repro.obs.export import EXEC_PID
+    from repro.obs.export import HOST_PID
 
     lower = grid3d_laplacian(4)
     solver = SparseSolver(lower)
@@ -563,19 +563,22 @@ def test_exec_events_recorded_and_exported():
         solver.solve(
             np.ones(lower.shape[0]), refine=False, backend="threads", workers=2
         )
-    assert rec.exec_events, "worker task events missing"
-    kinds = {e.name.split(":")[0] for e in rec.exec_events}
-    assert kinds >= {"factor", "fwd", "bwd"}
-    assert all(e.end >= e.start for e in rec.exec_events)
-    assert {e.worker for e in rec.exec_events} <= {0, 1}
+    tasks = [s for s in rec.spans if s.name.startswith("exec.")]
+    assert tasks, "worker task spans missing"
+    assert {s.name for s in tasks} == {"exec.factor", "exec.fwd", "exec.bwd"}
+    assert all(s.end >= s.start for s in tasks)
+    assert {s.attrs["worker"] for s in tasks} <= {0, 1}
+    (caller,) = rec.by_name("solver.factor")
+    assert caller.lane not in {s.lane for s in tasks}
     obj = chrome_trace(rec)
     validate_chrome_trace(obj)
     rows = [
         e
         for e in obj["traceEvents"]
-        if e["pid"] == EXEC_PID and e["ph"] == "X"
+        if e["pid"] == HOST_PID and e["ph"] == "X" and e["name"].startswith("exec.")
     ]
-    assert len(rows) == len(rec.exec_events)
+    assert len(rows) == len(tasks)
+    assert {e["tid"] for e in rows} == {s.lane for s in tasks}
 
 
 def test_pool_stats_publish():

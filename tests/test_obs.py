@@ -1,29 +1,32 @@
-"""Observability layer tests: spans, metrics, exporters, and profiling."""
+"""Observability layer tests: spans, metrics, exporters, and front reports."""
 
 import json
 import math
+import sys
 import threading
 
 import numpy as np
 import pytest
 
+from repro.core import UnsymmetricSolver
 from repro.core.solver import SparseSolver
-from repro.gen import grid2d_laplacian
+from repro.exec import multifrontal_factor_threads
+from repro.gen import convection_diffusion2d, grid2d_laplacian, grid3d_laplacian
 from repro.machine import get_machine
+from repro.mf.numeric import multifrontal_factor
 from repro.obs import export as obs_export
 from repro.obs import spans as obs_spans
+from repro.obs.export import (
+    gflops_comparison,
+    render_gflops_comparison,
+    render_top_fronts,
+)
 from repro.obs.metrics import (
     DEFAULT_LATENCY_BUCKETS,
     Histogram,
     MetricsRegistry,
 )
-from repro.obs.profile import (
-    FrontProfile,
-    gflops_comparison,
-    render_gflops_comparison,
-    render_top_fronts,
-)
-from repro.obs.spans import NULL_SPAN, SpanRecorder, recording, span, timed
+from repro.obs.spans import NULL_SPAN, Span, SpanRecorder, recording, span, timed
 from repro.parallel import PlanOptions, simulate_factorization
 from repro.util.errors import ReproError
 
@@ -57,7 +60,7 @@ class TestSpans:
         assert outer_first.depth == 0 and outer_first.parent_id == -1
         assert inner.attrs == {"found": 3}
         assert outer_first.attrs == {"kind": "test"}
-        assert inner.duration >= 0.0
+        assert inner.elapsed >= 0.0
         counts = rec.phase_totals()
         assert counts["outer"][0] == 2 and counts["inner"][0] == 1
         assert rec.total("outer") >= 0.0
@@ -116,6 +119,42 @@ class TestSpans:
         assert sorted(s.span_id for s in rec.spans) == [0, 1, 2]
         assert obs_spans._open.get() == ()
 
+    def test_pool_task_spans_under_contention(self):
+        # More workers than cores and a tiny switch interval: every task
+        # span and every span opened inside a task is recorded once, with
+        # a unique id, on its worker's lane.
+        from repro.exec import TaskGraph, TaskPool
+
+        n = 400
+        graph = TaskGraph(
+            n_tasks=n,
+            dependents=[[] for _ in range(n)],
+            n_deps=np.zeros(n, dtype=np.int64),
+            priority=np.zeros(n),
+            label="stress",
+        )
+
+        def body(t):
+            with span("inner", task=t):
+                pass
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with recording() as rec:
+                stats = TaskPool(8).run(graph, body)
+        finally:
+            sys.setswitchinterval(interval)
+        tasks = {s.span_id: s for s in rec.by_name("exec.stress")}
+        inner = rec.by_name("inner")
+        assert sorted(s.attrs["task"] for s in tasks.values()) == list(range(n))
+        assert len({s.span_id for s in rec.spans}) == len(rec.spans) == 2 * n
+        for s in inner:
+            task = tasks[s.parent_id]
+            assert task.attrs["task"] == s.attrs["task"] and task.lane == s.lane
+        assert sorted(stats.task_seconds) == sorted(s.elapsed for s in tasks.values())
+        assert obs_export.validate_trace_events(obs_export.chrome_trace_events(rec)) == []
+
     def test_timed_without_recorder_measures_only(self):
         assert obs_spans.current_recorder() is None
         with timed("phase", k=1) as t:
@@ -128,7 +167,7 @@ class TestSpans:
                 with span("inner"):
                     pass
         (outer,) = rec.by_name("outer")
-        assert outer.duration == t.elapsed
+        assert outer is t
         assert outer.attrs == {"k": 1}
         assert rec.by_name("inner")[0].parent_id == outer.span_id
 
@@ -276,7 +315,25 @@ class TestServiceRegistry:
         assert "queue_wait" in obs_export.prometheus_text(reg)
 
 
-# -- profiling ---------------------------------------------------------------
+# -- front spans -------------------------------------------------------------
+
+
+def _analyzed(method):
+    """Symbolic factor of a small cube (an unsymmetric plate for LU)."""
+    if method == "lu":
+        solver = UnsymmetricSolver(convection_diffusion2d(10, peclet=0.7))
+    else:
+        solver = SparseSolver(grid3d_laplacian(5), method=method)
+    solver.analyze()
+    return solver.sym
+
+
+def _front(supernode, m, width, flops, seconds):
+    """A closed ``mf.front`` span with the given attributes and duration."""
+    attrs = {"supernode": supernode, "m": m, "width": width, "flops": flops}
+    f = Span(None, "mf.front", attrs)
+    f.start, f.end = 1.0, 1.0 + seconds
+    return f
 
 
 class TestProfile:
@@ -286,41 +343,72 @@ class TestProfile:
             solver = SparseSolver(lower)
             solver.analyze()
             solver.factor()
-        prof = rec.profile
-        assert len(prof.host) == solver.sym.n_supernodes
-        assert prof.total_flops > 0
-        assert prof.total_bytes > 0
-        assert all(r.seconds >= 0 for r in prof.host)
-        top = prof.top_fronts(3)
-        assert len(top) == min(3, len(prof.host))
+        fronts = rec.by_name("mf.front")
+        assert len(fronts) == solver.sym.n_supernodes
+        assert sum(f.attrs["flops"] for f in fronts) > 0
+        assert all(f.elapsed >= 0 for f in fronts)
+        top = obs_export.hottest_fronts(fronts, 3)
+        assert len(top) == min(3, len(fronts))
         assert top == sorted(
-            prof.host, key=lambda r: (r.seconds, r.flops), reverse=True
+            fronts, key=lambda f: (f.elapsed, f.attrs["flops"]), reverse=True
         )[:3]
 
-    def test_sim_flops_recorded_per_supernode(self, small_spd_lower):
-        lower, _ = small_spd_lower
-        solver = SparseSolver(lower)
-        solver.analyze()
+    @pytest.mark.parametrize("method", ["cholesky", "ldlt", "lu"])
+    def test_front_spans_cover_supernodes_and_nest_under_factor(self, method):
+        sym = _analyzed(method)
         with recording() as rec:
-            fres = simulate_factorization(
-                solver.sym, 2, get_machine("generic-cluster")
+            nf = multifrontal_factor(sym, method)
+        fronts = rec.by_name("mf.front")
+        assert sorted(f.attrs["supernode"] for f in fronts) == list(
+            range(sym.n_supernodes)
+        )
+        assert sum(f.attrs["flops"] for f in fronts) == nf.stats.flops
+        for f in fronts:
+            s = f.attrs["supernode"]
+            assert (f.attrs["m"], f.attrs["width"]) == (
+                sym.front_plan.order[s],
+                sym.front_plan.width[s],
             )
-        assert rec.profile.sim_flops
-        assert sum(rec.profile.sim_flops.values()) == pytest.approx(
-            fres.total_flops
+        (factor,) = rec.by_name("mf.factor")
+        assert all(f.parent_id == factor.span_id for f in fronts)
+        assert {f.lane for f in fronts} == {factor.lane}
+
+    @pytest.mark.parametrize("method", ["cholesky", "ldlt", "lu"])
+    def test_front_spans_nest_under_their_pool_task(self, method):
+        sym = _analyzed(method)
+        with recording() as rec:
+            with span("caller") as caller:
+                nf = multifrontal_factor_threads(sym, method, workers=2)
+        fronts = rec.by_name("mf.front")
+        assert sorted(f.attrs["supernode"] for f in fronts) == list(
+            range(sym.n_supernodes)
+        )
+        assert sum(f.attrs["flops"] for f in fronts) == nf.stats.flops
+        tasks = {t.span_id: t for t in rec.by_name("exec.factor")}
+        assert sorted(t.attrs["task"] for t in tasks.values()) == list(
+            range(sym.n_supernodes)
+        )
+        for f in fronts:
+            task = tasks[f.parent_id]
+            assert task.attrs["task"] == f.attrs["supernode"]
+            assert f.lane == task.lane != caller.lane
+            assert task.start <= f.start <= f.end <= task.end
+        assert {t.attrs["worker"] for t in tasks.values()} <= {0, 1}
+        assert sorted(t.elapsed for t in tasks.values()) == sorted(
+            nf.exec_stats.task_seconds
         )
 
     def test_gflops_comparison_tables(self):
-        prof = FrontProfile()
-        prof.observe_front(0, 32, 8, 10_000, 1e-4)
-        prof.observe_front(1, 16, 4, 2_000, 5e-5)
+        fronts = [_front(0, 32, 8, 10_000, 1e-4), _front(1, 16, 4, 2_000, 5e-5)]
         machine = get_machine("generic-cluster")
-        rows = gflops_comparison(prof, machine, k=2)
-        assert rows[-1]["supernode"] == -1  # overall row
+        rows = gflops_comparison(fronts, machine, k=2)
+        assert [r["supernode"] for r in rows] == [0, 1, -1]  # overall row last
+        assert rows[0]["measured_gflops"] == pytest.approx(0.1)
+        assert rows[-1]["measured_gflops"] == pytest.approx(12_000 / 1.5e-4 / 1e9)
         assert all(r["modeled_gflops"] > 0 for r in rows)
-        text = render_top_fronts(prof, 2)
+        text = render_top_fronts(fronts, 2)
         assert "hottest fronts" in text
-        text2 = render_gflops_comparison(prof, machine, k=2)
+        text2 = render_gflops_comparison(fronts, machine, k=2)
         assert "measured vs modeled" in text2
 
 

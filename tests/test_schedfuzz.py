@@ -52,12 +52,12 @@ def _fuzzed_pool(workers, seed):
 # -- the pool's ordering guarantee --------------------------------------------
 
 
-def _timeline(events):
-    """Recorded task events grouped as ``{label: {task: event}}``."""
+def _timeline(spans):
+    """Recorded pool task spans grouped as ``{label: {task: span}}``."""
     runs = {}
-    for e in events:
-        label, task = e.name.split(":s")
-        runs.setdefault(label, {})[int(task)] = e
+    for s in spans:
+        if s.name.startswith("exec."):
+            runs.setdefault(s.name.removeprefix("exec."), {})[s.attrs["task"]] = s
     return runs
 
 
@@ -107,7 +107,7 @@ def test_pool_starts_tasks_after_prerequisites_end():
                 )
                 solve_threads(factor, b, pool=_fuzzed_pool(workers, seed))
             _assert_runs_ordered(
-                rec.exec_events, graphs, f"workers={workers}, seed={seed}"
+                rec.spans, graphs, f"workers={workers}, seed={seed}"
             )
 
 
@@ -119,7 +119,7 @@ def test_live_factor_and_solve_start_after_prerequisites(workers):
     with recording() as rec:
         factor = multifrontal_factor_threads(sym, pool=TaskPool(workers))
         solve_threads(factor, b, pool=TaskPool(workers))
-    _assert_runs_ordered(rec.exec_events, _phase_graphs(sym), f"workers={workers}")
+    _assert_runs_ordered(rec.spans, _phase_graphs(sym), f"workers={workers}")
 
 
 def test_dropped_dep_edge_shows_in_task_timeline():
@@ -151,7 +151,7 @@ def test_dropped_dep_edge_shows_in_task_timeline():
 
     with recording() as rec:
         TaskPool(2).run(dropped, run_task)
-    events = _timeline(rec.exec_events)["factor"]
+    events = _timeline(rec.spans)["factor"]
     assert _order_violations(dropped, events) == []
     assert _order_violations(graph, events) == [(child, parent)]
 
