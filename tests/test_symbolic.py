@@ -1,5 +1,6 @@
 """Tests for repro.symbolic: etree, postorder, patterns, supernodes, analyze."""
 
+import hashlib
 import importlib
 
 import numpy as np
@@ -7,11 +8,12 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from repro.gen import grid2d_laplacian, grid3d_laplacian, random_spd_sparse
+from repro.core import SparseSolver
+from repro.gen import grid2d_9pt, grid2d_laplacian, grid3d_laplacian, random_spd_sparse
 from repro.graph import AdjacencyGraph
 from repro.ordering import amd_order, nested_dissection_order
 from repro.sparse import CSCMatrix
-from repro.sparse.ops import full_symmetric_from_lower
+from repro.sparse.ops import full_symmetric_from_lower, matvec_csc
 from repro.sparse.permute import permute_symmetric_lower
 from repro.symbolic import (
     etree,
@@ -28,7 +30,7 @@ from repro.symbolic import (
 )
 from repro.symbolic.postorder import relabel_parent, first_descendants
 from repro.symbolic.analyze import dense_partial_factor_flops
-from repro.symbolic.supernodes import supernode_rows
+from repro.symbolic.supernodes import supernode_rows, trapezoid_entries
 from repro.util.errors import InvariantError, ShapeError
 
 # the module: the package re-exports the function under the same name
@@ -253,6 +255,47 @@ class TestSupernodes:
         perm = nested_dissection_order(g)
         merged = analyze(lower, perm, AnalyzeOptions(amalgamate=True))
         assert merged.nnz_stored <= 2.0 * merged.nnz_factor
+
+
+#: sha256 of grid2d_9pt(24)'s ``sn_start`` (int64 little-endian) before
+#: near-exact merges were admitted: the 9-point plate has no such merge, so
+#: its partition must not move.
+PLATE24_SN_START_SHA256 = "192de99a5977b01af86c484b2be502091a3a1940837f18b8d32af01e6bae0ddb"
+
+
+@pytest.mark.parametrize("method", ["cholesky", "ldlt"])
+def test_no_near_exact_merge_left(method):
+    """After amalgamation no contiguous child-parent pair is left whose
+    merge fits the fill budget and adds at most 1 % of the merged node's
+    entries as explicit zeros."""
+    a = grid3d_laplacian(12)
+    solver = SparseSolver(a, method=method)
+    solver.analyze()
+    sym = solver.sym
+    opts = AnalyzeOptions()
+    starts = sym.partition.sn_start
+    struct = np.add.reduceat(sym.col_counts, starts[:-1])
+    for c in range(sym.n_supernodes - 1):
+        p = c + 1
+        if sym.sn_parent[c] != p:
+            continue
+        c_width, p_width = sym.supernode_width(c), sym.supernode_width(p)
+        c_m, p_m = sym.front_size(c), sym.front_size(p)
+        new_entries = trapezoid_entries(c_width + p_m, c_width + p_width)
+        extra = new_entries - trapezoid_entries(c_m, c_width) - trapezoid_entries(p_m, p_width)
+        fits = new_entries <= (1.0 + opts.max_extra_fill_ratio) * (struct[c] + struct[p])
+        assert not (fits and 100 * extra <= new_entries), (c, p, extra, new_entries)
+    assert sym.nnz_stored <= 1.25 * sym.nnz_factor
+    # The explicit zeros factor and solve like any other entry.
+    b = np.ones(a.shape[0])
+    x = solver.solve(b, refine=False).x
+    r = matvec_csc(full_symmetric_from_lower(a), x) - b
+    assert np.linalg.norm(r) <= 1e-10 * np.linalg.norm(b)
+
+    plate = SparseSolver(grid2d_9pt(24), method=method)
+    plate.analyze()
+    sn_start = np.ascontiguousarray(plate.sym.partition.sn_start, dtype="<i8")
+    assert hashlib.sha256(sn_start.tobytes()).hexdigest() == PLATE24_SN_START_SHA256
 
 
 class TestAnalyze:

@@ -211,7 +211,7 @@ def ref_amalgamate(part, parent, patterns, max_extra_fill_ratio=0.25, small_widt
             new_entries = trapezoid_entries(new_rows.size, new_width)
             extra = new_entries - old_entries
             struct_merged = struct[c_start] + struct[p_start]
-            candidate = c_width <= small_width or extra == 0
+            candidate = c_width <= small_width or 100 * extra <= new_entries
             within_budget = new_entries <= (1.0 + max_extra_fill_ratio) * struct_merged
             if candidate and within_budget:
                 del starts[i]
