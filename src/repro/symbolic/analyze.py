@@ -41,9 +41,12 @@ class AnalyzeOptions:
 
     #: perform relaxed supernode amalgamation
     amalgamate: bool = True
-    #: maximum fraction of explicit zeros a merge may introduce
+    #: cumulative budget: a merged supernode may store at most this
+    #: fraction of explicit zeros over its structural entries
     max_extra_fill_ratio: float = 0.25
-    #: a supernode this narrow is always a merge candidate
+    #: a supernode this narrow is always a merge candidate; a wider one is
+    #: a candidate when the merge adds at most 1 % of the merged node's
+    #: entries as explicit zeros
     small_width: int = 8
 
     def __post_init__(self) -> None:

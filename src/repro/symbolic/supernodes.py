@@ -6,10 +6,11 @@ each column's pattern is the next column's pattern plus itself
 a supernode share one dense frontal matrix, which is where all the level-3
 arithmetic in the multifrontal method comes from.
 
-*Relaxed amalgamation* merges a small child supernode into its parent even
-when that introduces explicit zeros — fewer, larger fronts trade a bounded
-amount of extra arithmetic for much better kernel efficiency (the same
-trade WSMP/MUMPS make).
+*Relaxed amalgamation* merges a child supernode into its parent even when
+that introduces explicit zeros — a narrow child always, a wide one when the
+zeros are at most 1 % of the merged front. Fewer, larger fronts trade a
+bounded amount of extra arithmetic for much better kernel efficiency (the
+same trade WSMP/MUMPS make).
 """
 
 from __future__ import annotations
@@ -119,10 +120,14 @@ def amalgamate(
     A merge of child c (columns ending at the parent's first column, with
     the child's first update row inside the parent's pivot block) is
     accepted when the child is narrow (``width <= small_width``) or the
-    merge introduces no explicit zeros, AND the merged node's stored
-    entries stay within ``(1 + max_extra_fill_ratio)`` of its *structural*
-    entries. The structural bound is cumulative, so total factor storage is
-    bounded by ``(1 + ratio) * nnz(L)`` regardless of how many merges fire.
+    merge is near-exact — its explicit zeros are at most 1 % of the merged
+    node's stored entries (``100 * extra <= new_entries``, exact in
+    integers) — AND the merged node's stored entries stay within
+    ``(1 + max_extra_fill_ratio)`` of its *structural* entries. The
+    structural bound is cumulative, so total factor storage is bounded by
+    ``(1 + ratio) * nnz(L)`` regardless of how many merges fire. The
+    near-exact rule is what folds the wide chains at the top of a 3D
+    nested-dissection tree into few large fronts.
 
     A node's rows and structural entries are fixed by its column range, so
     a verdict depends only on the two ranges: a rejected pair is not judged
@@ -175,7 +180,7 @@ def amalgamate(
             new_entries = trapezoid_entries(c_width + p_rows.size, new_width)
             extra = new_entries - old_entries
             struct_merged = struct[c_start] + struct[p_start]
-            candidate = c_width <= small_width or extra == 0
+            candidate = c_width <= small_width or 100 * extra <= new_entries
             within_budget = new_entries <= (1.0 + max_extra_fill_ratio) * struct_merged
             if candidate and within_budget:
                 # Merge: drop parent start.

@@ -33,18 +33,18 @@ GRID = [
 ]
 
 GOLDEN = {
-    "cube8-p4-2d-cholesky": ("0x1.e3a930bed7020p-10", "0x1.02628c6a18c25p-11", 331, 388216, 212, 41056),
-    "cube8-p4-2d-ldlt": ("0x1.0179561e835e6p-9", "0x1.02628c6a18c25p-11", 376, 394184, 212, 41056),
-    "cube8-p4-1d-cholesky": ("0x1.023bf5aee0b0cp-9", "0x1.02628c6a18c25p-11", 379, 398748, 212, 41056),
-    "cube8-p4-1d-ldlt": ("0x1.116b6129009e4p-9", "0x1.02628c6a18c25p-11", 424, 406668, 212, 41056),
-    "cube8-p4-static-cholesky": ("0x1.3a2ee24aa8fcdp-9", "0x1.e6a9bcc14e796p-11", 212, 528356, 335, 76968),
-    "cube8-p4-static-ldlt": ("0x1.3b74e0085bfdbp-9", "0x1.e6a9bcc14e796p-11", 218, 529060, 335, 76968),
-    "cube8-p16-2d-cholesky": ("0x1.5341665562107p-9", "0x1.ddf3084ace6c3p-11", 2061, 1183640, 1141, 177648),
-    "cube8-p16-2d-ldlt": ("0x1.765ec020cdd3bp-9", "0x1.ddf3084ace6c3p-11", 2338, 1218080, 1141, 177648),
-    "cube8-p16-1d-cholesky": ("0x1.8e7f429833441p-9", "0x1.ddf3084ace6c3p-11", 2414, 1369272, 1141, 177648),
-    "cube8-p16-1d-ldlt": ("0x1.b30764bda49bbp-9", "0x1.ddf3084ace6c3p-11", 2691, 1416536, 1141, 177648),
-    "cube8-p16-static-cholesky": ("0x1.077f48f64b528p-9", "0x1.5e34e175de492p-11", 379, 606440, 493, 96344),
-    "cube8-p16-static-ldlt": ("0x1.0828b934d765bp-9", "0x1.5e34e175de492p-11", 409, 609800, 493, 96344),
+    "cube8-p4-2d-cholesky": ("0x1.cd07b034b4d1ep-10", "0x1.d2609d8561989p-12", 298, 303212, 174, 35192),
+    "cube8-p4-2d-ldlt": ("0x1.ec97d517290c6p-10", "0x1.d2609d8561989p-12", 343, 309372, 174, 35192),
+    "cube8-p4-1d-cholesky": ("0x1.eaf742034a9ebp-10", "0x1.d2609d8561989p-12", 361, 300100, 174, 35192),
+    "cube8-p4-1d-ldlt": ("0x1.04b70a56272aap-9", "0x1.d2609d8561989p-12", 406, 308308, 174, 35192),
+    "cube8-p4-static-cholesky": ("0x1.1ab299370542fp-9", "0x1.db47038899cf3p-11", 274, 404464, 342, 71616),
+    "cube8-p4-static-ldlt": ("0x1.1e319808f62a4p-9", "0x1.db47038899cf3p-11", 289, 406512, 342, 71616),
+    "cube8-p16-2d-cholesky": ("0x1.c8247630f4b68p-10", "0x1.a43cc5faa4073p-11", 1560, 883272, 901, 160216),
+    "cube8-p16-2d-ldlt": ("0x1.06dd6e42da892p-9", "0x1.a43cc5faa4073p-11", 1832, 918920, 901, 160216),
+    "cube8-p16-1d-cholesky": ("0x1.7cd743d7ce1bap-9", "0x1.a43cc5faa4073p-11", 2282, 1299340, 901, 160216),
+    "cube8-p16-1d-ldlt": ("0x1.a04091350aca0p-9", "0x1.a43cc5faa4073p-11", 2554, 1347884, 901, 160216),
+    "cube8-p16-static-cholesky": ("0x1.d33f41188fc94p-10", "0x1.60bcd79575e58p-11", 599, 550940, 537, 104872),
+    "cube8-p16-static-ldlt": ("0x1.e13b3c6053666p-10", "0x1.60bcd79575e58p-11", 674, 560636, 537, 104872),
     "plate24-p4-2d-cholesky": ("0x1.25ab65d48eeacp-12", "0x1.57b14c94b0a02p-13", 54, 33804, 69, 12024),
     "plate24-p4-2d-ldlt": ("0x1.4fa972c1e9d92p-12", "0x1.57b14c94b0a02p-13", 71, 36132, 69, 12024),
     "plate24-p4-1d-cholesky": ("0x1.4c7d3bf7e001cp-12", "0x1.57b14c94b0a02p-13", 67, 38976, 69, 12024),
@@ -57,9 +57,9 @@ GOLDEN = {
     "plate24-p16-1d-ldlt": ("0x1.d31135ac4a664p-11", "0x1.92cdcf5a5e3e3p-12", 772, 319428, 494, 80000),
     "plate24-p16-static-cholesky": ("0x1.0ba06cde81271p-11", "0x1.6978fd33165e9p-12", 146, 158252, 292, 58408),
     "plate24-p16-static-ldlt": ("0x1.0ba06cde81271p-11", "0x1.6978fd33165e9p-12", 146, 158252, 292, 58408),
-    "panel-k4": ("0x1.7a98e825b9036p-12", "0x1.3529f037ad523p-12", 349, 601852, 366, 227904),
+    "panel-k4": ("0x1.8307ab8b4bde3p-12", "0x1.ef5b9e5e26103p-13", 302, 490800, 287, 213472),
     "lu": ("0x1.ef8baf1c9507cp-13", "0x1.c754fa001338cp-13", 150, 49724, 168, 19344),
-    "ledger-cube16-p64": ("0x1.0f6bd2d31dea2p-6", "0x1.2e204f8374d08p-9", 10498, 45140236, 8480, 2203704),
+    "ledger-cube16-p64": ("0x1.c6cab86e6589cp-7", "0x1.86011abc93214p-10", 4769, 31169104, 3710, 1907512),
 }
 
 
@@ -147,9 +147,9 @@ def test_single(case):
 def test_ledger_values_match_the_issue():
     """The four numbers the perf ledger reports for sim-cube-l-p64."""
     ft, st, msgs, nbytes = GOLDEN["ledger-cube16-p64"][:4]
-    assert float.fromhex(ft) == 0.016566234477493176
-    assert float.fromhex(st) == 0.0023050400793437377
-    assert (msgs, nbytes) == (10498, 45140236)
+    assert float.fromhex(ft) == 0.013879146627726428
+    assert float.fromhex(st) == 0.0014877483910310562
+    assert (msgs, nbytes) == (4769, 31169104)
 
 
 if __name__ == "__main__":
