@@ -136,6 +136,7 @@ class UnsymmetricSolver:
             config.machine,
             config.plan_options(),
             method="lu",
+            threads_per_rank=config.threads_per_rank,
             pivot_perturbation=self.pivot_perturbation,
         )
         if verify:

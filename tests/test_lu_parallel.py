@@ -181,6 +181,17 @@ class TestLUSolverSimulateAPI:
                 verify=True,
             )
 
+    def test_simulate_honours_threads_per_rank(self):
+        """The config's SMP threads reach the simulated LU, as they do the
+        symmetric simulate."""
+        solver = UnsymmetricSolver(convection_diffusion2d(16))
+        one, _ = solver.simulate(ParallelConfig(n_ranks=4, machine=BLUEGENE_P))
+        four, _ = solver.simulate(
+            ParallelConfig(n_ranks=4, machine=BLUEGENE_P, threads_per_rank=4)
+        )
+        assert (one.threads_per_rank, four.threads_per_rank) == (1, 4)
+        assert four.makespan < one.makespan
+
     def test_scaling_smoke(self):
         """LU strong scaling on the BG/P model shows speedup on a bigger
         mesh, like the symmetric path."""
