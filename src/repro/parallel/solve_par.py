@@ -217,8 +217,7 @@ def make_solve_program(plan: FactorPlan, datas: list[RankFactorData], bp: np.nda
                     solve_unit_lower_inplace(diag, seg)
                 else:
                     solve_lower_inplace(diag, seg)
-                # LU charges the true count, the others one row block less
-                fl += (r1 - r0) * (r0 + r1 if lu else r0 + (r1 - r0))
+                fl += (r1 - r0) * (r0 + r1)
                 payload = seg
             else:
                 payload = None
@@ -233,7 +232,7 @@ def make_solve_program(plan: FactorPlan, datas: list[RankFactorData], bp: np.nda
                 continue
             f[bi] = f[bi] - panels[bi] @ x_piv_full
             ufl += 2.0 * panels[bi].shape[0] * d.width
-        if ufl and not lu:  # LU charges no compute for its update rows
+        if ufl:
             yield Compute(flops=ufl, front_order=nb)
         if d.m > d.width:
             u[s] = f

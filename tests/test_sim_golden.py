@@ -33,22 +33,22 @@ GRID = [
 ]
 
 GOLDEN = {
-    "cube8-p4-2d-cholesky": ("0x1.cd07b034b4d1ep-10", "0x1.d2609d8561989p-12", 298, 303212, 174, 35192),
-    "cube8-p4-2d-ldlt": ("0x1.ec97d517290c6p-10", "0x1.d2609d8561989p-12", 343, 309372, 174, 35192),
-    "cube8-p4-1d-cholesky": ("0x1.eaf742034a9ebp-10", "0x1.d2609d8561989p-12", 361, 300100, 174, 35192),
-    "cube8-p4-1d-ldlt": ("0x1.04b70a56272aap-9", "0x1.d2609d8561989p-12", 406, 308308, 174, 35192),
-    "cube8-p4-static-cholesky": ("0x1.1ab299370542fp-9", "0x1.db47038899cf3p-11", 274, 404464, 342, 71616),
-    "cube8-p4-static-ldlt": ("0x1.1e319808f62a4p-9", "0x1.db47038899cf3p-11", 289, 406512, 342, 71616),
+    "cube8-p4-2d-cholesky": ("0x1.cd07b034b4d1ep-10", "0x1.d48d9dd821be2p-12", 298, 303212, 174, 35192),
+    "cube8-p4-2d-ldlt": ("0x1.ec97d517290c6p-10", "0x1.d48d9dd821be2p-12", 343, 309372, 174, 35192),
+    "cube8-p4-1d-cholesky": ("0x1.eaf742034a9ebp-10", "0x1.d48d9dd821be2p-12", 361, 300100, 174, 35192),
+    "cube8-p4-1d-ldlt": ("0x1.04b70a56272aap-9", "0x1.d48d9dd821be2p-12", 406, 308308, 174, 35192),
+    "cube8-p4-static-cholesky": ("0x1.1ab299370542fp-9", "0x1.db5a3882a06f6p-11", 274, 404464, 342, 71616),
+    "cube8-p4-static-ldlt": ("0x1.1e319808f62a4p-9", "0x1.db5a3882a06f6p-11", 289, 406512, 342, 71616),
     "cube8-p16-2d-cholesky": ("0x1.c8247630f4b68p-10", "0x1.a43cc5faa4073p-11", 1560, 883272, 901, 160216),
     "cube8-p16-2d-ldlt": ("0x1.06dd6e42da892p-9", "0x1.a43cc5faa4073p-11", 1832, 918920, 901, 160216),
     "cube8-p16-1d-cholesky": ("0x1.7cd743d7ce1bap-9", "0x1.a43cc5faa4073p-11", 2282, 1299340, 901, 160216),
     "cube8-p16-1d-ldlt": ("0x1.a04091350aca0p-9", "0x1.a43cc5faa4073p-11", 2554, 1347884, 901, 160216),
     "cube8-p16-static-cholesky": ("0x1.d33f41188fc94p-10", "0x1.60bcd79575e58p-11", 599, 550940, 537, 104872),
     "cube8-p16-static-ldlt": ("0x1.e13b3c6053666p-10", "0x1.60bcd79575e58p-11", 674, 560636, 537, 104872),
-    "plate24-p4-2d-cholesky": ("0x1.25ab65d48eeacp-12", "0x1.57b14c94b0a02p-13", 54, 33804, 69, 12024),
-    "plate24-p4-2d-ldlt": ("0x1.4fa972c1e9d92p-12", "0x1.57b14c94b0a02p-13", 71, 36132, 69, 12024),
-    "plate24-p4-1d-cholesky": ("0x1.4c7d3bf7e001cp-12", "0x1.57b14c94b0a02p-13", 67, 38976, 69, 12024),
-    "plate24-p4-1d-ldlt": ("0x1.75c506b52e03ep-12", "0x1.57b14c94b0a02p-13", 84, 41968, 69, 12024),
+    "plate24-p4-2d-cholesky": ("0x1.25ab65d48eeacp-12", "0x1.5897c84d00226p-13", 54, 33804, 69, 12024),
+    "plate24-p4-2d-ldlt": ("0x1.4fa972c1e9d92p-12", "0x1.5897c84d00226p-13", 71, 36132, 69, 12024),
+    "plate24-p4-1d-cholesky": ("0x1.4c7d3bf7e001cp-12", "0x1.5897c84d00226p-13", 67, 38976, 69, 12024),
+    "plate24-p4-1d-ldlt": ("0x1.75c506b52e03ep-12", "0x1.5897c84d00226p-13", 84, 41968, 69, 12024),
     "plate24-p4-static-cholesky": ("0x1.a4a59259a77adp-11", "0x1.5ffc579ce1447p-11", 136, 143884, 272, 54056),
     "plate24-p4-static-ldlt": ("0x1.a4a59259a77adp-11", "0x1.5ffc579ce1447p-11", 136, 143884, 272, 54056),
     "plate24-p16-2d-cholesky": ("0x1.2f4353fdfeea6p-11", "0x1.92cdcf5a5e3e3p-12", 503, 227004, 494, 80000),
@@ -58,7 +58,7 @@ GOLDEN = {
     "plate24-p16-static-cholesky": ("0x1.0ba06cde81271p-11", "0x1.6978fd33165e9p-12", 146, 158252, 292, 58408),
     "plate24-p16-static-ldlt": ("0x1.0ba06cde81271p-11", "0x1.6978fd33165e9p-12", 146, 158252, 292, 58408),
     "panel-k4": ("0x1.8307ab8b4bde3p-12", "0x1.ef5b9e5e26103p-13", 302, 490800, 287, 213472),
-    "lu": ("0x1.ef8baf1c9507cp-13", "0x1.c754fa001338cp-13", 150, 49724, 168, 19344),
+    "lu": ("0x1.ef8baf1c9507cp-13", "0x1.c8c1e88e911c7p-13", 150, 49724, 168, 19344),
     "ledger-cube16-p64": ("0x1.c6cab86e6589cp-7", "0x1.86011abc93214p-10", 4769, 31169104, 3710, 1907512),
 }
 
