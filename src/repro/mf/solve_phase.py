@@ -26,9 +26,10 @@ that buy this:
   kernels), whose per-column operation sequence does not depend on the
   panel width — unlike BLAS dot/gemv/gemm reductions, which reorder sums
   with the operand shape;
-* the off-diagonal panel updates run one BLAS ``dgemv`` per column on a
-  contiguous (Fortran-ordered) column buffer, so each column issues the
-  exact call the single-RHS path issues;
+* the off-diagonal panel update is one stacked ``matmul`` per front, whose
+  per-column call is the single-RHS gemv: numpy loops over the columns in
+  C and gives each contiguous column the exact call the single-RHS path
+  issues;
 * pooled forward: a supernode's update panel is published, and each
   ancestor subtracts its incoming row runs at the start of its own step,
   in ascending source order — the per-element subtraction sequence of the
@@ -121,6 +122,19 @@ def _solve_permuted(
         return unpermute_vector(y.astype(VALUE_DTYPE, copy=False), sym.perm)
 
 
+def _gemv_columns(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``a @ x`` for a vector or an ``(r, k)`` panel *x*.
+
+    A panel is one stacked ``matmul`` call with the columns as its batch
+    axis: numpy loops over the batch in C and gives each contiguous column
+    the gemv that the single-vector ``a @ x[:, c]`` issues, so every
+    column's bits are those of the k = 1 path, whatever the panel width.
+    """
+    if x.ndim == 1:
+        return a @ x
+    return np.matmul(a, np.ascontiguousarray(x.T)[:, :, None])[:, :, 0].T
+
+
 def forward_front(factor: NumericFactor, s: int, y: np.ndarray) -> np.ndarray | None:
     """One supernode's forward-substitution step on the permuted RHS *y*.
 
@@ -130,29 +144,15 @@ def forward_front(factor: NumericFactor, s: int, y: np.ndarray) -> np.ndarray | 
     (sequential sweep) or split per owning ancestor supernode (pooled
     sweep).
     """
-    sym = factor.sym
-    rows = sym.sn_rows[s]
-    w = sym.supernode_width(s)
+    plan = factor.sym.front_plan
+    start, w = plan.start[s], plan.width[s]
     block = factor.blocks[s]
-    panel = y.ndim == 2
-    piv = y[rows[:w]]
+    piv = y[start:start + w]
     if factor.method == "cholesky":
         solve_lower_inplace(block[:w, :], piv)
     else:
         solve_unit_lower_inplace(block[:w, :], piv)
-    y[rows[:w]] = piv
-    if rows.size > w:
-        l21 = block[w:, :]
-        if panel:
-            # One dgemv per column on a contiguous buffer: identical
-            # bits to the single-RHS call, k columns per traversal.
-            pivf = np.asfortranarray(piv)
-            upd = np.empty((rows.size - w, piv.shape[1]), dtype=y.dtype, order="F")
-            for c in range(piv.shape[1]):
-                np.dot(l21, pivf[:, c], out=upd[:, c])
-            return upd
-        return l21 @ piv
-    return None
+    return _gemv_columns(block[w:, :], piv) if plan.order[s] > w else None
 
 
 def backward_front(factor: NumericFactor, s: int, y: np.ndarray) -> None:
@@ -165,28 +165,18 @@ def backward_front(factor: NumericFactor, s: int, y: np.ndarray) -> None:
     the transpose of their L panel; LU with U: its upper pivot block (as
     the transpose of a lower one) and U12.
     """
-    sym = factor.sym
-    rows = sym.sn_rows[s]
-    w = sym.supernode_width(s)
+    plan = factor.sym.front_plan
+    start, w = plan.start[s], plan.width[s]
     block = factor.blocks[s]
     lu = factor.method == "lu"
-    panel = y.ndim == 2
-    piv = y[rows[:w]].copy() if not panel else y[rows[:w]]
-    if rows.size > w:
+    piv = y[start:start + w]
+    if plan.order[s] > w:
         off = factor.u12[s] if lu else block[w:, :].T
-        if panel:
-            xb = np.asfortranarray(y[rows[w:]])
-            upd = np.empty((w, piv.shape[1]), dtype=y.dtype, order="F")
-            for c in range(piv.shape[1]):
-                np.dot(off, xb[:, c], out=upd[:, c])
-            piv -= upd
-        else:
-            piv -= off @ y[rows[w:]]
+        piv -= _gemv_columns(off, y[factor.sym.sn_rows[s][w:]])
     if factor.method == "ldlt":
         solve_unit_lower_transpose_outer_inplace(block[:w, :], piv)
     else:
         solve_lower_transpose_outer_inplace(block[:w, :].T if lu else block[:w, :], piv)
-    y[rows[:w]] = piv
 
 
 def forward_sweep(
@@ -197,13 +187,12 @@ def forward_sweep(
     *y* is a single vector ``(n,)`` or a panel ``(n, k)``.
     """
     sym = factor.sym
+    width = sym.front_plan.width
     if pool is None:
         for s in range(sym.n_supernodes):
             upd = forward_front(factor, s, y)
             if upd is not None:
-                rows = sym.sn_rows[s]
-                w = sym.supernode_width(s)
-                y[rows[w:]] -= upd
+                y[sym.sn_rows[s][width[s]:]] -= upd
         return
     from repro.exec.tasks import forward_contributions, forward_solve_task_graph
 
@@ -213,7 +202,7 @@ def forward_sweep(
 
     def step(s: int) -> None:
         for src, lo, hi in routing.incoming[s]:
-            wsrc = sym.supernode_width(src)
+            wsrc = width[src]
             y[sym.sn_rows[src][wsrc + lo: wsrc + hi]] -= published[src][lo:hi]
         published[s] = forward_front(factor, s, y)
 
