@@ -89,8 +89,20 @@ def as_index_array(a, name: str = "array") -> np.ndarray:
 
 
 def as_float_array(a, name: str = "array") -> np.ndarray:
-    """Convert *a* to a contiguous float64 ndarray, rejecting non-finite input."""
-    arr = np.ascontiguousarray(a, dtype=VALUE_DTYPE)
+    """Convert *a* to a contiguous float64 ndarray.
+
+    Raises :class:`ShapeError` for complex input (a cast would keep only
+    the real part, so the caller would solve a different system), for
+    input numpy cannot cast to float, and for non-finite values.
+    """
+    try:
+        arr = np.asarray(a)
+        if arr.dtype.kind != "c":
+            arr = np.ascontiguousarray(arr, dtype=VALUE_DTYPE)
+    except (TypeError, ValueError) as exc:
+        raise ShapeError(f"{name} cannot be converted to float64: {exc}") from None
+    if arr.dtype.kind == "c":
+        raise ShapeError(f"{name} is complex ({arr.dtype}); only real values are supported")
     if arr.size and not np.all(np.isfinite(arr)):
         raise ShapeError(f"{name} contains non-finite values")
     return arr

@@ -74,6 +74,24 @@ class TestSparseSolverPhases:
         with pytest.raises(ShapeError):
             solver.solve(np.ones((64, 0)), refine=refine)
 
+    def test_complex_input_rejected_at_every_entry_point(self, small):
+        # A float cast keeps the real part alone: each call would return the
+        # solution of another system with only a ComplexWarning.
+        from repro.service import SolverService
+
+        b = np.ones(64) * (1 + 2j)
+        solver = SparseSolver(small)
+        with pytest.raises(ShapeError, match="complex"):
+            solver.solve(b)
+        with pytest.raises(ShapeError, match="complex"):
+            solver.solve(np.stack([b, b], axis=1), refine=False)
+        with pytest.raises(ShapeError, match="complex"):
+            solver.refactor(CSCMatrix(small.shape, small.indptr, small.indices, small.data + 1j))
+        with pytest.raises(ShapeError, match="complex"):
+            SolverService().submit(small, np.ones(64) * 1j)
+        with pytest.raises(ShapeError, match="cannot be converted"):
+            solver.solve(np.array(["x"] * 64))
+
     def test_accepts_full_symmetric_matrix(self, small):
         full = full_symmetric_from_lower(small)
         solver = SparseSolver(full)

@@ -78,6 +78,28 @@ class TestValidation:
     def test_as_float_array_empty_ok(self):
         assert as_float_array([]).size == 0
 
+    @pytest.mark.parametrize(
+        "a",
+        [
+            np.ones(3) * (1 + 2j),
+            np.ones(3, dtype=np.complex64),
+            [1.0, 2j],
+            np.array([1.0, 2j], dtype=object),
+        ],
+        ids=["complex128", "complex64", "list", "object"],
+    )
+    def test_as_float_array_rejects_complex(self, a):
+        # a cast would keep the real part alone and solve another system
+        with pytest.raises(ShapeError, match="b"):
+            as_float_array(a, "b")
+
+    @pytest.mark.parametrize(
+        "a", [np.array(["x", "y"]), [object()], [[1.0, 2.0], [3.0]]], ids=["str", "obj", "ragged"]
+    )
+    def test_as_float_array_uncastable_is_shape_error(self, a):
+        with pytest.raises(ShapeError, match="cannot be converted"):
+            as_float_array(a)
+
     def test_check_index_array_in_range(self):
         check_index_array(np.array([0, 4], dtype=np.int64), 5)
 
