@@ -13,7 +13,6 @@ from repro.dense.chol import cholesky_in_place, cholesky
 from repro.dense.ldlt import ldlt_in_place, ldlt
 from repro.dense.trsm import (
     solve_lower_inplace,
-    solve_lower_transpose_inplace,
     solve_lower_transpose_outer_inplace,
     solve_unit_lower_inplace,
     solve_unit_lower_transpose_outer_inplace,
@@ -27,7 +26,6 @@ __all__ = [
     "ldlt_in_place",
     "ldlt",
     "solve_lower_inplace",
-    "solve_lower_transpose_inplace",
     "solve_lower_transpose_outer_inplace",
     "solve_unit_lower_inplace",
     "solve_unit_lower_transpose_outer_inplace",

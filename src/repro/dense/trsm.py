@@ -32,18 +32,6 @@ def solve_lower_inplace(l: np.ndarray, b: np.ndarray) -> None:
             b[j + 1:] -= np.multiply.outer(l[j + 1:, j], b[j]) if b.ndim > 1 else l[j + 1:, j] * b[j]
 
 
-def solve_lower_transpose_inplace(l: np.ndarray, b: np.ndarray) -> None:
-    """``b <- L^{-T} b`` (backward substitution with the transpose)."""
-    n = _check(l, b)
-    for j in range(n - 1, -1, -1):
-        if j + 1 < n:
-            if b.ndim > 1:
-                b[j] -= l[j + 1:, j] @ b[j + 1:]
-            else:
-                b[j] -= l[j + 1:, j] @ b[j + 1:]
-        b[j] = b[j] / l[j, j]
-
-
 def solve_unit_lower_inplace(l: np.ndarray, b: np.ndarray) -> None:
     """``b <- L^{-1} b`` with *unit* diagonal (LDLᵀ forward sweep; only the
     strictly-lower part of *l* is read)."""
@@ -56,25 +44,17 @@ def solve_unit_lower_inplace(l: np.ndarray, b: np.ndarray) -> None:
                 b[j + 1:] -= l[j + 1:, j] * b[j]
 
 
-def solve_unit_lower_transpose_inplace(l: np.ndarray, b: np.ndarray) -> None:
-    """``b <- L^{-T} b`` with unit diagonal (LDLᵀ backward sweep)."""
-    n = _check(l, b)
-    for j in range(n - 1, -1, -1):
-        if j + 1 < n:
-            b[j] -= l[j + 1:, j] @ b[j + 1:]
-
-
 def solve_lower_transpose_outer_inplace(l: np.ndarray, b: np.ndarray) -> None:
-    """``b <- L^{-T} b`` in the column-oriented (outer-product) form.
+    """``b <- L^{-T} b`` (backward substitution with the transpose) in the
+    column-oriented (outer-product) form.
 
-    Same triangular solve as :func:`solve_lower_transpose_inplace`, but the
-    inner update is a saxpy ``b[:j] -= l[j, :j] * b[j]`` instead of a dot
+    The inner update is a saxpy ``b[:j] -= l[j, :j] * b[j]``, not a dot
     product. Every operation is elementwise, so with a multi-column *b*
     each column gets the exact floating-point operation sequence it would
-    get solved alone — the blocked multi-RHS solve phase relies on this to
-    stay bitwise identical per column regardless of how many right-hand
-    sides ride in the panel (BLAS dot/gemv reductions reorder sums with
-    the operand shape and cannot give that guarantee).
+    get solved alone — the blocked multi-RHS solves rely on this to stay
+    bitwise identical per column regardless of how many right-hand sides
+    ride in the panel (BLAS dot/gemv reductions reorder sums with the
+    operand shape and cannot give that guarantee).
     """
     n = _check(l, b)
     for j in range(n - 1, -1, -1):

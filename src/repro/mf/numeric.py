@@ -1,16 +1,21 @@
-"""Multifrontal numeric factorization: one per-front step, two schedules.
+"""Multifrontal numeric factorization: one per-front step, two callers.
 
-For each supernode the step assembles the front from A, extend-adds the
-children's updates, partially factors, stores the factor panel and
-publishes the Schur complement into the supernode's update slot.
-Cholesky, LDLᵀ and static-pivoting LU are three kernels of this one step;
-an LU front is the full square instead of its lower triangle.
+For each supernode the step assembles the front from A
+(:func:`assemble_from_a`), extend-adds the children's updates, and
+partially factors it (:func:`eliminate_front`), which yields the factor
+panel and the Schur complement for the parent. Cholesky, LDLᵀ and
+static-pivoting LU are three kernels of this one step; an LU front is the
+full square instead of its lower triangle.
 
-The step runs in postorder on the calling thread (supernodes are
-numbered postorder by construction), or over the assembly-tree task graph
-on a :class:`~repro.exec.pool.TaskPool` of worker threads. The heavy
-per-front work happens inside numpy kernels that release the GIL, so
-independent subtrees factor concurrently.
+The step has two callers. :func:`factor_front` is the host's: its
+extend-add reads the children's update slots, and it runs in postorder on
+the calling thread (supernodes are numbered postorder by construction), or
+over the assembly-tree task graph on a :class:`~repro.exec.pool.TaskPool`
+of worker threads. The heavy per-front work happens inside numpy kernels
+that release the GIL, so independent subtrees factor concurrently. The
+simulator's sequential fronts (:mod:`repro.parallel.factor_par`) call the
+same two halves with the rank program's extend-add between them, so a
+front a simulated rank factors alone holds the host's bits.
 
 Bitwise contract
 ----------------
@@ -165,38 +170,33 @@ def partial_factor(
     return d, flops
 
 
-def factor_front(
+def assemble_from_a(
+    sym: SymbolicFactor, s: int, method: str, dtype: np.dtype = VALUE_DTYPE
+) -> np.ndarray:
+    """The front of supernode *s* holding its entries of A and nothing
+    else: the first half of the front step, before the extend-add. An LU
+    front is the full m×m square, a symmetric one its lower triangle."""
+    if method == "lu":
+        return assemble_full_front(sym.front_plan, s, sym.permuted_full.data, dtype=dtype)
+    return assemble_front(sym, s, dtype=dtype)
+
+
+def eliminate_front(
     sym: SymbolicFactor,
     s: int,
+    front: np.ndarray,
     method: str,
     perturb_abs: float | None,
-    child_updates,
     perturbed: list[int],
-    rec: SpanRecorder | None,
-    dtype: np.dtype = VALUE_DTYPE,
+    rec: SpanRecorder | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None, np.ndarray | None, int]:
-    """Assemble, extend-add, and partially factor the front of supernode *s*.
+    """Partially factor the fully assembled *front* of supernode *s*: the
+    second half of the front step, after the extend-add.
 
-    The kernel of :func:`multifrontal_factor`'s step. Where entries land
-    comes from ``sym.front_plan``; nothing is looked up here.
-
-    Parameters
-    ----------
-    child_updates
-        The children's update matrices in ascending child order (the order
-        of ``sym.sn_children[s]``). May be a generator, so that each
-        child's update can be released as soon as it has been added.
-    perturbed
-        Sink list for statically perturbed LDLᵀ / LU pivot columns.
-    rec
-        The installed span recorder or None. With a recorder, the dense
-        partial factorization runs in an ``mf.front`` span with attributes
-        ``supernode``, ``m``, ``width`` and ``flops``.
-    dtype
-        Working dtype of the front (fp32 for mixed-precision fronts).
-        Input entries are rounded once at assembly; every subsequent
-        operation — extend-add, factorization, Schur update — runs in
-        this dtype.
+    *perturbed* is the sink list for statically perturbed LDLᵀ / LU pivot
+    columns. With a span recorder *rec*, the dense partial factorization
+    runs in an ``mf.front`` span with attributes ``supernode``, ``m``,
+    ``width`` and ``flops``.
 
     Returns ``(block, d, u12, update, front_flops)``: the m×w factor panel
     copy, the LDLᵀ pivots and the LU panel U12 (each None for the other
@@ -207,23 +207,45 @@ def factor_front(
     plan = sym.front_plan
     w = plan.width[s]
     m = plan.order[s]
-    lu = method == "lu"
-    if lu:
-        front = assemble_full_front(plan, s, sym.permuted_full.data, dtype=dtype)
-    else:
-        front = assemble_front(sym, s, dtype=dtype)
-    for c, upd in zip(sym.sn_children[s], child_updates, strict=True):
-        extend_add(front, upd, plan.rel[c], lower=not lu)
     if rec is None:
         d, front_flops = partial_factor(front, w, method, perturb_abs, plan.start[s], perturbed)
     else:
         with Span(rec, "mf.front", {"supernode": s, "m": m, "width": w}) as sp:
             d, front_flops = partial_factor(front, w, method, perturb_abs, plan.start[s], perturbed)
         sp.attrs["flops"] = front_flops
-    u12 = front[:w, w:].copy() if lu else None
+    u12 = front[:w, w:].copy() if method == "lu" else None
     block = front[:, :w].copy()
     update = front[w:, w:].copy() if m > w else None
     return block, d, u12, update, front_flops
+
+
+def factor_front(
+    sym: SymbolicFactor,
+    s: int,
+    method: str,
+    perturb_abs: float | None,
+    child_updates,
+    perturbed: list[int],
+    rec: SpanRecorder | None,
+    dtype: np.dtype = VALUE_DTYPE,
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None, np.ndarray | None, int]:
+    """The front step of supernode *s*: :func:`assemble_from_a`, the
+    extend-add of *child_updates*, :func:`eliminate_front` (whose
+    arguments and result it shares). Where entries land comes from
+    ``sym.front_plan``; nothing is looked up here.
+
+    *child_updates* are the children's update matrices in ascending child
+    order (the order of ``sym.sn_children[s]``). It may be a generator, so
+    that each child's update can be released as soon as it has been added.
+    *dtype* is the working dtype of the front (fp32 for mixed-precision
+    fronts): input entries are rounded once at assembly, and every later
+    operation runs in it.
+    """
+    front = assemble_from_a(sym, s, method, dtype)
+    rel = sym.front_plan.rel
+    for c, upd in zip(sym.sn_children[s], child_updates, strict=True):
+        extend_add(front, upd, rel[c], lower=method != "lu")
+    return eliminate_front(sym, s, front, method, perturb_abs, perturbed, rec)
 
 
 def multifrontal_factor(

@@ -9,10 +9,13 @@ right-hand sides: the supernode traversal, the per-front Python overhead,
 and the triangular-substitution inner loops are paid once per *panel*, not
 once per column.
 
-Each sweep is one per-supernode step (:func:`forward_front` /
-:func:`backward_front`) under one of two schedules: supernode order on the
+Each sweep is one per-front kernel (:func:`forward_kernel` /
+:func:`backward_kernel`) under one of two schedules: supernode order on the
 calling thread, or the elimination-tree task graphs of
-:mod:`repro.exec.tasks` on a :class:`~repro.exec.pool.TaskPool`.
+:mod:`repro.exec.tasks` on a :class:`~repro.exec.pool.TaskPool`. The
+simulator's sequential fronts (:mod:`repro.parallel.solve_par`) run the
+same kernels, and its distributed fronts the same :func:`gemv_columns` and
+transpose kernels.
 
 Bitwise reproducibility contract
 --------------------------------
@@ -122,7 +125,7 @@ def _solve_permuted(
         return unpermute_vector(y.astype(VALUE_DTYPE, copy=False), sym.perm)
 
 
-def _gemv_columns(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+def gemv_columns(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     """``a @ x`` for a vector or an ``(r, k)`` panel *x*.
 
     A panel is one stacked ``matmul`` call with the columns as its batch
@@ -135,48 +138,70 @@ def _gemv_columns(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.matmul(a, np.ascontiguousarray(x.T)[:, :, None])[:, :, 0].T
 
 
-def forward_front(factor: NumericFactor, s: int, y: np.ndarray) -> np.ndarray | None:
-    """One supernode's forward-substitution step on the permuted RHS *y*.
+def forward_kernel(panel: np.ndarray, method: str, piv: np.ndarray) -> np.ndarray | None:
+    """One front's forward substitution: solves the pivot block of the m×w
+    factor *panel* against the pivot rows *piv* in place and returns the
+    update ``L21 piv`` for the front's update rows (None when it has none).
+    The caller subtracts it where the rows live."""
+    w = panel.shape[1]
+    if method == "cholesky":
+        solve_lower_inplace(panel[:w], piv)
+    else:
+        solve_unit_lower_inplace(panel[:w], piv)
+    return gemv_columns(panel[w:], piv) if panel.shape[0] > w else None
 
-    Solves the diagonal block against y's pivot rows in place and returns
-    the off-diagonal update panel (None when the supernode has no update
-    rows). The *caller* subtracts the update from y — directly below
-    (sequential sweep) or split per owning ancestor supernode (pooled
-    sweep).
+
+def backward_kernel(
+    panel: np.ndarray,
+    u12: np.ndarray | None,
+    method: str,
+    piv: np.ndarray,
+    xu: np.ndarray | None,
+) -> None:
+    """One front's backward substitution on its pivot rows *piv*, in place,
+    given the solution *xu* at its update rows (read only when the m×w
+    *panel* has update rows). Cholesky and LDLᵀ solve with the transpose
+    of their L panel; LU with U: its upper pivot block (as the transpose
+    of a lower one) and *u12*."""
+    w = panel.shape[1]
+    if panel.shape[0] > w:
+        piv -= gemv_columns(u12 if method == "lu" else panel[w:].T, xu)
+    if method == "ldlt":
+        solve_unit_lower_transpose_outer_inplace(panel[:w], piv)
+    else:
+        solve_lower_transpose_outer_inplace(panel[:w].T if method == "lu" else panel[:w], piv)
+
+
+def forward_front(factor: NumericFactor, s: int, y: np.ndarray) -> np.ndarray | None:
+    """:func:`forward_kernel` of supernode *s* on the permuted RHS *y*.
+
+    Writes y's pivot rows of *s* in place and returns the off-diagonal
+    update panel (None when the supernode has no update rows). The
+    *caller* subtracts the update from y — directly below (sequential
+    sweep) or split per owning ancestor supernode (pooled sweep).
     """
     plan = factor.sym.front_plan
-    start, w = plan.start[s], plan.width[s]
-    block = factor.blocks[s]
-    piv = y[start:start + w]
-    if factor.method == "cholesky":
-        solve_lower_inplace(block[:w, :], piv)
-    else:
-        solve_unit_lower_inplace(block[:w, :], piv)
-    return _gemv_columns(block[w:, :], piv) if plan.order[s] > w else None
+    start = plan.start[s]
+    return forward_kernel(factor.blocks[s], factor.method, y[start:start + plan.width[s]])
 
 
 def backward_front(factor: NumericFactor, s: int, y: np.ndarray) -> None:
-    """One supernode's backward-substitution step on the permuted RHS *y*.
+    """:func:`backward_kernel` of supernode *s* on the permuted RHS *y*.
 
     Reads y at the supernode's own and ancestor rows (ancestor rows must
     already hold final values) and writes only its own pivot rows — which
     is why the pooled sweep can run independent subtrees concurrently with
-    no synchronization on *y* at all. Cholesky and LDLᵀ solve with
-    the transpose of their L panel; LU with U: its upper pivot block (as
-    the transpose of a lower one) and U12.
+    no synchronization on *y* at all.
     """
     plan = factor.sym.front_plan
     start, w = plan.start[s], plan.width[s]
-    block = factor.blocks[s]
-    lu = factor.method == "lu"
-    piv = y[start:start + w]
-    if plan.order[s] > w:
-        off = factor.u12[s] if lu else block[w:, :].T
-        piv -= _gemv_columns(off, y[factor.sym.sn_rows[s][w:]])
-    if factor.method == "ldlt":
-        solve_unit_lower_transpose_outer_inplace(block[:w, :], piv)
-    else:
-        solve_lower_transpose_outer_inplace(block[:w, :].T if lu else block[:w, :], piv)
+    backward_kernel(
+        factor.blocks[s],
+        factor.u12[s] if factor.u12 is not None else None,
+        factor.method,
+        y[start:start + w],
+        y[factor.sym.sn_rows[s][w:]],
+    )
 
 
 def forward_sweep(

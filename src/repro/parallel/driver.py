@@ -192,17 +192,16 @@ def simulate_factorization(
     With ``trace=True`` the result's ``sim.trace`` carries the per-rank
     event timeline (rendered by :func:`repro.obs.export.chrome_trace`).
 
-    A prebuilt *plan* (for this *sym* and *n_ranks*) skips plan
-    construction — the plan is purely structural, so serving layers reuse
-    it across numeric re-factorizations of the same pattern.
+    A prebuilt *plan* (for this *sym* and *n_ranks*, and *options* when
+    given) skips plan construction — the plan is purely structural, so
+    serving layers reuse it across numeric re-factorizations of the same
+    pattern.
     """
     perturb_abs = pivot_threshold(sym, method, pivot_perturbation)
     if plan is None:
         plan = build_plan(sym, n_ranks, options)
-    elif plan.sym is not sym or plan.n_ranks != n_ranks:
-        raise ShapeError(
-            "prebuilt plan does not match this symbolic factor / rank count"
-        )
+    elif plan.sym is not sym or plan.n_ranks != n_ranks or options not in (None, plan.opts):
+        raise ShapeError("prebuilt plan does not match this symbolic factor / rank count / options")
     program = make_factor_program(plan, method, perturb_abs)
     with span("parallel.factor_sim", ranks=n_ranks, machine=machine.name):
         sim = Simulator(
@@ -226,8 +225,9 @@ def simulate_solve(
 
     *b* may be a single right-hand side of shape ``(n,)`` or a block of
     right-hand sides of shape ``(n, k)`` — the distributed sweeps then run
-    blocked (dgemm instead of dgemv panels), amortizing the latency-bound
-    message pattern over k vectors the way production solvers do.
+    blocked, amortizing the latency-bound message pattern over k vectors
+    the way production solvers do. Each column of ``x`` is bitwise the
+    solve of that column alone (see :mod:`repro.parallel.solve_par`).
     """
     b = as_float_array(b, "b")
     sym = factor.plan.sym

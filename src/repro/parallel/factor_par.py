@@ -3,9 +3,10 @@
 Each rank walks the supernodes it participates in, in ascending (postorder)
 order:
 
-* **sequential supernodes** (group of one): assemble, extend-add local and
-  remote child contributions, dense partial factorization — charged as one
-  compute region;
+* **sequential supernodes** (group of one): the host's front step of
+  :mod:`repro.mf.numeric` — assemble from A, extend-add the local and
+  remote child contributions, eliminate — charged as one compute region,
+  so such a front holds exactly the host factor's bits;
 * **distributed supernodes**: 2D block-cyclic blocked right-looking partial
   factorization with pipelined panel broadcasts along grid rows/columns
   (ScaLAPACK-style; 1D degenerates to the MUMPS-like fan-out), then the
@@ -30,8 +31,7 @@ import numpy as np
 from repro.dense.chol import _trsm_right_lower_transpose
 from repro.dense.partial_factor import _trsm_right_unit_lower_transpose
 from repro.dense.trsm import solve_unit_lower_inplace
-from repro.mf.frontal import assemble_front, assemble_full_front
-from repro.mf.numeric import partial_factor
+from repro.mf.numeric import assemble_from_a, eliminate_front, partial_factor
 from repro.parallel.dist_front import (
     Blocks,
     LocalFront,
@@ -112,22 +112,23 @@ def make_factor_program(
 
 
 def _seq_step(plan, s, me, method, perturb_abs, data, updates):
+    """The host's front step (:func:`repro.mf.numeric.assemble_from_a`,
+    then :func:`repro.mf.numeric.eliminate_front`) around the rank
+    program's extend-add, charged as one compute region."""
     d = plan.dist[s]
     m = d.m
     w = d.width
     lu = method == "lu"
     triangle = "full" if lu else "lower"
-    sym = plan.sym
-    if lu:
-        front = assemble_full_front(sym.front_plan, s, sym.permuted_full.data)
-    else:
-        front = assemble_front(sym, s)
+    front = assemble_from_a(plan.sym, s, method)
     live_delta = m * m
 
     freed = yield from receive_updates(plan, s, me, seq_blocks(front), updates, triangle)
     live_delta -= freed
 
-    dvals, flops = partial_factor(front, w, method, perturb_abs, d.c0, data.perturbed)
+    panel, dvals, u12, update, flops = eliminate_front(
+        plan.sym, s, front, method, perturb_abs, data.perturbed
+    )
     if dvals is not None:
         data.seq_diag[s] = dvals
     # memory traffic: the whole square for LU, the touched lower part else
@@ -135,15 +136,14 @@ def _seq_step(plan, s, me, method, perturb_abs, data, updates):
     yield Compute(flops=flops, front_order=m, mem_bytes=8.0 * mem)
     data.flops += flops
 
-    panel = front[:, :w].copy()
     data.seq_panels[s] = panel
     data.factor_entries += panel.size
-    if lu:
-        u12 = data.seq_u12[s] = front[:w, w:].copy()
+    if u12 is not None:
+        data.seq_u12[s] = u12
         data.factor_entries += u12.size
-    if m > w:
-        updates[s] = seq_blocks(front[w:, w:].copy())
-        live_delta += (m - w) ** 2
+    if update is not None:
+        updates[s] = seq_blocks(update)
+        live_delta += update.size
         yield from send_update(plan, s, me, updates[s], triangle)
     live_delta -= m * m  # front released (panel accounted in factor entries)
     return live_delta

@@ -162,24 +162,8 @@ class FactorPlan:
 
     # -- queries -----------------------------------------------------------
 
-    def is_seq(self, s: int) -> bool:
-        return self.dist[s].is_seq
-
     def supernodes_for_rank(self, rank: int) -> list[int]:
         return self.mapping.supernodes_for_rank(rank)
-
-    def update_holders(self, s: int) -> tuple[int, ...]:
-        """Ranks that hold pieces of supernode *s*'s update matrix after it
-        is factored (senders of the extend-add into the parent)."""
-        d = self.dist[s]
-        if d.is_seq:
-            return d.group
-        # Owners of update-region blocks (bi, bj >= npb, bi >= bj).
-        owners = set()
-        for bi in range(d.npb, d.nblocks):
-            for bj in range(d.npb, bi + 1):
-                owners.add(d.grid.owner(bi, bj))
-        return tuple(sorted(owners))
 
     def schedule(self, c: int) -> ChildSchedule:
         """Compiled routes of child *c*'s update and rhs segments into its
@@ -209,45 +193,3 @@ class FactorPlan:
             row, col = np.divmod(pos, fp.order[s])
             smap = self._scatter[s, triangle] = ScatterMap(self.dist[s], src, row, col)
         return smap
-
-    def parent_positions(self, c: int) -> np.ndarray:
-        """Front-local positions in the parent of child *c*'s update rows."""
-        if self.sym.sn_parent[c] < 0:
-            raise ShapeError(f"supernode {c} has no parent")
-        return self.sym.front_plan.rel[c]
-
-    def ea_runs(self, c: int) -> np.ndarray:
-        """Runs of constant (child block, parent block) over child *c*'s
-        update indices: rows (i_start, i_end, child_block, parent_block).
-
-        child_block / parent_block is -1 for a sequential supernode.
-        """
-        return self.schedule(c).runs
-
-    def ea_pairs(self, c: int, triangle: str = "lower") -> set[tuple[int, int]]:
-        """Exact nonempty (sender, dest) global-rank pairs of the
-        extend-add of child *c* into its parent."""
-        return self.schedule(c).ea(triangle).pairs()
-
-    def ea_senders_to(self, c: int, dest: int) -> list[int]:
-        """Sorted senders with a nonempty transfer of child *c* to *dest*."""
-        return sorted(s for s, d in self.ea_pairs(c) if d == dest)
-
-    def ea_dests_from(self, c: int, sender: int) -> list[int]:
-        """Sorted destinations of child *c*'s data held by *sender*."""
-        return sorted(d for s, d in self.ea_pairs(c) if s == sender)
-
-    # -- reporting ---------------------------------------------------------
-
-    def describe(self) -> dict:
-        """Summary numbers for reports and tests."""
-        n_dist = len(self.mapping.dist_supernodes)
-        return {
-            "n_ranks": self.n_ranks,
-            "policy": self.opts.policy,
-            "nb": self.opts.nb,
-            "n_supernodes": self.sym.n_supernodes,
-            "n_distributed": n_dist,
-            "n_sequential": self.sym.n_supernodes - n_dist,
-            "max_group": max((len(g) for g in self.mapping.sn_ranks), default=0),
-        }

@@ -4,10 +4,18 @@ The solve mirrors the multifrontal structure: right-hand-side "update
 vectors" flow up the assembly tree during the forward sweep (fan-in) and
 solution values flow back down during the backward sweep (fan-out).
 
+A sequential supernode runs the host's per-front kernels
+(:func:`repro.mf.solve_phase.forward_kernel` / ``backward_kernel``).
 Distributed supernodes operate on the solve-ready row-block layout produced
 at factorization time: row block ``bi`` of a front lives on
 ``group[bi % g]``. Pivot solves proceed block-by-block with the computed
-segment broadcast to the group; update rows are then purely local dgemvs.
+segment broadcast to the group; update rows are then purely local products,
+each the host's stacked gemv (:func:`repro.mf.solve_phase.gemv_columns`).
+
+So each column of a k-column solve is bitwise the solve of that column
+alone, at every rank count: the gemvs, the triangular kernels and the
+fan-in sums are all per column. The fan-in sums children's updates before
+subtracting them, unlike the host sweep, so ``x`` is not the host's bits.
 
 The solve performs ~2 flops per factor entry — far lower arithmetic
 intensity than factorization — so its simulated scaling rolls off earlier,
@@ -18,12 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.dense.trsm import (
-    solve_lower_inplace,
-    solve_lower_transpose_inplace,
-    solve_unit_lower_inplace,
-    solve_unit_lower_transpose_inplace,
-)
+from repro.mf.solve_phase import backward_kernel, forward_kernel, gemv_columns
 from repro.parallel.factor_par import RankFactorData
 from repro.parallel.plan import FactorPlan, SupernodeDist
 from repro.parallel.schedule import SEQ
@@ -141,8 +144,6 @@ def make_solve_program(plan: FactorPlan, datas: list[RankFactorData], bp: np.nda
     sym = plan.sym
     nb = plan.opts.nb
     lu = method == "lu"
-    #: LDLᵀ and LU have a unit-lower L
-    unit = method != "cholesky"
 
     def program(comm: Comm):
         me = comm.world_rank
@@ -172,17 +173,12 @@ def make_solve_program(plan: FactorPlan, datas: list[RankFactorData], bp: np.nda
         f = np.zeros((m,) + tail)
         f[:w] = bp[rows[:w]]
         yield from recv_up(plan, s, me, {SEQ: f}, u, "su")
-        panel = data.seq_panels[s]
-        piv = f[:w]
-        if unit:
-            solve_unit_lower_inplace(panel[:w, :], piv)
-        else:
-            solve_lower_inplace(panel[:w, :], piv)
-        y[s] = piv
+        upd = forward_kernel(data.seq_panels[s], method, f[:w])
+        y[s] = f[:w]
         fl = float(w * w + 2 * (m - w) * w)
         yield Compute(flops=fl, front_order=max(w, 8))
-        if m > w:
-            u[s] = {SEQ: f[w:] - panel[w:, :] @ piv}
+        if upd is not None:
+            u[s] = {SEQ: f[w:] - upd}
             yield from send_up(plan, s, me, u[s], "su")
         return fl
 
@@ -211,12 +207,9 @@ def make_solve_program(plan: FactorPlan, datas: list[RankFactorData], bp: np.nda
                 rowsk = panels[k]  # (r1-r0, w)
                 seg = f[k]
                 if k > 0:
-                    seg = seg - rowsk[:, :r0] @ x_piv_full[:r0]
-                diag = rowsk[:, r0:r1]
-                if unit:
-                    solve_unit_lower_inplace(diag, seg)
-                else:
-                    solve_lower_inplace(diag, seg)
+                    seg = seg - gemv_columns(rowsk[:, :r0], x_piv_full[:r0])
+                # a pivot block is the panel of a front with no update rows
+                forward_kernel(rowsk[:, r0:r1], method, seg)
                 fl += (r1 - r0) * (r0 + r1)
                 payload = seg
             else:
@@ -230,7 +223,7 @@ def make_solve_program(plan: FactorPlan, datas: list[RankFactorData], bp: np.nda
         for bi in my_blocks:
             if bi < d.npb:
                 continue
-            f[bi] = f[bi] - panels[bi] @ x_piv_full
+            f[bi] = f[bi] - gemv_columns(panels[bi], x_piv_full)
             ufl += 2.0 * panels[bi].shape[0] * d.width
         if ufl:
             yield Compute(flops=ufl, front_order=nb)
@@ -243,20 +236,13 @@ def make_solve_program(plan: FactorPlan, datas: list[RankFactorData], bp: np.nda
         d = plan.dist[s]
         rows = sym.sn_rows[s]
         m, w = rows.size, d.width
-        panel = data.seq_panels[s]
         rhs = y[s].copy()
         if method == "ldlt":
             rhs /= data.seq_diag[s].reshape((-1,) + (1,) * len(tail))
         xu = np.zeros((m - w,) + tail)
         yield from recv_down(plan, s, me, {SEQ: xu}, x, "sd")
         fl = float(w * w + 2 * (m - w) * w)
-        if m > w:
-            rhs -= (data.seq_u12[s] if lu else panel[w:, :].T) @ xu
-        if method == "ldlt":
-            solve_unit_lower_transpose_inplace(panel[:w, :], rhs)
-        else:
-            # LU: U11 is the upper triangle of the pivot block
-            solve_lower_transpose_inplace(panel[:w, :].T if lu else panel[:w, :], rhs)
+        backward_kernel(data.seq_panels[s], data.seq_u12.get(s), method, rhs, xu)
         pieces.append((rows[:w], rhs))
         x[s] = {SEQ: np.concatenate((rhs, xu))}
         yield Compute(flops=fl, front_order=max(w, 8))
@@ -284,7 +270,7 @@ def make_solve_program(plan: FactorPlan, datas: list[RankFactorData], bp: np.nda
         z = np.zeros((d.width,) + tail)
         fl = 0.0
         for bi in xseg:
-            z += panels[bi].T @ xseg[bi]
+            z += gemv_columns(panels[bi].T, xseg[bi])
             fl += 2.0 * panels[bi].shape[0] * d.width
         if g > 1:
             z = yield from sub.allreduce(z)
@@ -313,17 +299,13 @@ def make_solve_program(plan: FactorPlan, datas: list[RankFactorData], bp: np.nda
                     vals = yield Recv(d.row_owner(j), ("bcorr", s, j, k))
                     rhs -= vals
             rowsk = panels[k]
-            diag = rowsk[:, r0:r1]
-            if method == "ldlt":
-                solve_unit_lower_transpose_inplace(diag, rhs)
-            else:
-                solve_lower_transpose_inplace(diag, rhs)
+            backward_kernel(rowsk[:, r0:r1], None, method, rhs, None)
             x_piv_full[r0:r1] = rhs
             pieces.append((rows[r0:r1], rhs))
             # Send corrections to earlier pivot owners.
             for kk in range(k):
                 rr0, rr1 = d.block_range(kk)
-                contrib = rowsk[:, rr0:rr1].T @ rhs
+                contrib = gemv_columns(rowsk[:, rr0:rr1].T, rhs)
                 tgt = d.row_owner(kk)
                 if tgt == me:
                     if kk in corrections:
@@ -374,10 +356,10 @@ def make_solve_program(plan: FactorPlan, datas: list[RankFactorData], bp: np.nda
                 rowsk = panels[k]
                 payload = y[s][r0:r1].copy()
                 if r1 < d.width:
-                    payload -= rowsk[:, r1: d.width] @ x_piv_full[r1:]
+                    payload -= gemv_columns(rowsk[:, r1: d.width], x_piv_full[r1:])
                 if mu:
-                    payload -= rowsk[:, d.width:] @ xu_full
-                solve_lower_transpose_inplace(rowsk[:, r0:r1].T, payload)
+                    payload -= gemv_columns(rowsk[:, d.width:], xu_full)
+                backward_kernel(rowsk[:, r0:r1], None, method, payload, None)
                 fl += (r1 - r0) * (d.m - r0)
             x_piv_full[r0:r1] = seg = yield from sub.bcast(payload, root=k % g)
             if d.row_owner(k) == me:

@@ -92,6 +92,8 @@ class Simulator:
     ) -> None:
         if n_ranks < 1:
             raise SimulationError("n_ranks must be >= 1")
+        if threads_per_rank < 1:
+            raise SimulationError("threads_per_rank must be >= 1")
         self.machine = machine
         self.n_ranks = int(n_ranks)
         self.threads = int(threads_per_rank)

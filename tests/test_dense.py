@@ -11,15 +11,15 @@ from repro.dense import (
     ldlt,
     ldlt_in_place,
     solve_lower_inplace,
-    solve_lower_transpose_inplace,
+    solve_lower_transpose_outer_inplace,
     solve_unit_lower_inplace,
+    solve_unit_lower_transpose_outer_inplace,
     syrk_lower_update,
     partial_cholesky,
     partial_ldlt,
 )
 from repro.dense.chol import LAPACK_MIN_PIVOTS, _trsm_right_lower_transpose
 from repro.dense.partial_factor import _trsm_right_unit_lower_transpose
-from repro.dense.trsm import solve_unit_lower_transpose_inplace
 from repro.dense.syrk import syrk_lower_update_scaled
 from repro.util.errors import NotPositiveDefiniteError, ShapeError, SingularMatrixError
 
@@ -157,7 +157,7 @@ class TestTrsm:
         l = np.tril(rng.standard_normal((8, 8))) + 4 * np.eye(8)
         b = rng.standard_normal(8) if nrhs is None else rng.standard_normal((8, nrhs))
         x = b.copy()
-        solve_lower_transpose_inplace(l, x)
+        solve_lower_transpose_outer_inplace(l, x)
         np.testing.assert_allclose(l.T @ x, b, rtol=1e-10, atol=1e-10)
 
     def test_unit_forward(self, rng):
@@ -171,7 +171,7 @@ class TestTrsm:
         l = np.tril(rng.standard_normal((7, 7)), -1) + np.eye(7)
         b = rng.standard_normal(7)
         x = b.copy()
-        solve_unit_lower_transpose_inplace(l, x)
+        solve_unit_lower_transpose_outer_inplace(l, x)
         np.testing.assert_allclose(l.T @ x, b, rtol=1e-10, atol=1e-10)
 
     def test_unit_ignores_diagonal_values(self, rng):

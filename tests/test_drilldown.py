@@ -66,8 +66,7 @@ class TestPlanInternals:
             if plan.sym.sn_parent[c] >= 0
         ]
         c = children[0]
-        assert plan.ea_runs(c) is plan.ea_runs(c)
-        assert plan.parent_positions(c) is plan.parent_positions(c)
+        assert plan.schedule(c).runs is plan.schedule(c).runs
 
     def test_block_of_boundaries(self, plan):
         for s in plan.mapping.dist_supernodes:
@@ -87,7 +86,7 @@ class TestPlanInternals:
 
         roots = plan.sym.roots()
         with pytest.raises(ShapeError):
-            plan.parent_positions(roots[-1])
+            plan.schedule(roots[-1])
 
 
 class TestSparseEdges:

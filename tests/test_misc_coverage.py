@@ -5,11 +5,6 @@ import pytest
 from repro.machine import BLUEGENE_P, GENERIC_CLUSTER, MachineModel, Torus3D
 from repro.mf.accounting import FactorStats
 from repro.parallel import hybrid_configurations
-from repro.parallel.plan import FactorPlan, PlanOptions
-from repro.gen import grid2d_laplacian
-from repro.graph import AdjacencyGraph
-from repro.ordering import nested_dissection_order
-from repro.symbolic import analyze
 from repro.util.errors import ShapeError
 from repro.util.tables import format_si
 
@@ -67,18 +62,6 @@ class TestTorusEdges:
         # 7 ranks folds into 7x1x1; max wraparound distance is 3.
         assert t.hops(0, 3, 7) == 3
         assert t.hops(0, 4, 7) == 3
-
-
-class TestPlanDescribe:
-    def test_fields(self):
-        lower = grid2d_laplacian(6)
-        g = AdjacencyGraph.from_symmetric_lower(lower)
-        sym = analyze(lower, nested_dissection_order(g))
-        plan = FactorPlan(sym, 4, PlanOptions(nb=8))
-        d = plan.describe()
-        assert d["n_ranks"] == 4
-        assert d["n_distributed"] + d["n_sequential"] == d["n_supernodes"]
-        assert 1 <= d["max_group"] <= 4
 
 
 class TestMachineCompare:

@@ -124,3 +124,18 @@ class TestDistributionEdges:
             np.testing.assert_allclose(
                 res.to_dense_l(), seq.to_dense_l(), rtol=1e-9, atol=1e-9
             )
+
+
+class TestBadArguments:
+    @pytest.mark.parametrize("threads", [0, -2])
+    def test_threads_per_rank_below_one_rejected_up_front(self, threads):
+        from repro.core import ParallelConfig, SparseSolver
+        from repro.util.errors import SimulationError
+
+        lower, sym = analyzed_dense(8)
+        with pytest.raises(SimulationError, match="threads_per_rank"):
+            simulate_factorization(sym, 4, GENERIC_CLUSTER, threads_per_rank=threads)
+        solver = SparseSolver(grid2d_laplacian(4))
+        solver.analyze()
+        with pytest.raises(SimulationError, match="threads_per_rank"):
+            solver.simulate(ParallelConfig(n_ranks=4, threads_per_rank=threads))

@@ -173,9 +173,8 @@ class TestPlan:
     @pytest.mark.parametrize("policy", ["2d", "1d", "static"])
     def test_policies_build(self, sym3d, policy):
         plan = FactorPlan(sym3d, 4, PlanOptions(nb=16, policy=policy))
-        desc = plan.describe()
-        assert desc["policy"] == policy
-        assert desc["n_supernodes"] == sym3d.n_supernodes
+        assert plan.opts.policy == policy
+        assert len(plan.dist) == sym3d.n_supernodes
 
     def test_1d_grids_are_columns(self, sym3d):
         plan = FactorPlan(sym3d, 4, PlanOptions(nb=16, policy="1d"))
@@ -195,11 +194,12 @@ class TestPlan:
         for c in range(sym3d.n_supernodes):
             if sym3d.sn_parent[c] < 0:
                 continue
-            pairs = plan.ea_pairs(c)
+            routes = plan.schedule(c).ea("lower")
+            pairs = routes.pairs()
             assert pairs, f"child {c} has no transfer pairs"
             for sender, dest in pairs:
-                assert plan.ea_dests_from(c, sender)
-                assert sender in plan.ea_senders_to(c, dest)
+                assert dest in [g[1] for g in routes.sending(sender)]
+                assert sender in [g[0] for g in routes.receiving(dest)]
             checked += 1
         assert checked > 0
 
@@ -209,7 +209,7 @@ class TestPlan:
             if sym3d.sn_parent[c] < 0:
                 continue
             mu = sym3d.front_size(c) - sym3d.supernode_width(c)
-            runs = plan.ea_runs(c)
+            runs = plan.schedule(c).runs
             assert runs[0][0] == 0
             assert runs[-1][1] == mu
             for (a0, a1, _, _), (b0, _, _, _) in zip(runs, runs[1:]):
@@ -221,6 +221,8 @@ class TestPlan:
 
     def test_update_holders_subset_of_group(self, sym3d):
         plan = FactorPlan(sym3d, 8, PlanOptions(nb=16))
-        for s in range(sym3d.n_supernodes):
-            holders = plan.update_holders(s)
-            assert set(holders) <= set(plan.mapping.sn_ranks[s])
+        for c in range(sym3d.n_supernodes):
+            if sym3d.sn_parent[c] < 0:
+                continue
+            senders = {sender for sender, _ in plan.schedule(c).ea("lower").pairs()}
+            assert senders <= set(plan.mapping.sn_ranks[c])

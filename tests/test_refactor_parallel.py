@@ -107,6 +107,24 @@ class TestParallelRefactorMultiRHS:
                 plan=plan_wrong_p,
             )
 
+    def test_plan_with_other_options_rejected(self, solver):
+        """A prebuilt plan is not silently run at its own options when the
+        caller asks for others; ``options=None`` takes the plan's."""
+        plan = FactorPlan(solver.sym, 4, PlanOptions(nb=48))
+        with pytest.raises(ShapeError, match="options"):
+            simulate_factorization(
+                solver.sym, 4, GENERIC_CLUSTER, PlanOptions(nb=8), plan=plan
+            )
+        with pytest.raises(ShapeError, match="options"):
+            simulate_factorization(
+                solver.sym, 4, GENERIC_CLUSTER, PlanOptions(nb=48, policy="1d"), plan=plan
+            )
+        same = simulate_factorization(
+            solver.sym, 4, GENERIC_CLUSTER, PlanOptions(nb=48), plan=plan
+        )
+        assert same.plan is plan
+        assert simulate_factorization(solver.sym, 4, GENERIC_CLUSTER, plan=plan).plan is plan
+
     def test_full_symmetric_refactor_parallel_ldlt(self):
         """Full-symmetric refactor input + LDLT on the parallel engine."""
         lower = grid2d_laplacian(6)

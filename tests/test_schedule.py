@@ -107,10 +107,11 @@ def ref_solve_pairs(plan, c):
 @given(plans)
 def test_pair_sets_match_brute_force(plan):
     for c in children(plan):
-        assert [tuple(r) for r in plan.ea_runs(c).tolist()] == ref_runs(plan, c)
-        assert plan.ea_pairs(c) == ref_ea_pairs(plan, c, full=False)
-        assert plan.ea_pairs(c, "full") == ref_ea_pairs(plan, c, full=True)
-        assert plan.schedule(c).solve.pairs() == ref_solve_pairs(plan, c)
+        sched = plan.schedule(c)
+        assert [tuple(r) for r in sched.runs.tolist()] == ref_runs(plan, c)
+        assert sched.ea("lower").pairs() == ref_ea_pairs(plan, c, full=False)
+        assert sched.ea("full").pairs() == ref_ea_pairs(plan, c, full=True)
+        assert sched.solve.pairs() == ref_solve_pairs(plan, c)
 
 
 def front_rows(d, block, sel):
@@ -128,7 +129,7 @@ def test_rectangles_tile_the_update_exactly_once(plan, triangle):
         dc, dp = plan.dist[c], plan.dist[sched.parent]
         wc = dc.width
         mu = dc.m - wc
-        pa = plan.parent_positions(c)
+        pa = sym.front_plan.rel[c]
         (cb, crows), (pb, prows) = sched.child_side, sched.parent_side
         covered = np.zeros((mu, mu), dtype=int)
         routes = sched.ea(triangle)

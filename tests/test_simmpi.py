@@ -132,6 +132,11 @@ class TestPointToPoint:
         with pytest.raises(SimulationError):
             run(prog, p=2)
 
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_threads_per_rank_below_one_rejected(self, threads):
+        with pytest.raises(SimulationError, match="threads_per_rank"):
+            Simulator(machine(), 4, threads_per_rank=threads)
+
 
 class TestLiveCommChecks:
     """The scheduler is the one verifier of simulated communication."""
