@@ -7,9 +7,9 @@ panel and the Schur complement for the parent. Cholesky, LDLᵀ and
 static-pivoting LU are three kernels of this one step; an LU front is the
 full square instead of its lower triangle.
 
-The step has two callers. :func:`factor_front` is the host's: its
-extend-add reads the children's update slots, and it runs in postorder on
-the calling thread (supernodes are numbered postorder by construction), or
+The step has two callers. :func:`multifrontal_factor`'s extend-add reads
+the children's update slots, and it runs the step in postorder on the
+calling thread (supernodes are numbered postorder by construction), or
 over the assembly-tree task graph on a :class:`~repro.exec.pool.TaskPool`
 of worker threads. The heavy per-front work happens inside numpy kernels
 that release the GIL, so independent subtrees factor concurrently. The
@@ -175,7 +175,10 @@ def assemble_from_a(
 ) -> np.ndarray:
     """The front of supernode *s* holding its entries of A and nothing
     else: the first half of the front step, before the extend-add. An LU
-    front is the full m×m square, a symmetric one its lower triangle."""
+    front is the full m×m square, a symmetric one its lower triangle.
+    *dtype* is the front's working dtype (fp32 for mixed-precision fronts):
+    A's entries are rounded once here, and every later operation on the
+    front runs in it."""
     if method == "lu":
         return assemble_full_front(sym.front_plan, s, sym.permuted_full.data, dtype=dtype)
     return assemble_front(sym, s, dtype=dtype)
@@ -217,35 +220,6 @@ def eliminate_front(
     block = front[:, :w].copy()
     update = front[w:, w:].copy() if m > w else None
     return block, d, u12, update, front_flops
-
-
-def factor_front(
-    sym: SymbolicFactor,
-    s: int,
-    method: str,
-    perturb_abs: float | None,
-    child_updates,
-    perturbed: list[int],
-    rec: SpanRecorder | None,
-    dtype: np.dtype = VALUE_DTYPE,
-) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None, np.ndarray | None, int]:
-    """The front step of supernode *s*: :func:`assemble_from_a`, the
-    extend-add of *child_updates*, :func:`eliminate_front` (whose
-    arguments and result it shares). Where entries land comes from
-    ``sym.front_plan``; nothing is looked up here.
-
-    *child_updates* are the children's update matrices in ascending child
-    order (the order of ``sym.sn_children[s]``). It may be a generator, so
-    that each child's update can be released as soon as it has been added.
-    *dtype* is the working dtype of the front (fp32 for mixed-precision
-    fronts): input entries are rounded once at assembly, and every later
-    operation runs in it.
-    """
-    front = assemble_from_a(sym, s, method, dtype)
-    rel = sym.front_plan.rel
-    for c, upd in zip(sym.sn_children[s], child_updates, strict=True):
-        extend_add(front, upd, rel[c], lower=method != "lu")
-    return eliminate_front(sym, s, front, method, perturb_abs, perturbed, rec)
 
 
 def multifrontal_factor(
@@ -308,18 +282,17 @@ def multifrontal_factor(
     # disabled path makes no per-front call.
     rec = current_recorder()
 
-    def child_updates(s: int):
-        """The children's updates in ascending child order, each slot
-        cleared as it is taken, so an update dies once it is added."""
-        for c in sym.sn_children[s]:
-            upd = updates[c]
-            updates[c] = None
-            yield upd
-
     def step(s: int) -> None:
+        """The front step of supernode *s*: its front from A, the
+        children's updates added in ascending child order (each slot
+        cleared once added, so the update dies), the elimination."""
+        front = assemble_from_a(sym, s, method, wdtype)
+        for c in sym.sn_children[s]:
+            extend_add(front, updates[c], plan.rel[c], lower=not lu)
+            updates[c] = None
         cols: list[int] = []
-        blocks[s], d, u12[s], update, flops[s] = factor_front(
-            sym, s, method, perturb_abs, child_updates(s), cols, rec, dtype=wdtype
+        blocks[s], d, u12[s], update, flops[s] = eliminate_front(
+            sym, s, front, method, perturb_abs, cols, rec
         )
         if cols:
             perturbed[s] = cols
