@@ -15,7 +15,8 @@ of worker threads. The heavy per-front work happens inside numpy kernels
 that release the GIL, so independent subtrees factor concurrently. The
 simulator's sequential fronts (:mod:`repro.parallel.factor_par`) call the
 same two halves with the rank program's extend-add between them, so a
-front a simulated rank factors alone holds the host's bits.
+front a simulated rank factors alone holds the host's bits (the
+unspecified strict upper triangle of a symmetric pivot block aside).
 
 Bitwise contract
 ----------------

@@ -6,7 +6,8 @@ order:
 * **sequential supernodes** (group of one): the host's front step of
   :mod:`repro.mf.numeric` — assemble from A, extend-add the local and
   remote child contributions, eliminate — charged as one compute region,
-  so such a front holds exactly the host factor's bits;
+  so such a front holds the host factor's bits (the unspecified strict
+  upper triangle of a symmetric pivot block aside);
 * **distributed supernodes**: 2D block-cyclic blocked right-looking partial
   factorization with pipelined panel broadcasts along grid rows/columns
   (ScaLAPACK-style; 1D degenerates to the MUMPS-like fan-out), then the
