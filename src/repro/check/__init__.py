@@ -12,9 +12,10 @@ One CLI (``python -m repro.cli check``) over these passes:
 * :mod:`repro.check.sanitize` — debug-mode invariant checks (CSR/CSC
   well-formedness, permutation validity, etree acyclicity/postorder,
   supernode coverage, front-plan and LU assembly tables) hooked into hot
-  paths behind ``REPRO_CHECK=1``;
-* :mod:`repro.check.selftest` — embedded known-bad fixtures proving every
-  checker still fires (the CI gate).
+  paths behind ``REPRO_CHECK=1``.
+
+``tests/test_check.py`` seeds one violation per lint rule and proves each
+checker still fires.
 
 Simulated communication is verified live by the simmpi scheduler
 (:mod:`repro.simmpi.scheduler`): deadlock cycles always, same-key races,
@@ -34,7 +35,7 @@ from __future__ import annotations
 import importlib
 from typing import Any
 
-__all__ = ["lint", "schedfuzz", "sanitize", "selftest"]
+__all__ = ["lint", "schedfuzz", "sanitize"]
 
 _SUBMODULES = frozenset(__all__)
 

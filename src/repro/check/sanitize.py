@@ -53,7 +53,7 @@ enabled = runtime_checks_enabled
 @contextmanager
 def sanitized(on: bool = True) -> Iterator[None]:
     """Context manager forcing the sanitizer switch on (or off) within a
-    block; restores the previous state on exit. Test/self-test helper."""
+    block; restores the previous state on exit. Test helper."""
     previous = set_runtime_checks(on)
     try:
         yield

@@ -11,8 +11,7 @@ Subcommands mirror the workflow of the library:
   serving layer (``repro.service``) and print its metrics report;
 * ``check``    — correctness tooling (``repro.check``): project lint,
   comm-trace race/deadlock analysis, happens-before race checking and
-  seeded schedule fuzzing of the threaded backend, and the checker
-  self-test;
+  seeded schedule fuzzing of the threaded backend;
 * ``obs``      — observability run (``repro.obs``): solve + simulate one
   problem under span recording, print phase/metrics/hot-front reports,
   and export a merged Chrome trace (``--trace-out``).
@@ -334,9 +333,11 @@ def cmd_check(args) -> int:
     communication has no mode here: the simulator checks it live (run
     ``scale`` with ``REPRO_CHECK=1``).
     """
-    from repro.check import lint, selftest
+    from repro.check import lint
 
-    do_lint = args.lint or not (args.self_test or args.sched_fuzz)
+    if args.sched_fuzz is not None and args.sched_fuzz < 1:
+        raise ShapeError(f"--sched-fuzz must be a positive integer; got {args.sched_fuzz}")
+    do_lint = args.lint or not args.sched_fuzz
     failed = False
     fuzz_workers = tuple(_parse_ranks(args.fuzz_workers, "--fuzz-workers"))
 
@@ -373,15 +374,6 @@ def cmd_check(args) -> int:
                 f"over {args.sched_fuzz} seed(s) x workers "
                 f"{list(fuzz_workers)}: all bitwise-identical"
             )
-
-    if args.self_test:
-        results = selftest.run_self_test()
-        n_bad = sum(1 for r in results if not r.passed)
-        print(f"self-test: {len(results)} case(s), {n_bad} failure(s)")
-        for r in results:
-            if not r.passed or args.verbose:
-                print(r.format())
-        failed |= bool(n_bad)
 
     return 1 if failed else 0
 
@@ -597,7 +589,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "check",
-        help="static analysis, schedule fuzzing, and checker self-test",
+        help="static analysis and schedule fuzzing",
     )
     p.add_argument(
         "paths",
@@ -618,12 +610,6 @@ def make_parser() -> argparse.ArgumentParser:
         metavar="W1,W2,...",
         help="worker counts the schedule fuzzer cycles through (default 2,4)",
     )
-    p.add_argument(
-        "--self-test",
-        action="store_true",
-        help="verify every checker fires on embedded known-bad fixtures",
-    )
-    p.add_argument("--verbose", action="store_true")
     p.add_argument("--method", default="cholesky", choices=["cholesky", "ldlt"])
     p.add_argument("--ordering", default="nd")
     p.set_defaults(func=cmd_check)

@@ -261,9 +261,11 @@ class ServiceConfig:
 class SolverService:
     """Solver-as-a-service: submit/drain with analysis reuse and batching.
 
-    The config is checked here, before any job is accepted: a worker or
-    batch size below one raises :class:`~repro.util.errors.ShapeError`, an
-    unknown ordering name :class:`~repro.util.errors.OrderingError`.
+    The config is checked here, before any job is accepted: a worker,
+    batch, cache, queue or quota size below one, a negative retry count or
+    backoff, or an unknown precision raises
+    :class:`~repro.util.errors.ShapeError`; an unknown ordering name
+    :class:`~repro.util.errors.OrderingError`.
     """
 
     def __init__(
@@ -273,10 +275,16 @@ class SolverService:
         sleep=time.sleep,
     ):
         self.config = config = config or ServiceConfig()
-        if config.fleet_workers < 1:
-            raise ShapeError(f"fleet_workers must be >= 1; got {config.fleet_workers}")
-        if config.max_batch_rhs < 1:
-            raise ShapeError(f"max_batch_rhs must be >= 1; got {config.max_batch_rhs}")
+        for name, floor in (
+            ("fleet_workers", 1), ("max_batch_rhs", 1), ("cache_capacity", 1),
+            ("max_pending", 1), ("tenant_quota", 1), ("max_retries", 0),
+        ):
+            value = getattr(config, name)
+            if value is not None and value < floor:
+                raise ShapeError(f"{name} must be >= {floor}; got {value}")
+        if not config.retry_backoff >= 0:  # NaN fails too
+            raise ShapeError(f"retry_backoff must be >= 0; got {config.retry_backoff}")
+        work_dtype(config.precision)  # an unknown name raises ShapeError
         get_ordering(config.ordering)  # an unknown name raises OrderingError
         self.metrics = MetricsRegistry()
         self.cache = ShardedAnalysisCache(config.cache_capacity, shards=config.shards)

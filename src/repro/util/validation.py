@@ -70,8 +70,8 @@ def runtime_checks_enabled() -> bool:
 def set_runtime_checks(enabled: bool) -> bool:
     """Force the runtime-check switch; returns the previous value.
 
-    Tests and the self-test harness use this to exercise sanitizer hooks
-    without re-importing under a different environment.
+    Tests use this to exercise sanitizer hooks without re-importing under
+    a different environment.
     """
     global _runtime_checks
     previous = _runtime_checks

@@ -1,11 +1,11 @@
-"""Tests for repro.check: the lint rules, the debug-mode invariant
-sanitizer, the self-test, and the scheduler's teardown checks."""
+"""Tests for repro.check: the lint rules (with one seeded violation per
+rule), the debug-mode invariant sanitizer, and the scheduler's teardown
+checks."""
 
 import numpy as np
 import pytest
 
 from repro.check import lint, sanitize
-from repro.check.selftest import run_self_test
 from repro.cli import main as cli_main
 from repro.gen import convection_diffusion2d, grid2d_laplacian
 from repro.graph import AdjacencyGraph
@@ -28,6 +28,95 @@ def analyzed_grid(n=6):
 
 # -- lint --------------------------------------------------------------------
 
+_THREADING_LOCK = "import threading\n\n\ndef f():\n    return threading.Lock()\n"
+_PRINT_CLOCK = (  # one line violating RP004 and RP007, under a noqa list
+    "from time import perf_counter\n\n\n"
+    "def f(x):\n    print(x, perf_counter())  # repro: noqa[{}]\n"
+)
+
+#: id -> (rule, module, path, source, expected count of that rule's findings);
+#: every rule in lint.DEFAULT_RULES needs a row with a count of at least one
+SEEDED = {
+    "rp001-bare-except": (
+        "RP001", "repro.mf.fixture", "<test>", "try:\n    f()\nexcept:\n    pass\n", 1,
+    ),
+    "rp002-index-mutation": (
+        "RP002", "repro.mf.fixture", "<test>", "def f(m):\n    m.indptr[0] = 3\n", 1,
+    ),
+    "rp003-float16-in-kernel": (
+        "RP003", "repro.mf.fixture", "<test>",
+        "import numpy as np\n\ndef f():\n    return np.zeros(3, dtype=np.float16)\n", 1,
+    ),
+    "rp003-float32-allowed": (
+        "RP003", "repro.mf.fixture", "<test>",
+        "import numpy as np\n\ndef f():\n    return np.zeros(3, dtype=np.float32)\n", 0,
+    ),
+    "rp003-dtype-variable-allowed": (
+        "RP003", "repro.mf.fixture", "<test>",
+        "import numpy as np\n\ndef f(wdtype):\n    return np.zeros(3, dtype=wdtype)\n", 0,
+    ),
+    "rp005-init-without-all": (
+        "RP005", "repro.fixture", "fixture/__init__.py",
+        "from repro.util.errors import ReproError\n", 1,
+    ),
+    "rp006-unused-import": (
+        "RP006", "repro.mf.fixture", "<test>",
+        "import os\n\n\ndef f() -> int:\n    return 1\n", 1,
+    ),
+    "rp008-lock-in-service": ("RP008", "repro.service.fixture", "<test>", _THREADING_LOCK, 1),
+    "rp008-executor-in-mf": (
+        "RP008", "repro.mf.fixture", "<test>",
+        "from concurrent.futures import ThreadPoolExecutor as TPE\n\n\n"
+        "def f(tasks):\n    with TPE(4) as ex:\n        return list(ex.map(str, tasks))\n", 1,
+    ),
+    "rp009-mutated-module-dict": (
+        "RP009", "repro.exec.fixture", "<test>",
+        "PENDING = {}\n\n\ndef f(tid):\n    PENDING[tid] = True\n", 1,
+    ),
+    "rp009-global-rebinding": (
+        "RP009", "repro.exec.fixture", "<test>",
+        "COUNT = 0\n\n\ndef f():\n    global COUNT\n    COUNT += 1\n", 1,
+    ),
+    "rp009-constants-allowed": (
+        "RP009", "repro.exec.fixture", "<test>", "KINDS = ('a', 'b')\nLIMIT = 8\n", 0,
+    ),
+    "rp010-bare-acquire-release": (
+        "RP010", "repro.exec.fixture", "<test>",
+        "def f(lock):\n    lock.acquire()\n    try:\n        pass\n"
+        "    finally:\n        lock.release()\n", 2,
+    ),
+    "rp010-lock-in-exec": ("RP010", "repro.exec.fixture", "<test>", _THREADING_LOCK, 1),
+    "rp010-condition-in-service": (
+        "RP010", "repro.service.fixture", "<test>",
+        "from threading import Condition\n\n\ndef f():\n    return Condition()\n", 1,
+    ),
+    "rp010-lock-in-pool-allowed": (
+        "RP010", "repro.exec.pool", "<test>",
+        "import threading\n\n\ndef make():\n    return threading.Lock()\n", 0,
+    ),
+    "rp010-make-lock-allowed": (
+        "RP010", "repro.exec.fixture", "<test>",
+        "from repro.exec.pool import make_lock\n\n\n"
+        "def f():\n    lock = make_lock()\n    with lock:\n        pass\n", 0,
+    ),
+    "noqa-comma-list-rp004": (
+        "RP004", "repro.mf.fixture", "<test>", _PRINT_CLOCK.format("RP004, RP007"), 0,
+    ),
+    "noqa-comma-list-rp007": (
+        "RP007", "repro.mf.fixture", "<test>", _PRINT_CLOCK.format("RP004, RP007"), 0,
+    ),
+    "noqa-partial-list-rp004": (
+        "RP004", "repro.mf.fixture", "<test>", _PRINT_CLOCK.format("RP004"), 0,
+    ),
+    "noqa-partial-list-rp007": (
+        "RP007", "repro.mf.fixture", "<test>", _PRINT_CLOCK.format("RP004"), 1,
+    ),
+    "noqa-malformed-suppresses-nothing": (
+        "RP004", "repro.mf.fixture", "<test>",
+        "def f(x):\n    print(x)  # repro: noqa[bogus!]\n", 1,
+    ),
+}
+
 
 class TestLintRules:
     def run(self, source, module="repro.mf.fixture", path="<test>"):
@@ -36,9 +125,17 @@ class TestLintRules:
     def codes(self, source, **kw):
         return [f.rule for f in self.run(source, **kw)]
 
-    def test_rp001_bare_except(self):
-        src = "try:\n    f()\nexcept:\n    pass\n"
-        assert "RP001" in self.codes(src)
+    @pytest.mark.parametrize(
+        "rule, module, path, source, expected", list(SEEDED.values()), ids=list(SEEDED)
+    )
+    def test_seeded_case(self, rule, module, path, source, expected):
+        found = self.codes(source, module=module, path=path)
+        assert found.count(rule) == expected, found
+
+    def test_every_rule_has_a_seeded_violation(self):
+        seeded = {row[0] for row in SEEDED.values() if row[-1] >= 1}
+        missing = [r.id for r in lint.DEFAULT_RULES if r.id not in seeded]
+        assert not missing, f"no seeded violation in SEEDED for {missing}"
 
     def test_rp001_swallowed_exception(self):
         src = "try:\n    f()\nexcept Exception:\n    log()\n"
@@ -51,10 +148,6 @@ class TestLintRules:
     def test_rp001_typed_catch_is_clean(self):
         src = "try:\n    f()\nexcept ValueError:\n    g()\n"
         assert "RP001" not in self.codes(src)
-
-    def test_rp002_index_mutation_outside_sparse(self):
-        src = "def f(m):\n    m.indptr[0] = 3\n"
-        assert "RP002" in self.codes(src, module="repro.mf.fixture")
 
     def test_rp002_allowed_inside_repro_sparse(self):
         src = "def f(m):\n    m.indptr[0] = 3\n"
@@ -87,11 +180,6 @@ class TestLintRules:
         src = "def f(x):\n    print(x)\n"
         assert "RP004" not in self.codes(src, module="repro.cli")
 
-    def test_rp005_init_without_all(self):
-        src = "from repro.util.errors import ReproError\n"
-        found = self.codes(src, module="repro.fixture", path="fixture/__init__.py")
-        assert "RP005" in found
-
     def test_rp005_init_with_all_is_clean(self):
         src = (
             "from repro.util.errors import ReproError\n\n"
@@ -99,10 +187,6 @@ class TestLintRules:
         )
         found = self.codes(src, module="repro.fixture", path="fixture/__init__.py")
         assert "RP005" not in found
-
-    def test_rp006_unused_import(self):
-        src = "import os\n\n\ndef f() -> int:\n    return 1\n"
-        assert "RP006" in self.codes(src)
 
     def test_rp006_used_import_is_clean(self):
         src = "import os\n\n\ndef f() -> str:\n    return os.sep\n"
@@ -359,16 +443,3 @@ class TestSanitizer:
             result = SparseSolver(lower).solve(b)
         assert np.all(np.isfinite(result.x))
         assert result.residual < 1e-8
-
-
-# -- self-test ---------------------------------------------------------------
-
-
-class TestSelfTest:
-    def test_self_test_passes(self):
-        results = run_self_test()
-        failures = [r for r in results if not r.passed]
-        assert not failures, "\n".join(r.format() for r in failures)
-
-    def test_cli_self_test_exit_zero(self):
-        assert cli_main(["check", "--self-test"]) == 0

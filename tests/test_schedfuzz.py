@@ -309,3 +309,9 @@ def test_cli_fuzz_workers_rejects_empty_list(capsys):
 def test_cli_fuzz_workers_rejects_non_integer(capsys):
     assert main(["check", "--sched-fuzz", "1", "--fuzz-workers", "2,x"]) == 2
     assert "--fuzz-workers must be comma-separated ints" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", ["0", "-2"])
+def test_cli_sched_fuzz_rejects_non_positive_count(n, capsys):
+    assert main(["check", "--sched-fuzz", n]) == 2
+    assert "--sched-fuzz must be a positive integer" in capsys.readouterr().err

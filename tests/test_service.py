@@ -256,6 +256,14 @@ class TestServiceSolve:
             ("fleet_workers", -3, ShapeError),
             ("max_batch_rhs", 0, ShapeError),
             ("ordering", "bogus", OrderingError),
+            ("precision", "fp16", ShapeError),
+            ("cache_capacity", 0, ShapeError),
+            ("cache_capacity", -3, ShapeError),
+            ("max_pending", 0, ShapeError),
+            ("tenant_quota", 0, ShapeError),
+            ("max_retries", -1, ShapeError),
+            ("retry_backoff", -0.5, ShapeError),
+            ("retry_backoff", float("nan"), ShapeError),
         ],
     )
     def test_bad_config_rejected_at_construction(self, field, value, error):
