@@ -36,10 +36,6 @@ class ScalingPoint:
     #: max per-rank stored + transient factor entries
     peak_entries_per_rank: int
 
-    @property
-    def cores(self) -> int:
-        return self.n_ranks * self.threads_per_rank
-
 
 def scaling_point(
     res: ParallelFactorResult, t1: float

@@ -11,8 +11,10 @@ paper's claim):
 * ``mumps-like``   — subtree mapping + 1D row-cyclic fronts (MUMPS's
   coarser front parallelism);
 * ``superlu-like`` — no tree-aware mapping: a static grid for large fronts,
-  round-robin small fronts (SuperLU_DIST's static-grid character);
-* ``sequential``   — the p=1 reference.
+  round-robin small fronts (SuperLU_DIST's static-grid character).
+
+Speedups are measured against the same engine's simulated one-rank run,
+which :func:`repro.analysis.scaling_series` makes once per sweep.
 """
 
 from repro.baselines.registry import (
@@ -21,12 +23,10 @@ from repro.baselines.registry import (
     get_baseline,
     simulate_baseline,
 )
-from repro.baselines.sequential import sequential_reference_time
 
 __all__ = [
     "BaselineSpec",
     "BASELINES",
     "get_baseline",
     "simulate_baseline",
-    "sequential_reference_time",
 ]

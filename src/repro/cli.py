@@ -44,7 +44,6 @@ from repro.machine import get_machine
 from repro.sparse.csc import CSCMatrix
 from repro.sparse.convert import coo_to_csc
 from repro.sparse.io_mm import read_matrix_market
-from repro.sparse.ops import tril
 from repro.util.errors import RaceError, ReproError, ShapeError
 from repro.util.rng import make_rng
 from repro.util.tables import format_table
@@ -66,11 +65,16 @@ UNSYM_KINDS = {"convdiff"}
 
 
 def build_matrix(args) -> CSCMatrix:
-    """Resolve --mesh / --matrix into the lower-triangular CSC input."""
+    """Resolve --mesh / --matrix into the CSC input.
+
+    A mesh is built as its lower triangle. A Matrix Market file is returned
+    as read (a ``symmetric`` file arrives expanded): the symmetric solvers
+    reduce a symmetric matrix to its lower triangle and reject an
+    unsymmetric one, and the LU path factors the whole matrix.
+    """
     if args.matrix:
-        coo, info = read_matrix_market(args.matrix)
-        full = coo_to_csc(coo)
-        return tril(full)
+        coo, _ = read_matrix_market(args.matrix)
+        return coo_to_csc(coo)
     if not args.mesh:
         raise ShapeError("provide --mesh KIND:SIZE or --matrix FILE")
     try:
@@ -411,7 +415,7 @@ def cmd_obs(args) -> int:
 
     registry = MetricsRegistry()
     registry.gauge("problem_n").set(n)
-    registry.gauge("problem_nnz").set(a.nnz)
+    registry.gauge("problem_nnz").set(solver.lower.nnz)
     registry.gauge("sim_ranks").set(args.ranks)
     registry.inc("sim_messages", fres.sim.ledger.n_messages)
     registry.inc("factor_flops", fres.total_flops)

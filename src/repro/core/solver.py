@@ -390,9 +390,9 @@ class SparseSolver:
         the simulated machine described by *config*.
 
         With ``verify=True`` the distributed factor is reassembled and
-        compared against the sequential factor (tests use this; it defeats
-        the purpose of simulating large machines on big problems, so it is
-        off by default).
+        compared against the sequential factor: L and, for LDLᵀ, the
+        pivots D (tests use this; it defeats the purpose of simulating
+        large machines on big problems, so it is off by default).
         """
         with span(
             "solver.simulate",
@@ -407,18 +407,23 @@ class SparseSolver:
                 method=self.method,
                 threads_per_rank=config.threads_per_rank,
                 plan=plan,
+                pivot_perturbation=self.pivot_perturbation,
             )
         if verify:
             if self.numeric is None:
                 self.factor()
-            ref = self.numeric.to_dense_l()
-            got = fres.to_dense_l()
-            err = float(np.max(np.abs(ref - got)))
-            scale = float(np.max(np.abs(ref))) or 1.0
-            if err > 1e-8 * scale:
-                raise ReproError(
-                    f"distributed factor mismatch: max err {err:.3e}"
-                )
+            # Both dense views carry a unit diagonal for LDLᵀ, so D is
+            # compared on its own.
+            pairs = [(self.numeric.to_dense_l(), fres.to_dense_l(), "factor")]
+            if self.method == "ldlt":
+                pairs.append((self.numeric.diag, fres.assemble_diag(), "pivots D"))
+            for ref, got, what in pairs:
+                err = float(np.max(np.abs(ref - got)))
+                scale = float(np.max(np.abs(ref))) or 1.0
+                if err > 1e-8 * scale:
+                    raise ReproError(
+                        f"distributed {what} mismatch: max err {err:.3e}"
+                    )
         sres = None
         if b is not None:
             sres = simulate_solve(fres, as_float_array(b, "b"))

@@ -6,7 +6,8 @@ Times charged by the simulated runtime:
   arithmetic intensity (small fronts run at memory-bound rates, large
   fronts approach peak — the roll-off the paper's GFLOPS plots show);
 * memory traffic: ``bytes / mem_bandwidth`` (assembly, packing);
-* messages: ``α + hops·α_hop + bytes·β``.
+* messages: ``α + hops·α_hop + bytes·β``, which the simulator's scheduler
+  charges as an injection ``α + bytes·β`` and a flight ``hops·α_hop``.
 
 An SMP efficiency curve models hybrid MPI+threads ranks: ``t`` threads give
 ``t · smp_efficiency(t)`` times the single-thread flop rate.
@@ -92,16 +93,6 @@ class MachineModel:
         t = min(threads, self.max_threads_per_rank)
         eff = max(1.0 - self.smp_efficiency_slope * (t - 1), 0.1)
         return t * eff
-
-    # -- communication ---------------------------------------------------
-
-    def message_time(self, nbytes: float, src: int, dst: int, p: int) -> float:
-        """End-to-end time of one point-to-point message."""
-        if src == dst:
-            # Local "message" = memory copy.
-            return self.mem_time(nbytes)
-        hops = self.topology.hops(src, dst, p)
-        return self.alpha + hops * self.alpha_hop + nbytes * self.beta
 
     def peak_gflops(self, threads: int = 1) -> float:
         """Peak rate of one rank in Gflop/s (for %-of-peak reporting)."""

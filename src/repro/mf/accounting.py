@@ -44,12 +44,6 @@ class FactorStats:
         self.max_front_order = max(self.max_front_order, order)
         self.flops += flops
 
-    @property
-    def mean_front_order(self) -> float:
-        if not self.front_orders:
-            return 0.0
-        return float(np.mean(self.front_orders))
-
 
 def stack_accounting(sym: SymbolicFactor, memory_limit_entries: int | None) -> FactorStats:
     """The update-stack fields of a factorization of *sym*, from its

@@ -12,22 +12,7 @@ import numpy as np
 from repro.mf.numeric import NumericFactor
 from repro.mf.solve_phase import solve
 from repro.sparse.csc import CSCMatrix
-
-
-def onenorm_symmetric_lower(lower: CSCMatrix) -> float:
-    """Exact 1-norm of a symmetric matrix stored as its lower triangle
-    (max column absolute sum; by symmetry = max row sum)."""
-    n = lower.shape[0]
-    sums = np.zeros(n)
-    col_of = np.repeat(
-        np.arange(n, dtype=np.int64), np.diff(lower.indptr)
-    )
-    rows = lower.indices
-    vals = np.abs(lower.data)
-    np.add.at(sums, col_of, vals)
-    off = rows != col_of
-    np.add.at(sums, rows[off], vals[off])
-    return float(sums.max(initial=0.0))
+from repro.sparse.ops import sym_norm_inf_lower
 
 
 def inverse_onenorm_estimate(
@@ -71,7 +56,8 @@ def inverse_onenorm_estimate(
 
 def condest(lower: CSCMatrix, factor: NumericFactor, max_iter: int = 5) -> float:
     """Estimated 1-norm condition number of the symmetric matrix whose
-    lower triangle is *lower*, using its computed *factor*."""
-    return onenorm_symmetric_lower(lower) * inverse_onenorm_estimate(
+    lower triangle is *lower*, using its computed *factor*. ``‖A‖₁ = ‖A‖∞``
+    for symmetric A."""
+    return sym_norm_inf_lower(lower) * inverse_onenorm_estimate(
         factor, max_iter=max_iter
     )

@@ -11,7 +11,7 @@ One subsystem, three pieces, one switch (``REPRO_OBS=1`` or the
   disabled, and :func:`~repro.obs.spans.timed` for phases whose duration
   is a value; the only library code that reads the host clock;
 * :mod:`repro.obs.metrics` — **counters, gauges, fixed-bucket
-  histograms** with snapshot/delta semantics (a serving
+  histograms** with consistent snapshots (a serving
   ``SolverService.metrics`` is one of these registries);
 * :mod:`repro.obs.export` — **exporters and reports**: Chrome
   trace-event / Perfetto JSON merging host spans with simulated per-rank

@@ -9,9 +9,8 @@ cheap to record, exportable to the Prometheus text format
 (:func:`repro.obs.export.prometheus_text`), and its percentiles are read
 at bucket resolution (:meth:`HistogramSnapshot.quantile_bound`).
 
-Snapshots are immutable copies with *delta* semantics —
-``later.delta(earlier)`` is the traffic between two scrapes, which is how
-rate dashboards are built from cumulative counters.
+Snapshots are immutable, consistent copies of the instruments; the text
+report and the Prometheus exporter read them.
 
 A :class:`~repro.service.queue.SolverService` stores all its metrics in
 one of these registries (``svc.metrics``).
@@ -96,9 +95,6 @@ class Gauge:
             with self.lock:
                 self.value += by
 
-    def dec(self, by: float = 1.0) -> None:
-        self.inc(-by)
-
 
 class Histogram:
     """Fixed-bucket distribution (cumulative counts, Prometheus-shaped).
@@ -175,16 +171,6 @@ class HistogramSnapshot:
             out.append(running)
         return tuple(out)
 
-    def delta(self, earlier: "HistogramSnapshot") -> "HistogramSnapshot":
-        if earlier.uppers != self.uppers:
-            raise ValueError("histogram bucket layouts differ")
-        return HistogramSnapshot(
-            uppers=self.uppers,
-            counts=tuple(a - b for a, b in zip(self.counts, earlier.counts)),
-            sum=self.sum - earlier.sum,
-            count=self.count - earlier.count,
-        )
-
     def quantile_bound(self, q: float) -> float:
         """Upper bound of the bucket holding the nearest-rank *q* quantile.
 
@@ -202,30 +188,11 @@ class HistogramSnapshot:
 
 @dataclass(frozen=True)
 class MetricsSnapshot:
-    """Point-in-time copy of a registry, with delta semantics."""
+    """Point-in-time copy of a registry."""
 
     counters: Mapping[str, float]
     gauges: Mapping[str, float]
     histograms: Mapping[str, HistogramSnapshot]
-
-    def delta(self, earlier: "MetricsSnapshot") -> "MetricsSnapshot":
-        """Traffic between *earlier* and this snapshot.
-
-        Counters and histogram counts subtract (missing earlier entries
-        count as zero); gauges keep their later reading — a level has no
-        meaningful difference over time.
-        """
-        counters = {
-            name: value - earlier.counters.get(name, 0.0)
-            for name, value in self.counters.items()
-        }
-        hists = {}
-        for name, h in self.histograms.items():
-            prev = earlier.histograms.get(name)
-            hists[name] = h if prev is None else h.delta(prev)
-        return MetricsSnapshot(
-            counters=counters, gauges=dict(self.gauges), histograms=hists
-        )
 
 
 class MetricsRegistry:

@@ -54,9 +54,6 @@ class TreeMapping:
     def is_seq(self, s: int) -> bool:
         return len(self.sn_ranks[s]) == 1
 
-    def participates(self, rank: int, s: int) -> bool:
-        return rank in self.sn_ranks[s]
-
     def supernodes_for_rank(self, rank: int) -> list[int]:
         """All supernodes this rank participates in, ascending (the order
         the rank program processes them)."""

@@ -1,4 +1,4 @@
-"""Deadline/priority job queue + the dispatch loops: ``SolverService``.
+"""Deadline/priority job queue + the dispatch loop: ``SolverService``.
 
 The service is the serving layer's front door. Callers ``submit()`` solve
 requests (matrix + right-hand sides + priority/deadline/timeout/tenant)
@@ -8,10 +8,10 @@ one blocked multi-RHS solve (amortizing both the numeric factorization and
 the latency-bound solve sweeps), drop jobs whose deadline has passed, and
 hand the batch to the :class:`~repro.service.executor.Executor`.
 
-Two dispatch modes share that contract:
+Two dispatch modes run the same poll and complete steps:
 
-* **single executor** (``fleet_workers=1``, the default) — the classic
-  synchronous loop; deterministic given a deterministic clock.
+* **single executor** (``fleet_workers=1``, the default) — in turn on the
+  calling thread; deterministic given a deterministic clock.
 * **fleet** (``fleet_workers>1``) — N worker threads (a
   :class:`repro.exec.fleet.FleetCrew`) pull batches concurrently from the
   same queue. The analysis cache is sharded by pattern-fingerprint hash
@@ -41,6 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.solver import as_symmetric_lower
+from repro.exec.fleet import RUN, STOP, WAIT, FleetCrew, FleetDirective
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import span
 from repro.ordering import get_ordering
@@ -319,12 +320,15 @@ class SolverService:
 
         Raises :class:`~repro.util.errors.AdmissionError` (never
         enqueueing) when the bounded queue is full or the tenant is at
-        its pending-job quota.
+        its pending-job quota, and :class:`~repro.util.errors.ShapeError`
+        for a *method* other than ``"cholesky"`` or ``"ldlt"``.
         """
         self._admit(tenant)
         if precision is None:
             precision = self.config.precision
-        work_dtype(precision)  # validate the name before enqueueing
+        work_dtype(precision)  # validate the names before enqueueing
+        if method not in ("cholesky", "ldlt"):
+            raise ShapeError(f"unknown method {method!r}; use 'cholesky' or 'ldlt'")
         lower = as_symmetric_lower(a)
         b = as_float_array(b, "b")
         n = lower.shape[0]
@@ -377,120 +381,105 @@ class SolverService:
         """Current service-clock time (the reference for deadlines)."""
         return self._clock()
 
-    # -- dispatch loops ------------------------------------------------------
+    # -- dispatch loop -------------------------------------------------------
 
     def drain(self) -> dict[int, JobResult]:
-        """Process every pending job; returns results keyed by job id."""
-        with span(
-            "service.drain",
-            pending=len(self.queue),
-            workers=self.config.fleet_workers,
-        ):
-            if self.config.fleet_workers > 1:
-                processed = self._drain_fleet()
+        """Process every pending job; returns results keyed by job id.
+
+        A fleet's crew calls :meth:`_poll` and :meth:`_complete` under its
+        lock and executes batches concurrently. At most one batch per
+        pattern fingerprint is in flight, so workers never touch the same
+        cached analysis: fleet results stay bitwise identical to one
+        worker's, per job.
+        """
+        processed: dict[int, JobResult] = {}
+        inflight: set = set()
+        workers = self.config.fleet_workers
+        with span("service.drain", pending=len(self.queue), workers=workers):
+            if workers > 1:
+                FleetCrew(workers, name="service-fleet").serve(
+                    lambda wid: self._poll(self._clock(), inflight, processed),
+                    lambda wid, item: self.executor.execute(item[0]),
+                    lambda wid, item, outcome: self._complete(
+                        item, outcome, inflight, processed
+                    ),
+                )
             else:
-                processed = self._drain()
+                floor = 0.0  # logical time reached by sleeping to a park's wake
+                while True:
+                    now = max(self._clock(), floor)
+                    directive = self._poll(now, inflight, processed)
+                    if directive.kind == RUN:
+                        item = directive.item
+                        outcome = self.executor.execute(item[0])
+                        self._complete(item, outcome, inflight, processed)
+                    elif directive.kind == STOP:
+                        break
+                    elif directive.timeout is None:
+                        raise ReproError("job queue stalled: pending jobs but none ready")
+                    else:
+                        # Only parked retries remain: sleep to the earliest
+                        # wake. Injected clocks (tests, simulations) may not
+                        # advance on an injected sleep; the wake time has
+                        # logically passed either way.
+                        self._sleep(directive.timeout)
+                        floor = now + directive.timeout
         self.publish_autoscale_signals()
         self.results.update(processed)
         return processed
 
-    def _drain(self) -> dict[int, JobResult]:
-        """The classic synchronous single-executor loop."""
-        processed: dict[int, JobResult] = {}
-        floor = 0.0  # logical time reached by sleeping until a park expires
-        while len(self.queue):
-            now = max(self._clock(), floor)
+    def _poll(
+        self, now: float, inflight: set, processed: dict[int, JobResult]
+    ) -> FleetDirective:
+        """The next dispatch decision at *now*.
+
+        Pops batches, skipping fingerprints in *inflight* and recording
+        expired jobs in *processed*, until one has live jobs: ``RUN`` it
+        (item ``(live, now)``) and mark its fingerprint in flight. Else
+        ``STOP`` when nothing is pending or in flight, or ``WAIT`` until
+        the earliest parked retry (``timeout=None``: until a batch in
+        flight completes).
+        """
+        while True:
             batch = self.queue.pop_batch(
                 coalesce=self.config.coalesce,
                 max_rhs=self.config.max_batch_rhs,
                 now=now,
+                exclude=inflight,
             )
             if not batch:
-                # Only parked retries remain: sleep to the earliest wake.
-                wake = self.queue.next_ready_at()
-                if wake is None:
-                    raise ReproError(
-                        "job queue stalled: pending jobs but none ready"
-                    )
-                self._sleep(max(wake - now, 0.0))
-                # Injected clocks (tests, simulations) may not advance on
-                # an injected sleep; the wake time has logically passed
-                # either way.
-                floor = wake
-                continue
+                break
             live = self._expire(batch, now, processed)
             if not live:
                 continue
             self.metrics.inc("batches")
             if len(live) > 1:
                 self.metrics.inc("coalesced_jobs", len(live) - 1)
-            outcome = self.executor.execute(live)
-            if isinstance(outcome, Requeue):
-                self._requeue(outcome)
-                continue
-            self._record(live, outcome, now, processed)
-        return processed
+            inflight.add(live[0].fingerprint.key)
+            self.metrics.gauge("service_inflight_batches").set(float(len(inflight)))
+            return FleetDirective(RUN, item=(live, now))
+        if not len(self.queue) and not inflight:
+            return FleetDirective(STOP)
+        wake = self.queue.next_ready_at()
+        timeout = max(wake - now, 0.0) if wake is not None else None
+        return FleetDirective(WAIT, timeout=timeout)
 
-    def _drain_fleet(self) -> dict[int, JobResult]:
-        """Fleet mode: N crew workers pull from the shared queue.
-
-        Scheduling invariant: at most one in-flight batch per pattern
-        fingerprint (``inflight`` exclusion), so concurrent workers never
-        touch the same cached analysis — which is what keeps fleet
-        results bitwise identical to the single-executor drain, per job,
-        at any worker count.
-        """
-        from repro.exec.fleet import RUN, STOP, WAIT, FleetCrew, FleetDirective
-
-        processed: dict[int, JobResult] = {}
-        inflight: set = set()
-        crew = FleetCrew(self.config.fleet_workers, name="service-fleet")
-        gauge = self.metrics.gauge
-
-        # poll/complete run under the crew's condition lock — they are the
-        # scheduler's critical section; execute runs concurrently.
-
-        def poll(wid: int) -> FleetDirective:
-            now = self._clock()
-            while True:
-                batch = self.queue.pop_batch(
-                    coalesce=self.config.coalesce,
-                    max_rhs=self.config.max_batch_rhs,
-                    now=now,
-                    exclude=inflight,
-                )
-                if not batch:
-                    break
-                live = self._expire(batch, now, processed)
-                if not live:
-                    continue
-                self.metrics.inc("batches")
-                if len(live) > 1:
-                    self.metrics.inc("coalesced_jobs", len(live) - 1)
-                inflight.add(live[0].fingerprint.key)
-                gauge("service_inflight_batches").set(float(len(inflight)))
-                return FleetDirective(RUN, item=(live, now))
-            if not len(self.queue) and not inflight:
-                return FleetDirective(STOP)
-            wake = self.queue.next_ready_at()
-            timeout = max(wake - now, 0.0) if wake is not None else None
-            return FleetDirective(WAIT, timeout=timeout)
-
-        def execute(wid: int, item):
-            live, _ = item
-            return self.executor.execute(live)
-
-        def complete(wid: int, item, outcome) -> None:
-            live, dispatched = item
-            inflight.discard(live[0].fingerprint.key)
-            gauge("service_inflight_batches").set(float(len(inflight)))
-            if isinstance(outcome, Requeue):
-                self._requeue(outcome)
-            else:
-                self._record(live, outcome, dispatched, processed)
-
-        crew.serve(poll, execute, complete)
-        return processed
+    def _complete(
+        self,
+        item: tuple[list[SolveJob], float],
+        outcome: list[JobResult] | Requeue,
+        inflight: set,
+        processed: dict[int, JobResult],
+    ) -> None:
+        """Release the batch's fingerprint, then park its retry or record
+        its results (queue wait measured to its dispatch time)."""
+        live, dispatched = item
+        inflight.discard(live[0].fingerprint.key)
+        self.metrics.gauge("service_inflight_batches").set(float(len(inflight)))
+        if isinstance(outcome, Requeue):
+            self._requeue(outcome)
+        else:
+            self._record(live, outcome, dispatched, processed)
 
     # -- shared dispatch bookkeeping -----------------------------------------
 

@@ -31,7 +31,7 @@ class Comm:
         Sorted tuple of global ranks in the communicator.
     ctx
         Context id distinguishing this communicator from others (all
-        members must use the same value; ``Comm.split`` handles this).
+        members must use the same value).
     """
 
     __slots__ = ("world_rank", "group", "ctx", "rank", "_seq")
@@ -53,15 +53,6 @@ class Comm:
     @property
     def size(self) -> int:
         return len(self.group)
-
-    def global_rank(self, local: int) -> int:
-        """Global rank of a communicator-local rank."""
-        return self.group[local]
-
-    def sub(self, locals_: Sequence[int], ctx: Hashable) -> "Comm":
-        """Communicator over a subset of this group (by local indices).
-        Caller guarantees every member constructs the same subgroup/ctx."""
-        return Comm(self.world_rank, [self.group[i] for i in locals_], ctx)
 
     # -- point to point -----------------------------------------------------
 
@@ -137,90 +128,6 @@ class Comm:
         acc = yield from self.reduce(value, op=op, root=0)
         acc = yield from self.bcast(acc, root=0)
         return acc
-
-    def gather(self, value: Any, root: int = 0) -> Generator[Send | Recv, Any, Any]:
-        """Gather to *root*: returns list indexed by local rank on the
-        root, ``None`` elsewhere. Binomial fan-in of partial lists."""
-        tag = self._tag("gather")
-        me = (self.rank - root) % self.size
-        size = self.size
-        acc: dict[int, Any] = {self.rank: value}
-        mask = 1
-        while mask < size:
-            if me & mask:
-                dst = me ^ mask
-                yield Send(self.group[(dst + root) % size], tag, acc)
-                return None
-            partner = me | mask
-            if partner < size:
-                other = yield Recv(self.group[(partner + root) % size], tag)
-                acc.update(other)
-            mask <<= 1
-        return [acc[i] for i in range(size)]
-
-    def allgather(self, value: Any) -> Generator[Send | Recv, Any, Any]:
-        """Gather-then-broadcast allgather."""
-        lst = yield from self.gather(value, root=0)
-        lst = yield from self.bcast(lst, root=0)
-        return lst
-
-    def barrier(self) -> Generator[Send | Recv, Any, None]:
-        """Synchronize the group (allreduce of a token)."""
-        yield from self.allreduce(0)
-
-    def sendrecv(
-        self, payload: Any, dest: int, source: int, tag: Hashable
-    ) -> Generator[Send | Recv, Any, Any]:
-        """Simultaneous send to *dest* and receive from *source* (local
-        ranks). The eager-send runtime makes the naive send-then-recv order
-        deadlock-free."""
-        yield Send(self.group[dest], ("p2p", self.ctx, tag), payload)
-        got = yield Recv(self.group[source], ("p2p", self.ctx, tag))
-        return got
-
-    def alltoall(self, values: Sequence[Any]) -> Generator[Send | Recv, Any, Any]:
-        """Personalized all-to-all: ``values[j]`` goes to local rank j;
-        returns the list received (indexed by source). Pairwise-exchange
-        schedule (p-1 rounds), the standard algorithm for medium messages.
-        """
-        if len(values) != self.size:
-            raise SimulationError("alltoall needs one value per rank")
-        tag = self._tag("alltoall")
-        me = self.rank
-        size = self.size
-        out: list[Any] = [None] * size
-        out[me] = values[me]
-        power_of_two = size & (size - 1) == 0
-        for k in range(1, size):
-            if power_of_two:
-                partner = me ^ k  # symmetric pairwise exchange
-                yield Send(self.group[partner], (tag, me), values[partner])
-                out[partner] = yield Recv(self.group[partner], (tag, partner))
-            else:
-                dst = (me + k) % size
-                src = (me - k) % size
-                yield Send(self.group[dst], (tag, me), values[dst])
-                out[src] = yield Recv(self.group[src], (tag, src))
-        return out
-
-    def scatter(self, values: Sequence[Any] | None, root: int = 0) -> Generator[Send | Recv, Any, Any]:
-        """Scatter a per-rank list from *root*; returns this rank's item.
-
-        Linear sends from the root (fine at the group sizes collectives
-        are used for here; the hot paths use p2p directly).
-        """
-        tag = self._tag("scatter")
-        if self.rank == root:
-            if values is None or len(values) != self.size:
-                raise SimulationError(
-                    "scatter root must supply one value per rank"
-                )
-            for dst in range(self.size):
-                if dst != root:
-                    yield Send(self.group[dst], tag, values[dst])
-            return values[root]
-        item = yield Recv(self.group[root], tag)
-        return item
 
 
 def _add(a: Any, b: Any) -> Any:

@@ -50,10 +50,6 @@ class MessageLedger:
         self.recv_by_rank[dst] += 1
         self.bytes_recv_by_rank[dst] += nbytes
 
-    @property
-    def mean_message_bytes(self) -> float:
-        return self.total_bytes / self.n_messages if self.n_messages else 0.0
-
     def verify(self) -> None:
         """Conservation assertion over the whole ledger.
 

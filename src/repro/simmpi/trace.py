@@ -110,9 +110,6 @@ class Trace:
         if end > start:
             self.events.append(TraceEvent(rank, kind, start, end, detail))
 
-    def for_rank(self, rank: int) -> list[TraceEvent]:
-        return [e for e in self.events if e.rank == rank]
-
     def total(self, kind: str) -> float:
         return sum(e.duration for e in self.events if e.kind == kind)
 

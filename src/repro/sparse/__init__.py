@@ -23,13 +23,11 @@ from repro.sparse.convert import (
     coo_to_csc,
     csr_to_csc,
     csc_to_csr,
-    csr_to_coo,
     csc_to_coo,
 )
 from repro.sparse.ops import (
     matvec_csr,
     matvec_csc,
-    transpose_csr,
     tril,
     triu,
     symmetrize,
@@ -38,7 +36,7 @@ from repro.sparse.ops import (
     sym_matvec_lower,
     sym_matvec_lower_many,
 )
-from repro.sparse.permute import permute_symmetric_lower, apply_permutation_csc
+from repro.sparse.permute import permute_symmetric_lower
 from repro.sparse.io_mm import read_matrix_market, write_matrix_market
 
 __all__ = [
@@ -49,11 +47,9 @@ __all__ = [
     "coo_to_csc",
     "csr_to_csc",
     "csc_to_csr",
-    "csr_to_coo",
     "csc_to_coo",
     "matvec_csr",
     "matvec_csc",
-    "transpose_csr",
     "tril",
     "triu",
     "symmetrize",
@@ -62,7 +58,6 @@ __all__ = [
     "sym_matvec_lower",
     "sym_matvec_lower_many",
     "permute_symmetric_lower",
-    "apply_permutation_csc",
     "read_matrix_market",
     "write_matrix_market",
 ]

@@ -28,13 +28,6 @@ def coo_to_csc(coo: COOMatrix) -> CSCMatrix:
     return csr_to_csc(coo_to_csr(coo))
 
 
-def csr_to_coo(csr: CSRMatrix) -> COOMatrix:
-    rows = np.repeat(
-        np.arange(csr.shape[0], dtype=np.int64), np.diff(csr.indptr)
-    )
-    return COOMatrix(csr.shape, rows, csr.indices, csr.data)
-
-
 def csc_to_coo(csc: CSCMatrix) -> COOMatrix:
     cols = np.repeat(
         np.arange(csc.shape[1], dtype=np.int64), np.diff(csc.indptr)

@@ -104,12 +104,6 @@ class COOMatrix:
         first = order[uniq_mask]
         return COOMatrix(self.shape, self.row[first], self.col[first], data)
 
-    def prune(self, tol: float = 0.0) -> "COOMatrix":
-        """Drop entries with ``abs(value) <= tol`` (after duplicate summing)."""
-        m = self.sum_duplicates()
-        keep = np.abs(m.data) > tol
-        return COOMatrix(m.shape, m.row[keep], m.col[keep], m.data[keep])
-
     def transpose(self) -> "COOMatrix":
         """Structural transpose (no copy of value array contents is avoided)."""
         return COOMatrix((self.shape[1], self.shape[0]), self.col, self.row, self.data)

@@ -82,10 +82,6 @@ class CSRMatrix:
         s, e = self.indptr[i], self.indptr[i + 1]
         return self.indices[s:e], self.data[s:e]
 
-    def row_degrees(self) -> np.ndarray:
-        """Number of stored entries per row."""
-        return np.diff(self.indptr)
-
     def to_dense(self) -> np.ndarray:
         out = np.zeros(self.shape)
         for i in range(self.shape[0]):

@@ -8,7 +8,6 @@ UF collection exports). Pattern matrices get unit values.
 
 from __future__ import annotations
 
-import io
 from pathlib import Path
 from typing import IO, Union
 
@@ -140,11 +139,3 @@ def write_matrix_market(
         if close:
             fh.close()
 
-
-def matrix_market_roundtrip(coo: COOMatrix) -> COOMatrix:
-    """Serialize then parse *coo* in-memory; used in tests."""
-    buf = io.StringIO()
-    write_matrix_market(buf, coo)
-    buf.seek(0)
-    out, _ = read_matrix_market(buf)
-    return out

@@ -1,5 +1,4 @@
-"""Sparse matrix operations: matvec, transpose, triangle extraction,
-symmetrization.
+"""Sparse matrix operations: matvec, triangle extraction, symmetrization.
 
 These feed three consumers: the graph layer (structural symmetrization),
 the factorization layer (lower-triangle extraction), and the verification /
@@ -47,14 +46,6 @@ def matvec_csc(a: CSCMatrix, x: np.ndarray) -> np.ndarray:
     col_of = np.repeat(np.arange(a.shape[1], dtype=np.int64), np.diff(a.indptr))
     np.add.at(y, a.indices, a.data * x[col_of])
     return y
-
-
-def transpose_csr(a: CSRMatrix) -> CSRMatrix:
-    """Transpose of a CSR matrix, returned in CSR."""
-    as_csc = CSCMatrix(
-        (a.shape[1], a.shape[0]), a.indptr, a.indices, a.data, _skip_check=True
-    )
-    return csc_to_csr(as_csc)
 
 
 def tril(a: CSCMatrix, k: int = 0) -> CSCMatrix:

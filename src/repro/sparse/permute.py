@@ -23,22 +23,6 @@ def invert_permutation(perm: np.ndarray) -> np.ndarray:
     return inv
 
 
-def apply_permutation_csc(
-    a: CSCMatrix, row_perm: ArrayLike, col_perm: ArrayLike
-) -> CSCMatrix:
-    """General permuted copy ``B = A[row_perm_inv_map, col_perm_inv_map]``
-    such that ``B[i, j] = A[row_perm[i], col_perm[j]]``."""
-    n_rows, n_cols = a.shape
-    rp = check_permutation(row_perm, n_rows, "row_perm")
-    cp = check_permutation(col_perm, n_cols, "col_perm")
-    rinv = invert_permutation(rp)
-    cinv = invert_permutation(cp)
-    coo = csc_to_coo(a)
-    return coo_to_csc(
-        COOMatrix(a.shape, rinv[coo.row], cinv[coo.col], coo.data)
-    )
-
-
 def permute_symmetric_lower(lower: CSCMatrix, perm: ArrayLike) -> CSCMatrix:
     """Symmetric permutation of a symmetric matrix stored as its lower
     triangle.

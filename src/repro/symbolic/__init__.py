@@ -13,7 +13,7 @@ The analyze phase runs once per sparsity pattern:
    sequential multifrontal engine and the parallel mapping consume.
 """
 
-from repro.symbolic.etree import etree, EliminationForest
+from repro.symbolic.etree import etree
 from repro.symbolic.postorder import postorder, is_postordered, children_lists
 from repro.symbolic.symbolic_chol import column_patterns, symbolic_cholesky
 from repro.symbolic.supernodes import (
@@ -25,7 +25,6 @@ from repro.symbolic.analyze import SymbolicFactor, analyze, AnalyzeOptions
 
 __all__ = [
     "etree",
-    "EliminationForest",
     "postorder",
     "is_postordered",
     "children_lists",

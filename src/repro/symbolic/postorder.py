@@ -69,16 +69,3 @@ def relabel_parent(parent: np.ndarray, post: np.ndarray) -> np.ndarray:
     root = old < 0
     return np.where(root, -1, inv[np.where(root, 0, old)])
 
-
-def first_descendants(parent: np.ndarray) -> np.ndarray:
-    """For a postordered tree: smallest index in each node's subtree.
-
-    Subtree of node j is exactly the contiguous range
-    ``[first[j], j]`` — the property the subtree-to-subcube mapping and the
-    update stack rely on.
-    """
-    first = list(range(parent.size))
-    for j, p in enumerate(parent.tolist()):
-        if p >= 0 and first[j] < first[p]:
-            first[p] = first[j]
-    return np.asarray(first, dtype=np.int64)

@@ -71,10 +71,3 @@ def tree_stats(sym: SymbolicFactor) -> TreeStats:
         work_by_depth=tuple(work_by_depth),
     )
 
-
-def max_useful_ranks(sym: SymbolicFactor, efficiency_floor: float = 0.5) -> int:
-    """Back-of-envelope rank bound: the largest p with
-    ``concurrency / p >= efficiency_floor``, ignoring front-level
-    parallelism (so a conservative tree-only estimate)."""
-    stats = tree_stats(sym)
-    return max(int(stats.avg_concurrency / efficiency_floor), 1)

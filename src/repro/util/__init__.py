@@ -3,7 +3,6 @@
 from repro.util.errors import (
     ReproError,
     ShapeError,
-    NotSymmetricError,
     NotPositiveDefiniteError,
     SingularMatrixError,
     OrderingError,
@@ -13,8 +12,6 @@ from repro.util.errors import (
 from repro.util.validation import (
     check_index_array,
     check_permutation,
-    check_square,
-    check_same_shape,
     as_float_array,
     as_index_array,
     work_dtype,
@@ -26,7 +23,6 @@ from repro.util.tables import format_table
 __all__ = [
     "ReproError",
     "ShapeError",
-    "NotSymmetricError",
     "NotPositiveDefiniteError",
     "SingularMatrixError",
     "OrderingError",
@@ -34,8 +30,6 @@ __all__ = [
     "SimulationError",
     "check_index_array",
     "check_permutation",
-    "check_square",
-    "check_same_shape",
     "as_float_array",
     "as_index_array",
     "work_dtype",

@@ -16,10 +16,6 @@ class ShapeError(ReproError, ValueError):
     """An array or matrix had an incompatible shape."""
 
 
-class NotSymmetricError(ReproError, ValueError):
-    """A matrix required to be structurally/numerically symmetric is not."""
-
-
 class NotPositiveDefiniteError(ReproError, ArithmeticError):
     """Cholesky factorization encountered a non-positive pivot."""
 

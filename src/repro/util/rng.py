@@ -23,13 +23,3 @@ def make_rng(seed=None) -> np.random.Generator:
     if seed is None:
         seed = DEFAULT_SEED
     return np.random.default_rng(seed)
-
-
-def spawn_rng(rng: np.random.Generator, stream: int) -> np.random.Generator:
-    """Derive an independent child generator for a given stream index.
-
-    Used by the simulated machine to give each rank its own stream without
-    the streams depending on scheduling order.
-    """
-    seed_seq = np.random.SeedSequence(entropy=int(rng.integers(0, 2**63)), spawn_key=(stream,))
-    return np.random.default_rng(seed_seq)

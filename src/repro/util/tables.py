@@ -44,11 +44,3 @@ def format_table(
     for r in str_rows:
         lines.append(" | ".join(c.rjust(w) for c, w in zip(r, widths)))
     return "\n".join(lines)
-
-
-def format_si(value: float, unit: str = "") -> str:
-    """Human-readable engineering notation, e.g. ``1.23 G`` for 1.23e9."""
-    for factor, prefix in ((1e12, "T"), (1e9, "G"), (1e6, "M"), (1e3, "K")):
-        if abs(value) >= factor:
-            return f"{value / factor:.2f} {prefix}{unit}"
-    return f"{value:.2f} {unit}"

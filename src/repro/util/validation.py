@@ -134,16 +134,3 @@ def check_permutation(perm: np.ndarray, n: int, name: str = "perm") -> np.ndarra
         if not seen.all():
             raise ShapeError(f"{name} is not a permutation (duplicate entries)")
     return p
-
-
-def check_square(shape: tuple[int, int], name: str = "matrix") -> int:
-    """Validate that *shape* is square and return its dimension."""
-    if len(shape) != 2 or shape[0] != shape[1]:
-        raise ShapeError(f"{name} must be square; got shape {shape}")
-    return shape[0]
-
-
-def check_same_shape(a_shape, b_shape, name: str = "operands") -> None:
-    """Validate two shapes match exactly."""
-    if tuple(a_shape) != tuple(b_shape):
-        raise ShapeError(f"{name} shapes differ: {tuple(a_shape)} vs {tuple(b_shape)}")

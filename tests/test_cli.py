@@ -1,11 +1,13 @@
 """Tests for the command-line interface."""
 
+import numpy as np
 import pytest
 
 from repro.cli import main, _parse_ranks, build_matrix, MESH_KINDS
 from repro.sparse.io_mm import write_matrix_market
 from repro.sparse.convert import csc_to_coo
-from repro.gen import grid2d_laplacian
+from repro.sparse.ops import full_symmetric_from_lower, tril
+from repro.gen import convection_diffusion2d, grid2d_laplacian
 from repro.util.errors import ShapeError
 
 
@@ -128,6 +130,53 @@ class TestCommands:
         write_matrix_market(path, csc_to_coo(lower), symmetric=True)
         assert main(["info", "--matrix", str(path)]) == 0
         assert main(["solve", "--matrix", str(path)]) == 0
+        assert main(["solve", "--matrix", str(path), "--method", "ldlt"]) == 0
+
+    @staticmethod
+    def _lu_solution(monkeypatch, path):
+        """Run ``solve --matrix path --lu`` and return (exit code, x)."""
+        from repro.core.lu_solver import UnsymmetricSolver
+
+        solved = []
+        solve = UnsymmetricSolver.solve
+
+        def recording_solve(self, b, **kwargs):
+            res = solve(self, b, **kwargs)
+            solved.append(res.x)
+            return res
+
+        monkeypatch.setattr(UnsymmetricSolver, "solve", recording_solve)
+        rc = main(["solve", "--matrix", str(path), "--lu"])
+        assert len(solved) == 1
+        return rc, solved[0]
+
+    @pytest.mark.parametrize("method", ["cholesky", "ldlt"])
+    def test_unsymmetric_matrix_file_rejected(self, tmp_path, capsys, method):
+        """A general file holding an unsymmetric matrix is not silently cut
+        to its lower triangle: the symmetric solvers reject it."""
+        path = tmp_path / "cd.mtx"
+        write_matrix_market(path, csc_to_coo(convection_diffusion2d(4)))
+        assert main(["solve", "--matrix", str(path), "--method", method]) == 2
+        assert "symmetric" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("symmetric", [False, True])
+    def test_matrix_file_lu_solves_the_whole_matrix(
+        self, tmp_path, capsys, monkeypatch, symmetric
+    ):
+        """``--lu`` factors every entry of the file, so the solution satisfies
+        the file's system, not its lower triangle's."""
+        path = tmp_path / "m.mtx"
+        if symmetric:
+            a = full_symmetric_from_lower(grid2d_laplacian(4))
+            write_matrix_market(path, csc_to_coo(tril(a)), symmetric=True)
+        else:
+            a = convection_diffusion2d(4)
+            write_matrix_market(path, csc_to_coo(a))
+        rc, x = self._lu_solution(monkeypatch, path)
+        assert rc == 0
+        dense = a.to_dense()
+        b = np.ones(a.shape[0])
+        assert np.linalg.norm(dense @ x - b) <= 1e-10 * np.linalg.norm(b)
 
     def test_missing_file_error(self, capsys):
         rc = main(["info", "--matrix", "/nonexistent.mtx"])

@@ -8,14 +8,12 @@ from repro.analysis import (
     load_imbalance,
     render_scaling_table,
     render_series,
-    scaling_point,
     scaling_series,
 )
 from repro.baselines import (
     BASELINES,
     get_baseline,
     simulate_baseline,
-    sequential_reference_time,
 )
 from repro.core import AnalyzeInfo, ParallelConfig, SparseSolver
 from repro.gen import grid3d_laplacian
@@ -178,11 +176,6 @@ class TestBaselines:
                 res.to_dense_l(), ref, rtol=1e-9, atol=1e-9
             )
 
-    def test_sequential_reference(self, small):
-        solver = SparseSolver(small)
-        solver.analyze()
-        t1 = sequential_reference_time(solver.sym, GENERIC_CLUSTER, nb=8)
-        assert t1 > 0
 
 
 class TestAnalysis:
@@ -202,13 +195,6 @@ class TestAnalysis:
     def test_efficiency_decreasing(self, sym):
         pts = scaling_series(sym, [1, 4, 16], GENERIC_CLUSTER, PlanOptions(nb=16))
         assert pts[2].efficiency <= pts[0].efficiency + 1e-9
-
-    def test_scaling_point_cores(self, sym):
-        res = simulate_factorization(
-            sym, 2, BLUEGENE_P, PlanOptions(nb=16), threads_per_rank=2
-        )
-        pt = scaling_point(res, res.makespan * 2)
-        assert pt.cores == 4
 
     def test_load_imbalance_at_least_one(self, sym):
         res = simulate_factorization(sym, 4, GENERIC_CLUSTER, PlanOptions(nb=16))

@@ -392,7 +392,7 @@ class TestMetricsAtomicity:
     def test_gauge_inc_dec_atomic(self):
         reg = MetricsRegistry()
         g = reg.gauge("depth")
-        self.hammer(lambda: (g.inc(), g.dec()))
+        self.hammer(lambda: (g.inc(), g.inc(-1)))
         assert g.value == 0.0
 
     def test_service_latency_observations_are_thread_safe(self):

@@ -13,7 +13,7 @@ from repro.ordering import amd_order, nested_dissection_order
 from repro.parallel import PlanOptions, simulate_factorization, simulate_solve
 from repro.sparse.ops import sym_matvec_lower
 from repro.symbolic import analyze
-from repro.symbolic.tree_stats import max_useful_ranks, tree_stats
+from repro.symbolic.tree_stats import tree_stats
 from repro.util.rng import make_rng
 
 
@@ -112,12 +112,6 @@ class TestTreeStats:
         # Root's own work is on the critical path.
         root_work = max(sym.supernode_flops(s) for s in sym.roots())
         assert stats.critical_path_flops >= root_work
-
-    def test_max_useful_ranks(self):
-        lower = get_paper_matrix("cube-m").build()
-        g = AdjacencyGraph.from_symmetric_lower(lower)
-        sym = analyze(lower, nested_dissection_order(g))
-        assert max_useful_ranks(sym) >= 2
 
     def test_nd_beats_natural_on_concurrency(self):
         lower = get_paper_matrix("cube-s").build()

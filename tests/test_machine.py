@@ -93,17 +93,6 @@ class TestMachineModel:
         m = simple_machine()
         assert m.compute_time(1e6, front_order=4) > m.compute_time(1e6, front_order=4096)
 
-    def test_message_time_components(self):
-        m = simple_machine()
-        t_small = m.message_time(0, 0, 1, 8)
-        t_big = m.message_time(10**6, 0, 1, 8)
-        assert t_small >= m.alpha
-        assert t_big >= t_small + 1e6 * m.beta * 0.99
-
-    def test_message_self_is_memcpy(self):
-        m = simple_machine()
-        assert m.message_time(1000, 2, 2, 8) == pytest.approx(m.mem_time(1000))
-
     def test_smp_speedup(self):
         m = simple_machine(max_threads_per_rank=4, smp_efficiency_slope=0.05)
         assert m.smp_speedup(1) == 1.0

@@ -6,7 +6,6 @@ from repro.machine import BLUEGENE_P, GENERIC_CLUSTER, MachineModel, Torus3D
 from repro.mf.accounting import FactorStats
 from repro.parallel import hybrid_configurations
 from repro.util.errors import ShapeError
-from repro.util.tables import format_si
 
 
 class TestHybridConfigurations:
@@ -29,28 +28,14 @@ class TestHybridConfigurations:
 
 
 class TestFactorStats:
-    def test_mean_front_order(self):
+    def test_observe_front(self):
         s = FactorStats()
         s.observe_front(10, 2, 100)
         s.observe_front(20, 4, 400)
-        assert s.mean_front_order == 15.0
+        assert s.front_orders == [10, 20]
         assert s.max_front_order == 20
         assert s.flops == 500
         assert s.n_fronts == 2
-
-    def test_empty_mean(self):
-        assert FactorStats().mean_front_order == 0.0
-
-
-class TestFormatSi:
-    def test_tera(self):
-        assert format_si(2.5e12, "flop") == "2.50 Tflop"
-
-    def test_mega(self):
-        assert format_si(3.2e6) == "3.20 M"
-
-    def test_negative(self):
-        assert format_si(-5e9, "B") == "-5.00 GB"
 
 
 class TestTorusEdges:

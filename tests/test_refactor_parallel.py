@@ -19,7 +19,7 @@ from repro.parallel import (
 )
 from repro.sparse.csc import CSCMatrix
 from repro.sparse.ops import full_symmetric_from_lower, sym_matvec_lower
-from repro.util.errors import ShapeError
+from repro.util.errors import ReproError, ShapeError
 from repro.util.rng import make_rng
 
 pytestmark = pytest.mark.service
@@ -181,3 +181,43 @@ class TestSolverPlanCache:
         assert custom is solver.parallel_plan(4, PlanOptions(nb=8, min_dist_width=3))
         solver.analyze()
         assert solver.plans == {}
+
+
+class TestSimulateVerify:
+    """`SparseSolver.simulate(verify=True)` runs the distributed LDLᵀ with the
+    solver's own settings and checks every part of it against the host."""
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_pivot_perturbation_reaches_the_simulator(self, p):
+        a = np.array([[0.0, 1.0, 0.0], [1.0, 2.0, 0.5], [0.0, 0.5, 3.0]])
+        solver = SparseSolver(
+            CSCMatrix.from_dense(np.tril(a)),
+            method="ldlt",
+            ordering=np.arange(3),
+            pivot_perturbation=1e-8,
+        )
+        solver.factor()
+        assert solver.numeric.perturbed_columns  # column 0 has a zero pivot
+        report = solver.simulate(ParallelConfig(n_ranks=p), verify=True)
+        np.testing.assert_array_equal(
+            report.factor_result.assemble_diag(), solver.numeric.diag
+        )
+
+    def test_verify_checks_the_pivots(self, monkeypatch):
+        import repro.core.solver as solver_module
+
+        simulate = solver_module.simulate_factorization
+
+        def tampered(*args, **kwargs):
+            res = simulate(*args, **kwargs)
+            data = next(d for d in res.datas if d.seq_diag)
+            dv = next(iter(data.seq_diag.values()))
+            dv[0] *= 2.0
+            return res
+
+        solver = SparseSolver(grid2d_laplacian(6), method="ldlt")
+        config = ParallelConfig(n_ranks=2, machine=GENERIC_CLUSTER, nb=8)
+        solver.simulate(config, verify=True)
+        monkeypatch.setattr(solver_module, "simulate_factorization", tampered)
+        with pytest.raises(ReproError, match="pivots D"):
+            solver.simulate(config, verify=True)

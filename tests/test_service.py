@@ -237,6 +237,15 @@ class TestServiceSolve:
         with pytest.raises(ShapeError):
             SolverService().submit(grid2d_laplacian(4), np.ones(9))
 
+    @pytest.mark.parametrize("method", ["lu", "bogus"])
+    def test_unknown_method_rejected_at_submit(self, method):
+        svc = SolverService()
+        with pytest.raises(ShapeError, match="method"):
+            svc.submit(grid2d_laplacian(4), np.ones(16), method=method)
+        assert len(svc.queue) == 0
+        assert svc.metrics.counter("jobs_submitted") == 0
+        assert svc.drain() == {}
+
     @pytest.mark.parametrize("fleet_workers", [1, 2])
     def test_empty_rhs_panel_rejected_before_enqueue(self, fleet_workers):
         lower = grid2d_laplacian(4)

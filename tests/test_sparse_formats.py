@@ -13,7 +13,6 @@ from repro.sparse import (
     coo_to_csc,
     csr_to_csc,
     csc_to_csr,
-    csr_to_coo,
     csc_to_coo,
 )
 from repro.util.errors import ShapeError
@@ -66,15 +65,6 @@ class TestCOO:
         keys = s.row * m.shape[1] + s.col
         assert np.all(np.diff(keys) > 0)
 
-    def test_prune_drops_small(self):
-        m = COOMatrix((2, 2), [0, 1], [0, 1], [1e-12, 1.0])
-        p = m.prune(tol=1e-10)
-        assert p.nnz == 1
-
-    def test_prune_cancels_duplicates(self):
-        m = COOMatrix((2, 2), [0, 0], [0, 0], [1.0, -1.0])
-        assert m.prune().nnz == 0
-
     def test_empty(self):
         m = COOMatrix.empty((4, 4))
         assert m.nnz == 0
@@ -105,10 +95,6 @@ class TestCSR:
         assert vals.tolist() == [1.0, 2.0]
         cols, vals = m.row(1)
         assert cols.size == 0
-
-    def test_row_degrees(self):
-        m = CSRMatrix.from_dense(np.array([[1.0, 1.0], [0.0, 1.0]]))
-        assert m.row_degrees().tolist() == [2, 1]
 
     def test_validation_bad_indptr_start(self):
         with pytest.raises(ShapeError):
@@ -180,7 +166,6 @@ class TestConversions:
         np.testing.assert_allclose(csc.to_dense(), dense)
         np.testing.assert_allclose(csr_to_csc(csr).to_dense(), dense)
         np.testing.assert_allclose(csc_to_csr(csc).to_dense(), dense)
-        np.testing.assert_allclose(csr_to_coo(csr).to_dense(), dense)
         np.testing.assert_allclose(csc_to_coo(csc).to_dense(), dense)
 
     def test_empty_matrix_conversions(self):

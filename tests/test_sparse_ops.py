@@ -12,7 +12,6 @@ from repro.sparse import (
     CSRMatrix,
     matvec_csr,
     matvec_csc,
-    transpose_csr,
     tril,
     triu,
     symmetrize,
@@ -20,7 +19,6 @@ from repro.sparse import (
     is_structurally_symmetric,
     sym_matvec_lower,
     permute_symmetric_lower,
-    apply_permutation_csc,
     read_matrix_market,
     write_matrix_market,
 )
@@ -29,7 +27,6 @@ from repro.sparse.permute import (
     permute_vector,
     unpermute_vector,
 )
-from repro.sparse.io_mm import matrix_market_roundtrip
 from repro.util.errors import ShapeError
 
 
@@ -80,11 +77,6 @@ class TestMatvec:
 
 
 class TestTransposeTriangles:
-    def test_transpose_csr(self, rng):
-        d = random_sparse_dense(rng, (5, 7))
-        t = transpose_csr(CSRMatrix.from_dense(d))
-        np.testing.assert_allclose(t.to_dense(), d.T)
-
     def test_tril_triu(self, rng):
         d = random_sparse_dense(rng, (6, 6))
         m = CSCMatrix.from_dense(d)
@@ -174,13 +166,6 @@ class TestPermute:
         p = rng.permutation(5)
         np.testing.assert_allclose(unpermute_vector(permute_vector(x, p), p), x)
 
-    def test_apply_permutation_csc(self, rng):
-        d = random_sparse_dense(rng, (5, 5))
-        rp = rng.permutation(5)
-        cp = rng.permutation(5)
-        out = apply_permutation_csc(CSCMatrix.from_dense(d), rp, cp)
-        np.testing.assert_allclose(out.to_dense(), d[np.ix_(rp, cp)])
-
     def test_permute_symmetric_lower(self, rng):
         d = random_sparse_dense(rng, (7, 7))
         sym = d + d.T
@@ -205,10 +190,12 @@ class TestPermute:
 
 
 class TestMatrixMarket:
-    def test_roundtrip_general(self, rng):
+    def test_roundtrip_general(self, rng, tmp_path):
         d = random_sparse_dense(rng, (5, 4))
-        m = COOMatrix.from_dense(d)
-        out = matrix_market_roundtrip(m)
+        path = tmp_path / "m.mtx"
+        write_matrix_market(path, COOMatrix.from_dense(d))
+        out, info = read_matrix_market(path)
+        assert info["symmetry"] == "general"
         np.testing.assert_allclose(out.to_dense(), d)
 
     def test_symmetric_write_read(self, rng, tmp_path):
@@ -260,60 +247,6 @@ class TestMatrixMarket:
         write_matrix_market(path, m)
         ref = sio.mmread(str(path)).toarray()
         np.testing.assert_allclose(ref, d)
-
-
-class TestEquilibration:
-    def test_unit_diagonal_after_scaling(self, rng):
-        from repro.sparse.scaling import symmetric_equilibrate
-
-        d = np.diag([1.0, 100.0, 1e-4, 9.0])
-        d[1, 0] = d[3, 2] = 0.5
-        lower = CSCMatrix.from_dense(np.tril(d))
-        scaled, diag = symmetric_equilibrate(lower)
-        np.testing.assert_allclose(scaled.diagonal(), 1.0)
-        np.testing.assert_array_equal(diag, [1.0, 100.0, 1e-4, 9.0])
-
-    def test_solve_roundtrip(self, rng):
-        from repro.core import SparseSolver
-        from repro.sparse.ops import full_symmetric_from_lower
-        from repro.sparse.scaling import (
-            scale_rhs,
-            symmetric_equilibrate,
-            unscale_solution,
-        )
-
-        base = rng.standard_normal((8, 8))
-        spd = base @ base.T + 8 * np.eye(8)
-        scale = np.diag(10.0 ** rng.integers(-4, 5, size=8).astype(float))
-        a = scale @ spd @ scale  # badly scaled SPD
-        lower = CSCMatrix.from_dense(np.tril(a))
-        b = rng.standard_normal(8)
-
-        scaled, d = symmetric_equilibrate(lower)
-        x_hat = SparseSolver(scaled).solve(scale_rhs(b, d)).x
-        x = unscale_solution(x_hat, d)
-        np.testing.assert_allclose(a @ x, b, rtol=1e-7, atol=1e-9)
-
-    def test_improves_conditioning(self, rng):
-        from repro.sparse.ops import full_symmetric_from_lower
-        from repro.sparse.scaling import symmetric_equilibrate
-
-        base = rng.standard_normal((6, 6))
-        spd = base @ base.T + 6 * np.eye(6)
-        scale = np.diag([1e-5, 1.0, 1e5, 1.0, 1e-3, 1e3])
-        a = scale @ spd @ scale
-        lower = CSCMatrix.from_dense(np.tril(a))
-        scaled, _ = symmetric_equilibrate(lower)
-        c_before = np.linalg.cond(full_symmetric_from_lower(lower).to_dense())
-        c_after = np.linalg.cond(full_symmetric_from_lower(scaled).to_dense())
-        assert c_after < c_before / 1e6
-
-    def test_rejects_nonpositive_diag(self):
-        from repro.sparse.scaling import symmetric_equilibrate
-
-        lower = CSCMatrix.from_dense(np.diag([1.0, -2.0]))
-        with pytest.raises(ShapeError):
-            symmetric_equilibrate(lower)
 
 
 class TestMatrixMarketMalformed:

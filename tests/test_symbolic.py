@@ -17,7 +17,6 @@ from repro.sparse.ops import full_symmetric_from_lower, matvec_csc
 from repro.sparse.permute import permute_symmetric_lower
 from repro.symbolic import (
     etree,
-    EliminationForest,
     postorder,
     is_postordered,
     children_lists,
@@ -28,7 +27,7 @@ from repro.symbolic import (
     analyze,
     AnalyzeOptions,
 )
-from repro.symbolic.postorder import relabel_parent, first_descendants
+from repro.symbolic.postorder import relabel_parent
 from repro.symbolic.analyze import dense_partial_factor_flops
 from repro.symbolic.supernodes import supernode_rows, trapezoid_entries
 from repro.util.errors import InvariantError, ShapeError
@@ -86,34 +85,6 @@ class TestEtree:
             assert parent[j] == expected
 
 
-class TestEliminationForest:
-    def test_children_and_roots(self):
-        parent = np.array([2, 2, 4, 4, -1], dtype=np.int64)
-        f = EliminationForest(parent)
-        assert f.roots == [4]
-        assert f.children[2] == [0, 1]
-        assert f.children[4] == [2, 3]
-
-    def test_subtree_sizes(self):
-        parent = np.array([2, 2, 4, 4, -1], dtype=np.int64)
-        f = EliminationForest(parent)
-        np.testing.assert_array_equal(f.subtree_sizes(), [1, 1, 3, 1, 5])
-
-    def test_depth(self):
-        parent = np.array([2, 2, 4, 4, -1], dtype=np.int64)
-        f = EliminationForest(parent)
-        np.testing.assert_array_equal(f.depth(), [2, 2, 1, 1, 0])
-
-    def test_topological_order_parents_first(self):
-        parent = np.array([2, 2, 4, 4, -1], dtype=np.int64)
-        f = EliminationForest(parent)
-        order = f.topological_order()
-        pos = {v: i for i, v in enumerate(order)}
-        for j in range(5):
-            if parent[j] >= 0:
-                assert pos[int(parent[j])] < pos[j]
-
-
 class TestPostorder:
     def test_postorder_chain(self):
         parent = np.array([1, 2, 3, -1], dtype=np.int64)
@@ -146,12 +117,6 @@ class TestPostorder:
     def test_is_postordered_detects_violation(self):
         assert not is_postordered(np.array([-1, 0], dtype=np.int64))
         assert is_postordered(np.array([1, -1], dtype=np.int64))
-
-    def test_first_descendants_contiguous_subtrees(self):
-        parent = np.array([2, 2, 6, 5, 5, 6, -1], dtype=np.int64)
-        assert is_postordered(parent)
-        first = first_descendants(parent)
-        np.testing.assert_array_equal(first, [0, 1, 0, 3, 4, 3, 0])
 
     def test_children_lists(self):
         ch = children_lists(np.array([2, 2, -1], dtype=np.int64))

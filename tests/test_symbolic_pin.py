@@ -6,12 +6,12 @@ analysis: the elimination tree walks numpy arrays one element at a time,
 every column pattern and every supernode's rows are one ``np.unique`` of
 their pieces, every amalgamation candidate is re-judged on every pass, and
 AMD sums weights one variable at a time. ``ref_children_lists``,
-``ref_postorder``, ``ref_is_postordered``, ``ref_relabel_parent`` and
-``ref_first_descendants`` are the per-node postorder loops. The library's
-versions may be organised any way they like, but everything they give —
-parents, patterns, column counts, supernode starts and rows, the front
-plan's tables and AMD permutations — must equal these: ``array_equal``
-with the same dtype, never "as good".
+``ref_postorder``, ``ref_is_postordered`` and ``ref_relabel_parent`` are
+the per-node postorder loops. The library's versions may be organised any
+way they like, but everything they give — parents, patterns, column
+counts, supernode starts and rows, the front plan's tables and AMD
+permutations — must equal these: ``array_equal`` with the same dtype,
+never "as good".
 """
 
 import contextlib
@@ -40,7 +40,6 @@ from repro.sparse.ops import full_symmetric_from_lower
 from repro.symbolic import AnalyzeOptions, analyze, column_patterns, etree, fundamental_supernodes
 from repro.symbolic.postorder import (
     children_lists,
-    first_descendants,
     is_postordered,
     postorder,
     relabel_parent,
@@ -131,16 +130,6 @@ def ref_relabel_parent(parent, post):
         p = int(parent[post[k]])
         new_parent[k] = -1 if p < 0 else inv[p]
     return new_parent
-
-
-def ref_first_descendants(parent):
-    n = parent.size
-    first = np.arange(n, dtype=np.int64)
-    for j in range(n):
-        p = int(parent[j])
-        if p >= 0 and first[j] < first[p]:
-            first[p] = first[j]
-    return first
 
 
 def ref_column_patterns(lower, parent):
@@ -532,7 +521,6 @@ def test_pieces_match_reference(name):
     sym = analyze(lower, get_ordering("nd")(AdjacencyGraph.from_symmetric_lower(lower)))
     parent = sym.parent
     assert is_postordered(parent) and ref_is_postordered(parent)
-    assert_same(first_descendants(parent), ref_first_descendants(parent))
     assert_same(etree(sym.permuted_lower), ref_etree(sym.permuted_lower))
     patterns = column_patterns(sym.permuted_lower, parent)
     assert_same_list(patterns, ref_column_patterns(sym.permuted_lower, parent))
@@ -610,7 +598,6 @@ def test_postorder_helpers_match_reference_property(parent):
     relabeled = relabel_parent(parent, post)
     assert_same(relabeled, ref_relabel_parent(parent, post))
     assert is_postordered(relabeled) and ref_is_postordered(relabeled)
-    assert_same(first_descendants(relabeled), ref_first_descendants(relabeled))
 
 
 @pytest.mark.parametrize("parent", [[1, 2, 0, -1], [0, -1], [-1, 1, 1]])

@@ -8,8 +8,6 @@ from repro.util import (
     ShapeError,
     check_index_array,
     check_permutation,
-    check_square,
-    check_same_shape,
     as_float_array,
     as_index_array,
     make_rng,
@@ -20,17 +18,14 @@ from repro.util.errors import (
     SingularMatrixError,
     OrderingError,
     SimulationError,
-    NotSymmetricError,
 )
-from repro.util.rng import spawn_rng, DEFAULT_SEED
-from repro.util.tables import format_si
+from repro.util.rng import DEFAULT_SEED
 
 
 class TestErrors:
     def test_hierarchy_all_derive_from_repro_error(self):
         for exc in (
             ShapeError,
-            NotSymmetricError,
             NotPositiveDefiniteError,
             SingularMatrixError,
             OrderingError,
@@ -133,16 +128,6 @@ class TestValidation:
     def test_check_permutation_empty(self):
         assert check_permutation([], 0).size == 0
 
-    def test_check_square(self):
-        assert check_square((4, 4)) == 4
-        with pytest.raises(ShapeError):
-            check_square((4, 5))
-
-    def test_check_same_shape(self):
-        check_same_shape((2, 3), (2, 3))
-        with pytest.raises(ShapeError):
-            check_same_shape((2, 3), (3, 2))
-
 
 class TestRng:
     def test_default_seed_reproducible(self):
@@ -160,16 +145,6 @@ class TestRng:
     def test_generator_passthrough(self):
         g = np.random.default_rng(1)
         assert make_rng(g) is g
-
-    def test_spawned_streams_differ(self):
-        a = spawn_rng(make_rng(1), 0).random(8)
-        b = spawn_rng(make_rng(1), 1).random(8)
-        assert not np.array_equal(a, b)
-
-    def test_spawned_streams_deterministic(self):
-        a = spawn_rng(make_rng(1), 3).random(8)
-        b = spawn_rng(make_rng(1), 3).random(8)
-        np.testing.assert_array_equal(a, b)
 
     def test_default_seed_value(self):
         assert DEFAULT_SEED == 20090101
@@ -194,8 +169,3 @@ class TestTables:
         s = format_table(["v"], [[1.23456789e9], [0.0], [1e-9]])
         assert "e+09" in s or "e9" in s
         assert "0" in s
-
-    def test_format_si(self):
-        assert format_si(2.5e9, "flop/s") == "2.50 Gflop/s"
-        assert format_si(1.5e3) == "1.50 K"
-        assert format_si(12.0) == "12.00 "
