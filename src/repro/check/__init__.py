@@ -9,7 +9,7 @@ One CLI (``python -m repro.cli check``) over these passes:
   the :class:`~repro.exec.pool.TaskPool` (ready-queue permutations,
   forced preemptions, injected delays), replayable byte-for-byte, with
   the sequential bits as the oracle;
-* :mod:`repro.check.sanitize` — debug-mode invariant checks (CSR/CSC
+* :mod:`repro.check.sanitize` — debug-mode invariant checks (CSC
   well-formedness, permutation validity, etree acyclicity/postorder,
   supernode coverage, front-plan and LU assembly tables) hooked into hot
   paths behind ``REPRO_CHECK=1``.

@@ -11,7 +11,7 @@ never blanket-suppress).
 Rule catalog
 ------------
 RP001  no bare ``except`` and no silently-swallowed broad handlers
-RP002  no mutation of CSR/CSC index arrays outside :mod:`repro.sparse`
+RP002  no mutation of CSC index arrays outside :mod:`repro.sparse`
 RP003  numpy dtype discipline in kernel packages (mf, sparse, symbolic)
 RP004  no ``print`` in library code (CLI excluded)
 RP005  package ``__init__`` modules must declare ``__all__``
@@ -217,7 +217,7 @@ def _index_attr(expr: ast.expr) -> ast.Attribute | None:
 
 
 class NoIndexMutationRule(LintRule):
-    """RP002: CSR/CSC index arrays are immutable outside :mod:`repro.sparse`.
+    """RP002: CSC index arrays are immutable outside :mod:`repro.sparse`.
 
     The analysis cache, refactorization paths, and the simulator all share
     pattern structures by reference; in-place edits to ``indptr`` /
@@ -248,7 +248,7 @@ class NoIndexMutationRule(LintRule):
                     yield self.finding(
                         ctx,
                         node,
-                        f"in-place '{f.attr}()' on a CSR/CSC index array — "
+                        f"in-place '{f.attr}()' on a CSC index array — "
                         "copy it or do this inside repro.sparse",
                     )
                 continue

@@ -1,7 +1,7 @@
 """Debug-mode invariant sanitizer.
 
 Validation routines for the structures every phase of the solver shares:
-CSR/CSC index arrays, permutations, elimination trees, supernode
+CSC index arrays, permutations, elimination trees, supernode
 partitions, and the front plan's assembly tables. Each check raises
 :class:`~repro.util.errors.InvariantError` with enough evidence (indices,
 offending values) to locate the corruption.
@@ -28,6 +28,7 @@ import numpy as np
 
 from repro.util.errors import InvariantError, ReproError
 from repro.util.validation import (
+    check_compressed as _check_compressed,
     check_permutation as _check_permutation,
     runtime_checks_enabled,
     set_runtime_checks,
@@ -37,7 +38,6 @@ __all__ = [
     "enabled",
     "sanitized",
     "check_csc",
-    "check_csr",
     "check_permutation",
     "check_etree",
     "check_postordered",
@@ -68,71 +68,20 @@ def _fail(message: str) -> "InvariantError":
 # -- compressed-format well-formedness ---------------------------------------
 
 
-def check_compressed(matrix: Any, axis_name: str = "column") -> None:
-    """Well-formedness of a compressed sparse matrix (CSR or CSC).
-
-    Checks the shared invariants: ``indptr`` length/monotonicity, index
-    bounds, sorted-and-unique minor indices per major slice, and
-    ``data``/``indices`` parallelism. *matrix* needs ``shape``, ``indptr``,
-    ``indices``, and ``data`` attributes; *axis_name* only shapes messages.
-    """
-    indptr = np.asarray(matrix.indptr)
-    indices = np.asarray(matrix.indices)
+def check_csc(matrix: Any) -> None:
+    """CSC well-formedness: the shared index checks of
+    :func:`repro.util.validation.check_compressed`, plus finite values.
+    *matrix* needs ``shape``, ``indptr``, ``indices`` and ``data``."""
     data = np.asarray(matrix.data)
-    n_major = matrix.shape[1] if axis_name == "column" else matrix.shape[0]
-    n_minor = matrix.shape[0] if axis_name == "column" else matrix.shape[1]
-    if indptr.ndim != 1 or indptr.size != n_major + 1:
-        raise _fail(
-            f"indptr must have shape ({n_major + 1},); got {indptr.shape}"
+    try:
+        _check_compressed(
+            matrix.shape, np.asarray(matrix.indptr), np.asarray(matrix.indices), data
         )
-    if indptr.size and indptr[0] != 0:
-        raise _fail(f"indptr[0] must be 0; got {indptr[0]}")
-    steps = np.diff(indptr)
-    if np.any(steps < 0):
-        j = int(np.argmax(steps < 0))
-        raise _fail(f"indptr decreases at {axis_name} {j}")
-    if indptr.size and indptr[-1] != indices.size:
-        raise _fail(
-            f"indptr[-1] = {indptr[-1]} but {indices.size} indices stored"
-        )
-    if indices.size != data.size:
-        raise _fail(
-            f"{indices.size} indices but {data.size} values stored"
-        )
-    if indices.size:
-        lo, hi = int(indices.min()), int(indices.max())
-        if lo < 0 or hi >= n_minor:
-            raise _fail(
-                f"index entries must lie in [0, {n_minor}); got [{lo}, {hi}]"
-            )
-        # Sorted + unique within each major slice: a decreasing step in the
-        # flat array is legal only at a slice boundary.
-        flat_steps = np.diff(indices)
-        boundaries = np.zeros(indices.size - 1, dtype=bool) if indices.size > 1 else None
-        if boundaries is not None:
-            interior = indptr[1:-1]
-            boundaries[interior[(interior > 0) & (interior < indices.size)] - 1] = True
-            bad = np.flatnonzero((flat_steps <= 0) & ~boundaries)
-            if bad.size:
-                k = int(bad[0])
-                j = int(np.searchsorted(indptr, k, side="right")) - 1
-                raise _fail(
-                    f"{axis_name} {j} has unsorted or duplicate indices "
-                    f"(position {k}: {int(indices[k])} then {int(indices[k + 1])})"
-                )
+    except ReproError as exc:
+        raise _fail(str(exc)) from exc
     if data.size and not np.all(np.isfinite(data)):
         k = int(np.argmin(np.isfinite(data)))
         raise _fail(f"non-finite value at position {k}: {data[k]!r}")
-
-
-def check_csc(matrix: Any) -> None:
-    """CSC well-formedness (column-compressed invariants)."""
-    check_compressed(matrix, axis_name="column")
-
-
-def check_csr(matrix: Any) -> None:
-    """CSR well-formedness (row-compressed invariants)."""
-    check_compressed(matrix, axis_name="row")
 
 
 # -- permutations ------------------------------------------------------------

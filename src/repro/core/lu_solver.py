@@ -20,7 +20,8 @@ from repro.mf.numeric import NumericFactor, multifrontal_factor
 from repro.mf.solve_phase import solve as factor_solve
 from repro.ordering.registry import get_ordering
 from repro.sparse.csc import CSCMatrix
-from repro.sparse.ops import matvec_csc, symmetrize, tril
+from repro.sparse.convert import csc_to_coo
+from repro.sparse.ops import matvec_csc
 from repro.symbolic.analyze import AnalyzeOptions
 from repro.util.errors import ReproError, ShapeError
 from repro.util.validation import as_float_array
@@ -71,8 +72,8 @@ class UnsymmetricSolver:
     def analyze(self):
         """Ordering (on A + Aᵀ's graph) + symbolic factorization."""
         if isinstance(self.ordering, str):
-            pattern_lower = tril(symmetrize(self.a, mode="pattern"))
-            graph = AdjacencyGraph.from_symmetric_lower(pattern_lower)
+            coo = csc_to_coo(self.a)
+            graph = AdjacencyGraph.from_edges(self.a.shape[0], coo.row, coo.col)
             perm = get_ordering(self.ordering)(graph)
         else:
             perm = np.asarray(self.ordering, dtype=np.int64)

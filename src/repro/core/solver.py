@@ -42,15 +42,16 @@ from repro.parallel.driver import (
 )
 from repro.parallel.plan import FactorPlan, PlanOptions
 from repro.sparse.csc import CSCMatrix
+from repro.sparse.convert import transpose
 from repro.sparse.ops import sym_matvec_lower_many, tril, is_structurally_symmetric
 from repro.symbolic.analyze import AnalyzeOptions, SymbolicFactor, analyze
 from repro.util.errors import PatternMismatchError, ReproError, ShapeError
+from repro.util.validation import as_float_array, work_dtype
 
 #: execution backends of the numeric phases: ``"seq"`` runs on the host
 #: thread, ``"threads"`` on a :mod:`repro.exec` worker pool (bitwise
 #: identical results either way — the sequential path is the oracle)
 EXEC_BACKENDS = ("seq", "threads")
-from repro.util.validation import as_float_array, work_dtype
 
 
 def as_symmetric_lower(a: CSCMatrix) -> CSCMatrix:
@@ -70,13 +71,10 @@ def as_symmetric_lower(a: CSCMatrix) -> CSCMatrix:
                 "matrix is neither lower-triangular nor structurally "
                 "symmetric"
             )
-        from repro.sparse.convert import csc_to_csr
-
-        t = csc_to_csr(a)  # CSR of A == CSC layout of A^T
-        if not np.allclose(t.data, a.data, rtol=1e-12, atol=0):
+        if not np.allclose(transpose(a).data, a.data, rtol=1e-12, atol=0):
             raise ShapeError(
                 "matrix is structurally but not numerically symmetric; "
-                "symmetrize it first (repro.sparse.symmetrize)"
+                "factor it with UnsymmetricSolver (LU) instead"
             )
     return lower
 

@@ -1,4 +1,4 @@
-"""Adjacency-graph representation (CSR-like, symmetric, no self loops)."""
+"""Adjacency-graph representation (compressed, symmetric, no self loops)."""
 
 from __future__ import annotations
 
@@ -6,21 +6,22 @@ import numpy as np
 
 from repro.sparse.csc import CSCMatrix
 from repro.sparse.coo import COOMatrix
-from repro.sparse.convert import csc_to_coo, coo_to_csr
+from repro.sparse.convert import coo_to_csc, csc_to_coo, transpose
 from repro.util.errors import ShapeError
-from repro.util.validation import as_index_array
+from repro.util.validation import as_index_array, check_compressed
 
 
 class AdjacencyGraph:
-    """Undirected graph stored as symmetric CSR adjacency (both directions
-    of every edge present, rows sorted, no self loops).
+    """Undirected graph stored as a symmetric compressed adjacency (both
+    directions of every edge present, neighbours sorted, no self loops).
 
     Attributes
     ----------
     n : int
         Number of vertices.
     xadj, adjncy : ndarray
-        CSR-style pointers and neighbour lists (METIS naming).
+        Pointers and neighbour lists (METIS naming): the ``indptr`` and
+        ``indices`` of the adjacency matrix's CSC, which is also its CSR.
     """
 
     __slots__ = ("n", "xadj", "adjncy")
@@ -33,26 +34,15 @@ class AdjacencyGraph:
             self._validate()
 
     def _validate(self) -> None:
-        if self.xadj.shape != (self.n + 1,) or self.xadj[0] != 0:
-            raise ShapeError("xadj must have length n+1 and start at 0")
-        if np.any(np.diff(self.xadj) < 0) or self.xadj[-1] != self.adjncy.size:
-            raise ShapeError("xadj must be non-decreasing and end at len(adjncy)")
-        if self.adjncy.size:
-            if self.adjncy.min() < 0 or self.adjncy.max() >= self.n:
-                raise ShapeError("adjncy entries out of range")
-        for u in range(self.n):
-            nbrs = self.neighbors(u)
-            if np.any(nbrs == u):
-                raise ShapeError(f"self loop at vertex {u}")
-            if nbrs.size > 1 and np.any(np.diff(nbrs) <= 0):
-                raise ShapeError(f"unsorted/duplicate neighbours at vertex {u}")
-        # symmetry: every directed edge has its reverse
-        deg = np.diff(self.xadj)
-        src = np.repeat(np.arange(self.n, dtype=np.int64), deg)
-        fwd = set(zip(src.tolist(), self.adjncy.tolist()))
-        for u, v in fwd:
-            if (v, u) not in fwd:
-                raise ShapeError(f"edge ({u},{v}) has no reverse")
+        check_compressed((self.n, self.n), self.xadj, self.adjncy, slice_name="vertex")
+        src = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.xadj))
+        loops = self.adjncy == src
+        if np.any(loops):
+            raise ShapeError(f"self loop at vertex {int(src[np.argmax(loops)])}")
+        ones = np.ones(self.adjncy.size)
+        t = transpose(CSCMatrix((self.n, self.n), self.xadj, self.adjncy, ones, _skip_check=True))
+        if not np.array_equal(t.indptr, self.xadj) or not np.array_equal(t.indices, self.adjncy):
+            raise ShapeError("adjacency is not symmetric: some edge has no reverse")
 
     @property
     def n_edges(self) -> int:
@@ -90,9 +80,9 @@ class AdjacencyGraph:
         a, b = a[keep], b[keep]
         rows = np.concatenate([a, b])
         cols = np.concatenate([b, a])
-        ones = np.ones(rows.size)
-        csr = coo_to_csr(COOMatrix((n, n), rows, cols, ones))
-        return cls(n, csr.indptr, csr.indices, _skip_check=True)
+        # The matrix is symmetric, so its CSC lists each vertex's neighbours.
+        adj = coo_to_csc(COOMatrix((n, n), rows, cols, np.ones(rows.size)))
+        return cls(n, adj.indptr, adj.indices, _skip_check=True)
 
     def gather(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Neighbour lists of the vertices *rows* (an int array), concatenated

@@ -1,8 +1,8 @@
 """Coordinate (triplet) sparse format.
 
 COO is the assembly format: generators and file readers emit (row, col, val)
-triplets, possibly with duplicates, which :meth:`COOMatrix.sum_duplicates`
-folds together before conversion to CSR/CSC.
+triplets, possibly with duplicates, which
+:func:`repro.sparse.convert.coo_to_csc` sums while compressing by column.
 """
 
 from __future__ import annotations
@@ -103,10 +103,6 @@ class COOMatrix:
         np.add.at(data, group_ids, self.data[order])
         first = order[uniq_mask]
         return COOMatrix(self.shape, self.row[first], self.col[first], data)
-
-    def transpose(self) -> "COOMatrix":
-        """Structural transpose (no copy of value array contents is avoided)."""
-        return COOMatrix((self.shape[1], self.shape[0]), self.col, self.row, self.data)
 
     def __repr__(self) -> str:
         return f"COOMatrix(shape={self.shape}, nnz={self.nnz})"

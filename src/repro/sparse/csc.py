@@ -1,7 +1,8 @@
 """Compressed sparse column format.
 
-CSC is the factorization format: symbolic analysis and the multifrontal
-numeric phase walk columns of the lower triangle of A.
+CSC is the library's one compressed format: symbolic analysis and the
+multifrontal numeric phase walk columns of the lower triangle of A, and a
+row-wise walk reads the CSC of Aᵀ (:func:`repro.sparse.convert.transpose`).
 """
 
 from __future__ import annotations
@@ -11,11 +12,10 @@ from typing import Sequence
 import numpy as np
 from numpy.typing import ArrayLike
 
-from repro.util.errors import ShapeError
 from repro.util.validation import (
     as_float_array,
     as_index_array,
-    check_index_array,
+    check_compressed,
     runtime_checks_enabled,
 )
 
@@ -23,9 +23,14 @@ from repro.util.validation import (
 class CSCMatrix:
     """Sparse matrix in compressed sparse column format.
 
-    Invariants mirror :class:`repro.sparse.csr.CSRMatrix` with rows and
-    columns exchanged: ``indices[indptr[j]:indptr[j+1]]`` holds the strictly
-    increasing row indices of column ``j``.
+    Invariants (validated at construction by
+    :func:`repro.util.validation.check_compressed`):
+
+    * ``indptr`` has length ``ncols + 1``, starts at 0, is non-decreasing
+      and ends at ``len(indices)``;
+    * ``indices[indptr[j]:indptr[j+1]]`` are the strictly increasing row
+      indices of column ``j``, each in ``[0, nrows)``;
+    * ``data`` parallels ``indices``.
     """
 
     __slots__ = ("shape", "indptr", "indices", "data")
@@ -44,29 +49,12 @@ class CSCMatrix:
         self.indices = as_index_array(indices, "indices")
         self.data = as_float_array(data, "data")
         # _skip_check is for trusted internal constructions; under
-        # REPRO_CHECK=1 the debug sanitizer re-validates those too.
+        # REPRO_CHECK=1 those are validated too.
         if not _skip_check or runtime_checks_enabled():
             self._validate()
 
     def _validate(self) -> None:
-        n_rows, n_cols = self.shape
-        if self.indptr.shape != (n_cols + 1,):
-            raise ShapeError(
-                f"indptr must have shape ({n_cols + 1},); got {self.indptr.shape}"
-            )
-        if self.indptr[0] != 0:
-            raise ShapeError("indptr[0] must be 0")
-        if np.any(np.diff(self.indptr) < 0):
-            raise ShapeError("indptr must be non-decreasing")
-        if self.indptr[-1] != self.indices.size:
-            raise ShapeError("indptr[-1] must equal len(indices)")
-        if self.indices.size != self.data.size:
-            raise ShapeError("indices and data must have equal length")
-        check_index_array(self.indices, n_rows, "indices")
-        for j in range(n_cols):
-            s, e = self.indptr[j], self.indptr[j + 1]
-            if e - s > 1 and np.any(np.diff(self.indices[s:e]) <= 0):
-                raise ShapeError(f"column {j} has unsorted or duplicate row indices")
+        check_compressed(self.shape, self.indptr, self.indices, self.data)
 
     @property
     def nnz(self) -> int:

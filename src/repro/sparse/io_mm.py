@@ -48,24 +48,30 @@ def read_matrix_market(
 
         lineno = 1  # the header line just consumed
 
-        def next_entry_line(what: str) -> tuple[list[str], int]:
-            """Next non-blank, non-comment line's tokens (+ line number).
-
-            Raises :class:`ShapeError` naming the line where the file ends
-            instead of silently under-filling the entry arrays.
-            """
+        def next_data_line() -> tuple[list[str], int] | None:
+            """Next non-blank, non-comment line's tokens and line number, or
+            ``None`` at end of file."""
             nonlocal lineno
             while True:
                 line = fh.readline()
                 lineno += 1
                 if not line:
-                    raise ShapeError(
-                        f"truncated MatrixMarket file: expected {what} "
-                        f"at line {lineno}, got end of file"
-                    )
+                    return None
                 parts = line.split()
                 if parts and not parts[0].startswith("%"):
                     return parts, lineno
+
+        def next_entry_line(what: str) -> tuple[list[str], int]:
+            """:func:`next_data_line`, raising :class:`ShapeError` naming the
+            line where the file ends instead of silently under-filling the
+            entry arrays."""
+            got = next_data_line()
+            if got is None:
+                raise ShapeError(
+                    f"truncated MatrixMarket file: expected {what} "
+                    f"at line {lineno}, got end of file"
+                )
+            return got
 
         parts, at = next_entry_line("size line")
         if len(parts) != 3:
@@ -79,6 +85,12 @@ def read_matrix_market(
             raise ShapeError(
                 f"line {at}: size line tokens must be integers; got {parts}"
             ) from None
+        if min(n_rows, n_cols, nnz) < 0:
+            raise ShapeError(f"line {at}: size line values must be non-negative; got {parts}")
+        if symmetry == "symmetric" and n_rows != n_cols:
+            raise ShapeError(
+                f"line {at}: a symmetric matrix must be square; got {n_rows} x {n_cols}"
+            )
         rows = np.empty(nnz, dtype=np.int64)
         cols = np.empty(nnz, dtype=np.int64)
         vals = np.empty(nnz)
@@ -98,6 +110,11 @@ def read_matrix_market(
                 raise ShapeError(
                     f"line {at}: malformed coordinate entry {parts}"
                 ) from None
+        extra = next_data_line()
+        if extra is not None:
+            raise ShapeError(
+                f"line {extra[1]}: more entries than the {nnz} the size line declares: {extra[0]}"
+            )
         if symmetry == "symmetric":
             off = rows != cols
             rows = np.concatenate([rows, cols[off]])

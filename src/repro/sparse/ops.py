@@ -1,7 +1,7 @@
-"""Sparse matrix operations: matvec, triangle extraction, symmetrization.
+"""Sparse matrix operations: matvec, the lower triangle, symmetric expansion.
 
-These feed three consumers: the graph layer (structural symmetrization),
-the factorization layer (lower-triangle extraction), and the verification /
+These feed two consumers: the factorization layer (lower-triangle
+extraction, structural-symmetry test) and the verification /
 iterative-refinement path (symmetric matvec from the lower triangle only).
 """
 
@@ -10,29 +10,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.sparse.coo import COOMatrix
-from repro.sparse.csr import CSRMatrix
 from repro.sparse.csc import CSCMatrix
-from repro.sparse.convert import csc_to_csr, csc_to_coo, coo_to_csc
+from repro.sparse.convert import coo_to_csc, csc_to_coo, transpose
 from repro.util.errors import ShapeError
 from repro.util.validation import as_float_array
-
-
-def matvec_csr(a: CSRMatrix, x: np.ndarray) -> np.ndarray:
-    """``y = A @ x`` for CSR *a*."""
-    x = as_float_array(x, "x")
-    if x.shape != (a.shape[1],):
-        raise ShapeError(f"x must have shape ({a.shape[1]},); got {x.shape}")
-    # Gather-multiply then segment-sum via reduceat; empty rows handled by
-    # masking (reduceat misbehaves on empty segments).
-    if a.nnz == 0:
-        return np.zeros(a.shape[0])
-    prods = a.data * x[a.indices]
-    y = np.zeros(a.shape[0])
-    row_nnz = np.diff(a.indptr)
-    nonempty = row_nnz > 0
-    starts = a.indptr[:-1][nonempty]
-    y[nonempty] = np.add.reduceat(prods, starts)
-    return y
 
 
 def matvec_csc(a: CSCMatrix, x: np.ndarray) -> np.ndarray:
@@ -50,65 +31,22 @@ def matvec_csc(a: CSCMatrix, x: np.ndarray) -> np.ndarray:
 
 def tril(a: CSCMatrix, k: int = 0) -> CSCMatrix:
     """Lower triangle of *a*: entries with ``row >= col - k``."""
-    return _triangle(a, lower=True, k=k)
-
-
-def triu(a: CSCMatrix, k: int = 0) -> CSCMatrix:
-    """Upper triangle of *a*: entries with ``col - row >= k`` (numpy
-    ``triu`` convention)."""
-    return _triangle(a, lower=False, k=k)
-
-
-def _triangle(a: CSCMatrix, lower: bool, k: int) -> CSCMatrix:
-    coo = csc_to_coo(a)
-    if lower:
-        keep = coo.col - coo.row <= k
-    else:
-        keep = coo.col - coo.row >= k
-    pruned = COOMatrix(a.shape, coo.row[keep], coo.col[keep], coo.data[keep])
-    return coo_to_csc(pruned)
+    cols = np.repeat(np.arange(a.shape[1], dtype=np.int64), np.diff(a.indptr))
+    keep = cols - a.indices <= k
+    indptr = np.zeros(a.shape[1] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(cols[keep], minlength=a.shape[1]), out=indptr[1:])
+    return CSCMatrix(a.shape, indptr, a.indices[keep], a.data[keep], _skip_check=True)
 
 
 def is_structurally_symmetric(a: CSCMatrix) -> bool:
     """True when the sparsity pattern of *a* equals that of its transpose."""
     if a.shape[0] != a.shape[1]:
         return False
-    t = csc_to_csr(a)  # CSR of A; reinterpret as CSC of A^T
-    at = CSCMatrix(a.shape, t.indptr, t.indices, t.data, _skip_check=True)
+    at = transpose(a)
     return (
         np.array_equal(a.indptr, at.indptr)
         and np.array_equal(a.indices, at.indices)
     )
-
-
-def symmetrize(a: CSCMatrix, mode: str = "average") -> CSCMatrix:
-    """Return a numerically symmetric matrix built from *a*.
-
-    ``mode="average"`` gives ``(A + A^T) / 2``; ``mode="pattern"`` gives the
-    union pattern with values from A where present, mirrored otherwise.
-    """
-    if a.shape[0] != a.shape[1]:
-        raise ShapeError("symmetrize requires a square matrix")
-    coo = csc_to_coo(a)
-    if mode == "average":
-        row = np.concatenate([coo.row, coo.col])
-        col = np.concatenate([coo.col, coo.row])
-        dat = np.concatenate([coo.data, coo.data]) * 0.5
-        return coo_to_csc(COOMatrix(a.shape, row, col, dat))
-    if mode == "pattern":
-        # Keep A's values; add transposed entries only where A has none.
-        dense_keys = set(zip(coo.row.tolist(), coo.col.tolist()))
-        extra_r, extra_c, extra_v = [], [], []
-        for r, c, v in zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist()):
-            if (c, r) not in dense_keys:
-                extra_r.append(c)
-                extra_c.append(r)
-                extra_v.append(v)
-        row = np.concatenate([coo.row, np.asarray(extra_r, dtype=np.int64)])
-        col = np.concatenate([coo.col, np.asarray(extra_c, dtype=np.int64)])
-        dat = np.concatenate([coo.data, np.asarray(extra_v)])
-        return coo_to_csc(COOMatrix(a.shape, row, col, dat))
-    raise ValueError(f"unknown symmetrize mode {mode!r}")
 
 
 def full_symmetric_from_lower(lower: CSCMatrix) -> CSCMatrix:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.sparse.csc import CSCMatrix
-from repro.sparse.convert import csc_to_csr
+from repro.sparse.convert import transpose
 from repro.util.errors import ShapeError
 
 
@@ -25,10 +25,10 @@ def etree(lower: CSCMatrix) -> np.ndarray:
         raise ShapeError("etree requires a square lower triangle")
     parent = [-1] * n
     ancestor = [-1] * n
-    # Row j of the lower triangle lists the i < j with A[j, i] != 0.
-    csr = csc_to_csr(lower)
-    indptr = csr.indptr.tolist()
-    indices = csr.indices.tolist()
+    # Column j of the upper triangle lists the i < j with A[j, i] != 0.
+    upper = transpose(lower)
+    indptr = upper.indptr.tolist()
+    indices = upper.indices.tolist()
     for j in range(n):
         for i in indices[indptr[j]:indptr[j + 1]]:
             if i >= j:

@@ -73,7 +73,7 @@ class InvariantError(ReproError, RuntimeError):
     """A debug-mode invariant check failed (``repro.check.sanitize``).
 
     Raised by the sanitizer hooks that run inside hot paths when
-    ``REPRO_CHECK=1`` — a corrupted CSR/CSC index structure, an invalid
+    ``REPRO_CHECK=1`` — a corrupted CSC index structure, an invalid
     permutation, an elimination-tree cycle, an uncovered supernode
     partition, or an unbalanced frontal update stack."""
 

@@ -120,6 +120,48 @@ def check_index_array(idx: np.ndarray, upper: int, name: str = "index") -> None:
         )
 
 
+def check_compressed(
+    shape: tuple[int, int],
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    data: np.ndarray | None = None,
+    slice_name: str = "column",
+) -> None:
+    """Well-formedness of compressed-column index arrays.
+
+    For a ``shape = (n_rows, n_cols)`` matrix: ``indptr`` has ``n_cols + 1``
+    non-decreasing entries from 0 to ``len(indices)``; each column's slice
+    of ``indices`` is strictly increasing within ``[0, n_rows)``; ``data``,
+    when given, parallels ``indices``. *slice_name* only shapes messages
+    (an adjacency graph's slices are vertices).
+    """
+    n_minor, n_major = shape
+    if indptr.shape != (n_major + 1,):
+        raise ShapeError(f"indptr must have shape ({n_major + 1},); got {indptr.shape}")
+    if indptr[0] != 0:
+        raise ShapeError(f"indptr[0] must be 0; got {indptr[0]}")
+    steps = np.diff(indptr)
+    if np.any(steps < 0):
+        raise ShapeError(f"indptr decreases at {slice_name} {int(np.argmax(steps < 0))}")
+    if indptr[-1] != indices.size:
+        raise ShapeError(f"indptr[-1] = {indptr[-1]} but {indices.size} indices stored")
+    if data is not None and data.size != indices.size:
+        raise ShapeError(f"{indices.size} indices but {data.size} values stored")
+    check_index_array(indices, n_minor, "indices")
+    # Sorted and unique within each slice: a step that does not increase is
+    # legal only where a new slice starts.
+    bad = np.diff(indices) <= 0
+    starts = indptr[1:-1]
+    bad[starts[(starts > 0) & (starts < indices.size)] - 1] = False
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        j = int(np.searchsorted(indptr, k, side="right")) - 1
+        raise ShapeError(
+            f"{slice_name} {j} has unsorted or duplicate indices "
+            f"(position {k}: {int(indices[k])} then {int(indices[k + 1])})"
+        )
+
+
 def check_permutation(perm: np.ndarray, n: int, name: str = "perm") -> np.ndarray:
     """Validate that *perm* is a permutation of ``range(n)`` and return it
     as an int64 array."""

@@ -178,6 +178,12 @@ class TestCommands:
         b = np.ones(a.shape[0])
         assert np.linalg.norm(dense @ x - b) <= 1e-10 * np.linalg.norm(b)
 
+    def test_negative_size_line_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "neg.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate real general\n2 2 -1\n")
+        assert main(["solve", "--matrix", str(path)]) == 2
+        assert "non-negative" in capsys.readouterr().err
+
     def test_missing_file_error(self, capsys):
         rc = main(["info", "--matrix", "/nonexistent.mtx"])
         assert rc == 2

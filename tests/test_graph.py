@@ -62,6 +62,10 @@ class TestStructure:
         with pytest.raises(ShapeError):
             AdjacencyGraph(1, [0, 1], [0])
 
+    def test_validation_catches_unsorted_neighbours(self):
+        with pytest.raises(ShapeError, match="vertex 0 has unsorted"):
+            AdjacencyGraph(3, [0, 2, 3, 4], [2, 1, 0, 0])
+
     def test_subgraph(self):
         g = path_graph(5)
         sub, vmap = g.subgraph([1, 2, 3])

@@ -21,7 +21,7 @@ from repro.core import UnsymmetricSolver
 from repro.gen import convection_diffusion2d
 from repro.mf.solve_phase import solve, solve_many
 from repro.sparse import CSCMatrix
-from repro.sparse.convert import csc_to_csr
+from repro.sparse.convert import transpose
 from repro.symbolic.analyze import dense_partial_factor_flops
 from repro.util.errors import SingularMatrixError
 from repro.util.rng import make_rng
@@ -77,7 +77,7 @@ def _eliminate(front, w, perturb, col_offset, perturbed):
 def reference_lu(sym, permuted_full, pivot_perturbation):
     """``(panels, perturbed, flops, entries)``; ``panels[s]`` is
     ``(lu11, l21, u12)``."""
-    by_rows = csc_to_csr(permuted_full)
+    by_rows = transpose(permuted_full)
     perturb = None
     if pivot_perturbation is not None:
         scale = float(np.max(np.abs(permuted_full.data), initial=0.0))
@@ -95,7 +95,7 @@ def reference_lu(sym, permuted_full, pivot_perturbation):
             a_rows, a_vals = permuted_full.col(j)
             keep = a_rows >= j
             front[np.searchsorted(rows, a_rows[keep]), k] = a_vals[keep]
-            a_cols, a_vals = by_rows.row(j)
+            a_cols, a_vals = by_rows.col(j)
             keep = a_cols > j
             front[k, np.searchsorted(rows, a_cols[keep])] = a_vals[keep]
         for c in sym.sn_children[s]:

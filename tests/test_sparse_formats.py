@@ -7,13 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.sparse import (
     COOMatrix,
-    CSRMatrix,
     CSCMatrix,
-    coo_to_csr,
     coo_to_csc,
-    csr_to_csc,
-    csc_to_csr,
     csc_to_coo,
+    transpose,
 )
 from repro.util.errors import ShapeError
 
@@ -70,57 +67,8 @@ class TestCOO:
         assert m.nnz == 0
         np.testing.assert_array_equal(m.to_dense(), np.zeros((4, 4)))
 
-    def test_transpose(self, rng):
-        m = random_coo(rng)
-        np.testing.assert_array_equal(m.transpose().to_dense(), m.to_dense().T)
-
     def test_repr(self):
         assert "COOMatrix" in repr(COOMatrix.empty((2, 2)))
-
-
-class TestCSR:
-    def test_from_dense_matches_scipy(self, rng):
-        d = rng.standard_normal((6, 9))
-        d[rng.random((6, 9)) < 0.6] = 0.0
-        ours = CSRMatrix.from_dense(d)
-        ref = sps.csr_matrix(d)
-        np.testing.assert_array_equal(ours.indptr, ref.indptr)
-        np.testing.assert_array_equal(ours.indices, ref.indices)
-        np.testing.assert_allclose(ours.data, ref.data)
-
-    def test_row_access(self):
-        m = CSRMatrix.from_dense(np.array([[1.0, 0.0, 2.0], [0.0, 0.0, 0.0]]))
-        cols, vals = m.row(0)
-        assert cols.tolist() == [0, 2]
-        assert vals.tolist() == [1.0, 2.0]
-        cols, vals = m.row(1)
-        assert cols.size == 0
-
-    def test_validation_bad_indptr_start(self):
-        with pytest.raises(ShapeError):
-            CSRMatrix((1, 2), [1, 2], [0], [1.0])
-
-    def test_validation_decreasing_indptr(self):
-        with pytest.raises(ShapeError):
-            CSRMatrix((2, 2), [0, 2, 1], [0, 1], [1.0, 1.0])
-
-    def test_validation_unsorted_row(self):
-        with pytest.raises(ShapeError):
-            CSRMatrix((1, 3), [0, 2], [2, 0], [1.0, 1.0])
-
-    def test_validation_duplicate_col(self):
-        with pytest.raises(ShapeError):
-            CSRMatrix((1, 3), [0, 2], [1, 1], [1.0, 1.0])
-
-    def test_validation_indptr_tail(self):
-        with pytest.raises(ShapeError):
-            CSRMatrix((1, 3), [0, 3], [0, 1], [1.0, 1.0])
-
-    def test_copy_is_deep(self):
-        m = CSRMatrix.from_dense(np.eye(3))
-        c = m.copy()
-        c.data[0] = 99.0
-        assert m.data[0] == 1.0
 
 
 class TestCSC:
@@ -154,28 +102,59 @@ class TestCSC:
         with pytest.raises(ShapeError):
             CSCMatrix((3, 1), [0, 2], [2, 0], [1.0, 1.0])
 
+    @pytest.mark.parametrize(
+        "shape,indptr,indices,match",
+        [
+            ((2, 1), [1, 2], [0], r"indptr\[0\] must be 0"),
+            ((2, 2), [0, 2, 1], [0, 1], "indptr decreases at column 1"),
+            ((3, 2), [0, 1, 3], [2, 1, 0], "column 1 has unsorted"),
+            ((3, 1), [0, 2], [1, 1], "column 0 has unsorted or duplicate"),
+            ((3, 1), [0, 3], [0, 1], r"indptr\[-1\] = 3 but 2 indices"),
+        ],
+        ids=["bad_indptr_start", "decreasing_indptr", "unsorted_col", "duplicate_row", "indptr_tail"],
+    )
+    def test_validation_rejects(self, shape, indptr, indices, match):
+        data = np.ones(len(indices))
+        with pytest.raises(ShapeError, match=match):
+            CSCMatrix(shape, indptr, indices, data)
+
+    def test_validation_accepts_empty_columns(self):
+        m = CSCMatrix((3, 4), [0, 0, 2, 2, 3], [0, 2, 1], [1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(m.col(1)[0], [0, 2])
+
+    def test_copy_is_deep(self):
+        m = CSCMatrix.from_dense(np.eye(3))
+        c = m.copy()
+        c.data[0] = 99.0
+        assert m.data[0] == 1.0
+
 
 class TestConversions:
     @pytest.mark.parametrize("shape,nnz", [((5, 5), 10), ((8, 3), 15), ((3, 9), 12), ((1, 1), 1)])
     def test_coo_csr_csc_roundtrips(self, rng, shape, nnz):
+        """COO → CSC → COO, and through the CSR layout (the CSC of Aᵀ)."""
         m = random_coo(rng, shape, nnz)
         dense = m.to_dense()
-        csr = coo_to_csr(m)
         csc = coo_to_csc(m)
-        np.testing.assert_allclose(csr.to_dense(), dense)
+        csr = transpose(csc)
         np.testing.assert_allclose(csc.to_dense(), dense)
-        np.testing.assert_allclose(csr_to_csc(csr).to_dense(), dense)
-        np.testing.assert_allclose(csc_to_csr(csc).to_dense(), dense)
+        np.testing.assert_allclose(csr.to_dense(), dense.T)
+        assert csr.shape == shape[::-1]
+        back = transpose(csr)
+        np.testing.assert_array_equal(back.indptr, csc.indptr)
+        np.testing.assert_array_equal(back.indices, csc.indices)
+        np.testing.assert_array_equal(back.data, csc.data)
         np.testing.assert_allclose(csc_to_coo(csc).to_dense(), dense)
 
     def test_empty_matrix_conversions(self):
         m = COOMatrix.empty((4, 6))
-        assert coo_to_csr(m).nnz == 0
         assert coo_to_csc(m).nnz == 0
+        t = transpose(coo_to_csc(m))
+        assert t.shape == (6, 4) and t.nnz == 0
 
-    def test_csr_to_csc_canonical(self, rng):
+    def test_coo_to_csc_canonical(self, rng):
         m = random_coo(rng, (10, 10), 40)
-        csc = csr_to_csc(coo_to_csr(m))
+        csc = coo_to_csc(m)
         for j in range(10):
             rows, _ = csc.col(j)
             assert np.all(np.diff(rows) > 0)
@@ -199,5 +178,6 @@ class TestConversions:
         )
         m = COOMatrix((n_rows, n_cols), np.array(r, dtype=np.int64), np.array(c, dtype=np.int64), np.array(v))
         dense = m.to_dense()
-        np.testing.assert_allclose(coo_to_csr(m).to_dense(), dense, atol=1e-12)
-        np.testing.assert_allclose(coo_to_csc(m).to_dense(), dense, atol=1e-12)
+        csc = coo_to_csc(m)
+        np.testing.assert_allclose(csc.to_dense(), dense, atol=1e-12)
+        np.testing.assert_allclose(transpose(csc).to_dense(), dense.T, atol=1e-12)

@@ -9,12 +9,9 @@ from hypothesis import given, settings, strategies as st
 from repro.sparse import (
     COOMatrix,
     CSCMatrix,
-    CSRMatrix,
-    matvec_csr,
     matvec_csc,
     tril,
-    triu,
-    symmetrize,
+    transpose,
     full_symmetric_from_lower,
     is_structurally_symmetric,
     sym_matvec_lower,
@@ -37,12 +34,6 @@ def random_sparse_dense(rng, shape, density=0.4):
 
 
 class TestMatvec:
-    def test_csr_matches_dense(self, rng):
-        d = random_sparse_dense(rng, (6, 8))
-        x = rng.standard_normal(8)
-        m = CSRMatrix.from_dense(d)
-        np.testing.assert_allclose(matvec_csr(m, x), d @ x)
-
     def test_csc_matches_dense(self, rng):
         d = random_sparse_dense(rng, (6, 8))
         x = rng.standard_normal(8)
@@ -51,45 +42,57 @@ class TestMatvec:
 
     def test_empty_rows(self):
         d = np.array([[0.0, 0.0], [1.0, 2.0], [0.0, 0.0]])
-        m = CSRMatrix.from_dense(d)
-        np.testing.assert_allclose(matvec_csr(m, np.array([1.0, 1.0])), [0.0, 3.0, 0.0])
+        m = CSCMatrix.from_dense(d)
+        np.testing.assert_allclose(matvec_csc(m, np.array([1.0, 1.0])), [0.0, 3.0, 0.0])
 
     def test_zero_matrix(self):
-        m = CSRMatrix.from_dense(np.zeros((3, 3)))
-        np.testing.assert_array_equal(matvec_csr(m, np.ones(3)), np.zeros(3))
         mc = CSCMatrix.from_dense(np.zeros((3, 3)))
         np.testing.assert_array_equal(matvec_csc(mc, np.ones(3)), np.zeros(3))
 
     def test_wrong_x_shape(self):
-        m = CSRMatrix.from_dense(np.eye(3))
+        m = CSCMatrix.from_dense(np.eye(3))
         with pytest.raises(ShapeError):
-            matvec_csr(m, np.ones(4))
+            matvec_csc(m, np.ones(4))
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(1, 10), st.integers(1, 10), st.integers(0, 1000))
     def test_property_csr_csc_agree(self, nr, nc, seed):
+        """The scatter product equals row-by-row dot products, which read
+        the CSR layout (the CSC of Aᵀ)."""
         rng = np.random.default_rng(seed)
         d = random_sparse_dense(rng, (nr, nc))
         x = rng.standard_normal(nc)
-        yr = matvec_csr(CSRMatrix.from_dense(d), x)
+        rows = transpose(CSCMatrix.from_dense(d))
+        yr = np.array([vals @ x[cols] for cols, vals in map(rows.col, range(nr))])
         yc = matvec_csc(CSCMatrix.from_dense(d), x)
         np.testing.assert_allclose(yr, yc, atol=1e-12)
 
 
 class TestTransposeTriangles:
+    @staticmethod
+    def upper(m, k=0):
+        """Upper triangle through the lower one: ``triu(A, k) = tril(Aᵀ, -k)ᵀ``."""
+        return transpose(tril(transpose(m), -k))
+
     def test_tril_triu(self, rng):
         d = random_sparse_dense(rng, (6, 6))
         m = CSCMatrix.from_dense(d)
         np.testing.assert_allclose(tril(m).to_dense(), np.tril(d))
-        np.testing.assert_allclose(triu(m).to_dense(), np.triu(d))
+        np.testing.assert_allclose(self.upper(m).to_dense(), np.triu(d))
         np.testing.assert_allclose(tril(m, k=-1).to_dense(), np.tril(d, -1))
-        np.testing.assert_allclose(triu(m, k=1).to_dense(), np.triu(d, 1))
+        np.testing.assert_allclose(self.upper(m, k=1).to_dense(), np.triu(d, 1))
 
     def test_tril_triu_partition(self, rng):
         d = random_sparse_dense(rng, (6, 6))
         m = CSCMatrix.from_dense(d)
-        total = tril(m, -1).to_dense() + triu(m).to_dense()
+        total = tril(m, -1).to_dense() + self.upper(m).to_dense()
         np.testing.assert_allclose(total, d)
+
+    def test_transpose_of_rectangular(self, rng):
+        d = random_sparse_dense(rng, (4, 7))
+        t = transpose(CSCMatrix.from_dense(d))
+        assert t.shape == (7, 4)
+        np.testing.assert_array_equal(t.to_dense(), d.T)
 
 
 class TestSymmetry:
@@ -104,26 +107,6 @@ class TestSymmetry:
     def test_not_square(self):
         d = np.ones((2, 3))
         assert not is_structurally_symmetric(CSCMatrix.from_dense(d))
-
-    def test_symmetrize_average(self, rng):
-        d = random_sparse_dense(rng, (5, 5))
-        s = symmetrize(CSCMatrix.from_dense(d))
-        np.testing.assert_allclose(s.to_dense(), (d + d.T) / 2)
-
-    def test_symmetrize_pattern_keeps_values(self):
-        d = np.array([[1.0, 5.0], [0.0, 2.0]])
-        s = symmetrize(CSCMatrix.from_dense(d), mode="pattern")
-        out = s.to_dense()
-        assert out[0, 1] == 5.0
-        assert out[1, 0] == 5.0
-
-    def test_symmetrize_bad_mode(self):
-        with pytest.raises(ValueError):
-            symmetrize(CSCMatrix.from_dense(np.eye(2)), mode="nope")
-
-    def test_symmetrize_requires_square(self):
-        with pytest.raises(ShapeError):
-            symmetrize(CSCMatrix.from_dense(np.ones((2, 3))))
 
     def test_full_from_lower(self, rng):
         d = random_sparse_dense(rng, (6, 6))
@@ -298,3 +281,21 @@ class TestMatrixMarketMalformed:
     def test_blank_lines_do_not_shift_error_line_numbers(self):
         with pytest.raises(ShapeError, match="line 6"):
             self.read(self.HEADER + "\n\n2 2 2\n1 1 1.0\n2 2\n")
+
+    @pytest.mark.parametrize("size", ["-2 2 1", "2 -2 1", "2 2 -1"])
+    def test_negative_size_rejected(self, size):
+        with pytest.raises(ShapeError, match="line 2: size line values must be non-negative"):
+            self.read(self.HEADER + size + "\n1 1 1.0\n")
+
+    def test_entries_beyond_declared_count_rejected(self):
+        with pytest.raises(ShapeError, match="line 6: more entries than the 2 the size line declares"):
+            self.read(self.HEADER + "2 2 2\n1 1 1.0\n2 2 2.0\n% c\n1 2 5.0\n")
+
+    def test_trailing_comments_and_blank_lines_accepted(self):
+        coo, _ = self.read(self.HEADER + "1 1 1\n1 1 3.5\n\n% trailing comment\n\n")
+        assert coo.to_dense()[0, 0] == 3.5
+
+    def test_symmetric_must_be_square(self):
+        text = "%%MatrixMarket matrix coordinate real symmetric\n3 2 1\n1 1 1.0\n"
+        with pytest.raises(ShapeError, match="symmetric matrix must be square"):
+            self.read(text)

@@ -20,7 +20,7 @@ import repro.core.lu_solver as lu_solver_module
 from repro.core.lu_solver import UnsymmetricSolver
 from repro.gen import convection_diffusion2d, grid3d_laplacian
 from repro.sparse import COOMatrix, CSCMatrix
-from repro.sparse.convert import coo_to_csc, csc_to_csr as transpose
+from repro.sparse.convert import coo_to_csc, transpose
 from repro.sparse.ops import full_symmetric_from_lower, tril
 
 

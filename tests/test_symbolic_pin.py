@@ -35,7 +35,7 @@ from repro.graph import AdjacencyGraph
 from repro.mf.lu import lu_analyze
 from repro.ordering import NDOptions, amd_order, get_ordering, nested_dissection_order
 from repro.sparse import CSCMatrix, csc_to_coo
-from repro.sparse.convert import csc_to_csr
+from repro.sparse.convert import transpose
 from repro.sparse.ops import full_symmetric_from_lower
 from repro.symbolic import AnalyzeOptions, analyze, column_patterns, etree, fundamental_supernodes
 from repro.symbolic.postorder import (
@@ -63,7 +63,7 @@ def ref_etree(lower):
         raise ShapeError("etree requires a square lower triangle")
     parent = np.full(n, -1, dtype=np.int64)
     ancestor = np.full(n, -1, dtype=np.int64)
-    csr = csc_to_csr(lower)
+    csr = transpose(lower)
     for j in range(n):
         s, e = csr.indptr[j], csr.indptr[j + 1]
         for i in csr.indices[s:e]:
