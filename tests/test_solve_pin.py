@@ -3,8 +3,14 @@
 ``ref_solve_many`` is the blocked solve in its plainest width-invariant
 form: each supernode gathers its pivot rows by index into a copy, solves
 them, writes them back, and runs its off-diagonal panel update as one
-``np.dot(..., out=)`` gemv per right-hand-side column on a Fortran-ordered
-buffer; a single vector takes the plain ``l21 @ piv`` product. The
+``np.matmul(..., out=)`` gemv per right-hand-side column on a
+Fortran-ordered buffer; a single vector takes the plain ``a @ x`` product. A pivot block
+whose factor kept the inverses of its diagonal blocks
+(``NumericFactor.diag_inverses``) is solved block by block with the same
+per-column products: the inverse times the block's rows, then the block
+column of L11 below it (forward) or above it, transposed (backward). The
+other pivot blocks — narrower than four columns, and LU's — run the
+column kernels of :mod:`repro.dense.trsm`. The
 library's sweeps may be organised any way they like, but every solution
 they return — through ``solve_many``, ``SparseSolver.solve`` (with and
 without refinement) and the threads backend — must equal this one
@@ -53,28 +59,48 @@ MATRICES = {
 # --------------------------------------------------------------------------
 
 
+def ref_gemv(a, x):
+    """``a @ x``, one product per column of a panel *x*. ``np.matmul``,
+    not ``np.dot``: for a transposed strided view such as L11's block
+    column above a diagonal block, ``np.dot`` copies the operand first,
+    which changes the gemv and so the bits."""
+    if x.ndim == 1:
+        return a @ x
+    xf = np.asfortranarray(x)
+    out = np.empty((a.shape[0], x.shape[1]), dtype=x.dtype, order="F")
+    for c in range(x.shape[1]):
+        np.matmul(a, xf[:, c], out=out[:, c])
+    return out
+
+
+def block_bounds(inverses):
+    """Column ranges of the diagonal blocks the inverses belong to."""
+    c0 = 0
+    for inv in inverses:
+        yield c0, c0 + inv.shape[0], inv
+        c0 += inv.shape[0]
+
+
 def ref_forward(factor, y):
     sym = factor.sym
     for s in range(sym.n_supernodes):
         rows = sym.sn_rows[s]
         w = sym.supernode_width(s)
         block = factor.blocks[s]
+        inverses = factor.diag_inverses[s] if factor.diag_inverses is not None else None
         piv = y[rows[:w]]
-        if factor.method == "cholesky":
+        if inverses is not None:
+            for c0, c1, inv in block_bounds(inverses):
+                piv[c0:c1] = ref_gemv(inv, piv[c0:c1])
+                if c1 < w:
+                    piv[c1:] -= ref_gemv(block[c1:w, c0:c1], piv[c0:c1])
+        elif factor.method == "cholesky":
             solve_lower_inplace(block[:w, :], piv)
         else:
             solve_unit_lower_inplace(block[:w, :], piv)
         y[rows[:w]] = piv
         if rows.size > w:
-            l21 = block[w:, :]
-            if y.ndim == 2:
-                pivf = np.asfortranarray(piv)
-                upd = np.empty((rows.size - w, piv.shape[1]), dtype=y.dtype, order="F")
-                for c in range(piv.shape[1]):
-                    np.dot(l21, pivf[:, c], out=upd[:, c])
-            else:
-                upd = l21 @ piv
-            y[rows[w:]] -= upd
+            y[rows[w:]] -= ref_gemv(block[w:, :], piv)
 
 
 def ref_backward(factor, y):
@@ -84,18 +110,17 @@ def ref_backward(factor, y):
         rows = sym.sn_rows[s]
         w = sym.supernode_width(s)
         block = factor.blocks[s]
+        inverses = factor.diag_inverses[s] if factor.diag_inverses is not None else None
         piv = y[rows[:w]]
         if rows.size > w:
             off = factor.u12[s] if lu else block[w:, :].T
-            if y.ndim == 2:
-                xb = np.asfortranarray(y[rows[w:]])
-                upd = np.empty((w, piv.shape[1]), dtype=y.dtype, order="F")
-                for c in range(piv.shape[1]):
-                    np.dot(off, xb[:, c], out=upd[:, c])
-                piv -= upd
-            else:
-                piv -= off @ y[rows[w:]]
-        if factor.method == "ldlt":
+            piv -= ref_gemv(off, y[rows[w:]])
+        if inverses is not None:
+            for c0, c1, inv in reversed(list(block_bounds(inverses))):
+                if c1 < w:
+                    piv[c0:c1] -= ref_gemv(block[c1:w, c0:c1].T, piv[c1:])
+                piv[c0:c1] = ref_gemv(inv.T, piv[c0:c1])
+        elif factor.method == "ldlt":
             solve_unit_lower_transpose_outer_inplace(block[:w, :], piv)
         else:
             solve_lower_transpose_outer_inplace(block[:w, :].T if lu else block[:w, :], piv)
