@@ -1,10 +1,12 @@
 """The graph layer's orderings against the loops kept here, bit for bit.
 
-``ref_fm_pass``, ``ref_bfs_levels`` and
-``ref_subgraph`` are the plainest forms of FM refinement, BFS and induced
-subgraphs: every FM move rescans all vertices for the highest gain (lowest
-index on ties), BFS visits one vertex at a time, and each subgraph row is
-sorted on its own. The library's versions may be organised any way they
+``ref_fm_pass``, ``ref_bfs_levels``, ``ref_subgraph`` and
+``ref_vertex_separator`` are the plainest forms of FM refinement, BFS,
+induced subgraphs and the separator cover: every FM move rescans all
+vertices for the highest gain (lowest index on ties), BFS visits one vertex
+at a time, each subgraph row is sorted on its own, and each separator
+vertex is the ``argmax`` of the uncovered cut-edge counts, which are
+recounted by rescanning every cut edge. The library's versions may be organised any way they
 like, but every move they make — and so every side, level array, subgraph
 and permutation — must equal these. Orderings feed everything downstream
 (symbolic structure, factor bits, the simulated tables), so "equal" means
@@ -19,9 +21,11 @@ from hypothesis import given, settings, strategies as st
 
 import repro.graph.bisection
 import repro.graph.traversal
+import repro.ordering.nested_dissection
 from repro.gen import grid2d_9pt, grid3d_laplacian, random_spd_sparse
 from repro.graph import AdjacencyGraph, bfs_levels
 from repro.graph.bisection import _fm_pass, bisect
+from repro.graph.separators import vertex_separator_from_bisection
 from repro.ordering import NDOptions, get_ordering, nested_dissection_order
 
 
@@ -105,6 +109,28 @@ def ref_fm_pass(g, side, max_part):
     return best_gain > 0
 
 
+def ref_vertex_separator(g, side):
+    deg = np.diff(g.xadj)
+    src = np.repeat(np.arange(g.n, dtype=np.int64), deg)
+    cut = (side[src] != side[g.adjncy]) & (src < g.adjncy)
+    cu, cv = src[cut], g.adjncy[cut]
+    in_sep = np.zeros(g.n, dtype=bool)
+    alive = np.ones(cu.size, dtype=bool)
+    counts = np.zeros(g.n, dtype=np.int64)
+    np.add.at(counts, cu, 1)
+    np.add.at(counts, cv, 1)
+    while alive.any():
+        v = int(np.argmax(counts))
+        in_sep[v] = True
+        hit = alive & ((cu == v) | (cv == v))
+        np.subtract.at(counts, cu[hit], 1)
+        np.subtract.at(counts, cv[hit], 1)
+        alive &= ~hit
+        counts[v] = 0
+    verts = np.arange(g.n, dtype=np.int64)
+    return verts[~in_sep & ~side], verts[~in_sep & side], verts[in_sep]
+
+
 @contextlib.contextmanager
 def reference_graph_layer():
     """Run the library with the reference loops in place of its own."""
@@ -112,6 +138,9 @@ def reference_graph_layer():
         for module in (repro.graph.traversal, repro.graph.bisection):
             mp.setattr(module, "bfs_levels", ref_bfs_levels)
         mp.setattr(repro.graph.bisection, "_fm_pass", ref_fm_pass)
+        mp.setattr(
+            repro.ordering.nested_dissection, "vertex_separator_from_bisection", ref_vertex_separator
+        )
         mp.setattr(AdjacencyGraph, "subgraph", ref_subgraph)
         yield
 
@@ -235,6 +264,16 @@ def test_fm_pass_matches_reference(g, data):
     want = ref_fm_pass(g, want_side, max_part)
     assert got == want
     assert_same(got_side, want_side)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(), st.data())
+def test_vertex_separator_matches_reference(g, data):
+    side = np.asarray(data.draw(st.lists(st.booleans(), min_size=g.n, max_size=g.n)), dtype=bool)
+    got = vertex_separator_from_bisection(g, side)
+    want = ref_vertex_separator(g, side)
+    for a, b in zip(got, want):
+        assert_same(a, b)
 
 
 @settings(max_examples=100, deadline=None)
