@@ -14,7 +14,7 @@ import heapq
 import numpy as np
 
 from repro.graph.structure import AdjacencyGraph
-from repro.graph.traversal import bfs_levels, pseudo_peripheral_vertex
+from repro.graph.traversal import _pseudo_peripheral_levels, bfs_levels, check_start
 from repro.util.errors import OrderingError
 
 
@@ -41,19 +41,23 @@ def bisect(
         Maximum number of FM sweeps; refinement stops at the first sweep
         that does not improve the cut.
     start
-        Optional fixed BFS start vertex (default: pseudo-peripheral pick).
+        Optional fixed BFS start vertex (default: pseudo-peripheral pick);
+        one outside ``[0, n)`` raises :class:`OrderingError`.
     """
     n = g.n
     if not (0.5 < balance <= 1.0):
         raise OrderingError(f"balance must be in (0.5, 1]; got {balance}")
+    if start is not None:
+        check_start(g, start)
     if n == 0:
         return np.zeros(0, dtype=bool)
     if n == 1:
         return np.zeros(1, dtype=bool)
 
     if start is None:
-        start = pseudo_peripheral_vertex(g, 0)
-    levels = bfs_levels(g, start)
+        start, levels = _pseudo_peripheral_levels(g, 0)
+    else:
+        levels = bfs_levels(g, start)
 
     # Order vertices by (level, index); unreachable (-1) go last.
     sort_key = np.where(levels >= 0, levels, np.iinfo(np.int64).max)

@@ -10,6 +10,8 @@ boundary side on mesh graphs.
 
 from __future__ import annotations
 
+import heapq
+
 import numpy as np
 
 from repro.graph.structure import AdjacencyGraph
@@ -35,31 +37,49 @@ def vertex_separator_from_bisection(
 
     in_sep = np.zeros(g.n, dtype=bool)
     if cu.size:
-        # Greedy cover: repeatedly take the endpoint with the highest count
-        # of uncovered cut edges.
-        alive = np.ones(cu.size, dtype=bool)
-        counts = np.zeros(g.n, dtype=np.int64)
-        np.add.at(counts, cu, 1)
-        np.add.at(counts, cv, 1)
-        # Process until all cut edges covered.
-        while alive.any():
-            v = int(np.argmax(counts))
-            if counts[v] == 0:
-                # Remaining alive edges must already be covered — defensive.
-                break
-            in_sep[v] = True
-            hit = alive & ((cu == v) | (cv == v))
-            # Decrement endpoint counts of newly covered edges.
-            np.subtract.at(counts, cu[hit], 1)
-            np.subtract.at(counts, cv[hit], 1)
-            alive &= ~hit
-            counts[v] = 0
+        _greedy_cover(g.n, cu, cv, in_sep)
 
     verts = np.arange(g.n, dtype=np.int64)
     sep = verts[in_sep]
     part0 = verts[~in_sep & ~side]
     part1 = verts[~in_sep & side]
     return part0, part1, sep
+
+
+def _greedy_cover(n: int, cu: np.ndarray, cv: np.ndarray, in_sep: np.ndarray) -> None:
+    """Mark in *in_sep* a greedy vertex cover of the edges ``(cu, cv)``:
+    repeatedly the vertex with the most uncovered edges, the lowest index
+    on ties (the pick of ``np.argmax`` over the counts).
+
+    A lazy max-heap of ``(-count, v)`` finds each pick: a count that drops
+    pushes a fresh entry, and a popped entry that is no longer the
+    vertex's count is dropped. Each vertex lists its incident edges, so
+    covering them touches only those: O(edges · log n) in all.
+    """
+    ncut = cu.size
+    ends = np.concatenate((cu, cv))
+    counts = np.bincount(ends, minlength=n)
+    order = np.argsort(ends, kind="stable")
+    ptr = np.concatenate(([0], np.cumsum(counts))).tolist()
+    edge = (order % ncut).tolist()
+    other = np.concatenate((cv, cu))[order].tolist()
+    count = counts.tolist()
+    heap = [(-count[v], v) for v in np.flatnonzero(counts).tolist()]
+    heapq.heapify(heap)
+    alive = [True] * ncut
+    while heap:
+        c, v = heapq.heappop(heap)
+        if -c != count[v]:
+            continue
+        in_sep[v] = True
+        count[v] = 0
+        for i in range(ptr[v], ptr[v + 1]):
+            if alive[edge[i]]:
+                alive[edge[i]] = False
+                u = other[i]
+                count[u] -= 1
+                if count[u]:
+                    heapq.heappush(heap, (-count[u], u))
 
 
 def is_separator(g: AdjacencyGraph, part0: np.ndarray, part1: np.ndarray) -> bool:

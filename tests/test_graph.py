@@ -127,6 +127,20 @@ class TestTraversal:
         g = AdjacencyGraph.from_edges(1, [], [])
         assert pseudo_peripheral_vertex(g, 0) == 0
 
+    @pytest.mark.parametrize("n", [0, 1, 5])
+    @pytest.mark.parametrize("offset", [-1, 0, 3], ids=["minus1", "n", "n+3"])
+    @pytest.mark.parametrize("call", ["bfs_levels", "pseudo_peripheral_vertex", "bisect"])
+    def test_start_outside_the_graph_is_typed(self, n, offset, call):
+        g = path_graph(n)
+        start = -1 if offset == -1 else n + offset
+        fn = {
+            "bfs_levels": lambda: bfs_levels(g, start),
+            "pseudo_peripheral_vertex": lambda: pseudo_peripheral_vertex(g, start),
+            "bisect": lambda: bisect(g, start=start),
+        }[call]
+        with pytest.raises(OrderingError, match="start vertex"):
+            fn()
+
 
 class TestBisection:
     @pytest.mark.parametrize("nx,ny", [(4, 4), (6, 5), (8, 8)])
