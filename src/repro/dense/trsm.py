@@ -1,7 +1,14 @@
 """Dense triangular solves used by the solve phase and the frontal kernels.
 
 All operate in place on the right-hand side; RHS may be a vector or a
-matrix of multiple right-hand sides.
+matrix of multiple right-hand sides. The sweeps of
+:mod:`repro.mf.solve_phase` call the column kernels for LU pivot blocks,
+for Cholesky and LDLᵀ pivot blocks narrower than
+:data:`~repro.dense.chol.LAPACK_MIN_PIVOTS`, and for the simulator's
+distributed pivot blocks; every other pivot block is solved with gemvs on
+the inverses of its diagonal blocks, which :func:`lower_inverses` forms
+once per factor. :func:`solve_unit_lower_inplace` is also the LU
+kernel's U-panel solve in the simulator's distributed fronts.
 """
 
 from __future__ import annotations
@@ -76,3 +83,26 @@ def solve_unit_lower_transpose_outer_inplace(l: np.ndarray, b: np.ndarray) -> No
                 b[:j] -= np.multiply.outer(l[j, :j], b[j])
             else:
                 b[:j] -= l[j, :j] * b[j]
+
+
+def lower_inverses(l: np.ndarray, unit: bool = False) -> np.ndarray:
+    """The inverses of a stack ``(k, b, b)`` of lower-triangular matrices
+    (only the lower triangle read; a unit diagonal assumed when *unit*).
+
+    Each inverse is the column-oriented forward substitution of
+    :func:`solve_lower_inplace` on the identity, run for the whole stack
+    at once: b steps of elementwise operations, so an inverse's bits do
+    not depend on what else is in the stack. Substitution, not
+    ``np.linalg.inv``: LU with partial pivoting swaps the rows of a badly
+    row-scaled triangle and loses accuracy that the substitution keeps.
+    """
+    k, b, _ = l.shape
+    x = np.zeros_like(l)
+    diag = np.arange(b)
+    x[:, diag, diag] = 1.0
+    for j in range(b):
+        if not unit:
+            x[:, j, :j + 1] /= l[:, j, j, None]
+        if j + 1 < b:
+            x[:, j + 1:, :j + 1] -= l[:, j + 1:, j, None] * x[:, j, None, :j + 1]
+    return x

@@ -24,15 +24,21 @@ Bitwise reproducibility contract
 share the panel, and for either schedule and any worker count. The rules
 that buy this:
 
-* triangular substitution uses only elementwise/outer-product updates
-  (:mod:`repro.dense.trsm`'s forward kernels and the ``*_outer`` transpose
-  kernels), whose per-column operation sequence does not depend on the
-  panel width — unlike BLAS dot/gemv/gemm reductions, which reorder sums
-  with the operand shape;
-* the off-diagonal panel update is one stacked ``matmul`` per front, whose
-  per-column call is the single-RHS gemv: numpy loops over the columns in
-  C and gives each contiguous column the exact call the single-RHS path
-  issues;
+* a Cholesky or LDLᵀ pivot block of w ≥ 4 columns is solved block by
+  block on the inverses of its :data:`~repro.dense.chol.SOLVE_BLOCK`-wide
+  diagonal blocks (``NumericFactor.diag_inverses``): one stacked gemv
+  (:func:`gemv_columns`) on each inverse and one on each block column of
+  L11 beside it, so w pivots cost about 2·w/32 numpy calls instead of w
+  Python steps;
+* narrower pivot blocks and LU's keep the column kernels of
+  :mod:`repro.dense.trsm` (forward kernels and the ``*_outer`` transpose
+  kernels), whose elementwise/outer-product updates have a per-column
+  operation sequence that does not depend on the panel width;
+* every product — those on the inverses and the off-diagonal panel
+  update — is one stacked ``matmul`` per operand, whose per-column call is
+  the single-RHS gemv: numpy loops over the columns in C and gives each
+  contiguous column the exact call the single-RHS path issues, whereas a
+  plain BLAS gemm would reorder sums with the panel width;
 * pooled forward: a supernode's update panel is published, and each
   ancestor subtracts its incoming row runs at the start of its own step,
   in ascending source order — the per-element subtraction sequence of the
@@ -138,13 +144,37 @@ def gemv_columns(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.matmul(a, np.ascontiguousarray(x.T)[:, :, None])[:, :, 0].T
 
 
-def forward_kernel(panel: np.ndarray, method: str, piv: np.ndarray) -> np.ndarray | None:
+def _diagonal_blocks(inverses: list[np.ndarray]):
+    """``(c0, c1, inverse)`` of each diagonal block of a pivot block."""
+    c0 = 0
+    for inv in inverses:
+        c1 = c0 + inv.shape[0]
+        yield c0, c1, inv
+        c0 = c1
+
+
+def forward_kernel(
+    panel: np.ndarray,
+    method: str,
+    piv: np.ndarray,
+    inverses: list[np.ndarray] | None = None,
+) -> np.ndarray | None:
     """One front's forward substitution: solves the pivot block of the m×w
     factor *panel* against the pivot rows *piv* in place and returns the
     update ``L21 piv`` for the front's update rows (None when it has none).
-    The caller subtracts it where the rows live."""
+    The caller subtracts it where the rows live.
+
+    With the *inverses* of the pivot block's diagonal blocks
+    (``NumericFactor.diag_inverses``), each block's rows are one gemv on
+    its inverse and the block column of L11 below it is one more;
+    without, the column kernels of :mod:`repro.dense.trsm` run."""
     w = panel.shape[1]
-    if method == "cholesky":
+    if inverses is not None:
+        for c0, c1, inv in _diagonal_blocks(inverses):
+            piv[c0:c1] = gemv_columns(inv, piv[c0:c1])
+            if c1 < w:
+                piv[c1:] -= gemv_columns(panel[c1:w, c0:c1], piv[c0:c1])
+    elif method == "cholesky":
         solve_lower_inplace(panel[:w], piv)
     else:
         solve_unit_lower_inplace(panel[:w], piv)
@@ -157,16 +187,23 @@ def backward_kernel(
     method: str,
     piv: np.ndarray,
     xu: np.ndarray | None,
+    inverses: list[np.ndarray] | None = None,
 ) -> None:
     """One front's backward substitution on its pivot rows *piv*, in place,
     given the solution *xu* at its update rows (read only when the m×w
     *panel* has update rows). Cholesky and LDLᵀ solve with the transpose
-    of their L panel; LU with U: its upper pivot block (as the transpose
-    of a lower one) and *u12*."""
+    of their L panel — on the transposed *inverses* of its diagonal
+    blocks when given, as in :func:`forward_kernel`; LU with U: its upper
+    pivot block (as the transpose of a lower one) and *u12*."""
     w = panel.shape[1]
     if panel.shape[0] > w:
         piv -= gemv_columns(u12 if method == "lu" else panel[w:].T, xu)
-    if method == "ldlt":
+    if inverses is not None:
+        for c0, c1, inv in reversed(list(_diagonal_blocks(inverses))):
+            if c1 < w:
+                piv[c0:c1] -= gemv_columns(panel[c1:w, c0:c1].T, piv[c1:])
+            piv[c0:c1] = gemv_columns(inv.T, piv[c0:c1])
+    elif method == "ldlt":
         solve_unit_lower_transpose_outer_inplace(panel[:w], piv)
     else:
         solve_lower_transpose_outer_inplace(panel[:w].T if method == "lu" else panel[:w], piv)
@@ -182,7 +219,9 @@ def forward_front(factor: NumericFactor, s: int, y: np.ndarray) -> np.ndarray | 
     """
     plan = factor.sym.front_plan
     start = plan.start[s]
-    return forward_kernel(factor.blocks[s], factor.method, y[start:start + plan.width[s]])
+    return forward_kernel(
+        factor.blocks[s], factor.method, y[start:start + plan.width[s]], factor.diag_inverses[s]
+    )
 
 
 def backward_front(factor: NumericFactor, s: int, y: np.ndarray) -> None:
@@ -201,6 +240,7 @@ def backward_front(factor: NumericFactor, s: int, y: np.ndarray) -> None:
         factor.method,
         y[start:start + w],
         y[factor.sym.sn_rows[s][w:]],
+        factor.diag_inverses[s],
     )
 
 

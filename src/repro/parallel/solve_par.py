@@ -173,7 +173,7 @@ def make_solve_program(plan: FactorPlan, datas: list[RankFactorData], bp: np.nda
         f = np.zeros((m,) + tail)
         f[:w] = bp[rows[:w]]
         yield from recv_up(plan, s, me, {SEQ: f}, u, "su")
-        upd = forward_kernel(data.seq_panels[s], method, f[:w])
+        upd = forward_kernel(data.seq_panels[s], method, f[:w], data.seq_inverses.get(s))
         y[s] = f[:w]
         fl = float(w * w + 2 * (m - w) * w)
         yield Compute(flops=fl, front_order=max(w, 8))
@@ -242,7 +242,9 @@ def make_solve_program(plan: FactorPlan, datas: list[RankFactorData], bp: np.nda
         xu = np.zeros((m - w,) + tail)
         yield from recv_down(plan, s, me, {SEQ: xu}, x, "sd")
         fl = float(w * w + 2 * (m - w) * w)
-        backward_kernel(data.seq_panels[s], data.seq_u12.get(s), method, rhs, xu)
+        backward_kernel(
+            data.seq_panels[s], data.seq_u12.get(s), method, rhs, xu, data.seq_inverses.get(s)
+        )
         pieces.append((rows[:w], rhs))
         x[s] = {SEQ: np.concatenate((rhs, xu))}
         yield Compute(flops=fl, front_order=max(w, 8))

@@ -21,6 +21,7 @@ from repro.dense import (
 from repro.dense.chol import LAPACK_MIN_PIVOTS, _trsm_right_lower_transpose
 from repro.dense.partial_factor import _trsm_right_unit_lower_transpose
 from repro.dense.syrk import syrk_lower_update_scaled
+from repro.dense.trsm import lower_inverses
 from repro.util.errors import NotPositiveDefiniteError, ShapeError, SingularMatrixError
 
 
@@ -198,6 +199,32 @@ class TestTrsm:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             solve_lower_inplace(np.eye(3), np.ones(4))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("unit", [False, True])
+    def test_lower_inverses(self, rng, unit, dtype):
+        b = 7
+        l = np.tril(rng.standard_normal((5, b, b))) + b * np.eye(b)
+        garbage = (l + np.triu(rng.standard_normal((5, b, b)), 1)).astype(dtype)
+        inv = lower_inverses(garbage, unit=unit)
+        assert inv.dtype == dtype
+        tri = np.tril(l, -1) + np.eye(b) if unit else l
+        tol = 1e-5 if dtype == np.float32 else 1e-12
+        np.testing.assert_allclose(inv @ tri, np.broadcast_to(np.eye(b), tri.shape), atol=tol)
+
+    def test_lower_inverses_bits_do_not_depend_on_the_stack(self, rng):
+        """Each inverse is the one its matrix gets alone, also when padded
+        with the identity to a larger order."""
+        l = np.tril(rng.standard_normal((6, 5, 5))) + 5 * np.eye(5)
+        stacked = lower_inverses(l)
+        padded = np.zeros((6, 8, 8))
+        padded[:, range(8), range(8)] = 1.0
+        padded[:, :5, :5] = l
+        padded_inv = lower_inverses(padded)
+        for i in range(6):
+            alone = lower_inverses(l[i:i + 1])[0]
+            assert alone.tobytes() == stacked[i].tobytes()
+            assert alone.tobytes() == np.ascontiguousarray(padded_inv[i, :5, :5]).tobytes()
         with pytest.raises(ShapeError):
             solve_lower_inplace(np.ones((2, 3)), np.ones(2))
 

@@ -86,7 +86,7 @@ def fan_in_solve(factor, b):
         f[:w] = bp[rows[:w]]
         for c in sym.sn_children[s]:
             f[fp.rel[c]] += up[c]
-        upd = forward_kernel(factor.blocks[s], factor.method, f[:w])
+        upd = forward_kernel(factor.blocks[s], factor.method, f[:w], factor.diag_inverses[s])
         ys[s] = f[:w]
         if upd is not None:
             up[s] = f[w:] - upd
@@ -98,7 +98,9 @@ def fan_in_solve(factor, b):
             d = factor.diag[fp.start[s]: fp.start[s] + w]
             piv /= d.reshape((-1,) + (1,) * len(tail))
         u12 = factor.u12[s] if factor.u12 is not None else None
-        backward_kernel(factor.blocks[s], u12, factor.method, piv, xp[rows[w:]])
+        backward_kernel(
+            factor.blocks[s], u12, factor.method, piv, xp[rows[w:]], factor.diag_inverses[s]
+        )
         xp[rows[:w]] = piv
     return unpermute_vector(xp, sym.perm)
 
