@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.machine.model import MachineModel
-from repro.mf.numeric import pivot_threshold
+from repro.mf.numeric import diagonal_inverses, pivot_threshold
 from repro.obs.spans import span
 from repro.parallel.factor_par import RankFactorData, make_factor_program
 from repro.parallel.plan import FactorPlan, PlanOptions
@@ -208,6 +208,13 @@ def simulate_factorization(
             machine, n_ranks, threads_per_rank=threads_per_rank, trace=trace
         ).run(program)
     datas = list(sim.returns)
+    # Solve preparation on the host, outside the simulated factorization
+    # (so not charged): the sequential fronts' diagonal-block inverses of
+    # every rank in one batched call, each bitwise the host factor's.
+    seq = [(data, s) for data in datas for s in data.seq_panels]
+    inverses = diagonal_inverses([data.seq_panels[s] for data, s in seq], method)
+    for (data, s), inv in zip(seq, inverses):
+        data.seq_inverses[s] = inv
     return ParallelFactorResult(
         plan=plan,
         method=method,

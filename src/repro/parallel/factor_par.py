@@ -32,7 +32,7 @@ import numpy as np
 from repro.dense.chol import _trsm_right_lower_transpose
 from repro.dense.partial_factor import _trsm_right_unit_lower_transpose
 from repro.dense.trsm import solve_unit_lower_inplace
-from repro.mf.numeric import assemble_from_a, diagonal_inverses, eliminate_front, partial_factor
+from repro.mf.numeric import assemble_from_a, eliminate_front, partial_factor
 from repro.parallel.dist_front import (
     Blocks,
     LocalFront,
@@ -69,7 +69,8 @@ class RankFactorData:
     seq_u12: dict[int, np.ndarray] = field(default_factory=dict)
     #: seq supernode -> the inverses of its L11's diagonal blocks, bitwise
     #: the host factor's ``diag_inverses[s]`` (None where the host keeps
-    #: none); formed once the rank's fronts are factored
+    #: none); formed by :func:`repro.parallel.driver.simulate_factorization`
+    #: once the simulation has run
     seq_inverses: dict[int, list[np.ndarray] | None] = field(default_factory=dict)
     #: dist supernode -> {row_block: rows array}, w wide — except LU's
     #: pivot row blocks, which hold their whole m-wide factor row
@@ -106,11 +107,6 @@ def make_factor_program(
             step = _seq_step if plan.dist[s].is_seq else _dist_step
             live_entries += yield from step(plan, s, me, method, perturb_abs, data, updates)
             data.peak_entries = max(data.peak_entries, live_entries)
-        # Solve preparation on the host, outside the simulated factor (so
-        # not charged), as :class:`~repro.mf.numeric.NumericFactor` does.
-        seq = list(data.seq_panels)
-        inverses = diagonal_inverses([data.seq_panels[s] for s in seq], method)
-        data.seq_inverses = dict(zip(seq, inverses))
         return data
 
     return program
