@@ -27,11 +27,11 @@ LAPACK_MIN_PIVOTS = 4
 #: pivot block of w ≥ :data:`LAPACK_MIN_PIVOTS` columns is solved with
 #: ceil(w / SOLVE_BLOCK) gemvs on them plus one per block column of L11
 #: below them. A module constant, not an option. Chosen on cube 16³, BLAS
-#: on one thread, medians of 11 interleaved rounds (EXPERIMENTS.md
-#: "Triangular sweeps on the diagonal-block inverses"): k = 1 / k = 16
-#: solves took 29.5 / 59.0 ms at 16, 21.5 / 43.2 at 24, 21.2 / 45.1 at 32,
-#: 28.1 / 50.4 at 48 and 25.8 / 50.8 at 128, while forming the inverses
-#: grows from 3.5 ms at 16 and 4.9 at 32 to 15.5 at 128.
+#: on one thread, medians of 11 interleaved rounds (EXPERIMENTS.md "Solve
+#: path host cost — sweeps on the diagonal-block inverses"): k = 1 /
+#: k = 16 solves took 29.5 / 59.0 ms at 16, 21.5 / 43.2 at 24, 21.2 / 45.1
+#: at 32, 28.1 / 50.4 at 48 and 25.8 / 50.8 at 128, while forming the
+#: inverses grows from 3.5 ms at 16 and 4.9 at 32 to 15.5 at 128.
 SOLVE_BLOCK = 32
 
 

@@ -200,8 +200,9 @@ def diagonal_inverses(
     4 + 8 + 16 + 32 Python steps for its inverses, not Σ w over its fronts.
     The padding rows and columns never reach a block's own entries, and
     the substitution is elementwise, so each inverse has the bits it would
-    have alone: the simulator's ranks, which invert only their own fronts'
-    blocks, hold the host's inverses.
+    have alone: the simulator, which inverts a different set of blocks
+    (every rank's sequential fronts) in one call, holds the host's
+    inverses.
     """
     out: list[list[np.ndarray] | None] = [None] * len(blocks)
     if method == "lu":
