@@ -2,7 +2,10 @@
 
 Mirrors the three-phase interface of WSMP (and of every serious sparse
 direct solver): symbolic **analyze** once per sparsity pattern, numeric
-**factor** once per value set, **solve** per right-hand side. A fourth
+**factor** once per value set, **solve** per right-hand side. The method
+— Cholesky, LDLᵀ or static-pivoting LU — is a setting of the one solver:
+after the constructor and ``analyze()`` every method runs the same
+factor, sweeps, refinement loop and simulated machine. A fourth
 entry point, :meth:`SparseSolver.simulate`, runs the same factorization
 distributed over a simulated massively parallel machine and reports its
 timing — the reproduction's measurement instrument.
@@ -28,8 +31,9 @@ import numpy as np
 from repro.graph.structure import AdjacencyGraph
 from repro.machine.model import MachineModel
 from repro.machine.presets import GENERIC_CLUSTER
+from repro.mf.lu import lu_analyze
 from repro.mf.numeric import NumericFactor, multifrontal_factor
-from repro.mf.refine import iterative_refinement_many
+from repro.mf.refine import iterative_refinement_many, relative_residuals
 from repro.mf.solve_phase import solve_many as mf_solve_many
 from repro.obs.spans import span, timed
 from repro.ordering.registry import get_ordering
@@ -42,8 +46,8 @@ from repro.parallel.driver import (
 )
 from repro.parallel.plan import FactorPlan, PlanOptions
 from repro.sparse.csc import CSCMatrix
-from repro.sparse.convert import transpose
-from repro.sparse.ops import sym_matvec_lower_many, tril, is_structurally_symmetric
+from repro.sparse.convert import csc_to_coo, transpose
+from repro.sparse.ops import tril, is_structurally_symmetric
 from repro.symbolic.analyze import AnalyzeOptions, SymbolicFactor, analyze
 from repro.util.errors import PatternMismatchError, ReproError, ShapeError
 from repro.util.validation import as_float_array, work_dtype
@@ -74,7 +78,7 @@ def as_symmetric_lower(a: CSCMatrix) -> CSCMatrix:
         if not np.allclose(transpose(a).data, a.data, rtol=1e-12, atol=0):
             raise ShapeError(
                 "matrix is structurally but not numerically symmetric; "
-                "factor it with UnsymmetricSolver (LU) instead"
+                "factor it with SparseSolver(method='lu') instead"
             )
     return lower
 
@@ -148,20 +152,32 @@ class ParallelRunReport:
 
 
 class SparseSolver:
-    """Sparse symmetric direct solver (Cholesky / LDLᵀ).
+    """Sparse direct solver (Cholesky / LDLᵀ / static-pivoting LU).
 
     Parameters
     ----------
     a
-        The matrix: either the lower triangle of a symmetric matrix, or a
-        full symmetric CSC matrix (detected and reduced automatically).
+        The matrix. For ``"cholesky"`` and ``"ldlt"``: either the lower
+        triangle of a symmetric matrix, or a full symmetric CSC matrix
+        (detected and reduced automatically). For ``"lu"``: a general
+        square matrix, kept as given.
     method
         ``"cholesky"`` for SPD input, ``"ldlt"`` for symmetric strongly
-        regular input.
+        regular input, ``"lu"`` for unsymmetric input (ordered and analyzed
+        on the pattern of A + Aᵀ; see :mod:`repro.mf.lu`).
     ordering
         Fill-reducing ordering name from :data:`repro.ordering.ORDERINGS`
         (default ``"nd"`` — nested dissection, required for good parallel
         scaling) or an explicit permutation array.
+    pivot_perturbation
+        LDLᵀ and LU: static-pivoting threshold (see
+        :func:`repro.mf.numeric.multifrontal_factor`); ``None`` raises on
+        zero pivots. Perturbed columns are reported in
+        ``numeric.perturbed_columns``, and refinement recovers accuracy.
+
+    LU has no value-update, Schur-complement or condition-estimate path:
+    :meth:`update_values`, :meth:`refactor`, :meth:`schur_complement` and
+    :meth:`condition_estimate` raise :class:`ShapeError` for it.
     """
 
     def __init__(
@@ -172,9 +188,13 @@ class SparseSolver:
         analyze_options: AnalyzeOptions | None = None,
         pivot_perturbation: float | None = None,
     ):
-        if method not in ("cholesky", "ldlt"):
+        if method not in ("cholesky", "ldlt", "lu"):
             raise ShapeError(f"unknown method {method!r}")
-        self.lower = as_symmetric_lower(a)
+        if method == "lu" and a.shape[0] != a.shape[1]:
+            raise ShapeError("matrix must be square")
+        #: the matrix as the solver holds it: the lower triangle for
+        #: Cholesky and LDLᵀ, the whole square matrix for LU
+        self.lower = a if method == "lu" else as_symmetric_lower(a)
         self.method = method
         self.ordering = ordering
         self.analyze_options = analyze_options
@@ -191,17 +211,26 @@ class SparseSolver:
 
     def analyze(self) -> AnalyzeInfo:
         """Ordering + symbolic factorization (once per pattern)."""
+        lu = self.method == "lu"
         with timed(
             "solver.analyze", n=self.lower.shape[0], nnz=self.lower.nnz
         ) as t:
             if isinstance(self.ordering, str):
                 with span("solver.ordering", ordering=self.ordering):
-                    graph = AdjacencyGraph.from_symmetric_lower(self.lower)
+                    if lu:  # LU orders the graph of A + Aᵀ
+                        coo = csc_to_coo(self.lower)
+                        graph = AdjacencyGraph.from_edges(
+                            self.lower.shape[0], coo.row, coo.col
+                        )
+                    else:
+                        graph = AdjacencyGraph.from_symmetric_lower(self.lower)
                     perm = get_ordering(self.ordering)(graph)
             else:
                 perm = np.asarray(self.ordering, dtype=np.int64)
             with span("solver.symbolic"):
-                self.sym = analyze(self.lower, perm, self.analyze_options)
+                self.sym = (lu_analyze if lu else analyze)(
+                    self.lower, perm, self.analyze_options
+                )
         self.plans.clear()
         s = self.sym
         self._analyze_info = AnalyzeInfo(
@@ -357,11 +386,10 @@ class SparseSolver:
             x = solve_fn(self.numeric, b)
             b2 = b[:, None] if b.ndim == 1 else b
             x2 = x[:, None] if x.ndim == 1 else x
-            r = b2 - sym_matvec_lower_many(self.lower, x2)
-            denom = np.maximum(np.max(np.abs(b2), axis=0), 1e-300)
+            rel = relative_residuals(self.numeric, self.lower, x2, b2)
             return SolveResult(
                 x=x,
-                residual=float(np.max(np.max(np.abs(r), axis=0) / denom)),
+                residual=float(np.max(rel)),
                 refinement_iterations=0,
                 precision=self.numeric.precision,
             )
@@ -388,9 +416,10 @@ class SparseSolver:
         the simulated machine described by *config*.
 
         With ``verify=True`` the distributed factor is reassembled and
-        compared against the sequential factor: L and, for LDLᵀ, the
-        pivots D (tests use this; it defeats the purpose of simulating
-        large machines on big problems, so it is off by default).
+        compared against the sequential factor: L, plus the pivots D for
+        LDLᵀ and U for LU (tests use this; it defeats the purpose of
+        simulating large machines on big problems, so it is off by
+        default).
         """
         with span(
             "solver.simulate",
@@ -410,9 +439,16 @@ class SparseSolver:
         if verify:
             if self.numeric is None:
                 self.factor()
-            # Both dense views carry a unit diagonal for LDLᵀ, so D is
-            # compared on its own.
-            pairs = [(self.numeric.to_dense_l(), fres.to_dense_l(), "factor")]
+            # Both dense views carry a unit diagonal for LDLᵀ and LU, so D
+            # and U are compared on their own.
+            if self.method == "lu":
+                (l_ref, u_ref), (l_got, u_got) = (
+                    self.numeric.to_dense_lu(),
+                    fres.to_dense_lu(),
+                )
+                pairs = [(l_ref, l_got, "factor"), (u_ref, u_got, "factor U")]
+            else:
+                pairs = [(self.numeric.to_dense_l(), fres.to_dense_l(), "factor")]
             if self.method == "ldlt":
                 pairs.append((self.numeric.diag, fres.assemble_diag(), "pivots D"))
             for ref, got, what in pairs:
@@ -449,6 +485,7 @@ class SparseSolver:
         :meth:`refactor` and the simulated-parallel path (where the numeric
         phase runs on the distributed engine, not the host) build on this.
         """
+        self._symmetric_only("update_values")
         if self.sym is None:
             raise ReproError("call analyze() (or factor()) before refactor()")
         lower = as_symmetric_lower(new_a)
@@ -486,6 +523,7 @@ class SparseSolver:
         :meth:`factor`. *precision* ``None`` keeps the previous factor's
         working precision (fp64 when nothing was factored yet).
         """
+        self._symmetric_only("refactor")
         if precision is None:
             precision = "fp64" if self.numeric is None else self.numeric.precision
         work_dtype(precision)
@@ -503,6 +541,7 @@ class SparseSolver:
         """Hager–Higham 1-norm condition estimate (factors if needed)."""
         from repro.mf.condest import condest
 
+        self._symmetric_only("condition_estimate")
         if self.numeric is None:
             self.factor()
         return condest(self.lower, self.numeric, max_iter=max_iter)
@@ -512,10 +551,15 @@ class SparseSolver:
         :func:`repro.mf.schur.schur_complement`)."""
         from repro.mf.schur import schur_complement as _schur
 
+        self._symmetric_only("schur_complement")
         ordering = self.ordering if isinstance(self.ordering, str) else "nd"
         return _schur(
             self.lower, schur_set, method=self.method, ordering=ordering
         )
+
+    def _symmetric_only(self, what: str) -> None:
+        if self.method == "lu":
+            raise ShapeError(f"{what} is not available for method='lu'")
 
     @property
     def info(self) -> AnalyzeInfo:

@@ -31,6 +31,12 @@ reaches the tolerance (or diverges) is frozen, so each column follows
 exactly the iteration trajectory it would follow refined alone, and the
 result is bitwise identical per column to the scalar
 :func:`iterative_refinement` (which delegates to the same core).
+
+Every method refines through this one loop. The matvec and ‖A‖∞ follow
+``factor.method``: Cholesky and LDLᵀ read the lower triangle of the
+symmetric matrix, LU the whole square matrix (static pivoting relies on
+refinement, as SuperLU_DIST's ``IterRefine`` does). The unrefined solve's
+accuracy report, :func:`relative_residuals`, picks its matvec the same way.
 """
 
 from __future__ import annotations
@@ -42,7 +48,12 @@ import numpy as np
 from repro.mf.numeric import NumericFactor
 from repro.mf.solve_phase import solve_many
 from repro.sparse.csc import CSCMatrix
-from repro.sparse.ops import sym_matvec_lower_many, sym_norm_inf_lower
+from repro.sparse.ops import (
+    matvec_csc,
+    norm_inf_csc,
+    sym_matvec_lower_many,
+    sym_norm_inf_lower,
+)
 from repro.util.errors import ShapeError
 from repro.util.validation import as_float_array
 
@@ -101,9 +112,28 @@ class PanelRefinementResult:
         )
 
 
+def _matvec(factor: NumericFactor):
+    """``matvec(a, x)`` of the matrix as *factor*'s method holds it: the
+    whole square matrix for LU, the lower triangle of a symmetric matrix
+    otherwise. Looked up per call, so a hook on the module's
+    ``sym_matvec_lower_many`` sees every symmetric residual."""
+    return matvec_csc if factor.method == "lu" else sym_matvec_lower_many
+
+
+def relative_residuals(
+    factor: NumericFactor, a: CSCMatrix, x: np.ndarray, b: np.ndarray
+) -> np.ndarray:
+    """Per-column ``max|b − A x| / max(max|b|, 1e-300)`` of the ``(n, k)``
+    panels *x* and *b*: the accuracy report of an unrefined solve. *a* is
+    the matrix as :func:`iterative_refinement_many` takes it."""
+    r = b - _matvec(factor)(a, x)
+    denom = np.maximum(np.max(np.abs(b), axis=0), 1e-300)
+    return np.max(np.abs(r), axis=0) / denom
+
+
 def _refine_panel(
     factor: NumericFactor,
-    original_lower: CSCMatrix,
+    a: CSCMatrix,
     b: np.ndarray,
     max_iter: int,
     tol: float,
@@ -119,7 +149,8 @@ def _refine_panel(
     n, k = b.shape
     x = np.zeros((n, k))
     bnorms = np.max(np.abs(b), axis=0) if n else np.zeros(k)
-    anorm = sym_norm_inf_lower(original_lower)
+    matvec = _matvec(factor)
+    anorm = norm_inf_csc(a) if factor.method == "lu" else sym_norm_inf_lower(a)
     histories: list[list[float]] = [[] for _ in range(k)]
     iterations = np.zeros(k, dtype=np.int64)
     converged = np.zeros(k, dtype=bool)
@@ -157,7 +188,7 @@ def _refine_panel(
         active = active[finite_x]
         if not active.size:
             break
-        r = b[:, active] - sym_matvec_lower_many(original_lower, x[:, active])
+        r = b[:, active] - matvec(a, x[:, active])
         with np.errstate(invalid="ignore", over="ignore"):
             xnorms = np.max(np.abs(x[:, active]), axis=0)
             berr = np.max(np.abs(r), axis=0) / (anorm * xnorms + bnorms[active])
@@ -211,7 +242,7 @@ def _refine_panel(
 
 def iterative_refinement(
     factor: NumericFactor,
-    original_lower: CSCMatrix,
+    a: CSCMatrix,
     b: np.ndarray,
     max_iter: int = 5,
     tol: float = 1e-14,
@@ -220,9 +251,10 @@ def iterative_refinement(
 
     Parameters
     ----------
-    original_lower
-        Lower triangle of A in the *original* ordering (the matrix handed
-        to the analyze phase).
+    a
+        A in the *original* ordering (the matrix handed to the analyze
+        phase): its lower triangle for Cholesky and LDLᵀ factors, the whole
+        square matrix for LU.
     tol
         Stop when the normwise backward error
         ``‖b − Ax‖∞ / (‖A‖∞·‖x‖∞ + ‖b‖∞)`` drops below this.
@@ -230,13 +262,13 @@ def iterative_refinement(
     b = as_float_array(b, "b")
     if b.ndim != 1:
         raise ShapeError(f"b must be one-dimensional; got {b.shape}")
-    res = _refine_panel(factor, original_lower, b[:, None], max_iter, tol)
+    res = _refine_panel(factor, a, b[:, None], max_iter, tol)
     return res.column(0)
 
 
 def iterative_refinement_many(
     factor: NumericFactor,
-    original_lower: CSCMatrix,
+    a: CSCMatrix,
     b: np.ndarray,
     max_iter: int = 5,
     tol: float = 1e-14,
@@ -256,4 +288,4 @@ def iterative_refinement_many(
     n = factor.n
     if b.shape[0] != n:
         raise ShapeError(f"b must have {n} rows; got {b.shape}")
-    return _refine_panel(factor, original_lower, b, max_iter, tol, solve_fn=solve_fn)
+    return _refine_panel(factor, a, b, max_iter, tol, solve_fn=solve_fn)

@@ -2,7 +2,8 @@
 
 These feed two consumers: the factorization layer (lower-triangle
 extraction, structural-symmetry test) and the verification /
-iterative-refinement path (symmetric matvec from the lower triangle only).
+iterative-refinement path (symmetric matvec from the lower triangle only,
+the general matvec and ∞-norm for LU).
 """
 
 from __future__ import annotations
@@ -17,16 +18,30 @@ from repro.util.validation import as_float_array
 
 
 def matvec_csc(a: CSCMatrix, x: np.ndarray) -> np.ndarray:
-    """``y = A @ x`` for CSC *a* (scatter formulation)."""
+    """``y = A @ x`` for CSC *a* (scatter formulation).
+
+    *x* is a vector ``(n,)`` or a panel ``(n, k)``. A panel takes one
+    scatter pass, and ``np.add.at`` walks the same entry order for every
+    column, so column *j* of the result is bitwise ``matvec_csc(a, x[:, j])``.
+    """
     x = as_float_array(x, "x")
-    if x.shape != (a.shape[1],):
-        raise ShapeError(f"x must have shape ({a.shape[1]},); got {x.shape}")
-    y = np.zeros(a.shape[0])
+    n = a.shape[1]
+    if x.ndim not in (1, 2) or x.shape[0] != n:
+        raise ShapeError(f"x must have shape ({n},) or ({n}, k); got {x.shape}")
+    y = np.zeros((a.shape[0],) + x.shape[1:])
     if a.nnz == 0:
         return y
-    col_of = np.repeat(np.arange(a.shape[1], dtype=np.int64), np.diff(a.indptr))
-    np.add.at(y, a.indices, a.data * x[col_of])
+    col_of = np.repeat(np.arange(n, dtype=np.int64), np.diff(a.indptr))
+    vals = a.data if x.ndim == 1 else a.data[:, None]
+    np.add.at(y, a.indices, vals * x[col_of])
     return y
+
+
+def norm_inf_csc(a: CSCMatrix) -> float:
+    """``‖A‖∞`` (max absolute row sum) of CSC *a*."""
+    if a.nnz == 0:
+        return 0.0
+    return float(np.bincount(a.indices, weights=np.abs(a.data), minlength=a.shape[0]).max())
 
 
 def tril(a: CSCMatrix, k: int = 0) -> CSCMatrix:
