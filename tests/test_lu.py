@@ -96,7 +96,7 @@ class TestLUFactorization:
         assert len(solver.perturbed_columns) == 1
         x_true = np.array([1.0, -2.0, 0.5])
         b = dense @ x_true
-        res = solver.solve(b, max_iter=40, tol=1e-12)
+        res = solver.solve(b, tol=1e-12)
         np.testing.assert_allclose(res.x, x_true, rtol=1e-6)
 
     def test_flops_double_cholesky(self):
