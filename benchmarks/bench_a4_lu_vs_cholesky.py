@@ -10,7 +10,7 @@ symmetric diffusion limit (Cholesky) on the same mesh and ordering.
 
 from harness import banner
 
-from repro.core import SparseSolver, UnsymmetricSolver
+from repro.core import SparseSolver
 from repro.gen import convection_diffusion2d, grid2d_laplacian
 from repro.util.tables import format_table
 
@@ -23,14 +23,14 @@ def test_a4_lu_vs_cholesky(benchmark):
     for nx in MESHES:
         chol = SparseSolver(grid2d_laplacian(nx), ordering="nd")
         chol.factor()
-        lu = UnsymmetricSolver(
-            convection_diffusion2d(nx, peclet=1.0), ordering="nd"
+        lu = SparseSolver(
+            convection_diffusion2d(nx, peclet=1.0), method="lu", ordering="nd"
         )
         lu.factor()
         f_chol = chol.numeric.stats.flops
-        f_lu = lu.factor_data.stats.flops
+        f_lu = lu.numeric.stats.flops
         e_chol = chol.numeric.stats.factor_entries
-        e_lu = lu.factor_data.stats.factor_entries
+        e_lu = lu.numeric.stats.factor_entries
         ratios.append((f_lu / f_chol, e_lu / e_chol))
         rows.append(
             [
@@ -67,7 +67,7 @@ def test_a4_lu_vs_cholesky(benchmark):
 
     a = convection_diffusion2d(20, peclet=1.0)
     benchmark.pedantic(
-        lambda: UnsymmetricSolver(a, ordering="nd").factor(),
+        lambda: SparseSolver(a, method="lu", ordering="nd").factor(),
         rounds=1,
         iterations=1,
     )

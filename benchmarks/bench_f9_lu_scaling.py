@@ -10,7 +10,7 @@ character.
 
 from harness import banner
 
-from repro.core import UnsymmetricSolver
+from repro.core import SparseSolver
 from repro.gen import convection_diffusion2d, grid2d_laplacian
 from repro.graph import AdjacencyGraph
 from repro.machine import BLUEGENE_P
@@ -29,7 +29,7 @@ def test_f9_lu_scaling(benchmark):
     g = AdjacencyGraph.from_symmetric_lower(lower)
     sym_chol = analyze(lower, nested_dissection_order(g))
 
-    lu = UnsymmetricSolver(convection_diffusion2d(MESH, peclet=1.0))
+    lu = SparseSolver(convection_diffusion2d(MESH, peclet=1.0), method="lu")
     lu.analyze()
 
     rows = []

@@ -12,7 +12,7 @@ Run:  python examples/transport_lu.py
 
 import numpy as np
 
-from repro.core import SparseSolver, UnsymmetricSolver
+from repro.core import SparseSolver
 from repro.gen import convection_diffusion2d, grid2d_laplacian
 from repro.sparse.ops import matvec_csc
 from repro.util.rng import make_rng
@@ -26,7 +26,7 @@ def main(nx: int = 24) -> None:
     rows = []
     for pe in (0.0, 0.5, 2.0, 8.0):
         a = convection_diffusion2d(nx, wind=(1.0, 0.3), peclet=pe)
-        solver = UnsymmetricSolver(a, ordering="nd")
+        solver = SparseSolver(a, method="lu", ordering="nd")
         res = solver.solve(b)
         r = np.max(np.abs(b - matvec_csc(a, res.x)))
         asym = float(np.max(np.abs(a.to_dense() - a.to_dense().T)))
@@ -43,7 +43,7 @@ def main(nx: int = 24) -> None:
 
     # Cross-check at pe=0: LU and Cholesky solve the same symmetric system.
     a0 = convection_diffusion2d(nx, peclet=0.0)
-    x_lu = UnsymmetricSolver(a0).solve(b).x
+    x_lu = SparseSolver(a0, method="lu").solve(b).x
     x_chol = SparseSolver(grid2d_laplacian(nx)).solve(b).x
     print(
         f"\npe=0 cross-check vs Cholesky path: "

@@ -127,23 +127,8 @@ def cmd_solve(args) -> int:
         b = np.ones(n)
     else:
         b = make_rng(args.seed).standard_normal(n)
-    if unsym:
-        from repro.core.lu_solver import UnsymmetricSolver
-
-        if args.backend != "seq":
-            print(
-                "note: --backend applies to the symmetric solver only; "
-                "the LU path runs sequentially",
-                file=sys.stderr,
-            )
-        lu = UnsymmetricSolver(a, ordering=args.ordering)
-        res = lu.solve(b, refine=not args.no_refine)
-        print(
-            f"n={n}  solver=lu  residual={res.residual:.3e}  "
-            f"refine_iters={res.refinement_iterations}"
-        )
-        return 0 if res.residual < 1e-8 else 1
-    solver = SparseSolver(a, method=args.method, ordering=args.ordering)
+    method = "lu" if unsym else args.method
+    solver = SparseSolver(a, method=method, ordering=args.ordering)
     solver.factor(
         backend=args.backend, workers=args.workers, precision=args.precision
     )
@@ -154,7 +139,7 @@ def cmd_solve(args) -> int:
         workers=args.workers,
     )
     print(
-        f"n={n}  residual={res.residual:.3e}  "
+        f"n={n}  solver={method}  residual={res.residual:.3e}  "
         f"refine_iters={res.refinement_iterations}  precision={res.precision}"
     )
     if args.condest:

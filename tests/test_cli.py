@@ -135,17 +135,17 @@ class TestCommands:
     @staticmethod
     def _lu_solution(monkeypatch, path):
         """Run ``solve --matrix path --lu`` and return (exit code, x)."""
-        from repro.core.lu_solver import UnsymmetricSolver
+        from repro.core.solver import SparseSolver
 
         solved = []
-        solve = UnsymmetricSolver.solve
+        solve = SparseSolver.solve
 
         def recording_solve(self, b, **kwargs):
             res = solve(self, b, **kwargs)
             solved.append(res.x)
             return res
 
-        monkeypatch.setattr(UnsymmetricSolver, "solve", recording_solve)
+        monkeypatch.setattr(SparseSolver, "solve", recording_solve)
         rc = main(["solve", "--matrix", str(path), "--lu"])
         assert len(solved) == 1
         return rc, solved[0]

@@ -12,7 +12,6 @@ import functools
 import numpy as np
 import pytest
 
-from repro.core import UnsymmetricSolver
 from repro.core.solver import SparseSolver
 from repro.exec import (
     MAX_DEFAULT_WORKERS,
@@ -167,9 +166,11 @@ def test_ldlt_perturbation_bitwise_identity():
 
 @functools.lru_cache(maxsize=None)
 def _lu_analyzed():
-    return UnsymmetricSolver(
-        convection_diffusion2d(12, wind=(1.0, -0.4), peclet=1.5)
-    ).analyze()
+    solver = SparseSolver(
+        convection_diffusion2d(12, wind=(1.0, -0.4), peclet=1.5), method="lu"
+    )
+    solver.analyze()
+    return solver.sym
 
 
 @pytest.mark.parametrize("pivot_perturbation", [None, 0.9])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from repro.core import UnsymmetricSolver
+from repro.core import SparseSolver
 from repro.gen import convection_diffusion2d, grid2d_laplacian
 from repro.sparse import CSCMatrix
 from repro.sparse.ops import full_symmetric_from_lower
@@ -51,7 +51,7 @@ class TestConvectionGenerator:
 class TestLUFactorization:
     def test_reconstruction_against_dense(self):
         a = convection_diffusion2d(5, peclet=1.0)
-        solver = UnsymmetricSolver(a)
+        solver = SparseSolver(a, method="lu")
         factor = solver.factor()
         l, u = factor.to_dense_lu()
         perm = factor.sym.perm
@@ -60,7 +60,7 @@ class TestLUFactorization:
 
     def test_unit_lower_and_upper(self):
         a = convection_diffusion2d(4, peclet=0.7)
-        solver = UnsymmetricSolver(a)
+        solver = SparseSolver(a, method="lu")
         l, u = solver.factor().to_dense_lu()
         np.testing.assert_allclose(np.diag(l), 1.0)
         assert np.allclose(np.triu(l, 1), 0)
@@ -70,7 +70,7 @@ class TestLUFactorization:
     def test_random_dd_matrices(self, seed):
         dense = random_dd_unsym(25, seed)
         a = CSCMatrix.from_dense(dense)
-        solver = UnsymmetricSolver(a)
+        solver = SparseSolver(a, method="lu")
         factor = solver.factor()
         l, u = factor.to_dense_lu()
         perm = factor.sym.perm
@@ -80,7 +80,7 @@ class TestLUFactorization:
 
     def test_zero_pivot_raises(self):
         dense = np.array([[0.0, 1.0], [1.0, 1.0]])
-        solver = UnsymmetricSolver(CSCMatrix.from_dense(dense), ordering=np.arange(2))
+        solver = SparseSolver(CSCMatrix.from_dense(dense), method="lu", ordering=np.arange(2))
         with pytest.raises(SingularMatrixError):
             solver.factor()
 
@@ -89,11 +89,11 @@ class TestLUFactorization:
             [[1e-14, 1.0, 0.0], [1.0, 3.0, 0.5], [0.0, 0.5, 2.0]]
         )
         a = CSCMatrix.from_dense(dense)
-        solver = UnsymmetricSolver(
-            a, ordering=np.arange(3), pivot_perturbation=1e-8
+        solver = SparseSolver(
+            a, method="lu", ordering=np.arange(3), pivot_perturbation=1e-8
         )
         solver.factor()
-        assert len(solver.perturbed_columns) == 1
+        assert len(solver.numeric.perturbed_columns) == 1
         x_true = np.array([1.0, -2.0, 0.5])
         b = dense @ x_true
         res = solver.solve(b, tol=1e-12)
@@ -101,7 +101,7 @@ class TestLUFactorization:
 
     def test_flops_double_cholesky(self):
         a = convection_diffusion2d(5, peclet=0.3)
-        solver = UnsymmetricSolver(a)
+        solver = SparseSolver(a, method="lu")
         factor = solver.factor()
         assert factor.stats.flops > 0
         assert factor.stats.n_fronts == factor.sym.n_supernodes
@@ -113,7 +113,7 @@ class TestLUSolve:
         a = convection_diffusion2d(nx, wind=(1.0, -0.5), peclet=1.5)
         dense = a.to_dense()
         b = make_rng(4).standard_normal(nx * nx)
-        solver = UnsymmetricSolver(a)
+        solver = SparseSolver(a, method="lu")
         res = solver.solve(b)
         np.testing.assert_allclose(res.x, np.linalg.solve(dense, b), rtol=1e-8)
         assert res.residual <= 1e-12
@@ -121,35 +121,35 @@ class TestLUSolve:
     def test_refinement_counts(self):
         a = convection_diffusion2d(5)
         b = np.ones(25)
-        res = UnsymmetricSolver(a).solve(b)
+        res = SparseSolver(a, method="lu").solve(b)
         assert res.refinement_iterations >= 0
 
     def test_no_refine(self):
         a = convection_diffusion2d(4)
-        res = UnsymmetricSolver(a).solve(np.ones(16), refine=False)
+        res = SparseSolver(a, method="lu").solve(np.ones(16), refine=False)
         assert res.refinement_iterations == 0
         assert res.residual < 1e-10
 
     def test_zero_rhs(self):
         a = convection_diffusion2d(3)
-        res = UnsymmetricSolver(a).solve(np.zeros(9))
+        res = SparseSolver(a, method="lu").solve(np.zeros(9))
         np.testing.assert_array_equal(res.x, np.zeros(9))
 
     def test_solve_wrong_shape(self):
-        solver = UnsymmetricSolver(convection_diffusion2d(3))
+        solver = SparseSolver(convection_diffusion2d(3), method="lu")
         with pytest.raises(ShapeError):
             solver.solve(np.ones(5))
 
     def test_explicit_ordering(self):
         a = convection_diffusion2d(4)
-        solver = UnsymmetricSolver(a, ordering=np.arange(16))
+        solver = SparseSolver(a, method="lu", ordering=np.arange(16))
         res = solver.solve(np.ones(16))
         assert res.residual <= 1e-12
 
     @pytest.mark.parametrize("ordering", ["nd", "amd", "natural"])
     def test_ordering_names(self, ordering):
         a = convection_diffusion2d(4, peclet=0.8)
-        res = UnsymmetricSolver(a, ordering=ordering).solve(np.ones(16))
+        res = SparseSolver(a, method="lu", ordering=ordering).solve(np.ones(16))
         assert res.residual <= 1e-12
 
     def test_scipy_lu_cross_check(self):
@@ -157,11 +157,11 @@ class TestLUSolve:
         scipy's pivoted LU."""
         dense = random_dd_unsym(30, seed=7)
         b = make_rng(8).standard_normal(30)
-        ours = UnsymmetricSolver(CSCMatrix.from_dense(dense)).solve(b)
+        ours = SparseSolver(CSCMatrix.from_dense(dense), method="lu").solve(b)
         lu, piv = scipy.linalg.lu_factor(dense)
         x_ref = scipy.linalg.lu_solve((lu, piv), b)
         np.testing.assert_allclose(ours.x, x_ref, rtol=1e-8)
 
     def test_rectangular_rejected(self):
         with pytest.raises(ShapeError):
-            UnsymmetricSolver(CSCMatrix.from_dense(np.ones((2, 3))))
+            SparseSolver(CSCMatrix.from_dense(np.ones((2, 3))), method="lu")

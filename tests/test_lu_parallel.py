@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import ParallelConfig, UnsymmetricSolver
+from repro.core import ParallelConfig, SparseSolver
 from repro.gen import convection_diffusion2d, grid2d_laplacian
 from repro.graph import AdjacencyGraph
 from repro.machine import BLUEGENE_P, GENERIC_CLUSTER
@@ -25,7 +25,7 @@ from repro.util.rng import make_rng
 @pytest.fixture(scope="module")
 def problem():
     a = convection_diffusion2d(8, wind=(1.0, -0.4), peclet=1.5)
-    seq = UnsymmetricSolver(a)
+    seq = SparseSolver(a, method="lu")
     seq.factor()
     return a, seq
 
@@ -37,7 +37,7 @@ class TestDistributedLUFactor:
         res = simulate_factorization(
             seq.sym, p, GENERIC_CLUSTER, PlanOptions(nb=8), method="lu"
         )
-        l_ref, u_ref = seq.factor_data.to_dense_lu()
+        l_ref, u_ref = seq.numeric.to_dense_lu()
         l, u = res.to_dense_lu()
         np.testing.assert_allclose(l, l_ref, rtol=1e-9, atol=1e-9)
         np.testing.assert_allclose(u, u_ref, rtol=1e-9, atol=1e-9)
@@ -52,7 +52,7 @@ class TestDistributedLUFactor:
             PlanOptions(nb=8, policy=policy),
             method="lu",
         )
-        l_ref, u_ref = seq.factor_data.to_dense_lu()
+        l_ref, u_ref = seq.numeric.to_dense_lu()
         l, u = res.to_dense_lu()
         np.testing.assert_allclose(l, l_ref, rtol=1e-9, atol=1e-9)
         np.testing.assert_allclose(u, u_ref, rtol=1e-9, atol=1e-9)
@@ -95,15 +95,16 @@ class TestSharedDriver:
             )
 
     def test_one_plan_span_per_simulated_lu(self, problem):
-        """LU plans are built by the one plan builder, so the recording
-        sees them."""
+        """LU plans are built by the one plan builder, once per rank count
+        and options, so the recording sees every build and no rebuild."""
         a, _ = problem
-        solver = UnsymmetricSolver(a)
+        solver = SparseSolver(a, method="lu")
         solver.analyze()
         config = ParallelConfig(n_ranks=4, machine=GENERIC_CLUSTER, nb=8)
         with recording() as rec:
             solver.simulate(config, b=np.ones(a.shape[0]))
             solver.simulate(config)
+            solver.simulate(ParallelConfig(n_ranks=2, machine=GENERIC_CLUSTER, nb=8))
         assert [s.name for s in rec.spans].count("parallel.plan") == 2
 
     @pytest.mark.parametrize("p", [1, 4])
@@ -118,7 +119,7 @@ class TestSharedDriver:
         stored = res.factor_entries_by_rank()
         assert peak.shape == (p,)
         assert np.all(peak > stored)
-        assert stored.sum() == seq.factor_data.stats.factor_entries
+        assert stored.sum() == seq.numeric.stats.factor_entries
 
 
 class TestDistributedLUSolve:
@@ -156,17 +157,18 @@ class TestDistributedLUSolve:
 class TestLUSolverSimulateAPI:
     def test_simulate_with_verify_and_solve(self, problem):
         a, _ = problem
-        solver = UnsymmetricSolver(a)
+        solver = SparseSolver(a, method="lu")
         b = np.ones(a.shape[0])
         cfg = ParallelConfig(n_ranks=4, machine=BLUEGENE_P, nb=8)
-        res, x = solver.simulate(cfg, b=b, verify=True)
+        report = solver.simulate(cfg, b=b, verify=True)
+        res, x = report.factor_result, report.solve_result.x
         r = np.max(np.abs(b - matvec_csc(a, x)))
         assert r < 1e-9
         assert res.makespan > 0
 
     def test_simulate_detects_corruption(self, problem, monkeypatch):
         a, _ = problem
-        solver = UnsymmetricSolver(a)
+        solver = SparseSolver(a, method="lu")
         solver.factor()
         real = ParallelFactorResult.to_dense_lu
 
@@ -185,11 +187,11 @@ class TestLUSolverSimulateAPI:
     def test_simulate_honours_threads_per_rank(self):
         """The config's SMP threads reach the simulated LU, as they do the
         symmetric simulate."""
-        solver = UnsymmetricSolver(convection_diffusion2d(16))
-        one, _ = solver.simulate(ParallelConfig(n_ranks=4, machine=BLUEGENE_P))
-        four, _ = solver.simulate(
+        solver = SparseSolver(convection_diffusion2d(16), method="lu")
+        one = solver.simulate(ParallelConfig(n_ranks=4, machine=BLUEGENE_P)).factor_result
+        four = solver.simulate(
             ParallelConfig(n_ranks=4, machine=BLUEGENE_P, threads_per_rank=4)
-        )
+        ).factor_result
         assert (one.threads_per_rank, four.threads_per_rank) == (1, 4)
         assert four.makespan < one.makespan
 
@@ -197,7 +199,7 @@ class TestLUSolverSimulateAPI:
         """LU strong scaling on the BG/P model shows speedup on a bigger
         mesh, like the symmetric path."""
         a = convection_diffusion2d(16, peclet=1.0)
-        solver = UnsymmetricSolver(a)
+        solver = SparseSolver(a, method="lu")
         solver.analyze()
         t1 = simulate_factorization(
             solver.sym, 1, BLUEGENE_P, PlanOptions(nb=16), method="lu"
@@ -220,7 +222,7 @@ class TestLUStaticPolicy:
             PlanOptions(nb=8, policy="static"),
             method="lu",
         )
-        l_ref, u_ref = seq.factor_data.to_dense_lu()
+        l_ref, u_ref = seq.numeric.to_dense_lu()
         l, u = res.to_dense_lu()
         np.testing.assert_allclose(l, l_ref, rtol=1e-9, atol=1e-9)
         np.testing.assert_allclose(u, u_ref, rtol=1e-9, atol=1e-9)
@@ -241,7 +243,7 @@ class TestLUPropertyPipeline:
         dense = dense * mask
         np.fill_diagonal(dense, np.abs(dense).sum(axis=1) + 1.0)
         a = CSCMatrix.from_dense(dense)
-        solver = UnsymmetricSolver(a)
+        solver = SparseSolver(a, method="lu")
         solver.analyze()
         res = simulate_factorization(
             solver.sym, p, GENERIC_CLUSTER, PlanOptions(nb=4), method="lu"

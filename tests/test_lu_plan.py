@@ -17,7 +17,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.core import UnsymmetricSolver
+from repro.core import SparseSolver
 from repro.gen import convection_diffusion2d
 from repro.mf.solve_phase import solve, solve_many
 from repro.sparse import CSCMatrix
@@ -50,8 +50,9 @@ PERTURBATIONS = {"plain": None, "perturbed": 0.9}
 
 @functools.lru_cache(maxsize=None)
 def factored(name: str, ordering: str, pivot_perturbation):
-    solver = UnsymmetricSolver(
-        MATRICES[name](), ordering=ordering, pivot_perturbation=pivot_perturbation
+    solver = SparseSolver(
+        MATRICES[name](), method="lu", ordering=ordering,
+        pivot_perturbation=pivot_perturbation,
     )
     solver.factor()
     return solver
@@ -127,9 +128,9 @@ def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 @pytest.mark.parametrize("name", sorted(MATRICES))
 def test_lu_factor_matches_the_reference_loop_bitwise(name, ordering, perturbation):
     solver = factored(name, ordering, PERTURBATIONS[perturbation])
-    factor = solver.factor_data
+    factor = solver.numeric
     panels, perturbed, flops, entries = reference_lu(
-        solver.sym, solver.permuted_full, PERTURBATIONS[perturbation]
+        solver.sym, solver.sym.permuted_full, PERTURBATIONS[perturbation]
     )
     for s, want in enumerate(panels):
         for part, got, ref in zip(("lu11", "l21", "u12"), library_panels(factor, s), want):
@@ -143,7 +144,7 @@ def test_lu_factor_matches_the_reference_loop_bitwise(name, ordering, perturbati
 
 @pytest.mark.parametrize("name", sorted(MATRICES))
 def test_lu_solve_many_column_is_its_own_solve(name):
-    factor = factored(name, "nd", None).factor_data
+    factor = factored(name, "nd", None).numeric
     b = np.random.default_rng(9).standard_normal((factor.n, 3))
     x = solve_many(factor, b)
     for j in range(b.shape[1]):

@@ -8,7 +8,6 @@ import threading
 import numpy as np
 import pytest
 
-from repro.core import UnsymmetricSolver
 from repro.core.solver import SparseSolver
 from repro.exec import multifrontal_factor_threads
 from repro.gen import convection_diffusion2d, grid2d_laplacian, grid3d_laplacian
@@ -308,7 +307,7 @@ class TestServiceRegistry:
 def _analyzed(method):
     """Symbolic factor of a small cube (an unsymmetric plate for LU)."""
     if method == "lu":
-        solver = UnsymmetricSolver(convection_diffusion2d(10, peclet=0.7))
+        solver = SparseSolver(convection_diffusion2d(10, peclet=0.7), method="lu")
     else:
         solver = SparseSolver(grid3d_laplacian(5), method=method)
     solver.analyze()

@@ -18,7 +18,6 @@ import pytest
 
 from repro.check import schedfuzz
 from repro.cli import main
-from repro.core import UnsymmetricSolver
 from repro.core.solver import SparseSolver
 from repro.exec import (
     TaskGraph,
@@ -232,7 +231,9 @@ def test_fuzzed_factor_and_solve_stay_bitwise_identical():
 
 
 def test_fuzzed_lu_factor_stays_bitwise_identical():
-    sym = UnsymmetricSolver(convection_diffusion2d(8, peclet=1.2)).analyze()
+    solver = SparseSolver(convection_diffusion2d(8, peclet=1.2), method="lu")
+    solver.analyze()
+    sym = solver.sym
     results = schedfuzz.fuzz_factor(sym, seeds=[0, 1], workers=3, method="lu")
     assert len(results) == 2
     for r in results:

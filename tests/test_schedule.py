@@ -11,7 +11,7 @@ import functools
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.core import ParallelConfig, UnsymmetricSolver
+from repro.core import ParallelConfig, SparseSolver
 from repro.gen import (
     convection_diffusion2d,
     grid2d_9pt,
@@ -195,8 +195,9 @@ def test_empty_scatter_side_of_a_triangular_matrix():
     """A lower-triangular unsymmetric matrix has no entries right of the
     diagonal: the U-side scatter map of every distributed front is empty."""
     a = tril(convection_diffusion2d(8, wind=(1.0, -0.4), peclet=1.5))
-    solver = UnsymmetricSolver(a)
+    solver = SparseSolver(a, method="lu")
     config = ParallelConfig(n_ranks=4, machine=GENERIC_CLUSTER, nb=4)
-    res, x = solver.simulate(config, b=np.ones(a.shape[0]), verify=True)
+    report = solver.simulate(config, b=np.ones(a.shape[0]), verify=True)
+    res, x = report.factor_result, report.solve_result.x
     assert res.plan.mapping.dist_supernodes
     assert np.max(np.abs(matvec_csc(a, x) - 1.0)) < 1e-12

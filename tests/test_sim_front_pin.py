@@ -23,7 +23,7 @@ import functools
 import numpy as np
 import pytest
 
-from repro.core import UnsymmetricSolver
+from repro.core import SparseSolver
 from repro.gen import convection_diffusion2d, grid2d_9pt, grid3d_laplacian
 from repro.graph import AdjacencyGraph
 from repro.machine import GENERIC_CLUSTER
@@ -57,8 +57,9 @@ def host_factor(name, method):
     if method == "lu":
         if name != "cd20":
             a = full_symmetric_from_lower(a)
-        solver = UnsymmetricSolver(a)
-        return multifrontal_factor(solver.analyze(), "lu")
+        solver = SparseSolver(a, method="lu")
+        solver.analyze()
+        return multifrontal_factor(solver.sym, "lu")
     sym = analyze(a, nested_dissection_order(AdjacencyGraph.from_symmetric_lower(a)))
     return multifrontal_factor(sym, method)
 

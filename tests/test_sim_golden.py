@@ -17,7 +17,7 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.core import ParallelConfig, SparseSolver, UnsymmetricSolver
+from repro.core import ParallelConfig, SparseSolver
 from repro.gen import convection_diffusion2d, grid2d_9pt, grid3d_laplacian
 from repro.machine import BLUEGENE_P, GENERIC_CLUSTER
 from repro.parallel import simulate_solve
@@ -118,9 +118,9 @@ def run_panel_k4():
 
 def run_lu():
     a = convection_diffusion2d(12, wind=(1.0, -0.4), peclet=1.5)
-    solver = UnsymmetricSolver(a)
+    solver = SparseSolver(a, method="lu")
     config = ParallelConfig(n_ranks=8, machine=BLUEGENE_P, nb=8)
-    res, _ = solver.simulate(config)
+    res = solver.simulate(config).factor_result
     return pin(res.sim, simulate_solve(res, np.ones(a.shape[0])).sim)
 
 

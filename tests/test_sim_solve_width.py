@@ -24,7 +24,7 @@ import functools
 import numpy as np
 import pytest
 
-from repro.core import UnsymmetricSolver
+from repro.core import SparseSolver
 from repro.gen import convection_diffusion2d, grid2d_9pt, grid3d_laplacian
 from repro.graph import AdjacencyGraph
 from repro.machine import GENERIC_CLUSTER
@@ -53,7 +53,9 @@ def host_factor(case):
     make, method = CASES[case]
     a = make()
     if method == "lu":
-        return multifrontal_factor(UnsymmetricSolver(a).analyze(), "lu")
+        solver = SparseSolver(a, method="lu")
+        solver.analyze()
+        return multifrontal_factor(solver.sym, "lu")
     sym = analyze(a, nested_dissection_order(AdjacencyGraph.from_symmetric_lower(a)))
     return multifrontal_factor(sym, method)
 

@@ -30,7 +30,6 @@ import functools
 import numpy as np
 import pytest
 
-from repro.core import UnsymmetricSolver
 from repro.core.solver import SparseSolver
 from repro.dense.trsm import (
     solve_lower_inplace,
@@ -156,7 +155,7 @@ def factored(name, method, precision):
 
 @functools.lru_cache(maxsize=None)
 def lu_factored():
-    solver = UnsymmetricSolver(convection_diffusion2d(20))
+    solver = SparseSolver(convection_diffusion2d(20), method="lu")
     solver.factor()
     return solver
 
@@ -231,7 +230,7 @@ def test_threads_backend_matches_reference(name, method, precision, k):
 @pytest.mark.parametrize("k", KS)
 def test_lu_matches_reference(k):
     solver = lu_factored()
-    factor = solver.factor_data
+    factor = solver.numeric
     b = rhs(factor.n, k)
     ref = ref_solve_many(factor, b)
     assert_bitwise(solve_many(factor, b), ref)

@@ -16,8 +16,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sps
 
-import repro.core.lu_solver as lu_solver_module
-from repro.core.lu_solver import UnsymmetricSolver
+import repro.core.solver as lu_solver_module
+from repro.core.solver import SparseSolver
 from repro.gen import convection_diffusion2d, grid3d_laplacian
 from repro.sparse import COOMatrix, CSCMatrix
 from repro.sparse.convert import coo_to_csc, transpose
@@ -173,7 +173,7 @@ def captured_ordering_graph(a, monkeypatch):
         return wrapped
 
     monkeypatch.setattr(lu_solver_module, "get_ordering", spy)
-    UnsymmetricSolver(a, ordering="amd").analyze()
+    SparseSolver(a, method="lu", ordering="amd").analyze()
     (graph,) = seen
     return graph
 
