@@ -1,6 +1,6 @@
-"""The public solver API (WSMP-style analyze / factor / solve)."""
+"""The public solver API (WSMP-style analyze / factor / solve) for
+Cholesky, LDLᵀ and static-pivoting LU (``SparseSolver(method=...)``)."""
 
-from repro.core.lu_solver import UnsymmetricSolver, LUSolveResult
 from repro.core.solver import (
     SparseSolver,
     ParallelConfig,
@@ -10,8 +10,6 @@ from repro.core.solver import (
 )
 
 __all__ = [
-    "UnsymmetricSolver",
-    "LUSolveResult",
     "SparseSolver",
     "ParallelConfig",
     "SolveResult",
