@@ -288,7 +288,6 @@ def multifrontal_factor(
     sym: SymbolicFactor,
     method: str = "cholesky",
     pivot_perturbation: float | None = None,
-    memory_limit_entries: int | None = None,
     precision: str = "fp64",
     pool: TaskPool | None = None,
 ) -> NumericFactor:
@@ -306,13 +305,6 @@ def multifrontal_factor(
         raise on zero pivots; a positive value replaces tiny pivots and
         records their columns for the caller to trigger iterative
         refinement.
-    memory_limit_entries
-        Out-of-core mode: cap the *in-core* transient storage (current
-        front plus resident update stack) at this many entries. Update
-        matrices beyond the cap are "spilled" — the I/O volume is recorded
-        in ``stats.spill_entries_written/read``, the classic out-of-core
-        multifrontal accounting. Raises :class:`ShapeError` when a single
-        front alone exceeds the cap (no schedule can fit).
     precision
         ``"fp64"`` (default) or ``"fp32"``. fp32 halves factor storage and
         bandwidth; pair it with fp64 iterative refinement
@@ -328,7 +320,7 @@ def multifrontal_factor(
     lu = method == "lu"
     plan = sym.front_plan
     plan.check_current(sym.permuted_lower)
-    stats = stack_accounting(sym, memory_limit_entries)
+    stats = stack_accounting(sym)
     wdtype = work_dtype(precision)
     nsn = sym.n_supernodes
     blocks: list[np.ndarray] = [None] * nsn  # type: ignore[list-item]

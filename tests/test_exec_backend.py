@@ -35,11 +35,8 @@ from repro.gen import (
     random_spd_sparse,
     unstructured2d,
 )
-from repro.graph import AdjacencyGraph
 from repro.mf.numeric import multifrontal_factor
 from repro.mf.solve_phase import solve, solve_many
-from repro.ordering import nested_dissection_order
-from repro.symbolic import analyze
 from repro.util.errors import (
     ExecBackendError,
     InvariantError,
@@ -85,7 +82,7 @@ def _assert_factors_identical(ref, got):
         assert got.u12 is None
     else:
         assert [u.tobytes() for u in ref.u12] == [u.tobytes() for u in got.u12]
-    # every field, the update-stack and spill telemetry included
+    # every field, the update-stack telemetry included
     assert ref.stats == got.stats
 
 
@@ -189,17 +186,6 @@ def test_lu_bitwise_identity(workers, pivot_perturbation):
         solve_many_threads(got, b, workers=workers).tobytes()
         == solve_many(ref, b).tobytes()
     )
-
-
-def test_pooled_out_of_core_stats_match_sequential():
-    # the fixture of test_out_of_core.py, capped just above its largest front
-    lower = grid3d_laplacian(6)
-    sym = analyze(lower, nested_dissection_order(AdjacencyGraph.from_symmetric_lower(lower)))
-    cap = max(o * o for o in multifrontal_factor(sym).stats.front_orders) + 10
-    seq = multifrontal_factor(sym, memory_limit_entries=cap)
-    got = multifrontal_factor(sym, memory_limit_entries=cap, pool=TaskPool(2))
-    assert seq.stats.spill_entries_written > 0
-    _assert_factors_identical(seq, got)
 
 
 @pytest.mark.parametrize("workers", [None, 2])
