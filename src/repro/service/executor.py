@@ -38,7 +38,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.core.solver import SparseSolver
-from repro.mf.refine import iterative_refinement_many
+from repro.mf.refine import iterative_refinement_many, relative_residuals
 from repro.mf.solve_phase import solve_many
 from repro.service.cache import AnalysisCache, AnalysisEntry
 from repro.service.jobs import (
@@ -50,7 +50,6 @@ from repro.service.jobs import (
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import span, timed
-from repro.sparse.ops import sym_matvec_lower_many
 from repro.util.errors import ReproError
 
 if TYPE_CHECKING:
@@ -287,9 +286,7 @@ class Executor:
         )
         # One blocked residual matvec for the whole panel (bitwise identical
         # per column to the per-column check).
-        r = b_block - sym_matvec_lower_many(solver.lower, x)
-        denom = np.maximum(np.max(np.abs(b_block), axis=0), 1e-300)
-        residuals = np.max(np.abs(r), axis=0) / denom
+        residuals = relative_residuals(solver.numeric, solver.lower, x, b_block)
         return x, residuals, precision
 
     # -- failure shaping -----------------------------------------------------
