@@ -3,16 +3,22 @@
 The contract (module docstring of :mod:`repro.mf.solve_phase`): every
 column of a blocked solve — and of blocked iterative refinement — is
 bitwise identical to running that column through the single-RHS path.
-These tests pin the contract for both factorization methods, several
-panel widths, the refinement loop, the symmetric matvec, and the
-:class:`~repro.core.solver.SparseSolver` entry point.
+These tests pin the contract for both symmetric factorization methods,
+several panel widths, the refinement loop, the symmetric and general
+matvecs, and the :class:`~repro.core.solver.SparseSolver` entry point
+(LU included).
 """
 
 import numpy as np
 import pytest
 
 from repro.core.solver import SparseSolver
-from repro.gen import grid2d_laplacian, grid3d_laplacian, random_spd_sparse
+from repro.gen import (
+    convection_diffusion2d,
+    grid2d_laplacian,
+    grid3d_laplacian,
+    random_spd_sparse,
+)
 from repro.graph import AdjacencyGraph
 from repro.mf import (
     iterative_refinement,
@@ -21,7 +27,7 @@ from repro.mf import (
 )
 from repro.mf.solve_phase import solve, solve_many
 from repro.ordering import amd_order
-from repro.sparse.ops import sym_matvec_lower, sym_matvec_lower_many
+from repro.sparse.ops import matvec_csc, sym_matvec_lower, sym_matvec_lower_many
 from repro.symbolic import analyze
 from repro.util.errors import ShapeError
 from repro.util.rng import make_rng
@@ -32,6 +38,13 @@ MATRICES = {
     "grid2d_6": lambda: grid2d_laplacian(6),
     "grid3d_4": lambda: grid3d_laplacian(4),
     "random_50": lambda: random_spd_sparse(50, avg_degree=6, seed=2),
+}
+
+
+#: unsymmetric inputs of the LU rows
+LU_MATRICES = {
+    "convdiff_9": lambda: convection_diffusion2d(9, wind=(1.0, -0.4), peclet=1.5),
+    "convdiff_12": lambda: convection_diffusion2d(12, peclet=0.7),
 }
 
 
@@ -159,6 +172,42 @@ class TestSolverBlocked:
         res = solver.solve(b, refine=refine)
         assert res.residual < 1e-10
         singles = [solver.solve(b[:, j], refine=refine) for j in range(4)]
+        assert res.residual == max(s.residual for s in singles)
+        assert res.refinement_iterations == max(
+            s.refinement_iterations for s in singles
+        )
+
+
+@pytest.fixture(scope="module", params=sorted(LU_MATRICES))
+def lu_solver(request):
+    solver = SparseSolver(LU_MATRICES[request.param](), method="lu")
+    solver.factor()
+    return solver
+
+
+class TestLUBlocked:
+    """The same width contract through ``SparseSolver(method="lu")``: its
+    refinement runs the general matvec on the whole matrix."""
+
+    @pytest.mark.parametrize("k", KS)
+    def test_matvec_csc_matches_per_column(self, lu_solver, k):
+        a = lu_solver.lower
+        x = make_rng(400 + k).standard_normal((a.shape[0], k))
+        y = matvec_csc(a, x)
+        assert y.shape == (a.shape[0], k)
+        for j in range(k):
+            np.testing.assert_array_equal(y[:, j], matvec_csc(a, x[:, j]))
+
+    # tol=0.0 is unreachable, so every column refines until the budget or
+    # the divergence guard stops it
+    @pytest.mark.parametrize("refine,tol", [(False, 1e-12), (True, 1e-12), (True, 0.0)])
+    def test_panel_matches_column_solves(self, lu_solver, refine, tol):
+        n = lu_solver.lower.shape[0]
+        b = make_rng(14).standard_normal((n, 4))
+        res = lu_solver.solve(b, refine=refine, tol=tol)
+        singles = [lu_solver.solve(b[:, j], refine=refine, tol=tol) for j in range(4)]
+        for j, single in enumerate(singles):
+            np.testing.assert_array_equal(res.x[:, j], single.x)
         assert res.residual == max(s.residual for s in singles)
         assert res.refinement_iterations == max(
             s.refinement_iterations for s in singles

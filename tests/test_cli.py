@@ -221,3 +221,15 @@ class TestLUCli:
 
     def test_lu_no_refine(self, capsys):
         assert main(["solve", "--mesh", "convdiff:5", "--no-refine"]) == 0
+
+    def test_lu_backend_and_precision(self, capsys):
+        argv = ["solve", "--mesh", "convdiff:6", "--backend", "threads", "--workers", "2"]
+        assert main(argv + ["--precision", "fp32"]) == 0
+        out = capsys.readouterr().out
+        assert "solver=lu" in out and "precision=fp32" in out
+
+    def test_lu_condest_is_a_typed_error(self, capsys):
+        assert main(["solve", "--mesh", "convdiff:5", "--lu", "--condest"]) == 2
+        assert "condition_estimate is not available for method='lu'" in (
+            capsys.readouterr().err
+        )

@@ -188,6 +188,24 @@ def test_lu_bitwise_identity(workers, pivot_perturbation):
     )
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_lu_front_door_threads_bitwise(workers):
+    """SparseSolver(method="lu") on the threads backend: factor, refined
+    solve and its diagnostics are bitwise the sequential ones."""
+    a = convection_diffusion2d(12, wind=(1.0, -0.4), peclet=1.5)
+    s_seq = SparseSolver(a, method="lu")
+    s_thr = SparseSolver(a, method="lu")
+    s_seq.factor()
+    s_thr.factor(backend="threads", workers=workers)
+    _assert_factors_identical(s_seq.numeric, s_thr.numeric)
+    b = make_rng(10).standard_normal((a.shape[0], 3))
+    r_seq = s_seq.solve(b)
+    r_thr = s_thr.solve(b, backend="threads", workers=workers)
+    assert r_seq.x.tobytes() == r_thr.x.tobytes()
+    assert r_seq.residual == r_thr.residual
+    assert r_seq.refinement_iterations == r_thr.refinement_iterations
+
+
 @pytest.mark.parametrize("workers", [None, 2])
 def test_unconsumed_update_slot_raises(workers):
     sym = _analyzed(grid2d_laplacian(6))

@@ -162,6 +162,34 @@ class TestLUSolve:
         x_ref = scipy.linalg.lu_solve((lu, piv), b)
         np.testing.assert_allclose(ours.x, x_ref, rtol=1e-8)
 
+    def test_overflowing_rhs_degrades_to_best_iterate(self):
+        """A right-hand side whose solve overflows is frozen by the
+        divergence guard, as for Cholesky: the zero best-so-far iterate,
+        whose backward error is 1.0."""
+        solver = SparseSolver(convection_diffusion2d(4), method="lu")
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = solver.solve(np.full(16, 1e308))
+        np.testing.assert_array_equal(res.x, np.zeros(16))
+        assert res.residual == 1.0
+        assert res.refinement_iterations == 0
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda s, a: s.update_values(a),
+            lambda s, a: s.refactor(a),
+            lambda s, a: s.schur_complement([0, 1]),
+            lambda s, a: s.condition_estimate(),
+        ],
+        ids=["update_values", "refactor", "schur_complement", "condition_estimate"],
+    )
+    def test_symmetric_only_paths_raise(self, call):
+        a = convection_diffusion2d(4)
+        solver = SparseSolver(a, method="lu")
+        solver.factor()
+        with pytest.raises(ShapeError, match="method='lu'"):
+            call(solver, a)
+
     def test_rectangular_rejected(self):
         with pytest.raises(ShapeError):
             SparseSolver(CSCMatrix.from_dense(np.ones((2, 3))), method="lu")
