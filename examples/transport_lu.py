@@ -35,7 +35,7 @@ def main(nx: int = 24) -> None:
         )
     print(
         format_table(
-            ["Peclet", "max |A-A^T|", "rel residual", "refine iters", "abs resid"],
+            ["Peclet", "max |A-A^T|", "backward error", "refine iters", "abs resid"],
             rows,
             title=f"convection-diffusion {nx}x{nx} (multifrontal LU)",
         )

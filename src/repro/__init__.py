@@ -1,16 +1,17 @@
 """repro — reproduction of "Sparse matrix factorization on massively
 parallel computers" (SC 2009).
 
-A from-scratch multifrontal sparse Cholesky/LDLᵀ solver with the
-Gupta–Karypis–Kumar scalable parallel formulation (subtree-to-subcube
-mapping, 2D block-cyclic front distribution), executed and timed on a
-deterministic simulated message-passing machine.
+A from-scratch multifrontal sparse Cholesky/LDLᵀ solver (with a
+static-pivoting LU for unsymmetric input) and the Gupta–Karypis–Kumar
+scalable parallel formulation (subtree-to-subcube mapping, 2D
+block-cyclic front distribution), executed and timed on a deterministic
+simulated message-passing machine.
 
 Public entry points
 -------------------
 :class:`repro.core.SparseSolver`
     WSMP-style analyze / factor / solve API (sequential or simulated
-    parallel).
+    parallel); ``method`` is ``"cholesky"``, ``"ldlt"`` or ``"lu"``.
 :mod:`repro.gen`
     Problem generators (2D/3D meshes, elasticity-like operators, the
     scaled "paper suite").

@@ -10,8 +10,11 @@ tiny — and iterative refinement recovers accuracy.
 
 LU is a front-kernel choice of the one front loop, not a pipeline of its
 own: after :func:`lu_analyze`, ``multifrontal_factor(sym, method="lu")``
-factors and :func:`repro.mf.solve_phase.solve` solves, exactly as for
-Cholesky and LDLᵀ.
+factors, :func:`repro.mf.solve_phase.solve` solves and
+:func:`repro.mf.refine.iterative_refinement_many` refines, exactly as for
+Cholesky and LDLᵀ. The front door is ``SparseSolver(a, method="lu")``,
+whose ``analyze()`` orders the graph of ``A + Aᵀ`` and calls
+:func:`lu_analyze`.
 
 Stable as-is for (row) diagonally dominant matrices (e.g. upwind
 convection–diffusion); for general matrices, enable ``pivot_perturbation``

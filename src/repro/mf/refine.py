@@ -276,8 +276,9 @@ def iterative_refinement_many(
 ) -> PanelRefinementResult:
     """Blocked iterative refinement of ``A X = B`` for a panel *b*.
 
-    Accepts ``(n,)`` (treated as one column) or ``(n, k)``. Column *j* of
-    the result is bitwise identical to refining ``b[:, j]`` alone with
+    Accepts ``(n,)`` (treated as one column) or ``(n, k)``; *a* as in
+    :func:`iterative_refinement`. Column *j* of the result is bitwise
+    identical to refining ``b[:, j]`` alone with
     :func:`iterative_refinement`.
     """
     b = as_float_array(b, "b")
