@@ -120,14 +120,12 @@ def cmd_info(args) -> int:
 def cmd_solve(args) -> int:
     a = build_matrix(args)
     n = a.shape[0]
-    unsym = args.lu or (
-        args.mesh and args.mesh.split(":", 1)[0] in UNSYM_KINDS
-    )
+    unsym = args.lu or (args.mesh and args.mesh.split(":", 1)[0] in UNSYM_KINDS)
+    method = "lu" if unsym else args.method
     if args.rhs == "ones":
         b = np.ones(n)
     else:
         b = make_rng(args.seed).standard_normal(n)
-    method = "lu" if unsym else args.method
     solver = SparseSolver(a, method=method, ordering=args.ordering)
     solver.factor(
         backend=args.backend, workers=args.workers, precision=args.precision

@@ -219,18 +219,14 @@ class SparseSolver:
                 with span("solver.ordering", ordering=self.ordering):
                     if lu:  # LU orders the graph of A + Aᵀ
                         coo = csc_to_coo(self.lower)
-                        graph = AdjacencyGraph.from_edges(
-                            self.lower.shape[0], coo.row, coo.col
-                        )
+                        graph = AdjacencyGraph.from_edges(coo.shape[0], coo.row, coo.col)
                     else:
                         graph = AdjacencyGraph.from_symmetric_lower(self.lower)
                     perm = get_ordering(self.ordering)(graph)
             else:
                 perm = np.asarray(self.ordering, dtype=np.int64)
             with span("solver.symbolic"):
-                self.sym = (lu_analyze if lu else analyze)(
-                    self.lower, perm, self.analyze_options
-                )
+                self.sym = (lu_analyze if lu else analyze)(self.lower, perm, self.analyze_options)
         self.plans.clear()
         s = self.sym
         self._analyze_info = AnalyzeInfo(
@@ -384,12 +380,9 @@ class SparseSolver:
                     precision=self.numeric.precision,
                 )
             x = solve_fn(self.numeric, b)
-            b2 = b[:, None] if b.ndim == 1 else b
-            x2 = x[:, None] if x.ndim == 1 else x
-            rel = relative_residuals(self.numeric, self.lower, x2, b2)
             return SolveResult(
                 x=x,
-                residual=float(np.max(rel)),
+                residual=float(np.max(relative_residuals(self.numeric, self.lower, x, b))),
                 refinement_iterations=0,
                 precision=self.numeric.precision,
             )
@@ -441,16 +434,11 @@ class SparseSolver:
                 self.factor()
             # Both dense views carry a unit diagonal for LDLᵀ and LU, so D
             # and U are compared on their own.
-            if self.method == "lu":
-                (l_ref, u_ref), (l_got, u_got) = (
-                    self.numeric.to_dense_lu(),
-                    fres.to_dense_lu(),
-                )
-                pairs = [(l_ref, l_got, "factor"), (u_ref, u_got, "factor U")]
-            else:
-                pairs = [(self.numeric.to_dense_l(), fres.to_dense_l(), "factor")]
+            pairs = [(self.numeric.to_dense_l(), fres.to_dense_l(), "factor")]
             if self.method == "ldlt":
                 pairs.append((self.numeric.diag, fres.assemble_diag(), "pivots D"))
+            if self.method == "lu":
+                pairs.append((self.numeric.to_dense_lu()[1], fres.to_dense_lu()[1], "factor U"))
             for ref, got, what in pairs:
                 err = float(np.max(np.abs(ref - got)))
                 scale = float(np.max(np.abs(ref))) or 1.0

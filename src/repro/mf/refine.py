@@ -123,9 +123,10 @@ def _matvec(factor: NumericFactor):
 def relative_residuals(
     factor: NumericFactor, a: CSCMatrix, x: np.ndarray, b: np.ndarray
 ) -> np.ndarray:
-    """Per-column ``max|b − A x| / max(max|b|, 1e-300)`` of the ``(n, k)``
-    panels *x* and *b*: the accuracy report of an unrefined solve. *a* is
-    the matrix as :func:`iterative_refinement_many` takes it."""
+    """Per-column ``max|b − A x| / max(max|b|, 1e-300)`` of the panels *x*
+    and *b* (``(n, k)``; a vector pair gives a scalar): the accuracy report
+    of an unrefined solve. *a* is the matrix as
+    :func:`iterative_refinement_many` takes it."""
     r = b - _matvec(factor)(a, x)
     denom = np.maximum(np.max(np.abs(b), axis=0), 1e-300)
     return np.max(np.abs(r), axis=0) / denom
