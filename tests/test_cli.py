@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cli import main, _parse_ranks, build_matrix, MESH_KINDS
+from repro.core.solver import SparseSolver
 from repro.sparse.io_mm import write_matrix_market
 from repro.sparse.convert import csc_to_coo
 from repro.sparse.ops import full_symmetric_from_lower, tril
@@ -218,6 +219,20 @@ class TestLUCli:
     def test_explicit_lu_flag(self, capsys):
         assert main(["solve", "--mesh", "plate:5", "--lu"]) == 0
         assert "solver=lu" in capsys.readouterr().out
+
+    def test_lu_on_symmetric_mesh_solves_its_full_operator(self):
+        # LU factors the matrix as given, so a symmetric mesh must reach it
+        # as the whole operator, not as its lower triangle.
+        class A:
+            matrix = None
+            mesh = "plate:5"
+
+        a = build_matrix(A())
+        dense = full_symmetric_from_lower(grid2d_laplacian(5)).to_dense()
+        np.testing.assert_array_equal(a.to_dense(), dense)
+        b = np.ones(a.shape[0])
+        x = SparseSolver(a, method="lu").solve(b).x
+        np.testing.assert_allclose(x, np.linalg.solve(dense, b), rtol=1e-12)
 
     def test_lu_no_refine(self, capsys):
         assert main(["solve", "--mesh", "convdiff:5", "--no-refine"]) == 0
