@@ -102,11 +102,11 @@ class TestRefinementBitwise:
         b = make_rng(200 + k).standard_normal((n, k))
         res = iterative_refinement_many(factor, lower, b)
         for j in range(k):
-            single = iterative_refinement(factor, lower, b[:, j])
-            np.testing.assert_array_equal(res.x[:, j], single.x)
-            assert res.residual_history[j] == single.residual_history
-            assert int(res.iterations[j]) == single.iterations
-            assert bool(res.converged[j]) == single.converged
+            single = iterative_refinement_many(factor, lower, b[:, j])
+            np.testing.assert_array_equal(res.x[:, j], single.x[:, 0])
+            assert res.residual_history[j] == single.residual_history[0]
+            assert res.iterations[j] == single.iterations[0]
+            assert res.converged[j] == single.converged[0]
 
     def test_zero_column_converges_immediately(self, lower):
         factor = multifrontal_factor(analyzed(lower))

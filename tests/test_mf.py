@@ -16,7 +16,7 @@ from repro.graph import AdjacencyGraph
 from repro.mf import (
     multifrontal_factor,
     factor_solve,
-    iterative_refinement,
+    iterative_refinement_many,
     assemble_front,
     extend_add,
 )
@@ -203,24 +203,25 @@ class TestRefinement:
         rng = make_rng(3)
         b = rng.standard_normal(27)
         factor = multifrontal_factor(analyzed(lower))
-        res = iterative_refinement(factor, lower, b, tol=1e-13)
-        assert res.converged
-        assert res.residual_history[-1] <= 1e-13
+        res = iterative_refinement_many(factor, lower, b, tol=1e-13)
+        assert res.converged[0]
+        assert res.residual_history[0][-1] <= 1e-13
 
     def test_refinement_improves_residual(self):
         lower = random_spd_sparse(50, avg_degree=6, seed=11)
         rng = make_rng(5)
         b = rng.standard_normal(50)
         factor = multifrontal_factor(analyzed(lower))
-        res = iterative_refinement(factor, lower, b, max_iter=3, tol=0.0)
-        assert res.residual_history[-1] <= res.residual_history[0] * 10
+        res = iterative_refinement_many(factor, lower, b, max_iter=3, tol=0.0)
+        history = res.residual_history[0]
+        assert history[-1] <= history[0] * 10
 
     def test_zero_rhs_shortcut(self):
         lower = grid2d_laplacian(3)
         factor = multifrontal_factor(analyzed(lower))
-        res = iterative_refinement(factor, lower, np.zeros(9))
-        assert res.converged
-        np.testing.assert_array_equal(res.x, np.zeros(9))
+        res = iterative_refinement_many(factor, lower, np.zeros(9))
+        assert res.converged[0]
+        np.testing.assert_array_equal(res.x[:, 0], np.zeros(9))
 
 
 class TestAccounting:

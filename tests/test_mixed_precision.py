@@ -19,10 +19,7 @@ from repro.exec import multifrontal_factor_threads, solve_many_threads
 from repro.gen.grids import grid2d_laplacian, grid3d_laplacian
 from repro.graph import AdjacencyGraph
 from repro.mf.numeric import multifrontal_factor
-from repro.mf.refine import (
-    iterative_refinement,
-    iterative_refinement_many,
-)
+from repro.mf.refine import iterative_refinement_many
 from repro.mf.solve_phase import solve, solve_many
 from repro.ordering import amd_order
 from repro.service import ServiceConfig, SolverService
@@ -166,10 +163,10 @@ class TestFp32Refinement:
         b = rng.standard_normal((sym.n, 5))
         panel = iterative_refinement_many(f32, lower, b)
         for j in range(b.shape[1]):
-            single = iterative_refinement(f32, lower, b[:, j])
-            assert np.array_equal(panel.x[:, j], single.x)
-            assert panel.residual_history[j] == single.residual_history
-            assert bool(panel.diverged[j]) == single.diverged
+            single = iterative_refinement_many(f32, lower, b[:, j])
+            assert np.array_equal(panel.x[:, j], single.x[:, 0])
+            assert panel.residual_history[j] == single.residual_history[0]
+            assert panel.diverged[j] == single.diverged[0]
 
     def test_refinement_trajectory_identical_across_backends(self):
         lower = grid2d_laplacian(10)
@@ -284,17 +281,17 @@ class TestRefinementRobustness:
         # first bad correction lands.
         res = iterative_refinement_many(
             f, lower, b, max_iter=10, tol=0.0, solve_fn=flaky_solve
-        ).column(0)
-        assert res.diverged and not res.converged
-        assert res.iterations == 1  # stopped at the first bad iterate
+        )
+        assert res.diverged[0] and not res.converged[0]
+        assert res.iterations[0] == 1  # stopped at the first bad iterate
         assert np.all(np.isfinite(res.x))
         # the returned iterate is the good initial solve, bitwise
-        assert np.array_equal(res.x, solve(f, b[:, 0]))
+        assert np.array_equal(res.x[:, 0], solve(f, b[:, 0]))
         # the reported backward error matches an independent measurement…
-        got = berr(lower, res.x, b[:, 0])
-        assert got[0] == pytest.approx(res.backward_error, rel=1e-12)
+        got = berr(lower, res.x[:, 0], b[:, 0])
+        assert got[0] == pytest.approx(res.backward_error[0], rel=1e-12)
         # …and is the best entry in the recorded history
-        assert res.backward_error == min(res.residual_history)
+        assert res.backward_error[0] == min(res.residual_history[0])
 
     def test_max_iter_exhaustion_is_not_diverged(self):
         # Hilbert(7): fp32 factor refinement stalls — it must report
@@ -304,10 +301,10 @@ class TestRefinementRobustness:
         s.factor(precision="fp32")
         rng = make_rng(9)
         b = rng.standard_normal(7)
-        res = iterative_refinement(s.numeric, lower, b, tol=1e-12)
-        assert not res.converged
-        assert not res.diverged
-        assert res.iterations == 5  # the default max_iter budget
+        res = iterative_refinement_many(s.numeric, lower, b, tol=1e-12)
+        assert not res.converged[0]
+        assert not res.diverged[0]
+        assert res.iterations[0] == 5  # the default max_iter budget
         assert np.all(np.isfinite(res.x))
 
     def test_dense_kernels_accept_fp32_reject_mismatch(self):
