@@ -29,7 +29,7 @@ def main() -> None:
     b = np.ones(n)
     result = solver.solve(b)
     print(
-        f"solve: relative residual {result.residual:.2e} "
+        f"solve: backward error {result.residual:.2e} "
         f"after {result.refinement_iterations} refinement step(s)"
     )
 

@@ -49,7 +49,7 @@ def main() -> None:
             ]
         )
         assert np.allclose(res.x, x[:, k], atol=1e-8)
-    print(format_table(["load case", "max |u|", "residual", "refine iters"], rows))
+    print(format_table(["load case", "max |u|", "backward error", "refine iters"], rows))
 
     # Capacity check: how do hybrid configurations of a 32-core POWER5
     # allocation compare for this model?

@@ -24,6 +24,7 @@ Example
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,7 +34,7 @@ from repro.machine.model import MachineModel
 from repro.machine.presets import GENERIC_CLUSTER
 from repro.mf.lu import lu_analyze
 from repro.mf.numeric import NumericFactor, multifrontal_factor
-from repro.mf.refine import iterative_refinement_many, relative_residuals
+from repro.mf.refine import iterative_refinement_many
 from repro.mf.solve_phase import solve_many as mf_solve_many
 from repro.obs.spans import span, timed
 from repro.ordering.registry import get_ordering
@@ -104,7 +105,8 @@ class SolveResult:
     """Solution plus accuracy diagnostics."""
 
     x: np.ndarray
-    #: normwise backward error of the returned solution (worst column)
+    #: normwise backward error ``‖b − Ax‖∞ / (‖A‖∞·‖x‖∞ + ‖b‖∞)`` of the
+    #: returned solution (worst column), refined or not
     residual: float
     #: refinement iterations performed (0 = plain direct solve)
     refinement_iterations: int
@@ -330,6 +332,13 @@ class SparseSolver:
         For a panel the reported ``residual`` and ``refinement_iterations``
         are the worst (max) over columns.
 
+        ``refine=True`` refines each column until its normwise backward
+        error reaches *tol*. ``refine=False`` is one direct solve with its
+        backward error reported: the same refinement loop with an infinite
+        tolerance, so no correction step runs. Either way a reduced-
+        precision factor that fails to converge on some column (with
+        ``refine=False``, one that overflowed) is re-factored in fp64.
+
         ``backend="threads"`` runs the triangular sweeps (including those
         inside iterative refinement) level-set scheduled on a
         :mod:`repro.exec` worker pool — bitwise identical to the default
@@ -350,40 +359,32 @@ class SparseSolver:
             backend=backend,
             precision=self.numeric.precision,
         ):
-            if refine:
+            # Unrefined is the same loop with an infinite tolerance: every
+            # finite column stops after the direct solve.
+            tol = tol if refine else math.inf
+            res = iterative_refinement_many(
+                self.numeric, self.lower, b, tol=tol, solve_fn=solve_fn
+            )
+            if self.numeric.precision != "fp64" and not bool(
+                np.all(res.converged)
+            ):
+                # Reduced-precision refinement stalled or diverged on at
+                # least one column: re-factor in fp64 (same values, same
+                # analysis) and refine against the robust factor — the
+                # last rung of the precision degradation ladder.
+                with span(
+                    "solver.precision_fallback",
+                    method=self.method,
+                    backend=backend,
+                ):
+                    self.numeric = self._factor_backend(backend, workers, "fp64")
                 res = iterative_refinement_many(
                     self.numeric, self.lower, b, tol=tol, solve_fn=solve_fn
                 )
-                if self.numeric.precision != "fp64" and not bool(
-                    np.all(res.converged)
-                ):
-                    # Reduced-precision refinement stalled or diverged on at
-                    # least one column: re-factor in fp64 (same values, same
-                    # analysis) and refine against the robust factor — the
-                    # last rung of the precision degradation ladder.
-                    with span(
-                        "solver.precision_fallback",
-                        method=self.method,
-                        backend=backend,
-                    ):
-                        self.numeric = self._factor_backend(
-                            backend, workers, "fp64"
-                        )
-                    res = iterative_refinement_many(
-                        self.numeric, self.lower, b, tol=tol, solve_fn=solve_fn
-                    )
-                x = res.x[:, 0] if b.ndim == 1 else res.x
-                return SolveResult(
-                    x=x,
-                    residual=float(np.max(res.residuals)),
-                    refinement_iterations=int(np.max(res.iterations)),
-                    precision=self.numeric.precision,
-                )
-            x = solve_fn(self.numeric, b)
             return SolveResult(
-                x=x,
-                residual=float(np.max(relative_residuals(self.numeric, self.lower, x, b))),
-                refinement_iterations=0,
+                x=res.x[:, 0] if b.ndim == 1 else res.x,
+                residual=float(np.max(res.backward_error)),
+                refinement_iterations=int(np.max(res.iterations)),
                 precision=self.numeric.precision,
             )
 

@@ -16,12 +16,7 @@ from repro.mf.extend_add import extend_add
 from repro.mf.numeric import NumericFactor, multifrontal_factor
 from repro.mf.solve_phase import solve as factor_solve
 from repro.mf.solve_phase import solve_many as factor_solve_many
-from repro.mf.refine import (
-    iterative_refinement,
-    iterative_refinement_many,
-    PanelRefinementResult,
-    RefinementResult,
-)
+from repro.mf.refine import iterative_refinement_many, PanelRefinementResult
 from repro.mf.accounting import FactorStats
 from repro.mf.schur import schur_complement
 from repro.mf.condest import condest
@@ -33,10 +28,8 @@ __all__ = [
     "multifrontal_factor",
     "factor_solve",
     "factor_solve_many",
-    "iterative_refinement",
     "iterative_refinement_many",
     "PanelRefinementResult",
-    "RefinementResult",
     "FactorStats",
     "schur_complement",
     "condest",

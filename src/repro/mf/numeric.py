@@ -308,7 +308,7 @@ def multifrontal_factor(
     precision
         ``"fp64"`` (default) or ``"fp32"``. fp32 halves factor storage and
         bandwidth; pair it with fp64 iterative refinement
-        (:func:`repro.mf.refine.iterative_refinement`) to recover
+        (:func:`repro.mf.refine.iterative_refinement_many`) to recover
         fp64-level accuracy on well-conditioned systems.
     pool
         ``None`` runs the fronts in postorder on the calling thread; a

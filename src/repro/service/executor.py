@@ -31,6 +31,7 @@ the dispatch loop.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -38,8 +39,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.core.solver import SparseSolver
-from repro.mf.refine import iterative_refinement_many, relative_residuals
-from repro.mf.solve_phase import solve_many
+from repro.mf.refine import iterative_refinement_many
 from repro.service.cache import AnalysisCache, AnalysisEntry
 from repro.service.jobs import (
     COMPLETED,
@@ -136,7 +136,7 @@ class Executor:
         precision = job0.precision
         while True:
             try:
-                x, residuals, precision = self._run(
+                x, berrs, precision = self._run(
                     entry, b_block, timings, precision
                 )
                 break
@@ -182,7 +182,7 @@ class Executor:
         col = 0
         for job in batch:
             xj = x[:, col: col + job.n_rhs]
-            rj = float(np.max(residuals[col: col + job.n_rhs]))
+            rj = float(np.max(berrs[col: col + job.n_rhs]))
             col += job.n_rhs
             results.append(
                 JobResult(
@@ -232,7 +232,8 @@ class Executor:
     ) -> tuple[np.ndarray, np.ndarray, str]:
         """Numeric factor + blocked solve of the batch panel.
 
-        Returns ``(x, residuals, effective_precision)``. fp32 batches
+        Returns ``(x, backward_errors, effective_precision)``, the
+        backward error per column. fp32 batches
         always run iterative refinement (it is what recovers fp64
         accuracy); when refinement stalls or diverges on any column the
         batch re-factors the same values in fp64 and refines against the
@@ -253,41 +254,36 @@ class Executor:
         refine = self.config.refine or precision != "fp64"
         factor_before_solve = timings.get("factor", 0.0)
         # Genuine blocked multi-RHS solve: one permute → sweep → unpermute
-        # pass for the whole coalesced panel (and one blocked refinement
-        # loop when enabled), not a per-column re-traversal.
+        # pass for the whole coalesced panel and one blocked refinement
+        # loop, not a per-column re-traversal. Unrefined is that loop with
+        # an infinite tolerance: the direct solve and its backward error.
+        tol = 1e-14 if refine else math.inf
         with timed(
             "service.solve",
             rhs=int(b_block.shape[1]),
             refine=refine,
             precision=precision,
         ) as t:
-            if refine:
+            res = iterative_refinement_many(
+                solver.numeric, solver.lower, b_block, tol=tol
+            )
+            if precision != "fp64" and not bool(np.all(res.converged)):
+                # Reduced-precision refinement stalled or diverged: the
+                # last rung of the ladder is an fp64 re-factor of the
+                # same values on the same analysis.
+                self.metrics.inc("service_precision_fallback_total")
+                precision = "fp64"
+                timed_factor(precision)
                 res = iterative_refinement_many(
-                    solver.numeric, solver.lower, b_block
+                    solver.numeric, solver.lower, b_block, tol=tol
                 )
-                if precision != "fp64" and not bool(np.all(res.converged)):
-                    # Reduced-precision refinement stalled or diverged: the
-                    # last rung of the ladder is an fp64 re-factor of the
-                    # same values on the same analysis.
-                    self.metrics.inc("service_precision_fallback_total")
-                    precision = "fp64"
-                    timed_factor(precision)
-                    res = iterative_refinement_many(
-                        solver.numeric, solver.lower, b_block
-                    )
-                x = res.x
-            else:
-                x = solve_many(solver.numeric, b_block)
         # A precision fallback re-factors *inside* the solve window; keep
         # the factor share out of the solve phase timing.
         fallback_factor = timings.get("factor", 0.0) - factor_before_solve
         timings["solve"] = timings.get("solve", 0.0) + max(
             t.elapsed - fallback_factor, 0.0
         )
-        # One blocked residual matvec for the whole panel (bitwise identical
-        # per column to the per-column check).
-        residuals = relative_residuals(solver.numeric, solver.lower, x, b_block)
-        return x, residuals, precision
+        return res.x, res.backward_error, precision
 
     # -- failure shaping -----------------------------------------------------
 

@@ -90,7 +90,8 @@ class JobResult:
     status: str
     #: solution, shape matching the submitted ``b`` (None unless completed)
     x: np.ndarray | None = None
-    #: worst relative max-norm residual over this job's right-hand sides
+    #: worst normwise backward error ``‖b − Ax‖∞ / (‖A‖∞·‖x‖∞ + ‖b‖∞)``
+    #: over this job's right-hand sides, refined or not
     residual: float | None = None
     #: attempts beyond the first
     retries: int = 0

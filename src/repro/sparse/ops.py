@@ -114,13 +114,17 @@ def sym_norm_inf_lower(lower: CSCMatrix) -> float:
         raise ShapeError("sym_norm_inf_lower requires a square lower triangle")
     if lower.nnz == 0:
         return 0.0
-    row_sums = np.zeros(n)
     col_of = np.repeat(np.arange(n, dtype=np.int64), np.diff(lower.indptr))
     rows = lower.indices
     absv = np.abs(lower.data)
-    np.add.at(row_sums, rows, absv)
     off = rows != col_of
-    np.add.at(row_sums, col_of[off], absv[off])
+    # one ordered pass: each row sum adds its lower entries, then the
+    # mirrored upper ones (np.bincount accumulates in input order)
+    row_sums = np.bincount(
+        np.concatenate([rows, col_of[off]]),
+        weights=np.concatenate([absv, absv[off]]),
+        minlength=n,
+    )
     return float(row_sums.max())
 
 

@@ -21,7 +21,6 @@ from repro.gen import (
 )
 from repro.graph import AdjacencyGraph
 from repro.mf import (
-    iterative_refinement,
     iterative_refinement_many,
     multifrontal_factor,
 )
@@ -120,11 +119,6 @@ class TestRefinementBitwise:
         # The zero column must not perturb its neighbors.
         lone = iterative_refinement_many(factor, lower, b[:, [0, 2]])
         np.testing.assert_array_equal(res.x[:, [0, 2]], lone.x)
-
-    def test_scalar_requires_vector(self, lower):
-        factor = multifrontal_factor(analyzed(lower))
-        with pytest.raises(ShapeError):
-            iterative_refinement(factor, lower, np.ones((lower.shape[0], 2)))
 
 
 class TestSymMatvecMany:

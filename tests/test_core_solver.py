@@ -65,6 +65,13 @@ class TestSparseSolverPhases:
         res = solver.solve(b, refine=False)
         assert res.refinement_iterations == 0
         assert res.residual <= 1e-10
+        # The unrefined residual is the normwise backward error, as the
+        # refined one is (r through the same matvec, so the same bits).
+        dense = full_symmetric_from_lower(small).to_dense()
+        r = b - sym_matvec_lower(small, res.x)
+        anorm = np.abs(dense).sum(axis=1).max()
+        berr = np.abs(r).max() / (anorm * np.abs(res.x).max() + np.abs(b).max())
+        assert res.residual == pytest.approx(berr, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("refine", [True, False])
     def test_rejects_empty_rhs_panel(self, small, refine):

@@ -162,13 +162,16 @@ class TestLUSolve:
         x_ref = scipy.linalg.lu_solve((lu, piv), b)
         np.testing.assert_allclose(ours.x, x_ref, rtol=1e-8)
 
-    def test_overflowing_rhs_degrades_to_best_iterate(self):
+    @pytest.mark.parametrize("refine", [True, False])
+    @pytest.mark.parametrize("method", ["cholesky", "ldlt", "lu"])
+    def test_overflowing_rhs_degrades_to_best_iterate(self, method, refine):
         """A right-hand side whose solve overflows is frozen by the
-        divergence guard, as for Cholesky: the zero best-so-far iterate,
-        whose backward error is 1.0."""
-        solver = SparseSolver(convection_diffusion2d(4), method="lu")
+        divergence guard on every method, refined or not: the zero
+        best-so-far iterate, whose backward error is 1.0."""
+        a = convection_diffusion2d(4) if method == "lu" else grid2d_laplacian(4)
+        solver = SparseSolver(a, method=method)
         with np.errstate(over="ignore", invalid="ignore"):
-            res = solver.solve(np.full(16, 1e308))
+            res = solver.solve(np.full(16, 1e308), refine=refine)
         np.testing.assert_array_equal(res.x, np.zeros(16))
         assert res.residual == 1.0
         assert res.refinement_iterations == 0

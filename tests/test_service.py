@@ -189,8 +189,9 @@ class TestServiceSolve:
         b = make_rng(0).standard_normal(27)
         res = SolverService().solve(lower, b)
         assert res.ok and res.residual < 1e-10
-        ref = SparseSolver(lower).solve(b, refine=False).x
-        np.testing.assert_array_equal(res.x, ref)
+        ref = SparseSolver(lower).solve(b, refine=False)
+        np.testing.assert_array_equal(res.x, ref.x)
+        assert res.residual == ref.residual
 
     def test_cached_path_bitwise_identical_to_cold(self):
         lower = grid2d_laplacian(6)
@@ -219,6 +220,7 @@ class TestServiceSolve:
         for i, b in zip(ids, bs):
             single = SolverService().solve(lower, b)
             np.testing.assert_array_equal(out[i].x, single.x)
+            assert out[i].residual == single.residual
 
     def test_multi_rhs_job_shape(self):
         lower = grid2d_laplacian(4)
