@@ -44,6 +44,7 @@ from repro.machine import get_machine
 from repro.sparse.csc import CSCMatrix
 from repro.sparse.convert import coo_to_csc
 from repro.sparse.io_mm import read_matrix_market
+from repro.sparse.ops import full_symmetric_from_lower
 from repro.util.errors import RaceError, ReproError, ShapeError
 from repro.util.rng import make_rng
 from repro.util.tables import format_table
@@ -65,12 +66,13 @@ UNSYM_KINDS = {"convdiff"}
 
 
 def build_matrix(args) -> CSCMatrix:
-    """Resolve --mesh / --matrix into the CSC input.
+    """Resolve --mesh / --matrix into the whole square CSC matrix.
 
-    A mesh is built as its lower triangle. A Matrix Market file is returned
-    as read (a ``symmetric`` file arrives expanded): the symmetric solvers
-    reduce a symmetric matrix to its lower triangle and reject an
-    unsymmetric one, and the LU path factors the whole matrix.
+    A symmetric mesh is expanded from the lower triangle its generator
+    builds, as a ``symmetric`` Matrix Market file is when read; an
+    unsymmetric mesh and a file are returned as built or read. The
+    symmetric solvers reduce a symmetric matrix to its lower triangle and
+    reject an unsymmetric one, and the LU path factors the whole matrix.
     """
     if args.matrix:
         coo, _ = read_matrix_market(args.matrix)
@@ -90,7 +92,8 @@ def build_matrix(args) -> CSCMatrix:
         raise ShapeError(
             f"unknown mesh kind {kind!r}; known: {sorted(MESH_KINDS)}"
         ) from None
-    return builder(size)
+    a = builder(size)
+    return a if kind in UNSYM_KINDS else full_symmetric_from_lower(a)
 
 
 def cmd_info(args) -> int:
@@ -490,7 +493,12 @@ def make_parser() -> argparse.ArgumentParser:
     _add_backend(p)
     p.add_argument("--rhs", default="ones", choices=["ones", "random"])
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--no-refine", action="store_true")
+    p.add_argument(
+        "--no-refine",
+        action="store_true",
+        help="one direct solve, no correction step (residual is still its "
+        "normwise backward error)",
+    )
     p.add_argument("--condest", action="store_true")
     p.add_argument(
         "--lu",
