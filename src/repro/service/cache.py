@@ -172,7 +172,7 @@ class ShardedAnalysisCache:
         return CacheStats.merged(s.stats for s in self._shards)
 
     def shard_stats(self) -> list[CacheStats]:
-        """Per-shard counters, indexed by shard (autoscaling signals)."""
+        """Per-shard counters, indexed by shard."""
         return [s.stats for s in self._shards]
 
     def shard_sizes(self) -> list[int]:

@@ -100,10 +100,6 @@ class JobQueue:
         """Pending (queued, not yet dispatched) jobs of *tenant*."""
         return self._tenant_pending.get(tenant, 0)
 
-    def pending_by_tenant(self) -> dict[str, int]:
-        """Snapshot of pending-job counts per tenant."""
-        return dict(self._tenant_pending)
-
     @staticmethod
     def order_key(job: SolveJob) -> tuple:
         """The ordering key (smaller dispatches first): ``(deadline,
@@ -424,7 +420,6 @@ class SolverService:
                         # logically passed either way.
                         self._sleep(directive.timeout)
                         floor = now + directive.timeout
-        self.publish_autoscale_signals()
         self.results.update(processed)
         return processed
 
@@ -456,7 +451,6 @@ class SolverService:
             if len(live) > 1:
                 self.metrics.inc("coalesced_jobs", len(live) - 1)
             inflight.add(live[0].fingerprint.key)
-            self.metrics.gauge("service_inflight_batches").set(float(len(inflight)))
             return FleetDirective(RUN, item=(live, now))
         if not len(self.queue) and not inflight:
             return FleetDirective(STOP)
@@ -475,7 +469,6 @@ class SolverService:
         its results (queue wait measured to its dispatch time)."""
         live, dispatched = item
         inflight.discard(live[0].fingerprint.key)
-        self.metrics.gauge("service_inflight_batches").set(float(len(inflight)))
         if isinstance(outcome, Requeue):
             self._requeue(outcome)
         else:
@@ -540,29 +533,6 @@ class SolverService:
         return self.drain()[job_id]
 
     # -- observability -------------------------------------------------------
-
-    def publish_autoscale_signals(self) -> None:
-        """Publish the fleet's autoscaling gauges into the obs registry.
-
-        ``service_queue_depth`` (pending jobs), ``service_tenants_pending``
-        (tenants with queued work), ``service_deadline_miss_ratio``
-        (missed / all deadline-carrying terminal jobs),
-        ``service_cache_hit_rate`` plus ``service_cache_shard<i>_hit_rate``
-        per shard. Scrape-ready via ``repro.obs.export.prometheus_text``.
-        """
-        gauge = self.metrics.gauge
-        gauge("service_queue_depth").set(float(len(self.queue)))
-        gauge("service_tenants_pending").set(
-            float(len(self.queue.pending_by_tenant()))
-        )
-        jobs = self.metrics.counter("service_deadline_jobs_total")
-        missed = self.metrics.counter("service_deadline_missed_total")
-        gauge("service_deadline_miss_ratio").set(
-            missed / jobs if jobs else 0.0
-        )
-        gauge("service_cache_hit_rate").set(self.cache.stats.hit_rate)
-        for i, st in enumerate(self.cache.shard_stats()):
-            gauge(f"service_cache_shard{i}_hit_rate").set(st.hit_rate)
 
     @property
     def deadline_miss_ratio(self) -> float:

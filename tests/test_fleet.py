@@ -147,12 +147,11 @@ class TestEDFOrdering:
         svc.submit(m[1], np.ones(m[1].shape[0]), tenant="a")
         svc.submit(m[2], np.ones(m[2].shape[0]), tenant="b")
         q = svc.queue
-        assert q.tenant_pending("a") == 2
-        assert q.pending_by_tenant() == {"a": 2, "b": 1}
+        assert (q.tenant_pending("a"), q.tenant_pending("b")) == (2, 1)
         q.pop_batch(coalesce=False)
         assert q.tenant_pending("a") == 1
         drain_order(q)
-        assert q.pending_by_tenant() == {}
+        assert (q.tenant_pending("a"), q.tenant_pending("b")) == (0, 0)
 
 
 class TestAdmission:
