@@ -170,24 +170,24 @@ def iterative_refinement_many(
             berr = np.max(np.abs(r), axis=0) / (anorm * xnorms + bnorms[active])
         for pos, j in enumerate(active):
             histories[j].append(float(berr[pos]))
-        finite = np.isfinite(berr)
-        done = finite & (berr <= tol)
+        done = np.isfinite(berr) & (berr <= tol)
         iterations[active[done]] = it
         converged[active[done]] = True
         backward_error[active[done]] = berr[done]
+        active, r, berr = active[~done], r[:, ~done], berr[~done]
+        if not active.size:
+            break
         # Divergence guard: check *before* the correction solve so a
         # NaN/Inf iterate is frozen here instead of crashing (or further
         # poisoning) the blocked solve below.
-        bad = ~done & (~finite | (berr > DIVERGENCE_GROWTH * best_berr[active]))
+        bad = ~np.isfinite(berr) | (berr > DIVERGENCE_GROWTH * best_berr[active])
         iterations[active[bad]] = it
         diverged[active[bad]] = True
         fall_back(active[bad])
-        keep = ~done & ~bad
-        better = keep & (berr < best_berr[active])
+        better = ~bad & (berr < best_berr[active])
         best_berr[active[better]] = berr[better]
         best_x[:, active[better]] = x[:, active[better]]
-        active = active[keep]
-        r = r[:, keep]
+        active, r = active[~bad], r[:, ~bad]
         if not active.size:
             break
         if it == max_iter:
