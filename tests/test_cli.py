@@ -88,6 +88,13 @@ class TestCommands:
     def test_solve_no_refine(self, capsys):
         assert main(["solve", "--mesh", "plate:5", "--no-refine"]) == 0
 
+    def test_fp32_no_refine_exit_follows_the_working_precision(self, capsys):
+        # An fp32 direct solve's backward error is a few units of fp32
+        # roundoff (2^-24 ~ 6e-8), above the fp64 solve's 1e-8 bound.
+        assert main(["solve", "--mesh", "cube:6", "--no-refine", "--precision", "fp32"]) == 0
+        out = capsys.readouterr().out
+        assert "precision=fp32" in out and "refine_iters=0" in out
+
     def test_solve_ldlt(self, capsys):
         assert main(["solve", "--mesh", "cube:3", "--method", "ldlt"]) == 0
 
