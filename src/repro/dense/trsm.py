@@ -1,14 +1,19 @@
 """Dense triangular solves used by the solve phase and the frontal kernels.
 
-All operate in place on the right-hand side; RHS may be a vector or a
-matrix of multiple right-hand sides. The sweeps of
-:mod:`repro.mf.solve_phase` call the column kernels for LU pivot blocks,
-for Cholesky and LDLᵀ pivot blocks narrower than
-:data:`~repro.dense.chol.LAPACK_MIN_PIVOTS`, and for the simulator's
-distributed pivot blocks; every other pivot block is solved with gemvs on
-the inverses of its diagonal blocks, which :func:`lower_inverses` forms
-once per factor. :func:`solve_unit_lower_inplace` is also the LU
-kernel's U-panel solve in the simulator's distributed fronts.
+All operate in place on the right-hand side, for one triangle or a stack
+of them. A triangle ``l`` of order n takes a vector ``(n,)`` or a panel
+``(n, K)`` of right-hand sides; a stack ``(k, n, n)`` takes ``(k, n)`` or
+``(k, n, K)``, member by member. Every operation is elementwise, so a
+member's bits do not depend on the stack or the panel it rides in.
+
+The class sweeps of :mod:`repro.mf.solve_phase` call the column kernels
+on the stacked pivot blocks of a front class: LU's, and Cholesky and LDLᵀ
+pivot blocks narrower than :data:`~repro.dense.chol.LAPACK_MIN_PIVOTS`;
+the simulator's distributed pivot blocks call them one triangle at a
+time. Every other pivot block is solved with gemvs on the inverses of its
+diagonal blocks, which :func:`lower_inverses` forms once per factor.
+:func:`solve_unit_lower_inplace` is also the LU kernel's U-panel solve in
+the simulator's distributed fronts.
 """
 
 from __future__ import annotations
@@ -19,36 +24,37 @@ from repro.dense.chol import _check_consistent
 from repro.util.errors import ShapeError
 
 
-def _check(l: np.ndarray, b: np.ndarray) -> int:
-    if l.ndim != 2 or l.shape[0] != l.shape[1]:
+def _operands(l: np.ndarray, b: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
+    """``(n, lt, bt)``: views of *l* and *b* with the triangle's row axis
+    first, so that ``lt[i, j]`` and ``bt[i]`` broadcast against each other
+    over the stack and the right-hand sides."""
+    lead = l.ndim - 2
+    if lead not in (0, 1) or l.shape[-1] != l.shape[-2]:
         raise ShapeError(f"triangular factor must be square; got {l.shape}")
-    if b.shape[0] != l.shape[0]:
+    if b.ndim not in (lead + 1, lead + 2) or b.shape[:lead + 1] != l.shape[:-1]:
         raise ShapeError(
-            f"rhs leading dimension {b.shape[0]} != factor order {l.shape[0]}"
+            f"rhs shape {b.shape} does not match factor of shape {l.shape}"
         )
     _check_consistent(l, b)
-    return l.shape[0]
+    lt, bt = (l.transpose(1, 2, 0), b.swapaxes(0, 1)) if lead else (l, b)
+    return l.shape[-1], lt if b.ndim == lead + 1 else lt[..., None], bt
 
 
 def solve_lower_inplace(l: np.ndarray, b: np.ndarray) -> None:
     """``b <- L^{-1} b`` (forward substitution, non-unit diagonal)."""
-    n = _check(l, b)
+    n, lt, bt = _operands(l, b)
     for j in range(n):
-        b[j] = b[j] / l[j, j]
+        bt[j] /= lt[j, j]
         if j + 1 < n:
-            b[j + 1:] -= np.multiply.outer(l[j + 1:, j], b[j]) if b.ndim > 1 else l[j + 1:, j] * b[j]
+            bt[j + 1:] -= lt[j + 1:, j] * bt[j]
 
 
 def solve_unit_lower_inplace(l: np.ndarray, b: np.ndarray) -> None:
     """``b <- L^{-1} b`` with *unit* diagonal (LDLᵀ forward sweep; only the
     strictly-lower part of *l* is read)."""
-    n = _check(l, b)
-    for j in range(n):
-        if j + 1 < n:
-            if b.ndim > 1:
-                b[j + 1:] -= np.multiply.outer(l[j + 1:, j], b[j])
-            else:
-                b[j + 1:] -= l[j + 1:, j] * b[j]
+    n, lt, bt = _operands(l, b)
+    for j in range(n - 1):
+        bt[j + 1:] -= lt[j + 1:, j] * bt[j]
 
 
 def solve_lower_transpose_outer_inplace(l: np.ndarray, b: np.ndarray) -> None:
@@ -63,26 +69,19 @@ def solve_lower_transpose_outer_inplace(l: np.ndarray, b: np.ndarray) -> None:
     ride in the panel (BLAS dot/gemv reductions reorder sums with the
     operand shape and cannot give that guarantee).
     """
-    n = _check(l, b)
+    n, lt, bt = _operands(l, b)
     for j in range(n - 1, -1, -1):
-        b[j] = b[j] / l[j, j]
+        bt[j] /= lt[j, j]
         if j:
-            if b.ndim > 1:
-                b[:j] -= np.multiply.outer(l[j, :j], b[j])
-            else:
-                b[:j] -= l[j, :j] * b[j]
+            bt[:j] -= lt[j, :j] * bt[j]
 
 
 def solve_unit_lower_transpose_outer_inplace(l: np.ndarray, b: np.ndarray) -> None:
     """``b <- L^{-T} b``, unit diagonal, column-oriented form (see
     :func:`solve_lower_transpose_outer_inplace` for why it exists)."""
-    n = _check(l, b)
-    for j in range(n - 1, -1, -1):
-        if j:
-            if b.ndim > 1:
-                b[:j] -= np.multiply.outer(l[j, :j], b[j])
-            else:
-                b[:j] -= l[j, :j] * b[j]
+    n, lt, bt = _operands(l, b)
+    for j in range(n - 1, 0, -1):
+        bt[:j] -= lt[j, :j] * bt[j]
 
 
 def lower_inverses(l: np.ndarray, unit: bool = False) -> np.ndarray:

@@ -39,6 +39,7 @@ count, because
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -51,6 +52,7 @@ from repro.mf.extend_add import extend_add
 from repro.mf.frontal import assemble_front, assemble_full_front
 from repro.obs.spans import Span, SpanRecorder, current_recorder, span
 from repro.symbolic.analyze import SymbolicFactor, dense_partial_factor_flops
+from repro.symbolic.front_plan import FrontPlan
 from repro.util.errors import InvariantError, ShapeError
 from repro.util.validation import VALUE_DTYPE, work_dtype
 
@@ -67,6 +69,14 @@ class NumericFactor:
     unit-lower L11 with U11 on and above its diagonal). ``diag`` holds the
     LDLᵀ pivots and ``u12`` the LU panels right of the pivot block (None
     otherwise).
+
+    The panels are stored class by class (``sym.front_plan.classes``):
+    ``block_stacks[c]`` holds the panels of class c's members as one
+    ``(k, m, w)`` array, and ``blocks[s]`` is a view of its member's slot,
+    so the class sweeps of :mod:`repro.mf.solve_phase` run on the stacks
+    without copying L. ``u12`` views ``u12_stacks`` the same way. A factor
+    built from separate panels gets its stacks on construction, and its
+    ``blocks`` (and ``u12``) become views of them.
     """
 
     sym: SymbolicFactor
@@ -84,20 +94,40 @@ class NumericFactor:
     precision: str = "fp64"
     #: LU only: per supernode the w×(m-w) panel U12 of U
     u12: list[np.ndarray] | None = None
-    #: per supernode the inverses of the
+    #: per front class: its members' panels, ``(k, m, w)``
+    block_stacks: list[np.ndarray] | None = field(default=None, repr=False)
+    #: LU only: per front class its members' U12 panels, ``(k, w, m − w)``
+    u12_stacks: list[np.ndarray] | None = field(default=None, repr=False)
+    #: per front class the inverses of the
     #: :data:`~repro.dense.chol.SOLVE_BLOCK`-wide diagonal blocks of its
-    #: (unit, for LDLᵀ) L11, on which the triangular sweeps run one gemv
-    #: per block; None for LU and for pivot blocks narrower than
+    #: members' (unit, for LDLᵀ) L11, one ``(k, b, b)`` stack per block, on
+    #: which the triangular sweeps run one gemv per block; None for LU and
+    #: for pivot blocks narrower than
     #: :data:`~repro.dense.chol.LAPACK_MIN_PIVOTS`, which the column
-    #: kernels solve. Formed from ``blocks`` when the factor is built
+    #: kernels solve. Formed from the panels when the factor is built
     #: (:func:`diagonal_inverses`). They hold Σ b² entries over the blocks
     #: of order b, on top of ``stats.factor_entries``, which counts L
     #: only: 117 k entries (+10.5 % of ``nnz_stored``) on cube 20³, 56 k
     #: (+14 %) on cube 16³, 36 k (+29 %) on plate 64².
-    diag_inverses: list[list[np.ndarray] | None] = field(init=False, repr=False)
+    inverse_stacks: list[list[np.ndarray] | None] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.diag_inverses = diagonal_inverses(self.blocks, self.method)
+        plan = self.sym.front_plan
+        if self.block_stacks is None:
+            self.block_stacks, self.blocks = class_stacks(plan, self.blocks)
+        if self.u12 is not None and self.u12_stacks is None:
+            self.u12_stacks, self.u12 = class_stacks(plan, self.u12)
+        self.inverse_stacks = diagonal_inverses(self.block_stacks, self.method)
+
+    @cached_property
+    def diag_inverses(self) -> list[list[np.ndarray] | None]:
+        """Per supernode: views of its slots in ``inverse_stacks`` (None
+        where its class has none)."""
+        plan = self.sym.front_plan
+        return [
+            None if (inv := self.inverse_stacks[c]) is None else [x[i] for x in inv]
+            for c, i in zip(plan.class_of, plan.class_slot)
+        ]
 
     @property
     def n(self) -> int:
@@ -187,12 +217,22 @@ def partial_factor(
     return d, flops
 
 
+def class_stacks(
+    plan: FrontPlan, panels: list[np.ndarray]
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """*panels* (one per supernode) copied into one stack per front class
+    of *plan*, and the per-supernode views of the stacks."""
+    stacks = [np.stack([panels[s] for s in cls.members.tolist()]) for cls in plan.classes]
+    return stacks, [stacks[c][i] for c, i in zip(plan.class_of, plan.class_slot)]
+
+
 def diagonal_inverses(
-    blocks: list[np.ndarray], method: str
+    panels: list[np.ndarray], method: str
 ) -> list[list[np.ndarray] | None]:
-    """Per factor panel of *blocks* the inverses of the
-    :data:`SOLVE_BLOCK`-wide diagonal blocks of its pivot block (unit-lower
-    for LDLᵀ): None for LU and below :data:`LAPACK_MIN_PIVOTS` columns.
+    """Per factor panel — an m×w panel or a stack ``(k, m, w)`` of them —
+    the inverses of the :data:`SOLVE_BLOCK`-wide diagonal blocks of its
+    pivot block (unit-lower for LDLᵀ), one array per block, ``(b, b)`` or
+    ``(k, b, b)``: None for LU and below :data:`LAPACK_MIN_PIVOTS` columns.
 
     All blocks are inverted together by :func:`~repro.dense.trsm.lower_inverses`,
     each padded with the identity to the next power of two (at most
@@ -201,35 +241,52 @@ def diagonal_inverses(
     The padding rows and columns never reach a block's own entries, and
     the substitution is elementwise, so each inverse has the bits it would
     have alone: the simulator, which inverts a different set of blocks
-    (every rank's sequential fronts) in one call, holds the host's
-    inverses.
+    (every rank's sequential fronts, one panel each) in one call, holds
+    the host's inverses.
     """
-    out: list[list[np.ndarray] | None] = [None] * len(blocks)
+    out: list[list[np.ndarray] | None] = [None] * len(panels)
     if method == "lu":
         return out
-    #: padded order -> (supernode, first column, order) of its blocks
+    #: padded order -> (panel, first column, order) of its blocks
     by_order: dict[int, list[tuple[int, int, int]]] = {}
-    for s, block in enumerate(blocks):
-        w = block.shape[1]
+    for e, panel in enumerate(panels):
+        w = panel.shape[-1]
         if w >= LAPACK_MIN_PIVOTS:
-            out[s] = [None] * -(-w // SOLVE_BLOCK)
+            out[e] = []
             for c0 in range(0, w, SOLVE_BLOCK):
                 b = min(SOLVE_BLOCK, w - c0)
+                out[e].append(np.empty(panel.shape[:-2] + (b, b), dtype=panel.dtype))
                 p = min(SOLVE_BLOCK, 1 << (b - 1).bit_length())
-                by_order.setdefault(p, []).append((s, c0, b))
-    for p, members in by_order.items():
-        # chunks of at most 2^16 entries bound the transient stack
-        step = max(1, (1 << 16) // (p * p))
-        for lo in range(0, len(members), step):
-            chunk = members[lo:lo + step]
-            stack = np.zeros((len(chunk), p, p), dtype=blocks[chunk[0][0]].dtype)
-            stack[:, range(p), range(p)] = 1.0
-            for i, (s, c0, b) in enumerate(chunk):
-                stack[i, :b, :b] = blocks[s][c0:c0 + b, c0:c0 + b]
-            inv = lower_inverses(stack, unit=method == "ldlt")
-            for i, (s, c0, b) in enumerate(chunk):
-                out[s][c0 // SOLVE_BLOCK] = inv[i, :b, :b].copy()
+                by_order.setdefault(p, []).append((e, c0, b))
+    #: inverses per panel: 1, or the stack's k
+    count = [panel.shape[0] if panel.ndim == 3 else 1 for panel in panels]
+    for p, blocks in by_order.items():
+        # chunks of about 2^16 entries bound the transient stack
+        cap, lo, size = max(1, (1 << 16) // (p * p)), 0, 0
+        for hi, (e, _, _) in enumerate(blocks, 1):
+            size += count[e]
+            if size >= cap or hi == len(blocks):
+                _invert(panels, out, count, blocks[lo:hi], size, p, method == "ldlt")
+                lo, size = hi, 0
     return out
+
+
+def _invert(panels, out, count, blocks, size, p, unit) -> None:
+    """Invert the diagonal *blocks* ``(panel, first column, order)`` of
+    *panels* in one identity-padded ``(size, p, p)`` stack, into their
+    slots of *out*."""
+    stack = np.zeros((size, p, p), dtype=panels[blocks[0][0]].dtype)
+    stack[:, range(p), range(p)] = 1.0
+    at = 0
+    for e, c0, b in blocks:
+        stack[at:at + count[e], :b, :b] = panels[e][..., c0:c0 + b, c0:c0 + b]
+        at += count[e]
+    inv = lower_inverses(stack, unit=unit)
+    at = 0
+    for e, c0, b in blocks:
+        dest = out[e][c0 // SOLVE_BLOCK]
+        dest[...] = inv[at:at + count[e], :b, :b].reshape(dest.shape)
+        at += count[e]
 
 
 def assemble_from_a(
@@ -263,11 +320,13 @@ def eliminate_front(
     runs in an ``mf.front`` span with attributes ``supernode``, ``m``,
     ``width`` and ``flops``.
 
-    Returns ``(block, d, u12, update, front_flops)``: the m×w factor panel
-    copy, the LDLᵀ pivots and the LU panel U12 (each None for the other
+    Returns ``(block, d, u12, update, front_flops)``: the m×w factor panel,
+    the LDLᵀ pivots and the LU panel U12 (each None for the other
     methods), the Schur update (None when the front has no update rows;
     the strict upper triangle of a symmetric one is unspecified), and the
-    dense partial-factorization flop count.
+    dense partial-factorization flop count. The panel and U12 are views
+    of *front*, which the caller copies where it keeps them; the update
+    is a copy.
     """
     plan = sym.front_plan
     w = plan.width[s]
@@ -278,8 +337,8 @@ def eliminate_front(
         with Span(rec, "mf.front", {"supernode": s, "m": m, "width": w}) as sp:
             d, front_flops = partial_factor(front, w, method, perturb_abs, plan.start[s], perturbed)
         sp.attrs["flops"] = front_flops
-    u12 = front[:w, w:].copy() if method == "lu" else None
-    block = front[:, :w].copy()
+    u12 = front[:w, w:] if method == "lu" else None
+    block = front[:, :w]
     update = front[w:, w:].copy() if m > w else None
     return block, d, u12, update, front_flops
 
@@ -323,9 +382,19 @@ def multifrontal_factor(
     stats = stack_accounting(sym)
     wdtype = work_dtype(precision)
     nsn = sym.n_supernodes
-    blocks: list[np.ndarray] = [None] * nsn  # type: ignore[list-item]
+    # each panel is written straight into its slot of its class's stack
+    block_stacks = [
+        np.empty((cls.members.size, cls.order, cls.width), dtype=wdtype) for cls in plan.classes
+    ]
+    blocks = [block_stacks[c][i] for c, i in zip(plan.class_of, plan.class_slot)]
     diag = np.empty(sym.n, dtype=wdtype) if method == "ldlt" else None
-    u12: list[np.ndarray] = [None] * nsn  # type: ignore[list-item]
+    u12_stacks = u12 = None
+    if lu:
+        u12_stacks = [
+            np.empty((cls.members.size, cls.width, cls.order - cls.width), dtype=wdtype)
+            for cls in plan.classes
+        ]
+        u12 = [u12_stacks[c][i] for c, i in zip(plan.class_of, plan.class_slot)]
     flops = [0] * nsn
     #: supernode -> its perturbed pivot columns (fronts that had any)
     perturbed: dict[int, list[int]] = {}
@@ -345,9 +414,12 @@ def multifrontal_factor(
             extend_add(front, updates[c], plan.rel[c], lower=not lu)
             updates[c] = None
         cols: list[int] = []
-        blocks[s], d, u12[s], update, flops[s] = eliminate_front(
+        block, d, u12_panel, update, flops[s] = eliminate_front(
             sym, s, front, method, perturb_abs, cols, rec
         )
+        blocks[s][...] = block
+        if u12_panel is not None:
+            u12[s][...] = u12_panel
         if cols:
             perturbed[s] = cols
         if d is not None:
@@ -386,5 +458,7 @@ def multifrontal_factor(
         perturbed_columns=tuple(c for s in sorted(perturbed) for c in perturbed[s]),
         exec_stats=exec_stats,
         precision=precision,
-        u12=u12 if lu else None,
+        u12=u12,
+        block_stacks=block_stacks,
+        u12_stacks=u12_stacks,
     )

@@ -144,13 +144,90 @@ def gemv_columns(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.matmul(a, np.ascontiguousarray(x.T)[:, :, None])[:, :, 0].T
 
 
+def _gemv(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``a[i] @ x[i]`` for a stack of matrices *a* ``(k, r, n)`` and a stack
+    *x* of vectors ``(k, n)`` or panels ``(k, n, K)``: one stacked
+    ``matmul`` whose call per member and column is the gemv that
+    :func:`gemv_columns` issues for that member alone."""
+    if x.ndim == 2:
+        return np.matmul(a, x[:, :, None])[:, :, 0]
+    xt = np.ascontiguousarray(x.transpose(0, 2, 1))[..., None]
+    return np.matmul(a[:, None], xt)[..., 0].transpose(0, 2, 1)
+
+
 def _diagonal_blocks(inverses: list[np.ndarray]):
     """``(c0, c1, inverse)`` of each diagonal block of a pivot block."""
     c0 = 0
     for inv in inverses:
-        c1 = c0 + inv.shape[0]
+        c1 = c0 + inv.shape[-1]
         yield c0, c1, inv
         c0 = c1
+
+
+def forward_class(
+    panels: np.ndarray,
+    method: str,
+    piv: np.ndarray,
+    inverses: list[np.ndarray] | None = None,
+) -> np.ndarray | None:
+    """The forward substitution of a stack of fronts: solves the pivot
+    block of each m×w factor panel of *panels* ``(k, m, w)`` against its
+    pivot rows in *piv* (``(k, w)``, or ``(k, w, K)`` for a panel of
+    right-hand sides) in place, and returns the updates ``L21 piv`` for
+    the fronts' update rows (None when they have none). The caller
+    subtracts them where the rows live.
+
+    With the stacked *inverses* of the pivot blocks' diagonal blocks
+    (``NumericFactor.inverse_stacks``), each block's rows are one gemv on
+    its inverse and the block column of L11 below it is one more;
+    without, the column kernels of :mod:`repro.dense.trsm` run."""
+    w = panels.shape[2]
+    if inverses is not None:
+        for c0, c1, inv in _diagonal_blocks(inverses):
+            piv[:, c0:c1] = _gemv(inv, piv[:, c0:c1])
+            if c1 < w:
+                piv[:, c1:] -= _gemv(panels[:, c1:w, c0:c1], piv[:, c0:c1])
+    elif method == "cholesky":
+        solve_lower_inplace(panels[:, :w], piv)
+    else:
+        solve_unit_lower_inplace(panels[:, :w], piv)
+    return _gemv(panels[:, w:], piv) if panels.shape[1] > w else None
+
+
+def backward_class(
+    panels: np.ndarray,
+    u12: np.ndarray | None,
+    method: str,
+    piv: np.ndarray,
+    xu: np.ndarray | None,
+    inverses: list[np.ndarray] | None = None,
+) -> None:
+    """The backward substitution of a stack of fronts on their pivot rows
+    *piv*, in place, given the solution *xu* ``(k, m − w[, K])`` at their
+    update rows (read only when the panels have update rows). Cholesky
+    and LDLᵀ solve with the transpose of their L panels — on the
+    transposed *inverses* of their diagonal blocks when given, as in
+    :func:`forward_class`; LU with U: its upper pivot blocks (as the
+    transpose of lower ones) and the stacked *u12*."""
+    w = panels.shape[2]
+    if panels.shape[1] > w:
+        piv -= _gemv(u12 if method == "lu" else panels[:, w:].transpose(0, 2, 1), xu)
+    if inverses is not None:
+        for c0, c1, inv in reversed(list(_diagonal_blocks(inverses))):
+            if c1 < w:
+                piv[:, c0:c1] -= _gemv(panels[:, c1:w, c0:c1].transpose(0, 2, 1), piv[:, c1:])
+            piv[:, c0:c1] = _gemv(inv.transpose(0, 2, 1), piv[:, c0:c1])
+    elif method == "ldlt":
+        solve_unit_lower_transpose_outer_inplace(panels[:, :w], piv)
+    else:
+        pivot_blocks = panels[:, :w]
+        solve_lower_transpose_outer_inplace(
+            pivot_blocks.transpose(0, 2, 1) if method == "lu" else pivot_blocks, piv
+        )
+
+
+def _one(inverses: list[np.ndarray] | None) -> list[np.ndarray] | None:
+    return None if inverses is None else [inv[None] for inv in inverses]
 
 
 def forward_kernel(
@@ -159,26 +236,12 @@ def forward_kernel(
     piv: np.ndarray,
     inverses: list[np.ndarray] | None = None,
 ) -> np.ndarray | None:
-    """One front's forward substitution: solves the pivot block of the m×w
-    factor *panel* against the pivot rows *piv* in place and returns the
-    update ``L21 piv`` for the front's update rows (None when it has none).
-    The caller subtracts it where the rows live.
-
-    With the *inverses* of the pivot block's diagonal blocks
-    (``NumericFactor.diag_inverses``), each block's rows are one gemv on
-    its inverse and the block column of L11 below it is one more;
-    without, the column kernels of :mod:`repro.dense.trsm` run."""
-    w = panel.shape[1]
-    if inverses is not None:
-        for c0, c1, inv in _diagonal_blocks(inverses):
-            piv[c0:c1] = gemv_columns(inv, piv[c0:c1])
-            if c1 < w:
-                piv[c1:] -= gemv_columns(panel[c1:w, c0:c1], piv[c0:c1])
-    elif method == "cholesky":
-        solve_lower_inplace(panel[:w], piv)
-    else:
-        solve_unit_lower_inplace(panel[:w], piv)
-    return gemv_columns(panel[w:], piv) if panel.shape[0] > w else None
+    """:func:`forward_class` of one front: its m×w *panel*, its pivot rows
+    *piv* (``(w,)`` or ``(w, K)``, solved in place) and the *inverses* of
+    its diagonal blocks (``NumericFactor.diag_inverses``); returns the
+    update for its update rows, or None."""
+    upd = forward_class(panel[None], method, piv[None], _one(inverses))
+    return None if upd is None else upd[0]
 
 
 def backward_kernel(
@@ -189,24 +252,16 @@ def backward_kernel(
     xu: np.ndarray | None,
     inverses: list[np.ndarray] | None = None,
 ) -> None:
-    """One front's backward substitution on its pivot rows *piv*, in place,
-    given the solution *xu* at its update rows (read only when the m×w
-    *panel* has update rows). Cholesky and LDLᵀ solve with the transpose
-    of their L panel — on the transposed *inverses* of its diagonal
-    blocks when given, as in :func:`forward_kernel`; LU with U: its upper
-    pivot block (as the transpose of a lower one) and *u12*."""
-    w = panel.shape[1]
-    if panel.shape[0] > w:
-        piv -= gemv_columns(u12 if method == "lu" else panel[w:].T, xu)
-    if inverses is not None:
-        for c0, c1, inv in reversed(list(_diagonal_blocks(inverses))):
-            if c1 < w:
-                piv[c0:c1] -= gemv_columns(panel[c1:w, c0:c1].T, piv[c1:])
-            piv[c0:c1] = gemv_columns(inv.T, piv[c0:c1])
-    elif method == "ldlt":
-        solve_unit_lower_transpose_outer_inplace(panel[:w], piv)
-    else:
-        solve_lower_transpose_outer_inplace(panel[:w].T if method == "lu" else panel[:w], piv)
+    """:func:`backward_class` of one front, on its pivot rows *piv* in
+    place, given the solution *xu* at its update rows."""
+    backward_class(
+        panel[None],
+        None if u12 is None else u12[None],
+        method,
+        piv[None],
+        None if xu is None else xu[None],
+        _one(inverses),
+    )
 
 
 def forward_front(factor: NumericFactor, s: int, y: np.ndarray) -> np.ndarray | None:
@@ -249,29 +304,42 @@ def forward_sweep(
 ) -> None:
     """In-place forward substitution ``y <- L^{-1} y`` in permuted order.
 
-    *y* is a single vector ``(n,)`` or a panel ``(n, k)``.
+    *y* is a single vector ``(n,)`` or a panel ``(n, k)``. One step per
+    front class, in ascending height: the class pulls the published
+    updates into its members' pivot rows, gathers the rows into a stack,
+    runs :func:`forward_class` on it, scatters the rows back and
+    publishes its members' updates.
     """
     sym = factor.sym
-    width = sym.front_plan.width
-    if pool is None:
-        for s in range(sym.n_supernodes):
-            upd = forward_front(factor, s, y)
-            if upd is not None:
-                y[sym.sn_rows[s][width[s]:]] -= upd
+    plan = sym.front_plan
+    width = plan.width
+    if pool is not None:
+        from repro.exec.tasks import forward_contributions, forward_solve_task_graph
+
+        routing = forward_contributions(sym)
+        #: published update panels, consumed by the owners of their rows
+        by_front: list[np.ndarray | None] = [None] * sym.n_supernodes
+
+        def step(s: int) -> None:
+            for src, lo, hi in routing.incoming[s]:
+                wsrc = width[src]
+                y[sym.sn_rows[src][wsrc + lo: wsrc + hi]] -= by_front[src][lo:hi]
+            by_front[s] = forward_front(factor, s, y)
+
+        pool.run(forward_solve_task_graph(sym), step)
         return
-    from repro.exec.tasks import forward_contributions, forward_solve_task_graph
-
-    routing = forward_contributions(sym)
-    #: published update panels, consumed by the owners of their rows
-    published: list[np.ndarray | None] = [None] * sym.n_supernodes
-
-    def step(s: int) -> None:
-        for src, lo, hi in routing.incoming[s]:
-            wsrc = width[src]
-            y[sym.sn_rows[src][wsrc + lo: wsrc + hi]] -= published[src][lo:hi]
-        published[s] = forward_front(factor, s, y)
-
-    pool.run(forward_solve_task_graph(sym), step)
+    tail = y.shape[1:]
+    #: the classes' update panels, in the rows of ``plan.update_rows``
+    published = np.empty((plan.update_rows.size,) + tail, dtype=y.dtype)
+    for cls, panels, inverses in zip(plan.classes, factor.block_stacks, factor.inverse_stacks):
+        for to, src in cls.pull:
+            y[to] -= published[src]
+        k, m, w = panels.shape
+        piv = y[cls.pivots].reshape((k, w) + tail)
+        upd = forward_class(panels, factor.method, piv, inverses)
+        y[cls.pivots] = piv.reshape((k * w,) + tail)
+        if upd is not None:
+            published[cls.pub: cls.pub + k * (m - w)].reshape(upd.shape)[...] = upd
 
 
 def backward_sweep(
@@ -279,12 +347,24 @@ def backward_sweep(
 ) -> None:
     """In-place backward substitution ``y <- L^{-T} y`` in permuted order.
 
-    *y* is a single vector ``(n,)`` or a panel ``(n, k)``.
+    *y* is a single vector ``(n,)`` or a panel ``(n, k)``. One step per
+    front class, in descending height: every ancestor row a class reads
+    is final by then.
     """
-    if pool is None:
-        for s in range(factor.sym.n_supernodes - 1, -1, -1):
-            backward_front(factor, s, y)
-        return
-    from repro.exec.tasks import backward_solve_task_graph
+    sym = factor.sym
+    if pool is not None:
+        from repro.exec.tasks import backward_solve_task_graph
 
-    pool.run(backward_solve_task_graph(factor.sym), lambda s: backward_front(factor, s, y))
+        pool.run(backward_solve_task_graph(sym), lambda s: backward_front(factor, s, y))
+        return
+    plan = sym.front_plan
+    tail = y.shape[1:]
+    u12_stacks = factor.u12_stacks or [None] * len(plan.classes)
+    for cls, panels, u12, inverses in reversed(list(zip(
+        plan.classes, factor.block_stacks, u12_stacks, factor.inverse_stacks
+    ))):
+        k, m, w = panels.shape
+        piv = y[cls.pivots].reshape((k, w) + tail)
+        xu = y[cls.updates].reshape((k, m - w) + tail) if m > w else None
+        backward_class(panels, u12, factor.method, piv, xu, inverses)
+        y[cls.pivots] = piv.reshape((k * w,) + tail)

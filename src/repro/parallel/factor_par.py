@@ -142,10 +142,10 @@ def _seq_step(plan, s, me, method, perturb_abs, data, updates):
     yield Compute(flops=flops, front_order=m, mem_bytes=8.0 * mem)
     data.flops += flops
 
-    data.seq_panels[s] = panel
+    data.seq_panels[s] = panel.copy()
     data.factor_entries += panel.size
     if u12 is not None:
-        data.seq_u12[s] = u12
+        data.seq_u12[s] = u12.copy()
         data.factor_entries += u12.size
     if update is not None:
         updates[s] = seq_blocks(update)

@@ -16,6 +16,16 @@ An LU analysis adds one more table (:func:`with_full_table`): where each
 stored entry of the permuted *full* matrix lands in its supernode's full
 m×m front. It is derived from ``a_pos`` alone, so LU fronts run the same
 loop with nothing looked up per front.
+
+The plan also groups the supernodes into *front classes*
+(:func:`build_front_classes`): the fronts of one height in the assembly
+tree, one order m and one pivot width w. No member of a class is an
+ancestor of another, so the triangular sweeps run one step per class over
+a stack of its members, and the factor stores each class's panels as one
+``(k, m, w)`` array. The class tables are value-free too: members, the
+rows each class gathers, where each update panel is published during the
+forward sweep, and the table from which each class pulls the updates
+into its pivot rows.
 """
 
 from __future__ import annotations
@@ -27,6 +37,37 @@ import numpy as np
 from repro.sparse.csc import CSCMatrix
 from repro.symbolic.supernodes import SupernodePartition
 from repro.util.errors import InvariantError
+
+
+@dataclass(slots=True)
+class FrontClass:
+    """The fronts of one (height, m, w): one step of the triangular sweeps.
+
+    Heights count from the leaves (a leaf is 0, a parent one above its
+    highest child), so a class holds no ancestor of its own members and
+    every descendant of a member sits in a lower class."""
+
+    height: int
+    order: int
+    width: int
+    #: the supernodes, ascending (``int32``)
+    members: np.ndarray
+    #: the members' pivot rows, member by member (``int32``, k·w)
+    pivots: np.ndarray
+    #: the members' update rows, member by member (``int32``, k·(m − w)); a
+    #: view of the plan's ``update_rows`` at ``pub``
+    updates: np.ndarray
+    #: first row of the published forward-update buffer that the members'
+    #: update panels occupy, member by member
+    pub: int
+    #: the forward pull that precedes the class's step, in rounds ``(to,
+    #: from)``: round r subtracts published rows ``from`` from rows ``to``
+    #: (``int32``, distinct within a round). The first class of each
+    #: height carries the pull into the pivot rows of every class of that
+    #: height, and the other classes none. A row's r-th round brings its
+    #: r-th source in ascending supernode order, and every published row
+    #: is pulled once.
+    pull: tuple[tuple[np.ndarray, np.ndarray], ...]
 
 
 @dataclass(frozen=True)
@@ -47,6 +88,15 @@ class FrontPlan:
     #: in its parent's row list (``int32``, strictly increasing; empty when
     #: c has no update)
     rel: list[np.ndarray]
+    #: the front classes in forward-sweep order (ascending height); the
+    #: backward sweep runs them in reverse
+    classes: tuple[FrontClass, ...]
+    #: per supernode: its class, and its position among the class's members
+    class_of: list[int]
+    class_slot: list[int]
+    #: per row of the published forward-update buffer (class by class,
+    #: member by member): the row it updates (``int32``, Σ (m − w))
+    update_rows: np.ndarray
     #: LU analyses only (None otherwise): supernode s owns the stored entries
     #: ``full_src[full_ptr[s]:full_ptr[s + 1]]`` of ``permuted_full``, and
     #: ``full_pos`` holds each one's position ``local_row * order + local_col``
@@ -116,7 +166,91 @@ def build_front_plan(
     col = np.repeat(np.arange(a.shape[1]), np.diff(a.indptr))
     sn = part.col_to_sn[col]
     a_pos = local_row * np.asarray(order, dtype=np.int64)[sn] + (col - sn_start[sn])
-    return FrontPlan(start=start, width=width, order=order, a_ptr=a_ptr, a_pos=a_pos, rel=rel)
+    return FrontPlan(
+        start=start, width=width, order=order, a_ptr=a_ptr, a_pos=a_pos, rel=rel,
+        **build_front_classes(part, sn_rows, sn_parent),
+    )
+
+
+def build_front_classes(
+    part: SupernodePartition, sn_rows: list[np.ndarray], sn_parent: np.ndarray
+) -> dict:
+    """The class fields of :class:`FrontPlan`: supernodes grouped by
+    (height, m, w), classes by ascending height, members ascending.
+
+    The published buffer holds the classes' update panels in class order.
+    The pull subtracts every published row once, before the classes of
+    the height its row belongs to, and each row's sources in ascending
+    supernode order — the per-element order of a per-front forward sweep.
+    A row of a height with several sources takes one per round, so a
+    round is a plain fancy-indexed subtraction.
+    """
+    nsn, n = part.n_supernodes, int(part.sn_start[-1])
+    parent = sn_parent.tolist()
+    height = [0] * nsn
+    for s in range(nsn):  # postorder: children first
+        p = parent[s]
+        if p >= 0 and height[p] <= height[s]:
+            height[p] = height[s] + 1
+    h = np.asarray(height, dtype=np.int64)
+    w = np.diff(part.sn_start)
+    m = np.asarray([r.size for r in sn_rows], dtype=np.int64)
+    srt = np.lexsort((np.arange(nsn), w, m, h))
+    new = np.flatnonzero(np.diff(h[srt]) | np.diff(m[srt]) | np.diff(w[srt])) + 1
+    ptr = np.concatenate(([0], new, [nsn])).tolist()
+    sizes = np.diff(ptr)
+    class_of = np.empty(nsn, dtype=np.int64)
+    class_of[srt] = np.repeat(np.arange(sizes.size), sizes)
+    class_slot = np.empty(nsn, dtype=np.int64)
+    class_slot[srt] = np.arange(nsn) - np.repeat(ptr[:-1], sizes)
+    # pivot rows and published update rows, class by class, member by member
+    ws, mus = w[srt], (m - w)[srt]
+    piv_ptr = np.concatenate(([0], np.cumsum(ws)))
+    pivots = (np.repeat(part.sn_start[srt] - piv_ptr[:-1], ws) + np.arange(n)).astype(np.int32)
+    pub = np.concatenate(([0], np.cumsum(mus)))
+    front_ptr = np.concatenate(([0], np.cumsum(m)))
+    update_rows = np.concatenate(sn_rows)[
+        np.repeat(front_ptr[srt] + ws - pub[:-1], mus) + np.arange(pub[-1])
+    ].astype(np.int32)
+    # the pull: published rows by (target height, target row, source) ...
+    tgt_h = h[part.col_to_sn[update_rows]]
+    by_row = np.argsort((tgt_h * n + update_rows) * nsn + np.repeat(srt, mus))
+    rows = update_rows[by_row]
+    first = np.flatnonzero(np.concatenate(([True], rows[1:] != rows[:-1])))
+    rank = np.arange(rows.size) - np.repeat(first, np.diff(np.append(first, rows.size)))
+    # ... then by (target height, rank among the row's sources, target row)
+    round_key = tgt_h[by_row] * (int(rank.max(initial=0)) + 1) + rank
+    pull = by_row[np.argsort(round_key * n + rows)]
+    round_key = np.sort(round_key)
+    cuts = np.flatnonzero(np.diff(round_key)) + 1
+    bounds = list(zip([0, *cuts.tolist()], [*cuts.tolist(), pull.size])) if pull.size else []
+    #: height -> its rounds
+    rounds_of: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
+    pull_to, pull = update_rows[pull], pull.astype(np.int32)
+    for lo, hi in bounds:
+        rounds_of.setdefault(int(tgt_h[pull[lo]]), []).append((pull_to[lo:hi], pull[lo:hi]))
+    members = srt.astype(np.int32)
+    piv_ptr, pub, first = piv_ptr.tolist(), pub.tolist(), srt[ptr[:-1]].tolist()
+    ml, wl = m.tolist(), w.tolist()
+    classes = [
+        FrontClass(
+            height=height[first[c]],
+            order=ml[first[c]],
+            width=wl[first[c]],
+            members=members[lo:hi],
+            pivots=pivots[piv_ptr[lo]: piv_ptr[hi]],
+            updates=update_rows[pub[lo]: pub[hi]],
+            pub=pub[lo],
+            pull=tuple(rounds_of.pop(height[first[c]], ())),
+        )
+        for c, (lo, hi) in enumerate(zip(ptr[:-1], ptr[1:]))
+    ]
+    return {
+        "classes": tuple(classes),
+        "class_of": class_of.tolist(),
+        "class_slot": class_slot.tolist(),
+        "update_rows": update_rows,
+    }
 
 
 def with_full_table(
