@@ -28,7 +28,7 @@ import numpy as np
 from repro.sparse.coo import COOMatrix
 from repro.sparse.csc import CSCMatrix
 from repro.sparse.convert import coo_to_csc, csc_to_coo
-from repro.sparse.ops import tril
+from repro.sparse.ops import csc_matvec_plan, tril
 from repro.symbolic.analyze import AnalyzeOptions, SymbolicFactor, analyze
 from repro.symbolic.front_plan import with_full_table
 from repro.util.errors import ShapeError
@@ -72,6 +72,7 @@ def lu_analyze(
         sym.front_plan, sym.partition, sym.permuted_lower, permuted_full
     )
     sym.permuted_full = permuted_full
+    sym.matvec_plan = csc_matvec_plan(a_full)
     if runtime_checks_enabled():
         from repro.check.sanitize import check_full_table
 

@@ -122,10 +122,12 @@ def iterative_refinement_many(
     x = np.zeros((n, k))
     bnorms = np.max(np.abs(b), axis=0) if n else np.zeros(k)
     # Looked up per call, so a hook on the module's
-    # ``sym_matvec_lower_many`` sees every symmetric residual.
+    # ``sym_matvec_lower_many`` sees every symmetric residual. The plan
+    # compiled at analysis is checked against *a* on every call.
     lu = factor.method == "lu"
+    plan = factor.sym.matvec_plan
     matvec = matvec_csc if lu else sym_matvec_lower_many
-    anorm = norm_inf_csc(a) if lu else sym_norm_inf_lower(a)
+    anorm = norm_inf_csc(a, plan) if lu else sym_norm_inf_lower(a, plan)
     histories: list[list[float]] = [[] for _ in range(k)]
     iterations = np.zeros(k, dtype=np.int64)
     converged = np.zeros(k, dtype=bool)
@@ -148,13 +150,18 @@ def iterative_refinement_many(
         histories[j].append(0.0)
         converged[j] = True
 
+    def cols(m: np.ndarray) -> np.ndarray:
+        """The active columns of *m*: *m* itself while all are active (a
+        fancy index would copy it, into Fortran order)."""
+        return m if active.size == k else m[:, active]
+
     if active.size:
-        x[:, active] = solve_fn(factor, b[:, active])
+        x[:, active] = solve_fn(factor, cols(b))
     for it in range(max_iter + 1):
         # A non-finite iterate (a column overflowing the factor's working
         # precision, or a broken solve) must be frozen *here*: the residual
         # matvec validates its input and would reject the whole panel.
-        finite_x = np.all(np.isfinite(x[:, active]), axis=0)
+        finite_x = np.all(np.isfinite(cols(x)), axis=0)
         frozen = active[~finite_x]
         for j in frozen:
             histories[j].append(float("inf"))
@@ -164,9 +171,10 @@ def iterative_refinement_many(
         active = active[finite_x]
         if not active.size:
             break
-        r = b[:, active] - matvec(a, x[:, active])
+        x_act = cols(x)
+        r = cols(b) - matvec(a, x_act, plan)
         with np.errstate(invalid="ignore", over="ignore"):
-            xnorms = np.max(np.abs(x[:, active]), axis=0)
+            xnorms = np.max(np.abs(x_act), axis=0)
             berr = np.max(np.abs(r), axis=0) / (anorm * xnorms + bnorms[active])
         for pos, j in enumerate(active):
             histories[j].append(float(berr[pos]))

@@ -4,44 +4,160 @@ These feed two consumers: the factorization layer (lower-triangle
 extraction, structural-symmetry test) and the verification /
 iterative-refinement path (symmetric matvec from the lower triangle only,
 the general matvec and ∞-norm for LU).
+
+The matvecs and ∞-norms run on a :class:`MatvecPlan`, compiled once per
+pattern (``analyze()`` keeps one for the refinement loop) or on the spot
+when none is given.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.sparse.coo import COOMatrix
 from repro.sparse.csc import CSCMatrix
 from repro.sparse.convert import coo_to_csc, csc_to_coo, transpose
-from repro.util.errors import ShapeError
-from repro.util.validation import as_float_array
+from repro.util.errors import InvariantError, ShapeError
+from repro.util.validation import as_float_array, runtime_checks_enabled
 
 
-def matvec_csc(a: CSCMatrix, x: np.ndarray) -> np.ndarray:
-    """``y = A @ x`` for CSC *a* (scatter formulation).
+@dataclass(frozen=True)
+class MatvecPlan:
+    """A sparse matvec's products, regrouped by the row they are added to.
 
-    *x* is a vector ``(n,)`` or a panel ``(n, k)``. A panel takes one
-    scatter pass, and ``np.add.at`` walks the same entry order for every
-    column, so column *j* of the result is bitwise ``matvec_csc(a, x[:, j])``.
+    Each row's products are added in *slots*, one product per slot,
+    starting from zero, in the order an ``np.add.at`` scatter over the
+    stored entries would add them. So a row's sum has the scatter's bits,
+    and a panel's column *j* those of the vector ``x[:, j]``. The rows
+    are ranked by descending product count, so slot t touches the first
+    ``slot_rows[t]`` ranks: one gather, one product and one contiguous
+    add per slot, not one call per product. Value-free: the plan indexes
+    ``data`` by position and holds for every matrix of its pattern.
+    """
+
+    shape: tuple[int, int]
+    #: the pattern the plan was compiled from (checked under ``REPRO_CHECK=1``)
+    indptr: np.ndarray
+    indices: np.ndarray
+    #: the row at each rank
+    rank_rows: np.ndarray
+    #: per slot: the number of ranks it touches
+    slot_rows: list[int]
+    #: per product, slot by slot: the stored entry and the entry of x it
+    #: multiplies
+    entry: np.ndarray
+    col: np.ndarray
+
+    @classmethod
+    def compile(cls, a: CSCMatrix, row: np.ndarray, entry: np.ndarray, col: np.ndarray) -> MatvecPlan:
+        """The plan of the products ``data[entry[i]] * x[col[i]]`` added to
+        rows ``row[i]``, in that order."""
+        m = a.shape[0]
+        counts = np.bincount(row, minlength=m)
+        rank_rows = np.argsort(-counts, kind="stable")
+        rank_of = np.empty(m, dtype=np.int64)
+        rank_of[rank_rows] = np.arange(m)
+        by_row = np.argsort(row, kind="stable")
+        first = np.concatenate(([0], np.cumsum(counts)[:-1]))
+        slot = np.empty(row.size, dtype=np.int64)
+        slot[by_row] = np.arange(row.size) - np.repeat(first, counts)
+        order = np.argsort(slot * m + rank_of[row])
+        return cls(
+            shape=a.shape,
+            indptr=a.indptr,
+            indices=a.indices,
+            rank_rows=rank_rows,
+            slot_rows=np.bincount(slot, minlength=int(counts.max(initial=0))).tolist(),
+            entry=entry[order].astype(np.int32),
+            col=col[order].astype(np.int32),
+        )
+
+    def check(self, a: CSCMatrix) -> None:
+        """Raise unless *a* has the plan's pattern: an O(1) test of the
+        shape and entry count, and the whole pattern under
+        ``REPRO_CHECK=1``."""
+        if a.shape != self.shape or a.nnz != self.indices.size or (
+            runtime_checks_enabled()
+            and not (
+                np.array_equal(a.indptr, self.indptr) and np.array_equal(a.indices, self.indices)
+            )
+        ):
+            raise InvariantError(
+                f"matvec plan compiled for a {self.shape} pattern with "
+                f"{self.indices.size} entries; got {a.shape} with {a.nnz}"
+            )
+
+    def row_sums(self, values: np.ndarray, x: np.ndarray | None = None) -> np.ndarray:
+        """Per row the sum of its products ``values[entry] * x[col]`` (of
+        ``values[entry]`` alone when *x* is None), slot by slot."""
+        v = values[self.entry]
+        tail = () if x is None else x.shape[1:]
+        if x is not None and x.ndim == 2:
+            v = v[:, None]
+        acc = np.zeros((self.shape[0],) + tail)
+        lo = 0
+        for rows in self.slot_rows:
+            hi = lo + rows
+            acc[:rows] += v[lo:hi] if x is None else v[lo:hi] * x[self.col[lo:hi]]
+            lo = hi
+        y = np.empty_like(acc)
+        y[self.rank_rows] = acc
+        return y
+
+
+def csc_matvec_plan(a: CSCMatrix) -> MatvecPlan:
+    """The plan of ``A @ x`` for CSC *a*: entry by entry, in storage order."""
+    entry = np.arange(a.nnz, dtype=np.int64)
+    return MatvecPlan.compile(
+        a, a.indices, entry, np.repeat(np.arange(a.shape[1], dtype=np.int64), np.diff(a.indptr))
+    )
+
+
+def sym_matvec_plan(lower: CSCMatrix) -> MatvecPlan:
+    """The plan of ``A @ x`` for a symmetric A stored as its lower triangle
+    *lower*: the stored entries in storage order, then the strictly lower
+    ones again, mirrored, in storage order."""
+    col_of = np.repeat(np.arange(lower.shape[0], dtype=np.int64), np.diff(lower.indptr))
+    rows = lower.indices
+    off = np.flatnonzero(rows != col_of)
+    return MatvecPlan.compile(
+        lower,
+        np.concatenate([rows, col_of[off]]),
+        np.concatenate([np.arange(lower.nnz, dtype=np.int64), off]),
+        np.concatenate([col_of, rows[off]]),
+    )
+
+
+def _plan(a: CSCMatrix, plan: MatvecPlan | None, compile_plan) -> MatvecPlan:
+    """*plan*, checked against *a*, or a fresh plan of *a*."""
+    if plan is None:
+        return compile_plan(a)
+    plan.check(a)
+    return plan
+
+
+def matvec_csc(a: CSCMatrix, x: np.ndarray, plan: MatvecPlan | None = None) -> np.ndarray:
+    """``y = A @ x`` for CSC *a*, on its *plan* (:func:`csc_matvec_plan`,
+    compiled here when not given).
+
+    *x* is a vector ``(n,)`` or a panel ``(n, k)``; column *j* of a
+    panel's result is bitwise ``matvec_csc(a, x[:, j])``, and each row
+    has the bits of an ``np.add.at`` scatter in storage order.
     """
     x = as_float_array(x, "x")
     n = a.shape[1]
     if x.ndim not in (1, 2) or x.shape[0] != n:
         raise ShapeError(f"x must have shape ({n},) or ({n}, k); got {x.shape}")
-    y = np.zeros((a.shape[0],) + x.shape[1:])
-    if a.nnz == 0:
-        return y
-    col_of = np.repeat(np.arange(n, dtype=np.int64), np.diff(a.indptr))
-    vals = a.data if x.ndim == 1 else a.data[:, None]
-    np.add.at(y, a.indices, vals * x[col_of])
-    return y
+    return _plan(a, plan, csc_matvec_plan).row_sums(a.data, x)
 
 
-def norm_inf_csc(a: CSCMatrix) -> float:
+def norm_inf_csc(a: CSCMatrix, plan: MatvecPlan | None = None) -> float:
     """``‖A‖∞`` (max absolute row sum) of CSC *a*."""
     if a.nnz == 0:
         return 0.0
-    return float(np.bincount(a.indices, weights=np.abs(a.data), minlength=a.shape[0]).max())
+    return float(_plan(a, plan, csc_matvec_plan).row_sums(np.abs(a.data)).max())
 
 
 def tril(a: CSCMatrix, k: int = 0) -> CSCMatrix:
@@ -75,12 +191,17 @@ def full_symmetric_from_lower(lower: CSCMatrix) -> CSCMatrix:
     return coo_to_csc(COOMatrix(lower.shape, row, col, dat))
 
 
-def sym_matvec_lower(lower: CSCMatrix, x: np.ndarray) -> np.ndarray:
+def sym_matvec_lower(
+    lower: CSCMatrix, x: np.ndarray, plan: MatvecPlan | None = None
+) -> np.ndarray:
     """``y = A @ x`` where A is symmetric and only its lower triangle
-    (diagonal included) is stored.
+    (diagonal included) is stored, on its *plan*
+    (:func:`sym_matvec_plan`, compiled here when not given).
 
     Used by iterative refinement and by residual checks without ever
-    materializing the full matrix.
+    materializing the full matrix. Each row has the bits of two
+    ``np.add.at`` scatters in storage order: the lower entries, then the
+    mirrored strict upper part.
     """
     x = as_float_array(x, "x")
     n = lower.shape[0]
@@ -88,72 +209,42 @@ def sym_matvec_lower(lower: CSCMatrix, x: np.ndarray) -> np.ndarray:
         raise ShapeError("sym_matvec_lower requires a square lower triangle")
     if x.shape != (n,):
         raise ShapeError(f"x must have shape ({n},); got {x.shape}")
-    y = np.zeros(n)
-    if lower.nnz == 0:
-        return y
-    col_of = np.repeat(np.arange(n, dtype=np.int64), np.diff(lower.indptr))
-    rows = lower.indices
-    vals = lower.data
-    # Lower-triangle contribution: y[r] += A[r,c] * x[c]
-    np.add.at(y, rows, vals * x[col_of])
-    # Mirrored strict upper part: y[c] += A[r,c] * x[r] for r != c
-    off = rows != col_of
-    np.add.at(y, col_of[off], vals[off] * x[rows[off]])
-    return y
+    return _plan(lower, plan, sym_matvec_plan).row_sums(lower.data, x)
 
 
-def sym_norm_inf_lower(lower: CSCMatrix) -> float:
+def sym_norm_inf_lower(lower: CSCMatrix, plan: MatvecPlan | None = None) -> float:
     """``‖A‖∞`` (max absolute row sum) of a symmetric matrix given only its
     lower triangle (diagonal included).
 
     Feeds the normwise backward-error denominator
     ``‖A‖∞·‖x‖∞ + ‖b‖∞`` used by iterative refinement's stopping test.
+    Each row sum adds its lower entries, then the mirrored upper ones.
     """
-    n = lower.shape[0]
     if lower.shape[0] != lower.shape[1]:
         raise ShapeError("sym_norm_inf_lower requires a square lower triangle")
     if lower.nnz == 0:
         return 0.0
-    col_of = np.repeat(np.arange(n, dtype=np.int64), np.diff(lower.indptr))
-    rows = lower.indices
-    absv = np.abs(lower.data)
-    off = rows != col_of
-    # one ordered pass: each row sum adds its lower entries, then the
-    # mirrored upper ones (np.bincount accumulates in input order)
-    row_sums = np.bincount(
-        np.concatenate([rows, col_of[off]]),
-        weights=np.concatenate([absv, absv[off]]),
-        minlength=n,
-    )
-    return float(row_sums.max())
+    return float(_plan(lower, plan, sym_matvec_plan).row_sums(np.abs(lower.data)).max())
 
 
-def sym_matvec_lower_many(lower: CSCMatrix, x: np.ndarray) -> np.ndarray:
+def sym_matvec_lower_many(
+    lower: CSCMatrix, x: np.ndarray, plan: MatvecPlan | None = None
+) -> np.ndarray:
     """``Y = A @ X`` for a panel ``X`` of shape ``(n, k)``, where A is
     symmetric with only its lower triangle stored.
 
-    The blocked counterpart of :func:`sym_matvec_lower`: one scatter pass
-    covers every column. The accumulation order per column equals the
-    single-vector version's (``np.add.at`` walks the same entry order and
-    each add is elementwise), so column *j* of the result is bitwise
-    identical to ``sym_matvec_lower(lower, x[:, j])`` — the guarantee the
-    blocked residual checks and blocked iterative refinement build on.
+    The blocked counterpart of :func:`sym_matvec_lower`: one pass of the
+    plan covers every column. Each add is elementwise, so column *j* of
+    the result is bitwise identical to ``sym_matvec_lower(lower, x[:, j])``
+    — the guarantee the blocked residual checks and blocked iterative
+    refinement build on.
     """
     x = as_float_array(x, "x")
     if x.ndim == 1:
-        return sym_matvec_lower(lower, x)
+        return sym_matvec_lower(lower, x, plan)
     n = lower.shape[0]
     if lower.shape[0] != lower.shape[1]:
         raise ShapeError("sym_matvec_lower_many requires a square lower triangle")
     if x.ndim != 2 or x.shape[0] != n:
         raise ShapeError(f"x must have shape ({n}, k); got {x.shape}")
-    y = np.zeros((n, x.shape[1]))
-    if lower.nnz == 0:
-        return y
-    col_of = np.repeat(np.arange(n, dtype=np.int64), np.diff(lower.indptr))
-    rows = lower.indices
-    vals = lower.data
-    np.add.at(y, rows, vals[:, None] * x[col_of])
-    off = rows != col_of
-    np.add.at(y, col_of[off], vals[off, None] * x[rows[off]])
-    return y
+    return _plan(lower, plan, sym_matvec_plan).row_sums(lower.data, x)

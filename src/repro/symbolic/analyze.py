@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.sparse.csc import CSCMatrix
+from repro.sparse.ops import MatvecPlan, sym_matvec_plan
 from repro.sparse.permute import permute_symmetric_lower
 from repro.symbolic.etree import etree
 from repro.symbolic.front_plan import FrontPlan, build_front_plan
@@ -98,6 +99,10 @@ class SymbolicFactor:
     solve_flops: int
     #: compiled index tables of the front loop (assembly, extend-add)
     front_plan: FrontPlan
+    #: the residual matvec's plan, compiled from the analysed matrix in its
+    #: original ordering: the lower triangle, or the full matrix of an LU
+    #: analysis (:mod:`repro.sparse.ops`)
+    matvec_plan: MatvecPlan | None = None
     #: LU analyses only (:func:`repro.mf.lu.lu_analyze`): the permuted full
     #: matrix the LU front loop factors; ``permuted_lower`` then holds the
     #: symmetrized pattern's structure only
@@ -238,6 +243,7 @@ def analyze(
         factor_flops=factor_flops_from_counts(col_counts),
         solve_flops=solve_flops_from_counts(col_counts),
         front_plan=front_plan,
+        matvec_plan=sym_matvec_plan(lower),
     )
     if runtime_checks_enabled():
         from repro.check.sanitize import check_symbolic
