@@ -185,10 +185,11 @@ def check_partition(partition: Any, n: int) -> None:
 def check_symbolic(sym: Any) -> None:
     """Composite invariant check of a :class:`~repro.symbolic.analyze.
     SymbolicFactor`: permutation validity, postordered etree, partition
-    coverage, per-supernode row structure, assembly-tree consistency, and
-    the front plan's index tables (every matrix entry lands once, on its own
+    coverage, per-supernode row structure, assembly-tree consistency, the
+    front plan's index tables (every matrix entry lands once, on its own
     row and column, inside the lower trapezoid; every child's update rows
-    map onto the same global rows of its parent)."""
+    map onto the same global rows of its parent), and its front classes
+    (:func:`_check_front_classes`)."""
     n = int(sym.n)
     check_permutation(sym.perm, n)
     check_postordered(sym.parent)
@@ -220,6 +221,94 @@ def check_symbolic(sym: Any) -> None:
                 f"(must be in ({s}, {nsn}))"
             )
         _check_front_plan(sym, s, c0, w, rows)
+    _check_front_classes(sym)
+
+
+def _check_front_classes(sym: Any) -> None:
+    """The front classes the triangular sweeps step through: they
+    partition the supernodes; a class's members share (height, m, w) and
+    ascend; classes ascend in height and every parent is higher than its
+    children; each class gathers its members' pivot rows and publishes
+    their update rows where the previous class stopped; the forward pull
+    lists every published row once, within a round for distinct rows, in
+    a class after its source's and no later than its target's, and with
+    ascending sources within each target row."""
+    plan = sym.front_plan
+    cl = plan.classes
+    nsn = int(sym.partition.n_supernodes)
+    ptr = np.asarray(cl.ptr, dtype=np.int64)
+    members = np.asarray(cl.members, dtype=np.int64)
+    ncls = ptr.size - 1
+    if (
+        ptr[0] != 0 or np.any(np.diff(ptr) <= 0) or ptr[-1] != nsn
+        or not np.array_equal(np.sort(members), np.arange(nsn))
+    ):
+        raise _fail("front classes do not partition the supernodes")
+    of = np.repeat(np.arange(ncls), np.diff(ptr))
+    if np.any((np.diff(members) <= 0) & (of[1:] == of[:-1])):
+        c = int(of[1:][np.argmax((np.diff(members) <= 0) & (of[1:] == of[:-1]))])
+        raise _fail(f"front class {c}: members not ascending")
+    order = np.asarray(plan.order, dtype=np.int64)[members]
+    width = np.asarray(plan.width, dtype=np.int64)[members]
+    wrong = (order != np.asarray(cl.order)[of]) | (width != np.asarray(cl.width)[of])
+    if wrong.any():
+        c = int(of[np.argmax(wrong)])
+        raise _fail(f"front class {c}: members of (m, w) other than ({cl.order[c]}, {cl.width[c]})")
+    if np.any(np.diff(cl.height) < 0):
+        raise _fail("front classes do not ascend in height")
+    slot = np.arange(nsn) - ptr[of]
+    if not (np.array_equal(cl.of[members], of) and np.array_equal(cl.slot[members], slot)):
+        raise _fail("front classes: per-supernode class or slot disagree with the members")
+    height = np.empty(nsn, dtype=np.int64)
+    height[members] = np.asarray(cl.height)[of]
+    parent = np.asarray(sym.sn_parent, dtype=np.int64)
+    child = np.flatnonzero(parent >= 0)
+    low = child[height[parent[child]] <= height[child]]
+    if low.size:
+        raise _fail(f"supernode {int(low[0])}: its parent is not higher than itself")
+    start = np.asarray(plan.start, dtype=np.int64)[members]
+    pivots = np.concatenate([start[i] + np.arange(width[i]) for i in range(nsn)] or [ptr[:0]])
+    updates = np.concatenate([sym.sn_rows[s][width[i]:] for i, s in enumerate(members.tolist())] or [ptr[:0]])
+    piv_ptr = np.concatenate(([0], np.cumsum(np.diff(ptr) * cl.width)))
+    pub_ptr = np.concatenate(([0], np.cumsum(np.diff(ptr) * (np.asarray(cl.order) - cl.width))))
+    if not (
+        np.array_equal(cl.pivots, pivots) and np.array_equal(cl.piv_ptr, piv_ptr)
+        and np.array_equal(cl.update_rows, updates) and np.array_equal(cl.pub_ptr, pub_ptr)
+    ):
+        raise _fail("front classes: pivot rows or published update rows misplaced")
+    # the pull
+    rounds = np.asarray(cl.class_rounds, dtype=np.int64)
+    bounds = np.asarray(cl.round_ptr, dtype=np.int64)
+    if rounds.size != ncls + 1 or rounds[0] != 0 or np.any(np.diff(rounds) < 0) or (
+        bounds[0] != 0 or np.any(np.diff(bounds) <= 0) or bounds[-1] != np.asarray(cl.pull_to).size
+        or rounds[-1] != bounds.size - 1
+    ):
+        raise _fail("front classes: pull rounds malformed")
+    to = np.asarray(cl.pull_to, dtype=np.int64)
+    src = np.asarray(cl.pull_from, dtype=np.int64)
+    rnd = np.repeat(np.arange(bounds.size - 1), np.diff(bounds))
+    at = np.repeat(np.arange(ncls), np.diff(rounds))[rnd]
+    key = np.sort(rnd * sym.n + to)
+    if np.any(np.diff(key) == 0):
+        r = int(key[np.argmax(np.diff(key) == 0)] // sym.n)
+        raise _fail(f"front class {int(at[bounds[r]])}: pull round {r} updates a row twice")
+    if not np.array_equal(np.sort(src), np.arange(updates.size)):
+        raise _fail("the forward pull does not list every published row once")
+    if not np.array_equal(updates[src], to):
+        raise _fail("the forward pull subtracts a published row from another row")
+    source = np.repeat(members, order - width)[src]
+    owner = np.asarray(cl.of, dtype=np.int64)[np.asarray(sym.partition.col_to_sn)[to]]
+    late = (at <= np.asarray(cl.of)[source]) | (at > owner)
+    if late.any():
+        i = int(np.argmax(late))
+        raise _fail(
+            f"front class {int(at[i])}: pulls row {int(to[i])} from supernode "
+            f"{int(source[i])} outside the classes between its source and its owner"
+        )
+    by_row = np.argsort(to, kind="stable")
+    same = to[by_row][1:] == to[by_row][:-1]
+    if np.any(same & (np.diff(source[by_row]) <= 0)):
+        raise _fail("the forward pull does not take a row's sources in ascending order")
 
 
 def _check_front_plan(sym: Any, s: int, c0: int, w: int, rows: np.ndarray) -> None:

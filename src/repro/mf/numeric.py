@@ -38,8 +38,8 @@ count, because
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -52,12 +52,35 @@ from repro.mf.extend_add import extend_add
 from repro.mf.frontal import assemble_front, assemble_full_front
 from repro.obs.spans import Span, SpanRecorder, current_recorder, span
 from repro.symbolic.analyze import SymbolicFactor, dense_partial_factor_flops
-from repro.symbolic.front_plan import FrontPlan
+from repro.symbolic.front_plan import FrontClasses
 from repro.util.errors import InvariantError, ShapeError
 from repro.util.validation import VALUE_DTYPE, work_dtype
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.exec.pool import PoolStats, TaskPool
+
+
+class ClassSlots(Sequence):
+    """Per supernode, its slot in its front class's stack, as a view made
+    on access: a factor holds one object per class, none per supernode.
+
+    An entry of *stacks* is one class's stack, the list of its stacks of
+    diagonal-block inverses (a slot is then the list of their views), or
+    None (no slot)."""
+
+    def __init__(self, stacks: list, classes: FrontClasses) -> None:
+        self.stacks, self.of, self.slot = stacks, classes.of, classes.slot
+
+    def __len__(self) -> int:
+        return int(self.of.size)
+
+    def __getitem__(self, s):
+        if isinstance(s, slice):
+            return [self[i] for i in range(*s.indices(len(self)))]
+        stack, i = self.stacks[self.of[s]], self.slot[s]
+        if stack is None:
+            return None
+        return [x[i] for x in stack] if isinstance(stack, list) else stack[i]
 
 
 @dataclass
@@ -72,16 +95,17 @@ class NumericFactor:
 
     The panels are stored class by class (``sym.front_plan.classes``):
     ``block_stacks[c]`` holds the panels of class c's members as one
-    ``(k, m, w)`` array, and ``blocks[s]`` is a view of its member's slot,
-    so the class sweeps of :mod:`repro.mf.solve_phase` run on the stacks
-    without copying L. ``u12`` views ``u12_stacks`` the same way. A factor
-    built from separate panels gets its stacks on construction, and its
-    ``blocks`` (and ``u12``) become views of them.
+    ``(k, m, w)`` array, and ``blocks[s]`` is a view of its member's slot
+    (:class:`ClassSlots`), so the class sweeps of
+    :mod:`repro.mf.solve_phase` run on the stacks without copying L.
+    ``u12`` views ``u12_stacks`` and ``diag_inverses`` views
+    ``inverse_stacks`` the same way. A factor built from a list of
+    separate panels copies them into stacks on construction.
     """
 
     sym: SymbolicFactor
     method: str
-    blocks: list[np.ndarray]
+    blocks: Sequence[np.ndarray]
     diag: np.ndarray | None
     stats: FactorStats = field(default_factory=FactorStats)
     #: permuted-order columns whose LDLᵀ pivots were statically perturbed
@@ -93,7 +117,7 @@ class NumericFactor:
     #: fp32 factors need iterative refinement to deliver fp64 solutions
     precision: str = "fp64"
     #: LU only: per supernode the w×(m-w) panel U12 of U
-    u12: list[np.ndarray] | None = None
+    u12: Sequence[np.ndarray] | None = None
     #: per front class: its members' panels, ``(k, m, w)``
     block_stacks: list[np.ndarray] | None = field(default=None, repr=False)
     #: LU only: per front class its members' U12 panels, ``(k, w, m − w)``
@@ -112,22 +136,21 @@ class NumericFactor:
     inverse_stacks: list[list[np.ndarray] | None] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        plan = self.sym.front_plan
+        classes = self.sym.front_plan.classes
         if self.block_stacks is None:
-            self.block_stacks, self.blocks = class_stacks(plan, self.blocks)
-        if self.u12 is not None and self.u12_stacks is None:
-            self.u12_stacks, self.u12 = class_stacks(plan, self.u12)
+            self.block_stacks = class_stacks(classes, self.blocks)
+        self.blocks = ClassSlots(self.block_stacks, classes)
+        if self.u12_stacks is None and self.u12 is not None:
+            self.u12_stacks = class_stacks(classes, self.u12)
+        if self.u12_stacks is not None:
+            self.u12 = ClassSlots(self.u12_stacks, classes)
         self.inverse_stacks = diagonal_inverses(self.block_stacks, self.method)
 
-    @cached_property
-    def diag_inverses(self) -> list[list[np.ndarray] | None]:
-        """Per supernode: views of its slots in ``inverse_stacks`` (None
-        where its class has none)."""
-        plan = self.sym.front_plan
-        return [
-            None if (inv := self.inverse_stacks[c]) is None else [x[i] for x in inv]
-            for c, i in zip(plan.class_of, plan.class_slot)
-        ]
+    @property
+    def diag_inverses(self) -> ClassSlots:
+        """Per supernode the views of its slots in ``inverse_stacks``: a
+        list with one inverse per diagonal block, or None."""
+        return ClassSlots(self.inverse_stacks, self.sym.front_plan.classes)
 
     @property
     def n(self) -> int:
@@ -217,13 +240,10 @@ def partial_factor(
     return d, flops
 
 
-def class_stacks(
-    plan: FrontPlan, panels: list[np.ndarray]
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """*panels* (one per supernode) copied into one stack per front class
-    of *plan*, and the per-supernode views of the stacks."""
-    stacks = [np.stack([panels[s] for s in cls.members.tolist()]) for cls in plan.classes]
-    return stacks, [stacks[c][i] for c, i in zip(plan.class_of, plan.class_slot)]
+def class_stacks(classes: FrontClasses, panels: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """*panels* (one per supernode) copied into one stack per front class."""
+    ptr, members = classes.ptr.tolist(), classes.members.tolist()
+    return [np.stack([panels[s] for s in members[lo:hi]]) for lo, hi in zip(ptr[:-1], ptr[1:])]
 
 
 def diagonal_inverses(
@@ -252,10 +272,9 @@ def diagonal_inverses(
     for e, panel in enumerate(panels):
         w = panel.shape[-1]
         if w >= LAPACK_MIN_PIVOTS:
-            out[e] = []
+            out[e] = [None] * -(-w // SOLVE_BLOCK)
             for c0 in range(0, w, SOLVE_BLOCK):
                 b = min(SOLVE_BLOCK, w - c0)
-                out[e].append(np.empty(panel.shape[:-2] + (b, b), dtype=panel.dtype))
                 p = min(SOLVE_BLOCK, 1 << (b - 1).bit_length())
                 by_order.setdefault(p, []).append((e, c0, b))
     #: inverses per panel: 1, or the stack's k
@@ -284,8 +303,8 @@ def _invert(panels, out, count, blocks, size, p, unit) -> None:
     inv = lower_inverses(stack, unit=unit)
     at = 0
     for e, c0, b in blocks:
-        dest = out[e][c0 // SOLVE_BLOCK]
-        dest[...] = inv[at:at + count[e], :b, :b].reshape(dest.shape)
+        dest = inv[at:at + count[e], :b, :b].reshape(panels[e].shape[:-2] + (b, b))
+        out[e][c0 // SOLVE_BLOCK] = dest.copy()
         at += count[e]
 
 
@@ -382,20 +401,23 @@ def multifrontal_factor(
     stats = stack_accounting(sym)
     wdtype = work_dtype(precision)
     nsn = sym.n_supernodes
-    # each panel is written straight into its slot of its class's stack
-    block_stacks = [
-        np.empty((cls.members.size, cls.order, cls.width), dtype=wdtype) for cls in plan.classes
-    ]
-    blocks = [block_stacks[c][i] for c, i in zip(plan.class_of, plan.class_slot)]
+    # Each panel is copied straight into its slot of its class's stack. A
+    # stack is allocated when its first member is done (all of them up
+    # front for the pool, whose steps must not race to allocate one), so
+    # the factor grows as the fronts it reuses the memory of are freed.
+    classes = plan.classes
+    block_stacks: list[np.ndarray | None] = [None] * len(classes)
+    u12_stacks: list[np.ndarray | None] | None = [None] * len(classes) if lu else None
+    size, class_of, class_slot = np.diff(classes.ptr).tolist(), classes.of.tolist(), classes.slot.tolist()
     diag = np.empty(sym.n, dtype=wdtype) if method == "ldlt" else None
-    u12_stacks = u12 = None
-    if lu:
-        u12_stacks = [
-            np.empty((cls.members.size, cls.width, cls.order - cls.width), dtype=wdtype)
-            for cls in plan.classes
-        ]
-        u12 = [u12_stacks[c][i] for c, i in zip(plan.class_of, plan.class_slot)]
     flops = [0] * nsn
+
+    def stack(stacks: list[np.ndarray | None], c: int, shape: tuple[int, int]) -> np.ndarray:
+        """Class *c*'s stack of panels of *shape*, allocated at first use."""
+        if stacks[c] is None:
+            stacks[c] = np.empty((size[c],) + shape, dtype=wdtype)
+        return stacks[c]
+
     #: supernode -> its perturbed pivot columns (fronts that had any)
     perturbed: dict[int, list[int]] = {}
     #: per-supernode update slots: written once by the supernode's step,
@@ -417,9 +439,14 @@ def multifrontal_factor(
         block, d, u12_panel, update, flops[s] = eliminate_front(
             sym, s, front, method, perturb_abs, cols, rec
         )
-        blocks[s][...] = block
-        if u12_panel is not None:
-            u12[s][...] = u12_panel
+        c, i = class_of[s], class_slot[s]
+        if block_stacks[c] is None and size[c] == 1 and block.flags.c_contiguous:
+            # a lone root's panel is its whole front: the front is kept
+            block_stacks[c] = block[None]
+        else:
+            stack(block_stacks, c, block.shape)[i] = block
+        if u12_stacks is not None:
+            stack(u12_stacks, c, u12_panel.shape)[i] = u12_panel
         if cols:
             perturbed[s] = cols
         if d is not None:
@@ -438,6 +465,10 @@ def multifrontal_factor(
         else:
             from repro.exec.tasks import factor_task_graph
 
+            for c, (m, w) in enumerate(zip(classes.order.tolist(), classes.width.tolist())):
+                stack(block_stacks, c, (m, w))
+                if u12_stacks is not None:
+                    stack(u12_stacks, c, (w, m - w))
             exec_stats = pool.run(factor_task_graph(sym), step)
             sp.set(workers=pool.workers, queue_depth_peak=exec_stats.max_queue_depth)
 
@@ -452,13 +483,12 @@ def multifrontal_factor(
     return NumericFactor(
         sym=sym,
         method=method,
-        blocks=blocks,
+        blocks=ClassSlots(block_stacks, classes),
         diag=diag,
         stats=stats,
         perturbed_columns=tuple(c for s in sorted(perturbed) for c in perturbed[s]),
         exec_stats=exec_stats,
         precision=precision,
-        u12=u12,
         block_stacks=block_stacks,
         u12_stacks=u12_stacks,
     )

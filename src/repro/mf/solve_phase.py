@@ -1,50 +1,63 @@
 """Supernodal triangular solves, blocked over multiple right-hand sides.
 
 Given a :class:`~repro.mf.numeric.NumericFactor`, solve ``A X = B`` in the
-*original* ordering: permute the RHS panel, run the forward sweep over
-supernodes in ascending order, the diagonal scaling (LDLᵀ), the backward
-sweep in descending order (with Lᵀ, or with U for an LU factor), and
-un-permute. One permute → sweep → unpermute pass serves any number of
-right-hand sides: the supernode traversal, the per-front Python overhead,
-and the triangular-substitution inner loops are paid once per *panel*, not
-once per column.
+*original* ordering: permute the RHS panel, run the forward sweep, the
+diagonal scaling (LDLᵀ), the backward sweep (with Lᵀ, or with U for an LU
+factor), and un-permute. One permute → sweep → unpermute pass serves any
+number of right-hand sides: the traversal, the Python overhead and the
+triangular-substitution inner loops are paid once per *panel*, not once
+per column.
 
-Each sweep is one per-front kernel (:func:`forward_kernel` /
-:func:`backward_kernel`) under one of two schedules: supernode order on the
-calling thread, or the elimination-tree task graphs of
-:mod:`repro.exec.tasks` on a :class:`~repro.exec.pool.TaskPool`. The
-simulator's sequential fronts (:mod:`repro.parallel.solve_par`) run the
-same kernels, and its distributed fronts the same :func:`gemv_columns` and
-transpose kernels.
+A sweep runs one step per *front class* (``sym.front_plan.classes``): the
+fronts of one height in the assembly tree, one order m and one pivot
+width w, none an ancestor of another. The forward sweep climbs the
+classes by height, the backward sweep descends them. A step gathers its
+members' pivot rows into a ``(k, w)`` (or ``(k, w, K)``) stack, runs the
+class kernel (:func:`forward_class` / :func:`backward_class`) on it and
+the factor's ``(k, m, w)`` panel stack, and scatters the rows back. The
+per-front kernels (:func:`forward_kernel` / :func:`backward_kernel`) are
+the one-member case of the class kernels: the simulator's sequential
+fronts (:mod:`repro.parallel.solve_par`) and the per-supernode tasks of a
+:class:`~repro.exec.pool.TaskPool` run them; the simulator's distributed
+fronts run the same :func:`gemv_columns` and transpose kernels.
 
 Bitwise reproducibility contract
 --------------------------------
 ``solve_many(factor, B)[:, j]`` is **bitwise identical** to
 ``solve(factor, B[:, j])`` for every column, no matter how many columns
-share the panel, and for either schedule and any worker count. The rules
-that buy this:
+share the panel, and for either schedule and any worker count; and each
+solution is the one a sweep of one front at a time in supernode order
+gives. The rules that buy this:
 
 * a Cholesky or LDLᵀ pivot block of w ≥ 4 columns is solved block by
   block on the inverses of its :data:`~repro.dense.chol.SOLVE_BLOCK`-wide
-  diagonal blocks (``NumericFactor.diag_inverses``): one stacked gemv
-  (:func:`gemv_columns`) on each inverse and one on each block column of
-  L11 beside it, so w pivots cost about 2·w/32 numpy calls instead of w
-  Python steps;
+  diagonal blocks (``NumericFactor.inverse_stacks``): one stacked gemv on
+  each inverse and one on each block column of L11 beside it, so w pivots
+  cost about 2·w/32 numpy calls instead of w Python steps;
 * narrower pivot blocks and LU's keep the column kernels of
   :mod:`repro.dense.trsm` (forward kernels and the ``*_outer`` transpose
   kernels), whose elementwise/outer-product updates have a per-column
-  operation sequence that does not depend on the panel width;
+  operation sequence that does not depend on the panel width or on the
+  stack;
 * every product — those on the inverses and the off-diagonal panel
-  update — is one stacked ``matmul`` per operand, whose per-column call is
-  the single-RHS gemv: numpy loops over the columns in C and gives each
-  contiguous column the exact call the single-RHS path issues, whereas a
-  plain BLAS gemm would reorder sums with the panel width;
+  update — is one stacked ``matmul`` per operand, whose call per member
+  and column is the single-front, single-RHS gemv: numpy loops over the
+  batch in C and gives each contiguous column the exact call a lone front
+  and column would issue, whereas a plain BLAS gemm would reorder sums
+  with the panel width;
+* the class rule: a class's members share (m, w), so a step is one stack
+  of the same per-member operations; none of them is an ancestor of
+  another, so no member reads a row another member writes in the step;
+* the pull rule: a class step publishes its members' update panels, and
+  every published row is subtracted from the row it updates before the
+  classes of that row's height run, one source per round and the
+  sources of each row in ascending supernode order — the per-element
+  subtraction sequence of a sweep of one front at a time. A round's rows
+  are distinct, so it is one fancy-indexed subtraction;
 * pooled forward: a supernode's update panel is published, and each
   ancestor subtracts its incoming row runs at the start of its own step,
-  in ascending source order — the per-element subtraction sequence of the
-  sequential sweep (contributions from distinct sources hit disjoint
-  slices of an owner's rows). Every ``y`` row is written only by the step
-  of the supernode that owns it;
+  in ascending source order — the same sequence. Every ``y`` row is
+  written only by the step of the supernode that owns it;
 * pooled backward: a supernode reads ancestor rows (final once its
   parent's step completed, by induction) and writes only its own pivot
   rows, so the parent-before-child graph is all the synchronization.
@@ -131,28 +144,24 @@ def _solve_permuted(
         return unpermute_vector(y.astype(VALUE_DTYPE, copy=False), sym.perm)
 
 
-def gemv_columns(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``a @ x`` for a vector or an ``(r, k)`` panel *x*.
-
-    A panel is one stacked ``matmul`` call with the columns as its batch
-    axis: numpy loops over the batch in C and gives each contiguous column
-    the gemv that the single-vector ``a @ x[:, c]`` issues, so every
-    column's bits are those of the k = 1 path, whatever the panel width.
-    """
-    if x.ndim == 1:
-        return a @ x
-    return np.matmul(a, np.ascontiguousarray(x.T)[:, :, None])[:, :, 0].T
-
-
 def _gemv(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     """``a[i] @ x[i]`` for a stack of matrices *a* ``(k, r, n)`` and a stack
     *x* of vectors ``(k, n)`` or panels ``(k, n, K)``: one stacked
-    ``matmul`` whose call per member and column is the gemv that
-    :func:`gemv_columns` issues for that member alone."""
+    ``matmul`` with the members (and a panel's columns) as its batch axes.
+    numpy loops over the batch in C and gives each member's contiguous
+    column the gemv that member and column would get alone, so every
+    column's bits are those of one front and one right-hand side,
+    whatever the stack and the panel width."""
     if x.ndim == 2:
         return np.matmul(a, x[:, :, None])[:, :, 0]
     xt = np.ascontiguousarray(x.transpose(0, 2, 1))[..., None]
     return np.matmul(a[:, None], xt)[..., 0].transpose(0, 2, 1)
+
+
+def gemv_columns(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``a @ x`` for a vector or an ``(r, k)`` panel *x*: the one-member
+    case of the class kernels' stacked gemv."""
+    return _gemv(a[None], x[None])[0]
 
 
 def _diagonal_blocks(inverses: list[np.ndarray]):
@@ -329,17 +338,22 @@ def forward_sweep(
         pool.run(forward_solve_task_graph(sym), step)
         return
     tail = y.shape[1:]
-    #: the classes' update panels, in the rows of ``plan.update_rows``
-    published = np.empty((plan.update_rows.size,) + tail, dtype=y.dtype)
-    for cls, panels, inverses in zip(plan.classes, factor.block_stacks, factor.inverse_stacks):
-        for to, src in cls.pull:
-            y[to] -= published[src]
+    classes = plan.classes
+    piv_ptr, pub_ptr = classes.piv_ptr.tolist(), classes.pub_ptr.tolist()
+    rounds, round_ptr = classes.class_rounds.tolist(), classes.round_ptr.tolist()
+    #: the classes' update panels, in the rows of ``classes.update_rows``
+    published = np.empty((classes.update_rows.size,) + tail, dtype=y.dtype)
+    for c, (panels, inverses) in enumerate(zip(factor.block_stacks, factor.inverse_stacks)):
+        for r in range(rounds[c], rounds[c + 1]):
+            lo, hi = round_ptr[r], round_ptr[r + 1]
+            y[classes.pull_to[lo:hi]] -= published[classes.pull_from[lo:hi]]
         k, m, w = panels.shape
-        piv = y[cls.pivots].reshape((k, w) + tail)
+        pivots = classes.pivots[piv_ptr[c]: piv_ptr[c + 1]]
+        piv = y[pivots].reshape((k, w) + tail)
         upd = forward_class(panels, factor.method, piv, inverses)
-        y[cls.pivots] = piv.reshape((k * w,) + tail)
+        y[pivots] = piv.reshape((k * w,) + tail)
         if upd is not None:
-            published[cls.pub: cls.pub + k * (m - w)].reshape(upd.shape)[...] = upd
+            published[pub_ptr[c]: pub_ptr[c + 1]].reshape(upd.shape)[...] = upd
 
 
 def backward_sweep(
@@ -357,14 +371,17 @@ def backward_sweep(
 
         pool.run(backward_solve_task_graph(sym), lambda s: backward_front(factor, s, y))
         return
-    plan = sym.front_plan
+    classes = sym.front_plan.classes
     tail = y.shape[1:]
-    u12_stacks = factor.u12_stacks or [None] * len(plan.classes)
-    for cls, panels, u12, inverses in reversed(list(zip(
-        plan.classes, factor.block_stacks, u12_stacks, factor.inverse_stacks
-    ))):
+    piv_ptr, pub_ptr = classes.piv_ptr.tolist(), classes.pub_ptr.tolist()
+    u12_stacks = factor.u12_stacks or [None] * len(classes)
+    for c in range(len(classes) - 1, -1, -1):
+        panels = factor.block_stacks[c]
         k, m, w = panels.shape
-        piv = y[cls.pivots].reshape((k, w) + tail)
-        xu = y[cls.updates].reshape((k, m - w) + tail) if m > w else None
-        backward_class(panels, u12, factor.method, piv, xu, inverses)
-        y[cls.pivots] = piv.reshape((k * w,) + tail)
+        pivots = classes.pivots[piv_ptr[c]: piv_ptr[c + 1]]
+        piv = y[pivots].reshape((k, w) + tail)
+        xu = None
+        if m > w:
+            xu = y[classes.update_rows[pub_ptr[c]: pub_ptr[c + 1]]].reshape((k, m - w) + tail)
+        backward_class(panels, u12_stacks[c], factor.method, piv, xu, factor.inverse_stacks[c])
+        y[pivots] = piv.reshape((k * w,) + tail)

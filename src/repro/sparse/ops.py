@@ -13,6 +13,7 @@ when none is given.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -38,15 +39,14 @@ class MatvecPlan:
     """
 
     shape: tuple[int, int]
-    #: the pattern the plan was compiled from (checked under ``REPRO_CHECK=1``)
-    indptr: np.ndarray
-    indices: np.ndarray
-    #: the row at each rank
+    #: stored entries of the pattern compiled
+    nnz: int
+    #: the row at each rank (``int32``)
     rank_rows: np.ndarray
     #: per slot: the number of ranks it touches
     slot_rows: list[int]
     #: per product, slot by slot: the stored entry and the entry of x it
-    #: multiplies
+    #: multiplies (``int32``)
     entry: np.ndarray
     col: np.ndarray
 
@@ -59,35 +59,38 @@ class MatvecPlan:
         rank_rows = np.argsort(-counts, kind="stable")
         rank_of = np.empty(m, dtype=np.int64)
         rank_of[rank_rows] = np.arange(m)
+        # the products row by row, each row's in the order they are added:
+        # a product's slot is its position there
         by_row = np.argsort(row, kind="stable")
-        first = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        slot = np.empty(row.size, dtype=np.int64)
-        slot[by_row] = np.arange(row.size) - np.repeat(first, counts)
-        order = np.argsort(slot * m + rank_of[row])
+        slot = np.arange(row.size).astype(np.int32)
+        slot -= np.repeat((np.cumsum(counts) - counts).astype(np.int32), counts)
+        slot_rows = np.bincount(slot, minlength=int(counts.max(initial=0)))
+        # slot t holds ranks 0 .. slot_rows[t] - 1, in rank order
+        at = (np.cumsum(slot_rows) - slot_rows).astype(np.int32)[slot]
+        del slot
+        at += np.repeat(rank_of.astype(np.int32), counts)
+        plan_entry, plan_col = np.empty_like(entry), np.empty_like(col)
+        plan_entry[at] = entry[by_row]
+        plan_col[at] = col[by_row]
         return cls(
             shape=a.shape,
-            indptr=a.indptr,
-            indices=a.indices,
-            rank_rows=rank_rows,
-            slot_rows=np.bincount(slot, minlength=int(counts.max(initial=0))).tolist(),
-            entry=entry[order].astype(np.int32),
-            col=col[order].astype(np.int32),
+            nnz=a.nnz,
+            rank_rows=rank_rows.astype(np.int32),
+            slot_rows=slot_rows.tolist(),
+            entry=plan_entry,
+            col=plan_col,
         )
 
-    def check(self, a: CSCMatrix) -> None:
-        """Raise unless *a* has the plan's pattern: an O(1) test of the
-        shape and entry count, and the whole pattern under
-        ``REPRO_CHECK=1``."""
-        if a.shape != self.shape or a.nnz != self.indices.size or (
-            runtime_checks_enabled()
-            and not (
-                np.array_equal(a.indptr, self.indptr) and np.array_equal(a.indices, self.indices)
+    def same(self, other: MatvecPlan) -> bool:
+        return (
+            self.shape == other.shape
+            and self.nnz == other.nnz
+            and self.slot_rows == other.slot_rows
+            and all(
+                np.array_equal(getattr(self, f), getattr(other, f))
+                for f in ("rank_rows", "entry", "col")
             )
-        ):
-            raise InvariantError(
-                f"matvec plan compiled for a {self.shape} pattern with "
-                f"{self.indices.size} entries; got {a.shape} with {a.nnz}"
-            )
+        )
 
     def row_sums(self, values: np.ndarray, x: np.ndarray | None = None) -> np.ndarray:
         """Per row the sum of its products ``values[entry] * x[col]`` (of
@@ -107,34 +110,46 @@ class MatvecPlan:
         return y
 
 
+def _col_of(a: CSCMatrix) -> np.ndarray:
+    """The column of each stored entry (``int32``)."""
+    return np.repeat(np.arange(a.shape[1]).astype(np.int32), np.diff(a.indptr))
+
+
 def csc_matvec_plan(a: CSCMatrix) -> MatvecPlan:
     """The plan of ``A @ x`` for CSC *a*: entry by entry, in storage order."""
-    entry = np.arange(a.nnz, dtype=np.int64)
-    return MatvecPlan.compile(
-        a, a.indices, entry, np.repeat(np.arange(a.shape[1], dtype=np.int64), np.diff(a.indptr))
-    )
+    return MatvecPlan.compile(a, a.indices, np.arange(a.nnz).astype(np.int32), _col_of(a))
 
 
 def sym_matvec_plan(lower: CSCMatrix) -> MatvecPlan:
     """The plan of ``A @ x`` for a symmetric A stored as its lower triangle
     *lower*: the stored entries in storage order, then the strictly lower
     ones again, mirrored, in storage order."""
-    col_of = np.repeat(np.arange(lower.shape[0], dtype=np.int64), np.diff(lower.indptr))
-    rows = lower.indices
-    off = np.flatnonzero(rows != col_of)
+    col_of = _col_of(lower)
+    rows = lower.indices.astype(np.int32)
+    off = np.flatnonzero(rows != col_of).astype(np.int32)
     return MatvecPlan.compile(
         lower,
         np.concatenate([rows, col_of[off]]),
-        np.concatenate([np.arange(lower.nnz, dtype=np.int64), off]),
+        np.concatenate([np.arange(lower.nnz).astype(np.int32), off]),
         np.concatenate([col_of, rows[off]]),
     )
 
 
-def _plan(a: CSCMatrix, plan: MatvecPlan | None, compile_plan) -> MatvecPlan:
-    """*plan*, checked against *a*, or a fresh plan of *a*."""
+def _plan(
+    a: CSCMatrix, plan: MatvecPlan | None, compile_plan: Callable[[CSCMatrix], MatvecPlan]
+) -> MatvecPlan:
+    """*plan* (compiled by *compile_plan*) checked against *a*, or a fresh
+    plan of *a*. The check is O(1) — the shape and the entry count — and
+    under ``REPRO_CHECK=1`` a recompilation from *a*'s pattern."""
     if plan is None:
         return compile_plan(a)
-    plan.check(a)
+    if (a.shape, a.nnz) != (plan.shape, plan.nnz) or (
+        runtime_checks_enabled() and not plan.same(compile_plan(a))
+    ):
+        raise InvariantError(
+            f"matvec plan compiled for a {plan.shape} pattern with {plan.nnz} "
+            f"entries does not fit a {a.shape} matrix with {a.nnz}"
+        )
     return plan
 
 

@@ -199,6 +199,7 @@ def analyze(
     a2 = permute_symmetric_lower(positions, total_perm)
     value_gather = a2.data.astype(np.int64)
     a2.data = lower.data[value_gather]
+    del a1, positions  # the intermediate permuted copies end here
     parent = relabel_parent(parent1, post)
     if not is_postordered(parent):
         raise InvariantError("postordered elimination tree has a parent below its child")
@@ -216,6 +217,7 @@ def analyze(
         )
     else:
         sn_rows = supernode_rows(part, patterns)
+    del patterns  # the column patterns (nnz(L) entries) end here
     sn_parent = supernode_parents(part, parent)
 
     # Compiling the front plan is also the assembly-tree soundness check:

@@ -39,35 +39,52 @@ from repro.symbolic.supernodes import SupernodePartition
 from repro.util.errors import InvariantError
 
 
-@dataclass(slots=True)
-class FrontClass:
-    """The fronts of one (height, m, w): one step of the triangular sweeps.
+@dataclass(frozen=True)
+class FrontClasses:
+    """The front classes of an analysis, as flat tables.
 
-    Heights count from the leaves (a leaf is 0, a parent one above its
-    highest child), so a class holds no ancestor of its own members and
-    every descendant of a member sits in a lower class."""
+    A class is the set of fronts of one height in the assembly tree, one
+    order m and one pivot width w. Heights count from the leaves (a leaf
+    is 0, a parent one above its highest child), so a class holds no
+    ancestor of its own members and every descendant of a member sits in
+    a lower class. Classes are numbered by ascending height, the forward
+    sweep's order; a ``*_ptr`` array holds class c's share of its table
+    at ``[ptr[c], ptr[c + 1])``. Index tables are ``int32``.
+    """
 
-    height: int
-    order: int
-    width: int
-    #: the supernodes, ascending (``int32``)
+    #: class c holds the supernodes ``members[ptr[c]:ptr[c + 1]]``, ascending
+    ptr: np.ndarray
     members: np.ndarray
-    #: the members' pivot rows, member by member (``int32``, k·w)
+    #: per class: its height, front order m and pivot width w
+    height: np.ndarray
+    order: np.ndarray
+    width: np.ndarray
+    #: per supernode: its class, and its position among the class's members
+    of: np.ndarray
+    slot: np.ndarray
+    #: the members' pivot rows, class by class, member by member
     pivots: np.ndarray
-    #: the members' update rows, member by member (``int32``, k·(m − w)); a
-    #: view of the plan's ``update_rows`` at ``pub``
-    updates: np.ndarray
-    #: first row of the published forward-update buffer that the members'
-    #: update panels occupy, member by member
-    pub: int
-    #: the forward pull that precedes the class's step, in rounds ``(to,
-    #: from)``: round r subtracts published rows ``from`` from rows ``to``
-    #: (``int32``, distinct within a round). The first class of each
-    #: height carries the pull into the pivot rows of every class of that
-    #: height, and the other classes none. A row's r-th round brings its
-    #: r-th source in ascending supernode order, and every published row
-    #: is pulled once.
-    pull: tuple[tuple[np.ndarray, np.ndarray], ...]
+    piv_ptr: np.ndarray
+    #: per row of the published forward-update buffer: the row it updates.
+    #: Class c publishes its members' update panels, member by member, in
+    #: rows ``pub_ptr[c]:pub_ptr[c + 1]``
+    update_rows: np.ndarray
+    pub_ptr: np.ndarray
+    #: the forward pull, round by round: round r subtracts the published
+    #: rows ``pull_from[lo:hi]`` from the rows ``pull_to[lo:hi]`` (distinct
+    #: within a round), ``lo, hi = round_ptr[r], round_ptr[r + 1]``. Class
+    #: c runs rounds ``class_rounds[c]:class_rounds[c + 1]`` before its
+    #: step: the first class of a height pulls into the pivot rows of every
+    #: class of that height, the others pull nothing. A row's r-th round
+    #: brings its r-th source in ascending supernode order, and every
+    #: published row is pulled once.
+    pull_to: np.ndarray
+    pull_from: np.ndarray
+    round_ptr: np.ndarray
+    class_rounds: np.ndarray
+
+    def __len__(self) -> int:
+        return int(self.height.size)
 
 
 @dataclass(frozen=True)
@@ -88,15 +105,9 @@ class FrontPlan:
     #: in its parent's row list (``int32``, strictly increasing; empty when
     #: c has no update)
     rel: list[np.ndarray]
-    #: the front classes in forward-sweep order (ascending height); the
-    #: backward sweep runs them in reverse
-    classes: tuple[FrontClass, ...]
-    #: per supernode: its class, and its position among the class's members
-    class_of: list[int]
-    class_slot: list[int]
-    #: per row of the published forward-update buffer (class by class,
-    #: member by member): the row it updates (``int32``, Σ (m − w))
-    update_rows: np.ndarray
+    #: the front classes: the steps of the triangular sweeps and the unit
+    #: of the factor's panel storage
+    classes: FrontClasses
     #: LU analyses only (None otherwise): supernode s owns the stored entries
     #: ``full_src[full_ptr[s]:full_ptr[s + 1]]`` of ``permuted_full``, and
     #: ``full_pos`` holds each one's position ``local_row * order + local_col``
@@ -131,6 +142,8 @@ def build_front_plan(
     One supernode at a time, so the working memory is a front's row list,
     not the sum of them all.
     """
+    # the classes first, while the tables below are not yet built
+    classes = build_front_classes(part, sn_rows, sn_parent)
     nsn = part.n_supernodes
     sn_start = part.sn_start
     start = sn_start[:-1].tolist()
@@ -168,15 +181,15 @@ def build_front_plan(
     a_pos = local_row * np.asarray(order, dtype=np.int64)[sn] + (col - sn_start[sn])
     return FrontPlan(
         start=start, width=width, order=order, a_ptr=a_ptr, a_pos=a_pos, rel=rel,
-        **build_front_classes(part, sn_rows, sn_parent),
+        classes=classes,
     )
 
 
 def build_front_classes(
     part: SupernodePartition, sn_rows: list[np.ndarray], sn_parent: np.ndarray
-) -> dict:
-    """The class fields of :class:`FrontPlan`: supernodes grouped by
-    (height, m, w), classes by ascending height, members ascending.
+) -> FrontClasses:
+    """Group the supernodes by (height, m, w): classes by ascending height,
+    members ascending.
 
     The published buffer holds the classes' update panels in class order.
     The pull subtracts every published row once, before the classes of
@@ -197,60 +210,70 @@ def build_front_classes(
     m = np.asarray([r.size for r in sn_rows], dtype=np.int64)
     srt = np.lexsort((np.arange(nsn), w, m, h))
     new = np.flatnonzero(np.diff(h[srt]) | np.diff(m[srt]) | np.diff(w[srt])) + 1
-    ptr = np.concatenate(([0], new, [nsn])).tolist()
+    ptr = np.concatenate(([0], new, [nsn]))
     sizes = np.diff(ptr)
-    class_of = np.empty(nsn, dtype=np.int64)
-    class_of[srt] = np.repeat(np.arange(sizes.size), sizes)
-    class_slot = np.empty(nsn, dtype=np.int64)
-    class_slot[srt] = np.arange(nsn) - np.repeat(ptr[:-1], sizes)
-    # pivot rows and published update rows, class by class, member by member
-    ws, mus = w[srt], (m - w)[srt]
+    of = np.empty(nsn, dtype=np.int64)
+    of[srt] = np.repeat(np.arange(sizes.size), sizes)
+    slot = np.empty(nsn, dtype=np.int64)
+    slot[srt] = np.arange(nsn) - np.repeat(ptr[:-1], sizes)
+    first = srt[ptr[:-1]]
+    # pivot rows, class by class, member by member
+    ws, mu = w[srt], m - w
     piv_ptr = np.concatenate(([0], np.cumsum(ws)))
     pivots = (np.repeat(part.sn_start[srt] - piv_ptr[:-1], ws) + np.arange(n)).astype(np.int32)
-    pub = np.concatenate(([0], np.cumsum(mus)))
-    front_ptr = np.concatenate(([0], np.cumsum(m)))
-    update_rows = np.concatenate(sn_rows)[
-        np.repeat(front_ptr[srt] + ws - pub[:-1], mus) + np.arange(pub[-1])
-    ].astype(np.int32)
-    # the pull: published rows by (target height, target row, source) ...
-    tgt_h = h[part.col_to_sn[update_rows]]
-    by_row = np.argsort((tgt_h * n + update_rows) * nsn + np.repeat(srt, mus))
-    rows = update_rows[by_row]
-    first = np.flatnonzero(np.concatenate(([True], rows[1:] != rows[:-1])))
-    rank = np.arange(rows.size) - np.repeat(first, np.diff(np.append(first, rows.size)))
-    # ... then by (target height, rank among the row's sources, target row)
-    round_key = tgt_h[by_row] * (int(rank.max(initial=0)) + 1) + rank
-    pull = by_row[np.argsort(round_key * n + rows)]
-    round_key = np.sort(round_key)
-    cuts = np.flatnonzero(np.diff(round_key)) + 1
-    bounds = list(zip([0, *cuts.tolist()], [*cuts.tolist(), pull.size])) if pull.size else []
-    #: height -> its rounds
-    rounds_of: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
-    pull_to, pull = update_rows[pull], pull.astype(np.int32)
-    for lo, hi in bounds:
-        rounds_of.setdefault(int(tgt_h[pull[lo]]), []).append((pull_to[lo:hi], pull[lo:hi]))
-    members = srt.astype(np.int32)
-    piv_ptr, pub, first = piv_ptr.tolist(), pub.tolist(), srt[ptr[:-1]].tolist()
-    ml, wl = m.tolist(), w.tolist()
-    classes = [
-        FrontClass(
-            height=height[first[c]],
-            order=ml[first[c]],
-            width=wl[first[c]],
-            members=members[lo:hi],
-            pivots=pivots[piv_ptr[lo]: piv_ptr[hi]],
-            updates=update_rows[pub[lo]: pub[hi]],
-            pub=pub[lo],
-            pull=tuple(rounds_of.pop(height[first[c]], ())),
-        )
-        for c, (lo, hi) in enumerate(zip(ptr[:-1], ptr[1:]))
-    ]
-    return {
-        "classes": tuple(classes),
-        "class_of": class_of.tolist(),
-        "class_slot": class_slot.tolist(),
-        "update_rows": update_rows,
-    }
+    # every update row, supernode by supernode (rows), and where it is
+    # published: class by class, member by member (at)
+    rows = np.concatenate(
+        [r[k:] for r, k in zip(sn_rows, w.tolist())] or [np.zeros(0, dtype=np.int64)]
+    ).astype(np.int32)
+    pub = np.empty(nsn, dtype=np.int64)
+    pub[srt] = np.cumsum(mu[srt]) - mu[srt]
+    at = np.repeat((pub - (np.cumsum(mu) - mu)).astype(np.int32), mu)
+    at += np.arange(rows.size)
+    update_rows = np.empty_like(rows)
+    update_rows[at] = rows
+    # The pull: a stable sort by target row keeps each row's sources
+    # ascending; a row's r-th source goes to round r of its height.
+    by_row = np.argsort(rows, kind="stable")
+    target = rows[by_row]
+    starts = np.flatnonzero(np.concatenate(([True], target[1:] != target[:-1])))
+    rank = np.arange(rows.size).astype(np.int32)
+    rank -= np.repeat(starts.astype(np.int32), np.diff(np.append(starts, rows.size)))
+    key = h[part.col_to_sn[target]]
+    key *= int(rank.max(initial=0)) + 1
+    key += rank
+    del starts, rank, target
+    order = np.argsort(key, kind="stable")
+    pull = by_row[order]
+    del by_row
+    key = key[order]
+    del order
+    cuts = np.flatnonzero(np.diff(key)) + 1
+    round_ptr = np.concatenate(([0], cuts, [key.size])) if key.size else np.zeros(1, dtype=np.int64)
+    # the rounds of a height run before the first class of that height
+    round_h = h[part.col_to_sn[rows[pull[round_ptr[:-1]]]]]
+    hc = h[first]
+    leads = np.concatenate(([True], hc[1:] != hc[:-1]))
+    class_rounds = np.where(
+        leads, np.searchsorted(round_h, hc, "left"), np.searchsorted(round_h, hc, "right")
+    )
+    return FrontClasses(
+        ptr=ptr,
+        members=srt.astype(np.int32),
+        height=hc,
+        order=m[first],
+        width=w[first],
+        of=of.astype(np.int32),
+        slot=slot.astype(np.int32),
+        pivots=pivots,
+        piv_ptr=np.concatenate(([0], np.cumsum(sizes * w[first]))),
+        update_rows=update_rows,
+        pub_ptr=np.concatenate(([0], np.cumsum(sizes * (m - w)[first]))),
+        pull_to=rows[pull],
+        pull_from=at[pull],
+        round_ptr=round_ptr,
+        class_rounds=np.append(class_rounds, round_h.size),
+    )
 
 
 def with_full_table(

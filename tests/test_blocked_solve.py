@@ -24,9 +24,17 @@ from repro.mf import (
     iterative_refinement_many,
     multifrontal_factor,
 )
-from repro.mf.solve_phase import solve, solve_many
+from repro.dense.trsm import (
+    solve_lower_inplace,
+    solve_lower_transpose_outer_inplace,
+    solve_unit_lower_inplace,
+    solve_unit_lower_transpose_outer_inplace,
+)
+from repro.mf.solve_phase import gemv_columns, solve, solve_many
 from repro.ordering import amd_order
+from repro.sparse import CSCMatrix
 from repro.sparse.ops import matvec_csc, sym_matvec_lower, sym_matvec_lower_many
+from repro.sparse.permute import permute_vector, unpermute_vector
 from repro.symbolic import analyze
 from repro.util.errors import ShapeError
 from repro.util.rng import make_rng
@@ -206,3 +214,128 @@ class TestLUBlocked:
         assert res.refinement_iterations == max(
             s.refinement_iterations for s in singles
         )
+
+
+# -- the class sweeps against a per-front sweep ------------------------------
+
+
+def per_front_solve(factor, b):
+    """The sweeps one front at a time in supernode order, each update
+    subtracted as soon as it is formed: the order the class sweeps must
+    reproduce. Products are :func:`gemv_columns` on one front's operands,
+    pivot blocks without inverses the column kernels on one triangle."""
+    sym, plan = factor.sym, factor.sym.front_plan
+    lu = factor.method == "lu"
+    y = permute_vector(b, sym.perm).astype(factor.dtype)
+    for s in range(sym.n_supernodes):
+        rows, w = sym.sn_rows[s], plan.width[s]
+        block, inverses = factor.blocks[s], factor.diag_inverses[s]
+        piv = y[rows[:w]]
+        if inverses is not None:
+            c0 = 0
+            for inv in inverses:
+                c1 = c0 + inv.shape[0]
+                piv[c0:c1] = gemv_columns(inv, piv[c0:c1])
+                if c1 < w:
+                    piv[c1:] -= gemv_columns(block[c1:w, c0:c1], piv[c0:c1])
+                c0 = c1
+        elif factor.method == "cholesky":
+            solve_lower_inplace(block[:w], piv)
+        else:
+            solve_unit_lower_inplace(block[:w], piv)
+        y[rows[:w]] = piv
+        if rows.size > w:
+            y[rows[w:]] -= gemv_columns(block[w:], piv)
+    if factor.method == "ldlt":
+        y /= factor.diag if y.ndim == 1 else factor.diag[:, None]
+    for s in range(sym.n_supernodes - 1, -1, -1):
+        rows, w = sym.sn_rows[s], plan.width[s]
+        block, inverses = factor.blocks[s], factor.diag_inverses[s]
+        piv = y[rows[:w]]
+        if rows.size > w:
+            piv -= gemv_columns(factor.u12[s] if lu else block[w:].T, y[rows[w:]])
+        if inverses is not None:
+            bounds = np.cumsum([0] + [inv.shape[0] for inv in inverses])
+            for c0, c1, inv in reversed(list(zip(bounds[:-1], bounds[1:], inverses))):
+                if c1 < w:
+                    piv[c0:c1] -= gemv_columns(block[c1:w, c0:c1].T, piv[c1:])
+                piv[c0:c1] = gemv_columns(inv.T, piv[c0:c1])
+        elif factor.method == "ldlt":
+            solve_unit_lower_transpose_outer_inplace(block[:w], piv)
+        else:
+            solve_lower_transpose_outer_inplace(block[:w].T if lu else block[:w], piv)
+        y[rows[:w]] = piv
+    return unpermute_vector(y.astype(np.float64), sym.perm)
+
+
+def block_diagonal(*lowers):
+    """The lower triangles *lowers* as one disconnected pattern."""
+    dense = np.zeros((sum(a.shape[0] for a in lowers),) * 2)
+    at = 0
+    for a in lowers:
+        k = a.shape[0]
+        dense[at:at + k, at:at + k] = a.to_dense()
+        at += k
+    return CSCMatrix.from_dense(dense)
+
+
+#: name -> (matrix, method, pivot_perturbation)
+SWEEP_CASES = {
+    # nested dissection of a plate: dozens of equal leaves share a class
+    "plate16-cholesky": (lambda: grid2d_laplacian(16), "cholesky", None),
+    "cube6-ldlt-perturbed": (lambda: grid3d_laplacian(6), "ldlt", 0.9),
+    # three roots at three heights, one of them a lone 1x1 front
+    "disconnected-cholesky": (
+        lambda: block_diagonal(grid3d_laplacian(4), grid2d_laplacian(3), CSCMatrix.from_dense(np.eye(1) * 2)),
+        "cholesky",
+        None,
+    ),
+    "n1-ldlt": (lambda: CSCMatrix.from_dense(np.eye(1) * 3), "ldlt", None),
+    "convdiff10-lu": (lambda: convection_diffusion2d(10, peclet=1.5), "lu", None),
+    "convdiff8-lu-perturbed": (lambda: convection_diffusion2d(8), "lu", 0.9),
+}
+
+
+@pytest.fixture(scope="module")
+def sweep_solvers():
+    return {}
+
+
+def sweep_factor(cache, name, precision):
+    if (name, precision) not in cache:
+        build, method, pp = SWEEP_CASES[name]
+        solver = SparseSolver(build(), method=method, pivot_perturbation=pp)
+        solver.factor(precision=precision)
+        cache[name, precision] = solver.numeric
+    return cache[name, precision]
+
+
+class TestClassSweeps:
+    """The class sweeps (one step per (height, m, w) class, updates pulled
+    round by round) against :func:`per_front_solve`, bit for bit."""
+
+    @pytest.mark.parametrize("precision", ["fp64", "fp32"])
+    @pytest.mark.parametrize("k", [1, 2, 16])
+    @pytest.mark.parametrize("name", sorted(SWEEP_CASES))
+    def test_matches_the_per_front_sweep(self, sweep_solvers, name, k, precision):
+        factor = sweep_factor(sweep_solvers, name, precision)
+        n = factor.n
+        b = make_rng(500 + k).standard_normal(n if k == 1 else (n, k))
+        got = solve_many(factor, b)
+        assert got.tobytes() == per_front_solve(factor, b).tobytes()
+
+    def test_the_cases_cover_the_class_shapes(self, sweep_solvers):
+        def factor(name):
+            return sweep_factor(sweep_solvers, name, "fp64")
+
+        plate = factor("plate16-cholesky").sym.front_plan.classes
+        assert np.diff(plate.ptr).max() >= 8
+        assert np.diff(plate.class_rounds).max() >= 2
+        sym = factor("disconnected-cholesky").sym
+        cl = sym.front_plan.classes
+        roots = cl.of[np.flatnonzero(sym.sn_parent < 0)]
+        assert np.array_equal(cl.order[roots], cl.width[roots])
+        assert len(set(cl.height[roots].tolist())) == 3
+        assert factor("cube6-ldlt-perturbed").perturbed_columns
+        assert factor("convdiff8-lu-perturbed").perturbed_columns
+        assert factor("n1-ldlt").sym.front_plan.classes.order.tolist() == [1]

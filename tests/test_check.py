@@ -401,6 +401,58 @@ class TestSanitizer:
             sanitize.check_symbolic(sym)
 
     @pytest.mark.parametrize(
+        "defect",
+        [
+            "members_descending", "members_of_two_shapes", "heights_flattened",
+            "row_pulled_twice", "sources_descending", "pulled_before_its_source",
+        ],
+    )
+    def test_corrupted_front_classes_rejected(self, defect):
+        _, sym = analyzed_grid(8)
+        sanitize.check_symbolic(sym)
+        cl = sym.front_plan.classes  # the tables are arrays: edits land in the plan
+        size = np.diff(cl.ptr)
+        if defect == "members_descending":
+            c = int(np.argmax(size >= 2))
+            lo = cl.ptr[c]
+            cl.members[lo:lo + 2] = cl.members[lo:lo + 2][::-1].copy()
+            match = "not ascending"
+        elif defect == "members_of_two_shapes":
+            # two one-member classes of one height trade members
+            a, b = next(
+                (a, b) for a in range(len(cl)) for b in range(len(cl))
+                if a != b and cl.height[a] == cl.height[b] and size[a] == size[b] == 1
+                and (cl.order[a], cl.width[a]) != (cl.order[b], cl.width[b])
+            )
+            i, j = cl.ptr[a], cl.ptr[b]
+            cl.members[i], cl.members[j] = cl.members[j], cl.members[i]
+            match = "members of"
+        elif defect == "heights_flattened":
+            cl.height[:] = 0
+            match = "parent is not higher"
+        else:
+            # a class that pulls in at least two rounds, and its first two
+            c = next(c for c in range(len(cl)) if cl.class_rounds[c + 1] - cl.class_rounds[c] >= 2)
+            r = cl.class_rounds[c]
+            (lo0, hi0), (lo1, hi1) = cl.round_ptr[r: r + 2], cl.round_ptr[r + 1: r + 3]
+            if defect == "row_pulled_twice":
+                cl.pull_to[lo0 + 1] = cl.pull_to[lo0]
+                match = "updates a row twice"
+            elif defect == "sources_descending":
+                # a row's first two sources trade rounds
+                row = next(t for t in cl.pull_to[lo1:hi1] if t in cl.pull_to[lo0:hi0])
+                i = lo0 + int(np.flatnonzero(cl.pull_to[lo0:hi0] == row)[0])
+                j = lo1 + int(np.flatnonzero(cl.pull_to[lo1:hi1] == row)[0])
+                cl.pull_from[i], cl.pull_from[j] = cl.pull_from[j], cl.pull_from[i]
+                match = "ascending order"
+            else:
+                # the first class runs every round, before their sources
+                cl.class_rounds[1:-1] = cl.class_rounds[-1]
+                match = "outside the classes between"
+        with pytest.raises(InvariantError, match=match):
+            sanitize.check_symbolic(sym)
+
+    @pytest.mark.parametrize(
         "defect", ["entry_listed_twice", "pos_wrong_row", "pos_outside_pivots"]
     )
     def test_corrupted_lu_table_rejected(self, defect):

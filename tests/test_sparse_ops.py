@@ -15,10 +15,12 @@ from repro.sparse import (
     full_symmetric_from_lower,
     is_structurally_symmetric,
     sym_matvec_lower,
+    sym_matvec_lower_many,
     permute_symmetric_lower,
     read_matrix_market,
     write_matrix_market,
 )
+from repro.sparse.ops import norm_inf_csc, sym_norm_inf_lower
 from repro.sparse.permute import (
     invert_permutation,
     permute_vector,
@@ -136,6 +138,103 @@ class TestSymmetry:
         lower = CSCMatrix.from_dense(np.tril(sym))
         x = rng.standard_normal(n)
         np.testing.assert_allclose(sym_matvec_lower(lower, x), sym @ x, atol=1e-10)
+
+
+class TestCompiledMatvec:
+    """The plan-based matvecs and norms against the ``np.add.at`` /
+    ``np.bincount`` scatters they replace, bit for bit."""
+
+    @staticmethod
+    def scatter_sym(lower, x):
+        n = lower.shape[0]
+        col = np.repeat(np.arange(n), np.diff(lower.indptr))
+        rows, vals = lower.indices, lower.data
+        vals = vals if x.ndim == 1 else vals[:, None]
+        y = np.zeros((n,) + x.shape[1:])
+        np.add.at(y, rows, vals * x[col])
+        off = rows != col
+        np.add.at(y, col[off], vals[off] * x[rows[off]])
+        return y
+
+    @staticmethod
+    def scatter_csc(a, x):
+        col = np.repeat(np.arange(a.shape[1]), np.diff(a.indptr))
+        y = np.zeros((a.shape[0],) + x.shape[1:])
+        np.add.at(y, a.indices, (a.data if x.ndim == 1 else a.data[:, None]) * x[col])
+        return y
+
+    @staticmethod
+    def sparse(seed, shape, density, empty_cols):
+        """A random pattern, its first *empty_cols* columns emptied; with
+        density 0, the all-zero matrix (no stored entry)."""
+        rng = np.random.default_rng(seed)
+        d = random_sparse_dense(rng, shape, density)
+        d[:, :empty_cols] = 0.0
+        return d, rng
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 14),
+        st.integers(0, 10_000),
+        st.sampled_from([0.0, 0.15, 0.5, 1.0]),
+        st.integers(0, 3),
+        st.sampled_from([None, 1, 4]),
+    )
+    def test_symmetric_matches_the_scatter(self, n, seed, density, empty_cols, k):
+        d, rng = self.sparse(seed, (n, n), density, empty_cols)
+        lower = CSCMatrix.from_dense(np.tril(d))
+        x = rng.standard_normal(n if k is None else (n, k))
+        want = self.scatter_sym(lower, x)
+        got = sym_matvec_lower(lower, x) if k is None else sym_matvec_lower_many(lower, x)
+        assert got.tobytes() == want.tobytes()
+        absv = np.abs(lower.data)
+        col = np.repeat(np.arange(n), np.diff(lower.indptr))
+        off = lower.indices != col
+        sums = np.bincount(
+            np.concatenate([lower.indices, col[off]]),
+            weights=np.concatenate([absv, absv[off]]),
+            minlength=n,
+        )
+        norm = float(sums.max()) if lower.nnz else 0.0
+        assert np.float64(sym_norm_inf_lower(lower)).tobytes() == np.float64(norm).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 10),
+        st.integers(1, 10),
+        st.integers(0, 10_000),
+        st.sampled_from([0.0, 0.2, 0.6]),
+        st.integers(0, 3),
+        st.sampled_from([None, 1, 5]),
+    )
+    def test_general_matches_the_scatter(self, nr, nc, seed, density, empty_cols, k):
+        d, rng = self.sparse(seed, (nr, nc), density, empty_cols)
+        a = CSCMatrix.from_dense(d)
+        x = rng.standard_normal(nc if k is None else (nc, k))
+        assert matvec_csc(a, x).tobytes() == self.scatter_csc(a, x).tobytes()
+        sums = np.bincount(a.indices, weights=np.abs(a.data), minlength=nr)
+        norm = float(sums.max()) if a.nnz else 0.0
+        assert np.float64(norm_inf_csc(a)).tobytes() == np.float64(norm).tobytes()
+
+    def test_the_analysis_plan_is_checked_against_its_operand(self):
+        from repro.check import sanitize
+        from repro.symbolic import analyze
+        from repro.util.errors import InvariantError
+
+        d = np.tril(4 * np.eye(4) + np.eye(4, k=-1) + np.eye(4, k=-2))
+        lower = CSCMatrix.from_dense(d)
+        plan = analyze(lower, np.arange(4)).matvec_plan
+        x = np.arange(4.0)
+        assert sym_matvec_lower(lower, x, plan).tobytes() == self.scatter_sym(lower, x).tobytes()
+        fewer = CSCMatrix.from_dense(np.tril(4 * np.eye(4) + np.eye(4, k=-1)))
+        with pytest.raises(InvariantError):
+            sym_matvec_lower(fewer, x, plan)
+        # as many entries on another pattern: only the full check sees it
+        d[2, 0], d[3, 0] = 0.0, 1.0
+        moved = CSCMatrix.from_dense(d)
+        assert moved.nnz == lower.nnz
+        with sanitize.sanitized(True), pytest.raises(InvariantError):
+            sym_matvec_lower(moved, x, plan)
 
 
 class TestPermute:
