@@ -266,9 +266,16 @@ def _check_front_classes(sym: Any) -> None:
     low = child[height[parent[child]] <= height[child]]
     if low.size:
         raise _fail(f"supernode {int(low[0])}: its parent is not higher than itself")
-    start = np.asarray(plan.start, dtype=np.int64)[members]
-    pivots = np.concatenate([start[i] + np.arange(width[i]) for i in range(nsn)] or [ptr[:0]])
-    updates = np.concatenate([sym.sn_rows[s][width[i]:] for i, s in enumerate(members.tolist())] or [ptr[:0]])
+    # each class's rows laid out (position, member), and the member of each
+    pivots, updates, source = [], [], []
+    for c in range(ncls):
+        mem = members[ptr[c]: ptr[c + 1]].tolist()
+        w = int(cl.width[c])
+        pivots.append((np.asarray(plan.start)[mem][None, :] + np.arange(w)[:, None]).ravel())
+        rows = np.stack([np.asarray(sym.sn_rows[s][w:]) for s in mem], axis=1)
+        updates.append(rows.ravel())
+        source.append(np.tile(mem, rows.shape[0]))
+    pivots, updates, source = (np.concatenate(v or [ptr[:0]]) for v in (pivots, updates, source))
     piv_ptr = np.concatenate(([0], np.cumsum(np.diff(ptr) * cl.width)))
     pub_ptr = np.concatenate(([0], np.cumsum(np.diff(ptr) * (np.asarray(cl.order) - cl.width))))
     if not (
@@ -296,7 +303,7 @@ def _check_front_classes(sym: Any) -> None:
         raise _fail("the forward pull does not list every published row once")
     if not np.array_equal(updates[src], to):
         raise _fail("the forward pull subtracts a published row from another row")
-    source = np.repeat(members, order - width)[src]
+    source = source[src]
     owner = np.asarray(cl.of, dtype=np.int64)[np.asarray(sym.partition.col_to_sn)[to]]
     late = (at <= np.asarray(cl.of)[source]) | (at > owner)
     if late.any():

@@ -2,16 +2,18 @@
 
 All operate in place on the right-hand side, for one triangle or a stack
 of them. A triangle ``l`` of order n takes a vector ``(n,)`` or a panel
-``(n, K)`` of right-hand sides; a stack ``(k, n, n)`` takes ``(k, n)`` or
-``(k, n, K)``, member by member. Every operation is elementwise, so a
-member's bits do not depend on the stack or the panel it rides in.
+``(n, K)`` of right-hand sides; a stack ``(k, n, n)`` takes ``(n, k)`` or
+``(n, k, K)``, row by row with its members and their columns beside each
+other. Every operation is elementwise, so a member's bits do not depend
+on the stack or the panel it rides in, and one triangle runs the very
+steps it ran before stacks existed.
 
 The class sweeps of :mod:`repro.mf.solve_phase` call the column kernels
 on the stacked pivot blocks of a front class: LU's, and Cholesky and LDLᵀ
 pivot blocks narrower than :data:`~repro.dense.chol.LAPACK_MIN_PIVOTS`;
-the simulator's distributed pivot blocks call them one triangle at a
-time. Every other pivot block is solved with gemvs on the inverses of its
-diagonal blocks, which :func:`lower_inverses` forms once per factor.
+the simulator's fronts call them one triangle at a time. Every other
+pivot block is solved with gemvs on the inverses of its diagonal blocks,
+which :func:`lower_inverses` forms once per factor.
 :func:`solve_unit_lower_inplace` is also the LU kernel's U-panel solve in
 the simulator's distributed fronts.
 """
@@ -24,37 +26,36 @@ from repro.dense.chol import _check_consistent
 from repro.util.errors import ShapeError
 
 
-def _operands(l: np.ndarray, b: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
-    """``(n, lt, bt)``: views of *l* and *b* with the triangle's row axis
-    first, so that ``lt[i, j]`` and ``bt[i]`` broadcast against each other
-    over the stack and the right-hand sides."""
-    lead = l.ndim - 2
-    if lead not in (0, 1) or l.shape[-1] != l.shape[-2]:
+def _operands(l: np.ndarray, b: np.ndarray) -> tuple[int, np.ndarray]:
+    """``(n, lt)``: the order of *l* and a view of it in which ``lt[i, j]``
+    broadcasts against the row ``b[i]`` — over the stack's members and
+    the right-hand sides."""
+    stack = l.shape[:-2]
+    n = l.shape[-1]
+    if l.ndim not in (2, 3) or l.shape[-2] != n:
         raise ShapeError(f"triangular factor must be square; got {l.shape}")
-    if b.ndim not in (lead + 1, lead + 2) or b.shape[:lead + 1] != l.shape[:-1]:
-        raise ShapeError(
-            f"rhs shape {b.shape} does not match factor of shape {l.shape}"
-        )
+    if b.shape[:1 + len(stack)] != (n,) + stack or b.ndim > len(stack) + 2:
+        raise ShapeError(f"rhs shape {b.shape} does not match factor of shape {l.shape}")
     _check_consistent(l, b)
-    lt, bt = (l.transpose(1, 2, 0), b.swapaxes(0, 1)) if lead else (l, b)
-    return l.shape[-1], lt if b.ndim == lead + 1 else lt[..., None], bt
+    lt = l.transpose(1, 2, 0) if stack else l
+    return n, lt if b.ndim == len(stack) + 1 else lt[..., None]
 
 
 def solve_lower_inplace(l: np.ndarray, b: np.ndarray) -> None:
     """``b <- L^{-1} b`` (forward substitution, non-unit diagonal)."""
-    n, lt, bt = _operands(l, b)
+    n, lt = _operands(l, b)
     for j in range(n):
-        bt[j] /= lt[j, j]
+        b[j] /= lt[j, j]
         if j + 1 < n:
-            bt[j + 1:] -= lt[j + 1:, j] * bt[j]
+            b[j + 1:] -= lt[j + 1:, j] * b[j]
 
 
 def solve_unit_lower_inplace(l: np.ndarray, b: np.ndarray) -> None:
     """``b <- L^{-1} b`` with *unit* diagonal (LDLᵀ forward sweep; only the
     strictly-lower part of *l* is read)."""
-    n, lt, bt = _operands(l, b)
+    n, lt = _operands(l, b)
     for j in range(n - 1):
-        bt[j + 1:] -= lt[j + 1:, j] * bt[j]
+        b[j + 1:] -= lt[j + 1:, j] * b[j]
 
 
 def solve_lower_transpose_outer_inplace(l: np.ndarray, b: np.ndarray) -> None:
@@ -69,19 +70,19 @@ def solve_lower_transpose_outer_inplace(l: np.ndarray, b: np.ndarray) -> None:
     ride in the panel (BLAS dot/gemv reductions reorder sums with the
     operand shape and cannot give that guarantee).
     """
-    n, lt, bt = _operands(l, b)
+    n, lt = _operands(l, b)
     for j in range(n - 1, -1, -1):
-        bt[j] /= lt[j, j]
+        b[j] /= lt[j, j]
         if j:
-            bt[:j] -= lt[j, :j] * bt[j]
+            b[:j] -= lt[j, :j] * b[j]
 
 
 def solve_unit_lower_transpose_outer_inplace(l: np.ndarray, b: np.ndarray) -> None:
     """``b <- L^{-T} b``, unit diagonal, column-oriented form (see
     :func:`solve_lower_transpose_outer_inplace` for why it exists)."""
-    n, lt, bt = _operands(l, b)
+    n, lt = _operands(l, b)
     for j in range(n - 1, 0, -1):
-        bt[:j] -= lt[j, :j] * bt[j]
+        b[:j] -= lt[j, :j] * b[j]
 
 
 def lower_inverses(l: np.ndarray, unit: bool = False) -> np.ndarray:

@@ -12,14 +12,16 @@ A sweep runs one step per *front class* (``sym.front_plan.classes``): the
 fronts of one height in the assembly tree, one order m and one pivot
 width w, none an ancestor of another. The forward sweep climbs the
 classes by height, the backward sweep descends them. A step gathers its
-members' pivot rows into a ``(k, w)`` (or ``(k, w, K)``) stack, runs the
-class kernel (:func:`forward_class` / :func:`backward_class`) on it and
-the factor's ``(k, m, w)`` panel stack, and scatters the rows back. The
-per-front kernels (:func:`forward_kernel` / :func:`backward_kernel`) are
-the one-member case of the class kernels: the simulator's sequential
-fronts (:mod:`repro.parallel.solve_par`) and the per-supernode tasks of a
-:class:`~repro.exec.pool.TaskPool` run them; the simulator's distributed
-fronts run the same :func:`gemv_columns` and transpose kernels.
+members' pivot rows — ``(w, k)``, or ``(w, k, K)`` for a panel of K
+right-hand sides: row by row, the members beside each other — runs the
+kernel (:func:`forward_kernel` / :func:`backward_kernel`) on them and the
+factor's ``(k, m, w)`` panel stack, and scatters the rows back. One front
+is the same kernel on one ``(m, w)`` panel and its ``(w[, K])`` rows,
+running the very numpy calls a per-front sweep runs: the simulator's
+sequential fronts (:mod:`repro.parallel.solve_par`) and the
+per-supernode tasks of a :class:`~repro.exec.pool.TaskPool` call it so;
+the simulator's distributed fronts run the same :func:`gemv_columns` and
+transpose kernels.
 
 Bitwise reproducibility contract
 --------------------------------
@@ -144,24 +146,25 @@ def _solve_permuted(
         return unpermute_vector(y.astype(VALUE_DTYPE, copy=False), sym.perm)
 
 
-def _gemv(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``a[i] @ x[i]`` for a stack of matrices *a* ``(k, r, n)`` and a stack
-    *x* of vectors ``(k, n)`` or panels ``(k, n, K)``: one stacked
-    ``matmul`` with the members (and a panel's columns) as its batch axes.
-    numpy loops over the batch in C and gives each member's contiguous
-    column the gemv that member and column would get alone, so every
-    column's bits are those of one front and one right-hand side,
-    whatever the stack and the panel width."""
-    if x.ndim == 2:
-        return np.matmul(a, x[:, :, None])[:, :, 0]
-    xt = np.ascontiguousarray(x.transpose(0, 2, 1))[..., None]
-    return np.matmul(a[:, None], xt)[..., 0].transpose(0, 2, 1)
-
-
 def gemv_columns(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``a @ x`` for a vector or an ``(r, k)`` panel *x*: the one-member
-    case of the class kernels' stacked gemv."""
-    return _gemv(a[None], x[None])[0]
+    """``a @ x`` for one front's operand *a* ``(r, n)`` and a vector ``(n,)``
+    or a panel ``(n, K)`` *x*; or, member by member, for a stack *a*
+    ``(k, r, n)`` and *x* ``(n, k)`` or ``(n, k, K)`` (rows first, the
+    members beside each other, as the class sweeps gather them).
+
+    Anything wider than one vector is one stacked ``matmul`` with the
+    members and the columns as its batch axes: numpy loops over the batch
+    in C and gives each contiguous column the gemv that one front and one
+    column issue alone, so every column's bits are those of the
+    single-front, single-vector path, whatever the stack and the panel
+    width. (A plain BLAS gemm would reorder sums with the panel width.)
+    """
+    if x.ndim == 1:
+        return a @ x
+    if x.ndim == 2:  # one front and a panel, or a stack and a vector each
+        return np.matmul(a, np.ascontiguousarray(x.T)[:, :, None])[:, :, 0].T
+    xt = np.ascontiguousarray(x.transpose(1, 2, 0))[..., None]
+    return np.matmul(a[:, None], xt)[..., 0].transpose(2, 0, 1)
 
 
 def _diagonal_blocks(inverses: list[np.ndarray]):
@@ -173,84 +176,36 @@ def _diagonal_blocks(inverses: list[np.ndarray]):
         c0 = c1
 
 
-def forward_class(
-    panels: np.ndarray,
-    method: str,
-    piv: np.ndarray,
-    inverses: list[np.ndarray] | None = None,
-) -> np.ndarray | None:
-    """The forward substitution of a stack of fronts: solves the pivot
-    block of each m×w factor panel of *panels* ``(k, m, w)`` against its
-    pivot rows in *piv* (``(k, w)``, or ``(k, w, K)`` for a panel of
-    right-hand sides) in place, and returns the updates ``L21 piv`` for
-    the fronts' update rows (None when they have none). The caller
-    subtracts them where the rows live.
-
-    With the stacked *inverses* of the pivot blocks' diagonal blocks
-    (``NumericFactor.inverse_stacks``), each block's rows are one gemv on
-    its inverse and the block column of L11 below it is one more;
-    without, the column kernels of :mod:`repro.dense.trsm` run."""
-    w = panels.shape[2]
-    if inverses is not None:
-        for c0, c1, inv in _diagonal_blocks(inverses):
-            piv[:, c0:c1] = _gemv(inv, piv[:, c0:c1])
-            if c1 < w:
-                piv[:, c1:] -= _gemv(panels[:, c1:w, c0:c1], piv[:, c0:c1])
-    elif method == "cholesky":
-        solve_lower_inplace(panels[:, :w], piv)
-    else:
-        solve_unit_lower_inplace(panels[:, :w], piv)
-    return _gemv(panels[:, w:], piv) if panels.shape[1] > w else None
-
-
-def backward_class(
-    panels: np.ndarray,
-    u12: np.ndarray | None,
-    method: str,
-    piv: np.ndarray,
-    xu: np.ndarray | None,
-    inverses: list[np.ndarray] | None = None,
-) -> None:
-    """The backward substitution of a stack of fronts on their pivot rows
-    *piv*, in place, given the solution *xu* ``(k, m − w[, K])`` at their
-    update rows (read only when the panels have update rows). Cholesky
-    and LDLᵀ solve with the transpose of their L panels — on the
-    transposed *inverses* of their diagonal blocks when given, as in
-    :func:`forward_class`; LU with U: its upper pivot blocks (as the
-    transpose of lower ones) and the stacked *u12*."""
-    w = panels.shape[2]
-    if panels.shape[1] > w:
-        piv -= _gemv(u12 if method == "lu" else panels[:, w:].transpose(0, 2, 1), xu)
-    if inverses is not None:
-        for c0, c1, inv in reversed(list(_diagonal_blocks(inverses))):
-            if c1 < w:
-                piv[:, c0:c1] -= _gemv(panels[:, c1:w, c0:c1].transpose(0, 2, 1), piv[:, c1:])
-            piv[:, c0:c1] = _gemv(inv.transpose(0, 2, 1), piv[:, c0:c1])
-    elif method == "ldlt":
-        solve_unit_lower_transpose_outer_inplace(panels[:, :w], piv)
-    else:
-        pivot_blocks = panels[:, :w]
-        solve_lower_transpose_outer_inplace(
-            pivot_blocks.transpose(0, 2, 1) if method == "lu" else pivot_blocks, piv
-        )
-
-
-def _one(inverses: list[np.ndarray] | None) -> list[np.ndarray] | None:
-    return None if inverses is None else [inv[None] for inv in inverses]
-
-
 def forward_kernel(
     panel: np.ndarray,
     method: str,
     piv: np.ndarray,
     inverses: list[np.ndarray] | None = None,
 ) -> np.ndarray | None:
-    """:func:`forward_class` of one front: its m×w *panel*, its pivot rows
-    *piv* (``(w,)`` or ``(w, K)``, solved in place) and the *inverses* of
-    its diagonal blocks (``NumericFactor.diag_inverses``); returns the
-    update for its update rows, or None."""
-    upd = forward_class(panel[None], method, piv[None], _one(inverses))
-    return None if upd is None else upd[0]
+    """The forward substitution of one front, or of a class of fronts at
+    once: solves the pivot block of the m×w factor *panel* against the
+    pivot rows *piv* in place and returns the update ``L21 piv`` for the
+    front's update rows (None when it has none). The caller subtracts it
+    where the rows live.
+
+    One front passes its panel ``(m, w)`` and rows ``(w,)`` or ``(w, K)``;
+    a class passes its panel stack ``(k, m, w)`` and rows ``(w, k)`` or
+    ``(w, k, K)``, and gets ``(m − w, k[, K])`` back. With the *inverses*
+    of the pivot block's diagonal blocks (``NumericFactor.diag_inverses``,
+    or a class's ``inverse_stacks``), each block's rows are one gemv on
+    its inverse and the block column of L11 below it is one more;
+    without, the column kernels of :mod:`repro.dense.trsm` run."""
+    w = panel.shape[-1]
+    if inverses is not None:
+        for c0, c1, inv in _diagonal_blocks(inverses):
+            piv[c0:c1] = gemv_columns(inv, piv[c0:c1])
+            if c1 < w:
+                piv[c1:] -= gemv_columns(panel[..., c1:w, c0:c1], piv[c0:c1])
+    elif method == "cholesky":
+        solve_lower_inplace(panel[..., :w, :], piv)
+    else:
+        solve_unit_lower_inplace(panel[..., :w, :], piv)
+    return gemv_columns(panel[..., w:, :], piv) if panel.shape[-2] > w else None
 
 
 def backward_kernel(
@@ -261,16 +216,28 @@ def backward_kernel(
     xu: np.ndarray | None,
     inverses: list[np.ndarray] | None = None,
 ) -> None:
-    """:func:`backward_class` of one front, on its pivot rows *piv* in
-    place, given the solution *xu* at its update rows."""
-    backward_class(
-        panel[None],
-        None if u12 is None else u12[None],
-        method,
-        piv[None],
-        None if xu is None else xu[None],
-        _one(inverses),
-    )
+    """The backward substitution of one front, or of a class of fronts
+    (operands as in :func:`forward_kernel`), on its pivot rows *piv* in
+    place, given the solution *xu* at its update rows (read only when the
+    panel has update rows). Cholesky and LDLᵀ solve with the transpose of
+    their L panel — on the transposed *inverses* of its diagonal blocks
+    when given; LU with U: its upper pivot block (as the transpose of a
+    lower one) and *u12*."""
+    w = panel.shape[-1]
+    if panel.shape[-2] > w:
+        piv -= gemv_columns(u12 if method == "lu" else panel[..., w:, :].swapaxes(-1, -2), xu)
+    if inverses is not None:
+        for c0, c1, inv in reversed(list(_diagonal_blocks(inverses))):
+            if c1 < w:
+                piv[c0:c1] -= gemv_columns(panel[..., c1:w, c0:c1].swapaxes(-1, -2), piv[c1:])
+            piv[c0:c1] = gemv_columns(inv.swapaxes(-1, -2), piv[c0:c1])
+    elif method == "ldlt":
+        solve_unit_lower_transpose_outer_inplace(panel[..., :w, :], piv)
+    else:
+        pivot = panel[..., :w, :]
+        solve_lower_transpose_outer_inplace(
+            pivot.swapaxes(-1, -2) if method == "lu" else pivot, piv
+        )
 
 
 def forward_front(factor: NumericFactor, s: int, y: np.ndarray) -> np.ndarray | None:
@@ -315,9 +282,9 @@ def forward_sweep(
 
     *y* is a single vector ``(n,)`` or a panel ``(n, k)``. One step per
     front class, in ascending height: the class pulls the published
-    updates into its members' pivot rows, gathers the rows into a stack,
-    runs :func:`forward_class` on it, scatters the rows back and
-    publishes its members' updates.
+    updates into its members' pivot rows, gathers the rows, runs
+    :func:`forward_kernel` on them and its panel stack, scatters the rows
+    back and publishes its members' updates.
     """
     sym = factor.sym
     plan = sym.front_plan
@@ -349,9 +316,9 @@ def forward_sweep(
             y[classes.pull_to[lo:hi]] -= published[classes.pull_from[lo:hi]]
         k, m, w = panels.shape
         pivots = classes.pivots[piv_ptr[c]: piv_ptr[c + 1]]
-        piv = y[pivots].reshape((k, w) + tail)
-        upd = forward_class(panels, factor.method, piv, inverses)
-        y[pivots] = piv.reshape((k * w,) + tail)
+        piv = y[pivots].reshape((w, k) + tail)
+        upd = forward_kernel(panels, factor.method, piv, inverses)
+        y[pivots] = piv.reshape((w * k,) + tail)
         if upd is not None:
             published[pub_ptr[c]: pub_ptr[c + 1]].reshape(upd.shape)[...] = upd
 
@@ -379,9 +346,9 @@ def backward_sweep(
         panels = factor.block_stacks[c]
         k, m, w = panels.shape
         pivots = classes.pivots[piv_ptr[c]: piv_ptr[c + 1]]
-        piv = y[pivots].reshape((k, w) + tail)
+        piv = y[pivots].reshape((w, k) + tail)
         xu = None
         if m > w:
-            xu = y[classes.update_rows[pub_ptr[c]: pub_ptr[c + 1]]].reshape((k, m - w) + tail)
-        backward_class(panels, u12_stacks[c], factor.method, piv, xu, factor.inverse_stacks[c])
-        y[pivots] = piv.reshape((k * w,) + tail)
+            xu = y[classes.update_rows[pub_ptr[c]: pub_ptr[c + 1]]].reshape((m - w, k) + tail)
+        backward_kernel(panels, u12_stacks[c], factor.method, piv, xu, factor.inverse_stacks[c])
+        y[pivots] = piv.reshape((w * k,) + tail)

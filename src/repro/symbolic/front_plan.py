@@ -62,12 +62,15 @@ class FrontClasses:
     #: per supernode: its class, and its position among the class's members
     of: np.ndarray
     slot: np.ndarray
-    #: the members' pivot rows, class by class, member by member
+    #: the members' pivot rows, class by class, then position by position
+    #: with the members beside each other: class c's, reshaped
+    #: ``(w, k)``, hold member i's rows in column i
     pivots: np.ndarray
     piv_ptr: np.ndarray
     #: per row of the published forward-update buffer: the row it updates.
-    #: Class c publishes its members' update panels, member by member, in
-    #: rows ``pub_ptr[c]:pub_ptr[c + 1]``
+    #: Class c publishes its members' update rows in rows
+    #: ``pub_ptr[c]:pub_ptr[c + 1]``, laid out ``(m − w, k)`` as its pivot
+    #: rows are
     update_rows: np.ndarray
     pub_ptr: np.ndarray
     #: the forward pull, round by round: round r subtracts the published
@@ -217,19 +220,29 @@ def build_front_classes(
     slot = np.empty(nsn, dtype=np.int64)
     slot[srt] = np.arange(nsn) - np.repeat(ptr[:-1], sizes)
     first = srt[ptr[:-1]]
-    # pivot rows, class by class, member by member
-    ws, mu = w[srt], m - w
-    piv_ptr = np.concatenate(([0], np.cumsum(ws)))
-    pivots = (np.repeat(part.sn_start[srt] - piv_ptr[:-1], ws) + np.arange(n)).astype(np.int32)
+    mu = m - w
+
+    def spread(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Where runs of *lengths* rows, one per supernode and laid out
+        supernode by supernode, land when laid out class by class,
+        position by position, member by member; and the classes' starts."""
+        cls_ptr = np.concatenate(([0], np.cumsum(sizes * lengths[first])))
+        j = np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+        j *= np.repeat(sizes[of], lengths)
+        j += np.repeat(cls_ptr[:-1][of] + slot, lengths)
+        return cls_ptr, j.astype(np.int32)
+
+    # pivot rows: supernode by supernode they are 0 .. n - 1
+    piv_ptr, at = spread(w)
+    pivots = np.empty(n, dtype=np.int64)
+    pivots[at] = np.arange(n)
+    pivots = pivots.astype(np.int32)
     # every update row, supernode by supernode (rows), and where it is
-    # published: class by class, member by member (at)
+    # published (at)
     rows = np.concatenate(
         [r[k:] for r, k in zip(sn_rows, w.tolist())] or [np.zeros(0, dtype=np.int64)]
     ).astype(np.int32)
-    pub = np.empty(nsn, dtype=np.int64)
-    pub[srt] = np.cumsum(mu[srt]) - mu[srt]
-    at = np.repeat((pub - (np.cumsum(mu) - mu)).astype(np.int32), mu)
-    at += np.arange(rows.size)
+    pub_ptr, at = spread(mu)
     update_rows = np.empty_like(rows)
     update_rows[at] = rows
     # The pull: a stable sort by target row keeps each row's sources
@@ -266,9 +279,9 @@ def build_front_classes(
         of=of.astype(np.int32),
         slot=slot.astype(np.int32),
         pivots=pivots,
-        piv_ptr=np.concatenate(([0], np.cumsum(sizes * w[first]))),
+        piv_ptr=piv_ptr,
         update_rows=update_rows,
-        pub_ptr=np.concatenate(([0], np.cumsum(sizes * (m - w)[first]))),
+        pub_ptr=pub_ptr,
         pull_to=rows[pull],
         pull_from=at[pull],
         round_ptr=round_ptr,
