@@ -408,7 +408,8 @@ def multifrontal_factor(
     classes = plan.classes
     block_stacks: list[np.ndarray | None] = [None] * len(classes)
     u12_stacks: list[np.ndarray | None] | None = [None] * len(classes) if lu else None
-    size, class_of, class_slot = np.diff(classes.ptr).tolist(), classes.of.tolist(), classes.slot.tolist()
+    size = np.diff(classes.ptr).tolist()
+    class_of, class_slot = classes.of.tolist(), classes.slot.tolist()
     diag = np.empty(sym.n, dtype=wdtype) if method == "ldlt" else None
     flops = [0] * nsn
 

@@ -51,7 +51,9 @@ class MatvecPlan:
     col: np.ndarray
 
     @classmethod
-    def compile(cls, a: CSCMatrix, row: np.ndarray, entry: np.ndarray, col: np.ndarray) -> MatvecPlan:
+    def compile(
+        cls, a: CSCMatrix, row: np.ndarray, entry: np.ndarray, col: np.ndarray
+    ) -> MatvecPlan:
         """The plan of the products ``data[entry[i]] * x[col[i]]`` added to
         rows ``row[i]``, in that order."""
         m = a.shape[0]

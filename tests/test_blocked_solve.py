@@ -286,7 +286,9 @@ SWEEP_CASES = {
     "cube6-ldlt-perturbed": (lambda: grid3d_laplacian(6), "ldlt", 0.9),
     # three roots at three heights, one of them a lone 1x1 front
     "disconnected-cholesky": (
-        lambda: block_diagonal(grid3d_laplacian(4), grid2d_laplacian(3), CSCMatrix.from_dense(np.eye(1) * 2)),
+        lambda: block_diagonal(
+            grid3d_laplacian(4), grid2d_laplacian(3), CSCMatrix.from_dense(np.eye(1) * 2)
+        ),
         "cholesky",
         None,
     ),
