@@ -77,7 +77,7 @@ class SymbolicFactor:
     #: permuted lower triangle of A (the matrix the numeric phase factors)
     permuted_lower: CSCMatrix
     #: per stored entry of ``permuted_lower``, the position in the analysed
-    #: lower triangle's ``data`` it came from (see :meth:`update_values`)
+    #: lower triangle's ``data`` it came from (``int32``; see :meth:`update_values`)
     value_gather: np.ndarray
     #: column elimination tree (postordered: parent > child)
     parent: np.ndarray
@@ -197,7 +197,7 @@ def analyze(
         lower.shape, lower.indptr, lower.indices, np.arange(lower.nnz), _skip_check=True
     )
     a2 = permute_symmetric_lower(positions, total_perm)
-    value_gather = a2.data.astype(np.int64)
+    value_gather = a2.data.astype(np.int32)
     a2.data = lower.data[value_gather]
     del a1, positions  # the intermediate permuted copies end here
     parent = relabel_parent(parent1, post)

@@ -30,6 +30,7 @@ into its pivot rows.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -37,6 +38,25 @@ import numpy as np
 from repro.sparse.csc import CSCMatrix
 from repro.symbolic.supernodes import SupernodePartition
 from repro.util.errors import InvariantError
+
+
+class Runs(Sequence):
+    """Consecutive runs of one flat array: run i is ``flat[ptr[i]:ptr[i + 1]]``,
+    a view made on access, so a plan holds no object per run."""
+
+    def __init__(self, flat: np.ndarray, ptr: np.ndarray) -> None:
+        self.flat, self.ptr = flat, ptr
+
+    def __len__(self) -> int:
+        return int(self.ptr.size) - 1
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        if not -len(self) <= i < len(self):
+            raise IndexError(i)
+        i %= len(self)
+        return self.flat[self.ptr[i]: self.ptr[i + 1]]
 
 
 @dataclass(frozen=True)
@@ -107,7 +127,7 @@ class FrontPlan:
     #: per supernode c: positions of its update rows ``sn_rows[c][width:]``
     #: in its parent's row list (``int32``, strictly increasing; empty when
     #: c has no update)
-    rel: list[np.ndarray]
+    rel: Runs
     #: the front classes: the steps of the triangular sweeps and the unit
     #: of the factor's panel storage
     classes: FrontClasses
@@ -154,7 +174,7 @@ def build_front_plan(
     order = [int(r.size) for r in sn_rows]
     a_ptr = a.indptr[sn_start].tolist()
     local_row = np.empty(a.nnz, dtype=np.int64)
-    rel: list[np.ndarray] = []
+    rel: list[np.ndarray] = []  # gathered into one flat table below
     for s in range(nsn):
         rows, w = sn_rows[s], width[s]
         # (a) rows of the matrix entries of s's pivot columns, in s's front.
@@ -183,7 +203,11 @@ def build_front_plan(
     sn = part.col_to_sn[col]
     a_pos = local_row * np.asarray(order, dtype=np.int64)[sn] + (col - sn_start[sn])
     return FrontPlan(
-        start=start, width=width, order=order, a_ptr=a_ptr, a_pos=a_pos, rel=rel,
+        start=start, width=width, order=order, a_ptr=a_ptr, a_pos=a_pos,
+        rel=Runs(
+            np.concatenate(rel or [np.zeros(0, dtype=np.int64)]).astype(np.int32),
+            np.concatenate(([0], np.cumsum([r.size for r in rel], dtype=np.int64))),
+        ),
         classes=classes,
     )
 
