@@ -1,13 +1,14 @@
-"""R1 (schedule verification) — fuzzed-schedule sweep of the threads backend.
+"""R1 (schedule verification) — fuzzed-schedule sweep of the threaded factor.
 
 Design choice probed: the shared-memory backend's bitwise-oracle contract
-("any schedule produces the sequential bits") rests on the task graphs
-being the assembly tree's edges, on every update row landing in the
-parent's rows, and on dependency-counted scheduling — not on luck of the
-schedule. This experiment manufactures 25 adversarial schedules (seeded
-ready-queue permutations, forced preemptions, injected delays) cycling
-workers through {2, 4, 8}, and asserts for every one that the factors
-and solutions are **bitwise identical** to the sequential path.
+("any schedule produces the sequential bits") rests on the factor task
+graph's edges being the assembly tree's, on every update row landing in
+the parent's rows, and on dependency-counted scheduling — not on luck of
+the schedule. This experiment manufactures 25 adversarial schedules
+(seeded ready-queue permutations, forced preemptions, injected delays)
+cycling workers through {2, 4, 8}, and asserts for every one that the
+factor is **bitwise identical** to the sequential one. (The solve has no
+threaded schedule: every factor is solved by the same class sweeps.)
 
 Any failing case prints its replayable seed — re-running with that seed
 reproduces the schedule byte-for-byte.
@@ -40,7 +41,7 @@ def test_r1_sched_fuzz_sweep():
     )  # raises RaceError (with replayable seeds) on any divergence
     elapsed = time.perf_counter() - start
 
-    assert len(results) == 2 * N_SEEDS  # one factor + one solve per seed
+    assert len(results) == N_SEEDS  # one factor per seed
     assert all(r.ok for r in results)
 
     by_workers = Counter(r.workers for r in results)
@@ -48,10 +49,10 @@ def test_r1_sched_fuzz_sweep():
     banner(
         "R1",
         f"Fuzzed-schedule sweep (cube {SIZE}^3, n={sym.n}, "
-        f"{N_SEEDS} seeds x factor+solve, {elapsed:.2f} s)",
+        f"{N_SEEDS} seeds x factor, {elapsed:.2f} s)",
     )
     print(format_table(["schedule", "cases", "bitwise"], rows))
     print(
-        f"\n{len(results)} fuzzed schedules: all bitwise-identical to "
+        f"\n{len(results)} fuzzed factor schedules: all bitwise-identical to "
         "sequential"
     )

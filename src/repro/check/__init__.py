@@ -21,7 +21,7 @@ Simulated communication is verified live by the simmpi scheduler
 (:mod:`repro.simmpi.scheduler`): deadlock cycles always, same-key races,
 lost messages and ledger conservation behind ``REPRO_CHECK=1``.
 The threaded backend is verified by its plan, not by a trace of its
-runs: its task graphs are the assembly tree's edges, the sanitizer proves
+runs: its factor graph's edges are the assembly tree's, the sanitizer proves
 every update row lands in the parent's rows, and the pool starts a task
 only after its prerequisites end; ``schedfuzz`` is the end-to-end guard.
 

@@ -1,4 +1,4 @@
-"""Seeded adversarial schedule fuzzing of the shared-memory backend.
+"""Seeded adversarial schedule fuzzing of the threaded factorization.
 
 The bitwise-oracle contract of :mod:`repro.exec` ("any schedule produces
 the sequential bits") is only as strong as the schedules that have been
@@ -16,10 +16,11 @@ tried. This module *manufactures* hostile schedules: a
 
 Everything is a pure function of ``(seed, task)`` via a splitmix-style
 integer hash — no global RNG state — so a failing seed replays the same
-perturbation byte-for-byte. The drivers
-(:func:`fuzz_factor` / :func:`fuzz_solve` / :func:`fuzz_smoke`) run the
-threaded backend under each seed and assert that the factors and
-solutions are **bitwise identical** to the sequential oracle.
+perturbation byte-for-byte. The drivers (:func:`fuzz_factor` /
+:func:`fuzz_smoke`) run the threaded factorization under each seed and
+assert that the factors are **bitwise identical** to the sequential
+oracle. (The solve has no threaded schedule: every factor is solved by
+the same class sweeps.)
 """
 
 from __future__ import annotations
@@ -27,16 +28,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from repro.exec.pool import TaskPool
-from repro.exec.threads import (
-    multifrontal_factor_threads,
-    solve_many_threads,
-    solve_threads,
-)
+from repro.exec.threads import multifrontal_factor_threads
 from repro.mf.numeric import NumericFactor, multifrontal_factor
-from repro.mf.solve_phase import solve, solve_many
 from repro.util.errors import RaceError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -47,7 +41,6 @@ __all__ = [
     "FuzzPlan",
     "FuzzCaseResult",
     "fuzz_factor",
-    "fuzz_solve",
     "fuzz_smoke",
 ]
 
@@ -173,33 +166,6 @@ def fuzz_factor(
     return results
 
 
-def fuzz_solve(
-    factor: NumericFactor,
-    b: np.ndarray,
-    seeds: list[int],
-    workers: int = 4,
-) -> list[FuzzCaseResult]:
-    """Solve under every fuzzed schedule in *seeds* (vector or panel
-    *b*), compared bitwise against the sequential solve."""
-    reference = solve(factor, b) if b.ndim == 1 else solve_many(factor, b)
-    results: list[FuzzCaseResult] = []
-    for seed in seeds:
-        pool = TaskPool(workers, name="solve", fuzz=FuzzPlan(FuzzConfig(seed)))
-        if b.ndim == 1:
-            x = solve_threads(factor, b, pool=pool)
-        else:
-            x = solve_many_threads(factor, b, pool=pool)
-        results.append(
-            FuzzCaseResult(
-                seed=seed,
-                workers=workers,
-                label=f"solve:rhs{1 if b.ndim == 1 else b.shape[1]}",
-                bitwise_identical=x.tobytes() == reference.tobytes(),
-            )
-        )
-    return results
-
-
 def fuzz_smoke(
     sym: SymbolicFactor,
     n_seeds: int = 25,
@@ -207,18 +173,14 @@ def fuzz_smoke(
     method: str = "cholesky",
     base_seed: int = 0,
 ) -> list[FuzzCaseResult]:
-    """The CI smoke: *n_seeds* fuzzed factor+solve schedules, cycling the
+    """The CI smoke: *n_seeds* fuzzed factor schedules, cycling the
     worker counts in *workers*; raises :class:`RaceError` on any case
     whose bits diverge (its summary names the replayable seed)."""
-    factor = multifrontal_factor(sym, method=method)
-    rng = np.random.default_rng(base_seed)
-    b = rng.standard_normal(sym.n)
     results: list[FuzzCaseResult] = []
     for i in range(n_seeds):
         seed = base_seed + i
         w = workers[i % len(workers)]
         results.extend(fuzz_factor(sym, [seed], workers=w, method=method))
-        results.extend(fuzz_solve(factor, b, [seed], workers=w))
     bad = [r for r in results if not r.ok]
     if bad:
         raise RaceError(

@@ -11,7 +11,7 @@ Subcommands mirror the workflow of the library:
   serving layer (``repro.service``) and print its metrics report;
 * ``check``    — correctness tooling (``repro.check``): project lint,
   comm-trace race/deadlock analysis, happens-before race checking and
-  seeded schedule fuzzing of the threaded backend;
+  seeded schedule fuzzing of the threaded factorization;
 * ``obs``      — observability run (``repro.obs``): solve + simulate one
   problem under span recording, print phase/metrics/hot-front reports,
   and export a merged Chrome trace (``--trace-out``).
@@ -320,8 +320,8 @@ def cmd_check(args) -> int:
     """Run the requested check passes; exit 0 only if every pass is clean.
 
     Without mode flags, ``--lint`` is implied. ``--sched-fuzz N`` runs N
-    seeded adversarial schedules of the threaded factor+solve on cube 8³,
-    each compared bitwise against the sequential path. Simulated
+    seeded adversarial schedules of the threaded factorization on cube 8³,
+    each compared bitwise against the sequential factor. Simulated
     communication has no mode here: the simulator checks it live (run
     ``scale`` with ``REPRO_CHECK=1``).
     """
@@ -362,7 +362,7 @@ def cmd_check(args) -> int:
             failed = True
         else:
             print(
-                f"sched-fuzz cube:8: {len(results)} fuzzed schedule(s) "
+                f"sched-fuzz cube:8: {len(results)} fuzzed factor schedule(s) "
                 f"over {args.sched_fuzz} seed(s) x workers "
                 f"{list(fuzz_workers)}: all bitwise-identical"
             )
@@ -599,7 +599,7 @@ def make_parser() -> argparse.ArgumentParser:
         type=int,
         metavar="N",
         help="run N seeded adversarial schedules of the threaded "
-        "factor+solve on cube:8, asserting bitwise identity",
+        "factorization on cube:8, asserting bitwise identity",
     )
     p.add_argument(
         "--fuzz-workers",

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -53,10 +54,31 @@ from repro.symbolic.analyze import AnalyzeOptions, SymbolicFactor, analyze
 from repro.util.errors import PatternMismatchError, ReproError, ShapeError
 from repro.util.validation import as_float_array, work_dtype
 
-#: execution backends of the numeric phases: ``"seq"`` runs on the host
-#: thread, ``"threads"`` on a :mod:`repro.exec` worker pool (bitwise
-#: identical results either way — the sequential path is the oracle)
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.exec.pool import TaskPool
+
+#: execution backends of the numeric factorization: ``"seq"`` runs on the
+#: host thread, ``"threads"`` on a :mod:`repro.exec` worker pool (bitwise
+#: identical factors either way — the sequential path is the oracle)
 EXEC_BACKENDS = ("seq", "threads")
+
+
+def _factor_pool(backend: str, workers: int | None) -> TaskPool | None:
+    """The worker pool a factorization on *backend* runs on (None for
+    ``"seq"``, which ignores *workers*). Every entry point that takes a
+    backend calls this before any work, so a bad one raises the same typed
+    error from each: :class:`ShapeError` for an unknown backend,
+    :class:`~repro.util.errors.ExecBackendError` for a worker count the
+    pool refuses."""
+    if backend == "seq":
+        return None
+    if backend == "threads":
+        from repro.exec.pool import TaskPool, default_workers
+
+        return TaskPool(default_workers() if workers is None else workers, name="factor")
+    raise ShapeError(
+        f"unknown execution backend {backend!r}; expected one of {EXEC_BACKENDS}"
+    )
 
 
 def as_symmetric_lower(a: CSCMatrix) -> CSCMatrix:
@@ -263,57 +285,26 @@ class SparseSolver:
         iterative refinement and automatically re-factors in fp64 when
         refinement cannot (ill-conditioned systems).
         """
+        work_dtype(precision)  # validate early, before any work
+        pool = _factor_pool(backend, workers)
         if self.sym is None:
             self.analyze()
-        work_dtype(precision)  # validate early, before any work
         with span(
             "solver.factor",
             method=self.method,
             backend=backend,
             precision=precision,
         ):
-            self.numeric = self._factor_backend(backend, workers, precision)
+            self.numeric = self._factor(pool, precision)
         return self.numeric
 
-    def _factor_backend(
-        self, backend: str, workers: int | None, precision: str = "fp64"
-    ) -> NumericFactor:
-        if backend == "seq":
-            return multifrontal_factor(
-                self.sym,
-                method=self.method,
-                pivot_perturbation=self.pivot_perturbation,
-                precision=precision,
-            )
-        if backend == "threads":
-            from repro.exec import multifrontal_factor_threads
-
-            return multifrontal_factor_threads(
-                self.sym,
-                method=self.method,
-                pivot_perturbation=self.pivot_perturbation,
-                workers=workers,
-                precision=precision,
-            )
-        raise ShapeError(
-            f"unknown execution backend {backend!r}; expected one of "
-            f"{EXEC_BACKENDS}"
-        )
-
-    def _solve_backend(self, backend: str, workers: int | None):
-        """Blocked solve kernel for *backend*: ``solve_fn(factor, b)``."""
-        if backend == "seq":
-            return mf_solve_many
-        if backend == "threads":
-            from repro.exec import solve_many_threads
-
-            def solve_fn(factor: NumericFactor, b: np.ndarray) -> np.ndarray:
-                return solve_many_threads(factor, b, workers=workers)
-
-            return solve_fn
-        raise ShapeError(
-            f"unknown execution backend {backend!r}; expected one of "
-            f"{EXEC_BACKENDS}"
+    def _factor(self, pool: TaskPool | None, precision: str) -> NumericFactor:
+        return multifrontal_factor(
+            self.sym,
+            method=self.method,
+            pivot_perturbation=self.pivot_perturbation,
+            precision=precision,
+            pool=pool,
         )
 
     def solve(
@@ -339,18 +330,18 @@ class SparseSolver:
         precision factor that fails to converge on some column (with
         ``refine=False``, one that overflowed) is re-factored in fp64.
 
-        ``backend="threads"`` runs the triangular sweeps (including those
-        inside iterative refinement) level-set scheduled on a
-        :mod:`repro.exec` worker pool — bitwise identical to the default
-        sequential sweeps for any worker count. The backend applies to the
-        solve only; pass it to :meth:`factor` separately.
+        *backend* / *workers* are those of the factorizations this call
+        runs, as in :meth:`factor`: the first one when nothing is factored
+        yet, and the fp64 re-factor of the precision fallback. They are
+        checked before any work. The sweeps themselves are the one class
+        sweep of :mod:`repro.mf.solve_phase`, whatever built the factor.
         """
         b = as_float_array(b, "b")
         if b.ndim == 2 and b.shape[1] == 0:
             raise ShapeError(f"b must have at least one column; got {b.shape}")
+        pool = _factor_pool(backend, workers)
         if self.numeric is None:
-            self.factor()
-        solve_fn = self._solve_backend(backend, workers)
+            self.factor(backend, workers)
         n_rhs = 1 if b.ndim == 1 else int(b.shape[1])
         with span(
             "solver.solve",
@@ -360,10 +351,12 @@ class SparseSolver:
             precision=self.numeric.precision,
         ):
             # Unrefined is the same loop with an infinite tolerance: every
-            # finite column stops after the direct solve.
+            # finite column stops after the direct solve. The sweeps are
+            # named through this module's ``mf_solve_many`` (not left to the
+            # default) so that perf/trace.py can time them here.
             tol = tol if refine else math.inf
             res = iterative_refinement_many(
-                self.numeric, self.lower, b, tol=tol, solve_fn=solve_fn
+                self.numeric, self.lower, b, tol=tol, solve_fn=mf_solve_many
             )
             if self.numeric.precision != "fp64" and not bool(
                 np.all(res.converged)
@@ -377,9 +370,9 @@ class SparseSolver:
                     method=self.method,
                     backend=backend,
                 ):
-                    self.numeric = self._factor_backend(backend, workers, "fp64")
+                    self.numeric = self._factor(pool, "fp64")
                 res = iterative_refinement_many(
-                    self.numeric, self.lower, b, tol=tol, solve_fn=solve_fn
+                    self.numeric, self.lower, b, tol=tol, solve_fn=mf_solve_many
                 )
             return SolveResult(
                 x=res.x[:, 0] if b.ndim == 1 else res.x,
@@ -516,6 +509,7 @@ class SparseSolver:
         if precision is None:
             precision = "fp64" if self.numeric is None else self.numeric.precision
         work_dtype(precision)
+        pool = _factor_pool(backend, workers)
         self.update_values(new_a)
         with span(
             "solver.refactor",
@@ -523,7 +517,7 @@ class SparseSolver:
             backend=backend,
             precision=precision,
         ):
-            self.numeric = self._factor_backend(backend, workers, precision)
+            self.numeric = self._factor(pool, precision)
         return self.numeric
 
     def condition_estimate(self, max_iter: int = 5) -> float:

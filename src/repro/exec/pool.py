@@ -41,7 +41,7 @@ adversarially permutes the ready queue (``ready_key``), forces preemption
 points (``defer`` re-queues a popped task), and injects task delays — all
 deterministically from a seed, so a failing schedule replays
 byte-for-byte. The pool records no access log: race-freedom follows from
-the task graphs being the assembly tree's edges and from dependency
+the factor graph's edges being the assembly tree's and from dependency
 counting (a task starts only after its prerequisites end); see DESIGN.md,
 "Verifying the threaded backend".
 
@@ -194,9 +194,9 @@ class _RunState:
 class TaskPool:
     """A pool of worker threads executing dependency-counted task graphs.
 
-    One pool may run several graphs sequentially (the solve path runs the
-    forward and backward graphs back to back); a run in progress cannot
-    overlap another. After :meth:`cancel` the pool is shut down for good.
+    One pool may run several graphs sequentially; a run in progress
+    cannot overlap another. After :meth:`cancel` the pool is shut down
+    for good.
     *fuzz* installs a :class:`ScheduleFuzzer`.
     """
 

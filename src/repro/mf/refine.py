@@ -106,10 +106,10 @@ def iterative_refinement_many(
         ``‖b − Ax‖∞ / (‖A‖∞·‖x‖∞ + ‖b‖∞)`` drops to this; ``math.inf``
         stops every finite column after the direct solve.
     solve_fn
-        The blocked direct-solve kernel (default the sequential
-        :func:`~repro.mf.solve_phase.solve_many`; the threads backend
-        passes :func:`repro.exec.solve_many_threads`, which is bitwise
-        identical, so the refinement trajectory is too).
+        The blocked direct-solve kernel (default
+        :func:`~repro.mf.solve_phase.solve_many`, the one class sweep,
+        whatever backend built the factor; a bitwise-identical kernel
+        gives the same refinement trajectory).
     """
     b = as_float_array(b, "b")
     if b.ndim == 1:

@@ -18,18 +18,17 @@ kernel (:func:`forward_kernel` / :func:`backward_kernel`) on them and the
 factor's ``(k, m, w)`` panel stack, and scatters the rows back. One front
 is the same kernel on one ``(m, w)`` panel and its ``(w[, K])`` rows,
 running the very numpy calls a per-front sweep runs: the simulator's
-sequential fronts (:mod:`repro.parallel.solve_par`) and the
-per-supernode tasks of a :class:`~repro.exec.pool.TaskPool` call it so;
-the simulator's distributed fronts run the same :func:`gemv_columns` and
+sequential fronts (:mod:`repro.parallel.solve_par`) call it so; the
+simulator's distributed fronts run the same :func:`gemv_columns` and
 transpose kernels.
 
 Bitwise reproducibility contract
 --------------------------------
 ``solve_many(factor, B)[:, j]`` is **bitwise identical** to
 ``solve(factor, B[:, j])`` for every column, no matter how many columns
-share the panel, and for either schedule and any worker count; and each
-solution is the one a sweep of one front at a time in supernode order
-gives. The rules that buy this:
+share the panel, and whatever backend built the factor (a factor's bits
+do not depend on its schedule); and each solution is the one a sweep of
+one front at a time in supernode order gives. The rules that buy this:
 
 * a Cholesky or LDLᵀ pivot block of w ≥ 4 columns is solved block by
   block on the inverses of its :data:`~repro.dense.chol.SOLVE_BLOCK`-wide
@@ -55,14 +54,7 @@ gives. The rules that buy this:
   classes of that row's height run, one source per round and the
   sources of each row in ascending supernode order — the per-element
   subtraction sequence of a sweep of one front at a time. A round's rows
-  are distinct, so it is one fancy-indexed subtraction;
-* pooled forward: a supernode's update panel is published, and each
-  ancestor subtracts its incoming row runs at the start of its own step,
-  in ascending source order — the same sequence. Every ``y`` row is
-  written only by the step of the supernode that owns it;
-* pooled backward: a supernode reads ancestor rows (final once its
-  parent's step completed, by induction) and writes only its own pivot
-  rows, so the parent-before-child graph is all the synchronization.
+  are distinct, so it is one fancy-indexed subtraction.
 
 The serving layer's coalesced batches and the blocked iterative refinement
 in :mod:`repro.mf.refine` both lean on this guarantee to stay bit-checkable
@@ -70,8 +62,6 @@ against the per-column path.
 """
 
 from __future__ import annotations
-
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -87,23 +77,17 @@ from repro.sparse.permute import permute_vector, unpermute_vector
 from repro.util.errors import ShapeError
 from repro.util.validation import VALUE_DTYPE, as_float_array
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.exec.pool import TaskPool
 
-
-def solve(factor: NumericFactor, b: np.ndarray, pool: TaskPool | None = None) -> np.ndarray:
-    """Solve ``A x = b`` for one right-hand side (original ordering).
-    *pool* schedules the sweeps on worker threads (bitwise the same x)."""
+def solve(factor: NumericFactor, b: np.ndarray) -> np.ndarray:
+    """Solve ``A x = b`` for one right-hand side (original ordering)."""
     b = as_float_array(b, "b")
     n = factor.n
     if b.shape != (n,):
         raise ShapeError(f"b must have shape ({n},); got {b.shape}")
-    return _solve_permuted(factor, b, pool)
+    return _solve_permuted(factor, b)
 
 
-def solve_many(
-    factor: NumericFactor, b: np.ndarray, pool: TaskPool | None = None
-) -> np.ndarray:
+def solve_many(factor: NumericFactor, b: np.ndarray) -> np.ndarray:
     """Blocked solve for multiple right-hand sides (columns of *b*).
 
     Runs **one** permute → forward → scale → backward → unpermute pass over
@@ -112,20 +96,18 @@ def solve_many(
     """
     b = as_float_array(b, "b")
     if b.ndim == 1:
-        return solve(factor, b, pool)
+        return solve(factor, b)
     n = factor.n
     if b.ndim != 2 or b.shape[0] != n:
         raise ShapeError(f"b must have shape ({n},) or ({n}, k); got {b.shape}")
     if b.shape[1] == 1:
         # The single-vector path skips the panel bookkeeping; the bitwise
         # contract makes the dispatch invisible to callers.
-        return solve(factor, b[:, 0], pool)[:, None]
-    return _solve_permuted(factor, b, pool)
+        return solve(factor, b[:, 0])[:, None]
+    return _solve_permuted(factor, b)
 
 
-def _solve_permuted(
-    factor: NumericFactor, b: np.ndarray, pool: TaskPool | None
-) -> np.ndarray:
+def _solve_permuted(factor: NumericFactor, b: np.ndarray) -> np.ndarray:
     """Permute → forward → scale → backward → unpermute."""
     sym = factor.sym
     with span(
@@ -139,10 +121,10 @@ def _solve_permuted(
         # fp64 RHS on the way in); the result is widened back to fp64 so
         # callers — iterative refinement above all — accumulate in fp64.
         y = permute_vector(b, sym.perm).astype(factor.dtype, copy=False)
-        forward_sweep(factor, y, pool)
+        forward_sweep(factor, y)
         if factor.method == "ldlt":
             y /= factor.diag if y.ndim == 1 else factor.diag[:, None]
-        backward_sweep(factor, y, pool)
+        backward_sweep(factor, y)
         return unpermute_vector(y.astype(VALUE_DTYPE, copy=False), sym.perm)
 
 
@@ -240,44 +222,7 @@ def backward_kernel(
         )
 
 
-def forward_front(factor: NumericFactor, s: int, y: np.ndarray) -> np.ndarray | None:
-    """:func:`forward_kernel` of supernode *s* on the permuted RHS *y*.
-
-    Writes y's pivot rows of *s* in place and returns the off-diagonal
-    update panel (None when the supernode has no update rows). The
-    *caller* subtracts the update from y — directly below (sequential
-    sweep) or split per owning ancestor supernode (pooled sweep).
-    """
-    plan = factor.sym.front_plan
-    start = plan.start[s]
-    return forward_kernel(
-        factor.blocks[s], factor.method, y[start:start + plan.width[s]], factor.diag_inverses[s]
-    )
-
-
-def backward_front(factor: NumericFactor, s: int, y: np.ndarray) -> None:
-    """:func:`backward_kernel` of supernode *s* on the permuted RHS *y*.
-
-    Reads y at the supernode's own and ancestor rows (ancestor rows must
-    already hold final values) and writes only its own pivot rows — which
-    is why the pooled sweep can run independent subtrees concurrently with
-    no synchronization on *y* at all.
-    """
-    plan = factor.sym.front_plan
-    start, w = plan.start[s], plan.width[s]
-    backward_kernel(
-        factor.blocks[s],
-        factor.u12[s] if factor.u12 is not None else None,
-        factor.method,
-        y[start:start + w],
-        y[factor.sym.sn_rows[s][w:]],
-        factor.diag_inverses[s],
-    )
-
-
-def forward_sweep(
-    factor: NumericFactor, y: np.ndarray, pool: TaskPool | None = None
-) -> None:
+def forward_sweep(factor: NumericFactor, y: np.ndarray) -> None:
     """In-place forward substitution ``y <- L^{-1} y`` in permuted order.
 
     *y* is a single vector ``(n,)`` or a panel ``(n, k)``. One step per
@@ -286,26 +231,8 @@ def forward_sweep(
     :func:`forward_kernel` on them and its panel stack, scatters the rows
     back and publishes its members' updates.
     """
-    sym = factor.sym
-    plan = sym.front_plan
-    width = plan.width
-    if pool is not None:
-        from repro.exec.tasks import forward_contributions, forward_solve_task_graph
-
-        routing = forward_contributions(sym)
-        #: published update panels, consumed by the owners of their rows
-        by_front: list[np.ndarray | None] = [None] * sym.n_supernodes
-
-        def step(s: int) -> None:
-            for src, lo, hi in routing.incoming[s]:
-                wsrc = width[src]
-                y[sym.sn_rows[src][wsrc + lo: wsrc + hi]] -= by_front[src][lo:hi]
-            by_front[s] = forward_front(factor, s, y)
-
-        pool.run(forward_solve_task_graph(sym), step)
-        return
+    classes = factor.sym.front_plan.classes
     tail = y.shape[1:]
-    classes = plan.classes
     piv_ptr, pub_ptr = classes.piv_ptr.tolist(), classes.pub_ptr.tolist()
     rounds, round_ptr = classes.class_rounds.tolist(), classes.round_ptr.tolist()
     #: the classes' update panels, in the rows of ``classes.update_rows``
@@ -323,22 +250,14 @@ def forward_sweep(
             published[pub_ptr[c]: pub_ptr[c + 1]].reshape(upd.shape)[...] = upd
 
 
-def backward_sweep(
-    factor: NumericFactor, y: np.ndarray, pool: TaskPool | None = None
-) -> None:
+def backward_sweep(factor: NumericFactor, y: np.ndarray) -> None:
     """In-place backward substitution ``y <- L^{-T} y`` in permuted order.
 
     *y* is a single vector ``(n,)`` or a panel ``(n, k)``. One step per
     front class, in descending height: every ancestor row a class reads
     is final by then.
     """
-    sym = factor.sym
-    if pool is not None:
-        from repro.exec.tasks import backward_solve_task_graph
-
-        pool.run(backward_solve_task_graph(sym), lambda s: backward_front(factor, s, y))
-        return
-    classes = sym.front_plan.classes
+    classes = factor.sym.front_plan.classes
     tail = y.shape[1:]
     piv_ptr, pub_ptr = classes.piv_ptr.tolist(), classes.pub_ptr.tolist()
     u12_stacks = factor.u12_stacks or [None] * len(classes)

@@ -1,10 +1,11 @@
 """Tests for repro.exec: the real shared-memory execution backend.
 
 The headline contract is the **bitwise oracle**: for any worker count,
-the threads backend produces byte-for-byte the factors and solutions of
-the sequential path. The rest covers the pool machinery itself —
-dependency scheduling, exception propagation (drains cleanly, no
-deadlock), cancellation, stall detection — and the task-graph builders.
+the threads backend produces byte-for-byte the factors of the sequential
+path, and so, through the one class sweep, its solutions. The rest covers
+the pool machinery itself — dependency scheduling, exception propagation
+(drains cleanly, no deadlock), cancellation, stall detection — and the
+factor task graph.
 """
 
 import functools
@@ -17,14 +18,9 @@ from repro.exec import (
     MAX_DEFAULT_WORKERS,
     TaskGraph,
     TaskPool,
-    backward_solve_task_graph,
     default_workers,
     factor_task_graph,
-    forward_contributions,
-    forward_solve_task_graph,
     multifrontal_factor_threads,
-    solve_many_threads,
-    solve_threads,
 )
 from repro.gen import (
     convection_diffusion2d,
@@ -105,25 +101,18 @@ def test_factor_bitwise_identity(name, workers):
 @pytest.mark.parametrize("name", sorted(SUITE))
 @pytest.mark.parametrize("workers", [1, 4])
 def test_solve_bitwise_identity(name, workers):
+    # A threaded factor feeds the class sweeps exactly as a sequential one:
+    # its panel stacks and diagonal-block inverses hold the same bits.
     lower = SUITE[name]()
     sym = _analyzed(lower)
-    factor = multifrontal_factor(sym)
+    ref = multifrontal_factor(sym)
+    got = multifrontal_factor_threads(sym, workers=workers)
     rng = make_rng(42)
     b1 = rng.standard_normal(sym.n)
     bp = rng.standard_normal((sym.n, 7))
-    assert (
-        solve_threads(factor, b1, workers=workers).tobytes()
-        == solve(factor, b1).tobytes()
-    )
-    assert (
-        solve_many_threads(factor, bp, workers=workers).tobytes()
-        == solve_many(factor, bp).tobytes()
-    )
-    # One-column panel goes through the single-RHS dispatch, like solve_many.
-    assert (
-        solve_many_threads(factor, bp[:, :1], workers=workers).tobytes()
-        == solve_many(factor, bp[:, :1]).tobytes()
-    )
+    assert solve(got, b1).tobytes() == solve(ref, b1).tobytes()
+    assert solve_many(got, bp).tobytes() == solve_many(ref, bp).tobytes()
+    assert solve_many(got, bp[:, :1]).tobytes() == solve_many(ref, bp[:, :1]).tobytes()
 
 
 @pytest.mark.parametrize("workers", WORKER_COUNTS)
@@ -134,10 +123,7 @@ def test_ldlt_bitwise_identity(workers):
     got = multifrontal_factor_threads(sym, method="ldlt", workers=workers)
     _assert_factors_identical(ref, got)
     b = make_rng(3).standard_normal((sym.n, 4))
-    assert (
-        solve_many_threads(got, b, workers=workers).tobytes()
-        == solve_many(ref, b).tobytes()
-    )
+    assert solve_many(got, b).tobytes() == solve_many(ref, b).tobytes()
 
 
 def test_ldlt_perturbation_bitwise_identity():
@@ -182,10 +168,7 @@ def test_lu_bitwise_identity(workers, pivot_perturbation):
     assert bool(ref.perturbed_columns) == (pivot_perturbation is not None)
     _assert_factors_identical(ref, got)
     b = make_rng(6).standard_normal((sym.n, 3))
-    assert (
-        solve_many_threads(got, b, workers=workers).tobytes()
-        == solve_many(ref, b).tobytes()
-    )
+    assert solve_many(got, b).tobytes() == solve_many(ref, b).tobytes()
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -222,23 +205,22 @@ def test_repeated_runs_deterministic():
     sym = _analyzed(grid3d_laplacian(5))
     b = make_rng(0).standard_normal((sym.n, 3))
     baseline_factor = multifrontal_factor_threads(sym, workers=4)
-    baseline_solve = solve_many_threads(baseline_factor, b, workers=4)
+    baseline_solve = solve_many(baseline_factor, b)
     for _ in range(3):
         f = multifrontal_factor_threads(sym, workers=4)
         _assert_factors_identical(baseline_factor, f)
-        x = solve_many_threads(f, b, workers=4)
-        assert x.tobytes() == baseline_solve.tobytes()
+        assert solve_many(f, b).tobytes() == baseline_solve.tobytes()
 
 
 def test_runs_bitwise_identical_across_worker_counts():
     sym = _analyzed(grid3d_laplacian(4))
     b = make_rng(2).standard_normal((sym.n, 3))
     base_factor = multifrontal_factor_threads(sym, workers=1)
-    base_x = solve_many_threads(base_factor, b, workers=1)
+    base_x = solve_many(base_factor, b)
     for w in (2, 4):
         f = multifrontal_factor_threads(sym, workers=w)
         _assert_factors_identical(base_factor, f)
-        assert solve_many_threads(f, b, workers=w).tobytes() == base_x.tobytes()
+        assert solve_many(f, b).tobytes() == base_x.tobytes()
 
 
 def test_solver_facade_backend():
@@ -254,10 +236,37 @@ def test_solver_facade_backend():
     assert r_seq.x.tobytes() == r_thr.x.tobytes()
     assert r_seq.residual == r_thr.residual
     assert r_seq.refinement_iterations == r_thr.refinement_iterations
-    with pytest.raises(ShapeError):
-        s_seq.factor(backend="gpu")
-    with pytest.raises(ShapeError):
-        s_seq.solve(b, backend="gpu")
+
+
+@pytest.mark.parametrize(
+    "backend, workers, error",
+    [
+        ("gpu", None, ShapeError),
+        ("threads", 0, ExecBackendError),
+        ("threads", 2.5, ExecBackendError),
+    ],
+)
+@pytest.mark.parametrize("entry", ["factor", "refactor", "solve"])
+def test_bad_backend_raises_before_any_work(entry, backend, workers, error):
+    """An unknown backend, or a worker count the pool refuses, raises the
+    same typed error from every entry point that takes a backend, before
+    any work: nothing is factored and no new values are installed."""
+    from repro.sparse.csc import CSCMatrix
+
+    lower = grid2d_laplacian(6)
+    solver = SparseSolver(lower)
+    solver.analyze()
+    held = solver.lower
+    doubled = CSCMatrix(lower.shape, lower.indptr, lower.indices, 2.0 * lower.data)
+    calls = {
+        "factor": lambda: solver.factor(backend=backend, workers=workers),
+        "refactor": lambda: solver.refactor(doubled, backend=backend, workers=workers),
+        "solve": lambda: solver.solve(np.ones(lower.shape[0]), backend=backend, workers=workers),
+    }
+    with pytest.raises(error):
+        calls[entry]()
+    assert solver.numeric is None
+    assert solver.lower is held
 
 
 # -- pool machinery -----------------------------------------------------------
@@ -446,83 +455,26 @@ def test_not_positive_definite_propagates_through_pool():
 def test_task_graphs_mirror_tree():
     sym = _analyzed(grid2d_laplacian(7))
     up = factor_task_graph(sym)
-    fwd = forward_solve_task_graph(sym)
-    bwd = backward_solve_task_graph(sym)
-    assert up.n_tasks == fwd.n_tasks == bwd.n_tasks == sym.n_supernodes
+    assert up.n_tasks == sym.n_supernodes
     for s in range(sym.n_supernodes):
         p = int(sym.sn_parent[s])
         if p >= 0:
             assert p in up.dependents[s]
-            assert p in fwd.dependents[s]
-            assert s in bwd.dependents[p]
-    # Up graphs: roots of the tree have no deps in bwd; leaves none in up.
-    assert sum(1 for t in up.roots()) >= 1
-    assert set(bwd.roots()) == {
-        s for s in range(sym.n_supernodes) if sym.sn_parent[s] < 0
+    # The initially ready tasks are exactly the leaves of the tree.
+    assert set(up.roots()) == {
+        s for s in range(sym.n_supernodes) if not sym.sn_children[s]
     }
 
 
-def test_forward_contributions_cover_update_rows():
-    sym = _analyzed(grid3d_laplacian(4))
-    plan = forward_contributions(sym)
-    sn_start = sym.partition.sn_start
-    for s in range(sym.n_supernodes):
-        w = sym.supernode_width(s)
-        upd_rows = sym.sn_rows[s][w:]
-        covered = np.concatenate(
-            [upd_rows[r.lo: r.hi] for r in plan.outgoing[s]]
-        ) if plan.outgoing[s] else np.empty(0, dtype=np.int64)
-        assert np.array_equal(covered, upd_rows)
-        for r in plan.outgoing[s]:
-            # Every row of a run is owned by the run's target supernode.
-            for row in upd_rows[r.lo: r.hi]:
-                t = int(np.searchsorted(sn_start, row, side="right")) - 1
-                assert t == r.target
-            # ...and that target is a proper ancestor of the source.
-            a = int(sym.sn_parent[s])
-            while a >= 0 and a != r.target:
-                a = int(sym.sn_parent[a])
-            assert a == r.target
-    # Incoming lists are ascending by source (the sequential apply order).
-    for t in range(sym.n_supernodes):
-        srcs = [src for src, _, _ in plan.incoming[t]]
-        assert srcs == sorted(srcs)
-
-
 def test_each_update_slot_has_one_consumer():
-    # The factor and forward graphs hand supernode s's update only to
-    # parent(s), which waits on exactly its children; the backward graph
-    # gives every non-root exactly its parent as prerequisite.
+    # The factor graph hands supernode s's update only to parent(s), which
+    # waits on exactly its children.
     sym = _analyzed(grid3d_laplacian(5))
     up = factor_task_graph(sym)
-    fwd = forward_solve_task_graph(sym)
-    bwd = backward_solve_task_graph(sym)
     for s in range(sym.n_supernodes):
         p = int(sym.sn_parent[s])
-        assert up.dependents[s] == fwd.dependents[s] == ([p] if p >= 0 else [])
-        assert up.n_deps[s] == fwd.n_deps[s] == len(sym.sn_children[s])
-        assert sorted(bwd.dependents[s]) == sorted(sym.sn_children[s])
-        assert bwd.n_deps[s] == (1 if p >= 0 else 0)
-
-
-def test_forward_runs_of_one_source_are_disjoint():
-    # A source's runs tile its update rows without overlap, each run read
-    # by a different target, and the incoming lists hold exactly them.
-    sym = _analyzed(grid3d_laplacian(4))
-    plan = forward_contributions(sym)
-    for s in range(sym.n_supernodes):
-        runs = plan.outgoing[s]
-        edges = [0] + [r.hi for r in runs]
-        assert [r.lo for r in runs] == edges[:-1]
-        assert all(r.lo < r.hi for r in runs)
-        assert edges[-1] == sym.update_size(s)
-        targets = [r.target for r in runs]
-        assert targets == sorted(set(targets))
-    outgoing = {(s, r.lo, r.hi, r.target)
-                for s in range(sym.n_supernodes) for r in plan.outgoing[s]}
-    incoming = {(src, lo, hi, t)
-                for t in range(sym.n_supernodes) for src, lo, hi in plan.incoming[t]}
-    assert incoming == outgoing
+        assert up.dependents[s] == ([p] if p >= 0 else [])
+        assert up.n_deps[s] == len(sym.sn_children[s])
 
 
 def test_update_row_missing_from_parent_fails_symbolic_check():
@@ -570,7 +522,8 @@ def test_exec_events_recorded_and_exported():
         )
     tasks = [s for s in rec.spans if s.name.startswith("exec.")]
     assert tasks, "worker task spans missing"
-    assert {s.name for s in tasks} == {"exec.factor", "exec.fwd", "exec.bwd"}
+    # the solve runs the class sweeps on the calling thread: no pool tasks
+    assert {s.name for s in tasks} == {"exec.factor"}
     assert all(s.end >= s.start for s in tasks)
     assert {s.attrs["worker"] for s in tasks} <= {0, 1}
     (caller,) = rec.by_name("solver.factor")

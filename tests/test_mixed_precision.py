@@ -15,7 +15,7 @@ import pytest
 
 from repro.core import SparseSolver
 from repro.core.solver import SolveResult
-from repro.exec import multifrontal_factor_threads, solve_many_threads
+from repro.exec import multifrontal_factor_threads
 from repro.gen.grids import grid2d_laplacian, grid3d_laplacian
 from repro.graph import AdjacencyGraph
 from repro.mf.numeric import multifrontal_factor
@@ -127,15 +127,15 @@ class TestFp32Factor:
         assert solve(f32, b[:, 0]).dtype == np.float64
 
     def test_threads_solve_bitwise_identical(self):
+        # a threaded fp32 factor solves to the sequential fp32 factor's x
         sym = analyzed(grid2d_laplacian(11))
         f32 = multifrontal_factor(sym, precision="fp32")
         rng = make_rng(1)
         b = rng.standard_normal((sym.n, 4))
         ref = solve_many(f32, b)
         for workers in (1, 4):
-            assert np.array_equal(
-                ref, solve_many_threads(f32, b, workers=workers)
-            )
+            got = multifrontal_factor_threads(sym, workers=workers, precision="fp32")
+            assert np.array_equal(ref, solve_many(got, b))
 
 
 class TestFp32Refinement:
@@ -176,10 +176,7 @@ class TestFp32Refinement:
         b = rng.standard_normal((sym.n, 3))
         seq = iterative_refinement_many(f32, lower, b)
         thr = iterative_refinement_many(
-            f32,
-            lower,
-            b,
-            solve_fn=lambda fac, rhs: solve_many_threads(fac, rhs, workers=3),
+            multifrontal_factor_threads(sym, workers=3, precision="fp32"), lower, b
         )
         assert np.array_equal(seq.x, thr.x)
         assert seq.residual_history == thr.residual_history
@@ -340,6 +337,21 @@ class TestSolverPrecision:
         res = s.solve(rng.standard_normal(7))
         assert res.precision == "fp64"
         assert s.numeric.precision == "fp64"
+
+    def test_fallback_refactors_on_the_solve_backend(self):
+        # solve(backend=, workers=) is the backend of the fp64 re-factor:
+        # the fallback runs on the pool and lands on the seq fallback's x.
+        lower = hilbert_lower(7)
+        b = make_rng(11).standard_normal(7)
+        results = {}
+        for backend, workers in (("seq", None), ("threads", 2)):
+            s = SparseSolver(lower, ordering="natural")
+            s.factor(precision="fp32")
+            results[backend] = s.solve(b, backend=backend, workers=workers)
+            assert s.numeric.precision == "fp64"
+            assert (s.numeric.exec_stats is not None) == (backend == "threads")
+        assert results["threads"].precision == "fp64"
+        assert results["threads"].x.tobytes() == results["seq"].x.tobytes()
 
     def test_refactor_keeps_precision(self):
         lower = grid2d_laplacian(8)

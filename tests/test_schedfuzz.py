@@ -1,12 +1,12 @@
 """Tests for repro.check.schedfuzz and the pool's ordering guarantee.
 
-The threaded backend is race-free because its task graphs are the
-assembly tree's edges and the pool starts a task only after every
+The threaded factorization is race-free because its task graph's edges
+are the assembly tree's and the pool starts a task only after every
 prerequisite has ended. The first is pinned in
 ``tests/test_exec_backend.py``; here, live runs under seeded adversarial
 schedules check the second from the recorded task timeline, and the
 fuzz runs check the end-to-end consequence: every schedule reproduces
-the sequential bits.
+the sequential factor bits. (The solve has no threaded schedule.)
 """
 
 import subprocess
@@ -22,14 +22,12 @@ from repro.core.solver import SparseSolver
 from repro.exec import (
     TaskGraph,
     TaskPool,
-    backward_solve_task_graph,
     factor_task_graph,
-    forward_solve_task_graph,
     multifrontal_factor_threads,
-    solve_threads,
 )
 from repro.gen import convection_diffusion2d, grid2d_laplacian, grid3d_laplacian
 from repro.mf.numeric import multifrontal_factor
+from repro.mf.solve_phase import solve, solve_many
 from repro.obs import recording
 from repro.sparse.csc import CSCMatrix
 from repro.util.errors import ExecBackendError, NotPositiveDefiniteError, RaceError
@@ -83,28 +81,13 @@ def _assert_runs_ordered(events, graphs, context):
         )
 
 
-def _phase_graphs(sym):
-    return {
-        g.label: g
-        for g in (
-            factor_task_graph(sym),
-            forward_solve_task_graph(sym),
-            backward_solve_task_graph(sym),
-        )
-    }
-
-
 def test_pool_starts_tasks_after_prerequisites_end():
     sym = _analyzed(grid3d_laplacian(8))
-    b = make_rng(5).standard_normal(sym.n)
-    graphs = _phase_graphs(sym)
+    graphs = {"factor": factor_task_graph(sym)}
     for workers in (2, 4):
         for seed in (0, 1, 2):
             with recording() as rec:
-                factor = multifrontal_factor_threads(
-                    sym, pool=_fuzzed_pool(workers, seed)
-                )
-                solve_threads(factor, b, pool=_fuzzed_pool(workers, seed))
+                multifrontal_factor_threads(sym, pool=_fuzzed_pool(workers, seed))
             _assert_runs_ordered(
                 rec.spans, graphs, f"workers={workers}, seed={seed}"
             )
@@ -112,13 +95,14 @@ def test_pool_starts_tasks_after_prerequisites_end():
 
 @pytest.mark.parametrize("workers", [1, 4])
 def test_live_factor_and_solve_start_after_prerequisites(workers):
-    # Unfuzzed pools: the schedules the backend really runs.
+    # An unfuzzed pool: the schedule the backend really runs. The solve
+    # after it runs no pool task at all.
     sym = _analyzed(grid2d_laplacian(8))
     b = make_rng(1).standard_normal(sym.n)
     with recording() as rec:
         factor = multifrontal_factor_threads(sym, pool=TaskPool(workers))
-        solve_threads(factor, b, pool=TaskPool(workers))
-    _assert_runs_ordered(rec.spans, _phase_graphs(sym), f"workers={workers}")
+        solve(factor, b)
+    _assert_runs_ordered(rec.spans, {"factor": factor_task_graph(sym)}, f"workers={workers}")
 
 
 def test_dropped_dep_edge_shows_in_task_timeline():
@@ -220,14 +204,16 @@ def test_fuzz_defer_budget_is_bounded():
 
 
 def test_fuzzed_factor_and_solve_stay_bitwise_identical():
+    # Every fuzzed factor is bitwise the sequential one, so the class
+    # sweeps solve it to the sequential x.
     sym = _analyzed(grid2d_laplacian(7))
     results = schedfuzz.fuzz_factor(sym, seeds=[0, 1, 2], workers=3)
-    factor = multifrontal_factor(sym)
-    b = make_rng(4).standard_normal((sym.n, 2))
-    results += schedfuzz.fuzz_solve(factor, b, seeds=[0, 1], workers=3)
-    assert len(results) == 5
+    assert len(results) == 3
     for r in results:
         assert r.ok, r.summary()
+    b = make_rng(4).standard_normal((sym.n, 2))
+    x = solve_many(multifrontal_factor_threads(sym, pool=_fuzzed_pool(3, 0)), b)
+    assert x.tobytes() == solve_many(multifrontal_factor(sym), b).tobytes()
 
 
 def test_fuzzed_lu_factor_stays_bitwise_identical():
@@ -254,25 +240,16 @@ def test_fuzz_smoke_raises_on_failure(monkeypatch):
 def test_fuzz_cases_flag_bitwise_divergence(monkeypatch):
     # A threaded run that moves one bit must fail its fuzz case.
     sym = _analyzed(grid2d_laplacian(6))
-    factor = multifrontal_factor(sym)
-    b = make_rng(3).standard_normal(sym.n)
 
     def skewed_factor(*args, **kwargs):
         f = multifrontal_factor_threads(*args, **kwargs)
         f.blocks[-1][0, 0] = np.nextafter(f.blocks[-1][0, 0], np.inf)
         return f
 
-    def skewed_solve(*args, **kwargs):
-        x = solve_threads(*args, **kwargs)
-        x[0] = np.nextafter(x[0], np.inf)
-        return x
-
     assert all(r.ok for r in schedfuzz.fuzz_factor(sym, seeds=[0], workers=2))
     monkeypatch.setattr(schedfuzz, "multifrontal_factor_threads", skewed_factor)
-    monkeypatch.setattr(schedfuzz, "solve_threads", skewed_solve)
     results = schedfuzz.fuzz_factor(sym, seeds=[0, 1], workers=2)
-    results += schedfuzz.fuzz_solve(factor, b, seeds=[0, 1], workers=2)
-    assert len(results) == 4
+    assert len(results) == 2
     for r in results:
         assert not r.ok
         assert "DIVERGED" in r.summary()
@@ -281,7 +258,7 @@ def test_fuzz_cases_flag_bitwise_divergence(monkeypatch):
 def test_fuzz_smoke_small_clean():
     sym = _analyzed(grid2d_laplacian(6))
     results = schedfuzz.fuzz_smoke(sym, n_seeds=3, workers=(2, 4))
-    assert len(results) == 6  # factor + solve per seed
+    assert len(results) == 3  # one factor per seed
     assert all(r.ok for r in results)
 
 
@@ -298,7 +275,7 @@ def test_cli_sched_fuzz():
         text=True,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "sched-fuzz cube:8: 4 fuzzed schedule(s)" in proc.stdout
+    assert "sched-fuzz cube:8: 2 fuzzed factor schedule(s)" in proc.stdout
     assert "all bitwise-identical" in proc.stdout
 
 

@@ -37,7 +37,6 @@ from repro.dense.trsm import (
     solve_unit_lower_inplace,
     solve_unit_lower_transpose_outer_inplace,
 )
-from repro.exec import solve_many_threads
 from repro.gen import convection_diffusion2d, grid2d_9pt, grid3d_laplacian, random_spd_sparse
 from repro.mf.refine import iterative_refinement_many
 from repro.mf.solve_phase import solve, solve_many
@@ -218,7 +217,6 @@ def test_threads_backend_matches_reference(name, method, precision, k):
     factor = solver.numeric
     b = rhs(factor.n, k)
     ref = ref_solve_many(factor, b)
-    assert_bitwise(solve_many_threads(factor, b, workers=2), ref)
     assert_bitwise(solver.solve(b, refine=False, backend="threads", workers=2).x, ref)
 
 
@@ -234,7 +232,6 @@ def test_lu_matches_reference(k):
     b = rhs(factor.n, k)
     ref = ref_solve_many(factor, b)
     assert_bitwise(solve_many(factor, b), ref)
-    assert_bitwise(solve_many_threads(factor, b, workers=2), ref)
     if k == 1:
         assert_bitwise(solver.solve(b, refine=False).x, ref)
         assert_bitwise(solve(factor, b), ref)
